@@ -35,9 +35,11 @@ which errs on the conservative side near constraint boundaries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
+
+from .model import _atomic_write_text, _read_csv_table
 
 BIG = 1e30  # infeasibility sentinel; np.inf would break linear interpolation
 _BIG_CUT = 1e29
@@ -172,8 +174,6 @@ class RouteSpec:
         return np.arange(self.n_steps + 1) * self.step_m
 
     def to_csv(self, path: str) -> None:
-        from .model import _atomic_write_text
-
         lines = [ROUTE_CSV_HEADER]
         for j in range(self.n_steps + 1):
             lines.append(
@@ -184,16 +184,7 @@ class RouteSpec:
 
     @classmethod
     def read_csv(cls, path: str) -> "RouteSpec":
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != ROUTE_CSV_HEADER:
-                raise ValueError(f"{path}: expected header '{ROUTE_CSV_HEADER}', found '{header}'")
-            try:
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
-            except ValueError as exc:
-                raise ValueError(f"{path}: malformed route row: {exc}") from None
-        if data.shape[0] < 2 or data.shape[1] != 5:
-            raise ValueError(f"{path}: expected at least 2 rows of 5 columns, got {data.shape}")
+        data = _read_csv_table(path, ROUTE_CSV_HEADER, 5, "route")
         pos = data[:, 0]
         steps = np.diff(pos)
         step = float(steps[0]) if len(steps) else 0.0
@@ -325,8 +316,6 @@ class AdvisoryProfile:
         return float(self.node_times[-1])
 
     def to_csv(self, path: str) -> None:
-        from .model import _atomic_write_text
-
         lines = ["position_m,t_s,v_ref_mps,soc,cumulative_cost,engine_on,stop"]
         n = len(self.positions)
         for j in range(n):

@@ -4,7 +4,7 @@ Every command validates all of its inputs before creating any output, writes
 files atomically (temp file plus rename), and reports failures on stderr
 with one of four exit codes: 0 on success, 2 for I/O problems, 3 for invalid
 inputs or configuration, 4 for numerical failures (rank-deficient data,
-diverging rollouts, infeasible routes).
+diverging rollouts, infeasible routes, rejected RLS updates).
 
 A JSON configuration file supplies the physical and algorithmic parameters;
 sections use the corresponding dataclass field names. Individual flags
@@ -35,7 +35,6 @@ from .advisory import (
 from .driversim import DriverParams, VehicleParams, make_distracted_segment, simulate_driver
 from .edmd import FitConfig, RankDeficientDataError, fit_trajectories
 from .evaluate import (
-    OnlineSettings,
     bench_update,
     evaluate_horizons,
     format_reports,
@@ -48,10 +47,12 @@ from .model import (
     Trajectory,
     _atomic_write_text,
     _fmt,
+    _read_csv_table,
 )
-from .rls import init_rls, snapshot_model, update_tick
+from .rls import OnlineSettings, RlsUpdateRejectedError, init_rls, snapshot_model, stream_ticks
 
 ADVISORY_TIME_HEADER = "t_s,v_ref_mps"
+DEFAULT_HORIZONS_S = (50.0, 20.0, 10.0, 5.0)
 
 _CONFIG_SECTIONS = ("seed", "sample_period", "vehicle", "driver", "drivers",
                     "fit", "rls", "eval", "advisory")
@@ -88,6 +89,16 @@ def _build(cls, values: dict, section: str):
     if unknown:
         raise ValueError(f"section '{section}': unknown keys: {', '.join(unknown)}")
     return cls(**values)
+
+
+def _online_settings(cfg: dict, args) -> OnlineSettings:
+    """The rls section, with --lam and --cadence overriding single values."""
+    sec = _section(cfg, "rls")
+    if args.lam is not None:
+        sec["lam"] = args.lam
+    if args.cadence is not None:
+        sec["cadence_s"] = args.cadence
+    return _build(OnlineSettings, sec, "rls")
 
 
 def _sample_period(cfg: dict) -> float:
@@ -163,16 +174,7 @@ def cmd_advisory(args) -> int:
 
 
 def _read_advisory_time_csv(path: str, period: float) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != ADVISORY_TIME_HEADER:
-            raise ValueError(f"{path}: expected header '{ADVISORY_TIME_HEADER}', found '{header}'")
-        try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise ValueError(f"{path}: malformed advisory row: {exc}") from None
-    if data.shape[0] < 2 or data.shape[1] != 2:
-        raise ValueError(f"{path}: expected at least 2 rows of 2 columns, got {data.shape}")
+    data = _read_csv_table(path, ADVISORY_TIME_HEADER, 2, "advisory")
     dt = np.diff(data[:, 0])
     if not np.allclose(dt, period, rtol=1e-9, atol=1e-9 * period):
         raise ValueError(
@@ -274,38 +276,31 @@ def cmd_fit(args) -> int:
 
 def cmd_update(args) -> int:
     cfg = _load_config(args.config)
-    rls_sec = _section(cfg, "rls")
-    lam = args.lam if args.lam is not None else rls_sec.get("lam", 0.9)
-    cadence = args.cadence if args.cadence is not None else rls_sec.get("cadence_s", 1.0)
+    online = _online_settings(cfg, args)
 
     model = KoopmanModel.load(args.model)
     traj = Trajectory.read_csv(args.data)
     segment = traj.window(args.segment[0], args.segment[1])
 
-    state = init_rls(model, lam)
-    tick_steps = max(int(round(cadence / traj.sample_period)), 1)
+    state = init_rls(model, online.lam)
     log_lines = ["tick,t_end_s,pairs,mean_err_norm"]
-    pos = 0
-    tick = 0
-    while pos < len(segment) - 1:
-        chunk_end = min(pos + tick_steps, len(segment) - 1)
-        errs = update_tick(state, model.basis, segment.slice_samples(pos, chunk_end + 1),
-                           cadence=cadence)
-        tick += 1
+    ticks = stream_ticks(state, model.basis, segment, 0, len(segment) - 1,
+                         online.tick_steps(segment.sample_period))
+    for tick, (end, errs) in enumerate(ticks, start=1):
         log_lines.append(
-            f"{tick},{_fmt(segment.t[chunk_end])},{len(errs)},{_fmt(float(np.mean(errs)))}"
+            f"{tick},{_fmt(segment.t[end])},{len(errs)},{_fmt(float(np.mean(errs)))}"
         )
-        pos = chunk_end
 
     updated = snapshot_model(state, model.basis, model.sample_period,
                              provenance={**model.provenance,
                                          "updated_from": os.path.basename(args.model),
                                          "update_segment": list(args.segment),
-                                         "cadence_s": cadence})
+                                         "cadence_s": online.cadence_s})
     updated.save(args.out)
     if args.log:
         _atomic_write_text(args.log, "\n".join(log_lines) + "\n")
-    print(f"update: {state.update_count} updates over {tick} ticks, model -> {args.out}")
+    print(f"update: {state.update_count} updates over {len(log_lines) - 1} ticks, "
+          f"model -> {args.out}")
     return 0
 
 
@@ -314,21 +309,18 @@ def cmd_update(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_config(args.config)
     eval_sec = _section(cfg, "eval")
-    horizons = args.horizons or eval_sec.get("horizons_s", [50.0, 20.0, 10.0, 5.0])
+    horizons = args.horizons or eval_sec.get("horizons_s", DEFAULT_HORIZONS_S)
     segment = args.segment or eval_sec.get("segment_s")
     if segment is None:
         raise ValueError("eval needs --segment (or eval.segment_s in the configuration)")
+    online = _online_settings(cfg, args) if args.online else None
 
     model = KoopmanModel.load(args.model)
     traj = Trajectory.read_csv(args.data)
 
     reports = evaluate_horizons(traj, model, horizons, segment)
-    if args.online:
-        rls_sec = _section(cfg, "rls")
-        lam = args.lam if args.lam is not None else rls_sec.get("lam", 0.9)
-        cadence = args.cadence if args.cadence is not None else rls_sec.get("cadence_s", 1.0)
-        reports += evaluate_horizons(traj, model, horizons, segment,
-                                     online=OnlineSettings(lam=lam, cadence_s=cadence))
+    if online is not None:
+        reports += evaluate_horizons(traj, model, horizons, segment, online=online)
     print(format_reports(reports))
     if args.out:
         reports_to_csv(reports, args.out)
@@ -339,17 +331,14 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _load_config(args.config)
-    horizons = args.horizons or _section(cfg, "eval").get("horizons_s", [50.0, 20.0, 10.0, 5.0])
-    rls_sec = _section(cfg, "rls")
-    lam = args.lam if args.lam is not None else rls_sec.get("lam", 0.9)
-    cadence = args.cadence if args.cadence is not None else rls_sec.get("cadence_s", 1.0)
+    horizons = args.horizons or _section(cfg, "eval").get("horizons_s", DEFAULT_HORIZONS_S)
+    online = _online_settings(cfg, args)
 
     model = KoopmanModel.load(args.model)
     paths = _expand_data_paths(args.data)
     trajectories = _read_trajectories(paths)
 
-    report = bench_update(trajectories, model, horizons,
-                          online=OnlineSettings(lam=lam, cadence_s=cadence))
+    report = bench_update(trajectories, model, horizons, online=online)
     for h, off, tick, s in zip(report.horizons_s, report.offline_fit_s,
                                report.online_per_tick_s, report.speedup):
         print(f"horizon {h:>5.1f} s: refit {off * 1e3:8.1f} ms, "
@@ -447,7 +436,8 @@ def main(argv=None) -> int:
         return _fail(str(exc), 2)
     except (IsADirectoryError, PermissionError, OSError) as exc:
         return _fail(str(exc), 2)
-    except (RouteInfeasibleError, RankDeficientDataError, RolloutDivergenceError) as exc:
+    except (RouteInfeasibleError, RankDeficientDataError, RolloutDivergenceError,
+            RlsUpdateRejectedError) as exc:
         return _fail(str(exc), 4)
     except json.JSONDecodeError as exc:
         return _fail(f"malformed JSON: {exc}", 3)

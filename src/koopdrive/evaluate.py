@@ -27,7 +27,7 @@ import numpy as np
 
 from .edmd import FitConfig, build_matrices, fit
 from .model import KoopmanModel, Trajectory
-from .rls import RlsState, init_rls, snapshot_model, update_tick
+from .rls import OnlineSettings, init_rls, snapshot_model, stream_ticks
 
 MPS_TO_MPH = 2.23694
 
@@ -53,27 +53,6 @@ def rmse(predicted, actual) -> float:
     if p.size == 0:
         raise ValueError("need at least one sample")
     return float(np.sqrt(np.mean((p - a) ** 2)))
-
-
-@dataclass(frozen=True)
-class OnlineSettings:
-    """Forgetting factor and tick cadence for online evaluation.
-
-    The forgetting factor applies per sample.  At 40 Hz a per-sample
-    0.99737 discounts one second of history by about 0.9; per-sample
-    factors far below that inflate the covariance without bound on
-    weakly exciting driving data.
-    """
-
-    lam: float = 0.99737
-    cadence_s: float = 1.0
-    p0_scale: float | None = None
-
-    def __post_init__(self):
-        if not (0.0 < self.lam <= 1.0):
-            raise ValueError(f"forgetting factor must be in (0, 1], got {self.lam}")
-        if not self.cadence_s > 0:
-            raise ValueError(f"cadence must be positive, got {self.cadence_s}")
 
 
 @dataclass
@@ -170,9 +149,8 @@ def _online_window_errors(traj: Trajectory, model: KoopmanModel,
                           online: OnlineSettings, i0: int, steps: int,
                           n_windows: int, mode: str):
     """Tick-by-tick adaptation with causal per-window snapshots."""
-    dt = traj.sample_period
-    tick_steps = max(int(round(online.cadence_s / dt)), 1)
-    state = init_rls(model, online.lam, online.p0_scale)
+    tick_steps = online.tick_steps(traj.sample_period)
+    state = init_rls(model, online.lam)
     err_v_parts, err_f_parts = [], []
     for w in range(n_windows):
         k0 = i0 + w * steps
@@ -180,13 +158,8 @@ def _online_window_errors(traj: Trajectory, model: KoopmanModel,
         ev, ef = _window_errors(snap, traj, k0, steps, mode)
         err_v_parts.append(ev)
         err_f_parts.append(ef)
-        # stream this window's measurements, one cadence tick at a time;
-        # each buffer carries the sample before the tick so no pair is lost
-        pos = k0
-        while pos < k0 + steps:
-            chunk_end = min(pos + tick_steps, k0 + steps)
-            update_tick(state, model.basis, traj.slice_samples(pos, chunk_end + 1))
-            pos = chunk_end
+        for _ in stream_ticks(state, model.basis, traj, k0, k0 + steps, tick_steps):
+            pass
     return err_v_parts, err_f_parts
 
 
@@ -232,7 +205,6 @@ def bench_update(trajectories, model: KoopmanModel, horizons,
     online = online or OnlineSettings()
     n_pairs = sum(len(t) - 1 for t in trajectories)
     dt = trajectories[-1].sample_period
-    tick_steps = max(int(round(online.cadence_s / dt)), 1)
 
     offline_times, online_totals, per_tick, speedups = [], [], [], []
     for horizon in horizons:
@@ -247,15 +219,12 @@ def bench_update(trajectories, model: KoopmanModel, horizons,
         offline_s = time.perf_counter() - t0
 
         state = init_rls(model, online.lam)
-        start = len(last) - 1 - steps
         tick_times = []
-        pos = start
-        while pos < len(last) - 1:
-            chunk_end = min(pos + tick_steps, len(last) - 1)
-            t1 = time.perf_counter()
-            update_tick(state, model.basis, last.slice_samples(pos, chunk_end + 1))
+        t1 = time.perf_counter()
+        for _ in stream_ticks(state, model.basis, last, len(last) - 1 - steps,
+                              len(last) - 1, online.tick_steps(dt)):
             tick_times.append(time.perf_counter() - t1)
-            pos = chunk_end
+            t1 = time.perf_counter()
         online_s = float(sum(tick_times))
         mean_tick = online_s / len(tick_times)
 

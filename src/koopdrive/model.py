@@ -135,22 +135,26 @@ class Trajectory:
 
     @classmethod
     def read_csv(cls, path: str) -> "Trajectory":
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != TRAJECTORY_CSV_HEADER:
-                raise ValueError(
-                    f"{path}: expected header '{TRAJECTORY_CSV_HEADER}', found '{header}'"
-                )
-            try:
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
-            except ValueError as exc:
-                raise ValueError(f"{path}: malformed trajectory row: {exc}") from None
-        if data.shape[0] < 2 or data.shape[1] != 4:
-            raise ValueError(f"{path}: expected at least 2 rows of 4 columns, got {data.shape}")
+        data = _read_csv_table(path, TRAJECTORY_CSV_HEADER, 4, "trajectory")
         dt = np.diff(data[:, 0])
         period = float(np.median(dt))
         return cls(sample_period=period, t=data[:, 0], v=data[:, 1],
                    f_tr=data[:, 2], v_ref=data[:, 3])
+
+
+def _read_csv_table(path: str, header: str, columns: int, kind: str) -> np.ndarray:
+    """At least 2 rows of `columns` numbers from a CSV file headed by `header`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        found = fh.readline().strip()
+        if found != header:
+            raise ValueError(f"{path}: expected header '{header}', found '{found}'")
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed {kind} row: {exc}") from None
+    if data.shape[0] < 2 or data.shape[1] != columns:
+        raise ValueError(f"{path}: expected at least 2 rows of {columns} columns, got {data.shape}")
+    return data
 
 
 def _atomic_write_text(path: str, text: str) -> None:

@@ -26,7 +26,38 @@ import numpy as np
 from .basis import LiftedBasis, _state_array
 from .model import KoopmanModel, Trajectory
 
-__all__ = ["RlsState", "init_rls", "rls_update", "update_tick", "snapshot_model"]
+__all__ = ["OnlineSettings", "RlsState", "RlsUpdateRejectedError", "init_rls", "rls_update",
+           "update_tick", "stream_ticks", "snapshot_model"]
+
+
+class RlsUpdateRejectedError(ArithmeticError):
+    """An update was refused on numerical grounds: a non-positive gain
+    denominator (the covariance is no longer positive definite) or a
+    non-finite prediction error. The state is left untouched."""
+
+
+@dataclass(frozen=True)
+class OnlineSettings:
+    """Forgetting factor and tick cadence for streaming adaptation.
+
+    The forgetting factor applies per sample.  At 40 Hz a per-sample
+    0.99737 discounts one second of history by about 0.9; per-sample
+    factors far below that inflate the covariance without bound on
+    weakly exciting driving data.
+    """
+
+    lam: float = 0.99737
+    cadence_s: float = 1.0
+
+    def __post_init__(self):
+        if not (0.0 < self.lam <= 1.0):
+            raise ValueError(f"forgetting factor must be in (0, 1], got {self.lam}")
+        if not self.cadence_s > 0:
+            raise ValueError(f"cadence must be positive, got {self.cadence_s}")
+
+    def tick_steps(self, sample_period: float) -> int:
+        """Transition pairs per tick at this cadence, at least one."""
+        return max(int(round(self.cadence_s / sample_period)), 1)
 
 
 @dataclass
@@ -76,8 +107,9 @@ def rls_update(state: RlsState, basis: LiftedBasis, x_k, u_k, x_next) -> float:
     """Apply one transition pair in place; returns the prediction error norm.
 
     All quantities are validated before any mutation, so a rejected update
-    (non-finite input, non-positive gain denominator) leaves the state
-    exactly as it was.
+    leaves the state exactly as it was. Malformed inputs (wrong shape or
+    non-finite) raise ValueError; a non-positive gain denominator or a
+    non-finite prediction error raises RlsUpdateRejectedError.
     """
     psi_k = basis.lift(_state_array(x_k, basis.state_dim))
     psi_next = basis.lift(_state_array(x_next, basis.state_dim))
@@ -92,10 +124,10 @@ def rls_update(state: RlsState, basis: LiftedBasis, x_k, u_k, x_next) -> float:
     Pz = state.P @ z
     denom = state.lam + float(z @ Pz)
     if not math.isfinite(denom) or denom <= 0.0:
-        raise ValueError(f"update rejected: gain denominator is {denom}")
+        raise RlsUpdateRejectedError(f"update rejected: gain denominator is {denom}")
     eps = psi_next - state.theta @ z
     if not np.all(np.isfinite(eps)):
-        raise ValueError("update rejected: non-finite prediction error")
+        raise RlsUpdateRejectedError("update rejected: non-finite prediction error")
 
     K = Pz / denom
     state.theta += np.outer(eps, K)
@@ -115,18 +147,16 @@ def _buffer_rows(buffer) -> np.ndarray:
     return arr
 
 
-def update_tick(state: RlsState, basis: LiftedBasis, buffer,
-                cadence: float | None = None) -> np.ndarray:
+def update_tick(state: RlsState, basis: LiftedBasis, buffer) -> np.ndarray:
     """Apply one tick's worth of buffered samples in time order.
 
     The buffer holds rows (v, f_tr, v_ref) and should include the last sample
     seen before the tick, so a tick covering 1 s of 40 Hz data carries 41
     rows and produces 40 updates. A buffer with fewer than two rows leaves
-    the state unchanged. Returns the per-pair prediction error norms; the
-    cadence argument is informational (it documents the intended tick
-    spacing and is not used in the update itself).
+    the state unchanged. Returns the per-pair prediction error norms. A
+    failing pair aborts the tick with the same exception type, naming the
+    pair's index in the buffer; the pairs before it stay applied.
     """
-    del cadence
     rows = _buffer_rows(buffer)
     if len(rows) < 2:
         return np.empty(0)
@@ -134,9 +164,24 @@ def update_tick(state: RlsState, basis: LiftedBasis, buffer,
     for i in range(len(rows) - 1):
         try:
             errs[i] = rls_update(state, basis, rows[i, :2], rows[i, 2:3], rows[i + 1, :2])
-        except ValueError as exc:
-            raise ValueError(f"tick aborted at buffered pair {i}: {exc}") from exc
+        except (ValueError, RlsUpdateRejectedError) as exc:
+            raise type(exc)(f"tick aborted at buffered pair {i}: {exc}") from exc
     return errs
+
+
+def stream_ticks(state: RlsState, basis: LiftedBasis, traj: Trajectory, start: int,
+                 stop: int, tick_steps: int):
+    """Apply the pairs between samples start and stop, tick_steps pairs a tick.
+
+    Each tick's buffer carries the sample before the tick, so every pair is
+    applied exactly once; only the last tick may be shorter. Yields
+    (index of the tick's last sample, update_tick's error norms) per tick.
+    """
+    pos = start
+    while pos < stop:
+        end = min(pos + tick_steps, stop)
+        yield end, update_tick(state, basis, traj.slice_samples(pos, end + 1))
+        pos = end
 
 
 def snapshot_model(state: RlsState, basis: LiftedBasis, sample_period: float,

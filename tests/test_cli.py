@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from koopdrive.cli import main
+from koopdrive.rls import OnlineSettings
 
 TOY_CONFIG = {
     "seed": 0,
@@ -153,3 +154,39 @@ def test_fit_rejects_malformed_csv(tmp_path, config_file):
     rc = main(["fit", "--data", str(bad), "--config", str(config_file),
                "--model-out", str(tmp_path / "m.json")])
     assert rc == 3
+
+
+def test_update_without_config_uses_online_settings_lambda(tmp_path, toy_route, config_file):
+    out = run_pipeline(tmp_path, toy_route, config_file, "f")
+    upd = out / "model_upd.json"
+    assert main(["update", "--model", str(out / "model.json"),
+                 "--data", str(out / "drivers" / "driver_01.csv"),
+                 "--segment", "10", "30", "--out", str(upd)]) == 0
+    provenance = json.loads(upd.read_text())["provenance"]
+    assert provenance["lambda"] == OnlineSettings().lam
+    assert provenance["cadence_s"] == OnlineSettings().cadence_s
+
+
+def test_update_unknown_rls_key_exit_3(tmp_path, toy_route, config_file):
+    out = run_pipeline(tmp_path, toy_route, config_file, "g")
+    cfg = dict(TOY_CONFIG, rls={"lamda": 0.99})
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    upd = out / "model_upd.json"
+    assert main(["update", "--model", str(out / "model.json"),
+                 "--data", str(out / "drivers" / "driver_01.csv"),
+                 "--segment", "10", "30", "--config", str(p), "--out", str(upd)]) == 3
+    assert not upd.exists()
+
+
+def test_rejected_update_exit_4(tmp_path, toy_route, config_file, capsys):
+    # a per-sample forgetting factor this small drives P indefinite within a
+    # few pairs, so the gain denominator turns negative
+    out = run_pipeline(tmp_path, toy_route, config_file, "h")
+    upd = out / "model_upd.json"
+    assert main(["update", "--model", str(out / "model.json"),
+                 "--data", str(out / "drivers" / "driver_01.csv"),
+                 "--segment", "10", "20", "--config", str(config_file),
+                 "--lam", "0.001", "--out", str(upd)]) == 4
+    assert "gain denominator" in capsys.readouterr().err
+    assert not upd.exists()

@@ -4,7 +4,15 @@ import pytest
 from koopdrive.basis import enumerate_basis
 from koopdrive.edmd import DataMatrices, FitConfig, fit
 from koopdrive.model import KoopmanModel, Trajectory
-from koopdrive.rls import RlsState, init_rls, rls_update, snapshot_model, update_tick
+from koopdrive.rls import (
+    RlsState,
+    RlsUpdateRejectedError,
+    init_rls,
+    rls_update,
+    snapshot_model,
+    stream_ticks,
+    update_tick,
+)
 
 
 def zero_model(basis=None):
@@ -109,6 +117,20 @@ def test_update_rejects_nonfinite():
     np.testing.assert_array_equal(state.theta, theta_before)
 
 
+def test_update_rejects_indefinite_covariance():
+    # with P = -I the gain denominator lam - |z|^2 is negative
+    basis = enumerate_basis()
+    state = init_rls(zero_model(basis), 0.9)
+    state.P = -np.eye(state.n_features)
+    theta_before = state.theta.copy()
+    with pytest.raises(RlsUpdateRejectedError, match="gain denominator"):
+        rls_update(state, basis, np.array([10.0, 100.0]), np.array([12.0]),
+                   np.array([10.0, 100.0]))
+    np.testing.assert_array_equal(state.theta, theta_before)
+    np.testing.assert_array_equal(state.P, -np.eye(state.n_features))
+    assert state.update_count == 0
+
+
 def test_update_count_increments():
     basis = enumerate_basis()
     state = init_rls(zero_model(basis), 0.95)
@@ -155,6 +177,25 @@ def test_update_tick_accepts_rows():
     rows = np.column_stack([np.full(5, 10.0), np.zeros(5), np.full(5, 12.0)])
     errs = update_tick(state, basis, rows)
     assert len(errs) == 4
+
+
+def test_update_tick_keeps_rejection_type():
+    basis = enumerate_basis()
+    state = init_rls(zero_model(basis), 0.9)
+    state.P = -np.eye(state.n_features)
+    with pytest.raises(RlsUpdateRejectedError, match="buffered pair 0"):
+        update_tick(state, basis, make_traj(5))
+    with pytest.raises(ValueError, match="buffered pair 0"):
+        update_tick(state, basis, np.array([[np.nan, 0.0, 12.0], [10.0, 0.0, 12.0]]))
+
+
+def test_stream_ticks_covers_each_pair_once():
+    basis = enumerate_basis()
+    state = init_rls(zero_model(basis), 1.0)
+    ticks = list(stream_ticks(state, basis, make_traj(11), 0, 10, 4))
+    assert [end for end, _ in ticks] == [4, 8, 10]
+    assert [len(errs) for _, errs in ticks] == [4, 4, 2]
+    assert state.update_count == 10
 
 
 def test_snapshot_roundtrip():
