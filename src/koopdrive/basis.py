@@ -174,11 +174,6 @@ class LiftedBasis:
     def lifted_dim(self) -> int:
         return len(self.monomials)
 
-    @property
-    def degrees(self) -> np.ndarray:
-        """Total degree of each monomial."""
-        return np.array([sum(e) for e in self.monomials], dtype=int)
-
     def lift(self, x) -> np.ndarray:
         """Map one physical state to its lifted image, shape (lifted_dim,)."""
         arr = _state_array(x, self.state_dim)

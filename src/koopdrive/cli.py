@@ -16,9 +16,9 @@ whole pipeline byte for byte.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import glob
 import json
-import math
 import os
 import sys
 
@@ -32,7 +32,7 @@ from .advisory import (
     resample_to_time,
     solve_eco_dp,
 )
-from .driversim import DriverParams, VehicleParams, make_distracted_segment, simulate_driver
+from .driversim import DistractionWindow, DriverParams, VehicleParams, simulate_driver
 from .edmd import FitConfig, RankDeficientDataError, fit_trajectories
 from .evaluate import (
     bench_update,
@@ -42,7 +42,6 @@ from .evaluate import (
 )
 from .model import (
     KoopmanModel,
-    ModelFileError,
     RolloutDivergenceError,
     Trajectory,
     _atomic_write_text,
@@ -83,12 +82,27 @@ def _section(cfg: dict, name: str) -> dict:
     return dict(sec)
 
 
-def _build(cls, values: dict, section: str):
-    fields = {f for f in cls.__dataclass_fields__}
-    unknown = sorted(set(values) - fields)
+def _check_keys(values: dict, allowed, section: str) -> None:
+    unknown = sorted(set(values) - set(allowed))
     if unknown:
         raise ValueError(f"section '{section}': unknown keys: {', '.join(unknown)}")
+
+
+def _build(cls, values: dict, section: str):
+    fields = dataclasses.fields(cls)
+    _check_keys(values, [f.name for f in fields], section)
+    missing = [f.name for f in fields if f.name not in values
+               and f.default is dataclasses.MISSING
+               and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ValueError(f"section '{section}': missing keys: {', '.join(missing)}")
     return cls(**values)
+
+
+def _eval_section(cfg: dict) -> dict:
+    sec = _section(cfg, "eval")
+    _check_keys(sec, ("horizons_s", "segment_s"), "eval")
+    return sec
 
 
 def _online_settings(cfg: dict, args) -> OnlineSettings:
@@ -195,6 +209,7 @@ def cmd_simulate(args) -> int:
     driver_base = _section(cfg, "driver")
 
     roster = _section(cfg, "drivers")
+    _check_keys(roster, ("count", "gain_jitter", "distracted"), "drivers")
     count = args.drivers if args.drivers is not None else roster.get("count", 1)
     if not (isinstance(count, int) and count >= 1):
         raise ValueError(f"driver count must be a positive integer, got {count!r}")
@@ -204,6 +219,12 @@ def cmd_simulate(args) -> int:
     distracted = roster.get("distracted", [])
     if not isinstance(distracted, list):
         raise ValueError("drivers.distracted must be a list")
+    windows = []
+    for d in distracted:
+        if not isinstance(d, dict) or "index" not in d:
+            raise ValueError("each drivers.distracted entry needs an 'index'")
+        fields = {k: v for k, v in d.items() if k != "index"}
+        windows.append((d["index"], _build(DistractionWindow, fields, "drivers.distracted")))
 
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     if not isinstance(seed, int):
@@ -220,17 +241,8 @@ def cmd_simulate(args) -> int:
                 base = params.get(gain, getattr(DriverParams, gain))
                 params[gain] = base * (1.0 + gain_jitter * (2.0 * jrng.random() - 1.0))
         params["seed"] = seed + i
-        driver = _build(DriverParams, params, "driver")
-        for d in distracted:
-            if not isinstance(d, dict) or "index" not in d:
-                raise ValueError("each drivers.distracted entry needs an 'index'")
-            if d["index"] == i:
-                driver = make_distracted_segment(
-                    driver, d["t_start"], d["t_end"],
-                    compliance=d.get("compliance", 0.2),
-                    noise_scale=d.get("noise_scale", 2.0),
-                )
-        drivers.append(driver)
+        params["windows"] = tuple(w for index, w in windows if index == i)
+        drivers.append(_build(DriverParams, params, "driver"))
 
     os.makedirs(args.out, exist_ok=True)
     width = max(2, len(str(count)))
@@ -280,15 +292,15 @@ def cmd_update(args) -> int:
 
     model = KoopmanModel.load(args.model)
     traj = Trajectory.read_csv(args.data)
-    segment = traj.window(args.segment[0], args.segment[1])
+    i0, i1 = traj.segment_indices(*args.segment)
 
     state = init_rls(model, online.lam)
     log_lines = ["tick,t_end_s,pairs,mean_err_norm"]
-    ticks = stream_ticks(state, model.basis, segment, 0, len(segment) - 1,
-                         online.tick_steps(segment.sample_period))
+    ticks = stream_ticks(state, model.basis, traj, i0, i1,
+                         online.tick_steps(traj.sample_period))
     for tick, (end, errs) in enumerate(ticks, start=1):
         log_lines.append(
-            f"{tick},{_fmt(segment.t[end])},{len(errs)},{_fmt(float(np.mean(errs)))}"
+            f"{tick},{_fmt(traj.t[end])},{len(errs)},{_fmt(float(np.mean(errs)))}"
         )
 
     updated = snapshot_model(state, model.basis, model.sample_period,
@@ -308,7 +320,7 @@ def cmd_update(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_config(args.config)
-    eval_sec = _section(cfg, "eval")
+    eval_sec = _eval_section(cfg)
     horizons = args.horizons or eval_sec.get("horizons_s", DEFAULT_HORIZONS_S)
     segment = args.segment or eval_sec.get("segment_s")
     if segment is None:
@@ -331,7 +343,7 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _load_config(args.config)
-    horizons = args.horizons or _section(cfg, "eval").get("horizons_s", DEFAULT_HORIZONS_S)
+    horizons = args.horizons or _eval_section(cfg).get("horizons_s", DEFAULT_HORIZONS_S)
     online = _online_settings(cfg, args)
 
     model = KoopmanModel.load(args.model)

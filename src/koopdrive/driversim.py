@@ -126,16 +126,10 @@ class DriverParams:
                 return w.compliance
         return self.compliance
 
-    def noise_scale_at(self, t: float) -> float:
-        for w in reversed(self.windows):
-            if w.contains(t):
-                return w.noise_scale
-        return 1.0
-
 
 def make_distracted_segment(driver: DriverParams, t_start: float, t_end: float,
-                            compliance: float = 0.2,
-                            noise_scale: float = 2.0) -> DriverParams:
+                            compliance: float = DistractionWindow.compliance,
+                            noise_scale: float = DistractionWindow.noise_scale) -> DriverParams:
     """Copy of the driver with one more distraction window appended.
 
     Calls compose: each call adds a window, and where windows overlap the

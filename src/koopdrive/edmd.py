@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import LiftedBasis, StateScaler, enumerate_basis
-from .model import KoopmanModel, Trajectory
+from .model import KoopmanModel
 
 __all__ = [
     "FitConfig",

@@ -7,10 +7,13 @@ the window start, and squared errors are pooled across all predicted samples
 of all windows before taking the root. The seeded first sample of a window
 is a measurement, not a prediction, so it does not enter the pool.
 
-The online variant streams the segment through recursive least-squares ticks
-(1 s of samples per tick by default) while predicting each window with the
-parameter snapshot taken at that window's start; updates made inside a
-window therefore only benefit later windows, keeping the evaluation causal.
+The online variant streams the segment once, for all horizons together,
+through recursive least-squares ticks (1 s of samples per tick by default),
+and predicts each window with the parameter snapshot taken at that window's
+start; updates made inside a window therefore only benefit later windows,
+keeping the evaluation causal. Pairs are applied one at a time in order, so
+the snapshots do not depend on where tick boundaries fall, and a horizon's
+report is the same whether it is evaluated alone or with others.
 
 Reported units follow road practice: speed errors in mph alongside m/s, and
 force errors in kN alongside N.
@@ -18,10 +21,9 @@ force errors in kN alongside N.
 
 from __future__ import annotations
 
-import math
 import platform
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,21 +77,6 @@ class HorizonReport:
         return self.rmse_force_n / 1000.0
 
 
-def _segment_indices(traj: Trajectory, segment) -> tuple[int, int]:
-    t0, t1 = segment
-    if not t0 < t1:
-        raise ValueError(f"segment must satisfy t_start < t_end, got {segment}")
-    dt = traj.sample_period
-    i0 = int(math.ceil((t0 - traj.t[0]) / dt - 1e-9))
-    i1 = int(math.floor((t1 - traj.t[0]) / dt + 1e-9))
-    if i0 < 0 or i1 > len(traj) - 1:
-        raise ValueError(
-            f"segment [{t0}, {t1}] extends beyond the trajectory "
-            f"[{traj.t[0]}, {traj.t[-1]}]"
-        )
-    return i0, i1
-
-
 def _window_errors(model: KoopmanModel, traj: Trajectory, k0: int, steps: int,
                    mode: str) -> tuple[np.ndarray, np.ndarray]:
     x0 = np.array([traj.v[k0], traj.f_tr[k0]])
@@ -97,6 +84,28 @@ def _window_errors(model: KoopmanModel, traj: Trajectory, k0: int, steps: int,
     pred = model.rollout(x0, inputs, mode=mode)
     sl = slice(k0 + 1, k0 + steps + 1)
     return pred.v[1:] - traj.v[sl], pred.f_tr[1:] - traj.f_tr[sl]
+
+
+def _models_at(traj: Trajectory, model: KoopmanModel, starts,
+               online: OnlineSettings | None) -> dict:
+    """The model each window start predicts with, keyed by sample index.
+
+    Without online settings that is the model itself. Otherwise one RLS
+    state streams the segment once, tick by tick, and is snapshotted at
+    each start in increasing order.
+    """
+    starts = sorted(set(starts))
+    if online is None:
+        return dict.fromkeys(starts, model)
+    tick_steps = online.tick_steps(traj.sample_period)
+    state = init_rls(model, online.lam)
+    models, pos = {}, starts[0]
+    for k in starts:
+        for _ in stream_ticks(state, model.basis, traj, pos, k, tick_steps):
+            pass
+        models[k] = snapshot_model(state, model.basis, model.sample_period)
+        pos = k
+    return models
 
 
 def evaluate_horizons(trajectory: Trajectory, model: KoopmanModel, horizons,
@@ -109,58 +118,33 @@ def evaluate_horizons(trajectory: Trajectory, model: KoopmanModel, horizons,
     adapted predictor (variant "online"); otherwise the fixed model
     (variant "offline").
     """
-    i0, i1 = _segment_indices(trajectory, segment)
+    i0, i1 = trajectory.segment_indices(*segment)
     dt = trajectory.sample_period
-    variant = "offline" if online is None else "online"
-    reports = []
+    windows = []
     for horizon in horizons:
         steps = int(round(horizon / dt))
         if steps < 1 or i0 + steps > i1:
             raise ValueError(
                 f"horizon {horizon} s does not fit inside segment {segment}"
             )
-        n_windows = (i1 - i0) // steps
+        windows.append((horizon, steps, range(i0, i1 - steps + 1, steps)))
+    models = _models_at(trajectory, model,
+                        [k for _, _, starts in windows for k in starts], online)
 
-        if online is None:
-            err_v_parts, err_f_parts = [], []
-            for w in range(n_windows):
-                ev, ef = _window_errors(model, trajectory, i0 + w * steps, steps, mode)
-                err_v_parts.append(ev)
-                err_f_parts.append(ef)
-        else:
-            err_v_parts, err_f_parts = _online_window_errors(
-                trajectory, model, online, i0, steps, n_windows, mode
-            )
-
-        err_v = np.concatenate(err_v_parts)
-        err_f = np.concatenate(err_f_parts)
+    reports = []
+    for horizon, steps, starts in windows:
+        errs = [_window_errors(models[k], trajectory, k, steps, mode) for k in starts]
+        err_v = np.concatenate([ev for ev, _ in errs])
+        err_f = np.concatenate([ef for _, ef in errs])
         reports.append(HorizonReport(
             horizon_s=float(horizon),
-            variant=variant,
+            variant="offline" if online is None else "online",
             rmse_speed_mps=float(np.sqrt(np.mean(err_v**2))),
             rmse_force_n=float(np.sqrt(np.mean(err_f**2))),
-            n_windows=n_windows,
+            n_windows=len(starts),
             n_samples=len(err_v),
         ))
     return reports
-
-
-def _online_window_errors(traj: Trajectory, model: KoopmanModel,
-                          online: OnlineSettings, i0: int, steps: int,
-                          n_windows: int, mode: str):
-    """Tick-by-tick adaptation with causal per-window snapshots."""
-    tick_steps = online.tick_steps(traj.sample_period)
-    state = init_rls(model, online.lam)
-    err_v_parts, err_f_parts = [], []
-    for w in range(n_windows):
-        k0 = i0 + w * steps
-        snap = snapshot_model(state, model.basis, model.sample_period)
-        ev, ef = _window_errors(snap, traj, k0, steps, mode)
-        err_v_parts.append(ev)
-        err_f_parts.append(ef)
-        for _ in stream_ticks(state, model.basis, traj, k0, k0 + steps, tick_steps):
-            pass
-    return err_v_parts, err_f_parts
 
 
 @dataclass

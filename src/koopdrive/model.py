@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import LiftedBasis, PhysicalState, _state_array
+from .basis import LiftedBasis, _state_array
 
 SCHEMA_VERSION = 1
 _MODEL_KIND = "lifted_linear_driver_model"
@@ -113,16 +113,28 @@ class Trajectory:
             v_ref=self.v_ref[start:stop].copy(),
         )
 
-    def window(self, t_start: float, t_end: float) -> "Trajectory":
-        """Sub-trajectory of samples with t in [t_start, t_end]."""
-        if t_end <= t_start:
-            raise ValueError(f"need t_start < t_end, got [{t_start}, {t_end}]")
+    def segment_indices(self, t_start: float, t_end: float) -> tuple[int, int]:
+        """First and last index of the samples with t in [t_start, t_end].
+
+        Raises ValueError unless t_start < t_end, the segment lies inside the
+        trajectory and it covers at least 2 samples.
+        """
+        if not t_start < t_end:
+            raise ValueError(f"segment must satisfy t_start < t_end, got [{t_start}, {t_end}]")
         i0 = int(math.ceil((t_start - self.t[0]) / self.sample_period - 1e-9))
         i1 = int(math.floor((t_end - self.t[0]) / self.sample_period + 1e-9))
-        i0 = max(i0, 0)
-        i1 = min(i1, len(self) - 1)
+        if i0 < 0 or i1 > len(self) - 1:
+            raise ValueError(
+                f"segment [{t_start}, {t_end}] extends beyond the trajectory "
+                f"[{self.t[0]}, {self.t[-1]}]"
+            )
         if i1 - i0 < 1:
-            raise ValueError(f"window [{t_start}, {t_end}] covers fewer than 2 samples")
+            raise ValueError(f"segment [{t_start}, {t_end}] covers fewer than 2 samples")
+        return i0, i1
+
+    def window(self, t_start: float, t_end: float) -> "Trajectory":
+        """Sub-trajectory of samples with t in [t_start, t_end]."""
+        i0, i1 = self.segment_indices(t_start, t_end)
         return self.slice_samples(i0, i1 + 1)
 
     def write_csv(self, path: str) -> None:
@@ -214,10 +226,6 @@ class KoopmanModel:
     @property
     def input_dim(self) -> int:
         return self.B.shape[1]
-
-    @property
-    def C(self) -> np.ndarray:
-        return self.basis.projection_matrix()
 
     @classmethod
     def from_stacked(cls, basis: LiftedBasis, theta: np.ndarray, sample_period: float,

@@ -190,3 +190,65 @@ def test_rejected_update_exit_4(tmp_path, toy_route, config_file, capsys):
                  "--lam", "0.001", "--out", str(upd)]) == 4
     assert "gain denominator" in capsys.readouterr().err
     assert not upd.exists()
+
+
+def test_update_segment_past_data_exit_3(tmp_path, toy_route, config_file, capsys):
+    out = run_pipeline(tmp_path, toy_route, config_file, "i")
+    upd = out / "model_upd.json"
+    assert main(["update", "--model", str(out / "model.json"),
+                 "--data", str(out / "drivers" / "driver_01.csv"),
+                 "--segment", "10", "9999", "--config", str(config_file),
+                 "--out", str(upd)]) == 3
+    assert "extends beyond" in capsys.readouterr().err
+    assert not upd.exists()
+
+
+def write_config(tmp_path, **sections):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(TOY_CONFIG, **sections)))
+    return p
+
+
+def simulate_with(tmp_path, toy_route, config_file, cfg):
+    adv = tmp_path / "adv"
+    assert main(["advisory", "--route", str(toy_route), "--config", str(config_file),
+                 "--out", str(adv)]) == 0
+    out = tmp_path / "drivers"
+    rc = main(["simulate", "--advisory", str(adv / "advisory_time.csv"),
+               "--config", str(cfg), "--out", str(out)])
+    assert not out.exists()
+    return rc
+
+
+def test_missing_config_key_exit_3(tmp_path, toy_route, config_file, capsys):
+    vehicle = {k: v for k, v in TOY_CONFIG["vehicle"].items() if k != "mass"}
+    cfg = write_config(tmp_path, vehicle=vehicle)
+    assert simulate_with(tmp_path, toy_route, config_file, cfg) == 3
+    assert "missing keys: mass" in capsys.readouterr().err
+
+
+def test_distracted_entry_without_t_start_exit_3(tmp_path, toy_route, config_file):
+    drivers = dict(TOY_CONFIG["drivers"], distracted=[{"index": 2, "t_end": 25.0}])
+    cfg = write_config(tmp_path, drivers=drivers)
+    assert simulate_with(tmp_path, toy_route, config_file, cfg) == 3
+
+
+@pytest.mark.parametrize("drivers", [
+    dict(TOY_CONFIG["drivers"], gain_jiter=0.1),
+    dict(TOY_CONFIG["drivers"], distracted=[{"index": 2, "t_start": 10.0, "t_end": 25.0,
+                                             "complaince": 0.2}]),
+], ids=["drivers", "distracted"])
+def test_unknown_drivers_key_exit_3(tmp_path, toy_route, config_file, drivers, capsys):
+    cfg = write_config(tmp_path, drivers=drivers)
+    assert simulate_with(tmp_path, toy_route, config_file, cfg) == 3
+    assert "unknown keys" in capsys.readouterr().err
+
+
+def test_unknown_eval_key_exit_3(tmp_path, toy_route, config_file):
+    out = run_pipeline(tmp_path, toy_route, config_file, "j")
+    cfg = write_config(tmp_path, eval=dict(TOY_CONFIG["eval"], horizon_s=[5.0]))
+    reports = out / "reports.csv"
+    assert main(["eval", "--model", str(out / "model.json"),
+                 "--data", str(out / "drivers" / "driver_01.csv"),
+                 "--config", str(cfg), "--out", str(reports)]) == 3
+    assert not reports.exists()

@@ -124,6 +124,41 @@ def test_online_adapts_to_changed_dynamics():
     assert on[0].rmse_speed_mps < off[0].rmse_speed_mps
 
 
+def changed_dynamics_case(n=2000):
+    model = linear_readout_model()
+    changed = KoopmanModel(basis=model.basis, A=model.A * 0.97, B=model.B * 1.2,
+                           sample_period=model.sample_period)
+    return model, model_trajectory(changed, n=n), (0.0, (n - 1) * 0.025)
+
+
+def test_online_applies_each_pair_at_most_once(monkeypatch):
+    # one RLS stream serves every horizon, instead of one stream per horizon
+    import koopdrive.rls
+
+    calls = []
+    original = koopdrive.rls.rls_update
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(koopdrive.rls, "rls_update", counted)
+    model, traj, seg = changed_dynamics_case()
+    evaluate_horizons(traj, model, [5.0, 2.0, 1.0], seg, online=OnlineSettings(lam=0.999))
+    assert 0 < len(calls) <= len(traj) - 1
+
+
+def test_online_horizons_are_independent():
+    # a cadence that does not divide the horizons moves the tick boundaries,
+    # which must not change any snapshot
+    model, traj, seg = changed_dynamics_case()
+    online = OnlineSettings(lam=0.999, cadence_s=0.7)
+    horizons = [5.0, 3.0, 1.5]
+    together = evaluate_horizons(traj, model, horizons, seg, online=online)
+    for h, report in zip(horizons, together):
+        assert evaluate_horizons(traj, model, [h], seg, online=online) == [report]
+
+
 def test_bench_report_fields():
     model = linear_readout_model()
     trajs = [model_trajectory(model, n=3000, seed=s) for s in (1, 2)]

@@ -68,6 +68,27 @@ def test_window_selects_halfopen_range():
     assert abs(w.t[0] - 1.0) < traj.sample_period
 
 
+def test_segment_indices_inclusive_bounds():
+    traj = make_traj(n=200)
+    assert traj.segment_indices(1.0, 2.0) == (40, 80)
+    assert traj.segment_indices(0.0, traj.t[-1]) == (0, 199)
+
+
+@pytest.mark.parametrize("t_start, t_end", [(2.0, 1.0), (1.0, 1.0), (-0.1, 1.0),
+                                            (4.0, 5.0), (1.0, 1.01)])
+def test_segment_indices_rejects(t_start, t_end):
+    # reversed, empty, before the start, past the end, under 2 samples
+    traj = make_traj(n=200)
+    with pytest.raises(ValueError):
+        traj.segment_indices(t_start, t_end)
+
+
+def test_window_past_data_raises():
+    traj = make_traj(n=200)
+    with pytest.raises(ValueError, match="extends beyond"):
+        traj.window(4.0, 9999.0)
+
+
 def test_states_stacks_v_and_force():
     traj = make_traj(n=10)
     X = traj.states()
@@ -199,10 +220,3 @@ def test_stacked_roundtrip():
     m2 = KoopmanModel.from_stacked(m.basis, theta, m.sample_period)
     np.testing.assert_array_equal(m2.A, m.A)
     np.testing.assert_array_equal(m2.B, m.B)
-
-
-def test_c_matrix():
-    m = identity_model()
-    C = m.C
-    assert C.shape == (2, 9)
-    np.testing.assert_array_equal(C @ np.arange(9.0), [0.0, 1.0])
