@@ -84,7 +84,8 @@ class Trajectory:
             if len(getattr(self, name)) != n:
                 raise ValueError("all trajectory columns must have the same length")
         dt = np.diff(self.t)
-        if not np.allclose(dt, self.sample_period, rtol=1e-9, atol=1e-9 * self.sample_period):
+        # np.allclose(dt, T, rtol=1e-9, atol=1e-9 * T) for finite t and T > 0
+        if not np.all(np.abs(dt - self.sample_period) <= 2e-9 * self.sample_period):
             worst = int(np.argmax(np.abs(dt - self.sample_period)))
             raise ValueError(
                 f"time spacing must equal sample_period={self.sample_period}; "
@@ -280,12 +281,18 @@ class KoopmanModel:
         # index below rather than as a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
             if mode == "lifted":
-                z = self.basis.lift(x0)
+                # Z[k + 1] = A Z[k] + B u[k], the input term written first
+                Z = np.empty((L + 1, self.lifted_dim))
+                Z[0] = self.basis.lift(x0)
+                Z[1:] = np.outer(u, self.B[:, 0])
+                A = self.A
                 for k in range(L):
-                    z = self.A @ z + self.B[:, 0] * u[k]
-                    if not np.all(np.isfinite(z)):
-                        raise RolloutDivergenceError(step=k + 1, mode=mode)
-                    states[k + 1] = self.basis.project(z)
+                    Z[k + 1] += A @ Z[k]
+                # the first non-finite row is the step a per-step check would stop at
+                diverged = ~np.isfinite(Z[1:]).all(axis=1)
+                if diverged.any():
+                    raise RolloutDivergenceError(step=int(np.argmax(diverged)) + 1, mode=mode)
+                states[1:] = self.basis.project_many(Z[1:])
             else:
                 x = x0
                 for k in range(L):

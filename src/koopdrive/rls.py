@@ -14,6 +14,11 @@ regression with penalty 1/kappa, which is what the batch solver computes;
 lambda < 1 discounts old data with the usual 1/(1 - lambda) sample memory.
 No covariance resetting or windup protection is applied beyond the
 forgetting factor itself.
+
+A tick (update_tick) validates and lifts its whole buffer once, then
+applies the pairs one at a time through rls_update's internal lifted= fast
+path. The per-pair arithmetic is the same as for a validating rls_update
+call, so the result is bit-identical to applying the pairs one by one.
 """
 
 from __future__ import annotations
@@ -103,24 +108,32 @@ def init_rls(model: KoopmanModel, lam: float, p0_scale: float | None = None) -> 
     return RlsState(theta=model.stacked().copy(), P=np.eye(p) * scale, lam=lam)
 
 
-def rls_update(state: RlsState, basis: LiftedBasis, x_k, u_k, x_next) -> float:
+def rls_update(state: RlsState, basis: LiftedBasis, x_k, u_k, x_next, *,
+               lifted: tuple[np.ndarray, np.ndarray] | None = None) -> float:
     """Apply one transition pair in place; returns the prediction error norm.
 
     All quantities are validated before any mutation, so a rejected update
     leaves the state exactly as it was. Malformed inputs (wrong shape or
     non-finite) raise ValueError; a non-positive gain denominator or a
     non-finite prediction error raises RlsUpdateRejectedError.
-    """
-    psi_k = basis.lift(_state_array(x_k, basis.state_dim))
-    psi_next = basis.lift(_state_array(x_next, basis.state_dim))
-    m = state.n_features - basis.lifted_dim
-    u_arr = np.atleast_1d(np.asarray(u_k, dtype=float))
-    if u_arr.shape != (m,):
-        raise ValueError(f"input must have shape ({m},), got {u_arr.shape}")
-    if not np.all(np.isfinite(u_arr)):
-        raise ValueError(f"input must be finite, got {u_arr}")
 
-    z = np.concatenate([psi_k, u_arr])
+    lifted=(z, psi_next) is update_tick's fast path: the regressor
+    [psi(x_k); u_k] and psi(x_next), already validated and lifted by the
+    caller. The raw x_k, u_k and x_next are then not read.
+    """
+    if lifted is None:
+        psi_k = basis.lift(_state_array(x_k, basis.state_dim))
+        psi_next = basis.lift(_state_array(x_next, basis.state_dim))
+        m = state.n_features - basis.lifted_dim
+        u_arr = np.atleast_1d(np.asarray(u_k, dtype=float))
+        if u_arr.shape != (m,):
+            raise ValueError(f"input must have shape ({m},), got {u_arr.shape}")
+        if not np.all(np.isfinite(u_arr)):
+            raise ValueError(f"input must be finite, got {u_arr}")
+        z = np.concatenate([psi_k, u_arr])
+    else:
+        z, psi_next = lifted
+
     Pz = state.P @ z
     denom = state.lam + float(z @ Pz)
     if not math.isfinite(denom) or denom <= 0.0:
@@ -156,16 +169,35 @@ def update_tick(state: RlsState, basis: LiftedBasis, buffer) -> np.ndarray:
     the state unchanged. Returns the per-pair prediction error norms. A
     failing pair aborts the tick with the same exception type, naming the
     pair's index in the buffer; the pairs before it stay applied.
+
+    The buffer is validated and lifted once: the pairs before the first
+    malformed one run through rls_update's lifted fast path, and the
+    malformed pair through its validating path, which raises.
     """
     rows = _buffer_rows(buffer)
     if len(rows) < 2:
         return np.empty(0)
-    errs = np.empty(len(rows) - 1)
-    for i in range(len(rows) - 1):
-        try:
-            errs[i] = rls_update(state, basis, rows[i, :2], rows[i, 2:3], rows[i + 1, :2])
-        except (ValueError, RlsUpdateRejectedError) as exc:
-            raise type(exc)(f"tick aborted at buffered pair {i}: {exc}") from exc
+    n_pairs = len(rows) - 1
+    if basis.state_dim == 2 and state.n_features == basis.lifted_dim + 1:
+        # pair i reads the states of rows i and i + 1 and the input of row i
+        finite = np.isfinite(rows)
+        ok = finite[:-1, :2].all(axis=1) & finite[1:, :2].all(axis=1) & finite[:-1, 2]
+        good = n_pairs if ok.all() else int(np.argmin(ok))
+    else:
+        good = 0  # a shape mismatch fails at pair 0 in the validating path
+    errs = np.empty(n_pairs)
+    i = 0
+    try:
+        if good:
+            psi = basis.lift_many(rows[: good + 1, :2])
+            Z = np.column_stack([psi[:-1], rows[:good, 2]])
+            for i in range(good):
+                errs[i] = rls_update(state, basis, None, None, None, lifted=(Z[i], psi[i + 1]))
+        if good < n_pairs:
+            i = good
+            rls_update(state, basis, rows[i, :2], rows[i, 2:3], rows[i + 1, :2])
+    except (ValueError, RlsUpdateRejectedError) as exc:
+        raise type(exc)(f"tick aborted at buffered pair {i}: {exc}") from exc
     return errs
 
 

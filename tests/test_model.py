@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from koopdrive.basis import enumerate_basis
+from koopdrive.basis import StateScaler, enumerate_basis
 from koopdrive.model import (
     KoopmanModel,
     ModelFileError,
@@ -33,6 +33,20 @@ def test_trajectory_validates_spacing():
     with pytest.raises(ValueError):
         Trajectory(sample_period=0.025, t=t, v=np.ones(3), f_tr=np.zeros(3),
                    v_ref=np.ones(3))
+
+
+@pytest.mark.parametrize("offset, ok", [(1e-9, True), (4e-9, False)])
+def test_trajectory_spacing_tolerance(offset, ok):
+    # spacings within 2e-9 relative of the sample period are accepted
+    dt = 0.025
+    t = np.arange(5) * dt
+    t[-1] += offset * dt
+    args = dict(sample_period=dt, t=t, v=np.ones(5), f_tr=np.zeros(5), v_ref=np.ones(5))
+    if ok:
+        Trajectory(**args)
+    else:
+        with pytest.raises(ValueError, match="sample 3 has spacing"):
+            Trajectory(**args)
 
 
 def test_trajectory_needs_two_samples():
@@ -162,7 +176,27 @@ def test_rollout_divergence_reports_step():
     m = KoopmanModel(basis=basis, A=A, B=B, sample_period=0.025)
     with pytest.raises(RolloutDivergenceError) as exc:
         m.rollout(np.array([1e3, 1e3]), np.zeros(200))
-    assert exc.value.step > 0
+    assert exc.value.step == 100
+
+
+def test_lifted_rollout_matches_step_loop():
+    # reference: lift once, advance one step at a time, project each step
+    basis = enumerate_basis(scaler=StateScaler(scale=(16.0, 1024.0), offset=(0.0, 0.0)))
+    rng = np.random.default_rng(4)
+    A = rng.normal(0, 0.3, size=(9, 9))
+    B = rng.normal(size=(9, 1))
+    m = KoopmanModel(basis=basis, A=A, B=B, sample_period=0.025)
+    x0 = np.array([11.5, -230.0])
+    u = rng.normal(12.0, 1.0, size=60)
+    z = basis.lift(x0)
+    expect = [x0]
+    for k in range(len(u)):
+        z = A @ z + B[:, 0] * u[k]
+        expect.append(basis.project(z))
+    expect = np.array(expect)
+    pred = m.rollout(x0, u)
+    np.testing.assert_array_equal(pred.v, expect[:, 0])
+    np.testing.assert_array_equal(pred.f_tr, expect[:, 1])
 
 
 def test_rollout_requires_inputs():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from koopdrive.basis import enumerate_basis
+from koopdrive.basis import StateScaler, enumerate_basis
 from koopdrive.edmd import DataMatrices, FitConfig, fit
 from koopdrive.model import KoopmanModel, Trajectory
 from koopdrive.rls import (
@@ -187,6 +187,80 @@ def test_update_tick_keeps_rejection_type():
         update_tick(state, basis, make_traj(5))
     with pytest.raises(ValueError, match="buffered pair 0"):
         update_tick(state, basis, np.array([[np.nan, 0.0, 12.0], [10.0, 0.0, 12.0]]))
+
+
+def random_rows(n, v_scale=1.0, f_scale=1.0, seed=3):
+    rng = np.random.default_rng(seed)
+    return np.column_stack([v_scale * rng.normal(1, 0.2, n), f_scale * rng.normal(0, 1, n),
+                            v_scale * rng.normal(1.2, 0.1, n)])
+
+
+@pytest.mark.parametrize("scaler, lam, v_scale, f_scale", [
+    (None, 1.0, 1.0, 1.0),
+    (StateScaler(scale=(16.0, 512.0), offset=(0.0, 0.0)), 0.99737, 10.0, 500.0),
+])
+def test_update_tick_matches_per_pair_updates(scaler, lam, v_scale, f_scale):
+    # reference: the validating per-pair path, one rls_update call per pair
+    basis = enumerate_basis(scaler=scaler)
+    model = KoopmanModel.from_stacked(
+        basis, np.random.default_rng(8).normal(0, 0.1, size=(9, 10)), 0.025)
+    rows = random_rows(400, v_scale, f_scale)
+    tick = init_rls(model, lam)
+    errs = update_tick(tick, basis, rows)
+    ref = init_rls(model, lam)
+    ref_errs = [rls_update(ref, basis, rows[i, :2], rows[i, 2:3], rows[i + 1, :2])
+                for i in range(len(rows) - 1)]
+    np.testing.assert_array_equal(errs, ref_errs)
+    np.testing.assert_array_equal(tick.theta, ref.theta)
+    np.testing.assert_array_equal(tick.P, ref.P)
+    assert tick.update_count == ref.update_count == 399
+
+
+@pytest.mark.parametrize("row, col, pair", [(5, 0, 4), (5, 2, 5)])
+def test_update_tick_names_first_bad_pair(row, col, pair):
+    # a bad state in row r breaks pair r - 1 (its x_next); a bad input breaks pair r
+    basis = enumerate_basis()
+    state = init_rls(zero_model(basis), 1.0)
+    rows = random_rows(12)
+    rows[row, col] = np.nan
+    with pytest.raises(ValueError, match=f"buffered pair {pair}: .* must be finite"):
+        update_tick(state, basis, rows)
+    assert state.update_count == pair
+
+
+def test_update_tick_ignores_last_input():
+    basis = enumerate_basis()
+    state = init_rls(zero_model(basis), 1.0)
+    rows = random_rows(6)
+    rows[-1, 2] = np.nan
+    assert len(update_tick(state, basis, rows)) == 5
+    assert state.update_count == 5
+
+
+def test_update_tick_rejects_two_input_model():
+    basis = enumerate_basis()
+    model = KoopmanModel(basis=basis, A=np.zeros((9, 9)), B=np.zeros((9, 2)),
+                         sample_period=0.025)
+    state = init_rls(model, 1.0)
+    with pytest.raises(ValueError, match="buffered pair 0: input must have shape"):
+        update_tick(state, basis, random_rows(4))
+    assert state.update_count == 0
+
+
+def test_update_tick_calls_kernel_once_per_pair(monkeypatch):
+    import koopdrive.rls
+
+    calls = []
+    original = koopdrive.rls.rls_update
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(koopdrive.rls, "rls_update", counted)
+    basis = enumerate_basis()
+    state = init_rls(zero_model(basis), 1.0)
+    assert len(update_tick(state, basis, make_traj(41))) == len(calls) == 40
 
 
 def test_stream_ticks_covers_each_pair_once():
