@@ -87,6 +87,8 @@ class StateScaler:
         for o in self.offset:
             if not math.isfinite(o):
                 raise ValueError(f"offset entries must be finite, got {self.offset}")
+        object.__setattr__(self, "_scale", np.array(self.scale, dtype=float))
+        object.__setattr__(self, "_offset", np.array(self.offset, dtype=float))
 
     @classmethod
     def pow2_from_data(cls, states: np.ndarray) -> "StateScaler":
@@ -108,10 +110,10 @@ class StateScaler:
         return cls(scale=tuple(scales), offset=tuple(0.0 for _ in scales))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return (np.asarray(x, dtype=float) - np.asarray(self.offset)) / np.asarray(self.scale)
+        return (np.asarray(x, dtype=float) - self._offset) / self._scale
 
     def invert(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float) * np.asarray(self.scale) + np.asarray(self.offset)
+        return np.asarray(x, dtype=float) * self._scale + self._offset
 
     def to_dict(self) -> dict:
         return {"scale": list(self.scale), "offset": list(self.offset)}

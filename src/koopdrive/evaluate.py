@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .edmd import FitConfig, build_matrices, fit
-from .model import KoopmanModel, Trajectory
+from .model import KoopmanModel, Trajectory, _atomic_write_text
 from .rls import OnlineSettings, init_rls, snapshot_model, stream_ticks
 
 MPS_TO_MPH = 2.23694
@@ -248,8 +248,6 @@ def format_reports(reports) -> str:
 
 
 def reports_to_csv(reports, path: str) -> None:
-    from .model import _atomic_write_text
-
     lines = ["horizon_s,variant,rmse_speed_mps,rmse_speed_mph,rmse_force_n,"
              "rmse_force_kn,n_windows,n_samples"]
     for r in reports:

@@ -6,6 +6,11 @@ advisory speed acting as the exogenous input. The physical state is read out
 of the first entries of z (the identity observables), so the readout matrix
 is [I 0] by construction and is not stored.
 
+A lifted-mode rollout steps through row views of one preallocated array with
+ndarray.dot, which makes the same BLAS call as @ without the ufunc dispatch.
+Trajectory.slice_samples copies a slice of an already validated trajectory
+and does not validate it again.
+
 Model files are JSON documents carrying the basis metadata, the matrices at
 full decimal precision, and free-form provenance left by the fitting code.
 Writing is atomic (temp file plus rename), and a reload reproduces the
@@ -104,15 +109,22 @@ class Trajectory:
         return np.column_stack([self.v, self.f_tr])
 
     def slice_samples(self, start: int, stop: int) -> "Trajectory":
+        """Copy of samples start to stop - 1, not validated again.
+
+        A contiguous slice of a validated trajectory inherits its finiteness
+        and spacing, so only the slice bounds and its length are checked.
+        """
         if not 0 <= start < stop <= len(self):
             raise ValueError(f"bad sample slice [{start}, {stop}) for length {len(self)}")
-        return Trajectory(
-            sample_period=self.sample_period,
-            t=self.t[start:stop].copy(),
-            v=self.v[start:stop].copy(),
-            f_tr=self.f_tr[start:stop].copy(),
-            v_ref=self.v_ref[start:stop].copy(),
-        )
+        if stop - start < 2:
+            raise ValueError(f"a trajectory needs at least 2 samples, got {stop - start}")
+        out = object.__new__(Trajectory)
+        out.sample_period = self.sample_period
+        out.t = self.t[start:stop].copy()
+        out.v = self.v[start:stop].copy()
+        out.f_tr = self.f_tr[start:stop].copy()
+        out.v_ref = self.v_ref[start:stop].copy()
+        return out
 
     def segment_indices(self, t_start: float, t_end: float) -> tuple[int, int]:
         """First and last index of the samples with t in [t_start, t_end].
@@ -242,16 +254,6 @@ class KoopmanModel:
     def stacked(self) -> np.ndarray:
         return np.hstack([self.A, self.B])
 
-    def step(self, z: np.ndarray, u) -> np.ndarray:
-        """One prediction step in lifted coordinates."""
-        z = np.asarray(z, dtype=float)
-        if z.shape != (self.lifted_dim,):
-            raise ValueError(f"z must have shape ({self.lifted_dim},), got {z.shape}")
-        u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-        if u_arr.shape != (self.input_dim,):
-            raise ValueError(f"u must have shape ({self.input_dim},), got {u_arr.shape}")
-        return self.A @ z + self.B @ u_arr
-
     def rollout(self, x0, inputs, mode: str = "lifted") -> Trajectory:
         """Simulate the model forward from a physical initial state.
 
@@ -286,8 +288,9 @@ class KoopmanModel:
                 Z[0] = self.basis.lift(x0)
                 Z[1:] = np.outer(u, self.B[:, 0])
                 A = self.A
-                for k in range(L):
-                    Z[k + 1] += A @ Z[k]
+                rows = list(Z)  # row views, taken once
+                for z, z_next in zip(rows, rows[1:]):
+                    z_next += A.dot(z)
                 # the first non-finite row is the step a per-step check would stop at
                 diverged = ~np.isfinite(Z[1:]).all(axis=1)
                 if diverged.any():

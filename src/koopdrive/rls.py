@@ -19,6 +19,12 @@ A tick (update_tick) validates and lifts its whole buffer once, then
 applies the pairs one at a time through rls_update's internal lifted= fast
 path. The per-pair arithmetic is the same as for a validating rls_update
 call, so the result is bit-identical to applying the pairs one by one.
+
+The kernel works on 10-wide arrays, where numpy's per-call overhead costs
+more than the arithmetic. It multiplies with ndarray.dot, which makes the
+same BLAS call as @ without the ufunc dispatch, forms the outer products by
+broadcasting (the products np.outer computes) and takes the error norm as
+sqrt(eps . eps), which is how np.linalg.norm computes it.
 """
 
 from __future__ import annotations
@@ -134,21 +140,23 @@ def rls_update(state: RlsState, basis: LiftedBasis, x_k, u_k, x_next, *,
     else:
         z, psi_next = lifted
 
-    Pz = state.P @ z
-    denom = state.lam + float(z @ Pz)
+    Pz = state.P.dot(z)
+    denom = state.lam + float(z.dot(Pz))
     if not math.isfinite(denom) or denom <= 0.0:
         raise RlsUpdateRejectedError(f"update rejected: gain denominator is {denom}")
-    eps = psi_next - state.theta @ z
-    if not np.all(np.isfinite(eps)):
+    eps = psi_next - state.theta.dot(z)
+    sq = float(eps.dot(eps))
+    # sq is finite only if eps is; a finite eps whose square overflows passes
+    if not math.isfinite(sq) and not np.all(np.isfinite(eps)):
         raise RlsUpdateRejectedError("update rejected: non-finite prediction error")
 
     K = Pz / denom
-    state.theta += np.outer(eps, K)
+    state.theta += eps[:, None] * K  # the outer product eps K'
     # z' P equals (P z)' while P stays symmetric, which re-symmetrizing enforces
-    P_new = (state.P - np.outer(K, Pz)) / state.lam
+    P_new = (state.P - K[:, None] * Pz) / state.lam
     state.P = 0.5 * (P_new + P_new.T)
     state.update_count += 1
-    return float(np.linalg.norm(eps))
+    return math.sqrt(sq)
 
 
 def _buffer_rows(buffer) -> np.ndarray:

@@ -55,6 +55,39 @@ def test_trajectory_needs_two_samples():
                    f_tr=np.zeros(1), v_ref=np.ones(1))
 
 
+def test_slice_samples_matches_validated_trajectory():
+    traj = make_traj(n=50, seed=2)
+    part = traj.slice_samples(7, 31)
+    ref = Trajectory(sample_period=traj.sample_period, t=traj.t[7:31], v=traj.v[7:31],
+                     f_tr=traj.f_tr[7:31], v_ref=traj.v_ref[7:31])
+    assert type(part) is Trajectory
+    assert part.sample_period == ref.sample_period
+    for name in ("t", "v", "f_tr", "v_ref"):
+        np.testing.assert_array_equal(getattr(part, name), getattr(ref, name))
+
+
+def test_slice_samples_copies_columns():
+    traj = make_traj(n=20)
+    before = [traj.t.copy(), traj.v.copy(), traj.f_tr.copy(), traj.v_ref.copy()]
+    part = traj.slice_samples(3, 9)
+    for name in ("t", "v", "f_tr", "v_ref"):
+        getattr(part, name)[:] = -1.0
+    for arr, old in zip((traj.t, traj.v, traj.f_tr, traj.v_ref), before):
+        np.testing.assert_array_equal(arr, old)
+
+
+@pytest.mark.parametrize("start, stop, message", [
+    (4, 5, r"a trajectory needs at least 2 samples, got 1"),
+    (99, 100, r"a trajectory needs at least 2 samples, got 1"),
+    (4, 4, r"bad sample slice \[4, 4\) for length 100"),
+    (-1, 5, r"bad sample slice \[-1, 5\) for length 100"),
+    (90, 101, r"bad sample slice \[90, 101\) for length 100"),
+])
+def test_slice_samples_rejects(start, stop, message):
+    with pytest.raises(ValueError, match=message):
+        make_traj(n=100).slice_samples(start, stop)
+
+
 def test_trajectory_csv_roundtrip_bytes(tmp_path):
     traj = make_traj(seed=5)
     p1 = tmp_path / "a.csv"
@@ -109,34 +142,6 @@ def test_states_stacks_v_and_force():
     assert X.shape == (10, 2)
     np.testing.assert_array_equal(X[:, 0], traj.v)
     np.testing.assert_array_equal(X[:, 1], traj.f_tr)
-
-
-def test_step_identity():
-    m = identity_model()
-    z = np.arange(9.0)
-    np.testing.assert_array_equal(m.step(z, 5.0), z)
-
-
-def test_step_input_feedthrough():
-    basis = enumerate_basis()
-    A = np.zeros((9, 9))
-    B = np.zeros((9, 1))
-    B[0, 0] = 1.0
-    m = KoopmanModel(basis=basis, A=A, B=B, sample_period=0.025)
-    out = m.step(np.ones(9), 7.0)
-    expect = np.zeros(9)
-    expect[0] = 7.0
-    np.testing.assert_array_equal(out, expect)
-
-
-def test_step_scalar_case():
-    basis = enumerate_basis(max_degree=1)
-    # degree-1 basis in 2 states has dim 2; build a diagonal pair
-    A = np.array([[0.9, 0.0], [0.0, 0.9]])
-    B = np.array([[0.1], [0.0]])
-    m = KoopmanModel(basis=basis, A=A, B=B, sample_period=0.025)
-    out = m.step(np.array([1.0, 0.0]), 1.0)
-    np.testing.assert_allclose(out, [1.0, 0.0], rtol=0, atol=0)
 
 
 def test_rollout_constant_under_identity():

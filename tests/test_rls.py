@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,72 @@ def test_update_rejects_indefinite_covariance():
     np.testing.assert_array_equal(state.theta, theta_before)
     np.testing.assert_array_equal(state.P, -np.eye(state.n_features))
     assert state.update_count == 0
+
+
+def parent_kernel(theta, P, lam, z, psi_next):
+    """rls_update's arithmetic with @, np.outer and np.linalg.norm; updates theta
+    in place and returns the new P and the error norm."""
+    Pz = P @ z
+    denom = lam + float(z @ Pz)
+    if not math.isfinite(denom) or denom <= 0.0:
+        raise RlsUpdateRejectedError("gain denominator")
+    eps = psi_next - theta @ z
+    if not np.all(np.isfinite(eps)):
+        raise RlsUpdateRejectedError("non-finite prediction error")
+    K = Pz / denom
+    theta += np.outer(eps, K)
+    P_new = (P - np.outer(K, Pz)) / lam
+    return 0.5 * (P_new + P_new.T), float(np.linalg.norm(eps))
+
+
+def scaled_stream(n, seed=5):
+    # lifted regressors of random rows as update_tick builds them, row views included
+    basis = enumerate_basis(scaler=StateScaler(scale=(16.0, 512.0), offset=(0.0, 0.0)))
+    model = KoopmanModel.from_stacked(
+        basis, np.random.default_rng(seed).normal(0, 0.1, size=(9, 10)), 0.025)
+    rows = random_rows(n + 1, 10.0, 500.0, seed=seed)
+    psi = basis.lift_many(rows[:, :2])
+    return basis, model, np.column_stack([psi[:-1], rows[:-1, 2]]), psi
+
+
+def test_kernel_matches_parent_operators():
+    basis, model, Z, psi = scaled_stream(2000)
+    state = init_rls(model, 0.99737)
+    theta, P = state.theta.copy(), state.P.copy()
+    for i in range(len(Z)):
+        err = rls_update(state, basis, None, None, None, lifted=(Z[i], psi[i + 1]))
+        P, ref_err = parent_kernel(theta, P, 0.99737, Z[i], psi[i + 1])
+        assert err == ref_err, i
+    np.testing.assert_array_equal(state.theta, theta)
+    np.testing.assert_array_equal(state.P, P)
+    assert state.update_count == 2000
+
+
+def test_kernel_rejects_nan_prediction_error():
+    basis, model, Z, psi = scaled_stream(1)
+    state = init_rls(model, 0.99737)
+    theta, P = state.theta.copy(), state.P.copy()
+    psi_next = psi[1].copy()
+    psi_next[3] = np.nan
+    with pytest.raises(RlsUpdateRejectedError, match="non-finite prediction error"):
+        rls_update(state, basis, None, None, None, lifted=(Z[0], psi_next))
+    np.testing.assert_array_equal(state.theta, theta)
+    np.testing.assert_array_equal(state.P, P)
+    assert state.update_count == 0
+
+
+def test_kernel_accepts_finite_error_whose_square_overflows():
+    basis, model, Z, psi = scaled_stream(1)
+    state = init_rls(model, 0.99737)
+    theta, P = state.theta.copy(), state.P.copy()
+    psi_next = np.full(9, 1e200)
+    with np.errstate(over="ignore"):
+        err = rls_update(state, basis, None, None, None, lifted=(Z[0], psi_next))
+        P, ref_err = parent_kernel(theta, P, 0.99737, Z[0], psi_next)
+    assert err == ref_err == math.inf
+    np.testing.assert_array_equal(state.theta, theta)
+    np.testing.assert_array_equal(state.P, P)
+    assert state.update_count == 1
 
 
 def test_update_count_increments():
