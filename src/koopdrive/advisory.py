@@ -26,7 +26,9 @@ state of charge itself, so value functions are flat along that axis away
 from feasibility boundaries.
 
 Interpolation of the value function is linear along the state-of-charge axis
-only; velocity transitions land exactly on grid nodes. Infeasible cells hold
+only; velocity transitions land exactly on grid nodes. The backward pass
+interpolates only the edges inside the acceleration bounds, since every
+other edge is priced at the sentinel whatever its value. Infeasible cells hold
 a large sentinel instead of inf so the interpolation stays well defined; any
 query that puts weight on an infeasible neighbor is treated as infeasible,
 which errs on the conservative side near constraint boundaries.
@@ -349,10 +351,11 @@ def _admissible_speeds(route: RouteSpec, vgrid: np.ndarray) -> list[np.ndarray]:
 def _interp_rows(V_rows: np.ndarray, queries: np.ndarray, socgrid: np.ndarray) -> np.ndarray:
     """Linear interpolation of value rows along the SoC axis.
 
-    V_rows has shape (..., soc_levels) aligned with the leading dims of
-    queries (..., q). Queries outside the grid and queries touching a
-    sentinel-valued neighbor come back as BIG. Equal neighbors short-circuit
-    to the shared value so flat regions interpolate exactly.
+    V_rows has shape (..., soc_levels) and queries (..., q) with the same
+    leading dims, one value row per query row. Queries outside the grid and
+    queries touching a sentinel-valued neighbor come back as BIG. Equal
+    neighbors short-circuit to the shared value so flat regions interpolate
+    exactly.
     """
     ns = len(socgrid)
     # charging past full is not a dead end, the surplus just is not stored,
@@ -378,19 +381,12 @@ def _interp_rows(V_rows: np.ndarray, queries: np.ndarray, socgrid: np.ndarray) -
     return np.where(out >= _BIG_CUT, BIG, out)
 
 
-def solve_eco_dp(route: RouteSpec, config: EcoDpConfig) -> AdvisoryProfile:
-    """Backward induction plus greedy forward reconstruction.
-
-    Ties in the forward pass break toward the smaller acceleration magnitude
-    and then toward keeping the engine off.
-    """
+def _value_function(route: RouteSpec, config: EcoDpConfig, vgrid: np.ndarray,
+                    socgrid: np.ndarray, adm: list[np.ndarray]) -> np.ndarray:
+    """Backward induction: (n_steps + 1, v_levels, soc_levels) cost-to-go."""
     ds = route.step_m
     S = route.n_steps
-    vgrid = np.linspace(config.speed_floor, float(np.max(route.v_max)), config.v_levels)
-    socgrid = np.linspace(config.soc_min, config.soc_max, config.soc_levels)
     ns = len(socgrid)
-    adm = _admissible_speeds(route, vgrid)
-
     # terminal value: zero wherever the node limits and the strict SoC floor hold
     V = np.full((S + 1, len(vgrid), ns), BIG)
     ok_soc = socgrid > config.soc_terminal_floor
@@ -401,21 +397,36 @@ def solve_eco_dp(route: RouteSpec, config: EcoDpConfig) -> AdvisoryProfile:
         i2 = adm[j + 1]
         v1 = vgrid[i1][:, None]
         v2 = vgrid[i2][None, :]
+        Vn = V[j + 1][i2]
         best = np.full((len(i1), ns), BIG)
         for engine in (0, 1):
             feasible, _, _, stage, dsoc = edge_quantities(
                 v1, v2, engine, route.grade[j], ds, config
             )
-            queries = socgrid[None, None, :] + dsoc[:, :, None]
-            vals = _interp_rows(
-                np.broadcast_to(V[j + 1][i2][None, :, :], (len(i1), len(i2), ns)),
-                queries, socgrid,
-            )
-            total = stage[:, :, None] + vals
-            total = np.where(feasible[:, :, None], total, BIG)
-            total = np.where(total >= _BIG_CUT, BIG, total)
+            # only edges inside the acceleration bounds are priced; every
+            # other (i1, i2) cell keeps the sentinel
+            r, c = np.nonzero(feasible)
+            vals = _interp_rows(Vn[c], socgrid[None, :] + dsoc[r, c][:, None], socgrid)
+            t = stage[r, c][:, None] + vals
+            total = np.full((len(i1), len(i2), ns), BIG)
+            total[r, c] = np.where(t >= _BIG_CUT, BIG, t)
             best = np.minimum(best, total.min(axis=1))
         V[j][i1] = best
+    return V
+
+
+def solve_eco_dp(route: RouteSpec, config: EcoDpConfig) -> AdvisoryProfile:
+    """Backward induction plus greedy forward reconstruction.
+
+    Ties in the forward pass break toward the smaller acceleration magnitude
+    and then toward keeping the engine off.
+    """
+    ds = route.step_m
+    S = route.n_steps
+    vgrid = np.linspace(config.speed_floor, float(np.max(route.v_max)), config.v_levels)
+    socgrid = np.linspace(config.soc_min, config.soc_max, config.soc_levels)
+    adm = _admissible_speeds(route, vgrid)
+    V = _value_function(route, config, vgrid, socgrid, adm)
 
     start_iv = int(adm[0][0])
     soc0 = config.soc_initial

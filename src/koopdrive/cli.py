@@ -167,7 +167,7 @@ def cmd_advisory(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     profile.to_csv(os.path.join(args.out, "advisory_distance.csv"))
     lines = [ADVISORY_TIME_HEADER]
-    lines.extend(f"{_fmt(ti)},{_fmt(vi)}" for ti, vi in zip(t, v_ref))
+    lines.extend(["%r,%r" % row for row in zip(t.tolist(), v_ref.tolist())])
     _atomic_write_text(os.path.join(args.out, "advisory_time.csv"), "\n".join(lines) + "\n")
     meta = {
         "route": os.path.abspath(args.route),

@@ -19,8 +19,10 @@ The plant is a point mass with a quadratic road load,
     m dv/dt = f_tr - (a0 + a1 v + a2 v^2)
 
 integrated with an explicit Euler step at the sample period. Speed clamps at
-standstill and the applied force saturates at the actuator limits. Given the
-same parameters, advisory, and seed, the simulated trajectory is
+standstill and the applied force saturates at the actuator limits. The
+sample loop runs on Python floats, and its clamps are comparisons that keep
+the tie rules of the builtin min and max (a speed of -0.0 stays -0.0). Given
+the same parameters, advisory, and seed, the simulated trajectory is
 reproducible bit for bit.
 """
 
@@ -192,10 +194,10 @@ def simulate_driver(vehicle: VehicleParams, driver: DriverParams, advisory,
     noise = rng.standard_normal(n) * driver.noise_std * noise_scale
 
     delay_steps = int(round(driver.reaction_delay / dt))
-    errors = np.zeros(n)
+    errors = []
+    v_out = []
+    f_out = []
 
-    v_arr = np.empty(n)
-    f_arr = np.empty(n)
     v = float(v_ref[0]) if v0 is None else float(v0)
     if not (math.isfinite(v) and v >= 0):
         raise ValueError(f"initial speed must be finite and >= 0, got {v}")
@@ -205,32 +207,41 @@ def simulate_driver(vehicle: VehicleParams, driver: DriverParams, advisory,
     alpha = dt / driver.hold_tau
     kp, ki = driver.kp, driver.ki
     f_min, f_max = vehicle.f_min, vehicle.f_max
+    a0, a1, a2 = vehicle.a0, vehicle.a1, vehicle.a2
     rate = driver.force_rate_limit * dt
     inv_mass = 1.0 / vehicle.mass
 
-    for k in range(n):
-        c = compliance[k]
-        target = c * v_ref[k] + (1.0 - c) * v_hold
-        errors[k] = target - v
+    # the clamps spell out max(x, lo) as `lo if lo > x else x` and min(x, hi)
+    # as `hi if hi < x else x`, which keep the builtins' choice on ties
+    for k, (c, ref, eps) in enumerate(zip(compliance.tolist(), v_ref[:n].tolist(),
+                                          noise.tolist())):
+        target = c * ref + (1.0 - c) * v_hold
+        errors.append(target - v)
         e_d = errors[k - delay_steps] if k >= delay_steps else 0.0
 
         integ_new = integ + ki * e_d * dt
-        raw = kp * e_d + integ_new + noise[k]
+        raw = kp * e_d + integ_new + eps
         if (raw > f_max and e_d > 0.0) or (raw < f_min and e_d < 0.0):
-            raw = kp * e_d + integ + noise[k]  # hold the integrator at saturation
+            raw = kp * e_d + integ + eps  # hold the integrator at saturation
         else:
             integ = integ_new
 
-        f_cmd = min(max(raw, f_prev - rate), f_prev + rate)
-        f_applied = min(max(f_cmd, f_min), f_max)
+        lo = f_prev - rate
+        hi = f_prev + rate
+        f_cmd = lo if lo > raw else raw
+        f_cmd = hi if hi < f_cmd else f_cmd
+        f_applied = f_min if f_min > f_cmd else f_cmd
+        f_applied = f_max if f_max < f_applied else f_applied
 
-        v_arr[k] = v
-        f_arr[k] = f_applied
+        v_out.append(v)
+        f_out.append(f_applied)
         f_prev = f_applied
 
         if k < n - 1:
-            dv = (f_applied - vehicle.road_load(v)) * inv_mass
-            v = max(v + dt * dv, 0.0)
+            dv = (f_applied - (a0 + a1 * v + a2 * v * v)) * inv_mass
+            v = v + dt * dv
+            v = 0.0 if 0.0 > v else v
             v_hold += alpha * (v - v_hold)
 
-    return Trajectory(sample_period=dt, t=t, v=v_arr, f_tr=f_arr, v_ref=v_ref[:n].copy())
+    return Trajectory(sample_period=dt, t=t, v=np.array(v_out), f_tr=np.array(f_out),
+                      v_ref=v_ref[:n].copy())

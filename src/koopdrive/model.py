@@ -151,11 +151,10 @@ class Trajectory:
         return self.slice_samples(i0, i1 + 1)
 
     def write_csv(self, path: str) -> None:
+        # %r is repr, the shortest string that round-trips each float exactly
         lines = [TRAJECTORY_CSV_HEADER]
-        for k in range(len(self)):
-            lines.append(
-                f"{_fmt(self.t[k])},{_fmt(self.v[k])},{_fmt(self.f_tr[k])},{_fmt(self.v_ref[k])}"
-            )
+        lines.extend(["%r,%r,%r,%r" % row for row in zip(
+            self.t.tolist(), self.v.tolist(), self.f_tr.tolist(), self.v_ref.tolist())])
         _atomic_write_text(path, "\n".join(lines) + "\n")
 
     @classmethod

@@ -1,9 +1,12 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from koopdrive import advisory
 from koopdrive.advisory import (
+    BIG,
     AdvisoryProfile,
     EcoDpConfig,
     PowertrainParams,
@@ -16,6 +19,7 @@ from koopdrive.advisory import (
 )
 
 PT = PowertrainParams()
+SHIPPED_ROUTE = Path(__file__).resolve().parents[1] / "configs" / "route_urban.csv"
 
 
 # ------------------------------------------------------------ powertrain
@@ -290,6 +294,126 @@ def test_duration_grows_with_energy_weight():
     for gamma in (0.0, 0.5, 1.0):
         d[gamma] = solve_eco_dp(route, toy_config(gamma=gamma)).duration
     assert d[0.0] <= d[0.5] <= d[1.0]
+
+
+# ------------------------------------------------------------ backward pass
+
+_CUT = advisory._BIG_CUT
+
+
+def _reference_interp_rows(V_rows, queries, socgrid):
+    # the interpolation rule of advisory._interp_rows, copied so that the
+    # reference does not move with the code under test
+    ns = len(socgrid)
+    queries = np.minimum(queries, socgrid[-1])
+    idx = np.clip(np.searchsorted(socgrid, queries, side="right") - 1, 0, ns - 2)
+    lo = socgrid[idx]
+    hi = socgrid[idx + 1]
+    w = (queries - lo) / (hi - lo)
+    v0 = np.take_along_axis(V_rows, idx, axis=-1)
+    v1 = np.take_along_axis(V_rows, idx + 1, axis=-1)
+    bad0 = v0 >= _CUT
+    bad1 = v1 >= _CUT
+    out = np.where(v0 == v1, v0, v0 + w * (v1 - v0))
+    out = np.where(bad0 & ~bad1, v1, out)
+    out = np.where(bad1 & ~bad0, v0, out)
+    out = np.where(bad0 & bad1, BIG, out)
+    out = np.where(queries < socgrid[0] - 1e-12, BIG, out)
+    return np.where(out >= _CUT, BIG, out)
+
+
+def _reference_value_function(route, config, vgrid, socgrid, adm):
+    """The dense backward pass: every (i1, i2) edge is interpolated against a
+    broadcast copy of the next node's values, and the edges outside the
+    acceleration bounds are masked to the sentinel afterwards."""
+    ds = route.step_m
+    S = route.n_steps
+    ns = len(socgrid)
+    V = np.full((S + 1, len(vgrid), ns), BIG)
+    ok_soc = socgrid > config.soc_terminal_floor
+    V[S][np.ix_(adm[S], np.where(ok_soc)[0])] = 0.0
+    for j in range(S - 1, -1, -1):
+        i1 = adm[j]
+        i2 = adm[j + 1]
+        v1 = vgrid[i1][:, None]
+        v2 = vgrid[i2][None, :]
+        best = np.full((len(i1), ns), BIG)
+        for engine in (0, 1):
+            feasible, _, _, stage, dsoc = edge_quantities(
+                v1, v2, engine, route.grade[j], ds, config
+            )
+            queries = socgrid[None, None, :] + dsoc[:, :, None]
+            vals = _reference_interp_rows(
+                np.broadcast_to(V[j + 1][i2][None, :, :], (len(i1), len(i2), ns)),
+                queries, socgrid,
+            )
+            total = stage[:, :, None] + vals
+            total = np.where(feasible[:, :, None], total, BIG)
+            total = np.where(total >= _CUT, BIG, total)
+            best = np.minimum(best, total.min(axis=1))
+        V[j][i1] = best
+    return V
+
+
+def _rising_toy():
+    v_min = np.array([0.0, 2.5, 5.0, 7.0])
+    v_max = np.array([8.0, 5.6, 8.0, 8.0])
+    stop = np.array([True, False, False, False])
+    grade = np.array([0.0, 0.015, 0.0, 0.0])
+    return RouteSpec(step_m=12.0, v_min=v_min, v_max=v_max, stop=stop, grade=grade)
+
+
+def _shipped_route():
+    return RouteSpec.read_csv(str(SHIPPED_ROUTE))
+
+
+# the last case narrows the SoC window until the engine has to run on part
+# of the route; its value rows mix feasible and sentinel cells away from the
+# terminal node (checked below), so backward queries land in cells with one
+# infeasible corner
+BACKWARD_CASES = {
+    "toy": (accel_only_toy, toy_config()),
+    "toy_time_only": (accel_only_toy, toy_config(gamma=0.0)),
+    "toy_fuel_only": (accel_only_toy, toy_config(gamma=1.0, soc_levels=7)),
+    "rising_toy": (_rising_toy, toy_config(v_levels=4)),
+    "shipped": (_shipped_route, EcoDpConfig(v_levels=16, soc_levels=11)),
+    "shipped_tight_soc": (_shipped_route, EcoDpConfig(
+        v_levels=16, soc_levels=11, soc_min=0.36, soc_max=0.44,
+        soc_initial=0.43, soc_terminal_floor=0.37)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BACKWARD_CASES))
+def test_backward_pass_matches_dense_reference(case, monkeypatch):
+    make_route, config = BACKWARD_CASES[case]
+    route = make_route()
+    vgrid = np.linspace(config.speed_floor, float(np.max(route.v_max)), config.v_levels)
+    socgrid = np.linspace(config.soc_min, config.soc_max, config.soc_levels)
+    adm = advisory._admissible_speeds(route, vgrid)
+
+    V = advisory._value_function(route, config, vgrid, socgrid, adm)
+    V_ref = _reference_value_function(route, config, vgrid, socgrid, adm)
+    assert np.array_equal(V, V_ref)
+    assert np.array_equal(np.signbit(V), np.signbit(V_ref))
+    if case == "shipped_tight_soc":
+        inner = V[1:-1]
+        mixed = np.any(inner >= _CUT, axis=-1) & np.any(inner < _CUT, axis=-1)
+        assert mixed.any()
+
+    prof = solve_eco_dp(route, config)
+    if case == "shipped_tight_soc":
+        assert prof.engine_on.any()
+    monkeypatch.setattr(advisory, "_value_function", _reference_value_function)
+    ref = solve_eco_dp(route, config)
+    assert prof.total_cost == ref.total_cost
+    assert prof.step_m == ref.step_m
+    assert prof.meta == ref.meta
+    for name in ("positions", "v_ref", "soc", "cumulative_cost", "engine_on",
+                 "node_times", "stop"):
+        a, b = getattr(prof, name), getattr(ref, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+        assert np.array_equal(np.signbit(a), np.signbit(b)), name
 
 
 # ------------------------------------------------------------ resampling

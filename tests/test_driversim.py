@@ -141,3 +141,109 @@ def test_output_contains_advisory_column():
     adv = np.linspace(10, 14, 1000)
     traj = simulate_driver(VEH, drv, adv, sample_period=0.025)
     np.testing.assert_array_equal(traj.v_ref, adv)
+
+
+# ------------------------------------------------------------ reference loop
+
+def _reference_loop(vehicle, driver, v_ref, dt, v0=None):
+    """The sample loop as first written: numpy element indexing, builtin
+    min/max clamps and VehicleParams.road_load. Returns (v, f_tr)."""
+    n = len(v_ref)
+    t = np.arange(n) * dt
+    compliance = np.full(n, driver.compliance)
+    noise_scale = np.ones(n)
+    for w in driver.windows:
+        mask = (t >= w.t_start) & (t <= w.t_end)
+        compliance[mask] = w.compliance
+        noise_scale[mask] = w.noise_scale
+    rng = np.random.default_rng(driver.seed)
+    noise = rng.standard_normal(n) * driver.noise_std * noise_scale
+
+    delay_steps = int(round(driver.reaction_delay / dt))
+    errors = np.zeros(n)
+    v_arr = np.empty(n)
+    f_arr = np.empty(n)
+    v = float(v_ref[0]) if v0 is None else float(v0)
+    v_hold = v
+    integ = 0.0
+    f_prev = 0.0
+    alpha = dt / driver.hold_tau
+    kp, ki = driver.kp, driver.ki
+    f_min, f_max = vehicle.f_min, vehicle.f_max
+    rate = driver.force_rate_limit * dt
+    inv_mass = 1.0 / vehicle.mass
+    for k in range(n):
+        c = compliance[k]
+        target = c * v_ref[k] + (1.0 - c) * v_hold
+        errors[k] = target - v
+        e_d = errors[k - delay_steps] if k >= delay_steps else 0.0
+        integ_new = integ + ki * e_d * dt
+        raw = kp * e_d + integ_new + noise[k]
+        if (raw > f_max and e_d > 0.0) or (raw < f_min and e_d < 0.0):
+            raw = kp * e_d + integ + noise[k]
+        else:
+            integ = integ_new
+        f_cmd = min(max(raw, f_prev - rate), f_prev + rate)
+        f_applied = min(max(f_cmd, f_min), f_max)
+        v_arr[k] = v
+        f_arr[k] = f_applied
+        f_prev = f_applied
+        if k < n - 1:
+            dv = (f_applied - vehicle.road_load(v)) * inv_mass
+            v = max(v + dt * dv, 0.0)
+            v_hold += alpha * (v - v_hold)
+    return v_arr, f_arr
+
+
+def _stress_advisory(dt=0.025):
+    # floor it to 30 m/s, brake to a standstill, then cruise: the force hits
+    # both actuator limits, the rate limit binds and the speed clamps at 0
+    t = np.arange(int(80.0 / dt)) * dt
+    return np.where(t < 25.0, 30.0, np.where(t < 55.0, 0.0, 12.0))
+
+
+WINDOW = DistractionWindow(t_start=10.0, t_end=30.0, compliance=0.1, noise_scale=3.0)
+REFERENCE_CASES = {
+    "default_seed0": (DriverParams(seed=0), None),
+    "default_seed5": (DriverParams(seed=5), 0.0),
+    "stiff_no_delay": (DriverParams(kp=5e4, ki=1e3, reaction_delay=0.0, seed=1), 0.0),
+    "soft_long_delay": (DriverParams(kp=300.0, ki=40.0, reaction_delay=1.0, seed=2), 3.0),
+    "distracted": (DriverParams(seed=3, windows=(WINDOW,)), 0.0),
+    "distracted_no_delay": (DriverParams(kp=900.0, ki=200.0, reaction_delay=0.0,
+                                         seed=4, windows=(WINDOW,)), 5.0),
+    "noiseless_from_minus_zero": (DriverParams(noise_std=0.0, seed=6), -0.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_loop_matches_reference_bitwise(case):
+    dt = 0.025
+    driver, v0 = REFERENCE_CASES[case]
+    adv = _stress_advisory(dt)
+    v_ref_loop, f_ref_loop = _reference_loop(VEH, driver, adv, dt, v0)
+    traj = simulate_driver(VEH, driver, adv, sample_period=dt, v0=v0)
+    for got, want in ((traj.v, v_ref_loop), (traj.f_tr, f_ref_loop), (traj.v_ref, adv)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    # the advisory drives every clamp of the loop
+    assert f_ref_loop.max() == VEH.f_max
+    assert f_ref_loop.min() == VEH.f_min
+    assert np.any(v_ref_loop[1:] == 0.0)
+    steps = np.abs(np.diff(f_ref_loop))
+    assert np.any(steps >= driver.force_rate_limit * dt * (1 - 1e-12))
+
+
+def test_standstill_clamp_keeps_negative_zero():
+    # a plant so heavy that a tiny force underflows to a -0.0 speed change:
+    # from v0 = -0.0 the clamp sees max(-0.0, 0.0), and the builtin keeps
+    # its first argument
+    heavy = VehicleParams(mass=1e25, a0=0.0, a1=0.0, a2=0.0, f_min=-9000.0, f_max=6500.0)
+    driver = DriverParams(noise_std=1e-300, seed=4)  # first noise sample < 0
+    adv = np.zeros(40)
+    v_ref_loop, f_ref_loop = _reference_loop(heavy, driver, adv, 0.025, -0.0)
+    traj = simulate_driver(heavy, driver, adv, sample_period=0.025, v0=-0.0)
+    assert np.signbit(v_ref_loop[1]) and v_ref_loop[1] == 0.0
+    assert np.array_equal(np.signbit(traj.v), np.signbit(v_ref_loop))
+    assert np.array_equal(traj.v, v_ref_loop)
+    assert np.array_equal(traj.f_tr, f_ref_loop)

@@ -100,6 +100,25 @@ def test_trajectory_csv_roundtrip_bytes(tmp_path):
     np.testing.assert_array_equal(back.f_tr, traj.f_tr)
 
 
+def test_trajectory_csv_matches_per_cell_repr(tmp_path):
+    # signed zero, the smallest subnormal, both sides of repr's switch to
+    # exponent notation, an integral force and a value with no short decimal
+    odd = np.array([-0.0, 5e-324, 1e-5, 1e16, -9000.0, 0.1 + 0.2])
+    traj = Trajectory(sample_period=0.025, t=np.arange(6) * 0.025, v=odd,
+                      f_tr=odd[::-1], v_ref=np.roll(odd, 2))
+    p = tmp_path / "odd.csv"
+    traj.write_csv(p)
+    cols = (traj.t, traj.v, traj.f_tr, traj.v_ref)
+    expected = ["t_s,v_mps,f_tr_n,v_ref_mps"] + [
+        ",".join(repr(float(col[k])) for col in cols) for k in range(6)
+    ]
+    assert p.read_bytes() == ("\n".join(expected) + "\n").encode()
+    back = Trajectory.read_csv(p)
+    for got, want in zip((back.t, back.v, back.f_tr, back.v_ref), cols):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_trajectory_csv_rejects_bad_header(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("time,speed\n0,1\n")
