@@ -17,12 +17,11 @@ from .advisory import (
     solve_eco_dp,
     surrogate_powertrain,
 )
-from .basis import LiftedBasis, PhysicalState, StateScaler, enumerate_basis
+from .basis import LiftedBasis, StateScaler, enumerate_basis
 from .driversim import (
     DistractionWindow,
     DriverParams,
     VehicleParams,
-    make_distracted_segment,
     simulate_driver,
 )
 from .edmd import (
@@ -41,7 +40,6 @@ from .evaluate import (
     OnlineSettings,
     bench_update,
     evaluate_horizons,
-    rmse,
 )
 from .model import (
     KoopmanModel,

@@ -116,19 +116,6 @@ class PowertrainParams:
     def max_engine_fuel_rate(self) -> float:
         return self.engine_idle_kg_per_s + self.engine_kg_per_j * self.engine_power_max_w
 
-    def to_dict(self) -> dict:
-        return {
-            "mass": self.mass, "a0": self.a0, "a1": self.a1, "a2": self.a2,
-            "eta_drive": self.eta_drive, "eta_regen": self.eta_regen,
-            "battery_capacity_j": self.battery_capacity_j,
-            "equiv_factor_kg_per_j": self.equiv_factor_kg_per_j,
-            "engine_idle_kg_per_s": self.engine_idle_kg_per_s,
-            "engine_kg_per_j": self.engine_kg_per_j,
-            "engine_battery_share": self.engine_battery_share,
-            "engine_power_max_w": self.engine_power_max_w,
-            "gravity": self.gravity,
-        }
-
 
 @dataclass(frozen=True)
 class RouteSpec:
@@ -404,12 +391,13 @@ def _value_function(route: RouteSpec, config: EcoDpConfig, vgrid: np.ndarray,
                 v1, v2, engine, route.grade[j], ds, config
             )
             # only edges inside the acceleration bounds are priced; every
-            # other (i1, i2) cell keeps the sentinel
+            # other (i1, i2) cell keeps the sentinel. vals is exactly BIG or
+            # below the cut, and BIG plus a stage cost below about 7e13
+            # rounds back to BIG, so the sums need no second cut
             r, c = np.nonzero(feasible)
             vals = _interp_rows(Vn[c], socgrid[None, :] + dsoc[r, c][:, None], socgrid)
-            t = stage[r, c][:, None] + vals
             total = np.full((len(i1), len(i2), ns), BIG)
-            total[r, c] = np.where(t >= _BIG_CUT, BIG, t)
+            total[r, c] = stage[r, c][:, None] + vals
             best = np.minimum(best, total.min(axis=1))
         V[j][i1] = best
     return V

@@ -30,33 +30,13 @@ from itertools import product
 import numpy as np
 
 __all__ = [
-    "PhysicalState",
     "StateScaler",
     "LiftedBasis",
     "enumerate_basis",
 ]
 
 
-@dataclass(frozen=True)
-class PhysicalState:
-    """Validated (speed, traction force) pair in physical units."""
-
-    v: float
-    f_tr: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.v) and math.isfinite(self.f_tr)):
-            raise ValueError(f"physical state must be finite, got ({self.v}, {self.f_tr})")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.v, self.f_tr], dtype=float)
-
-
 def _state_array(x, state_dim: int) -> np.ndarray:
-    if isinstance(x, PhysicalState):
-        if state_dim != 2:
-            raise ValueError(f"PhysicalState is two dimensional, basis expects {state_dim}")
-        return x.as_array()
     arr = np.asarray(x, dtype=float)
     if arr.shape != (state_dim,):
         raise ValueError(f"state must have shape ({state_dim},), got {arr.shape}")
@@ -210,12 +190,6 @@ class LiftedBasis:
         if self.scaler is not None:
             X = self.scaler.invert(X)
         return X
-
-    def projection_matrix(self) -> np.ndarray:
-        """The linear readout [I 0] acting on lifted vectors."""
-        C = np.zeros((self.state_dim, self.lifted_dim))
-        C[:, : self.state_dim] = np.eye(self.state_dim)
-        return C
 
     def to_dict(self) -> dict:
         return {

@@ -444,9 +444,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        return _fail(str(exc), 2)
-    except (IsADirectoryError, PermissionError, OSError) as exc:
+    except OSError as exc:
         return _fail(str(exc), 2)
     except (RouteInfeasibleError, RankDeficientDataError, RolloutDivergenceError,
             RlsUpdateRejectedError) as exc:

@@ -29,18 +29,16 @@ reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .advisory import AdvisoryProfile, resample_to_time
 from .model import Trajectory
 
 __all__ = [
     "VehicleParams",
     "DriverParams",
     "DistractionWindow",
-    "make_distracted_segment",
     "simulate_driver",
 ]
 
@@ -90,9 +88,6 @@ class DistractionWindow:
         if not self.noise_scale >= 0.0:
             raise ValueError(f"noise_scale must be >= 0, got {self.noise_scale}")
 
-    def contains(self, t: float) -> bool:
-        return self.t_start <= t <= self.t_end
-
 
 @dataclass(frozen=True)
 class DriverParams:
@@ -122,68 +117,30 @@ class DriverParams:
         if not self.hold_tau > 0:
             raise ValueError(f"hold_tau must be positive, got {self.hold_tau}")
 
-    def compliance_at(self, t: float) -> float:
-        for w in reversed(self.windows):
-            if w.contains(t):
-                return w.compliance
-        return self.compliance
-
-
-def make_distracted_segment(driver: DriverParams, t_start: float, t_end: float,
-                            compliance: float = DistractionWindow.compliance,
-                            noise_scale: float = DistractionWindow.noise_scale) -> DriverParams:
-    """Copy of the driver with one more distraction window appended.
-
-    Calls compose: each call adds a window, and where windows overlap the
-    most recently added one wins.
-    """
-    window = DistractionWindow(t_start=t_start, t_end=t_end,
-                               compliance=compliance, noise_scale=noise_scale)
-    return replace(driver, windows=driver.windows + (window,))
-
-
-def _advisory_series(advisory, sample_period: float) -> np.ndarray:
-    if isinstance(advisory, AdvisoryProfile):
-        _, v_ref = resample_to_time(advisory, sample_period)
-        return v_ref
-    arr = np.asarray(advisory, dtype=float)
-    if arr.ndim != 1 or len(arr) < 2:
-        raise ValueError("advisory must be an AdvisoryProfile or a 1-D series of speeds")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("advisory speeds must be finite")
-    return arr
-
 
 def simulate_driver(vehicle: VehicleParams, driver: DriverParams, advisory,
-                    sample_period: float = 0.025, duration: float | None = None,
-                    v0: float | None = None) -> Trajectory:
+                    sample_period: float = 0.025, v0: float | None = None) -> Trajectory:
     """Simulate one driver following (or ignoring) an advisory.
 
-    advisory is either an AdvisoryProfile, resampled internally to the
-    sample period, or a plain 1-D speed series already on that grid. The
-    trajectory covers floor(duration / sample_period) + 1 samples; the
-    advisory must span them all.
+    advisory is a 1-D series of at least 2 finite speeds already on the
+    sample grid, one per sample; the trajectory has one sample per advisory
+    value. Where distraction windows overlap, the one later in
+    driver.windows wins.
     """
     if not sample_period > 0:
         raise ValueError(f"sample_period must be positive, got {sample_period}")
-    v_ref = _advisory_series(advisory, sample_period)
-    if duration is None:
-        n = len(v_ref)
-    else:
-        if duration <= 0:
-            raise ValueError(f"duration must be positive, got {duration}")
-        n = int(math.floor(duration / sample_period + 1e-9)) + 1
-        if n > len(v_ref):
-            raise ValueError(
-                f"advisory covers {(len(v_ref) - 1) * sample_period:.3f} s, "
-                f"shorter than the requested {duration} s"
-            )
-    if n < 2:
-        raise ValueError("simulation needs at least 2 samples")
+    v_ref = np.asarray(advisory, dtype=float)
+    if v_ref.ndim != 1 or len(v_ref) < 2:
+        raise ValueError("advisory must be a 1-D series of at least 2 speeds")
+    if not np.all(np.isfinite(v_ref)):
+        raise ValueError("advisory speeds must be finite")
+    n = len(v_ref)
 
     dt = sample_period
     t = np.arange(n) * dt
-    compliance = np.full(n, driver.compliance)
+    # float, so that a window's compliance is not truncated when the
+    # driver's is an integer
+    compliance = np.full(n, float(driver.compliance))
     noise_scale = np.ones(n)
     for w in driver.windows:  # later windows overwrite earlier ones
         mask = (t >= w.t_start) & (t <= w.t_end)
@@ -213,7 +170,7 @@ def simulate_driver(vehicle: VehicleParams, driver: DriverParams, advisory,
 
     # the clamps spell out max(x, lo) as `lo if lo > x else x` and min(x, hi)
     # as `hi if hi < x else x`, which keep the builtins' choice on ties
-    for k, (c, ref, eps) in enumerate(zip(compliance.tolist(), v_ref[:n].tolist(),
+    for k, (c, ref, eps) in enumerate(zip(compliance.tolist(), v_ref.tolist(),
                                           noise.tolist())):
         target = c * ref + (1.0 - c) * v_hold
         errors.append(target - v)
@@ -244,4 +201,4 @@ def simulate_driver(vehicle: VehicleParams, driver: DriverParams, advisory,
             v_hold += alpha * (v - v_hold)
 
     return Trajectory(sample_period=dt, t=t, v=np.array(v_out), f_tr=np.array(f_out),
-                      v_ref=v_ref[:n].copy())
+                      v_ref=v_ref.copy())

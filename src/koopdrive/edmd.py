@@ -53,8 +53,10 @@ class FitConfig:
     scaling: str = "pow2"
 
     def __post_init__(self):
-        if not (math.isfinite(self.ridge) and self.ridge >= 0.0):
-            raise ValueError(f"ridge must be >= 0, got {self.ridge}")
+        # the ridge also arrives from model provenance, which is free-form JSON
+        if not (isinstance(self.ridge, (int, float)) and math.isfinite(self.ridge)
+                and self.ridge >= 0.0):
+            raise ValueError(f"ridge must be a number >= 0, got {self.ridge!r}")
         if len(self.split) != 3 or any(not (f > 0) for f in self.split):
             raise ValueError(f"split needs three positive fractions, got {self.split}")
         if abs(sum(self.split) - 1.0) > 1e-9:

@@ -38,23 +38,11 @@ __all__ = [
     "OnlineSettings",
     "HorizonReport",
     "BenchReport",
-    "rmse",
     "evaluate_horizons",
     "bench_update",
     "format_reports",
     "reports_to_csv",
 ]
-
-
-def rmse(predicted, actual) -> float:
-    """Root mean square error between two equal-length series."""
-    p = np.asarray(predicted, dtype=float)
-    a = np.asarray(actual, dtype=float)
-    if p.shape != a.shape:
-        raise ValueError(f"shape mismatch: {p.shape} vs {a.shape}")
-    if p.size == 0:
-        raise ValueError("need at least one sample")
-    return float(np.sqrt(np.mean((p - a) ** 2)))
 
 
 @dataclass
@@ -77,11 +65,11 @@ class HorizonReport:
         return self.rmse_force_n / 1000.0
 
 
-def _window_errors(model: KoopmanModel, traj: Trajectory, k0: int, steps: int,
-                   mode: str) -> tuple[np.ndarray, np.ndarray]:
+def _window_errors(model: KoopmanModel, traj: Trajectory, k0: int,
+                   steps: int) -> tuple[np.ndarray, np.ndarray]:
     x0 = np.array([traj.v[k0], traj.f_tr[k0]])
     inputs = traj.v_ref[k0:k0 + steps]
-    pred = model.rollout(x0, inputs, mode=mode)
+    pred = model.rollout(x0, inputs)
     sl = slice(k0 + 1, k0 + steps + 1)
     return pred.v[1:] - traj.v[sl], pred.f_tr[1:] - traj.f_tr[sl]
 
@@ -109,8 +97,7 @@ def _models_at(traj: Trajectory, model: KoopmanModel, starts,
 
 
 def evaluate_horizons(trajectory: Trajectory, model: KoopmanModel, horizons,
-                      segment, online: OnlineSettings | None = None,
-                      mode: str = "lifted") -> list[HorizonReport]:
+                      segment, online: OnlineSettings | None = None) -> list[HorizonReport]:
     """Windowed multi-horizon evaluation over a trajectory segment.
 
     horizons are window lengths in seconds; each must fit inside the segment
@@ -133,7 +120,7 @@ def evaluate_horizons(trajectory: Trajectory, model: KoopmanModel, horizons,
 
     reports = []
     for horizon, steps, starts in windows:
-        errs = [_window_errors(models[k], trajectory, k, steps, mode) for k in starts]
+        errs = [_window_errors(models[k], trajectory, k, steps) for k in starts]
         err_v = np.concatenate([ev for ev, _ in errs])
         err_f = np.concatenate([ef for _, ef in errs])
         reports.append(HorizonReport(
@@ -174,18 +161,18 @@ class BenchReport:
 
 
 def bench_update(trajectories, model: KoopmanModel, horizons,
-                 config: FitConfig | None = None,
                  online: OnlineSettings | None = None) -> BenchReport:
     """Time full refits against streaming ticks on the same data.
 
     For each horizon the offline side refits on the whole accumulated
-    dataset (the new window included), while the online side applies only
+    dataset (the new window included) with the ridge recorded in the model's
+    provenance (0 when absent), while the online side applies only
     the ticks covering the final horizon's worth of samples of the last
     trajectory. Results below 1e5 accumulated pairs carry a warning, since
     tiny datasets make the comparison flatter than deployment would see.
     """
     trajectories = list(trajectories)
-    config = config or FitConfig()
+    config = FitConfig(ridge=model.provenance.get("ridge", 0.0))
     online = online or OnlineSettings()
     n_pairs = sum(len(t) - 1 for t in trajectories)
     dt = trajectories[-1].sample_period

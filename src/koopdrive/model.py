@@ -6,8 +6,9 @@ advisory speed acting as the exogenous input. The physical state is read out
 of the first entries of z (the identity observables), so the readout matrix
 is [I 0] by construction and is not stored.
 
-A lifted-mode rollout steps through row views of one preallocated array with
-ndarray.dot, which makes the same BLAS call as @ without the ufunc dispatch.
+A rollout lifts the initial state once and steps through row views of one
+preallocated array with ndarray.dot, which makes the same BLAS call as @
+without the ufunc dispatch.
 Trajectory.slice_samples copies a slice of an already validated trajectory
 and does not validate it again.
 
@@ -51,10 +52,9 @@ class ModelFileError(ValueError):
 class RolloutDivergenceError(ArithmeticError):
     """A rollout produced a non-finite value; carries the failing step index."""
 
-    def __init__(self, step: int, mode: str):
+    def __init__(self, step: int):
         self.step = step
-        self.mode = mode
-        super().__init__(f"rollout diverged at step {step} (mode={mode}): non-finite value")
+        super().__init__(f"rollout diverged at step {step}: non-finite value")
 
 
 def _fmt(x: float) -> str:
@@ -99,10 +99,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.t)
-
-    @property
-    def duration(self) -> float:
-        return float(self.t[-1] - self.t[0])
 
     def states(self) -> np.ndarray:
         """(k, 2) array of (v, f_tr) rows."""
@@ -253,18 +249,15 @@ class KoopmanModel:
     def stacked(self) -> np.ndarray:
         return np.hstack([self.A, self.B])
 
-    def rollout(self, x0, inputs, mode: str = "lifted") -> Trajectory:
+    def rollout(self, x0, inputs) -> Trajectory:
         """Simulate the model forward from a physical initial state.
 
         inputs is the advisory speed series, one value per step; the returned
-        trajectory has len(inputs) + 1 samples. In "lifted" mode the state is
-        lifted once and then propagated linearly; in "relift" mode the
-        physical prediction is re-lifted before every step. Raises
+        trajectory has len(inputs) + 1 samples. The state is lifted once,
+        propagated linearly, and read back out of the identity block. Raises
         RolloutDivergenceError naming the step at which a non-finite value
         first appears.
         """
-        if mode not in ("lifted", "relift"):
-            raise ValueError(f"mode must be 'lifted' or 'relift', got {mode!r}")
         if self.input_dim != 1:
             raise ValueError("rollout packaging requires a single advisory input")
         u = np.asarray(inputs, dtype=float)
@@ -281,29 +274,19 @@ class KoopmanModel:
         # overflow is the divergence signal itself, reported with the step
         # index below rather than as a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
-            if mode == "lifted":
-                # Z[k + 1] = A Z[k] + B u[k], the input term written first
-                Z = np.empty((L + 1, self.lifted_dim))
-                Z[0] = self.basis.lift(x0)
-                Z[1:] = np.outer(u, self.B[:, 0])
-                A = self.A
-                rows = list(Z)  # row views, taken once
-                for z, z_next in zip(rows, rows[1:]):
-                    z_next += A.dot(z)
-                # the first non-finite row is the step a per-step check would stop at
-                diverged = ~np.isfinite(Z[1:]).all(axis=1)
-                if diverged.any():
-                    raise RolloutDivergenceError(step=int(np.argmax(diverged)) + 1, mode=mode)
-                states[1:] = self.basis.project_many(Z[1:])
-            else:
-                x = x0
-                for k in range(L):
-                    z = self.basis.lift(x)
-                    z_next = self.A @ z + self.B[:, 0] * u[k]
-                    if not np.all(np.isfinite(z_next)):
-                        raise RolloutDivergenceError(step=k + 1, mode=mode)
-                    x = self.basis.project(z_next)
-                    states[k + 1] = x
+            # Z[k + 1] = A Z[k] + B u[k], the input term written first
+            Z = np.empty((L + 1, self.lifted_dim))
+            Z[0] = self.basis.lift(x0)
+            Z[1:] = np.outer(u, self.B[:, 0])
+            A = self.A
+            rows = list(Z)  # row views, taken once
+            for z, z_next in zip(rows, rows[1:]):
+                z_next += A.dot(z)
+            # the first non-finite row is the step a per-step check would stop at
+            diverged = ~np.isfinite(Z[1:]).all(axis=1)
+            if diverged.any():
+                raise RolloutDivergenceError(step=int(np.argmax(diverged)) + 1)
+            states[1:] = self.basis.project_many(Z[1:])
 
         v_ref_col = np.append(u, u[-1])  # advisory held through the final sample
         return Trajectory(

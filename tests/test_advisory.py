@@ -1,4 +1,5 @@
 import itertools
+import json
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from koopdrive.advisory import (
 
 PT = PowertrainParams()
 SHIPPED_ROUTE = Path(__file__).resolve().parents[1] / "configs" / "route_urban.csv"
+SHIPPED_CONFIG = SHIPPED_ROUTE.with_name("default.json")
 
 
 # ------------------------------------------------------------ powertrain
@@ -414,6 +416,27 @@ def test_backward_pass_matches_dense_reference(case, monkeypatch):
         assert a.dtype == b.dtype, name
         assert np.array_equal(a, b), name
         assert np.array_equal(np.signbit(a), np.signbit(b)), name
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+def test_shipped_stage_costs_leave_the_sentinel_exact(gamma):
+    # the backward pass adds stage costs to interpolated values without a
+    # second cut; that needs BIG + stage == BIG, which holds for any stage
+    # below about 7e13 (half the spacing of doubles near 1e30)
+    route = _shipped_route()
+    config = EcoDpConfig(**{**json.loads(SHIPPED_CONFIG.read_text())["advisory"],
+                            "gamma": gamma})
+    vgrid = np.linspace(config.speed_floor, float(np.max(route.v_max)), config.v_levels)
+    adm = advisory._admissible_speeds(route, vgrid)
+    for j in range(route.n_steps):
+        for engine in (0, 1):
+            feasible, _, _, stage, _ = edge_quantities(
+                vgrid[adm[j]][:, None], vgrid[adm[j + 1]][None, :], engine,
+                route.grade[j], route.step_m, config)
+            priced = stage[feasible]
+            assert np.all(np.isfinite(priced))
+            assert np.all(np.abs(priced) < 1e6)
+            assert np.all(BIG + priced == BIG)
 
 
 # ------------------------------------------------------------ resampling

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from koopdrive.basis import LiftedBasis, PhysicalState, StateScaler, enumerate_basis
+from koopdrive.basis import LiftedBasis, StateScaler, enumerate_basis
 
 
 def test_monomial_ordering_degree3():
@@ -17,7 +17,7 @@ def test_monomial_ordering_degree3():
 
 def test_lift_known_point():
     basis = enumerate_basis()
-    z = basis.lift(PhysicalState(2.0, 3.0))
+    z = basis.lift(np.array([2.0, 3.0]))
     np.testing.assert_array_equal(z, [2, 3, 6, 4, 9, 12, 18, 8, 27])
 
 
@@ -28,14 +28,6 @@ def test_identity_block_first():
     z = basis.lift(x)
     np.testing.assert_array_equal(z[:2], x)
     np.testing.assert_array_equal(basis.project(z), x)
-
-
-def test_projection_matrix_shape():
-    basis = enumerate_basis()
-    C = basis.projection_matrix()
-    assert C.shape == (2, 9)
-    np.testing.assert_array_equal(C[:, :2], np.eye(2))
-    np.testing.assert_array_equal(C[:, 2:], 0.0)
 
 
 def test_lift_many_matches_lift():
@@ -94,12 +86,11 @@ def test_scaled_lift_magnitudes():
 
 
 def test_physical_state_validation():
+    basis = enumerate_basis()
     with pytest.raises(ValueError):
-        PhysicalState(np.nan, 0.0)
+        basis.lift(np.array([np.nan, 0.0]))
     with pytest.raises(ValueError):
-        PhysicalState(1.0, np.inf)
-    s = PhysicalState(3.0, -200.0)
-    np.testing.assert_array_equal(s.as_array(), [3.0, -200.0])
+        basis.lift(np.array([1.0, np.inf]))
 
 
 def test_lift_rejects_wrong_shape():

@@ -252,3 +252,14 @@ def test_unknown_eval_key_exit_3(tmp_path, toy_route, config_file):
                  "--data", str(out / "drivers" / "driver_01.csv"),
                  "--config", str(cfg), "--out", str(reports)]) == 3
     assert not reports.exists()
+
+
+def test_bench_non_numeric_model_ridge_exit_3(tmp_path, toy_route, config_file):
+    # bench refits with the ridge in the model's provenance, read from the file
+    out = run_pipeline(tmp_path, toy_route, config_file, "r")
+    payload = json.loads((out / "model.json").read_text())
+    payload["provenance"]["ridge"] = "none"
+    model = tmp_path / "model_bad_ridge.json"
+    model.write_text(json.dumps(payload))
+    assert main(["bench", "--model", str(model), "--data", str(out / "drivers"),
+                 "--config", str(config_file), "--horizons", "5.0"]) == 3

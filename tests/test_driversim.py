@@ -5,7 +5,6 @@ from koopdrive.driversim import (
     DistractionWindow,
     DriverParams,
     VehicleParams,
-    make_distracted_segment,
     simulate_driver,
 )
 
@@ -61,7 +60,8 @@ def test_zero_compliance_holds_speed():
 
 def test_distraction_window_weakens_tracking():
     base = DriverParams(noise_std=0.0, seed=0)
-    distracted = make_distracted_segment(base, 20.0, 80.0, compliance=0.0)
+    distracted = DriverParams(noise_std=0.0, seed=0,
+                              windows=(DistractionWindow(20.0, 80.0, compliance=0.0),))
     n = 4000  # 100 s
     t = np.arange(n) * 0.025
     # the advisory steps up in the middle of the distraction window
@@ -84,12 +84,29 @@ def test_distraction_window_validation():
 
 
 def test_window_lookup_last_added_wins():
-    drv = DriverParams(seed=0)
-    drv = make_distracted_segment(drv, 0.0, 100.0, compliance=0.5)
-    drv = make_distracted_segment(drv, 10.0, 20.0, compliance=0.1)
-    assert drv.compliance_at(15.0) == 0.1
-    assert drv.compliance_at(50.0) == 0.5
-    assert drv.compliance_at(150.0) == 1.0
+    adv = np.where(np.arange(4000) * 0.025 < 40.0, 10.0, 16.0)
+    short = DistractionWindow(30.0, 50.0, compliance=0.1, noise_scale=3.0)
+    wide = DistractionWindow(20.0, 80.0, compliance=0.5, noise_scale=1.5)
+
+    def run(*windows):
+        return simulate_driver(VEH, DriverParams(seed=0, windows=windows), adv, v0=10.0)
+
+    # an earlier window that a later one fully covers changes nothing
+    alone, covered = run(wide), run(short, wide)
+    np.testing.assert_array_equal(covered.v, alone.v)
+    np.testing.assert_array_equal(covered.f_tr, alone.f_tr)
+    # the other way round the short window overrides the wide one inside it
+    assert not np.array_equal(run(wide, short).v, alone.v)
+
+
+def test_integer_compliance_matches_float():
+    # an integer compliance must not truncate a window's fractional one
+    adv = np.where(np.arange(4000) * 0.025 < 40.0, 10.0, 16.0)
+    window = (DistractionWindow(30.0, 60.0, compliance=0.5),)
+    as_int = simulate_driver(VEH, DriverParams(compliance=1, seed=0, windows=window), adv)
+    as_float = simulate_driver(VEH, DriverParams(compliance=1.0, seed=0, windows=window), adv)
+    np.testing.assert_array_equal(as_int.v, as_float.v)
+    np.testing.assert_array_equal(as_int.f_tr, as_float.f_tr)
 
 
 def test_force_respects_limits():
@@ -125,15 +142,6 @@ def test_reaction_delay_holds_initial_force():
     k_delay = int(0.5 / dt)
     assert np.all(traj.f_tr[:k_delay] == 0.0)
     assert np.any(traj.f_tr[k_delay:k_delay + 40] != 0.0)
-
-
-def test_duration_trims_advisory():
-    drv = DriverParams(seed=0)
-    adv = np.full(4000, 12.0)
-    traj = simulate_driver(VEH, drv, adv, sample_period=0.025, duration=10.0)
-    assert len(traj.v) == 401
-    with pytest.raises(ValueError):
-        simulate_driver(VEH, drv, adv, sample_period=0.025, duration=150.0)
 
 
 def test_output_contains_advisory_column():

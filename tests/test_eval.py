@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from koopdrive.basis import enumerate_basis
+from koopdrive.edmd import FitConfig, RankDeficientDataError, fit_trajectories
 from koopdrive.evaluate import (
     MPS_TO_MPH,
     BenchReport,
@@ -11,21 +12,8 @@ from koopdrive.evaluate import (
     evaluate_horizons,
     format_reports,
     reports_to_csv,
-    rmse,
 )
 from koopdrive.model import KoopmanModel, Trajectory
-
-
-def test_rmse_hand_value():
-    # errors 3, 4 -> sqrt((9+16)/2) = sqrt(12.5)
-    assert rmse(np.array([3.0, 4.0]), np.array([0.0, 0.0])) == np.sqrt(12.5)
-
-
-def test_rmse_validation():
-    with pytest.raises(ValueError):
-        rmse(np.ones(3), np.ones(4))
-    with pytest.raises(ValueError):
-        rmse(np.array([]), np.array([]))
 
 
 def test_unit_conversions():
@@ -51,7 +39,7 @@ def linear_readout_model(seed=0):
 def model_trajectory(model, n=4000, seed=1, v0=10.0, f0=100.0):
     rng = np.random.default_rng(seed)
     u = 10.0 + 2.0 * np.sin(np.arange(n) * 0.01) + rng.normal(0, 0.2, n)
-    pred = model.rollout(np.array([v0, f0]), u[:-1], mode="relift")
+    pred = model.rollout(np.array([v0, f0]), u[:-1])
     return Trajectory(sample_period=model.sample_period,
                       t=np.arange(n) * model.sample_period,
                       v=pred.v, f_tr=pred.f_tr, v_ref=u)
@@ -60,8 +48,7 @@ def model_trajectory(model, n=4000, seed=1, v0=10.0, f0=100.0):
 def test_offline_exact_model_zero_error():
     model = linear_readout_model()
     traj = model_trajectory(model)
-    reports = evaluate_horizons(traj, model, [5.0, 10.0], (0.0, 100.0 - 0.025),
-                                mode="relift")
+    reports = evaluate_horizons(traj, model, [5.0, 10.0], (0.0, 100.0 - 0.025))
     for r in reports:
         assert r.variant == "offline"
         assert r.rmse_speed_mps < 1e-9
@@ -71,8 +58,7 @@ def test_offline_exact_model_zero_error():
 def test_window_budget():
     model = linear_readout_model()
     traj = model_trajectory(model, n=4001)  # 100 s exactly
-    reports = evaluate_horizons(traj, model, [50.0, 20.0, 10.0, 5.0],
-                                (0.0, 100.0), mode="relift")
+    reports = evaluate_horizons(traj, model, [50.0, 20.0, 10.0, 5.0], (0.0, 100.0))
     by_h = {r.horizon_s: r for r in reports}
     assert by_h[50.0].n_windows == 2
     assert by_h[20.0].n_windows == 5
@@ -102,9 +88,8 @@ def test_online_matches_offline_on_perfect_model():
     model = linear_readout_model()
     traj = model_trajectory(model, n=2000)
     seg = (0.0, 2000 * 0.025 - 0.025)
-    off = evaluate_horizons(traj, model, [5.0], seg, mode="relift")
-    on = evaluate_horizons(traj, model, [5.0], seg, mode="relift",
-                           online=OnlineSettings(lam=1.0))
+    off = evaluate_horizons(traj, model, [5.0], seg)
+    on = evaluate_horizons(traj, model, [5.0], seg, online=OnlineSettings(lam=1.0))
     assert on[0].variant == "online"
     assert on[0].rmse_speed_mps < 1e-9
     assert abs(on[0].rmse_speed_mps - off[0].rmse_speed_mps) < 1e-9
@@ -118,9 +103,8 @@ def test_online_adapts_to_changed_dynamics():
                            sample_period=model.sample_period)
     traj = model_trajectory(changed, n=8000)
     seg = (0.0, 8000 * 0.025 - 0.025)
-    off = evaluate_horizons(traj, model, [5.0], seg, mode="relift")
-    on = evaluate_horizons(traj, model, [5.0], seg, mode="relift",
-                           online=OnlineSettings(lam=0.999))
+    off = evaluate_horizons(traj, model, [5.0], seg)
+    on = evaluate_horizons(traj, model, [5.0], seg, online=OnlineSettings(lam=0.999))
     assert on[0].rmse_speed_mps < off[0].rmse_speed_mps
 
 
@@ -171,6 +155,24 @@ def test_bench_report_fields():
     assert r.warning is not None  # small dataset carries a caveat
     d = r.to_dict()
     assert "speedup" in d and "n_pairs" in d
+
+
+def test_bench_refits_with_the_model_ridge():
+    # a zero force channel zeroes every force monomial, so the stacked data
+    # is rank deficient and only the model's own ridge makes the refit solvable
+    n = 2000
+    trajs = []
+    for seed in (1, 2):
+        rng = np.random.default_rng(seed)
+        v = 10.0 + rng.normal(0, 0.5, n)
+        trajs.append(Trajectory(sample_period=0.025, t=np.arange(n) * 0.025, v=v,
+                                f_tr=np.zeros(n), v_ref=v + rng.normal(0, 0.1, n)))
+    with pytest.raises(RankDeficientDataError):
+        fit_trajectories(trajs, FitConfig())
+    model, _ = fit_trajectories(trajs, FitConfig(ridge=1e-6))
+    r = bench_update(trajs, model, [5.0])
+    assert r.offline_fit_s[0] > 0
+    assert r.online_per_tick_s[0] > 0
 
 
 def test_format_reports_table():

@@ -1,6 +1,8 @@
-"""Every name a koopdrive module imports is used or re-exported."""
+"""Every name a koopdrive module imports is used or re-exported, and every
+name it exports exists."""
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -39,3 +41,10 @@ def test_detects_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_all_names_exist(path):
+    module = importlib.import_module(f"koopdrive.{path.stem}")
+    missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert missing == []

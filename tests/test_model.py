@@ -169,28 +169,6 @@ def test_rollout_constant_under_identity():
     assert len(pred.v) == 101
     np.testing.assert_array_equal(pred.v, 10.0)
     np.testing.assert_array_equal(pred.f_tr, 0.0)
-    pred2 = m.rollout(np.array([10.0, 0.0]), np.full(100, 12.0), mode="relift")
-    np.testing.assert_array_equal(pred2.v, 10.0)
-
-
-def test_rollout_modes_agree_on_invariant_dynamics():
-    # dynamics that stay on the lifted manifold: lifted and relift coincide
-    basis = enumerate_basis()
-    rng = np.random.default_rng(11)
-    # contraction toward a fixed point expressed purely in the identity block
-    A = np.eye(9) * 0.0
-    A[0, 0] = 0.95
-    A[1, 1] = 0.9
-    B = np.zeros((9, 1))
-    B[0, 0] = 0.05
-    m = KoopmanModel(basis=basis, A=A, B=B, sample_period=0.025)
-    u = rng.uniform(8, 14, 50)
-    p1 = m.rollout(np.array([10.0, 100.0]), u, mode="lifted")
-    p2 = m.rollout(np.array([10.0, 100.0]), u, mode="relift")
-    # identity-block-only dynamics make the two modes identical in the
-    # projected coordinates
-    np.testing.assert_allclose(p1.v, p2.v, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(p1.f_tr, p2.f_tr, rtol=0, atol=1e-12)
 
 
 def test_rollout_divergence_reports_step():
