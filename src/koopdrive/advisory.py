@@ -298,7 +298,6 @@ class AdvisoryProfile:
     node_times: np.ndarray
     stop: np.ndarray
     total_cost: float
-    meta: dict = field(default_factory=dict)
 
     @property
     def duration(self) -> float:
@@ -473,14 +472,6 @@ def solve_eco_dp(route: RouteSpec, config: EcoDpConfig) -> AdvisoryProfile:
         node_times=node_times,
         stop=route.stop.copy(),
         total_cost=total_cost,
-        meta={
-            "gamma": config.gamma,
-            "soc_initial": config.soc_initial,
-            "soc_terminal_floor": config.soc_terminal_floor,
-            "v_levels": config.v_levels,
-            "soc_levels": config.soc_levels,
-            "m_dot_norm": config.resolved_m_dot_norm,
-        },
     )
 
 

@@ -9,22 +9,22 @@ state variables themselves, which keeps the projection back to physical
 coordinates a plain row selection.
 
 The dictionary contains every monomial of total degree 1 through
-``max_degree``; there is no constant observable. For the default two-state,
-degree-3 setup the dictionary has nine entries and reads
+``max_degree``; there is no constant observable. For the default degree 3
+the dictionary has nine entries and reads
 
     v, f, v*f, v**2, f**2, v**2*f, v*f**2, v**3, f**3
 
-Ordering rule, for any state dimension: the identity monomials come first,
-then each higher degree block in turn; inside a degree block, monomials that
-mix several variables precede pure powers, and otherwise exponent tuples are
-sorted lexicographically descending. The rule is deterministic, so a basis
-can be rebuilt exactly from (state_dim, max_degree).
+Ordering rule: the identity monomials v, f come first, then each higher
+degree block in turn; inside a degree block, monomials that mix both
+variables precede pure powers, and otherwise exponent pairs are sorted
+lexicographically descending. The monomials follow from ``max_degree`` by
+this rule, so a basis is rebuilt exactly from its degree and scaler.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
@@ -32,14 +32,13 @@ import numpy as np
 __all__ = [
     "StateScaler",
     "LiftedBasis",
-    "enumerate_basis",
 ]
 
 
-def _state_array(x, state_dim: int) -> np.ndarray:
+def _state_array(x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    if arr.shape != (state_dim,):
-        raise ValueError(f"state must have shape ({state_dim},), got {arr.shape}")
+    if arr.shape != (2,):
+        raise ValueError(f"state must have shape (2,), got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"state must be finite, got {arr}")
     return arr
@@ -111,46 +110,28 @@ def _monomial_order_key(exponents: tuple[int, ...]):
     return (degree, -nonzero, tuple(-e for e in exponents))
 
 
-def _enumerate_exponents(state_dim: int, max_degree: int) -> tuple[tuple[int, ...], ...]:
-    exps = [
-        e
-        for e in product(range(max_degree + 1), repeat=state_dim)
-        if 1 <= sum(e) <= max_degree
-    ]
+def _enumerate_exponents(max_degree: int) -> tuple[tuple[int, int], ...]:
+    exps = [e for e in product(range(max_degree + 1), repeat=2) if 1 <= sum(e) <= max_degree]
     exps.sort(key=_monomial_order_key)
     return tuple(exps)
 
 
 @dataclass(frozen=True)
 class LiftedBasis:
-    """Monomial dictionary with the identity observables in front."""
+    """Monomials of (v, f_tr) of degree 1..max_degree, identity pair first."""
 
-    state_dim: int
-    max_degree: int
-    monomials: tuple[tuple[int, ...], ...]
+    max_degree: int = 3
     scaler: StateScaler | None = None
+    monomials: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.state_dim < 1:
-            raise ValueError(f"state_dim must be >= 1, got {self.state_dim}")
         if self.max_degree < 1:
             raise ValueError(f"max_degree must be >= 1, got {self.max_degree}")
-        seen = set()
-        for e in self.monomials:
-            if len(e) != self.state_dim:
-                raise ValueError(f"monomial {e} does not match state_dim {self.state_dim}")
-            if not 1 <= sum(e) <= self.max_degree:
-                raise ValueError(f"monomial {e} has degree outside 1..{self.max_degree}")
-            if e in seen:
-                raise ValueError(f"duplicate monomial {e}")
-            seen.add(e)
-        for j in range(self.state_dim):
-            ident = tuple(1 if i == j else 0 for i in range(self.state_dim))
-            if len(self.monomials) <= j or self.monomials[j] != ident:
-                raise ValueError("identity monomials must come first, in state order")
-        if self.scaler is not None and len(self.scaler.scale) != self.state_dim:
-            raise ValueError("scaler dimension does not match state_dim")
-        object.__setattr__(self, "_exp", np.array(self.monomials, dtype=float))
+        if self.scaler is not None and len(self.scaler.scale) != 2:
+            raise ValueError("scaler must have two channels, one per state")
+        monomials = _enumerate_exponents(self.max_degree)
+        object.__setattr__(self, "monomials", monomials)
+        object.__setattr__(self, "_exp", np.array(monomials, dtype=float))
 
     @property
     def lifted_dim(self) -> int:
@@ -158,14 +139,13 @@ class LiftedBasis:
 
     def lift(self, x) -> np.ndarray:
         """Map one physical state to its lifted image, shape (lifted_dim,)."""
-        arr = _state_array(x, self.state_dim)
-        return self.lift_many(arr[None, :])[0]
+        return self.lift_many(_state_array(x)[None, :])[0]
 
     def lift_many(self, states: np.ndarray) -> np.ndarray:
         """Lift a batch of states, one per row; returns (k, lifted_dim)."""
         arr = np.asarray(states, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != self.state_dim:
-            raise ValueError(f"expected (k, {self.state_dim}) state array, got {arr.shape}")
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise ValueError(f"expected (k, 2) state array, got {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("states must be finite")
         if self.scaler is not None:
@@ -177,7 +157,7 @@ class LiftedBasis:
         arr = np.asarray(z, dtype=float)
         if arr.shape != (self.lifted_dim,):
             raise ValueError(f"lifted vector must have shape ({self.lifted_dim},), got {arr.shape}")
-        x = arr[: self.state_dim]
+        x = arr[:2]
         if self.scaler is not None:
             x = self.scaler.invert(x)
         return x
@@ -186,14 +166,14 @@ class LiftedBasis:
         arr = np.asarray(Z, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != self.lifted_dim:
             raise ValueError(f"expected (k, {self.lifted_dim}) array, got {arr.shape}")
-        X = arr[:, : self.state_dim]
+        X = arr[:, :2]
         if self.scaler is not None:
             X = self.scaler.invert(X)
         return X
 
     def to_dict(self) -> dict:
         return {
-            "state_dim": self.state_dim,
+            "state_dim": 2,
             "max_degree": self.max_degree,
             "monomials": [list(e) for e in self.monomials],
             "scaler": self.scaler.to_dict() if self.scaler is not None else None,
@@ -201,28 +181,13 @@ class LiftedBasis:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LiftedBasis":
+        """Rebuild a basis, rejecting any shape but the canonical one."""
+        if d["state_dim"] != 2:
+            raise ValueError(f"state_dim must be 2, got {d['state_dim']!r}")
         scaler = d.get("scaler")
-        return cls(
-            state_dim=int(d["state_dim"]),
-            max_degree=int(d["max_degree"]),
-            monomials=tuple(tuple(int(k) for k in e) for e in d["monomials"]),
-            scaler=StateScaler.from_dict(scaler) if scaler else None,
-        )
-
-
-def enumerate_basis(state_dim: int = 2, max_degree: int = 3,
-                    scaler: StateScaler | None = None) -> LiftedBasis:
-    """Construct the monomial basis for the given dimensions.
-
-    Raises ValueError for non-positive dimensions or degree.
-    """
-    if state_dim < 1:
-        raise ValueError(f"state_dim must be >= 1, got {state_dim}")
-    if max_degree < 1:
-        raise ValueError(f"max_degree must be >= 1, got {max_degree}")
-    return LiftedBasis(
-        state_dim=state_dim,
-        max_degree=max_degree,
-        monomials=_enumerate_exponents(state_dim, max_degree),
-        scaler=scaler,
-    )
+        basis = cls(max_degree=int(d["max_degree"]),
+                    scaler=StateScaler.from_dict(scaler) if scaler else None)
+        canonical = [list(e) for e in basis.monomials]
+        if d["monomials"] != canonical:
+            raise ValueError(f"monomials must be {canonical} for degree {basis.max_degree}")
+        return basis

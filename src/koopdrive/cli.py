@@ -96,12 +96,26 @@ def _build(cls, values: dict, section: str):
                and f.default_factory is dataclasses.MISSING]
     if missing:
         raise ValueError(f"section '{section}': missing keys: {', '.join(missing)}")
-    return cls(**values)
+    try:
+        return cls(**values)
+    except TypeError as exc:  # a wrong-typed value failed a comparison or check
+        raise ValueError(f"section '{section}': {exc}") from None
+
+
+def _is_number_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, (int, float)) for x in value)
 
 
 def _eval_section(cfg: dict) -> dict:
     sec = _section(cfg, "eval")
     _check_keys(sec, ("horizons_s", "segment_s"), "eval")
+    if "segment_s" in sec and not (_is_number_list(sec["segment_s"])
+                                   and len(sec["segment_s"]) == 2):
+        raise ValueError(f"eval.segment_s must be two numbers, got {sec['segment_s']!r}")
+    if "horizons_s" in sec and not (_is_number_list(sec["horizons_s"]) and sec["horizons_s"]):
+        raise ValueError(
+            f"eval.horizons_s must be a non-empty list of numbers, got {sec['horizons_s']!r}"
+        )
     return sec
 
 
@@ -206,7 +220,7 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     period = _sample_period(cfg)
     vehicle = _build(VehicleParams, _section(cfg, "vehicle"), "vehicle")
-    driver_base = _section(cfg, "driver")
+    driver_base = _build(DriverParams, _section(cfg, "driver"), "driver")
 
     roster = _section(cfg, "drivers")
     _check_keys(roster, ("count", "gain_jitter", "distracted"), "drivers")
@@ -234,15 +248,15 @@ def cmd_simulate(args) -> int:
 
     drivers = []
     for i in range(count):
-        params = dict(driver_base)
+        gains = {}
         if gain_jitter > 0:
             jrng = np.random.default_rng([seed + i, 17])
             for gain in ("kp", "ki"):
-                base = params.get(gain, getattr(DriverParams, gain))
-                params[gain] = base * (1.0 + gain_jitter * (2.0 * jrng.random() - 1.0))
-        params["seed"] = seed + i
-        params["windows"] = tuple(w for index, w in windows if index == i)
-        drivers.append(_build(DriverParams, params, "driver"))
+                base = getattr(driver_base, gain)
+                gains[gain] = base * (1.0 + gain_jitter * (2.0 * jrng.random() - 1.0))
+        drivers.append(dataclasses.replace(
+            driver_base, seed=seed + i,
+            windows=tuple(w for index, w in windows if index == i), **gains))
 
     os.makedirs(args.out, exist_ok=True)
     width = max(2, len(str(count)))
@@ -265,8 +279,8 @@ def cmd_fit(args) -> int:
     if args.scaling is not None:
         sec["scaling"] = args.scaling
     if args.split is not None:
-        sec["split"] = tuple(args.split)
-    if "split" in sec:
+        sec["split"] = args.split
+    if isinstance(sec.get("split"), list):
         sec["split"] = tuple(sec["split"])
     fit_cfg = _build(FitConfig, sec, "fit")
 

@@ -2,14 +2,14 @@
 
 Transition pairs are assembled trajectory by trajectory, so a pair never
 straddles the boundary between two recordings. With X holding lifted states,
-X_plus their successors, and U the advisory inputs, the stacked block [A B]
-solves
+X_plus their successors, and U the advisory speeds (one row), the stacked
+block [A B] solves
 
     min || X_plus - [A B] [X; U] ||_F
 
 optionally with a ridge penalty ridge * ||[A B]||_F^2. The solver is an
 SVD-backed least squares with singular values below
-max(T, N+m) * eps * sigma_max treated as zero.
+max(T, N+1) * eps * sigma_max treated as zero.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import LiftedBasis, StateScaler, enumerate_basis
+from .basis import LiftedBasis, StateScaler
 from .model import KoopmanModel
 
 __all__ = [
@@ -61,15 +61,15 @@ class FitConfig:
             raise ValueError(f"split needs three positive fractions, got {self.split}")
         if abs(sum(self.split) - 1.0) > 1e-9:
             raise ValueError(f"split fractions must sum to 1, got {self.split}")
-        if self.max_degree < 1:
-            raise ValueError(f"max_degree must be >= 1, got {self.max_degree}")
+        if not (isinstance(self.max_degree, int) and self.max_degree >= 1):
+            raise ValueError(f"max_degree must be an integer >= 1, got {self.max_degree!r}")
         if self.scaling not in ("pow2", "none"):
             raise ValueError(f"scaling must be 'pow2' or 'none', got {self.scaling!r}")
 
 
 @dataclass
 class DataMatrices:
-    """Column-aligned regression data: X, X_plus (N x T) and U (m x T)."""
+    """Column-aligned regression data: X, X_plus (N x T) and U (1 x T)."""
 
     X: np.ndarray
     X_plus: np.ndarray
@@ -81,15 +81,13 @@ class DataMatrices:
         self.X = np.asarray(self.X, dtype=float)
         self.X_plus = np.asarray(self.X_plus, dtype=float)
         self.U = np.asarray(self.U, dtype=float)
-        if self.U.ndim == 1:
-            self.U = self.U[None, :]
         N = self.basis.lifted_dim
         if self.X.ndim != 2 or self.X.shape[0] != N:
             raise ValueError(f"X must be ({N}, T), got {self.X.shape}")
         if self.X_plus.shape != self.X.shape:
             raise ValueError(f"X_plus shape {self.X_plus.shape} must match X {self.X.shape}")
-        if self.U.ndim != 2 or self.U.shape[1] != self.X.shape[1]:
-            raise ValueError(f"U must be (m, {self.X.shape[1]}), got {self.U.shape}")
+        if self.U.shape != (1, self.X.shape[1]):
+            raise ValueError(f"U must be (1, {self.X.shape[1]}), got {self.U.shape}")
         for name in ("X", "X_plus", "U"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} contains non-finite values")
@@ -99,10 +97,6 @@ class DataMatrices:
     @property
     def T(self) -> int:
         return self.X.shape[1]
-
-    @property
-    def input_dim(self) -> int:
-        return self.U.shape[0]
 
 
 def build_matrices(trajectories, basis: LiftedBasis) -> DataMatrices:
@@ -185,8 +179,7 @@ def fit(matrices: DataMatrices, config: FitConfig) -> KoopmanModel:
     the condition number of the regressor go into the model provenance.
     """
     N = matrices.basis.lifted_dim
-    m = matrices.input_dim
-    p = N + m
+    p = N + 1
     T = matrices.T
     if T < p and config.ridge == 0.0:
         raise ValueError(
@@ -275,7 +268,7 @@ def fit_trajectories(trajectories, config: FitConfig) -> tuple[KoopmanModel, Fit
         scaler = StateScaler.pow2_from_data(peak[None, :])
     else:
         scaler = None
-    basis = enumerate_basis(2, config.max_degree, scaler)
+    basis = LiftedBasis(max_degree=config.max_degree, scaler=scaler)
     mats = {name: build_matrices(part, basis)
             for name, part in (("train", train), ("validation", val), ("test", test))}
     model = fit(mats["train"], config)

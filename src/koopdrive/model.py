@@ -2,9 +2,10 @@
 
 A model is the triple (A, B, basis) together with the sample period. One
 prediction step advances the lifted vector z by A @ z + B @ u, where u is the
-advisory speed acting as the exogenous input. The physical state is read out
-of the first entries of z (the identity observables), so the readout matrix
-is [I 0] by construction and is not stored.
+advisory speed, the one exogenous input, so B is a single column. The
+physical state (v, f_tr) is read out of the first two entries of z (the
+identity observables), so the readout matrix is [I 0] by construction and
+is not stored.
 
 A rollout lifts the initial state once and steps through row views of one
 preallocated array with ndarray.dot, which makes the same BLAS call as @
@@ -215,13 +216,11 @@ class KoopmanModel:
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=float)
         self.B = np.asarray(self.B, dtype=float)
-        if self.B.ndim == 1:
-            self.B = self.B[:, None]
         N = self.basis.lifted_dim
         if self.A.shape != (N, N):
             raise ValueError(f"A must be ({N}, {N}) for this basis, got {self.A.shape}")
-        if self.B.ndim != 2 or self.B.shape[0] != N or self.B.shape[1] < 1:
-            raise ValueError(f"B must be ({N}, m) with m >= 1, got {self.B.shape}")
+        if self.B.shape != (N, 1):
+            raise ValueError(f"B must be ({N}, 1) for this basis, got {self.B.shape}")
         if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.B))):
             raise ValueError("model matrices must be finite")
         if not (math.isfinite(self.sample_period) and self.sample_period > 0):
@@ -231,18 +230,14 @@ class KoopmanModel:
     def lifted_dim(self) -> int:
         return self.basis.lifted_dim
 
-    @property
-    def input_dim(self) -> int:
-        return self.B.shape[1]
-
     @classmethod
     def from_stacked(cls, basis: LiftedBasis, theta: np.ndarray, sample_period: float,
                      provenance: dict | None = None) -> "KoopmanModel":
         """Build a model from the stacked parameter block [A B]."""
         theta = np.asarray(theta, dtype=float)
         N = basis.lifted_dim
-        if theta.ndim != 2 or theta.shape[0] != N or theta.shape[1] <= N:
-            raise ValueError(f"stacked block must be ({N}, {N}+m), got {theta.shape}")
+        if theta.shape != (N, N + 1):
+            raise ValueError(f"stacked block must be ({N}, {N + 1}), got {theta.shape}")
         return cls(basis=basis, A=theta[:, :N].copy(), B=theta[:, N:].copy(),
                    sample_period=sample_period, provenance=provenance or {})
 
@@ -258,17 +253,15 @@ class KoopmanModel:
         RolloutDivergenceError naming the step at which a non-finite value
         first appears.
         """
-        if self.input_dim != 1:
-            raise ValueError("rollout packaging requires a single advisory input")
         u = np.asarray(inputs, dtype=float)
         if u.ndim != 1 or len(u) == 0:
             raise ValueError("inputs must be a nonempty 1-D array of advisory speeds")
         if not np.all(np.isfinite(u)):
             raise ValueError("inputs must be finite")
 
-        x0 = _state_array(x0, self.basis.state_dim)
+        x0 = _state_array(x0)
         L = len(u)
-        states = np.empty((L + 1, self.basis.state_dim))
+        states = np.empty((L + 1, 2))
         states[0] = x0
 
         # overflow is the divergence signal itself, reported with the step
@@ -293,7 +286,7 @@ class KoopmanModel:
             sample_period=self.sample_period,
             t=np.arange(L + 1) * self.sample_period,
             v=states[:, 0],
-            f_tr=states[:, 1] if self.basis.state_dim > 1 else np.zeros(L + 1),
+            f_tr=states[:, 1],
             v_ref=v_ref_col,
         )
 
@@ -303,7 +296,7 @@ class KoopmanModel:
             "schema_version": SCHEMA_VERSION,
             "basis": self.basis.to_dict(),
             "sample_period": self.sample_period,
-            "input_dim": self.input_dim,
+            "input_dim": 1,
             "A": self.A.tolist(),
             "B": self.B.tolist(),
             "provenance": _jsonable(self.provenance),
@@ -324,6 +317,10 @@ class KoopmanModel:
             raise ModelFileError(
                 f"{path}: unsupported schema_version {version!r}, expected {SCHEMA_VERSION}"
             )
+        input_dim = payload.get("input_dim")
+        if input_dim != 1:
+            raise ModelFileError(f"{path}: input_dim must be 1 (the advisory speed), "
+                                 f"got {input_dim!r}")
         try:
             basis = LiftedBasis.from_dict(payload["basis"])
         except (KeyError, TypeError, ValueError) as exc:
@@ -336,8 +333,8 @@ class KoopmanModel:
         N = basis.lifted_dim
         if A.shape != (N, N):
             raise ModelFileError(f"{path}: matrix A has shape {A.shape}, expected ({N}, {N})")
-        if B.ndim != 2 or B.shape[0] != N:
-            raise ModelFileError(f"{path}: matrix B has shape {B.shape}, expected ({N}, m)")
+        if B.shape != (N, 1):
+            raise ModelFileError(f"{path}: matrix B has shape {B.shape}, expected ({N}, 1)")
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
             raise ModelFileError(f"{path}: model matrices contain non-finite entries")
         period = payload.get("sample_period")

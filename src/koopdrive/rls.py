@@ -1,8 +1,9 @@
 """Recursive least-squares adaptation of the lifted dynamics.
 
-The stacked parameter block theta = [A B] is refreshed from streaming
-transition pairs with exponential forgetting. For a pair (x_k, u_k, x_next)
-the regressor is z = [psi(x_k); u_k] and the update reads
+The stacked parameter block theta = [A B], with B the single advisory-speed
+column, is refreshed from streaming transition pairs with exponential
+forgetting. For a pair (x_k, u_k, x_next) the regressor is
+z = [psi(x_k); u_k] and the update reads
 
     eps   = psi(x_next) - theta z
     K     = P z / (lambda + z' P z)
@@ -15,9 +16,9 @@ lambda < 1 discounts old data with the usual 1/(1 - lambda) sample memory.
 No covariance resetting or windup protection is applied beyond the
 forgetting factor itself.
 
-A tick (update_tick) validates and lifts its whole buffer once, then
-applies the pairs one at a time through rls_update's internal lifted= fast
-path. The per-pair arithmetic is the same as for a validating rls_update
+A tick (update_tick) checks that the state has lifted_dim + 1 columns,
+validates and lifts its whole buffer once, then applies the pairs one at a
+time through rls_update's internal lifted= fast path. The per-pair arithmetic is the same as for a validating rls_update
 call, so the result is bit-identical to applying the pairs one by one.
 
 The kernel works on 10-wide arrays, where numpy's per-call overhead costs
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import LiftedBasis, _state_array
+from .basis import LiftedBasis
 from .model import KoopmanModel, Trajectory
 
 __all__ = ["OnlineSettings", "RlsState", "RlsUpdateRejectedError", "init_rls", "rls_update",
@@ -110,7 +111,7 @@ def init_rls(model: KoopmanModel, lam: float, p0_scale: float | None = None) -> 
     scale = (1.0 / lam) if p0_scale is None else float(p0_scale)
     if not (math.isfinite(scale) and scale > 0):
         raise ValueError(f"p0_scale must be positive and finite, got {p0_scale}")
-    p = model.lifted_dim + model.input_dim
+    p = model.lifted_dim + 1
     return RlsState(theta=model.stacked().copy(), P=np.eye(p) * scale, lam=lam)
 
 
@@ -128,12 +129,11 @@ def rls_update(state: RlsState, basis: LiftedBasis, x_k, u_k, x_next, *,
     caller. The raw x_k, u_k and x_next are then not read.
     """
     if lifted is None:
-        psi_k = basis.lift(_state_array(x_k, basis.state_dim))
-        psi_next = basis.lift(_state_array(x_next, basis.state_dim))
-        m = state.n_features - basis.lifted_dim
-        u_arr = np.atleast_1d(np.asarray(u_k, dtype=float))
-        if u_arr.shape != (m,):
-            raise ValueError(f"input must have shape ({m},), got {u_arr.shape}")
+        psi_k = basis.lift(x_k)
+        psi_next = basis.lift(x_next)
+        u_arr = np.asarray(u_k, dtype=float)
+        if u_arr.shape != (1,):
+            raise ValueError(f"input must have shape (1,), got {u_arr.shape}")
         if not np.all(np.isfinite(u_arr)):
             raise ValueError(f"input must be finite, got {u_arr}")
         z = np.concatenate([psi_k, u_arr])
@@ -178,21 +178,22 @@ def update_tick(state: RlsState, basis: LiftedBasis, buffer) -> np.ndarray:
     failing pair aborts the tick with the same exception type, naming the
     pair's index in the buffer; the pairs before it stay applied.
 
-    The buffer is validated and lifted once: the pairs before the first
-    malformed one run through rls_update's lifted fast path, and the
-    malformed pair through its validating path, which raises.
+    A state whose width is not basis.lifted_dim + 1 raises ValueError before
+    any pair is applied. The buffer is validated and lifted once: the pairs
+    before the first malformed one run through rls_update's lifted fast
+    path, and the malformed pair through its validating path, which raises.
     """
+    if state.n_features != basis.lifted_dim + 1:
+        raise ValueError(f"state has {state.n_features} columns, expected "
+                         f"{basis.lifted_dim + 1} for this basis")
     rows = _buffer_rows(buffer)
     if len(rows) < 2:
         return np.empty(0)
     n_pairs = len(rows) - 1
-    if basis.state_dim == 2 and state.n_features == basis.lifted_dim + 1:
-        # pair i reads the states of rows i and i + 1 and the input of row i
-        finite = np.isfinite(rows)
-        ok = finite[:-1, :2].all(axis=1) & finite[1:, :2].all(axis=1) & finite[:-1, 2]
-        good = n_pairs if ok.all() else int(np.argmin(ok))
-    else:
-        good = 0  # a shape mismatch fails at pair 0 in the validating path
+    # pair i reads the states of rows i and i + 1 and the input of row i
+    finite = np.isfinite(rows)
+    ok = finite[:-1, :2].all(axis=1) & finite[1:, :2].all(axis=1) & finite[:-1, 2]
+    good = n_pairs if ok.all() else int(np.argmin(ok))
     errs = np.empty(n_pairs)
     i = 0
     try:

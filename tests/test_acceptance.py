@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from koopdrive.advisory import EcoDpConfig, RouteSpec, edge_quantities, solve_eco_dp
-from koopdrive.basis import enumerate_basis
+from koopdrive.basis import LiftedBasis
 from koopdrive.cli import main
 from koopdrive.edmd import DataMatrices, FitConfig, fit
 from koopdrive.evaluate import OnlineSettings, bench_update, evaluate_horizons
@@ -85,7 +85,7 @@ def _zero_model(basis):
 
 def test_lifting_identity_and_scaling(verdict):
     with verdict("lifting: hand values, projection identity, degree scaling", 1.0):
-        basis = enumerate_basis()
+        basis = LiftedBasis()
         assert basis.lifted_dim == 9
         np.testing.assert_array_equal(
             basis.lift(np.array([2.0, 3.0])),
@@ -102,7 +102,7 @@ def test_lifting_identity_and_scaling(verdict):
 
 def test_offline_fit_recovers_linear_system(verdict):
     with verdict("offline fit: recovers a known lifted linear system to 1e-8", 5.0):
-        basis = enumerate_basis()
+        basis = LiftedBasis()
         rng = np.random.default_rng(7)
         A = rng.normal(size=(9, 9))
         A *= 0.9 / np.max(np.abs(np.linalg.eigvals(A)))
@@ -120,7 +120,7 @@ def test_offline_fit_recovers_linear_system(verdict):
 
 def test_streaming_matches_batch(verdict):
     with verdict("streaming fit (lam=1, P0=1e6 I) matches batch ridge to 1e-6", 5.0):
-        basis = enumerate_basis()
+        basis = LiftedBasis()
         rng = np.random.default_rng(11)
         T = 2000
         pts = rng.normal(size=(T, 2))
@@ -140,7 +140,7 @@ def test_streaming_matches_batch(verdict):
 def test_streaming_covariance_health(verdict):
     with verdict("streaming covariance: symmetric PD over 1e4 updates, "
                  "zero error leaves parameters untouched", None):
-        basis = enumerate_basis()
+        basis = LiftedBasis()
         for lam in (0.9, 1.0):
             state = init_rls(_zero_model(basis), lam)
             rng = np.random.default_rng(int(lam * 10))

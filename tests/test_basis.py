@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from koopdrive.basis import LiftedBasis, StateScaler, enumerate_basis
+from koopdrive.basis import LiftedBasis, StateScaler
 
 
 def test_monomial_ordering_degree3():
-    basis = enumerate_basis()
+    basis = LiftedBasis()
     assert basis.monomials == (
         (1, 0), (0, 1),
         (1, 1), (2, 0), (0, 2),
@@ -16,13 +16,13 @@ def test_monomial_ordering_degree3():
 
 
 def test_lift_known_point():
-    basis = enumerate_basis()
+    basis = LiftedBasis()
     z = basis.lift(np.array([2.0, 3.0]))
     np.testing.assert_array_equal(z, [2, 3, 6, 4, 9, 12, 18, 8, 27])
 
 
 def test_identity_block_first():
-    basis = enumerate_basis()
+    basis = LiftedBasis()
     # the first two observables are the raw state, so projection is a slice
     x = np.array([1.7, -4.2])
     z = basis.lift(x)
@@ -31,7 +31,7 @@ def test_identity_block_first():
 
 
 def test_lift_many_matches_lift():
-    basis = enumerate_basis()
+    basis = LiftedBasis()
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(50, 2)) * [20, 4000]
     Z = basis.lift_many(pts)
@@ -41,7 +41,7 @@ def test_lift_many_matches_lift():
 
 
 def test_project_many_roundtrip():
-    basis = enumerate_basis()
+    basis = LiftedBasis()
     rng = np.random.default_rng(4)
     pts = rng.normal(size=(30, 2))
     np.testing.assert_array_equal(basis.project_many(basis.lift_many(pts)), pts)
@@ -51,7 +51,7 @@ def test_project_many_roundtrip():
 @settings(max_examples=60, deadline=None)
 def test_scaling_law_per_degree(v, f):
     # z(c*x) entrywise equals c^deg(z) * z(x) for any scalar c
-    basis = enumerate_basis()
+    basis = LiftedBasis()
     c = 2.0
     z1 = basis.lift(np.array([v, f]))
     z2 = basis.lift(np.array([c * v, c * f]))
@@ -65,7 +65,7 @@ def test_pow2_scaler_bit_exact_roundtrip():
     data = rng.normal(size=(200, 2)) * [17.0, 5100.0]
     scaler = StateScaler.pow2_from_data(data)
     assert all(np.log2(s) == int(np.log2(s)) for s in scaler.scale)
-    basis = enumerate_basis(scaler=scaler)
+    basis = LiftedBasis(scaler=scaler)
     # power-of-two scaling keeps project(lift(x)) == x bitwise
     Z = basis.lift_many(data)
     np.testing.assert_array_equal(basis.project_many(Z), data)
@@ -79,14 +79,14 @@ def test_scaler_dict_roundtrip():
 
 def test_scaled_lift_magnitudes():
     scaler = StateScaler(scale=(16.0, 4096.0), offset=(0.0, 0.0))
-    basis = enumerate_basis(scaler=scaler)
+    basis = LiftedBasis(scaler=scaler)
     z = basis.lift(np.array([16.0, 4096.0]))
     # every scaled monomial of the unit corner is exactly 1
     np.testing.assert_array_equal(z, np.ones(9))
 
 
 def test_physical_state_validation():
-    basis = enumerate_basis()
+    basis = LiftedBasis()
     with pytest.raises(ValueError):
         basis.lift(np.array([np.nan, 0.0]))
     with pytest.raises(ValueError):
@@ -94,7 +94,7 @@ def test_physical_state_validation():
 
 
 def test_lift_rejects_wrong_shape():
-    basis = enumerate_basis()
+    basis = LiftedBasis()
     with pytest.raises(ValueError):
         basis.lift(np.array([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError):
@@ -103,10 +103,10 @@ def test_lift_rejects_wrong_shape():
 
 def test_degree_bounds():
     with pytest.raises(ValueError):
-        enumerate_basis(max_degree=0)
-    b1 = enumerate_basis(max_degree=1)
+        LiftedBasis(max_degree=0)
+    b1 = LiftedBasis(max_degree=1)
     assert b1.monomials == ((1, 0), (0, 1))
-    b2 = enumerate_basis(max_degree=2)
+    b2 = LiftedBasis(max_degree=2)
     assert b2.lifted_dim == 5
 
 
@@ -114,5 +114,5 @@ def test_degree_bounds():
 @settings(max_examples=4, deadline=None)
 def test_dim_formula(deg):
     # monomials of total degree 1..deg in two variables, no constant
-    basis = enumerate_basis(max_degree=deg)
+    basis = LiftedBasis(max_degree=deg)
     assert basis.lifted_dim == (deg + 1) * (deg + 2) // 2 - 1

@@ -1,10 +1,13 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
+from koopdrive.basis import LiftedBasis
 from koopdrive.cli import main
+from koopdrive.model import KoopmanModel, ModelFileError, Trajectory
 from koopdrive.rls import OnlineSettings
 
 TOY_CONFIG = {
@@ -26,16 +29,19 @@ TOY_CONFIG = {
 }
 
 
-@pytest.fixture
-def toy_route(tmp_path):
+def write_toy_route(p):
     n = 41
     lines = ["position_m,v_min_mps,v_max_mps,stop,grade"]
     for j in range(n):
         stop = 1 if j in (0, 40) else 0
         lines.append(f"{j * 10.0},0.0,13.9,{stop},0.0")
-    p = tmp_path / "route.csv"
     p.write_text("\n".join(lines) + "\n")
     return p
+
+
+@pytest.fixture
+def toy_route(tmp_path):
+    return write_toy_route(tmp_path / "route.csv")
 
 
 @pytest.fixture
@@ -263,3 +269,111 @@ def test_bench_non_numeric_model_ridge_exit_3(tmp_path, toy_route, config_file):
     model.write_text(json.dumps(payload))
     assert main(["bench", "--model", str(model), "--data", str(out / "drivers"),
                  "--config", str(config_file), "--horizons", "5.0"]) == 3
+
+
+@pytest.fixture(scope="module")
+def toy_build(tmp_path_factory):
+    """One advisory, roster and fitted model on the toy route for the config cases."""
+    root = tmp_path_factory.mktemp("toy_build")
+    route = write_toy_route(root / "route.csv")
+    cfg = root / "config.json"
+    cfg.write_text(json.dumps(TOY_CONFIG))
+    assert main(["advisory", "--route", str(route), "--config", str(cfg),
+                 "--out", str(root / "advisory")]) == 0
+    assert main(["simulate", "--advisory", str(root / "advisory" / "advisory_time.csv"),
+                 "--config", str(cfg), "--out", str(root / "drivers")]) == 0
+    assert main(["fit", "--data", str(root / "drivers"), "--config", str(cfg),
+                 "--model-out", str(root / "model.json")]) == 0
+    return root
+
+
+def command_for(stage, build, cfg, out):
+    data = str(build / "drivers" / "driver_01.csv")
+    model = str(build / "model.json")
+    return {
+        "advisory": ["advisory", "--route", str(build / "route.csv"), "--out", str(out)],
+        "simulate": ["simulate", "--advisory", str(build / "advisory" / "advisory_time.csv"),
+                     "--out", str(out)],
+        "fit": ["fit", "--data", str(build / "drivers"), "--model-out", str(out)],
+        "update": ["update", "--model", model, "--data", data, "--segment", "10", "30",
+                   "--out", str(out)],
+        "eval": ["eval", "--model", model, "--data", data, "--out", str(out)],
+    }[stage] + ["--config", str(cfg)]
+
+
+def distracted_with(**entry):
+    window = dict(TOY_CONFIG["drivers"]["distracted"][0], **entry)
+    return {"drivers": dict(TOY_CONFIG["drivers"], distracted=[window])}
+
+
+@pytest.mark.parametrize("stage, sections, message", [
+    ("simulate", {"vehicle": dict(TOY_CONFIG["vehicle"], mass="x")}, "section 'vehicle'"),
+    ("simulate", {"driver": dict(TOY_CONFIG["driver"], kp="x")}, "section 'driver'"),
+    ("simulate", distracted_with(t_start="x"), "section 'drivers.distracted'"),
+    ("advisory", {"advisory": dict(TOY_CONFIG["advisory"], gamma="x")}, "section 'advisory'"),
+    ("update", {"rls": {"lam": "x"}}, "section 'rls'"),
+    ("update", {"rls": {"cadence_s": "x"}}, "section 'rls'"),
+    ("fit", {"fit": dict(TOY_CONFIG["fit"], max_degree="x")}, "max_degree"),
+    ("fit", {"fit": dict(TOY_CONFIG["fit"], max_degree=2.5)}, "max_degree"),
+    ("fit", {"fit": dict(TOY_CONFIG["fit"], split="0.8")}, "section 'fit'"),
+    ("eval", {"eval": dict(TOY_CONFIG["eval"], segment_s=[10])}, "eval.segment_s"),
+    ("eval", {"eval": dict(TOY_CONFIG["eval"], horizons_s="5")}, "eval.horizons_s"),
+    ("eval", {"eval": dict(TOY_CONFIG["eval"], horizons_s=["5"])}, "eval.horizons_s"),
+    ("eval", {"eval": dict(TOY_CONFIG["eval"], horizons_s=[])}, "eval.horizons_s"),
+], ids=["vehicle.mass", "driver.kp", "distracted.t_start", "advisory.gamma", "rls.lam",
+        "rls.cadence_s", "fit.max_degree", "fit.max_degree-float", "fit.split", "eval.segment_s",
+        "eval.horizons_s-str", "eval.horizons_s-list-of-str", "eval.horizons_s-empty"])
+def test_wrong_typed_config_value_exit_3(tmp_path, toy_build, stage, sections, message,
+                                         capsys):
+    out = tmp_path / "out"
+    good = write_config(tmp_path)
+    assert main(command_for(stage, toy_build, good, out)) == 0
+    if out.is_dir():
+        shutil.rmtree(out)
+    else:
+        out.unlink()
+    capsys.readouterr()
+    bad = write_config(tmp_path, **sections)
+    assert main(command_for(stage, toy_build, bad, out)) == 3
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def permute_monomials(doc):
+    mono = doc["basis"]["monomials"]
+    mono[2], mono[3] = mono[3], mono[2]
+
+
+@pytest.mark.parametrize("edit", [
+    None,
+    lambda doc: doc["basis"].update(state_dim=3),
+    permute_monomials,
+    lambda doc: doc.update(input_dim=7),
+    lambda doc: doc.update(B=[row + [0.0] for row in doc["B"]]),
+], ids=["canonical", "state_dim_3", "permuted_monomials", "input_dim_7", "two_column_B"])
+def test_other_model_shapes_are_rejected(tmp_path, edit, capsys):
+    n = 9
+    model = KoopmanModel(basis=LiftedBasis(), A=0.9 * np.eye(n), B=np.zeros((n, 1)),
+                         sample_period=0.025)
+    path = tmp_path / "model.json"
+    model.save(path)
+    if edit is not None:
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+    t = np.arange(800) * 0.025
+    data = tmp_path / "traj.csv"
+    Trajectory(sample_period=0.025, t=t, v=np.full(800, 10.0), f_tr=np.zeros(800),
+               v_ref=np.full(800, 12.0)).write_csv(data)
+    rc = main(["eval", "--model", str(path), "--data", str(data), "--segment", "0", "15",
+               "--horizons", "5"])
+    if edit is None:
+        assert KoopmanModel.load(path).B.shape == (n, 1)
+        assert rc == 0
+    else:
+        with pytest.raises(ModelFileError):
+            KoopmanModel.load(path)
+        assert rc == 3
+        assert "error:" in capsys.readouterr().err

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from koopdrive.basis import enumerate_basis
+from koopdrive.basis import LiftedBasis
 from koopdrive.edmd import (
     DataMatrices,
     FitConfig,
@@ -17,7 +17,7 @@ from koopdrive.model import Trajectory
 def random_lifted_system(seed=0, spectral_radius=0.9):
     """A system exactly linear in the lifted coordinates, for recovery tests."""
     rng = np.random.default_rng(seed)
-    basis = enumerate_basis()
+    basis = LiftedBasis()
     n = basis.lifted_dim
     A = rng.normal(size=(n, n))
     A *= spectral_radius / max(abs(np.linalg.eigvals(A)))
@@ -48,7 +48,7 @@ def test_exact_recovery():
 
 def test_scalar_system_recovery():
     # x+ = 0.9x + 0.1u with a degree-1 basis on the first state
-    basis = enumerate_basis(max_degree=1)
+    basis = LiftedBasis(max_degree=1)
     rng = np.random.default_rng(8)
     T = 100
     x = rng.normal(size=(T, 2))
@@ -64,7 +64,7 @@ def test_scalar_system_recovery():
 
 
 def test_rank_deficiency_raises():
-    basis = enumerate_basis()
+    basis = LiftedBasis()
     # constant state: every lifted column identical, G cannot have full rank
     pts = np.tile([5.0, 100.0], (50, 1))
     X = basis.lift_many(pts).T
@@ -75,7 +75,7 @@ def test_rank_deficiency_raises():
 
 
 def test_ridge_suppresses_rank_error():
-    basis = enumerate_basis()
+    basis = LiftedBasis()
     pts = np.tile([5.0, 100.0], (50, 1))
     X = basis.lift_many(pts).T
     U = np.ones((1, 50))
@@ -105,7 +105,7 @@ def make_traj(n, dt=0.025, seed=0, v_ref=12.0):
 
 def test_build_matrices_pair_count():
     trajs = [make_traj(100, seed=1), make_traj(50, seed=2)]
-    basis = enumerate_basis()
+    basis = LiftedBasis()
     data = build_matrices(trajs, basis)
     # transitions never straddle a trajectory boundary
     assert data.T == 99 + 49
@@ -115,7 +115,7 @@ def test_build_matrices_pair_count():
 
 def test_build_matrices_pairs_align():
     traj = make_traj(10, seed=3)
-    basis = enumerate_basis()
+    basis = LiftedBasis()
     data = build_matrices([traj], basis)
     np.testing.assert_array_equal(data.X[:2, 0], [traj.v[0], traj.f_tr[0]])
     np.testing.assert_array_equal(data.X_plus[:2, -1], [traj.v[-1], traj.f_tr[-1]])
@@ -149,7 +149,7 @@ def test_split_rejects_fragment():
 def test_fit_trajectories_end_to_end():
     # physical next-state is an exact linear readout of the lifted current
     # state, so the one-step physical residual of the fit is numerically zero
-    basis = enumerate_basis()
+    basis = LiftedBasis()
     rng = np.random.default_rng(6)
     A = 0.8 * np.eye(9) + 0.01 * rng.normal(size=(9, 9))
     B = 0.05 * rng.normal(size=(9, 1))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from koopdrive.basis import enumerate_basis
+from koopdrive.basis import LiftedBasis
 from koopdrive.edmd import FitConfig, RankDeficientDataError, fit_trajectories
 from koopdrive.evaluate import (
     MPS_TO_MPH,
@@ -27,7 +27,7 @@ def test_unit_conversions():
 def linear_readout_model(seed=0):
     """Dynamics whose physical next state is linear in the lifted current
     state, so the fitted ideal predicts exactly."""
-    basis = enumerate_basis()
+    basis = LiftedBasis()
     rng = np.random.default_rng(seed)
     A = 0.9 * np.eye(9)
     A[0, 1] = 0.001

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from koopdrive.basis import StateScaler, enumerate_basis
+from koopdrive.basis import LiftedBasis, StateScaler
 from koopdrive.model import (
     KoopmanModel,
     ModelFileError,
@@ -22,7 +22,7 @@ def make_traj(n=100, dt=0.025, seed=0):
 
 
 def identity_model():
-    basis = enumerate_basis()
+    basis = LiftedBasis()
     A = np.eye(9)
     B = np.zeros((9, 1))
     return KoopmanModel(basis=basis, A=A, B=B, sample_period=0.025)
@@ -172,7 +172,7 @@ def test_rollout_constant_under_identity():
 
 
 def test_rollout_divergence_reports_step():
-    basis = enumerate_basis()
+    basis = LiftedBasis()
     A = np.eye(9) * 1e3
     B = np.zeros((9, 1))
     m = KoopmanModel(basis=basis, A=A, B=B, sample_period=0.025)
@@ -183,7 +183,7 @@ def test_rollout_divergence_reports_step():
 
 def test_lifted_rollout_matches_step_loop():
     # reference: lift once, advance one step at a time, project each step
-    basis = enumerate_basis(scaler=StateScaler(scale=(16.0, 1024.0), offset=(0.0, 0.0)))
+    basis = LiftedBasis(scaler=StateScaler(scale=(16.0, 1024.0), offset=(0.0, 0.0)))
     rng = np.random.default_rng(4)
     A = rng.normal(0, 0.3, size=(9, 9))
     B = rng.normal(size=(9, 1))
@@ -209,7 +209,7 @@ def test_rollout_requires_inputs():
 
 def test_save_load_bit_exact(tmp_path):
     rng = np.random.default_rng(2)
-    basis = enumerate_basis()
+    basis = LiftedBasis()
     A = rng.normal(size=(9, 9))
     B = rng.normal(size=(9, 1))
     m = KoopmanModel(basis=basis, A=A, B=B, sample_period=0.025,
@@ -222,6 +222,33 @@ def test_save_load_bit_exact(tmp_path):
     assert back.basis.monomials == m.basis.monomials
     assert back.sample_period == m.sample_period
     assert back.provenance["source"] == "test"
+
+
+def test_model_rejects_two_column_B():
+    with pytest.raises(ValueError, match=r"B must be \(9, 1\)"):
+        KoopmanModel(basis=LiftedBasis(), A=np.zeros((9, 9)), B=np.zeros((9, 2)),
+                     sample_period=0.025)
+
+
+@pytest.mark.parametrize("scaled", [False, True], ids=["raw", "pow2"])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_save_load_save_is_byte_identical(tmp_path, degree, scaled):
+    scaler = StateScaler.pow2_from_data(np.array([[17.0, -5100.0]])) if scaled else None
+    basis = LiftedBasis(max_degree=degree, scaler=scaler)
+    n = basis.lifted_dim
+    rng = np.random.default_rng(degree)
+    m = KoopmanModel(basis=basis, A=rng.normal(size=(n, n)), B=rng.normal(size=(n, 1)),
+                     sample_period=0.025, provenance={"source": "test"})
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    m.save(first)
+    KoopmanModel.load(first).save(second)
+    assert first.read_bytes() == second.read_bytes()
+    # the file still spells out the fixed shape
+    doc = json.loads(first.read_text())
+    assert doc["input_dim"] == 1
+    assert doc["basis"]["state_dim"] == 2
+    assert doc["basis"]["monomials"] == [list(e) for e in basis.monomials]
+    assert len(doc["basis"]["monomials"]) == (degree + 1) * (degree + 2) // 2 - 1
 
 
 def test_load_rejects_wrong_kind(tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from koopdrive.basis import StateScaler, enumerate_basis
+from koopdrive.basis import LiftedBasis, StateScaler
 from koopdrive.edmd import DataMatrices, FitConfig, fit
 from koopdrive.model import KoopmanModel, Trajectory
 from koopdrive.rls import (
@@ -18,7 +18,7 @@ from koopdrive.rls import (
 
 
 def zero_model(basis=None):
-    basis = basis or enumerate_basis()
+    basis = basis or LiftedBasis()
     n = basis.lifted_dim
     return KoopmanModel(basis=basis, A=np.zeros((n, n)), B=np.zeros((n, 1)),
                         sample_period=0.025)
@@ -40,7 +40,7 @@ def test_init_rejects_bad_lambda():
 
 def test_gain_hand_value():
     # regressor e_0: the gain reduces to K_0 = P00 / (lam + P00)
-    basis = enumerate_basis(max_degree=1)
+    basis = LiftedBasis(max_degree=1)
     m = KoopmanModel(basis=basis, A=np.zeros((2, 2)), B=np.zeros((2, 1)),
                      sample_period=0.025)
     state = init_rls(m, 0.9)
@@ -55,7 +55,7 @@ def test_gain_hand_value():
 
 def test_zero_error_leaves_theta_unchanged():
     # theta = [I 0] predicts psi(x) for x_next = x, so eps is exactly zero
-    basis = enumerate_basis()
+    basis = LiftedBasis()
     theta = np.hstack([np.eye(9), np.zeros((9, 1))])
     m = KoopmanModel.from_stacked(basis, theta, 0.025)
     state = init_rls(m, 0.9)
@@ -70,7 +70,7 @@ def test_zero_error_leaves_theta_unchanged():
 
 
 def test_symmetry_over_many_updates():
-    basis = enumerate_basis()
+    basis = LiftedBasis()
     m = zero_model(basis)
     for lam in (0.9, 1.0):
         state = init_rls(m, lam)
@@ -89,7 +89,7 @@ def test_symmetry_over_many_updates():
 def test_batch_equivalence():
     # lam=1 with huge prior covariance reproduces ridge least squares; the
     # targets are lifted physical samples so both paths see identical data
-    basis = enumerate_basis()
+    basis = LiftedBasis()
     rng = np.random.default_rng(5)
     T = 500
     pts = rng.normal(size=(T, 2))
@@ -109,7 +109,7 @@ def test_batch_equivalence():
 
 
 def test_update_rejects_nonfinite():
-    basis = enumerate_basis()
+    basis = LiftedBasis()
     state = init_rls(zero_model(basis), 0.9)
     theta_before = state.theta.copy()
     with pytest.raises(ValueError):
@@ -121,7 +121,7 @@ def test_update_rejects_nonfinite():
 
 def test_update_rejects_indefinite_covariance():
     # with P = -I the gain denominator lam - |z|^2 is negative
-    basis = enumerate_basis()
+    basis = LiftedBasis()
     state = init_rls(zero_model(basis), 0.9)
     state.P = -np.eye(state.n_features)
     theta_before = state.theta.copy()
@@ -151,7 +151,7 @@ def parent_kernel(theta, P, lam, z, psi_next):
 
 def scaled_stream(n, seed=5):
     # lifted regressors of random rows as update_tick builds them, row views included
-    basis = enumerate_basis(scaler=StateScaler(scale=(16.0, 512.0), offset=(0.0, 0.0)))
+    basis = LiftedBasis(scaler=StateScaler(scale=(16.0, 512.0), offset=(0.0, 0.0)))
     model = KoopmanModel.from_stacked(
         basis, np.random.default_rng(seed).normal(0, 0.1, size=(9, 10)), 0.025)
     rows = random_rows(n + 1, 10.0, 500.0, seed=seed)
@@ -200,7 +200,7 @@ def test_kernel_accepts_finite_error_whose_square_overflows():
 
 
 def test_update_count_increments():
-    basis = enumerate_basis()
+    basis = LiftedBasis()
     state = init_rls(zero_model(basis), 0.95)
     rng = np.random.default_rng(1)
     for i in range(5):
@@ -221,7 +221,7 @@ def make_traj(n, dt=0.025, seed=0):
 
 
 def test_update_tick_pair_count():
-    basis = enumerate_basis()
+    basis = LiftedBasis()
     state = init_rls(zero_model(basis), 1.0)
     traj = make_traj(41)
     errs = update_tick(state, basis, traj)
@@ -231,7 +231,7 @@ def test_update_tick_pair_count():
 
 
 def test_update_tick_short_buffer_is_noop():
-    basis = enumerate_basis()
+    basis = LiftedBasis()
     state = init_rls(zero_model(basis), 1.0)
     one_row = np.array([[10.0, 0.0, 12.0]])
     errs = update_tick(state, basis, one_row)
@@ -240,7 +240,7 @@ def test_update_tick_short_buffer_is_noop():
 
 
 def test_update_tick_accepts_rows():
-    basis = enumerate_basis()
+    basis = LiftedBasis()
     state = init_rls(zero_model(basis), 1.0)
     rows = np.column_stack([np.full(5, 10.0), np.zeros(5), np.full(5, 12.0)])
     errs = update_tick(state, basis, rows)
@@ -248,7 +248,7 @@ def test_update_tick_accepts_rows():
 
 
 def test_update_tick_keeps_rejection_type():
-    basis = enumerate_basis()
+    basis = LiftedBasis()
     state = init_rls(zero_model(basis), 0.9)
     state.P = -np.eye(state.n_features)
     with pytest.raises(RlsUpdateRejectedError, match="buffered pair 0"):
@@ -269,7 +269,7 @@ def random_rows(n, v_scale=1.0, f_scale=1.0, seed=3):
 ])
 def test_update_tick_matches_per_pair_updates(scaler, lam, v_scale, f_scale):
     # reference: the validating per-pair path, one rls_update call per pair
-    basis = enumerate_basis(scaler=scaler)
+    basis = LiftedBasis(scaler=scaler)
     model = KoopmanModel.from_stacked(
         basis, np.random.default_rng(8).normal(0, 0.1, size=(9, 10)), 0.025)
     rows = random_rows(400, v_scale, f_scale)
@@ -287,7 +287,7 @@ def test_update_tick_matches_per_pair_updates(scaler, lam, v_scale, f_scale):
 @pytest.mark.parametrize("row, col, pair", [(5, 0, 4), (5, 2, 5)])
 def test_update_tick_names_first_bad_pair(row, col, pair):
     # a bad state in row r breaks pair r - 1 (its x_next); a bad input breaks pair r
-    basis = enumerate_basis()
+    basis = LiftedBasis()
     state = init_rls(zero_model(basis), 1.0)
     rows = random_rows(12)
     rows[row, col] = np.nan
@@ -297,7 +297,7 @@ def test_update_tick_names_first_bad_pair(row, col, pair):
 
 
 def test_update_tick_ignores_last_input():
-    basis = enumerate_basis()
+    basis = LiftedBasis()
     state = init_rls(zero_model(basis), 1.0)
     rows = random_rows(6)
     rows[-1, 2] = np.nan
@@ -305,13 +305,10 @@ def test_update_tick_ignores_last_input():
     assert state.update_count == 5
 
 
-def test_update_tick_rejects_two_input_model():
-    basis = enumerate_basis()
-    model = KoopmanModel(basis=basis, A=np.zeros((9, 9)), B=np.zeros((9, 2)),
-                         sample_period=0.025)
-    state = init_rls(model, 1.0)
-    with pytest.raises(ValueError, match="buffered pair 0: input must have shape"):
-        update_tick(state, basis, random_rows(4))
+def test_update_tick_rejects_state_of_another_basis():
+    state = init_rls(zero_model(LiftedBasis(max_degree=2)), 1.0)
+    with pytest.raises(ValueError, match="state has 6 columns, expected 10"):
+        update_tick(state, LiftedBasis(), random_rows(4))
     assert state.update_count == 0
 
 
@@ -326,13 +323,13 @@ def test_update_tick_calls_kernel_once_per_pair(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(koopdrive.rls, "rls_update", counted)
-    basis = enumerate_basis()
+    basis = LiftedBasis()
     state = init_rls(zero_model(basis), 1.0)
     assert len(update_tick(state, basis, make_traj(41))) == len(calls) == 40
 
 
 def test_stream_ticks_covers_each_pair_once():
-    basis = enumerate_basis()
+    basis = LiftedBasis()
     state = init_rls(zero_model(basis), 1.0)
     ticks = list(stream_ticks(state, basis, make_traj(11), 0, 10, 4))
     assert [end for end, _ in ticks] == [4, 8, 10]
@@ -341,7 +338,7 @@ def test_stream_ticks_covers_each_pair_once():
 
 
 def test_snapshot_roundtrip():
-    basis = enumerate_basis()
+    basis = LiftedBasis()
     rng = np.random.default_rng(9)
     theta = rng.normal(size=(9, 10))
     m = KoopmanModel.from_stacked(basis, theta, 0.025)
