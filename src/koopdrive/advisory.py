@@ -28,10 +28,16 @@ from feasibility boundaries.
 Interpolation of the value function is linear along the state-of-charge axis
 only; velocity transitions land exactly on grid nodes. The backward pass
 interpolates only the edges inside the acceleration bounds, since every
-other edge is priced at the sentinel whatever its value. Infeasible cells hold
-a large sentinel instead of inf so the interpolation stays well defined; any
-query that puts weight on an infeasible neighbor is treated as infeasible,
-which errs on the conservative side near constraint boundaries.
+other edge is priced at the sentinel whatever its value. Those edges, their
+stage costs and the interpolation geometry (cell indices, weights, the
+below-grid mask) depend only on a step's admissible speeds and grade, so the
+backward pass computes them once per run of consecutive steps with the same
+configuration and each step only gathers, interpolates and minimizes the
+next node's values; the forward pass and the initial-state cost use the same
+two interpolation halves. Infeasible cells hold a large sentinel instead of inf so the
+interpolation stays well defined; any query that puts weight on an
+infeasible neighbor is treated as infeasible, which errs on the conservative
+side near constraint boundaries.
 """
 
 from __future__ import annotations
@@ -334,14 +340,14 @@ def _admissible_speeds(route: RouteSpec, vgrid: np.ndarray) -> list[np.ndarray]:
     return adm
 
 
-def _interp_rows(V_rows: np.ndarray, queries: np.ndarray, socgrid: np.ndarray) -> np.ndarray:
-    """Linear interpolation of value rows along the SoC axis.
+def _interp_geometry(queries: np.ndarray, socgrid: np.ndarray,
+                     rows: np.ndarray) -> tuple:
+    """The value-independent half of the SoC interpolation.
 
-    V_rows has shape (..., soc_levels) and queries (..., q) with the same
-    leading dims, one value row per query row. Queries outside the grid and
-    queries touching a sentinel-valued neighbor come back as BIG. Equal
-    neighbors short-circuit to the shared value so flat regions interpolate
-    exactly.
+    queries has shape (n, q), and row i of it reads value row rows[i] of a
+    (levels, soc_levels) table. Returns the flat indices of the lower and
+    upper cell corners in that table, the weights, and the mask of queries
+    below the grid.
     """
     ns = len(socgrid)
     # charging past full is not a dead end, the surplus just is not stored,
@@ -352,8 +358,20 @@ def _interp_rows(V_rows: np.ndarray, queries: np.ndarray, socgrid: np.ndarray) -
     lo = socgrid[idx]
     hi = socgrid[idx + 1]
     w = (queries - lo) / (hi - lo)
-    v0 = np.take_along_axis(V_rows, idx, axis=-1)
-    v1 = np.take_along_axis(V_rows, idx + 1, axis=-1)
+    flat = rows[:, None] * ns + idx
+    return flat, flat + 1, w, queries < socgrid[0] - 1e-12
+
+
+def _interp_values(table: np.ndarray, geometry: tuple) -> np.ndarray:
+    """Linear interpolation of a (levels, soc_levels) value table at a geometry.
+
+    Queries outside the grid and queries touching a sentinel-valued neighbor
+    come back as BIG. Equal neighbors short-circuit to the shared value so
+    flat regions interpolate exactly.
+    """
+    flat0, flat1, w, below = geometry
+    v0 = table.take(flat0)
+    v1 = table.take(flat1)
     bad0 = v0 >= _BIG_CUT
     bad1 = v1 >= _BIG_CUT
     # inside a cell with one infeasible corner the value extends constant
@@ -363,8 +381,18 @@ def _interp_rows(V_rows: np.ndarray, queries: np.ndarray, socgrid: np.ndarray) -
     out = np.where(bad0 & ~bad1, v1, out)
     out = np.where(bad1 & ~bad0, v0, out)
     out = np.where(bad0 & bad1, BIG, out)
-    out = np.where(queries < socgrid[0] - 1e-12, BIG, out)
+    out = np.where(below, BIG, out)
     return np.where(out >= _BIG_CUT, BIG, out)
+
+
+def _price_edges(v1, v2, engine, grade, ds, config, socgrid, i2):
+    """The edges inside the acceleration bounds of one step and engine mode:
+    their (r, c) cells, stage costs and the interpolation geometry of the
+    SoC they land on in the value table of the next node."""
+    feasible, _, _, stage, dsoc = edge_quantities(v1, v2, engine, grade, ds, config)
+    r, c = np.nonzero(feasible)
+    geometry = _interp_geometry(socgrid[None, :] + dsoc[r, c][:, None], socgrid, i2[c])
+    return r, c, stage[r, c][:, None], geometry
 
 
 def _value_function(route: RouteSpec, config: EcoDpConfig, vgrid: np.ndarray,
@@ -378,25 +406,27 @@ def _value_function(route: RouteSpec, config: EcoDpConfig, vgrid: np.ndarray,
     ok_soc = socgrid > config.soc_terminal_floor
     V[S][np.ix_(adm[S], np.where(ok_soc)[0])] = 0.0
 
+    # a step's edges, stage costs and interpolation geometry depend only on
+    # its admissible speeds and grade, so a step whose configuration equals
+    # the step before's reuses that pricing; only one configuration is held
+    # at a time, and the key holds the exact bytes, so -0.0 and 0.0 differ
+    key = priced = None
     for j in range(S - 1, -1, -1):
         i1 = adm[j]
         i2 = adm[j + 1]
-        v1 = vgrid[i1][:, None]
-        v2 = vgrid[i2][None, :]
-        Vn = V[j + 1][i2]
+        step_key = (i1.tobytes(), i2.tobytes(), route.grade[j].tobytes())
+        if step_key != key:
+            key = step_key
+            priced = [_price_edges(vgrid[i1][:, None], vgrid[i2][None, :], engine,
+                                   route.grade[j], ds, config, socgrid, i2)
+                      for engine in (0, 1)]
         best = np.full((len(i1), ns), BIG)
-        for engine in (0, 1):
-            feasible, _, _, stage, dsoc = edge_quantities(
-                v1, v2, engine, route.grade[j], ds, config
-            )
-            # only edges inside the acceleration bounds are priced; every
-            # other (i1, i2) cell keeps the sentinel. vals is exactly BIG or
-            # below the cut, and BIG plus a stage cost below about 7e13
-            # rounds back to BIG, so the sums need no second cut
-            r, c = np.nonzero(feasible)
-            vals = _interp_rows(Vn[c], socgrid[None, :] + dsoc[r, c][:, None], socgrid)
+        for r, c, stage_rc, geometry in priced:
+            # vals is exactly BIG or below the cut, and BIG plus a stage cost
+            # below about 7e13 rounds back to BIG, so the sums need no second
+            # cut; edges outside the acceleration bounds keep the sentinel
             total = np.full((len(i1), len(i2), ns), BIG)
-            total[r, c] = stage[r, c][:, None] + vals
+            total[r, c] = stage_rc + _interp_values(V[j + 1], geometry)
             best = np.minimum(best, total.min(axis=1))
         V[j][i1] = best
     return V
@@ -417,8 +447,8 @@ def solve_eco_dp(route: RouteSpec, config: EcoDpConfig) -> AdvisoryProfile:
 
     start_iv = int(adm[0][0])
     soc0 = config.soc_initial
-    v0_row = V[0][start_iv][None, :]
-    total_cost = float(_interp_rows(v0_row, np.array([[soc0]]), socgrid)[0, 0])
+    total_cost = float(_interp_values(
+        V[0], _interp_geometry(np.array([[soc0]]), socgrid, np.array([start_iv])))[0, 0])
     if total_cost >= _BIG_CUT:
         _raise_first_blocking(route, config, V, adm, vgrid)
 
@@ -439,7 +469,8 @@ def solve_eco_dp(route: RouteSpec, config: EcoDpConfig) -> AdvisoryProfile:
                 vgrid[iv], vgrid[i2], engine, route.grade[j], ds, config
             )
             soc_new = np.minimum(soc[j] + dsoc, socgrid[-1])
-            vals = _interp_rows(V[j + 1][i2], soc_new[:, None], socgrid)[:, 0]
+            vals = _interp_values(
+                V[j + 1], _interp_geometry(soc_new[:, None], socgrid, i2))[:, 0]
             for c, iv2 in enumerate(i2):
                 if not feasible[c] or vals[c] >= _BIG_CUT:
                     continue

@@ -174,6 +174,11 @@ def cmd_advisory(args) -> int:
     if not os.path.exists(args.route):
         raise FileNotFoundError(f"route file not found: {args.route}")
     route = RouteSpec.read_csv(args.route)
+    # imported here: hashlib loads OpenSSL, about 3.5 MB of RSS that the
+    # other commands would carry for nothing
+    import hashlib
+    with open(args.route, "rb") as fh:
+        route_sha256 = hashlib.sha256(fh.read()).hexdigest()
 
     profile = solve_eco_dp(route, eco)
     t, v_ref = resample_to_time(profile, period)
@@ -184,7 +189,8 @@ def cmd_advisory(args) -> int:
     lines.extend(["%r,%r" % row for row in zip(t.tolist(), v_ref.tolist())])
     _atomic_write_text(os.path.join(args.out, "advisory_time.csv"), "\n".join(lines) + "\n")
     meta = {
-        "route": os.path.abspath(args.route),
+        "route": os.path.basename(args.route),
+        "route_sha256": route_sha256,
         "gamma": eco.gamma,
         "total_cost": profile.total_cost,
         "duration_s": profile.duration,
@@ -237,8 +243,12 @@ def cmd_simulate(args) -> int:
     for d in distracted:
         if not isinstance(d, dict) or "index" not in d:
             raise ValueError("each drivers.distracted entry needs an 'index'")
+        index = d["index"]
+        if not (isinstance(index, int) and not isinstance(index, bool) and 0 <= index < count):
+            raise ValueError(f"drivers.distracted index {index!r} must be an integer "
+                             f"in [0, {count}) for a roster of {count} drivers")
         fields = {k: v for k, v in d.items() if k != "index"}
-        windows.append((d["index"], _build(DistractionWindow, fields, "drivers.distracted")))
+        windows.append((index, _build(DistractionWindow, fields, "drivers.distracted")))
 
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     if not isinstance(seed, int):
@@ -260,9 +270,16 @@ def cmd_simulate(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     width = max(2, len(str(count)))
+    # a driver whose t and v_ref bytes equal the driver before's reuses its
+    # row template, so those cells are formatted once for the whole roster;
+    # bytes, not values, so a -0.0 never borrows "0.0"
+    template = columns = None
     for i, driver in enumerate(drivers):
         traj = simulate_driver(vehicle, driver, v_ref, sample_period=period)
-        traj.write_csv(os.path.join(args.out, f"driver_{i + 1:0{width}d}.csv"))
+        same = (traj.t.tobytes(), traj.v_ref.tobytes())
+        template = traj.write_csv(os.path.join(args.out, f"driver_{i + 1:0{width}d}.csv"),
+                                  template if same == columns else None)
+        columns = same
     print(f"simulate: wrote {count} trajectories of {len(v_ref)} samples to {args.out}")
     return 0
 

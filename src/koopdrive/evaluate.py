@@ -21,6 +21,7 @@ force errors in kN alongside N.
 
 from __future__ import annotations
 
+import math
 import platform
 import time
 from dataclasses import dataclass
@@ -65,6 +66,13 @@ class HorizonReport:
         return self.rmse_force_n / 1000.0
 
 
+def _horizon_steps(horizon: float, dt: float) -> int:
+    """Samples in a horizon; a horizon that is not finite raises ValueError."""
+    if not math.isfinite(horizon):
+        raise ValueError(f"horizon must be finite, got {horizon}")
+    return int(round(float(horizon) / dt))
+
+
 def _window_errors(model: KoopmanModel, traj: Trajectory, k0: int,
                    steps: int) -> tuple[np.ndarray, np.ndarray]:
     x0 = np.array([traj.v[k0], traj.f_tr[k0]])
@@ -100,8 +108,8 @@ def evaluate_horizons(trajectory: Trajectory, model: KoopmanModel, horizons,
                       segment, online: OnlineSettings | None = None) -> list[HorizonReport]:
     """Windowed multi-horizon evaluation over a trajectory segment.
 
-    horizons are window lengths in seconds; each must fit inside the segment
-    at least once. With online settings given, the reports describe the
+    horizons are finite window lengths in seconds; each must fit inside the
+    segment at least once. With online settings given, the reports describe the
     adapted predictor (variant "online"); otherwise the fixed model
     (variant "offline").
     """
@@ -109,7 +117,7 @@ def evaluate_horizons(trajectory: Trajectory, model: KoopmanModel, horizons,
     dt = trajectory.sample_period
     windows = []
     for horizon in horizons:
-        steps = int(round(horizon / dt))
+        steps = _horizon_steps(horizon, dt)
         if steps < 1 or i0 + steps > i1:
             raise ValueError(
                 f"horizon {horizon} s does not fit inside segment {segment}"
@@ -179,7 +187,7 @@ def bench_update(trajectories, model: KoopmanModel, horizons,
 
     offline_times, online_totals, per_tick, speedups = [], [], [], []
     for horizon in horizons:
-        steps = int(round(float(horizon) / dt))
+        steps = _horizon_steps(horizon, dt)
         last = trajectories[-1]
         if steps < 1 or steps > len(last) - 1:
             raise ValueError(f"horizon {horizon} s does not fit in the last trajectory")

@@ -147,12 +147,22 @@ class Trajectory:
         i0, i1 = self.segment_indices(t_start, t_end)
         return self.slice_samples(i0, i1 + 1)
 
-    def write_csv(self, path: str) -> None:
-        # %r is repr, the shortest string that round-trips each float exactly
-        lines = [TRAJECTORY_CSV_HEADER]
-        lines.extend(["%r,%r,%r,%r" % row for row in zip(
-            self.t.tolist(), self.v.tolist(), self.f_tr.tolist(), self.v_ref.tolist())])
-        _atomic_write_text(path, "\n".join(lines) + "\n")
+    def write_csv(self, path: str, template: str | None = None) -> str:
+        """Write the CSV, each cell the repr of its float, and return the row
+        template used.
+
+        The template holds the formatted t and v_ref cells with %r slots for
+        v and f_tr. A writer of several trajectories may pass back the
+        template of an earlier one whose t and v_ref columns have exactly
+        the same bytes; the template is not checked against this one's.
+        """
+        if template is None:
+            # repr (%r) is the shortest string that round-trips a float exactly
+            template = "".join([f"{t!r},%r,%r,{r!r}\n"
+                                for t, r in zip(self.t.tolist(), self.v_ref.tolist())])
+        values = np.column_stack((self.v, self.f_tr)).ravel().tolist()
+        _atomic_write_text(path, TRAJECTORY_CSV_HEADER + "\n" + template % tuple(values))
+        return template
 
     @classmethod
     def read_csv(cls, path: str) -> "Trajectory":

@@ -64,8 +64,8 @@ class OnlineSettings:
     def __post_init__(self):
         if not (0.0 < self.lam <= 1.0):
             raise ValueError(f"forgetting factor must be in (0, 1], got {self.lam}")
-        if not self.cadence_s > 0:
-            raise ValueError(f"cadence must be positive, got {self.cadence_s}")
+        if not (math.isfinite(self.cadence_s) and self.cadence_s > 0):
+            raise ValueError(f"cadence must be positive and finite, got {self.cadence_s}")
 
     def tick_steps(self, sample_period: float) -> int:
         """Transition pairs per tick at this cadence, at least one."""

@@ -304,7 +304,8 @@ _CUT = advisory._BIG_CUT
 
 
 def _reference_interp_rows(V_rows, queries, socgrid):
-    # the interpolation rule of advisory._interp_rows, copied so that the
+    # the interpolation rule of advisory._interp_geometry and
+    # advisory._interp_values, copied so that the
     # reference does not move with the code under test
     ns = len(socgrid)
     queries = np.minimum(queries, socgrid[-1])
@@ -415,6 +416,44 @@ def test_backward_pass_matches_dense_reference(case, monkeypatch):
         assert a.dtype == b.dtype, name
         assert np.array_equal(a, b), name
         assert np.array_equal(np.signbit(a), np.signbit(b)), name
+
+
+def _repeating_toy():
+    """Twelve nodes under one speed window whose steps repeat in runs: stops
+    at nodes 0 and 6, and grades that change from 0.0 to -0.0 and to 0.01
+    between steps that share their admissible speeds."""
+    stop = np.zeros(12, dtype=bool)
+    stop[[0, 6]] = True
+    grade = np.array([0.0, 0.0, 0.0, -0.0, -0.0, 0.01, 0.0, 0.0, 0.0, 0.0, 0.01, 0.0])
+    return RouteSpec(step_m=10.0, v_min=np.zeros(12), v_max=np.full(12, 9.0),
+                     stop=stop, grade=grade)
+
+
+def test_backward_pass_prices_each_run_of_equal_steps_once(monkeypatch):
+    route = _repeating_toy()
+    config = toy_config(soc_levels=7)
+    vgrid = np.linspace(config.speed_floor, float(np.max(route.v_max)), config.v_levels)
+    socgrid = np.linspace(config.soc_min, config.soc_max, config.soc_levels)
+    adm = advisory._admissible_speeds(route, vgrid)
+    keys = [(adm[j].tobytes(), adm[j + 1].tobytes(), route.grade[j].tobytes())
+            for j in range(route.n_steps)]
+    # 11 steps in 5 configurations; runs of equal consecutive steps:
+    # 0 | 1-2 | 3-4 (-0.0) | 5 (into the stop) | 6 | 7-9 | 10 (0.01)
+    assert len(set(keys)) == 5
+    runs = 1 + sum(keys[j] != keys[j + 1] for j in range(route.n_steps - 1))
+    assert runs == 7
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return edge_quantities(*args, **kwargs)
+
+    monkeypatch.setattr(advisory, "edge_quantities", counting)
+    V = advisory._value_function(route, config, vgrid, socgrid, adm)
+    assert sorted(calls) == [0] * runs + [1] * runs
+    V_ref = _reference_value_function(route, config, vgrid, socgrid, adm)
+    assert V.tobytes() == V_ref.tobytes()
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 import os
 import shutil
 
@@ -250,6 +252,84 @@ def test_unknown_drivers_key_exit_3(tmp_path, toy_route, config_file, drivers, c
     assert "unknown keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("index", ["2", -1, 3, True],
+                         ids=["string", "negative", "equal_to_count", "bool"])
+def test_bad_distracted_index_exit_3(tmp_path, toy_route, config_file, index, capsys):
+    cfg = write_config(tmp_path, **distracted_with(index=index))
+    assert simulate_with(tmp_path, toy_route, config_file, cfg) == 3
+    err = capsys.readouterr().err
+    assert f"index {index!r}" in err and "[0, 3)" in err
+
+
+def test_driver_count_below_a_distracted_index_exit_3(tmp_path, toy_route, config_file,
+                                                      capsys):
+    adv = tmp_path / "adv"
+    assert main(["advisory", "--route", str(toy_route), "--config", str(config_file),
+                 "--out", str(adv)]) == 0
+    out = tmp_path / "drivers"
+    assert main(["simulate", "--advisory", str(adv / "advisory_time.csv"), "--config",
+                 str(config_file), "--drivers", "2", "--out", str(out)]) == 3
+    assert "index 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_advisory_meta_does_not_depend_on_the_directory(tmp_path, config_file, monkeypatch):
+    metas = []
+    for sub, relative in (("a", True), ("b/c", False)):
+        d = tmp_path / sub
+        d.mkdir(parents=True)
+        route = write_toy_route(d / "route.csv")
+        monkeypatch.chdir(d)
+        assert main(["advisory", "--route", "route.csv" if relative else str(route),
+                     "--config", str(config_file), "--out", str(d / "advisory")]) == 0
+        metas.append((d / "advisory" / "advisory_meta.json").read_bytes())
+    assert metas[0] == metas[1]
+    meta = json.loads(metas[0])
+    assert meta["route"] == "route.csv"
+    digest = hashlib.sha256((tmp_path / "a" / "route.csv").read_bytes()).hexdigest()
+    assert meta["route_sha256"] == digest
+
+
+def test_simulate_reuses_csv_cells_only_for_equal_bytes(tmp_path, toy_route, config_file,
+                                                       monkeypatch):
+    # drivers 3 and 4 differ from drivers 1 and 2 only in the sign of one
+    # zero in v_ref, so driver 3 must format its own t and v_ref cells
+    t = np.arange(5) * 0.025
+    v_ref = np.array([0.0, 1.5, 0.0, 0.1 + 0.2, 7.0])
+    flipped = v_ref.copy()
+    flipped[2] = -0.0
+    columns = iter([v_ref, v_ref, flipped, flipped, v_ref])
+
+    def fake_driver(vehicle, driver, v_ref, sample_period):
+        return Trajectory(sample_period=sample_period, t=t, v=np.full(5, 3.0 + driver.seed),
+                          f_tr=np.full(5, -1.0), v_ref=next(columns))
+
+    reused = []
+    write_csv = Trajectory.write_csv
+
+    def spy(self, path, template=None):
+        reused.append(template is not None)
+        return write_csv(self, path, template)
+
+    monkeypatch.setattr("koopdrive.cli.simulate_driver", fake_driver)
+    monkeypatch.setattr(Trajectory, "write_csv", spy)
+    adv = tmp_path / "adv"
+    assert main(["advisory", "--route", str(toy_route), "--config", str(config_file),
+                 "--out", str(adv)]) == 0
+    out = tmp_path / "drivers"
+    assert main(["simulate", "--advisory", str(adv / "advisory_time.csv"), "--config",
+                 str(config_file), "--drivers", "5", "--out", str(out)]) == 0
+    assert reused == [False, True, False, True, False]
+    for k, column in enumerate([v_ref, v_ref, flipped, flipped, v_ref]):
+        cols = (t, np.full(5, 3.0 + k), np.full(5, -1.0), column)
+        expected = ["t_s,v_mps,f_tr_n,v_ref_mps"] + [
+            ",".join(repr(float(col[i])) for col in cols) for i in range(5)
+        ]
+        assert (out / f"driver_0{k + 1}.csv").read_bytes() == (
+            "\n".join(expected) + "\n").encode()
+    assert "-0.0" in (out / "driver_03.csv").read_text()
+
+
 def test_unknown_eval_key_exit_3(tmp_path, toy_route, config_file):
     out = run_pipeline(tmp_path, toy_route, config_file, "j")
     cfg = write_config(tmp_path, eval=dict(TOY_CONFIG["eval"], horizon_s=[5.0]))
@@ -298,6 +378,8 @@ def command_for(stage, build, cfg, out):
         "update": ["update", "--model", model, "--data", data, "--segment", "10", "30",
                    "--out", str(out)],
         "eval": ["eval", "--model", model, "--data", data, "--out", str(out)],
+        "bench": ["bench", "--model", model, "--data", str(build / "drivers"),
+                  "--out", str(out)],
     }[stage] + ["--config", str(cfg)]
 
 
@@ -337,6 +419,28 @@ def test_wrong_typed_config_value_exit_3(tmp_path, toy_build, stage, sections, m
     assert main(command_for(stage, toy_build, bad, out)) == 3
     err = capsys.readouterr().err
     assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stage, flags, sections", [
+    ("eval", ["--horizons", "inf"], {}),
+    ("eval", [], {"eval": dict(TOY_CONFIG["eval"], horizons_s=[10.0, math.inf])}),
+    ("bench", ["--horizons", "inf"], {}),
+    ("update", ["--cadence", "inf"], {}),
+    ("update", [], {"rls": dict(TOY_CONFIG["rls"], cadence_s=math.inf)}),
+    ("eval", ["--online", "--cadence", "inf"], {}),
+], ids=["eval_flag", "eval.horizons_s", "bench_flag", "update_flag", "rls.cadence_s",
+        "eval_online_flag"])
+def test_non_finite_horizon_or_cadence_exit_3(tmp_path, toy_build, stage, flags, sections,
+                                              capsys):
+    cfg = write_config(tmp_path, **sections)
+    if sections:
+        assert "Infinity" in cfg.read_text()
+    out = tmp_path / "out"
+    assert main(command_for(stage, toy_build, cfg, out) + flags) == 3
+    err = capsys.readouterr().err
+    assert "finite" in err
     assert "Traceback" not in err
     assert not out.exists()
 

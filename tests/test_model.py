@@ -119,6 +119,24 @@ def test_trajectory_csv_matches_per_cell_repr(tmp_path):
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def test_returned_template_writes_per_cell_repr(tmp_path):
+    # a template returned for one trajectory, passed back for another with
+    # the same t and v_ref bytes, formats only the other's v and f_tr
+    t = np.arange(5) * 0.025
+    v_ref = np.array([-0.0, 1.5, 0.0, 0.1 + 0.2, 7.0])
+    template = None
+    for k in range(2):
+        traj = Trajectory(sample_period=0.025, t=t, v=np.full(5, 3.0 + k),
+                          f_tr=np.full(5, -1.0 - k), v_ref=v_ref)
+        p = tmp_path / f"driver_{k}.csv"
+        template = traj.write_csv(p, template)
+        cols = (traj.t, traj.v, traj.f_tr, traj.v_ref)
+        expected = ["t_s,v_mps,f_tr_n,v_ref_mps"] + [
+            ",".join(repr(float(col[i])) for col in cols) for i in range(5)
+        ]
+        assert p.read_bytes() == ("\n".join(expected) + "\n").encode()
+
+
 def test_trajectory_csv_rejects_bad_header(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("time,speed\n0,1\n")
