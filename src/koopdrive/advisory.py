@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import _atomic_write_text, _read_csv_table
+from .model import _read_csv_table, _write_csv_table
 
 BIG = 1e30  # infeasibility sentinel; np.inf would break linear interpolation
 _BIG_CUT = 1e29
@@ -169,13 +169,9 @@ class RouteSpec:
         return np.arange(self.n_steps + 1) * self.step_m
 
     def to_csv(self, path: str) -> None:
-        lines = [ROUTE_CSV_HEADER]
-        for j in range(self.n_steps + 1):
-            lines.append(
-                f"{repr(float(self.positions[j]))},{repr(float(self.v_min[j]))},"
-                f"{repr(float(self.v_max[j]))},{int(self.stop[j])},{repr(float(self.grade[j]))}"
-            )
-        _atomic_write_text(path, "\n".join(lines) + "\n")
+        _write_csv_table(path, ROUTE_CSV_HEADER, zip(
+            self.positions.tolist(), self.v_min.tolist(), self.v_max.tolist(),
+            self.stop.astype(int).tolist(), self.grade.tolist()))
 
     @classmethod
     def read_csv(cls, path: str) -> "RouteSpec":
@@ -213,8 +209,10 @@ class EcoDpConfig:
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
-        if self.v_levels < 2 or self.soc_levels < 2:
-            raise ValueError("need at least 2 grid levels on each axis")
+        for name in ("v_levels", "soc_levels"):
+            levels = getattr(self, name)
+            if not (isinstance(levels, int) and not isinstance(levels, bool) and levels >= 2):
+                raise ValueError(f"{name} must be an integer >= 2, got {levels!r}")
         if not self.a_min < 0 < self.a_max:
             raise ValueError("acceleration bounds must straddle zero")
         if not 0.0 <= self.soc_min < self.soc_max <= 1.0:
@@ -310,16 +308,13 @@ class AdvisoryProfile:
         return float(self.node_times[-1])
 
     def to_csv(self, path: str) -> None:
-        lines = ["position_m,t_s,v_ref_mps,soc,cumulative_cost,engine_on,stop"]
-        n = len(self.positions)
-        for j in range(n):
-            eng = int(self.engine_on[j]) if j < n - 1 else 0
-            lines.append(
-                f"{repr(float(self.positions[j]))},{repr(float(self.node_times[j]))},"
-                f"{repr(float(self.v_ref[j]))},{repr(float(self.soc[j]))},"
-                f"{repr(float(self.cumulative_cost[j]))},{eng},{int(self.stop[j])}"
-            )
-        _atomic_write_text(path, "\n".join(lines) + "\n")
+        """One row per node; engine_on belongs to the step leaving a node, so
+        the last node's cell is 0."""
+        engine = np.append(np.asarray(self.engine_on, dtype=int), 0)
+        _write_csv_table(path, "position_m,t_s,v_ref_mps,soc,cumulative_cost,engine_on,stop", zip(
+            self.positions.tolist(), self.node_times.tolist(), self.v_ref.tolist(),
+            self.soc.tolist(), self.cumulative_cost.tolist(), engine.tolist(),
+            np.asarray(self.stop, dtype=int).tolist()))
 
 
 def _admissible_speeds(route: RouteSpec, vgrid: np.ndarray) -> list[np.ndarray]:

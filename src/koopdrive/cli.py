@@ -44,9 +44,9 @@ from .model import (
     KoopmanModel,
     RolloutDivergenceError,
     Trajectory,
-    _atomic_write_text,
-    _fmt,
     _read_csv_table,
+    _write_csv_table,
+    _write_json,
 )
 from .rls import OnlineSettings, RlsUpdateRejectedError, init_rls, snapshot_model, stream_ticks
 
@@ -91,6 +91,10 @@ def _check_keys(values: dict, allowed, section: str) -> None:
 def _build(cls, values: dict, section: str):
     fields = dataclasses.fields(cls)
     _check_keys(values, [f.name for f in fields], section)
+    # no field is a bool, and a JSON true would otherwise pass as the number 1
+    flags = [k for k, v in values.items() if isinstance(v, bool)]
+    if flags:
+        raise ValueError(f"section '{section}': {', '.join(flags)} must not be a boolean")
     missing = [f.name for f in fields if f.name not in values
                and f.default is dataclasses.MISSING
                and f.default_factory is dataclasses.MISSING]
@@ -102,8 +106,13 @@ def _build(cls, values: dict, section: str):
         raise ValueError(f"section '{section}': {exc}") from None
 
 
+def _is_number(value, types=(int, float)) -> bool:
+    """value is one of types; a bool is an int to isinstance but not a number here."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 def _is_number_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(x, (int, float)) for x in value)
+    return isinstance(value, list) and all(_is_number(x) for x in value)
 
 
 def _eval_section(cfg: dict) -> dict:
@@ -131,8 +140,8 @@ def _online_settings(cfg: dict, args) -> OnlineSettings:
 
 def _sample_period(cfg: dict) -> float:
     period = cfg.get("sample_period", 0.025)
-    if not (isinstance(period, (int, float)) and period > 0):
-        raise ValueError(f"sample_period must be positive, got {period!r}")
+    if not (_is_number(period) and period > 0):
+        raise ValueError(f"sample_period must be a positive number, got {period!r}")
     return float(period)
 
 
@@ -185,10 +194,9 @@ def cmd_advisory(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     profile.to_csv(os.path.join(args.out, "advisory_distance.csv"))
-    lines = [ADVISORY_TIME_HEADER]
-    lines.extend(["%r,%r" % row for row in zip(t.tolist(), v_ref.tolist())])
-    _atomic_write_text(os.path.join(args.out, "advisory_time.csv"), "\n".join(lines) + "\n")
-    meta = {
+    _write_csv_table(os.path.join(args.out, "advisory_time.csv"), ADVISORY_TIME_HEADER,
+                     zip(t.tolist(), v_ref.tolist()))
+    _write_json(os.path.join(args.out, "advisory_meta.json"), {
         "route": os.path.basename(args.route),
         "route_sha256": route_sha256,
         "gamma": eco.gamma,
@@ -199,9 +207,7 @@ def cmd_advisory(args) -> int:
         "engine_steps": int(np.sum(profile.engine_on)),
         "sample_period": period,
         "samples": len(t),
-    }
-    _atomic_write_text(os.path.join(args.out, "advisory_meta.json"),
-                       json.dumps(meta, indent=2) + "\n")
+    })
     print(f"advisory: {profile.duration:.1f} s over {route.total_length:.0f} m, "
           f"cost {profile.total_cost:.3f}, final SoC {profile.soc[-1]:.3f}")
     return 0
@@ -231,10 +237,10 @@ def cmd_simulate(args) -> int:
     roster = _section(cfg, "drivers")
     _check_keys(roster, ("count", "gain_jitter", "distracted"), "drivers")
     count = args.drivers if args.drivers is not None else roster.get("count", 1)
-    if not (isinstance(count, int) and count >= 1):
+    if not (_is_number(count, int) and count >= 1):
         raise ValueError(f"driver count must be a positive integer, got {count!r}")
     gain_jitter = roster.get("gain_jitter", 0.0)
-    if not (isinstance(gain_jitter, (int, float)) and 0 <= gain_jitter < 1):
+    if not (_is_number(gain_jitter) and 0 <= gain_jitter < 1):
         raise ValueError(f"gain_jitter must lie in [0, 1), got {gain_jitter!r}")
     distracted = roster.get("distracted", [])
     if not isinstance(distracted, list):
@@ -244,14 +250,14 @@ def cmd_simulate(args) -> int:
         if not isinstance(d, dict) or "index" not in d:
             raise ValueError("each drivers.distracted entry needs an 'index'")
         index = d["index"]
-        if not (isinstance(index, int) and not isinstance(index, bool) and 0 <= index < count):
+        if not (_is_number(index, int) and 0 <= index < count):
             raise ValueError(f"drivers.distracted index {index!r} must be an integer "
                              f"in [0, {count}) for a roster of {count} drivers")
         fields = {k: v for k, v in d.items() if k != "index"}
         windows.append((index, _build(DistractionWindow, fields, "drivers.distracted")))
 
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    if not isinstance(seed, int):
+    if not _is_number(seed, int):
         raise ValueError(f"seed must be an integer, got {seed!r}")
 
     v_ref = _read_advisory_time_csv(args.advisory, period)
@@ -308,7 +314,7 @@ def cmd_fit(args) -> int:
 
     model.save(args.model_out)
     if args.report_out:
-        _atomic_write_text(args.report_out, json.dumps(report.to_dict(), indent=2) + "\n")
+        _write_json(args.report_out, report.to_dict())
     print(f"fit: {report.split_pairs['train']} training pairs, "
           f"residual {report.residual_fro:.4g}, "
           f"condition {report.condition_number:.3g}, model -> {args.model_out}")
@@ -326,13 +332,10 @@ def cmd_update(args) -> int:
     i0, i1 = traj.segment_indices(*args.segment)
 
     state = init_rls(model, online.lam)
-    log_lines = ["tick,t_end_s,pairs,mean_err_norm"]
     ticks = stream_ticks(state, model.basis, traj, i0, i1,
                          online.tick_steps(traj.sample_period))
-    for tick, (end, errs) in enumerate(ticks, start=1):
-        log_lines.append(
-            f"{tick},{_fmt(traj.t[end])},{len(errs)},{_fmt(float(np.mean(errs)))}"
-        )
+    log_rows = [(tick, float(traj.t[end]), len(errs), float(np.mean(errs)))
+                for tick, (end, errs) in enumerate(ticks, start=1)]
 
     updated = snapshot_model(state, model.basis, model.sample_period,
                              provenance={**model.provenance,
@@ -341,8 +344,8 @@ def cmd_update(args) -> int:
                                          "cadence_s": online.cadence_s})
     updated.save(args.out)
     if args.log:
-        _atomic_write_text(args.log, "\n".join(log_lines) + "\n")
-    print(f"update: {state.update_count} updates over {len(log_lines) - 1} ticks, "
+        _write_csv_table(args.log, "tick,t_end_s,pairs,mean_err_norm", log_rows)
+    print(f"update: {state.update_count} updates over {len(log_rows)} ticks, "
           f"model -> {args.out}")
     return 0
 
@@ -389,7 +392,7 @@ def cmd_bench(args) -> int:
     if report.warning:
         print(f"warning: {report.warning}")
     if args.out:
-        _atomic_write_text(args.out, json.dumps(report.to_dict(), indent=2) + "\n")
+        _write_json(args.out, report.to_dict())
     return 0
 
 

@@ -104,6 +104,10 @@ class DriverParams:
     windows: tuple[DistractionWindow, ...] = ()
 
     def __post_init__(self):
+        for name in ("kp", "ki", "reaction_delay", "force_rate_limit", "noise_std",
+                     "compliance", "hold_tau"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.kp < 0 or self.ki < 0:
             raise ValueError("gains must be non-negative")
         if self.reaction_delay < 0:

@@ -15,7 +15,7 @@ max(T, N+1) * eps * sigma_max treated as zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -54,8 +54,8 @@ class FitConfig:
 
     def __post_init__(self):
         # the ridge also arrives from model provenance, which is free-form JSON
-        if not (isinstance(self.ridge, (int, float)) and math.isfinite(self.ridge)
-                and self.ridge >= 0.0):
+        if not (isinstance(self.ridge, (int, float)) and not isinstance(self.ridge, bool)
+                and math.isfinite(self.ridge) and self.ridge >= 0.0):
             raise ValueError(f"ridge must be a number >= 0, got {self.ridge!r}")
         if len(self.split) != 3 or any(not (f > 0) for f in self.split):
             raise ValueError(f"split needs three positive fractions, got {self.split}")
@@ -226,7 +226,7 @@ def _one_step_rmse(model: KoopmanModel, matrices: DataMatrices) -> tuple[float, 
 
 @dataclass
 class FitReport:
-    """Summary of a trajectory-level fit, suitable for JSON serialization."""
+    """Summary of a trajectory-level fit; the field names are its JSON keys."""
 
     split_samples: dict
     split_pairs: dict
@@ -236,22 +236,11 @@ class FitReport:
     max_degree: int
     scaling: str
     scaler: dict | None
-    one_step_rmse_v: dict
-    one_step_rmse_f: dict
+    one_step_rmse_v_mps: dict
+    one_step_rmse_f_n: dict
 
     def to_dict(self) -> dict:
-        return {
-            "split_samples": self.split_samples,
-            "split_pairs": self.split_pairs,
-            "residual_fro": self.residual_fro,
-            "condition_number": self.condition_number,
-            "ridge": self.ridge,
-            "max_degree": self.max_degree,
-            "scaling": self.scaling,
-            "scaler": self.scaler,
-            "one_step_rmse_v_mps": self.one_step_rmse_v,
-            "one_step_rmse_f_n": self.one_step_rmse_f,
-        }
+        return asdict(self)
 
 
 def fit_trajectories(trajectories, config: FitConfig) -> tuple[KoopmanModel, FitReport]:
@@ -287,7 +276,7 @@ def fit_trajectories(trajectories, config: FitConfig) -> tuple[KoopmanModel, Fit
         max_degree=config.max_degree,
         scaling=config.scaling,
         scaler=scaler.to_dict() if scaler is not None else None,
-        one_step_rmse_v=rmse_v,
-        one_step_rmse_f=rmse_f,
+        one_step_rmse_v_mps=rmse_v,
+        one_step_rmse_f_n=rmse_f,
     )
     return model, report

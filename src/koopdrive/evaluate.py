@@ -24,12 +24,12 @@ from __future__ import annotations
 import math
 import platform
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .edmd import FitConfig, build_matrices, fit
-from .model import KoopmanModel, Trajectory, _atomic_write_text
+from .model import KoopmanModel, Trajectory, _write_csv_table
 from .rls import OnlineSettings, init_rls, snapshot_model, stream_ticks
 
 MPS_TO_MPH = 2.23694
@@ -156,16 +156,7 @@ class BenchReport:
     warning: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "horizons_s": self.horizons_s,
-            "n_pairs": self.n_pairs,
-            "offline_fit_s": self.offline_fit_s,
-            "online_total_s": self.online_total_s,
-            "online_per_tick_s": self.online_per_tick_s,
-            "speedup": self.speedup,
-            "hardware": self.hardware,
-            "warning": self.warning,
-        }
+        return asdict(self)
 
 
 def bench_update(trajectories, model: KoopmanModel, horizons,
@@ -243,12 +234,8 @@ def format_reports(reports) -> str:
 
 
 def reports_to_csv(reports, path: str) -> None:
-    lines = ["horizon_s,variant,rmse_speed_mps,rmse_speed_mph,rmse_force_n,"
-             "rmse_force_kn,n_windows,n_samples"]
-    for r in reports:
-        lines.append(
-            f"{repr(float(r.horizon_s))},{r.variant},{repr(r.rmse_speed_mps)},"
-            f"{repr(r.rmse_speed_mph)},{repr(r.rmse_force_n)},{repr(r.rmse_force_kn)},"
-            f"{r.n_windows},{r.n_samples}"
-        )
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_csv_table(
+        path, "horizon_s,variant,rmse_speed_mps,rmse_speed_mph,rmse_force_n,"
+        "rmse_force_kn,n_windows,n_samples",
+        [(float(r.horizon_s), r.variant, r.rmse_speed_mps, r.rmse_speed_mph, r.rmse_force_n,
+          r.rmse_force_kn, r.n_windows, r.n_samples) for r in reports])

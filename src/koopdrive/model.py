@@ -15,8 +15,14 @@ and does not validate it again.
 
 Model files are JSON documents carrying the basis metadata, the matrices at
 full decimal precision, and free-form provenance left by the fitting code.
-Writing is atomic (temp file plus rename), and a reload reproduces the
-matrices bit for bit.
+A reload builds the model through its constructor, so a file passes the same
+checks as a model made in memory, and reproduces the matrices bit for bit.
+
+Every table and JSON file of the package is written by the two writers here,
+_write_csv_table and _write_json, or, for trajectories, by the row template
+of Trajectory.write_csv. A float cell is the repr of its value, the shortest
+string that reads back to the same float, and a file appears atomically
+(temp file plus rename).
 """
 
 from __future__ import annotations
@@ -56,11 +62,6 @@ class RolloutDivergenceError(ArithmeticError):
     def __init__(self, step: int):
         self.step = step
         super().__init__(f"rollout diverged at step {step}: non-finite value")
-
-
-def _fmt(x: float) -> str:
-    # repr of a python float is the shortest string that round-trips exactly
-    return repr(float(x))
 
 
 @dataclass
@@ -201,6 +202,19 @@ def _atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def _write_csv_table(path: str, header: str, rows) -> None:
+    """Write a CSV table whose cells are the %s of tolist() values.
+
+    %s of a Python float is its repr; pass a bool column as ints.
+    """
+    row = ",".join(["%s"] * (header.count(",") + 1))
+    _atomic_write_text(path, "\n".join([header] + [row % tuple(r) for r in rows]) + "\n")
+
+
+def _write_json(path: str, payload) -> None:
+    _atomic_write_text(path, json.dumps(_jsonable(payload), indent=2) + "\n")
+
+
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
@@ -233,8 +247,11 @@ class KoopmanModel:
             raise ValueError(f"B must be ({N}, 1) for this basis, got {self.B.shape}")
         if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.B))):
             raise ValueError("model matrices must be finite")
-        if not (math.isfinite(self.sample_period) and self.sample_period > 0):
-            raise ValueError(f"sample_period must be positive, got {self.sample_period}")
+        # a bool is an int to isinstance, and a JSON true would pass as 1
+        period = self.sample_period
+        if not (isinstance(period, (int, float)) and not isinstance(period, bool)
+                and math.isfinite(period) and period > 0):
+            raise ValueError(f"sample_period must be a positive finite number, got {period!r}")
 
     @property
     def lifted_dim(self) -> int:
@@ -301,17 +318,16 @@ class KoopmanModel:
         )
 
     def save(self, path: str) -> None:
-        payload = {
+        _write_json(path, {
             "kind": _MODEL_KIND,
             "schema_version": SCHEMA_VERSION,
             "basis": self.basis.to_dict(),
             "sample_period": self.sample_period,
             "input_dim": 1,
-            "A": self.A.tolist(),
-            "B": self.B.tolist(),
-            "provenance": _jsonable(self.provenance),
-        }
-        _atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+            "A": self.A,
+            "B": self.B,
+            "provenance": self.provenance,
+        })
 
     @classmethod
     def load(cls, path: str) -> "KoopmanModel":
@@ -335,22 +351,11 @@ class KoopmanModel:
             basis = LiftedBasis.from_dict(payload["basis"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelFileError(f"{path}: invalid basis metadata: {exc}") from None
-        try:
-            A = np.array(payload["A"], dtype=float)
-            B = np.array(payload["B"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ModelFileError(f"{path}: invalid matrix data: {exc}") from None
-        N = basis.lifted_dim
-        if A.shape != (N, N):
-            raise ModelFileError(f"{path}: matrix A has shape {A.shape}, expected ({N}, {N})")
-        if B.shape != (N, 1):
-            raise ModelFileError(f"{path}: matrix B has shape {B.shape}, expected ({N}, 1)")
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
-            raise ModelFileError(f"{path}: model matrices contain non-finite entries")
-        period = payload.get("sample_period")
-        if not isinstance(period, (int, float)) or not period > 0:
-            raise ModelFileError(f"{path}: sample_period must be positive, got {period!r}")
         provenance = payload.get("provenance") or {}
         if not isinstance(provenance, dict):
             raise ModelFileError(f"{path}: provenance must be an object")
-        return cls(basis=basis, A=A, B=B, sample_period=float(period), provenance=provenance)
+        try:
+            return cls(basis=basis, A=payload.get("A"), B=payload.get("B"),
+                       sample_period=payload.get("sample_period"), provenance=provenance)
+        except (TypeError, ValueError) as exc:
+            raise ModelFileError(f"{path}: {exc}") from None

@@ -18,8 +18,9 @@ forgetting factor itself.
 
 A tick (update_tick) checks that the state has lifted_dim + 1 columns,
 validates and lifts its whole buffer once, then applies the pairs one at a
-time through rls_update's internal lifted= fast path. The per-pair arithmetic is the same as for a validating rls_update
-call, so the result is bit-identical to applying the pairs one by one.
+time through rls_update's internal lifted= fast path. The per-pair
+arithmetic is the same as for a validating rls_update call, so the result
+is bit-identical to applying the pairs one by one.
 
 The kernel works on 10-wide arrays, where numpy's per-call overhead costs
 more than the arithmetic. It multiplies with ndarray.dot, which makes the

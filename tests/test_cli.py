@@ -4,9 +4,12 @@ import math
 import os
 import shutil
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from koopdrive.advisory import RouteSpec
 from koopdrive.basis import LiftedBasis
 from koopdrive.cli import main
 from koopdrive.model import KoopmanModel, ModelFileError, Trajectory
@@ -443,6 +446,97 @@ def test_non_finite_horizon_or_cadence_exit_3(tmp_path, toy_build, stage, flags,
     assert "finite" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("stage, sections, message", [
+    ("simulate", {"drivers": dict(TOY_CONFIG["drivers"], count=True, distracted=[])},
+     "driver count"),
+    ("simulate", {"seed": True}, "seed"),
+    ("simulate", {"vehicle": dict(TOY_CONFIG["vehicle"], mass=True)}, "mass"),
+    ("simulate", {"drivers": dict(TOY_CONFIG["drivers"], gain_jitter=False)}, "gain_jitter"),
+    ("simulate", distracted_with(compliance=True), "compliance"),
+    ("advisory", {"sample_period": True}, "sample_period"),
+    ("advisory", {"advisory": dict(TOY_CONFIG["advisory"], gamma=True)}, "gamma"),
+    ("fit", {"fit": dict(TOY_CONFIG["fit"], max_degree=True)}, "max_degree"),
+    ("fit", {"fit": dict(TOY_CONFIG["fit"], ridge=True)}, "ridge"),
+    ("update", {"rls": {"lam": True}}, "lam"),
+    ("eval", {"eval": dict(TOY_CONFIG["eval"], horizons_s=[10.0, True])}, "eval.horizons_s"),
+    ("eval", {"eval": dict(TOY_CONFIG["eval"], segment_s=[True, 30.0])}, "eval.segment_s"),
+    ("simulate", {"driver": dict(TOY_CONFIG["driver"], reaction_delay=math.inf)},
+     "reaction_delay must be finite"),
+    ("simulate", {"driver": dict(TOY_CONFIG["driver"], kp=math.nan)}, "kp must be finite"),
+    ("advisory", {"advisory": dict(TOY_CONFIG["advisory"], v_levels=2.5)}, "v_levels"),
+    ("advisory", {"advisory": dict(TOY_CONFIG["advisory"], soc_levels=11.0)}, "soc_levels"),
+], ids=["drivers.count", "seed", "vehicle.mass", "drivers.gain_jitter",
+        "distracted.compliance", "sample_period", "advisory.gamma", "fit.max_degree",
+        "fit.ridge", "rls.lam", "eval.horizons_s", "eval.segment_s",
+        "driver.reaction_delay-inf", "driver.kp-nan", "advisory.v_levels-fraction",
+        "advisory.soc_levels-float"])
+def test_boolean_non_finite_or_fractional_config_value_exit_3(tmp_path, toy_build, stage,
+                                                             sections, message, capsys):
+    # a JSON true is an int to isinstance, and was taken as the number 1
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, **sections)
+    assert main(command_for(stage, toy_build, cfg, out)) == 3
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_bench_boolean_model_ridge_exit_3(tmp_path, toy_build, capsys):
+    # bench refits with the ridge in the model's provenance, read from the file
+    payload = json.loads((toy_build / "model.json").read_text())
+    payload["provenance"]["ridge"] = True
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(payload))
+    out = tmp_path / "bench.json"
+    assert main(["bench", "--model", str(model), "--data", str(toy_build / "drivers"),
+                 "--config", str(toy_build / "config.json"), "--horizons", "5.0",
+                 "--out", str(out)]) == 3
+    assert "ridge" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def assert_cells_follow_format_rule(path, int_columns=(), text_columns=()):
+    """Every float cell is the repr of its float and every integer cell the
+    str of its int, so each cell reads back to the value that was written."""
+    header, *rows = path.read_text().splitlines()
+    names = header.split(",")
+    assert rows
+    for row in rows:
+        cells = row.split(",")
+        assert len(cells) == len(names)
+        for name, cell in zip(names, cells):
+            if name in int_columns:
+                assert cell == str(int(cell)), (path.name, name, cell)
+            elif name not in text_columns:
+                assert cell == repr(float(cell)), (path.name, name, cell)
+
+
+def test_outputs_follow_the_cell_format_rule(tmp_path, toy_build):
+    cfg = toy_build / "config.json"
+    data = str(toy_build / "drivers" / "driver_03.csv")
+    reports, ticks = tmp_path / "reports.csv", tmp_path / "ticks.csv"
+    assert main(["eval", "--model", str(toy_build / "model.json"), "--data", data,
+                 "--config", str(cfg), "--online", "--out", str(reports)]) == 0
+    assert main(["update", "--model", str(toy_build / "model.json"), "--data", data,
+                 "--segment", "10", "30", "--config", str(cfg), "--cadence", "0.3",
+                 "--out", str(tmp_path / "model_upd.json"), "--log", str(ticks)]) == 0
+    assert_cells_follow_format_rule(toy_build / "advisory" / "advisory_time.csv")
+    assert_cells_follow_format_rule(toy_build / "advisory" / "advisory_distance.csv",
+                                    int_columns=("engine_on", "stop"))
+    assert_cells_follow_format_rule(toy_build / "drivers" / "driver_03.csv")
+    assert_cells_follow_format_rule(reports, int_columns=("n_windows", "n_samples"),
+                                    text_columns=("variant",))
+    assert_cells_follow_format_rule(ticks, int_columns=("tick", "pairs"))
+    assert [row.split(",")[1] for row in reports.read_text().splitlines()[1:]] == [
+        "offline", "offline", "online", "online"]
+
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "route_urban.csv"
+    copy = tmp_path / "route.csv"
+    RouteSpec.read_csv(shipped).to_csv(copy)
+    assert copy.read_bytes() == shipped.read_bytes()
 
 
 def permute_monomials(doc):

@@ -1,5 +1,5 @@
-"""Every name a koopdrive module imports is used or re-exported, and every
-name it exports exists."""
+"""Every name a koopdrive module imports is used or re-exported, every name
+it exports exists, and only model.py writes files itself."""
 
 import ast
 import importlib
@@ -48,3 +48,30 @@ def test_all_names_exist(path):
     module = importlib.import_module(f"koopdrive.{path.stem}")
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == []
+
+
+def file_writes(source: str) -> list[str]:
+    """Calls of _atomic_write_text, json.dump and json.dumps, which only the
+    writers in model.py may make."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "_atomic_write_text":
+            found.append(f"_atomic_write_text (line {node.lineno})")
+        elif (isinstance(func, ast.Attribute) and func.attr in ("dump", "dumps")
+              and isinstance(func.value, ast.Name) and func.value.id == "json"):
+            found.append(f"json.{func.attr} (line {node.lineno})")
+    return found
+
+
+def test_detects_file_writes():
+    source = "import json\njson.dumps({})\njson.load(fh)\n_atomic_write_text(p, t)\n"
+    assert file_writes(source) == ["json.dumps (line 2)", "_atomic_write_text (line 4)"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "model.py"],
+                         ids=lambda p: p.name)
+def test_only_model_writes_files(path):
+    assert file_writes(path.read_text(encoding="utf-8")) == []

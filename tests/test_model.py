@@ -294,6 +294,29 @@ def test_load_rejects_bad_shapes(tmp_path):
         KoopmanModel.load(path)
 
 
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.pop("A"), "A must be"),
+    (lambda doc: doc["A"][0].pop(), "inhomogeneous"),
+    (lambda doc: doc["A"][0].__setitem__(0, "x"), "could not convert"),
+    (lambda doc: doc["B"][0].__setitem__(0, 1e999), "finite"),
+    (lambda doc: doc.pop("sample_period"), "got None"),
+    (lambda doc: doc.update(sample_period="0.025"), "got '0.025'"),
+    (lambda doc: doc.update(sample_period=0), "got 0"),
+    (lambda doc: doc.update(sample_period=True), "got True"),
+    (lambda doc: doc.update(provenance=[1]), "provenance must be an object"),
+], ids=["no_A", "ragged_A", "text_in_A", "infinite_B", "no_sample_period",
+        "text_sample_period", "zero_sample_period", "boolean_sample_period",
+        "list_provenance"])
+def test_load_rejects_what_the_constructor_rejects(tmp_path, edit, message):
+    path = tmp_path / "m.json"
+    identity_model().save(path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFileError, match=message):
+        KoopmanModel.load(path)
+
 def test_stacked_roundtrip():
     m = identity_model()
     theta = m.stacked()
