@@ -131,7 +131,9 @@ class LiftedBasis:
             raise ValueError("scaler must have two channels, one per state")
         monomials = _enumerate_exponents(self.max_degree)
         object.__setattr__(self, "monomials", monomials)
-        object.__setattr__(self, "_exp", np.array(monomials, dtype=float))
+        object.__setattr__(self, "_powers", np.arange(self.max_degree + 1, dtype=float))
+        object.__setattr__(self, "_v_exp", np.array([a for a, _ in monomials]))
+        object.__setattr__(self, "_f_exp", np.array([b for _, b in monomials]))
 
     @property
     def lifted_dim(self) -> int:
@@ -150,7 +152,11 @@ class LiftedBasis:
             raise ValueError("states must be finite")
         if self.scaler is not None:
             arr = self.scaler.apply(arr)
-        return np.prod(arr[:, None, :] ** self._exp[None, :, :], axis=2)
+        # each power of v and f once, then one product per monomial: the same
+        # pow calls and the same single multiply as a product over v**a, f**b
+        V = arr[:, :1] ** self._powers
+        F = arr[:, 1:] ** self._powers
+        return V.take(self._v_exp, axis=1) * F.take(self._f_exp, axis=1)
 
     def project(self, z) -> np.ndarray:
         """Read the physical state back out of a lifted vector."""

