@@ -161,7 +161,26 @@ def _expand_data_paths(paths) -> list[str]:
 
 
 def _read_trajectories(paths) -> list[Trajectory]:
-    return [Trajectory.read_csv(p) for p in paths]
+    """Read trajectory CSVs, holding repeated time and advisory columns once.
+
+    A trajectory whose t (or v_ref) bytes equal the trajectory before's takes
+    that array in place of its own, so a roster on one time grid following
+    one advisory keeps a single copy of each. Bytes, not values, so a -0.0
+    never shares with a 0.0. A shared array is made read-only: a write to it
+    would change every trajectory holding it, so it fails instead.
+    """
+    trajectories: list[Trajectory] = []
+    for path in paths:
+        traj = Trajectory.read_csv(path)
+        if trajectories:
+            prev = trajectories[-1]
+            for name in ("t", "v_ref"):
+                shared = getattr(prev, name)
+                if getattr(traj, name).tobytes() == shared.tobytes():
+                    shared.flags.writeable = False
+                    setattr(traj, name, shared)
+        trajectories.append(traj)
+    return trajectories
 
 
 # ---------------------------------------------------------------- advisory

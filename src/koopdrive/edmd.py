@@ -8,11 +8,12 @@ the stacked block theta = [A B] solves
     min || Psi+ - [Psi u] theta^T ||_F
 
 optionally with a ridge penalty ridge * ||theta||_F^2. The pairs are never
-stacked: each trajectory's rows [Psi | u | Psi+] are folded into the upper
-triangular factor R of a QR decomposition of all rows seen so far (a
-streaming tall-skinny QR), so memory stays at one (2N+1) x (2N+1) factor
-plus one trajectory. Since R^T R equals the Gram matrix of the stacked rows,
-every quantity of the fit follows from R alone: theta from its leading
+stacked: each trajectory's rows [Psi | u | Psi+] are lifted and folded into
+the upper triangular factor R of a QR decomposition of all rows seen so far
+(a streaming tall-skinny QR) one block of _FOLD_ROWS pairs at a time, so
+beyond the trajectories the caller holds, memory stays at one (2N+1) x (2N+1)
+factor plus one fold block. Since R^T R equals the Gram matrix of the stacked
+rows, every quantity of the fit follows from R alone: theta from its leading
 (N+1) x (N+1) block, the rank and condition number from that block's
 singular values (rank counts those above max(T, N+1) * eps * sigma_max), and
 the residual and one-step errors from || R [theta^T; -I] ||.
@@ -130,9 +131,11 @@ class DataMatrices:
 def build_matrices(trajectories, basis: LiftedBasis) -> DataMatrices:
     """Lift trajectories and fold their transition pairs into one R factor.
 
-    Each trajectory is lifted and folded on its own, so no more than one
-    trajectory's pairs exist at a time; every trajectory of k samples
-    contributes k - 1 transition pairs.
+    Every trajectory of k samples contributes k - 1 transition pairs. Each
+    trajectory is lifted in blocks of _FOLD_ROWS pairs, pairs lo..hi - 1
+    lifted from samples lo..hi, and each block is one fold of R: the same
+    rows and the same folds as lifting the whole trajectory, so R is bit
+    for bit the same, while no more than one block's lifted pairs exist.
     """
     trajectories = list(trajectories)
     if not trajectories:
@@ -145,8 +148,11 @@ def build_matrices(trajectories, basis: LiftedBasis) -> DataMatrices:
             )
     matrices = DataMatrices(basis=basis, sample_period=period)
     for traj in trajectories:
-        Z = basis.lift_many(traj.states())
-        matrices.add(Z[:-1], Z[1:], traj.v_ref[:-1])
+        pairs = len(traj) - 1
+        for lo in range(0, pairs, _FOLD_ROWS):
+            hi = min(lo + _FOLD_ROWS, pairs)
+            Z = basis.lift_many(np.column_stack((traj.v[lo:hi + 1], traj.f_tr[lo:hi + 1])))
+            matrices.add(Z[:-1], Z[1:], traj.v_ref[lo:hi])
     return matrices
 
 
@@ -283,7 +289,7 @@ def fit_trajectories(trajectories, config: FitConfig) -> tuple[KoopmanModel, Fit
     if config.scaling == "pow2":
         peak = np.zeros(2)
         for traj in train:
-            peak = np.maximum(peak, np.max(np.abs(traj.states()), axis=0))
+            peak = np.maximum(peak, (np.max(np.abs(traj.v)), np.max(np.abs(traj.f_tr))))
         scaler = StateScaler.pow2_from_data(peak[None, :])
     else:
         scaler = None

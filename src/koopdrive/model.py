@@ -11,7 +11,8 @@ A rollout lifts the initial state once and steps through row views of one
 preallocated array with ndarray.dot, which makes the same BLAS call as @
 without the ufunc dispatch.
 Trajectory.slice_samples copies a slice of an already validated trajectory
-and does not validate it again.
+and does not validate it again; KoopmanModel.from_stacked checks the stacked
+block [A B] once and does not check the copies of A and B again.
 
 Model files are JSON documents carrying the basis metadata, the matrices at
 full decimal precision, and free-form provenance left by the fitting code.
@@ -167,11 +168,15 @@ class Trajectory:
 
     @classmethod
     def read_csv(cls, path: str) -> "Trajectory":
+        """Read a trajectory CSV; each column is its own contiguous array.
+
+        No column is a view into the (n, 4) parse buffer, so that buffer is
+        freed on return and a caller may drop or share single columns.
+        """
         data = _read_csv_table(path, TRAJECTORY_CSV_HEADER, 4, "trajectory")
-        dt = np.diff(data[:, 0])
-        period = float(np.median(dt))
-        return cls(sample_period=period, t=data[:, 0], v=data[:, 1],
-                   f_tr=data[:, 2], v_ref=data[:, 3])
+        t, v, f_tr, v_ref = (data[:, j].copy() for j in range(4))
+        period = float(np.median(np.diff(t)))
+        return cls(sample_period=period, t=t, v=v, f_tr=f_tr, v_ref=v_ref)
 
 
 def _read_csv_table(path: str, header: str, columns: int, kind: str) -> np.ndarray:
@@ -227,6 +232,13 @@ def _jsonable(obj):
     return obj
 
 
+def _check_sample_period(period) -> None:
+    # a bool is an int to isinstance, and a JSON true would pass as 1
+    if not (isinstance(period, (int, float)) and not isinstance(period, bool)
+            and math.isfinite(period) and period > 0):
+        raise ValueError(f"sample_period must be a positive finite number, got {period!r}")
+
+
 @dataclass
 class KoopmanModel:
     """Linear recursion in lifted coordinates driven by the advisory speed."""
@@ -247,11 +259,7 @@ class KoopmanModel:
             raise ValueError(f"B must be ({N}, 1) for this basis, got {self.B.shape}")
         if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.B))):
             raise ValueError("model matrices must be finite")
-        # a bool is an int to isinstance, and a JSON true would pass as 1
-        period = self.sample_period
-        if not (isinstance(period, (int, float)) and not isinstance(period, bool)
-                and math.isfinite(period) and period > 0):
-            raise ValueError(f"sample_period must be a positive finite number, got {period!r}")
+        _check_sample_period(self.sample_period)
 
     @property
     def lifted_dim(self) -> int:
@@ -260,13 +268,26 @@ class KoopmanModel:
     @classmethod
     def from_stacked(cls, basis: LiftedBasis, theta: np.ndarray, sample_period: float,
                      provenance: dict | None = None) -> "KoopmanModel":
-        """Build a model from the stacked parameter block [A B]."""
+        """Build a model from the stacked parameter block [A B].
+
+        A and B are copied out of theta once, so the model never shares
+        memory with theta, and the constructor's checks run once on theta
+        rather than again on the copies.
+        """
         theta = np.asarray(theta, dtype=float)
         N = basis.lifted_dim
         if theta.shape != (N, N + 1):
             raise ValueError(f"stacked block must be ({N}, {N + 1}), got {theta.shape}")
-        return cls(basis=basis, A=theta[:, :N].copy(), B=theta[:, N:].copy(),
-                   sample_period=sample_period, provenance=provenance or {})
+        if not np.isfinite(theta).all():
+            raise ValueError("model matrices must be finite")
+        _check_sample_period(sample_period)
+        model = object.__new__(cls)
+        model.basis = basis
+        model.A = theta[:, :N].copy()
+        model.B = theta[:, N:].copy()
+        model.sample_period = sample_period
+        model.provenance = provenance or {}
+        return model
 
     def stacked(self) -> np.ndarray:
         return np.hstack([self.A, self.B])

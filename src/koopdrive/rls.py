@@ -228,8 +228,13 @@ def stream_ticks(state: RlsState, basis: LiftedBasis, traj: Trajectory, start: i
 
 def snapshot_model(state: RlsState, basis: LiftedBasis, sample_period: float,
                    provenance: dict | None = None) -> KoopmanModel:
-    """Freeze the current parameter block into a standalone model."""
+    """Freeze the current parameter block into a standalone model.
+
+    A and B are copied out of state.theta, so later updates of the state do
+    not reach the snapshot. A theta that an accepted update overflowed
+    raises ValueError, as does a bad sample period.
+    """
     prov = {"fitted_by": "rls", "updates": state.update_count, "lambda": state.lam}
     if provenance:
         prov.update(provenance)
-    return KoopmanModel.from_stacked(basis, state.theta.copy(), sample_period, prov)
+    return KoopmanModel.from_stacked(basis, state.theta, sample_period, prov)

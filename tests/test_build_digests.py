@@ -1,15 +1,19 @@
 """Golden digests of the offline build outputs.
 
-Runs `advisory` -> `simulate` through the CLI on a reduced build (the shipped
-route, 16 x 11 DP grid, 3 drivers with driver 3 distracted) and compares the
-SHA-256 of every CSV with digests recorded before the DP backward pass, the
-simulator loop and the CSV writers were rewritten for speed. Any change to
-the bytes of these files fails here. `advisory_meta.json` is left out because
-it records the absolute route path.
+Runs `advisory` -> `simulate` -> `fit` through the CLI on a reduced build
+(the shipped route, 16 x 11 DP grid, 3 drivers with driver 3 distracted) and
+compares the SHA-256 of every CSV with digests recorded before the DP
+backward pass, the simulator loop and the CSV writers were rewritten for
+speed, and of `model.json` and `report.json` with digests recorded before the
+fit's memory layout (shared roster columns, block lifting) was changed. Any
+change to the bytes of these files fails here. `advisory_meta.json` is left
+out because it records the absolute route path.
 
 The digests pin numpy's `default_rng` streams (PCG64 `standard_normal` for
 the command noise, `random` for the gain jitter). A numpy release that
-changes those streams would need new digests; nothing else should.
+changes those streams would need new digests; nothing else should. The fit
+digests also pin the last bits of LAPACK's QR and triangular solve, so a
+different BLAS/LAPACK build may need new fit digests.
 """
 
 import hashlib
@@ -35,6 +39,11 @@ GOLDEN = {
         "e235ccc615ae5e158700d0d5393871dafcb0d52242d7aa6536930a09ac851a7e",
 }
 
+FIT_GOLDEN = {
+    "model.json": "03da6a56690dcf01a806ffc43a42126a324b91212593123b95ff407da8e22164",
+    "report.json": "2ce06b91da97bd2601da902f7bf542e258cafa7ab339d514289e7d53c6d425a4",
+}
+
 
 def _reduced_config(path: Path) -> None:
     cfg = json.loads(CONFIG.read_text())
@@ -58,3 +67,9 @@ def test_build_outputs_match_golden_digests(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in GOLDEN}
     assert digests == GOLDEN
+    assert main(["fit", "--data", str(tmp_path / "drivers"), "--config", str(config),
+                 "--model-out", str(tmp_path / "model.json"),
+                 "--report-out", str(tmp_path / "report.json")]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in FIT_GOLDEN}
+    assert digests == FIT_GOLDEN

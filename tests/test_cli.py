@@ -11,7 +11,7 @@ import pytest
 
 from koopdrive.advisory import RouteSpec
 from koopdrive.basis import LiftedBasis
-from koopdrive.cli import main
+from koopdrive.cli import _read_trajectories, main
 from koopdrive.model import KoopmanModel, ModelFileError, Trajectory
 from koopdrive.rls import OnlineSettings
 
@@ -331,6 +331,34 @@ def test_simulate_reuses_csv_cells_only_for_equal_bytes(tmp_path, toy_route, con
         assert (out / f"driver_0{k + 1}.csv").read_bytes() == (
             "\n".join(expected) + "\n").encode()
     assert "-0.0" in (out / "driver_03.csv").read_text()
+
+
+def test_roster_shares_columns_only_for_equal_bytes(tmp_path):
+    # driver 3's t differs from driver 2's only in the sign of t[0], and
+    # drivers 4 and 5 follow another advisory
+    t = np.arange(5) * 0.025
+    t_signed = t.copy()
+    t_signed[0] = -0.0
+    v_ref = np.array([0.0, 1.5, 2.0, 0.1 + 0.2, 7.0])
+    other = v_ref + 1.0
+    columns = [(t, v_ref), (t, v_ref), (t_signed, v_ref), (t_signed, other), (t, other)]
+    paths = []
+    for i, (t_col, v_ref_col) in enumerate(columns):
+        paths.append(tmp_path / f"driver_{i + 1}.csv")
+        Trajectory(sample_period=0.025, t=t_col, v=np.full(5, 3.0 + i), f_tr=np.full(5, -1.0),
+                   v_ref=v_ref_col).write_csv(paths[-1])
+    trajs = _read_trajectories([str(p) for p in paths])
+    assert [trajs[i].t is trajs[i - 1].t for i in range(1, 5)] == [True, False, True, False]
+    assert [trajs[i].v_ref is trajs[i - 1].v_ref for i in range(1, 5)] == [True, True, False, True]
+    for traj, (t_col, v_ref_col) in zip(trajs, columns):
+        assert traj.t.tobytes() == t_col.tobytes()
+        assert traj.v_ref.tobytes() == v_ref_col.tobytes()
+    # a shared column is read-only; one held by a single trajectory is not
+    assert [traj.t.flags.writeable for traj in trajs] == [False, False, False, False, True]
+    assert not any(traj.v_ref.flags.writeable for traj in trajs)
+    with pytest.raises(ValueError, match="read-only"):
+        trajs[1].t[0] = 1.0
+    assert all(traj.v.flags.writeable and traj.f_tr.flags.writeable for traj in trajs)
 
 
 def test_unknown_eval_key_exit_3(tmp_path, toy_route, config_file):

@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from koopdrive.basis import LiftedBasis
+from koopdrive.basis import LiftedBasis, StateScaler
 from koopdrive.cli import main
 from koopdrive.edmd import (
+    _FOLD_ROWS,
     DataMatrices,
     FitConfig,
     RankDeficientDataError,
@@ -153,6 +154,41 @@ def test_build_matrices_pairs_align():
     assert M.shape == (9 + 59, 19)
     assert np.array_equal(np.triu(data.R), data.R)
     assert_same_gram(data.R, M)
+
+
+def whole_trajectory_matrices(trajectories, basis):
+    """Reference for build_matrices: each trajectory lifted in one piece."""
+    data = DataMatrices(basis=basis, sample_period=trajectories[0].sample_period)
+    for traj in trajectories:
+        Z = basis.lift_many(traj.states())
+        data.add(Z[:-1], Z[1:], traj.v_ref[:-1])
+    return data
+
+
+@pytest.mark.parametrize("pairs", [1, _FOLD_ROWS - 1, _FOLD_ROWS, _FOLD_ROWS + 1,
+                                   2 * _FOLD_ROWS + 1])
+def test_block_lift_matches_whole_trajectory_lift(pairs):
+    n = pairs + 1
+    trajs = [make_traj(n, seed=pairs, v_ref=np.linspace(9.0, 12.0, n)), make_traj(30, seed=2)]
+    basis = LiftedBasis(scaler=StateScaler(scale=(16.0, 512.0), offset=(0.0, 0.0)))
+    data = build_matrices(trajs, basis)
+    ref = whole_trajectory_matrices(trajs, basis)
+    assert data.T == ref.T == pairs + 29
+    assert data.R.tobytes() == ref.R.tobytes()
+
+
+def test_build_matrices_memory_stays_near_one_block():
+    # lifting a 100k-sample trajectory whole allocated about 3x its (k, 9)
+    # lifted array; block by block the peak is a few fold blocks
+    traj = make_traj(100_000, seed=11)
+    basis = LiftedBasis()
+    tracemalloc.start()
+    try:
+        build_matrices([traj], basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * len(traj) * basis.lifted_dim * 8
 
 
 def test_add_folds_blocks_and_rejects_non_finite_values():

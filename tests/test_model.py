@@ -100,6 +100,17 @@ def test_trajectory_csv_roundtrip_bytes(tmp_path):
     np.testing.assert_array_equal(back.f_tr, traj.f_tr)
 
 
+def test_read_csv_columns_own_their_data(tmp_path):
+    # no column may be a view that keeps the (n, 4) parse buffer alive
+    path = tmp_path / "a.csv"
+    make_traj(seed=6).write_csv(path)
+    back = Trajectory.read_csv(path)
+    for name in ("t", "v", "f_tr", "v_ref"):
+        column = getattr(back, name)
+        assert column.base is None and column.flags.owndata, name
+        assert column.flags.c_contiguous, name
+
+
 def test_trajectory_csv_matches_per_cell_repr(tmp_path):
     # signed zero, the smallest subnormal, both sides of repr's switch to
     # exponent notation, an integral force and a value with no short decimal

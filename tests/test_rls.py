@@ -345,3 +345,35 @@ def test_snapshot_roundtrip():
     snap = snapshot_model(state, basis, 0.025)
     np.testing.assert_array_equal(snap.stacked(), theta)
     assert snap.sample_period == 0.025
+
+
+def test_snapshot_does_not_follow_later_updates():
+    basis = LiftedBasis()
+    state = init_rls(zero_model(basis), 0.99)
+    rows = random_rows(41)
+    update_tick(state, basis, rows[:21])
+    snap = snapshot_model(state, basis, 0.025)
+    frozen = state.theta.copy()
+    update_tick(state, basis, rows[20:])
+    assert not np.array_equal(state.theta, frozen)
+    np.testing.assert_array_equal(snap.stacked(), frozen)
+    assert snap.A.shape == (9, 9) and snap.B.shape == (9, 1)
+
+
+@pytest.mark.parametrize("row, col", [(0, 0), (8, 9)], ids=["A", "B"])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_snapshot_rejects_non_finite_theta(row, col, bad):
+    # an accepted update can overflow theta; the snapshot must not freeze it
+    basis = LiftedBasis()
+    state = init_rls(zero_model(basis), 0.99)
+    state.theta[row, col] = bad
+    with pytest.raises(ValueError, match="model matrices must be finite"):
+        snapshot_model(state, basis, 0.025)
+
+
+@pytest.mark.parametrize("period", [0.0, -0.025, math.inf, True, "0.025"])
+def test_snapshot_rejects_bad_sample_period(period):
+    basis = LiftedBasis()
+    state = init_rls(zero_model(basis), 0.99)
+    with pytest.raises(ValueError, match="sample_period must be a positive finite number"):
+        snapshot_model(state, basis, period)
