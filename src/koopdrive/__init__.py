@@ -37,7 +37,6 @@ from .edmd import (
 from .evaluate import (
     BenchReport,
     HorizonReport,
-    OnlineSettings,
     bench_update,
     evaluate_horizons,
 )
@@ -47,6 +46,6 @@ from .model import (
     RolloutDivergenceError,
     Trajectory,
 )
-from .rls import RlsState, init_rls, rls_update, snapshot_model, update_tick
+from .rls import OnlineSettings, RlsState, init_rls, rls_update, snapshot_model, update_tick
 
 __version__ = "0.1.0"

@@ -43,7 +43,7 @@ side near constraint boundaries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -104,6 +104,11 @@ class PowertrainParams:
     gravity: float = 9.81
 
     def __post_init__(self):
+        # a NaN fails none of the comparisons below, and an infinity makes the
+        # planner's costs NaN or infinite
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.mass <= 0 or self.battery_capacity_j <= 0:
             raise ValueError("mass and battery capacity must be positive")
         if not (0 < self.eta_drive <= 1 and 0 <= self.eta_regen <= 1):
@@ -207,6 +212,12 @@ class EcoDpConfig:
     powertrain: PowertrainParams = field(default_factory=PowertrainParams)
 
     def __post_init__(self):
+        # an infinite acceleration bound or fuel scale would silently drop a
+        # constraint or the fuel term
+        for name in ("gamma", "a_min", "a_max", "soc_min", "soc_max", "soc_initial",
+                     "soc_terminal_floor", "speed_floor"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         for name in ("v_levels", "soc_levels"):
@@ -223,8 +234,10 @@ class EcoDpConfig:
             raise ValueError("terminal floor must lie within the bounds")
         if not self.speed_floor > 0:
             raise ValueError("speed_floor must be positive to keep step times finite")
-        if self.m_dot_norm is not None and not self.m_dot_norm > 0:
-            raise ValueError("m_dot_norm must be positive when given")
+        if self.m_dot_norm is not None and not (math.isfinite(self.m_dot_norm)
+                                                and self.m_dot_norm > 0):
+            raise ValueError(f"m_dot_norm must be positive and finite when given, "
+                             f"got {self.m_dot_norm}")
 
     @property
     def resolved_m_dot_norm(self) -> float:

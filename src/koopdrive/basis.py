@@ -158,16 +158,6 @@ class LiftedBasis:
         F = arr[:, 1:] ** self._powers
         return V.take(self._v_exp, axis=1) * F.take(self._f_exp, axis=1)
 
-    def project(self, z) -> np.ndarray:
-        """Read the physical state back out of a lifted vector."""
-        arr = np.asarray(z, dtype=float)
-        if arr.shape != (self.lifted_dim,):
-            raise ValueError(f"lifted vector must have shape ({self.lifted_dim},), got {arr.shape}")
-        x = arr[:2]
-        if self.scaler is not None:
-            x = self.scaler.invert(x)
-        return x
-
     def project_many(self, Z: np.ndarray) -> np.ndarray:
         arr = np.asarray(Z, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != self.lifted_dim:

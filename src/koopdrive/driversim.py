@@ -66,9 +66,6 @@ class VehicleParams:
                 f"force bounds must straddle zero, got [{self.f_min}, {self.f_max}]"
             )
 
-    def road_load(self, v: float) -> float:
-        return self.a0 + self.a1 * v + self.a2 * v * v
-
 
 @dataclass(frozen=True)
 class DistractionWindow:

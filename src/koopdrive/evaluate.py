@@ -36,7 +36,6 @@ MPS_TO_MPH = 2.23694
 
 __all__ = [
     "MPS_TO_MPH",
-    "OnlineSettings",
     "HorizonReport",
     "BenchReport",
     "evaluate_horizons",

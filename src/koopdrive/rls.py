@@ -16,11 +16,11 @@ lambda < 1 discounts old data with the usual 1/(1 - lambda) sample memory.
 No covariance resetting or windup protection is applied beyond the
 forgetting factor itself.
 
-A tick (update_tick) checks that the state has lifted_dim + 1 columns,
-validates and lifts its whole buffer once, then applies the pairs one at a
-time through rls_update's internal lifted= fast path. The per-pair
-arithmetic is the same as for a validating rls_update call, so the result
-is bit-identical to applying the pairs one by one.
+rls_update(state, z, psi_next) is the kernel: one lifted pair, no input
+validation. update_tick is the validating entry: it checks that the state
+has lifted_dim + 1 columns, checks its buffer's rows for finiteness, lifts
+the finite prefix once and calls the kernel once per pair. stream_ticks
+stacks a segment's (v, f_tr, v_ref) rows once and hands each tick a view.
 
 The kernel works on 10-wide arrays, where numpy's per-call overhead costs
 more than the arithmetic. It multiplies with ndarray.dot, which makes the
@@ -100,47 +100,22 @@ class RlsState:
         return self.theta.shape[1]
 
 
-def init_rls(model: KoopmanModel, lam: float, p0_scale: float | None = None) -> RlsState:
-    """Start adaptation from a fitted model.
-
-    P is initialized to I / lambda by default; pass p0_scale to use
-    p0_scale * I instead (large values make the first updates behave like an
-    unregularized batch fit).
-    """
+def init_rls(model: KoopmanModel, lam: float) -> RlsState:
+    """Start adaptation from a fitted model, with P = I / lambda."""
     if not (0.0 < lam <= 1.0):
         raise ValueError(f"forgetting factor must be in (0, 1], got {lam}")
-    scale = (1.0 / lam) if p0_scale is None else float(p0_scale)
-    if not (math.isfinite(scale) and scale > 0):
-        raise ValueError(f"p0_scale must be positive and finite, got {p0_scale}")
     p = model.lifted_dim + 1
-    return RlsState(theta=model.stacked().copy(), P=np.eye(p) * scale, lam=lam)
+    return RlsState(theta=model.stacked().copy(), P=np.eye(p) / lam, lam=lam)
 
 
-def rls_update(state: RlsState, basis: LiftedBasis, x_k, u_k, x_next, *,
-               lifted: tuple[np.ndarray, np.ndarray] | None = None) -> float:
-    """Apply one transition pair in place; returns the prediction error norm.
+def rls_update(state: RlsState, z: np.ndarray, psi_next: np.ndarray) -> float:
+    """Apply one lifted pair in place; returns the prediction error norm.
 
-    All quantities are validated before any mutation, so a rejected update
-    leaves the state exactly as it was. Malformed inputs (wrong shape or
-    non-finite) raise ValueError; a non-positive gain denominator or a
-    non-finite prediction error raises RlsUpdateRejectedError.
-
-    lifted=(z, psi_next) is update_tick's fast path: the regressor
-    [psi(x_k); u_k] and psi(x_next), already validated and lifted by the
-    caller. The raw x_k, u_k and x_next are then not read.
+    z is the regressor [psi(x_k); u_k] and psi_next is psi(x_next), both
+    finite and of the state's widths; update_tick checks that. A
+    non-positive gain denominator or a non-finite prediction error raises
+    RlsUpdateRejectedError and leaves the state exactly as it was.
     """
-    if lifted is None:
-        psi_k = basis.lift(x_k)
-        psi_next = basis.lift(x_next)
-        u_arr = np.asarray(u_k, dtype=float)
-        if u_arr.shape != (1,):
-            raise ValueError(f"input must have shape (1,), got {u_arr.shape}")
-        if not np.all(np.isfinite(u_arr)):
-            raise ValueError(f"input must be finite, got {u_arr}")
-        z = np.concatenate([psi_k, u_arr])
-    else:
-        z, psi_next = lifted
-
     Pz = state.P.dot(z)
     denom = state.lam + float(z.dot(Pz))
     if not math.isfinite(denom) or denom <= 0.0:
@@ -161,6 +136,8 @@ def rls_update(state: RlsState, basis: LiftedBasis, x_k, u_k, x_next, *,
 
 
 def _buffer_rows(buffer) -> np.ndarray:
+    # the Trajectory branch serves bench/run.py's replay, which still hands
+    # update_tick per-tick trajectory slices; the package passes row arrays
     if isinstance(buffer, Trajectory):
         return np.column_stack([buffer.v, buffer.f_tr, buffer.v_ref])
     arr = np.asarray(buffer, dtype=float)
@@ -175,14 +152,14 @@ def update_tick(state: RlsState, basis: LiftedBasis, buffer) -> np.ndarray:
     The buffer holds rows (v, f_tr, v_ref) and should include the last sample
     seen before the tick, so a tick covering 1 s of 40 Hz data carries 41
     rows and produces 40 updates. A buffer with fewer than two rows leaves
-    the state unchanged. Returns the per-pair prediction error norms. A
-    failing pair aborts the tick with the same exception type, naming the
-    pair's index in the buffer; the pairs before it stay applied.
+    the state unchanged. Returns the per-pair prediction error norms.
 
     A state whose width is not basis.lifted_dim + 1 raises ValueError before
-    any pair is applied. The buffer is validated and lifted once: the pairs
-    before the first malformed one run through rls_update's lifted fast
-    path, and the malformed pair through its validating path, which raises.
+    any pair is applied. The pairs before the first malformed one (a
+    non-finite state or input) are lifted once and applied; the malformed
+    pair then raises ValueError. A pair the kernel rejects raises
+    RlsUpdateRejectedError. Either names the pair's index in the buffer,
+    and the pairs before it stay applied.
     """
     if state.n_features != basis.lifted_dim + 1:
         raise ValueError(f"state has {state.n_features} columns, expected "
@@ -196,18 +173,17 @@ def update_tick(state: RlsState, basis: LiftedBasis, buffer) -> np.ndarray:
     ok = finite[:-1, :2].all(axis=1) & finite[1:, :2].all(axis=1) & finite[:-1, 2]
     good = n_pairs if ok.all() else int(np.argmin(ok))
     errs = np.empty(n_pairs)
-    i = 0
-    try:
-        if good:
-            psi = basis.lift_many(rows[: good + 1, :2])
-            Z = np.column_stack([psi[:-1], rows[:good, 2]])
+    if good:
+        psi = basis.lift_many(rows[: good + 1, :2])
+        Z = np.column_stack([psi[:-1], rows[:good, 2]])
+        try:
             for i in range(good):
-                errs[i] = rls_update(state, basis, None, None, None, lifted=(Z[i], psi[i + 1]))
-        if good < n_pairs:
-            i = good
-            rls_update(state, basis, rows[i, :2], rows[i, 2:3], rows[i + 1, :2])
-    except (ValueError, RlsUpdateRejectedError) as exc:
-        raise type(exc)(f"tick aborted at buffered pair {i}: {exc}") from exc
+                errs[i] = rls_update(state, Z[i], psi[i + 1])
+        except RlsUpdateRejectedError as exc:
+            raise RlsUpdateRejectedError(f"tick aborted at buffered pair {i}: {exc}") from exc
+    if good < n_pairs:
+        raise ValueError(f"tick aborted at buffered pair {good}: x_k {rows[good, :2]}, "
+                         f"u_k {rows[good, 2]} and x_next {rows[good + 1, :2]} must be finite")
     return errs
 
 
@@ -215,15 +191,19 @@ def stream_ticks(state: RlsState, basis: LiftedBasis, traj: Trajectory, start: i
                  stop: int, tick_steps: int):
     """Apply the pairs between samples start and stop, tick_steps pairs a tick.
 
-    Each tick's buffer carries the sample before the tick, so every pair is
+    The segment's rows (v, f_tr, v_ref) are stacked once, and each tick gets
+    a view of them that carries the sample before the tick, so every pair is
     applied exactly once; only the last tick may be shorter. Yields
     (index of the tick's last sample, update_tick's error norms) per tick.
     """
-    pos = start
-    while pos < stop:
-        end = min(pos + tick_steps, stop)
-        yield end, update_tick(state, basis, traj.slice_samples(pos, end + 1))
-        pos = end
+    if not 0 <= start <= stop < len(traj):
+        raise ValueError(f"bad sample range [{start}, {stop}] for length {len(traj)}")
+    seg = slice(start, stop + 1)
+    rows = np.column_stack([traj.v[seg], traj.f_tr[seg], traj.v_ref[seg]])
+    n_pairs = stop - start
+    for lo in range(0, n_pairs, tick_steps):
+        hi = min(lo + tick_steps, n_pairs)
+        yield start + hi, update_tick(state, basis, rows[lo:hi + 1])
 
 
 def snapshot_model(state: RlsState, basis: LiftedBasis, sample_period: float,

@@ -19,9 +19,9 @@ from koopdrive.advisory import EcoDpConfig, RouteSpec, edge_quantities, solve_ec
 from koopdrive.basis import LiftedBasis
 from koopdrive.cli import main
 from koopdrive.edmd import DataMatrices, FitConfig, fit
-from koopdrive.evaluate import OnlineSettings, bench_update, evaluate_horizons
+from koopdrive.evaluate import bench_update, evaluate_horizons
 from koopdrive.model import KoopmanModel, Trajectory
-from koopdrive.rls import init_rls, rls_update
+from koopdrive.rls import OnlineSettings, RlsState, init_rls, rls_update
 
 ROOT = Path(__file__).resolve().parents[1]
 ROUTE = ROOT / "configs" / "route_urban.csv"
@@ -83,6 +83,11 @@ def _zero_model(basis):
                         sample_period=0.025)
 
 
+def _lift_pair(basis, x_k, u_k, x_next):
+    """The kernel's regressor [psi(x_k); u_k] and psi(x_next), one state at a time."""
+    return np.concatenate([basis.lift(x_k), u_k]), basis.lift(x_next)
+
+
 def test_lifting_identity_and_scaling(verdict):
     with verdict("lifting: hand values, projection identity, degree scaling", 1.0):
         basis = LiftedBasis()
@@ -94,7 +99,7 @@ def test_lifting_identity_and_scaling(verdict):
         rng = np.random.default_rng(0)
         for _ in range(200):
             x = rng.normal(size=2) * 10.0
-            np.testing.assert_array_equal(basis.project(basis.lift(x)), x)
+            np.testing.assert_array_equal(basis.project_many(basis.lift(x)[None]), x[None])
             c = rng.uniform(0.1, 4.0)
             np.testing.assert_allclose(basis.lift(c * x), c ** degrees * basis.lift(x),
                                        rtol=1e-12, atol=0.0)
@@ -148,9 +153,9 @@ def test_streaming_matches_batch(verdict):
         data = DataMatrices(basis=basis, sample_period=0.025)
         data.add(basis.lift_many(pts), basis.lift_many(nxt), U[0])
         batch = fit(data, FitConfig(ridge=1e-6))
-        state = init_rls(_zero_model(basis), 1.0, p0_scale=1e6)
+        state = RlsState(theta=np.zeros((9, 10)), P=1e6 * np.eye(10), lam=1.0)
         for k in range(T):
-            rls_update(state, basis, pts[k], U[:, k], nxt[k])
+            rls_update(state, *_lift_pair(basis, pts[k], U[:, k], nxt[k]))
         rel = (np.linalg.norm(state.theta - batch.stacked())
                / np.linalg.norm(batch.stacked()))
         assert rel < 1e-6
@@ -164,8 +169,8 @@ def test_streaming_covariance_health(verdict):
             state = init_rls(_zero_model(basis), lam)
             rng = np.random.default_rng(int(lam * 10))
             for _ in range(10_000):
-                rls_update(state, basis, rng.normal(size=2), rng.normal(size=1),
-                           rng.normal(size=2))
+                rls_update(state, *_lift_pair(basis, rng.normal(size=2), rng.normal(size=1),
+                                              rng.normal(size=2)))
                 assert np.max(np.abs(state.P - state.P.T)) <= 1e-9
                 np.linalg.cholesky(state.P)
 
@@ -179,7 +184,7 @@ def test_streaming_covariance_health(verdict):
         rng = np.random.default_rng(3)
         for _ in range(50):
             x = rng.normal(size=2)
-            rls_update(state, basis, x, rng.normal(size=1), x)
+            rls_update(state, *_lift_pair(basis, x, rng.normal(size=1), x))
         np.testing.assert_array_equal(state.theta, theta_before)
 
 

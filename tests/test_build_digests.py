@@ -5,9 +5,12 @@ Runs `advisory` -> `simulate` -> `fit` through the CLI on a reduced build
 compares the SHA-256 of every CSV with digests recorded before the DP
 backward pass, the simulator loop and the CSV writers were rewritten for
 speed, and of `model.json` and `report.json` with digests recorded before the
-fit's memory layout (shared roster columns, block lifting) was changed. Any
-change to the bytes of these files fails here. `advisory_meta.json` is left
-out because it records the absolute route path.
+fit's memory layout (shared roster columns, block lifting) was changed. On
+the distracted driver it then runs `update` over 515-630 s at cadence 1.0
+and 0.1 and `eval --online`, and compares the SHA-256 of the updated models,
+the tick logs and the report CSV with digests recorded before the RLS kernel
+lost its raw-pair path. Any change to the bytes of these files fails here.
+`advisory_meta.json` is left out because it records the absolute route path.
 
 The digests pin numpy's `default_rng` streams (PCG64 `standard_normal` for
 the command noise, `random` for the gain jitter). A numpy release that
@@ -19,6 +22,8 @@ different BLAS/LAPACK build may need new fit digests.
 import hashlib
 import json
 from pathlib import Path
+
+import pytest
 
 from koopdrive.cli import main
 
@@ -45,6 +50,15 @@ FIT_GOLDEN = {
 }
 
 
+ONLINE_GOLDEN = {
+    "update_1.0.json": "12c48fc964b3ec0d0b68b6281e03e19fc684e5008da8ebef80fa55d82f39948f",
+    "ticks_1.0.csv": "e76e0cc55b68671f60ba9411c591f00eef277783868ca5f955743f4b201b439b",
+    "update_0.1.json": "7f087edffd06d488c20a45e0c5c967b04f96a0c797716f994c5e571939d8358a",
+    "ticks_0.1.csv": "5906981663b86cbbbdb402759b3ffa49beb214e6689aae5d121bb284d392e212",
+    "eval_online.csv": "690856ddbdd70acbc7c55c2fcfd83375a6d2d69a3378cf8df1f7acad005c4136",
+}
+
+
 def _reduced_config(path: Path) -> None:
     cfg = json.loads(CONFIG.read_text())
     cfg["advisory"].update(v_levels=16, soc_levels=11)
@@ -54,22 +68,43 @@ def _reduced_config(path: Path) -> None:
     path.write_text(json.dumps(cfg))
 
 
-def test_build_outputs_match_golden_digests(tmp_path):
-    config = tmp_path / "config.json"
+def _digests(root: Path, names) -> dict:
+    return {name: hashlib.sha256((root / name).read_bytes()).hexdigest() for name in names}
+
+
+@pytest.fixture(scope="module")
+def build(tmp_path_factory):
+    """The reduced build's directory, after advisory -> simulate -> fit."""
+    root = tmp_path_factory.mktemp("build")
+    config = root / "config.json"
     _reduced_config(config)
-    adv = tmp_path / "advisory"
+    adv = root / "advisory"
     assert main(["advisory", "--route", str(ROUTE), "--config", str(config),
                  "--out", str(adv)]) == 0
     assert main(["simulate", "--advisory", str(adv / "advisory_time.csv"),
-                 "--config", str(config), "--out", str(tmp_path / "drivers")]) == 0
-    written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*.csv"))
+                 "--config", str(config), "--out", str(root / "drivers")]) == 0
+    assert main(["fit", "--data", str(root / "drivers"), "--config", str(config),
+                 "--model-out", str(root / "model.json"),
+                 "--report-out", str(root / "report.json")]) == 0
+    return root
+
+
+def test_build_outputs_match_golden_digests(build):
+    written = sorted(str(p.relative_to(build)) for p in build.rglob("*.csv"))
     assert written == sorted(GOLDEN)
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in GOLDEN}
-    assert digests == GOLDEN
-    assert main(["fit", "--data", str(tmp_path / "drivers"), "--config", str(config),
-                 "--model-out", str(tmp_path / "model.json"),
-                 "--report-out", str(tmp_path / "report.json")]) == 0
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in FIT_GOLDEN}
-    assert digests == FIT_GOLDEN
+    assert _digests(build, GOLDEN) == GOLDEN
+    assert _digests(build, FIT_GOLDEN) == FIT_GOLDEN
+
+
+def test_online_outputs_match_golden_digests(build, tmp_path):
+    config = build / "config.json"
+    data = str(build / "drivers" / "driver_03.csv")
+    for cadence in ("1.0", "0.1"):
+        assert main(["update", "--model", str(build / "model.json"), "--data", data,
+                     "--segment", "515", "630", "--config", str(config),
+                     "--cadence", cadence, "--out", str(tmp_path / f"update_{cadence}.json"),
+                     "--log", str(tmp_path / f"ticks_{cadence}.csv")]) == 0
+    assert main(["eval", "--model", str(build / "model.json"), "--data", data,
+                 "--config", str(config), "--online",
+                 "--out", str(tmp_path / "eval_online.csv")]) == 0
+    assert _digests(tmp_path, ONLINE_GOLDEN) == ONLINE_GOLDEN

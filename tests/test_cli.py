@@ -520,6 +520,38 @@ def test_boolean_non_finite_or_fractional_config_value_exit_3(tmp_path, toy_buil
     assert not out.exists()
 
 
+def advisory_with(powertrain=None, **entries):
+    sec = dict(TOY_CONFIG["advisory"], **entries)
+    if powertrain is not None:
+        sec["powertrain"] = powertrain
+    return {"advisory": sec}
+
+
+@pytest.mark.parametrize("sections, message", [
+    (advisory_with(powertrain={"mass": math.nan}), "mass must be finite"),
+    (advisory_with(powertrain={"a2": math.inf}), "a2 must be finite"),
+    (advisory_with(powertrain={"engine_power_max_w": math.inf}),
+     "engine_power_max_w must be finite"),
+    (advisory_with(a_max=math.inf), "a_max must be finite"),
+    (advisory_with(a_min=-math.inf), "a_min must be finite"),
+    (advisory_with(speed_floor=math.inf), "speed_floor must be finite"),
+    (advisory_with(m_dot_norm=math.inf), "m_dot_norm must be positive and finite"),
+    (advisory_with(m_dot_norm=math.nan), "m_dot_norm must be positive and finite"),
+], ids=["powertrain.mass-nan", "powertrain.a2-inf", "powertrain.engine_power_max_w-inf",
+        "a_max-inf", "a_min-inf", "speed_floor-inf", "m_dot_norm-inf", "m_dot_norm-nan"])
+def test_non_finite_advisory_value_exit_3(tmp_path, toy_build, sections, message, capsys):
+    # a NaN mass wrote a NaN total cost, an infinite a2 made the route
+    # infeasible, and an infinite a_max or m_dot_norm dropped a bound or the fuel term
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, **sections)
+    assert "NaN" in cfg.read_text() or "Infinity" in cfg.read_text()
+    assert main(command_for("advisory", toy_build, cfg, out)) == 3
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value", [("seed", 12345), ("windows", [{"t_start": 1.0}])],
                          ids=["seed", "windows"])
 def test_per_driver_key_in_driver_section_exit_3(tmp_path, toy_build, key, value, capsys):

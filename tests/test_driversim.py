@@ -19,11 +19,6 @@ def test_vehicle_validation():
         VehicleParams(mass=2200, a0=160, a1=2.5, a2=0.45, f_min=100, f_max=6500)
 
 
-def test_road_load_quadratic():
-    assert VEH.road_load(0.0) == 160.0
-    assert VEH.road_load(10.0) == 160.0 + 25.0 + 45.0
-
-
 def test_same_seed_reproduces_bitwise():
     drv = DriverParams(seed=3)
     adv = np.full(2000, 12.0)
@@ -155,7 +150,7 @@ def test_output_contains_advisory_column():
 
 def _reference_loop(vehicle, driver, v_ref, dt, v0=None):
     """The sample loop as first written: numpy element indexing, builtin
-    min/max clamps and VehicleParams.road_load. Returns (v, f_tr)."""
+    min/max clamps and the quadratic road load a0 + a1 v + a2 v^2. Returns (v, f_tr)."""
     n = len(v_ref)
     t = np.arange(n) * dt
     compliance = np.full(n, driver.compliance)
@@ -197,7 +192,8 @@ def _reference_loop(vehicle, driver, v_ref, dt, v0=None):
         f_arr[k] = f_applied
         f_prev = f_applied
         if k < n - 1:
-            dv = (f_applied - vehicle.road_load(v)) * inv_mass
+            road = vehicle.a0 + vehicle.a1 * v + vehicle.a2 * v * v
+            dv = (f_applied - road) * inv_mass
             v = max(v + dt * dv, 0.0)
             v_hold += alpha * (v - v_hold)
     return v_arr, f_arr

@@ -249,7 +249,7 @@ def test_fit_trajectories_end_to_end():
     fs = np.empty(n)
     for k in range(n):
         vs[k], fs[k] = x
-        x = basis.project(A @ basis.lift(x) + B[:, 0] * u[k])
+        x = (A @ basis.lift(x) + B[:, 0] * u[k])[:2]
     traj = Trajectory(sample_period=0.025, t=np.arange(n) * 0.025,
                       v=vs, f_tr=fs, v_ref=u)
     model, report = fit_trajectories([traj], FitConfig(scaling="none"))

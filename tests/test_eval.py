@@ -7,13 +7,13 @@ from koopdrive.evaluate import (
     MPS_TO_MPH,
     BenchReport,
     HorizonReport,
-    OnlineSettings,
     bench_update,
     evaluate_horizons,
     format_reports,
     reports_to_csv,
 )
 from koopdrive.model import KoopmanModel, Trajectory
+from koopdrive.rls import OnlineSettings
 
 
 def test_unit_conversions():

@@ -1,5 +1,7 @@
 """Every name a koopdrive module imports is used or re-exported, every name
-it exports exists, and only model.py writes files itself."""
+it exports exists, only model.py writes files itself, and every function,
+class and method the package defines is referenced from the package or the
+benchmark."""
 
 import ast
 import importlib
@@ -9,8 +11,9 @@ import pytest
 
 import koopdrive
 
-MODULES = sorted(p for p in pathlib.Path(koopdrive.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = pathlib.Path(koopdrive.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -75,3 +78,36 @@ def test_detects_file_writes():
                          ids=lambda p: p.name)
 def test_only_model_writes_files(path):
     assert file_writes(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_definitions(defining: list[str], referring: list[str]) -> list[str]:
+    """Functions, classes and methods defined in the defining sources whose
+    name no Name or attribute in the referring sources reads. Dunder methods
+    are called by Python itself and are left out."""
+    defined = {}
+    for source in defining:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, node.lineno)
+    used = set()
+    for source in referring:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(f"{name} (line {line})" for name, line in defined.items()
+                  if name not in used and not (name.startswith("__") and name.endswith("__")))
+
+
+def test_detects_unreferenced_definitions():
+    source = ("class A:\n    def __len__(self): return 0\n    def used(self): pass\n"
+              "    def dead(self): pass\ndef helper(): pass\n")
+    assert unreferenced_definitions([source], [source, "A().used()\nf = helper\n"]) == \
+        ["dead (line 4)"]
+
+
+def test_every_definition_is_referenced():
+    package = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    bench = [p.read_text(encoding="utf-8") for p in sorted(BENCH.glob("*.py"))]
+    assert unreferenced_definitions(package, package + bench) == []

@@ -223,7 +223,7 @@ def test_lifted_rollout_matches_step_loop():
     expect = [x0]
     for k in range(len(u)):
         z = A @ z + B[:, 0] * u[k]
-        expect.append(basis.project(z))
+        expect.append(basis.project_many(z[None])[0])
     expect = np.array(expect)
     pred = m.rollout(x0, u)
     np.testing.assert_array_equal(pred.v, expect[:, 0])

@@ -24,6 +24,11 @@ def zero_model(basis=None):
                         sample_period=0.025)
 
 
+def lift_pair(basis, x_k, u_k, x_next):
+    """The kernel's regressor [psi(x_k); u_k] and psi(x_next), one state at a time."""
+    return np.concatenate([basis.lift(x_k), u_k]), basis.lift(x_next)
+
+
 def test_init_covariance_scale():
     state = init_rls(zero_model(), 0.9)
     np.testing.assert_allclose(np.diag(state.P), 1 / 0.9, rtol=1e-12)
@@ -44,8 +49,8 @@ def test_gain_hand_value():
     m = KoopmanModel(basis=basis, A=np.zeros((2, 2)), B=np.zeros((2, 1)),
                      sample_period=0.025)
     state = init_rls(m, 0.9)
-    x = np.array([1.0, 0.0])
-    rls_update(state, basis, x, np.array([0.0]), np.array([0.0, 0.0]))
+    # z = [psi(1, 0); u = 0] and psi(x_next) = psi(0, 0)
+    rls_update(state, np.array([1.0, 0.0, 0.0]), np.zeros(2))
     expect = (1 / 0.9) / (0.9 + 1 / 0.9)
     assert abs(expect - 0.5525) < 1e-4
     # theta stays zero (error is zero), but P contracts along e_0
@@ -64,7 +69,7 @@ def test_zero_error_leaves_theta_unchanged():
     for _ in range(20):
         x = rng.normal(size=2)
         u = rng.normal(size=1)
-        err = rls_update(state, basis, x, u, x)
+        err = rls_update(state, *lift_pair(basis, x, u, x))
         assert err == 0.0
     np.testing.assert_array_equal(state.theta, theta_before)
 
@@ -79,7 +84,7 @@ def test_symmetry_over_many_updates():
             x = rng.normal(size=2)
             u = rng.normal(size=1)
             x_next = rng.normal(size=2)
-            rls_update(state, basis, x, u, x_next)
+            rls_update(state, *lift_pair(basis, x, u, x_next))
         asym = np.max(np.abs(state.P - state.P.T))
         assert asym < 1e-9
         eigs = np.linalg.eigvalsh(state.P)
@@ -100,9 +105,9 @@ def test_batch_equivalence():
     batch = fit(data, FitConfig(ridge=1e-6))
 
     m0 = zero_model(basis)
-    state = init_rls(m0, 1.0, p0_scale=1e6)
+    state = RlsState(theta=m0.stacked(), P=1e6 * np.eye(10), lam=1.0)
     for k in range(T):
-        rls_update(state, basis, pts[k], U[:, k], nxt[k])
+        rls_update(state, *lift_pair(basis, pts[k], U[:, k], nxt[k]))
     rel = np.linalg.norm(state.theta - batch.stacked()) / np.linalg.norm(batch.stacked())
     assert rel < 1e-6
 
@@ -111,11 +116,11 @@ def test_update_rejects_nonfinite():
     basis = LiftedBasis()
     state = init_rls(zero_model(basis), 0.9)
     theta_before = state.theta.copy()
-    with pytest.raises(ValueError):
-        rls_update(state, basis, np.array([np.nan, 0.0]), np.array([1.0]),
-                   np.array([0.0, 0.0]))
+    with pytest.raises(ValueError, match="buffered pair 0: .* must be finite"):
+        update_tick(state, basis, np.array([[np.nan, 0.0, 1.0], [0.0, 0.0, 1.0]]))
     # failed updates must not half-apply
     np.testing.assert_array_equal(state.theta, theta_before)
+    assert state.update_count == 0
 
 
 def test_update_rejects_indefinite_covariance():
@@ -125,8 +130,8 @@ def test_update_rejects_indefinite_covariance():
     state.P = -np.eye(state.n_features)
     theta_before = state.theta.copy()
     with pytest.raises(RlsUpdateRejectedError, match="gain denominator"):
-        rls_update(state, basis, np.array([10.0, 100.0]), np.array([12.0]),
-                   np.array([10.0, 100.0]))
+        rls_update(state, *lift_pair(basis, np.array([10.0, 100.0]), np.array([12.0]),
+                                     np.array([10.0, 100.0])))
     np.testing.assert_array_equal(state.theta, theta_before)
     np.testing.assert_array_equal(state.P, -np.eye(state.n_features))
     assert state.update_count == 0
@@ -163,7 +168,7 @@ def test_kernel_matches_parent_operators():
     state = init_rls(model, 0.99737)
     theta, P = state.theta.copy(), state.P.copy()
     for i in range(len(Z)):
-        err = rls_update(state, basis, None, None, None, lifted=(Z[i], psi[i + 1]))
+        err = rls_update(state, Z[i], psi[i + 1])
         P, ref_err = parent_kernel(theta, P, 0.99737, Z[i], psi[i + 1])
         assert err == ref_err, i
     np.testing.assert_array_equal(state.theta, theta)
@@ -178,7 +183,7 @@ def test_kernel_rejects_nan_prediction_error():
     psi_next = psi[1].copy()
     psi_next[3] = np.nan
     with pytest.raises(RlsUpdateRejectedError, match="non-finite prediction error"):
-        rls_update(state, basis, None, None, None, lifted=(Z[0], psi_next))
+        rls_update(state, Z[0], psi_next)
     np.testing.assert_array_equal(state.theta, theta)
     np.testing.assert_array_equal(state.P, P)
     assert state.update_count == 0
@@ -190,7 +195,7 @@ def test_kernel_accepts_finite_error_whose_square_overflows():
     theta, P = state.theta.copy(), state.P.copy()
     psi_next = np.full(9, 1e200)
     with np.errstate(over="ignore"):
-        err = rls_update(state, basis, None, None, None, lifted=(Z[0], psi_next))
+        err = rls_update(state, Z[0], psi_next)
         P, ref_err = parent_kernel(theta, P, 0.99737, Z[0], psi_next)
     assert err == ref_err == math.inf
     np.testing.assert_array_equal(state.theta, theta)
@@ -203,8 +208,8 @@ def test_update_count_increments():
     state = init_rls(zero_model(basis), 0.95)
     rng = np.random.default_rng(1)
     for i in range(5):
-        rls_update(state, basis, rng.normal(size=2), rng.normal(size=1),
-                   rng.normal(size=2))
+        rls_update(state, *lift_pair(basis, rng.normal(size=2), rng.normal(size=1),
+                                     rng.normal(size=2)))
     assert state.update_count == 5
 
 
@@ -267,20 +272,23 @@ def random_rows(n, v_scale=1.0, f_scale=1.0, seed=3):
     (StateScaler(scale=(16.0, 512.0), offset=(0.0, 0.0)), 0.99737, 10.0, 500.0),
 ])
 def test_update_tick_matches_per_pair_updates(scaler, lam, v_scale, f_scale):
-    # reference: the validating per-pair path, one rls_update call per pair
+    # reference: each pair lifted one state at a time and fed to parent_kernel
     basis = LiftedBasis(scaler=scaler)
     model = KoopmanModel.from_stacked(
         basis, np.random.default_rng(8).normal(0, 0.1, size=(9, 10)), 0.025)
     rows = random_rows(400, v_scale, f_scale)
     tick = init_rls(model, lam)
     errs = update_tick(tick, basis, rows)
-    ref = init_rls(model, lam)
-    ref_errs = [rls_update(ref, basis, rows[i, :2], rows[i, 2:3], rows[i + 1, :2])
-                for i in range(len(rows) - 1)]
+    theta, P = model.stacked().copy(), np.eye(10) / lam
+    ref_errs = []
+    for i in range(len(rows) - 1):
+        P, err = parent_kernel(theta, P, lam, *lift_pair(basis, rows[i, :2], rows[i, 2:3],
+                                                          rows[i + 1, :2]))
+        ref_errs.append(err)
     np.testing.assert_array_equal(errs, ref_errs)
-    np.testing.assert_array_equal(tick.theta, ref.theta)
-    np.testing.assert_array_equal(tick.P, ref.P)
-    assert tick.update_count == ref.update_count == 399
+    np.testing.assert_array_equal(tick.theta, theta)
+    np.testing.assert_array_equal(tick.P, P)
+    assert tick.update_count == 399
 
 
 @pytest.mark.parametrize("row, col, pair", [(5, 0, 4), (5, 2, 5)])
@@ -334,6 +342,49 @@ def test_stream_ticks_covers_each_pair_once():
     assert [end for end, _ in ticks] == [4, 8, 10]
     assert [len(errs) for _, errs in ticks] == [4, 4, 2]
     assert state.update_count == 10
+
+
+@pytest.mark.parametrize("start, stop", [(0, 11), (-1, 5), (6, 5)])
+def test_stream_ticks_rejects_bad_range(start, stop):
+    basis = LiftedBasis()
+    state = init_rls(zero_model(basis), 1.0)
+    with pytest.raises(ValueError, match="bad sample range"):
+        next(stream_ticks(state, basis, make_traj(11), start, stop, 4))
+    assert state.update_count == 0
+
+
+def test_stream_ticks_empty_range_is_noop():
+    basis = LiftedBasis()
+    state = init_rls(zero_model(basis), 1.0)
+    assert list(stream_ticks(state, basis, make_traj(11), 10, 10, 4)) == []
+    assert state.update_count == 0
+
+
+@pytest.mark.parametrize("tick_steps", [7, 40])
+def test_stream_ticks_matches_per_tick_trajectory_buffers(tick_steps):
+    # the stream's ticks against update_tick over per-tick copies of the
+    # trajectory; neither 7 nor 40 divides the 250 pairs, so the last tick is short
+    basis = LiftedBasis(scaler=StateScaler(scale=(16.0, 512.0), offset=(0.0, 0.0)))
+    model = KoopmanModel.from_stacked(
+        basis, np.random.default_rng(4).normal(0, 0.1, size=(9, 10)), 0.025)
+    traj = make_traj(400, seed=6)
+    start, stop = 37, 287
+    stream = init_rls(model, 0.99737)
+    ticks = list(stream_ticks(stream, basis, traj, start, stop, tick_steps))
+    ref = init_rls(model, 0.99737)
+    ends, ref_errs, pos = [], [], start
+    while pos < stop:
+        end = min(pos + tick_steps, stop)
+        ref_errs.append(update_tick(ref, basis, traj.slice_samples(pos, end + 1)))
+        ends.append(end)
+        pos = end
+    assert [end for end, _ in ticks] == ends
+    assert len(ref_errs[-1]) < tick_steps
+    for (_, errs), want in zip(ticks, ref_errs):
+        np.testing.assert_array_equal(errs, want)
+    np.testing.assert_array_equal(stream.theta, ref.theta)
+    np.testing.assert_array_equal(stream.P, ref.P)
+    assert stream.update_count == ref.update_count == stop - start
 
 
 def test_snapshot_roundtrip():
