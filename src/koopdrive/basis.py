@@ -19,6 +19,13 @@ degree block in turn; inside a degree block, monomials that mix both
 variables precede pure powers, and otherwise exponent pairs are sorted
 lexicographically descending. The monomials follow from ``max_degree`` by
 this rule, so a basis is rebuilt exactly from its degree and scaler.
+
+``lift_many`` raises both channels to the powers 0..max_degree in one call
+and multiplies the two gathered columns of each monomial: the same ``pow``
+calls and the same single multiply as a product over v**a and f**b, so the
+bits are that product's. The scaler skips subtracting offsets that are all
++0.0, since x - (+0.0) is x bit for bit. A power-of-two scale exists only
+for peaks below 2**1023.5; a larger training peak raises ValueError.
 """
 
 from __future__ import annotations
@@ -68,13 +75,20 @@ class StateScaler:
                 raise ValueError(f"offset entries must be finite, got {self.offset}")
         object.__setattr__(self, "_scale", np.array(self.scale, dtype=float))
         object.__setattr__(self, "_offset", np.array(self.offset, dtype=float))
+        # x - (+0.0) is x bit for bit, -0.0 included, so apply skips a
+        # subtraction of +0.0 offsets; x * s + 0.0 turns -0.0 into +0.0, so
+        # invert always adds
+        object.__setattr__(self, "_shifts", not all(o == 0.0 and math.copysign(1.0, o) > 0
+                                                    for o in self.offset))
 
     @classmethod
-    def pow2_from_data(cls, states: np.ndarray) -> "StateScaler":
+    def pow2_from_data(cls, states: np.ndarray, names=None) -> "StateScaler":
         """Build a scaler from samples, rounding magnitudes to powers of two.
 
         ``states`` has one row per sample. Channels that are identically zero
-        get unit scale.
+        get unit scale. A channel whose peak magnitude rounds to 2**1024 or
+        more has no float power-of-two scale and raises ValueError, naming
+        the channel by its entry of ``names`` if given, else by its index.
         """
         arr = np.asarray(states, dtype=float)
         if arr.ndim != 2 or arr.shape[0] == 0:
@@ -84,12 +98,20 @@ class StateScaler:
             m = float(np.max(np.abs(arr[:, j])))
             if m == 0.0 or not math.isfinite(m):
                 scales.append(1.0)
-            else:
-                scales.append(2.0 ** round(math.log2(m)))
+                continue
+            exponent = round(math.log2(m))
+            if exponent > 1023:
+                channel = names[j] if names is not None else f"channel {j}"
+                raise ValueError(f"peak |{channel}| = {m!r} rounds to 2**{exponent}, beyond "
+                                 f"the largest finite power-of-two scale 2**1023")
+            scales.append(2.0 ** exponent)
         return cls(scale=tuple(scales), offset=tuple(0.0 for _ in scales))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return (np.asarray(x, dtype=float) - self._offset) / self._scale
+        x = np.asarray(x, dtype=float)
+        if self._shifts:
+            x = x - self._offset
+        return x / self._scale
 
     def invert(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float) * self._scale + self._offset
@@ -131,9 +153,11 @@ class LiftedBasis:
             raise ValueError("scaler must have two channels, one per state")
         monomials = _enumerate_exponents(self.max_degree)
         object.__setattr__(self, "monomials", monomials)
+        # columns of the (k, 2 (d + 1)) power array: v**0..v**d, then f**0..f**d
         object.__setattr__(self, "_powers", np.arange(self.max_degree + 1, dtype=float))
-        object.__setattr__(self, "_v_exp", np.array([a for a, _ in monomials]))
-        object.__setattr__(self, "_f_exp", np.array([b for _, b in monomials]))
+        object.__setattr__(self, "_v_cols", np.array([a for a, _ in monomials]))
+        object.__setattr__(self, "_f_cols",
+                           np.array([self.max_degree + 1 + b for _, b in monomials]))
 
     @property
     def lifted_dim(self) -> int:
@@ -148,15 +172,15 @@ class LiftedBasis:
         arr = np.asarray(states, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError(f"expected (k, 2) state array, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("states must be finite")
         if self.scaler is not None:
             arr = self.scaler.apply(arr)
-        # each power of v and f once, then one product per monomial: the same
-        # pow calls and the same single multiply as a product over v**a, f**b
-        V = arr[:, :1] ** self._powers
-        F = arr[:, 1:] ** self._powers
-        return V.take(self._v_exp, axis=1) * F.take(self._f_exp, axis=1)
+        # each power of v and f once, in one call, then one product per
+        # monomial: the same pow calls and the same single multiply as a
+        # product over v**a, f**b
+        powers = (arr[:, :, None] ** self._powers).reshape(len(arr), -1)
+        return powers.take(self._v_cols, axis=1) * powers.take(self._f_cols, axis=1)
 
     def project_many(self, Z: np.ndarray) -> np.ndarray:
         arr = np.asarray(Z, dtype=float)

@@ -290,7 +290,7 @@ def fit_trajectories(trajectories, config: FitConfig) -> tuple[KoopmanModel, Fit
         peak = np.zeros(2)
         for traj in train:
             peak = np.maximum(peak, (np.max(np.abs(traj.v)), np.max(np.abs(traj.f_tr))))
-        scaler = StateScaler.pow2_from_data(peak[None, :])
+        scaler = StateScaler.pow2_from_data(peak[None, :], names=("v", "f_tr"))
     else:
         scaler = None
     basis = LiftedBasis(max_degree=config.max_degree, scaler=scaler)

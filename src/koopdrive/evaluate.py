@@ -66,10 +66,15 @@ class HorizonReport:
 
 
 def _horizon_steps(horizon: float, dt: float) -> int:
-    """Samples in a horizon; a horizon that is not finite raises ValueError."""
+    """Samples in a horizon; a horizon that is not finite, or whose length in
+    samples overflows, raises ValueError."""
     if not math.isfinite(horizon):
         raise ValueError(f"horizon must be finite, got {horizon}")
-    return int(round(float(horizon) / dt))
+    steps = float(horizon) / dt
+    if not math.isfinite(steps):
+        raise ValueError(f"horizon {horizon} s over sample period {dt} s must be a finite "
+                         f"number of samples")
+    return int(round(steps))
 
 
 def _window_errors(model: KoopmanModel, traj: Trajectory, k0: int,

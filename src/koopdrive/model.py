@@ -9,10 +9,13 @@ is not stored.
 
 A rollout lifts the initial state once and steps through row views of one
 preallocated array with ndarray.dot, which makes the same BLAS call as @
-without the ufunc dispatch.
+without the ufunc dispatch. Its forecast Trajectory is not validated again:
+the inputs, the initial state and every state are checked finite on the way
+and the time column is an arange of the sample period.
 Trajectory.slice_samples copies a slice of an already validated trajectory
-and does not validate it again; KoopmanModel.from_stacked checks the stacked
-block [A B] once and does not check the copies of A and B again.
+and does not validate it again either; both build their result through
+_trusted_trajectory. KoopmanModel.from_stacked checks the stacked block
+[A B] once and does not check the copies of A and B again.
 
 Model files are JSON documents carrying the basis metadata, the matrices at
 full decimal precision, and free-form provenance left by the fitting code.
@@ -117,13 +120,9 @@ class Trajectory:
             raise ValueError(f"bad sample slice [{start}, {stop}) for length {len(self)}")
         if stop - start < 2:
             raise ValueError(f"a trajectory needs at least 2 samples, got {stop - start}")
-        out = object.__new__(Trajectory)
-        out.sample_period = self.sample_period
-        out.t = self.t[start:stop].copy()
-        out.v = self.v[start:stop].copy()
-        out.f_tr = self.f_tr[start:stop].copy()
-        out.v_ref = self.v_ref[start:stop].copy()
-        return out
+        return _trusted_trajectory(self.sample_period, self.t[start:stop].copy(),
+                                   self.v[start:stop].copy(), self.f_tr[start:stop].copy(),
+                                   self.v_ref[start:stop].copy())
 
     def segment_indices(self, t_start: float, t_end: float) -> tuple[int, int]:
         """First and last index of the samples with t in [t_start, t_end].
@@ -177,6 +176,19 @@ class Trajectory:
         t, v, f_tr, v_ref = (data[:, j].copy() for j in range(4))
         period = float(np.median(np.diff(t)))
         return cls(sample_period=period, t=t, v=v, f_tr=f_tr, v_ref=v_ref)
+
+
+def _trusted_trajectory(sample_period: float, t: np.ndarray, v: np.ndarray, f_tr: np.ndarray,
+                        v_ref: np.ndarray) -> Trajectory:
+    """A Trajectory of columns the caller has already checked, built without
+    running the constructor's checks again."""
+    out = object.__new__(Trajectory)
+    out.sample_period = sample_period
+    out.t = t
+    out.v = v
+    out.f_tr = f_tr
+    out.v_ref = v_ref
+    return out
 
 
 def _read_csv_table(path: str, header: str, columns: int, kind: str) -> np.ndarray:
@@ -304,7 +316,7 @@ class KoopmanModel:
         u = np.asarray(inputs, dtype=float)
         if u.ndim != 1 or len(u) == 0:
             raise ValueError("inputs must be a nonempty 1-D array of advisory speeds")
-        if not np.all(np.isfinite(u)):
+        if not np.isfinite(u).all():
             raise ValueError("inputs must be finite")
 
         x0 = _state_array(x0)
@@ -329,14 +341,11 @@ class KoopmanModel:
                 raise RolloutDivergenceError(step=int(np.argmax(diverged)) + 1)
             states[1:] = self.basis.project_many(Z[1:])
 
-        v_ref_col = np.append(u, u[-1])  # advisory held through the final sample
-        return Trajectory(
-            sample_period=self.sample_period,
-            t=np.arange(L + 1) * self.sample_period,
-            v=states[:, 0],
-            f_tr=states[:, 1],
-            v_ref=v_ref_col,
-        )
+        # u, x0 and every state are finite and t is uniform by construction,
+        # so the constructor's checks would find nothing
+        return _trusted_trajectory(self.sample_period, np.arange(L + 1) * self.sample_period,
+                                   states[:, 0], states[:, 1],
+                                   np.append(u, u[-1]))  # advisory held through the end
 
     def save(self, path: str) -> None:
         _write_json(path, {

@@ -18,15 +18,21 @@ forgetting factor itself.
 
 rls_update(state, z, psi_next) is the kernel: one lifted pair, no input
 validation. update_tick is the validating entry: it checks that the state
-has lifted_dim + 1 columns, checks its buffer's rows for finiteness, lifts
-the finite prefix once and calls the kernel once per pair. stream_ticks
-stacks a segment's (v, f_tr, v_ref) rows once and hands each tick a view.
+has lifted_dim + 1 columns, checks its buffer's rows for finiteness in one
+pass (the per-pair mask that names the first malformed pair is built only
+when that pass fails), lifts the finite prefix once, writes the regressor
+rows [psi | u] into one preallocated array and calls the kernel once per
+pair. stream_ticks stacks a segment's (v, f_tr, v_ref) rows once and hands
+each tick a view.
 
 The kernel works on 10-wide arrays, where numpy's per-call overhead costs
 more than the arithmetic. It multiplies with ndarray.dot, which makes the
 same BLAS call as @ without the ufunc dispatch, forms the outer products by
-broadcasting (the products np.outer computes) and takes the error norm as
-sqrt(eps . eps), which is how np.linalg.norm computes it.
+broadcasting (the products np.outer computes), divides and re-symmetrizes
+the fresh covariance in place, and takes the error norm as sqrt(eps . eps),
+which is how np.linalg.norm computes it. An outer product as a one-term
+matrix product (np.dot of a column and a row) would be faster, but BLAS
+can turn a -0.0 product into +0.0 there, so the kernel keeps broadcasting.
 """
 
 from __future__ import annotations
@@ -69,8 +75,16 @@ class OnlineSettings:
             raise ValueError(f"cadence must be positive and finite, got {self.cadence_s}")
 
     def tick_steps(self, sample_period: float) -> int:
-        """Transition pairs per tick at this cadence, at least one."""
-        return max(int(round(self.cadence_s / sample_period)), 1)
+        """Transition pairs per tick at this cadence, at least one.
+
+        A cadence so long that its length in samples overflows raises
+        ValueError.
+        """
+        steps = self.cadence_s / sample_period
+        if not math.isfinite(steps):
+            raise ValueError(f"cadence {self.cadence_s} s over sample period {sample_period} s "
+                             f"must be a finite number of samples")
+        return max(int(round(steps)), 1)
 
 
 @dataclass
@@ -129,8 +143,11 @@ def rls_update(state: RlsState, z: np.ndarray, psi_next: np.ndarray) -> float:
     K = Pz / denom
     state.theta += eps[:, None] * K  # the outer product eps K'
     # z' P equals (P z)' while P stays symmetric, which re-symmetrizing enforces
-    P_new = (state.P - K[:, None] * Pz) / state.lam
-    state.P = 0.5 * (P_new + P_new.T)
+    P_new = state.P - K[:, None] * Pz
+    P_new /= state.lam
+    P_sym = P_new + P_new.T
+    P_sym *= 0.5
+    state.P = P_sym
     state.update_count += 1
     return math.sqrt(sq)
 
@@ -139,7 +156,11 @@ def _buffer_rows(buffer) -> np.ndarray:
     # the Trajectory branch serves bench/run.py's replay, which still hands
     # update_tick per-tick trajectory slices; the package passes row arrays
     if isinstance(buffer, Trajectory):
-        return np.column_stack([buffer.v, buffer.f_tr, buffer.v_ref])
+        rows = np.empty((len(buffer), 3))
+        rows[:, 0] = buffer.v
+        rows[:, 1] = buffer.f_tr
+        rows[:, 2] = buffer.v_ref
+        return rows
     arr = np.asarray(buffer, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError(f"buffer must be a Trajectory or a (k, 3) array, got {arr.shape}")
@@ -168,14 +189,19 @@ def update_tick(state: RlsState, basis: LiftedBasis, buffer) -> np.ndarray:
     if len(rows) < 2:
         return np.empty(0)
     n_pairs = len(rows) - 1
-    # pair i reads the states of rows i and i + 1 and the input of row i
     finite = np.isfinite(rows)
-    ok = finite[:-1, :2].all(axis=1) & finite[1:, :2].all(axis=1) & finite[:-1, 2]
-    good = n_pairs if ok.all() else int(np.argmin(ok))
+    good = n_pairs
+    if not finite.all():
+        # pair i reads the states of rows i and i + 1 and the input of row i,
+        # so a non-finite input in the last row breaks no pair
+        ok = finite[:-1, :2].all(axis=1) & finite[1:, :2].all(axis=1) & finite[:-1, 2]
+        good = n_pairs if ok.all() else int(np.argmin(ok))
     errs = np.empty(n_pairs)
     if good:
         psi = basis.lift_many(rows[: good + 1, :2])
-        Z = np.column_stack([psi[:-1], rows[:good, 2]])
+        Z = np.empty((good, psi.shape[1] + 1))  # regressor rows [psi(x_k) | u_k]
+        Z[:, :-1] = psi[:-1]
+        Z[:, -1] = rows[:good, 2]
         try:
             for i in range(good):
                 errs[i] = rls_update(state, Z[i], psi[i + 1])

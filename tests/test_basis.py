@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -69,6 +71,28 @@ def test_pow2_scaler_bit_exact_roundtrip():
     # power-of-two scaling keeps project(lift(x)) == x bitwise
     Z = basis.lift_many(data)
     np.testing.assert_array_equal(basis.project_many(Z), data)
+
+
+def test_pow2_scaler_rejects_peaks_beyond_the_largest_power():
+    # every in-range peak keeps the scale 2**round(log2(peak))
+    for peak in (1e-300, 0.3, 17.0, 5100.0, 2.0 ** 1023, 2.0 ** 1023.49):
+        scaler = StateScaler.pow2_from_data(np.array([[1.0, -peak]]))
+        assert scaler.scale == (1.0, 2.0 ** round(math.log2(peak)))
+    # a peak at or above 2**1023.5 rounds to 2**1024, which overflows a float
+    with pytest.raises(ValueError, match="channel 1"):
+        StateScaler.pow2_from_data(np.array([[1.0, 1.5e308]]))
+    with pytest.raises(ValueError, match=r"\|f_tr\| = 1.5e\+308"):
+        StateScaler.pow2_from_data(np.array([[1.0, -1.5e308]]), names=("v", "f_tr"))
+
+
+@pytest.mark.parametrize("offset", [(0.0, 0.0), (-0.0, 0.0), (1.5, -2.0)])
+def test_scaler_apply_is_the_affine_map_bit_for_bit(offset):
+    # apply skips subtracting +0.0 offsets, which must change no bit (-0.0 included)
+    scaler = StateScaler(scale=(16.0, 3.0), offset=offset)
+    x = np.array([[-0.0, 0.0], [0.0, -0.0], [1.5, -2.0], [-5e-324, 7.25]])
+    expect = (x - np.array(offset)) / np.array([16.0, 3.0])
+    assert scaler.apply(x).tobytes() == expect.tobytes()
+    assert scaler.invert(x).tobytes() == (x * np.array([16.0, 3.0]) + offset).tobytes()
 
 
 def test_scaler_dict_roundtrip():

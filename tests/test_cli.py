@@ -167,6 +167,20 @@ def test_fit_rejects_malformed_csv(tmp_path, config_file):
     assert rc == 3
 
 
+def test_fit_state_peak_without_pow2_scale_exit_3(tmp_path, config_file, capsys):
+    # a training force peak of 1.5e308 rounds to 2**1024, which no float holds
+    t = np.arange(400) * 0.025
+    data = tmp_path / "driver_01.csv"
+    Trajectory(sample_period=0.025, t=t, v=np.full(400, 10.0), f_tr=np.full(400, 1.5e308),
+               v_ref=np.full(400, 12.0)).write_csv(data)
+    out = tmp_path / "m.json"
+    assert main(["fit", "--data", str(data), "--config", str(config_file),
+                 "--model-out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "f_tr" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_update_without_config_uses_online_settings_lambda(tmp_path, toy_route, config_file):
     out = run_pipeline(tmp_path, toy_route, config_file, "f")
     upd = out / "model_upd.json"
@@ -461,13 +475,23 @@ def test_wrong_typed_config_value_exit_3(tmp_path, toy_build, stage, sections, m
     ("update", ["--cadence", "inf"], {}),
     ("update", [], {"rls": dict(TOY_CONFIG["rls"], cadence_s=math.inf)}),
     ("eval", ["--online", "--cadence", "inf"], {}),
+    ("eval", ["--horizons", "1e307"], {}),
+    ("eval", [], {"eval": dict(TOY_CONFIG["eval"], horizons_s=[10.0, 1e307])}),
+    ("bench", ["--horizons", "1e307"], {}),
+    ("update", ["--cadence", "1e307"], {}),
+    ("update", [], {"rls": dict(TOY_CONFIG["rls"], cadence_s=1e307)}),
+    ("eval", ["--online", "--cadence", "1e307"], {}),
+    ("bench", ["--cadence", "1e307"], {}),
 ], ids=["eval_flag", "eval.horizons_s", "bench_flag", "update_flag", "rls.cadence_s",
-        "eval_online_flag"])
+        "eval_online_flag", "eval_flag-overflow", "eval.horizons_s-overflow",
+        "bench_flag-overflow", "update_flag-overflow", "rls.cadence_s-overflow",
+        "eval_online_flag-overflow", "bench_cadence_flag-overflow"])
 def test_non_finite_horizon_or_cadence_exit_3(tmp_path, toy_build, stage, flags, sections,
                                               capsys):
     cfg = write_config(tmp_path, **sections)
-    if sections:
-        assert "Infinity" in cfg.read_text()
+    text = cfg.read_text()
+    if sections and "1e+307" not in text:  # the overflow cases write a finite value
+        assert "Infinity" in text
     out = tmp_path / "out"
     assert main(command_for(stage, toy_build, cfg, out) + flags) == 3
     err = capsys.readouterr().err

@@ -228,6 +228,14 @@ def test_lifted_rollout_matches_step_loop():
     pred = m.rollout(x0, u)
     np.testing.assert_array_equal(pred.v, expect[:, 0])
     np.testing.assert_array_equal(pred.f_tr, expect[:, 1])
+    # rollout skips the constructor's checks; the checked constructor accepts
+    # the same columns and keeps every array as it is
+    checked = Trajectory(sample_period=pred.sample_period, t=pred.t, v=pred.v, f_tr=pred.f_tr,
+                         v_ref=pred.v_ref)
+    for name in ("t", "v", "f_tr", "v_ref"):
+        np.testing.assert_array_equal(getattr(checked, name), getattr(pred, name))
+    np.testing.assert_array_equal(pred.t, np.arange(len(u) + 1) * 0.025)
+    np.testing.assert_array_equal(pred.v_ref, np.append(u, u[-1]))
 
 
 def test_rollout_requires_inputs():

@@ -291,16 +291,32 @@ def test_update_tick_matches_per_pair_updates(scaler, lam, v_scale, f_scale):
     assert tick.update_count == 399
 
 
-@pytest.mark.parametrize("row, col, pair", [(5, 0, 4), (5, 2, 5)])
-def test_update_tick_names_first_bad_pair(row, col, pair):
-    # a bad state in row r breaks pair r - 1 (its x_next); a bad input breaks pair r
+@pytest.mark.parametrize("cells, value, pair", [
+    pytest.param([(5, 0)], np.nan, 4, id="5-0-4"),
+    pytest.param([(5, 2)], np.nan, 5, id="5-2-5"),
+    pytest.param([(0, 1)], np.nan, 0, id="state-in-row-0"),
+    pytest.param([(0, 2)], np.inf, 0, id="input-in-row-0"),
+    pytest.param([(11, 1)], -np.inf, 10, id="state-in-last-row"),
+    pytest.param([(5, 0)], np.inf, 4, id="inf-state"),
+    pytest.param([(8, 1), (3, 2)], np.nan, 3, id="earlier-of-two-wins"),
+])
+def test_update_tick_names_first_bad_pair(cells, value, pair):
+    # a bad state in row r breaks pair r - 1 (its x_next) and pair r (its x_k);
+    # a bad input breaks pair r
     basis = LiftedBasis()
     state = init_rls(zero_model(basis), 1.0)
     rows = random_rows(12)
-    rows[row, col] = np.nan
+    for row, col in cells:
+        rows[row, col] = value
     with pytest.raises(ValueError, match=f"buffered pair {pair}: .* must be finite"):
         update_tick(state, basis, rows)
     assert state.update_count == pair
+    # the finite prefix is applied exactly as pair-by-pair updates would apply it
+    ref = init_rls(zero_model(basis), 1.0)
+    for i in range(pair):
+        rls_update(ref, *lift_pair(basis, rows[i, :2], rows[i, 2:3], rows[i + 1, :2]))
+    np.testing.assert_array_equal(state.theta, ref.theta)
+    np.testing.assert_array_equal(state.P, ref.P)
 
 
 def test_update_tick_ignores_last_input():
