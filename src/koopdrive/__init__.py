@@ -17,7 +17,7 @@ from .advisory import (
     solve_eco_dp,
     surrogate_powertrain,
 )
-from .basis import LiftedBasis, StateScaler
+from .basis import LiftedBasis
 from .driversim import (
     DistractionWindow,
     DriverParams,

@@ -173,14 +173,14 @@ class RouteSpec:
     def positions(self) -> np.ndarray:
         return np.arange(self.n_steps + 1) * self.step_m
 
-    def to_csv(self, path: str) -> None:
-        _write_csv_table(path, ROUTE_CSV_HEADER, zip(
-            self.positions.tolist(), self.v_min.tolist(), self.v_max.tolist(),
-            self.stop.astype(int).tolist(), self.grade.tolist()))
-
     @classmethod
     def read_csv(cls, path: str) -> "RouteSpec":
         data = _read_csv_table(path, ROUTE_CSV_HEADER, 5, "route")
+        bad = np.flatnonzero((data[:, 3] != 0.0) & (data[:, 3] != 1.0))
+        if len(bad):
+            row = int(bad[0])
+            raise ValueError(f"{path}: stop must be 0 or 1, got {float(data[row, 3])!r} in "
+                             f"data row {row + 1} (position_m {float(data[row, 0])!r})")
         pos = data[:, 0]
         steps = np.diff(pos)
         step = float(steps[0]) if len(steps) else 0.0

@@ -18,14 +18,19 @@ Ordering rule: the identity monomials v, f come first, then each higher
 degree block in turn; inside a degree block, monomials that mix both
 variables precede pure powers, and otherwise exponent pairs are sorted
 lexicographically descending. The monomials follow from ``max_degree`` by
-this rule, so a basis is rebuilt exactly from its degree and scaler.
+this rule, so a basis is rebuilt exactly from its degree and scale.
 
 ``lift_many`` raises both channels to the powers 0..max_degree in one call
 and multiplies the two gathered columns of each monomial: the same ``pow``
 calls and the same single multiply as a product over v**a and f**b, so the
-bits are that product's. The scaler skips subtracting offsets that are all
-+0.0, since x - (+0.0) is x bit for bit. A power-of-two scale exists only
-for peaks below 2**1023.5; a larger training peak raises ValueError.
+bits are that product's.
+
+The optional pre-scale, which keeps the monomials well conditioned, is one
+power of two per channel, the nearest to its training peak (pow2_scale), so
+project_many(lift_many(x)) is x bit for bit, signed zeros included. Peaks
+of 2**1023.5 and above have no such scale and raise ValueError. Model files
+write it as {"scale": [...], "offset": [0.0, 0.0]}; another offset, or a
+scale that is not a positive power of two, is rejected.
 """
 
 from __future__ import annotations
@@ -37,8 +42,8 @@ from itertools import product
 import numpy as np
 
 __all__ = [
-    "StateScaler",
     "LiftedBasis",
+    "pow2_scale",
 ]
 
 
@@ -51,78 +56,21 @@ def _state_array(x) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class StateScaler:
-    """Optional affine pre-scaler applied to states before lifting.
+def pow2_scale(peak: float, name: str) -> float:
+    """The power of two nearest to a channel's peak magnitude |peak|, in log2.
 
-    Each state channel is mapped to (x - offset) / scale. The default
-    construction picks power-of-two scales and zero offsets, so that scaling
-    and unscaling are exact in binary floating point and the lift/project
-    round trip stays bit-exact.
+    A zero or non-finite peak gets unit scale. A peak that rounds to 2**1024
+    or more has no float power-of-two scale and raises ValueError naming the
+    channel.
     """
-
-    scale: tuple[float, ...]
-    offset: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.scale) != len(self.offset):
-            raise ValueError("scale and offset must have the same length")
-        for s in self.scale:
-            if not math.isfinite(s) or s == 0.0:
-                raise ValueError(f"scale entries must be finite and nonzero, got {self.scale}")
-        for o in self.offset:
-            if not math.isfinite(o):
-                raise ValueError(f"offset entries must be finite, got {self.offset}")
-        object.__setattr__(self, "_scale", np.array(self.scale, dtype=float))
-        object.__setattr__(self, "_offset", np.array(self.offset, dtype=float))
-        # x - (+0.0) is x bit for bit, -0.0 included, so apply skips a
-        # subtraction of +0.0 offsets; x * s + 0.0 turns -0.0 into +0.0, so
-        # invert always adds
-        object.__setattr__(self, "_shifts", not all(o == 0.0 and math.copysign(1.0, o) > 0
-                                                    for o in self.offset))
-
-    @classmethod
-    def pow2_from_data(cls, states: np.ndarray, names=None) -> "StateScaler":
-        """Build a scaler from samples, rounding magnitudes to powers of two.
-
-        ``states`` has one row per sample. Channels that are identically zero
-        get unit scale. A channel whose peak magnitude rounds to 2**1024 or
-        more has no float power-of-two scale and raises ValueError, naming
-        the channel by its entry of ``names`` if given, else by its index.
-        """
-        arr = np.asarray(states, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] == 0:
-            raise ValueError("need a nonempty 2-D sample array to build a scaler")
-        scales = []
-        for j in range(arr.shape[1]):
-            m = float(np.max(np.abs(arr[:, j])))
-            if m == 0.0 or not math.isfinite(m):
-                scales.append(1.0)
-                continue
-            exponent = round(math.log2(m))
-            if exponent > 1023:
-                channel = names[j] if names is not None else f"channel {j}"
-                raise ValueError(f"peak |{channel}| = {m!r} rounds to 2**{exponent}, beyond "
-                                 f"the largest finite power-of-two scale 2**1023")
-            scales.append(2.0 ** exponent)
-        return cls(scale=tuple(scales), offset=tuple(0.0 for _ in scales))
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self._shifts:
-            x = x - self._offset
-        return x / self._scale
-
-    def invert(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float) * self._scale + self._offset
-
-    def to_dict(self) -> dict:
-        return {"scale": list(self.scale), "offset": list(self.offset)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StateScaler":
-        return cls(scale=tuple(float(s) for s in d["scale"]),
-                   offset=tuple(float(o) for o in d["offset"]))
+    m = abs(float(peak))
+    if m == 0.0 or not math.isfinite(m):
+        return 1.0
+    exponent = round(math.log2(m))
+    if exponent > 1023:
+        raise ValueError(f"peak |{name}| = {m!r} rounds to 2**{exponent}, beyond "
+                         f"the largest finite power-of-two scale 2**1023")
+    return 2.0 ** exponent
 
 
 def _monomial_order_key(exponents: tuple[int, ...]):
@@ -140,17 +88,23 @@ def _enumerate_exponents(max_degree: int) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class LiftedBasis:
-    """Monomials of (v, f_tr) of degree 1..max_degree, identity pair first."""
+    """Monomials of (v, f_tr) of degree 1..max_degree, identity pair first;
+    with a scale (one power of two per channel), of the state divided by it."""
 
     max_degree: int = 3
-    scaler: StateScaler | None = None
+    scale: tuple[float, float] | None = None
     monomials: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.max_degree < 1:
             raise ValueError(f"max_degree must be >= 1, got {self.max_degree}")
-        if self.scaler is not None and len(self.scaler.scale) != 2:
-            raise ValueError("scaler must have two channels, one per state")
+        if self.scale is not None:
+            # a positive finite float is a power of two iff its mantissa is 1/2
+            if len(self.scale) != 2 or not all(isinstance(s, float) and 0.0 < s < math.inf
+                                               and math.frexp(s)[0] == 0.5 for s in self.scale):
+                raise ValueError(f"scale must be two positive finite powers of two, "
+                                 f"got {self.scale!r}")
+            object.__setattr__(self, "_scale", np.array(self.scale))
         monomials = _enumerate_exponents(self.max_degree)
         object.__setattr__(self, "monomials", monomials)
         # columns of the (k, 2 (d + 1)) power array: v**0..v**d, then f**0..f**d
@@ -174,8 +128,8 @@ class LiftedBasis:
             raise ValueError(f"expected (k, 2) state array, got {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("states must be finite")
-        if self.scaler is not None:
-            arr = self.scaler.apply(arr)
+        if self.scale is not None:
+            arr = arr / self._scale
         # each power of v and f once, in one call, then one product per
         # monomial: the same pow calls and the same single multiply as a
         # product over v**a, f**b
@@ -187,8 +141,8 @@ class LiftedBasis:
         if arr.ndim != 2 or arr.shape[1] != self.lifted_dim:
             raise ValueError(f"expected (k, {self.lifted_dim}) array, got {arr.shape}")
         X = arr[:, :2]
-        if self.scaler is not None:
-            X = self.scaler.invert(X)
+        if self.scale is not None:
+            X = X * self._scale
         return X
 
     def to_dict(self) -> dict:
@@ -196,7 +150,8 @@ class LiftedBasis:
             "state_dim": 2,
             "max_degree": self.max_degree,
             "monomials": [list(e) for e in self.monomials],
-            "scaler": self.scaler.to_dict() if self.scaler is not None else None,
+            "scaler": ({"scale": list(self.scale), "offset": [0.0, 0.0]}
+                       if self.scale is not None else None),
         }
 
     @classmethod
@@ -205,8 +160,14 @@ class LiftedBasis:
         if d["state_dim"] != 2:
             raise ValueError(f"state_dim must be 2, got {d['state_dim']!r}")
         scaler = d.get("scaler")
-        basis = cls(max_degree=int(d["max_degree"]),
-                    scaler=StateScaler.from_dict(scaler) if scaler else None)
+        scale = None
+        if scaler is not None:
+            # floats only, as written: a JSON true or "0" is no number here
+            offset = scaler["offset"]
+            if not (len(offset) == 2 and all(isinstance(o, float) and o == 0.0 for o in offset)):
+                raise ValueError(f"scaler offset must be [0.0, 0.0], got {offset!r}")
+            scale = tuple(scaler["scale"])
+        basis = cls(max_degree=int(d["max_degree"]), scale=scale)
         canonical = [list(e) for e in basis.monomials]
         if d["monomials"] != canonical:
             raise ValueError(f"monomials must be {canonical} for degree {basis.max_degree}")

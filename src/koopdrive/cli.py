@@ -44,6 +44,7 @@ from .model import (
     KoopmanModel,
     RolloutDivergenceError,
     Trajectory,
+    _check_same_sample_period,
     _read_csv_table,
     _write_csv_table,
     _write_json,
@@ -356,6 +357,7 @@ def cmd_update(args) -> int:
 
     model = KoopmanModel.load(args.model)
     traj = Trajectory.read_csv(args.data)
+    _check_same_sample_period("data", traj.sample_period, "the model", model.sample_period)
     i0, i1 = traj.segment_indices(*args.segment)
 
     state = init_rls(model, online.lam)

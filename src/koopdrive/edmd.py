@@ -17,6 +17,11 @@ rows, every quantity of the fit follows from R alone: theta from its leading
 (N+1) x (N+1) block, the rank and condition number from that block's
 singular values (rank counts those above max(T, N+1) * eps * sigma_max), and
 the residual and one-step errors from || R [theta^T; -I] ||.
+
+fit_trajectories lifts states divided by the basis scale: per channel, the
+power of two nearest to the training part's peak |v| or |f_tr|, so the
+one-step errors return to physical units by one exact multiply. Every
+trajectory of a fit must share one sample period to 1e-12 relative.
 """
 
 from __future__ import annotations
@@ -26,8 +31,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .basis import LiftedBasis, StateScaler
-from .model import KoopmanModel
+from .basis import LiftedBasis, pow2_scale
+from .model import KoopmanModel, _check_same_sample_period
 
 __all__ = [
     "FitConfig",
@@ -55,9 +60,9 @@ class RankDeficientDataError(ValueError):
 class FitConfig:
     """Settings for an offline fit.
 
-    scaling selects the pre-scaler applied before lifting: "pow2" rounds the
-    per-channel data magnitude to the nearest power of two (exact to invert),
-    "none" lifts raw physical units.
+    scaling selects the pre-scale applied before lifting: "pow2" divides each
+    channel by the power of two nearest to its training peak (exact to
+    invert), "none" lifts raw physical units.
     """
 
     ridge: float = 0.0
@@ -142,10 +147,7 @@ def build_matrices(trajectories, basis: LiftedBasis) -> DataMatrices:
         raise ValueError("need at least one trajectory")
     period = trajectories[0].sample_period
     for i, traj in enumerate(trajectories):
-        if abs(traj.sample_period - period) > 1e-12 * period:
-            raise ValueError(
-                f"trajectory {i} has sample_period {traj.sample_period}, expected {period}"
-            )
+        _check_same_sample_period(f"trajectory {i}", traj.sample_period, "trajectory 0", period)
     matrices = DataMatrices(basis=basis, sample_period=period)
     for traj in trajectories:
         pairs = len(traj) - 1
@@ -247,7 +249,7 @@ def fit(matrices: DataMatrices, config: FitConfig) -> KoopmanModel:
         "residual_fro": residual,
         "condition_number": cond,
         "basis": f"monomials of degree 1..{matrices.basis.max_degree}",
-        "scaled": matrices.basis.scaler is not None,
+        "scaled": matrices.basis.scale is not None,
     }
     return KoopmanModel.from_stacked(matrices.basis, theta, matrices.sample_period, provenance)
 
@@ -255,8 +257,7 @@ def fit(matrices: DataMatrices, config: FitConfig) -> KoopmanModel:
 def _one_step_rmse(model: KoopmanModel, matrices: DataMatrices) -> tuple[float, float]:
     # the identity columns of the lifted error, in physical units
     err = _errors(matrices.R, model.stacked())[:, :2]
-    scale = matrices.basis.scaler.scale if matrices.basis.scaler is not None else (1.0, 1.0)
-    rms = np.sqrt(np.sum(err**2, axis=0) / matrices.T) * np.abs(scale)
+    rms = np.sqrt(np.sum(err**2, axis=0) / matrices.T) * (matrices.basis.scale or (1.0, 1.0))
     return float(rms[0]), float(rms[1])
 
 
@@ -282,18 +283,16 @@ class FitReport:
 def fit_trajectories(trajectories, config: FitConfig) -> tuple[KoopmanModel, FitReport]:
     """Split, lift, and fit a set of recorded trajectories.
 
-    The scaler (if any) is computed from the training part only. The report
+    The pre-scale (if any) is computed from the training part only: per
+    channel, the power of two nearest to its peak magnitude. The report
     carries one-step prediction errors in physical units for all three parts.
     """
     train, val, test = split_dataset(trajectories, config.split)
+    scale = None
     if config.scaling == "pow2":
-        peak = np.zeros(2)
-        for traj in train:
-            peak = np.maximum(peak, (np.max(np.abs(traj.v)), np.max(np.abs(traj.f_tr))))
-        scaler = StateScaler.pow2_from_data(peak[None, :], names=("v", "f_tr"))
-    else:
-        scaler = None
-    basis = LiftedBasis(max_degree=config.max_degree, scaler=scaler)
+        scale = (pow2_scale(max(np.max(np.abs(traj.v)) for traj in train), "v"),
+                 pow2_scale(max(np.max(np.abs(traj.f_tr)) for traj in train), "f_tr"))
+    basis = LiftedBasis(max_degree=config.max_degree, scale=scale)
     mats = {name: build_matrices(part, basis)
             for name, part in (("train", train), ("validation", val), ("test", test))}
     model = fit(mats["train"], config)
@@ -311,7 +310,7 @@ def fit_trajectories(trajectories, config: FitConfig) -> tuple[KoopmanModel, Fit
         ridge=config.ridge,
         max_degree=config.max_degree,
         scaling=config.scaling,
-        scaler=scaler.to_dict() if scaler is not None else None,
+        scaler=basis.to_dict()["scaler"],
         one_step_rmse_v_mps=rmse_v,
         one_step_rmse_f_n=rmse_f,
     )

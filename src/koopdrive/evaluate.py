@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .edmd import FitConfig, build_matrices, fit
-from .model import KoopmanModel, Trajectory, _write_csv_table
+from .model import KoopmanModel, Trajectory, _check_same_sample_period, _write_csv_table
 from .rls import OnlineSettings, init_rls, snapshot_model, stream_ticks
 
 MPS_TO_MPH = 2.23694
@@ -115,10 +115,12 @@ def evaluate_horizons(trajectory: Trajectory, model: KoopmanModel, horizons,
     horizons are finite window lengths in seconds; each must fit inside the
     segment at least once. With online settings given, the reports describe the
     adapted predictor (variant "online"); otherwise the fixed model
-    (variant "offline").
+    (variant "offline"). Data whose sample period is not the model's raises
+    ValueError.
     """
-    i0, i1 = trajectory.segment_indices(*segment)
     dt = trajectory.sample_period
+    _check_same_sample_period("data", dt, "the model", model.sample_period)
+    i0, i1 = trajectory.segment_indices(*segment)
     windows = []
     for horizon in horizons:
         steps = _horizon_steps(horizon, dt)
@@ -182,6 +184,9 @@ def bench_update(trajectories, model: KoopmanModel, horizons,
     online = online or OnlineSettings()
     n_pairs = sum(len(t) - 1 for t in trajectories)
     dt = trajectories[-1].sample_period
+    # build_matrices holds the other trajectories to the first one's period
+    _check_same_sample_period(f"trajectory {len(trajectories) - 1}", dt, "the model",
+                              model.sample_period)
 
     offline_times, online_totals, per_tick, speedups = [], [], [], []
     for horizon in horizons:

@@ -251,6 +251,14 @@ def _check_sample_period(period) -> None:
         raise ValueError(f"sample_period must be a positive finite number, got {period!r}")
 
 
+def _check_same_sample_period(what: str, period: float, reference: str, expected: float) -> None:
+    """Raise ValueError naming both periods unless period equals expected to
+    1e-12 relative, the rule between training trajectories and between a
+    model and the data it is evaluated on or updated with."""
+    if abs(period - expected) > 1e-12 * expected:
+        raise ValueError(f"{what} has sample_period {period}, but {reference} has {expected}")
+
+
 @dataclass
 class KoopmanModel:
     """Linear recursion in lifted coordinates driven by the advisory speed."""

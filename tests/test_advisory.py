@@ -8,6 +8,7 @@ import pytest
 from koopdrive import advisory
 from koopdrive.advisory import (
     BIG,
+    ROUTE_CSV_HEADER,
     AdvisoryProfile,
     EcoDpConfig,
     PowertrainParams,
@@ -18,6 +19,7 @@ from koopdrive.advisory import (
     solve_eco_dp,
     surrogate_powertrain,
 )
+from koopdrive.model import _write_csv_table
 
 PT = PowertrainParams()
 SHIPPED_ROUTE = Path(__file__).resolve().parents[1] / "configs" / "route_urban.csv"
@@ -121,7 +123,9 @@ def test_route_csv_roundtrip(tmp_path):
     route = RouteSpec(step_m=10.0, v_min=np.zeros(n), v_max=np.full(n, 13.9),
                       stop=stop, grade=np.linspace(-0.01, 0.01, n))
     p = tmp_path / "route.csv"
-    route.to_csv(p)
+    _write_csv_table(p, ROUTE_CSV_HEADER, zip(
+        route.positions.tolist(), route.v_min.tolist(), route.v_max.tolist(),
+        route.stop.astype(int).tolist(), route.grade.tolist()))
     back = RouteSpec.read_csv(p)
     assert back.step_m == route.step_m
     np.testing.assert_array_equal(back.v_max, route.v_max)

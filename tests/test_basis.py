@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from koopdrive.basis import LiftedBasis, StateScaler
+from koopdrive.basis import LiftedBasis, pow2_scale
 
 
 def test_monomial_ordering_degree3():
@@ -65,45 +65,66 @@ def test_scaling_law_per_degree(v, f):
 def test_pow2_scaler_bit_exact_roundtrip():
     rng = np.random.default_rng(7)
     data = rng.normal(size=(200, 2)) * [17.0, 5100.0]
-    scaler = StateScaler.pow2_from_data(data)
-    assert all(np.log2(s) == int(np.log2(s)) for s in scaler.scale)
-    basis = LiftedBasis(scaler=scaler)
+    scale = tuple(pow2_scale(peak, name)
+                  for peak, name in zip(np.max(np.abs(data), axis=0), ("v", "f_tr")))
+    assert all(np.log2(s) == int(np.log2(s)) for s in scale)
+    basis = LiftedBasis(scale=scale)
     # power-of-two scaling keeps project(lift(x)) == x bitwise
     Z = basis.lift_many(data)
     np.testing.assert_array_equal(basis.project_many(Z), data)
 
 
+def test_pow2_round_trip_keeps_every_byte_signed_zeros_included():
+    # dividing and multiplying by a power of two is exact, and without an
+    # offset to add back, -0.0 comes back as -0.0
+    x = np.array([[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [1.5, -2.0], [-0.0, 7.25],
+                  [13.9, -4871.5], [-0.3, 1e-30]])
+    for scale in ((16.0, 512.0), (0.5, 2.0 ** -20), (2.0 ** 40, 1.0)):
+        basis = LiftedBasis(scale=scale)
+        assert basis.project_many(basis.lift_many(x)).tobytes() == x.tobytes()
+
+
 def test_pow2_scaler_rejects_peaks_beyond_the_largest_power():
     # every in-range peak keeps the scale 2**round(log2(peak))
     for peak in (1e-300, 0.3, 17.0, 5100.0, 2.0 ** 1023, 2.0 ** 1023.49):
-        scaler = StateScaler.pow2_from_data(np.array([[1.0, -peak]]))
-        assert scaler.scale == (1.0, 2.0 ** round(math.log2(peak)))
+        assert pow2_scale(-peak, "f_tr") == 2.0 ** round(math.log2(peak))
+    assert pow2_scale(0.0, "v") == pow2_scale(-0.0, "v") == 1.0
     # a peak at or above 2**1023.5 rounds to 2**1024, which overflows a float
-    with pytest.raises(ValueError, match="channel 1"):
-        StateScaler.pow2_from_data(np.array([[1.0, 1.5e308]]))
+    with pytest.raises(ValueError, match=r"\|v\| = 1.5e\+308"):
+        pow2_scale(1.5e308, "v")
     with pytest.raises(ValueError, match=r"\|f_tr\| = 1.5e\+308"):
-        StateScaler.pow2_from_data(np.array([[1.0, -1.5e308]]), names=("v", "f_tr"))
+        pow2_scale(-1.5e308, "f_tr")
 
 
-@pytest.mark.parametrize("offset", [(0.0, 0.0), (-0.0, 0.0), (1.5, -2.0)])
-def test_scaler_apply_is_the_affine_map_bit_for_bit(offset):
-    # apply skips subtracting +0.0 offsets, which must change no bit (-0.0 included)
-    scaler = StateScaler(scale=(16.0, 3.0), offset=offset)
-    x = np.array([[-0.0, 0.0], [0.0, -0.0], [1.5, -2.0], [-5e-324, 7.25]])
-    expect = (x - np.array(offset)) / np.array([16.0, 3.0])
-    assert scaler.apply(x).tobytes() == expect.tobytes()
-    assert scaler.invert(x).tobytes() == (x * np.array([16.0, 3.0]) + offset).tobytes()
+@pytest.mark.parametrize("scale", [(3.0, 1.0), (16.0, -16.0), (0.0, 1.0), (math.inf, 1.0),
+                                   (math.nan, 1.0), (16, 512.0), (16.0,), (1.0, 1.0, 1.0)],
+                         ids=["three", "negative", "zero", "inf", "nan", "int", "one",
+                              "three_channels"])
+def test_scale_must_be_two_positive_powers_of_two(scale):
+    with pytest.raises(ValueError, match="two positive finite powers of two"):
+        LiftedBasis(scale=scale)
 
 
 def test_scaler_dict_roundtrip():
-    scaler = StateScaler(scale=(16.0, 4096.0), offset=(0.0, 0.0))
-    back = StateScaler.from_dict(scaler.to_dict())
-    assert back == scaler
+    basis = LiftedBasis(scale=(16.0, 4096.0))
+    d = basis.to_dict()
+    # the file keeps a zero offset next to the scale
+    assert d["scaler"] == {"scale": [16.0, 4096.0], "offset": [0.0, 0.0]}
+    assert LiftedBasis.from_dict(d) == basis
+    assert LiftedBasis().to_dict()["scaler"] is None
+    assert LiftedBasis.from_dict(LiftedBasis().to_dict()) == LiftedBasis()
+    for offset in ([1.0, 0.0], [0.0], [False, 0.0], ["0", 0.0]):
+        with pytest.raises(ValueError, match="offset must be"):
+            LiftedBasis.from_dict(dict(d, scaler={"scale": [16.0, 4096.0], "offset": offset}))
+    for scale in ([True, 4096.0], ["16", 4096.0], [16, 4096.0]):
+        with pytest.raises(ValueError, match="powers of two"):
+            LiftedBasis.from_dict(dict(d, scaler={"scale": scale, "offset": [0.0, 0.0]}))
+    with pytest.raises(KeyError):
+        LiftedBasis.from_dict(dict(d, scaler={}))
 
 
 def test_scaled_lift_magnitudes():
-    scaler = StateScaler(scale=(16.0, 4096.0), offset=(0.0, 0.0))
-    basis = LiftedBasis(scaler=scaler)
+    basis = LiftedBasis(scale=(16.0, 4096.0))
     z = basis.lift(np.array([16.0, 4096.0]))
     # every scaled monomial of the unit corner is exactly 1
     np.testing.assert_array_equal(z, np.ones(9))

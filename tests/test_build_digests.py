@@ -5,11 +5,12 @@ Runs `advisory` -> `simulate` -> `fit` through the CLI on a reduced build
 compares the SHA-256 of every CSV with digests recorded before the DP
 backward pass, the simulator loop and the CSV writers were rewritten for
 speed, and of `model.json` and `report.json` with digests recorded before the
-fit's memory layout (shared roster columns, block lifting) was changed. On
-the distracted driver it then runs `update` over 515-630 s at cadence 1.0
-and 0.1 and `eval --online`, and compares the SHA-256 of the updated models,
-the tick logs and the report CSV with digests recorded before the RLS kernel
-lost its raw-pair path. Any change to the bytes of these files fails here.
+fit's memory layout (shared roster columns, block lifting) was changed; the
+`fit --scaling none` outputs were recorded before the pre-scaler lost its
+affine offset. On the distracted driver it then runs `update` over 515-630 s
+at cadence 1.0 and 0.1 and `eval --online`, and compares the SHA-256 of the
+updated models, the tick logs and the report CSV with digests recorded
+before the RLS kernel lost its raw-pair path. Any change to the bytes of these files fails here.
 `advisory_meta.json` is left out because it records the absolute route path.
 
 The digests pin numpy's `default_rng` streams (PCG64 `standard_normal` for
@@ -26,6 +27,7 @@ from pathlib import Path
 import pytest
 
 from koopdrive.cli import main
+from koopdrive.model import KoopmanModel
 
 ROOT = Path(__file__).resolve().parents[1]
 ROUTE = ROOT / "configs" / "route_urban.csv"
@@ -47,6 +49,11 @@ GOLDEN = {
 FIT_GOLDEN = {
     "model.json": "03da6a56690dcf01a806ffc43a42126a324b91212593123b95ff407da8e22164",
     "report.json": "2ce06b91da97bd2601da902f7bf542e258cafa7ab339d514289e7d53c6d425a4",
+}
+
+UNSCALED_FIT_GOLDEN = {
+    "model.json": "5dad820c1b41bc5541f97ea4f2a1e49f4d32199c0eadce6737519a536c7172fa",
+    "report.json": "2771378456b396084770480301b6dfca5493e50622e884e097eeb595772cd2a1",
 }
 
 
@@ -94,6 +101,17 @@ def test_build_outputs_match_golden_digests(build):
     assert written == sorted(GOLDEN)
     assert _digests(build, GOLDEN) == GOLDEN
     assert _digests(build, FIT_GOLDEN) == FIT_GOLDEN
+
+
+def test_unscaled_fit_matches_golden_digests(build, tmp_path):
+    assert main(["fit", "--data", str(build / "drivers"), "--config", str(build / "config.json"),
+                 "--scaling", "none", "--model-out", str(tmp_path / "model.json"),
+                 "--report-out", str(tmp_path / "report.json")]) == 0
+    assert _digests(tmp_path, UNSCALED_FIT_GOLDEN) == UNSCALED_FIT_GOLDEN
+    # a model written by fit, scaled or not, loads and saves back to its bytes
+    for written in (build / "model.json", tmp_path / "model.json"):
+        KoopmanModel.load(written).save(tmp_path / "resaved.json")
+        assert (tmp_path / "resaved.json").read_bytes() == written.read_bytes()
 
 
 def test_online_outputs_match_golden_digests(build, tmp_path):

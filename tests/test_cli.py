@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from koopdrive.advisory import RouteSpec
 from koopdrive.basis import LiftedBasis
 from koopdrive.cli import _read_trajectories, main
 from koopdrive.model import KoopmanModel, ModelFileError, Trajectory
@@ -32,6 +31,9 @@ TOY_CONFIG = {
     "eval": {"horizons_s": [10.0, 5.0], "segment_s": [10.0, 30.0]},
     "advisory": {"gamma": 0.5, "v_levels": 12, "soc_levels": 11},
 }
+
+
+SHIPPED_ROUTE = Path(__file__).resolve().parents[1] / "configs" / "route_urban.csv"
 
 
 def write_toy_route(p):
@@ -136,6 +138,27 @@ def test_unknown_config_key_exit_3(tmp_path, toy_route):
                  "--out", str(tmp_path / "o")]) == 3
 
 
+@pytest.mark.parametrize("cells", [("nan", "2.5"), ("2.5", "nan"), ("-1", "1.0"), ("0.5", "0")],
+                         ids=["nan", "2.5", "minus_1", "half"])
+def test_route_stop_other_than_0_or_1_exit_3(tmp_path, config_file, cells, capsys):
+    # stop cells of data rows 100 and 200 of the shipped route, both 0 there
+    lines = SHIPPED_ROUTE.read_text().splitlines()
+    for row, cell in zip((100, 200), cells):
+        fields = lines[row].split(",")
+        fields[3] = cell
+        lines[row] = ",".join(fields)
+    route = tmp_path / "route.csv"
+    route.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "adv"
+    assert main(["advisory", "--route", str(route), "--config", str(config_file),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    bad = next(float(c) for c in cells if float(c) not in (0.0, 1.0))
+    row = 100 if float(cells[0]) not in (0.0, 1.0) else 200
+    assert f"got {bad!r} in data row {row} (position_m {10.0 * (row - 1)!r})" in err
+    assert not out.exists()
+
+
 def test_infeasible_route_exit_4(tmp_path, config_file):
     # mandatory 9 m/s next to a stop is kinematically unreachable
     p = tmp_path / "bad_route.csv"
@@ -178,6 +201,24 @@ def test_fit_state_peak_without_pow2_scale_exit_3(tmp_path, config_file, capsys)
                  "--model-out", str(out)]) == 3
     err = capsys.readouterr().err
     assert "f_tr" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stage", ["eval", "update", "bench"])
+def test_data_at_another_sample_period_exit_3(tmp_path, toy_build, stage, capsys):
+    # the model is fit on 0.025 s data; every second sample of a driver is 0.05 s data
+    traj = Trajectory.read_csv(toy_build / "drivers" / "driver_01.csv")
+    coarse = tmp_path / "coarse.csv"
+    Trajectory(sample_period=2 * traj.sample_period, t=traj.t[::2], v=traj.v[::2],
+               f_tr=traj.f_tr[::2], v_ref=traj.v_ref[::2]).write_csv(coarse)
+    out = tmp_path / "out"
+    argv = command_for(stage, toy_build, toy_build / "config.json", out)
+    argv[argv.index("--data") + 1] = str(coarse)
+    if stage == "eval":
+        argv.append("--online")
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "sample_period 0.05" in err and "the model has 0.02" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -638,10 +679,7 @@ def test_outputs_follow_the_cell_format_rule(tmp_path, toy_build):
     assert [row.split(",")[1] for row in reports.read_text().splitlines()[1:]] == [
         "offline", "offline", "online", "online"]
 
-    shipped = Path(__file__).resolve().parents[1] / "configs" / "route_urban.csv"
-    copy = tmp_path / "route.csv"
-    RouteSpec.read_csv(shipped).to_csv(copy)
-    assert copy.read_bytes() == shipped.read_bytes()
+    assert_cells_follow_format_rule(SHIPPED_ROUTE, int_columns=("stop",))
 
 
 def permute_monomials(doc):
@@ -649,14 +687,23 @@ def permute_monomials(doc):
     mono[2], mono[3] = mono[3], mono[2]
 
 
-@pytest.mark.parametrize("edit", [
-    None,
-    lambda doc: doc["basis"].update(state_dim=3),
-    permute_monomials,
-    lambda doc: doc.update(input_dim=7),
-    lambda doc: doc.update(B=[row + [0.0] for row in doc["B"]]),
-], ids=["canonical", "state_dim_3", "permuted_monomials", "input_dim_7", "two_column_B"])
-def test_other_model_shapes_are_rejected(tmp_path, edit, capsys):
+def with_scaler(scale, offset=(0.0, 0.0)):
+    return lambda doc: doc["basis"].update(scaler={"scale": list(scale), "offset": list(offset)})
+
+
+@pytest.mark.parametrize("edit, loads", [
+    (None, True),
+    (lambda doc: doc["basis"].update(state_dim=3), False),
+    (permute_monomials, False),
+    (lambda doc: doc.update(input_dim=7), False),
+    (lambda doc: doc.update(B=[row + [0.0] for row in doc["B"]]), False),
+    (with_scaler((16.0, 512.0)), True),
+    (with_scaler((16.0, 512.0), offset=(1.0, 0.0)), False),
+    (with_scaler((3.0, 512.0)), False),
+    (with_scaler((-16.0, 512.0)), False),
+], ids=["canonical", "state_dim_3", "permuted_monomials", "input_dim_7", "two_column_B",
+        "scaled_canonical", "offset_1", "scale_3", "scale_minus_16"])
+def test_other_model_shapes_are_rejected(tmp_path, edit, loads, capsys):
     n = 9
     model = KoopmanModel(basis=LiftedBasis(), A=0.9 * np.eye(n), B=np.zeros((n, 1)),
                          sample_period=0.025)
@@ -672,7 +719,7 @@ def test_other_model_shapes_are_rejected(tmp_path, edit, capsys):
                v_ref=np.full(800, 12.0)).write_csv(data)
     rc = main(["eval", "--model", str(path), "--data", str(data), "--segment", "0", "15",
                "--horizons", "5"])
-    if edit is None:
+    if loads:
         assert KoopmanModel.load(path).B.shape == (n, 1)
         assert rc == 0
     else:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from koopdrive.basis import LiftedBasis, StateScaler
+from koopdrive.basis import LiftedBasis
 from koopdrive.cli import main
 from koopdrive.edmd import (
     _FOLD_ROWS,
@@ -170,7 +170,7 @@ def whole_trajectory_matrices(trajectories, basis):
 def test_block_lift_matches_whole_trajectory_lift(pairs):
     n = pairs + 1
     trajs = [make_traj(n, seed=pairs, v_ref=np.linspace(9.0, 12.0, n)), make_traj(30, seed=2)]
-    basis = LiftedBasis(scaler=StateScaler(scale=(16.0, 512.0), offset=(0.0, 0.0)))
+    basis = LiftedBasis(scale=(16.0, 512.0))
     data = build_matrices(trajs, basis)
     ref = whole_trajectory_matrices(trajs, basis)
     assert data.T == ref.T == pairs + 29
@@ -262,7 +262,7 @@ def test_fit_trajectories_end_to_end():
 def test_fit_trajectories_scaler_from_train_only():
     trajs = [make_traj(400, seed=7)]
     model, report = fit_trajectories(trajs, FitConfig())
-    scale = model.basis.scaler.scale
+    scale = model.basis.scale
     # power-of-two scaling chosen from training magnitudes
     assert all(np.log2(s) == round(np.log2(s)) for s in scale)
 

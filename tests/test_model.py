@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from koopdrive.basis import LiftedBasis, StateScaler
+from koopdrive.basis import LiftedBasis, pow2_scale
 from koopdrive.model import (
     KoopmanModel,
     ModelFileError,
@@ -212,7 +212,7 @@ def test_rollout_divergence_reports_step():
 
 def test_lifted_rollout_matches_step_loop():
     # reference: lift once, advance one step at a time, project each step
-    basis = LiftedBasis(scaler=StateScaler(scale=(16.0, 1024.0), offset=(0.0, 0.0)))
+    basis = LiftedBasis(scale=(16.0, 1024.0))
     rng = np.random.default_rng(4)
     A = rng.normal(0, 0.3, size=(9, 9))
     B = rng.normal(size=(9, 1))
@@ -270,8 +270,8 @@ def test_model_rejects_two_column_B():
 @pytest.mark.parametrize("scaled", [False, True], ids=["raw", "pow2"])
 @pytest.mark.parametrize("degree", [1, 2, 3, 4])
 def test_save_load_save_is_byte_identical(tmp_path, degree, scaled):
-    scaler = StateScaler.pow2_from_data(np.array([[17.0, -5100.0]])) if scaled else None
-    basis = LiftedBasis(max_degree=degree, scaler=scaler)
+    scale = (pow2_scale(17.0, "v"), pow2_scale(-5100.0, "f_tr")) if scaled else None
+    basis = LiftedBasis(max_degree=degree, scale=scale)
     n = basis.lifted_dim
     rng = np.random.default_rng(degree)
     m = KoopmanModel(basis=basis, A=rng.normal(size=(n, n)), B=rng.normal(size=(n, 1)),

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from koopdrive.basis import LiftedBasis, StateScaler
+from koopdrive.basis import LiftedBasis
 from koopdrive.edmd import DataMatrices, FitConfig, fit
 from koopdrive.model import KoopmanModel, Trajectory
 from koopdrive.rls import (
@@ -155,7 +155,7 @@ def parent_kernel(theta, P, lam, z, psi_next):
 
 def scaled_stream(n, seed=5):
     # lifted regressors of random rows as update_tick builds them, row views included
-    basis = LiftedBasis(scaler=StateScaler(scale=(16.0, 512.0), offset=(0.0, 0.0)))
+    basis = LiftedBasis(scale=(16.0, 512.0))
     model = KoopmanModel.from_stacked(
         basis, np.random.default_rng(seed).normal(0, 0.1, size=(9, 10)), 0.025)
     rows = random_rows(n + 1, 10.0, 500.0, seed=seed)
@@ -269,11 +269,11 @@ def random_rows(n, v_scale=1.0, f_scale=1.0, seed=3):
 
 @pytest.mark.parametrize("scaler, lam, v_scale, f_scale", [
     (None, 1.0, 1.0, 1.0),
-    (StateScaler(scale=(16.0, 512.0), offset=(0.0, 0.0)), 0.99737, 10.0, 500.0),
+    ((16.0, 512.0), 0.99737, 10.0, 500.0),
 ])
 def test_update_tick_matches_per_pair_updates(scaler, lam, v_scale, f_scale):
     # reference: each pair lifted one state at a time and fed to parent_kernel
-    basis = LiftedBasis(scaler=scaler)
+    basis = LiftedBasis(scale=scaler)
     model = KoopmanModel.from_stacked(
         basis, np.random.default_rng(8).normal(0, 0.1, size=(9, 10)), 0.025)
     rows = random_rows(400, v_scale, f_scale)
@@ -380,7 +380,7 @@ def test_stream_ticks_empty_range_is_noop():
 def test_stream_ticks_matches_per_tick_trajectory_buffers(tick_steps):
     # the stream's ticks against update_tick over per-tick copies of the
     # trajectory; neither 7 nor 40 divides the 250 pairs, so the last tick is short
-    basis = LiftedBasis(scaler=StateScaler(scale=(16.0, 512.0), offset=(0.0, 0.0)))
+    basis = LiftedBasis(scale=(16.0, 512.0))
     model = KoopmanModel.from_stacked(
         basis, np.random.default_rng(4).normal(0, 0.1, size=(9, 10)), 0.025)
     traj = make_traj(400, seed=6)
