@@ -21,7 +21,7 @@ the residual and one-step errors from || R [theta^T; -I] ||.
 fit_trajectories lifts states divided by the basis scale: per channel, the
 power of two nearest to the training part's peak |v| or |f_tr|, so the
 one-step errors return to physical units by one exact multiply. Every
-trajectory of a fit must share one sample period to 1e-12 relative.
+trajectory of a fit must share one sample period to 2e-9 relative.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ through the real CLI and shared by the checks that need it.
 import contextlib
 import itertools
 import json
+import math
 import time
 from pathlib import Path
 
@@ -21,7 +22,8 @@ from koopdrive.cli import main
 from koopdrive.edmd import DataMatrices, FitConfig, fit
 from koopdrive.evaluate import bench_update, evaluate_horizons
 from koopdrive.model import KoopmanModel, Trajectory
-from koopdrive.rls import OnlineSettings, RlsState, init_rls, rls_update
+from koopdrive.rls import (OnlineSettings, RlsState, init_rls, rls_update, snapshot_model,
+                           stream_ticks)
 
 ROOT = Path(__file__).resolve().parents[1]
 ROUTE = ROOT / "configs" / "route_urban.csv"
@@ -301,6 +303,40 @@ def test_adaptive_predictor_beats_frozen_model(verdict, work_dir):
         a5 = next(r for r in on if r.horizon_s == 5.0)
         assert a5.rmse_speed_mps <= 0.85 * o5.rmse_speed_mps
         assert a5.rmse_force_n <= 0.85 * o5.rmse_force_n
+
+
+def _step_loop_states(model, x0, u) -> np.ndarray:
+    """The step loop the rollout's doubling scan replaced, as the reference:
+    lift once, advance one step at a time, project every row."""
+    A, b = model.A, model.B[:, 0]
+    Z = [model.basis.lift(x0)]
+    for u_k in u:
+        Z.append(A @ Z[-1] + b * u_k)
+    return model.basis.project_many(np.array(Z))
+
+
+def test_scan_rollout_matches_step_loop_at_every_snapshot(verdict, work_dir):
+    with verdict("distracted driver, default lambda, 1 s ticks: every tick-end snapshot's "
+                 "5 s and 50 s rollouts within 1e-9 of the step loop", 60.0):
+        sc = _scenario(work_dir)
+        cfg, model = sc["cfg"], sc["model"]
+        traj = sc["trajectories"][17]
+        online = OnlineSettings(lam=cfg["rls"]["lam"], cadence_s=cfg["rls"]["cadence_s"])
+        state = init_rls(model, online.lam)
+        ahead = np.concatenate([traj.v_ref, np.full(2000, traj.v_ref[-1])])
+        ticks = 0
+        for end, _ in stream_ticks(state, model.basis, traj, 0, len(traj) - 1,
+                                   online.tick_steps(traj.sample_period)):
+            snap = snapshot_model(state, model.basis, model.sample_period)
+            x0 = np.array([traj.v[end], traj.f_tr[end]])
+            for steps in (200, 2000):
+                u = ahead[end:end + steps]
+                pred = snap.rollout(x0, u)
+                expect = _step_loop_states(snap, x0, u)
+                got = np.column_stack([pred.v, pred.f_tr])
+                assert np.all(np.abs(got - expect) <= 1e-9 * np.max(np.abs(expect), axis=0))
+            ticks += 1
+        assert ticks == math.ceil((len(traj) - 1) / online.tick_steps(traj.sample_period))
 
 
 def test_tick_is_faster_than_refit(verdict, work_dir):

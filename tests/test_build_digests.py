@@ -9,8 +9,12 @@ fit's memory layout (shared roster columns, block lifting) was changed; the
 `fit --scaling none` outputs were recorded before the pre-scaler lost its
 affine offset. On the distracted driver it then runs `update` over 515-630 s
 at cadence 1.0 and 0.1 and `eval --online`, and compares the SHA-256 of the
-updated models, the tick logs and the report CSV with digests recorded
-before the RLS kernel lost its raw-pair path. Any change to the bytes of these files fails here.
+updated models and the tick logs with digests recorded before the RLS kernel
+lost its raw-pair path. The `eval --online` report CSV was re-recorded when
+rollouts moved from a per-step loop to a doubling scan, which sums the same
+terms in another order; its sixteen RMSEs are also checked against the
+per-step loop's values, written in below, to 1e-9 relative, so that a new
+digest cannot hide drift. Any change to the bytes of these files fails here.
 `advisory_meta.json` is left out because it records the absolute route path.
 
 The digests pin numpy's `default_rng` streams (PCG64 `standard_normal` for
@@ -20,10 +24,12 @@ digests also pin the last bits of LAPACK's QR and triangular solve, so a
 different BLAS/LAPACK build may need new fit digests.
 """
 
+import csv
 import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from koopdrive.cli import main
@@ -62,7 +68,20 @@ ONLINE_GOLDEN = {
     "ticks_1.0.csv": "e76e0cc55b68671f60ba9411c591f00eef277783868ca5f955743f4b201b439b",
     "update_0.1.json": "7f087edffd06d488c20a45e0c5c967b04f96a0c797716f994c5e571939d8358a",
     "ticks_0.1.csv": "5906981663b86cbbbdb402759b3ffa49beb214e6689aae5d121bb284d392e212",
-    "eval_online.csv": "690856ddbdd70acbc7c55c2fcfd83375a6d2d69a3378cf8df1f7acad005c4136",
+    "eval_online.csv": "71248358c9855f4b5408c303762979c80246814a8b901ee1feb8b563d1e84b80",
+}
+
+# (horizon_s, variant): (rmse_speed_mps, rmse_force_n) of the `eval --online`
+# report, as the per-step rollout loop wrote them
+LOOP_RMSE = {
+    ("50.0", "offline"): (3.6266275997680677, 1243.3605804830395),
+    ("20.0", "offline"): (3.267031590149925, 1138.8344010292672),
+    ("10.0", "offline"): (2.7879665266764557, 1237.7952202768588),
+    ("5.0", "offline"): (1.7957444404332494, 1505.2797229705902),
+    ("50.0", "online"): (2.843893398885055, 661.1199387387937),
+    ("20.0", "online"): (2.5489010547525135, 658.4737328395133),
+    ("10.0", "online"): (1.515969241764584, 607.7597940118104),
+    ("5.0", "online"): (0.5298926732484205, 486.1205320471475),
 }
 
 
@@ -126,3 +145,10 @@ def test_online_outputs_match_golden_digests(build, tmp_path):
                  "--config", str(config), "--online",
                  "--out", str(tmp_path / "eval_online.csv")]) == 0
     assert _digests(tmp_path, ONLINE_GOLDEN) == ONLINE_GOLDEN
+    with open(tmp_path / "eval_online.csv", newline="", encoding="utf-8") as fh:
+        rmse = {(row["horizon_s"], row["variant"]):
+                (float(row["rmse_speed_mps"]), float(row["rmse_force_n"]))
+                for row in csv.DictReader(fh)}
+    assert rmse.keys() == LOOP_RMSE.keys()
+    for key, expect in LOOP_RMSE.items():
+        np.testing.assert_allclose(rmse[key], expect, rtol=1e-9, atol=0.0)

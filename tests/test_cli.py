@@ -222,6 +222,30 @@ def test_data_at_another_sample_period_exit_3(tmp_path, toy_build, stage, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("stage", ["eval", "update", "fit"])
+def test_recording_cut_after_1024_s_has_the_model_period(tmp_path, toy_build, stage):
+    # past t = 1024 s the spacings of arange(n) * 0.025 are a few ulps of t off
+    # 0.025, so the period read back as their median is 3.6e-12 relative off
+    traj = Trajectory.read_csv(toy_build / "drivers" / "driver_01.csv")
+    late = tmp_path / "late.csv"
+    Trajectory(sample_period=0.025, t=(np.arange(len(traj)) + 41200) * 0.025, v=traj.v,
+               f_tr=traj.f_tr, v_ref=traj.v_ref).write_csv(late)
+    assert abs(Trajectory.read_csv(late).sample_period - 0.025) > 1e-12 * 0.025
+    out = tmp_path / "out"
+    argv = command_for(stage, toy_build, toy_build / "config.json", out)
+    data = argv.index("--data") + 1
+    if stage == "fit":  # a roster mixing an early and a late recording
+        argv[data:data + 1] = [str(toy_build / "drivers" / "driver_01.csv"), str(late)]
+    else:
+        argv[data] = str(late)
+    if stage == "update":
+        argv[argv.index("--segment") + 1:argv.index("--segment") + 3] = ["1040", "1060"]
+    if stage == "eval":
+        argv += ["--segment", "1040", "1060", "--online"]
+    assert main(argv) == 0
+    assert out.exists()
+
+
 def test_update_without_config_uses_online_settings_lambda(tmp_path, toy_route, config_file):
     out = run_pipeline(tmp_path, toy_route, config_file, "f")
     upd = out / "model_upd.json"

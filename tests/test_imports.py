@@ -80,31 +80,157 @@ def test_only_model_writes_files(path):
     assert file_writes(path.read_text(encoding="utf-8")) == []
 
 
+def _class_named(node, classes):
+    """The class an annotation names, written as a name or a string, if it is
+    one of the classes."""
+    if isinstance(node, ast.Name):
+        name = node.id
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        name = node.value
+    else:
+        return None
+    return name if name in classes else None
+
+
+class _Reads(ast.NodeVisitor):
+    """Every name and attribute a source reads. An attribute counts as
+    Class.attr when the class of its receiver is known and defines attr, and
+    as the bare attr otherwise."""
+
+    def __init__(self, classes, methods, returns):
+        self.classes, self.methods, self.returns = classes, methods, returns
+        self.used = set()
+        self.owner = [None]  # the class whose body encloses the node
+        self.scopes = []  # per enclosing function: local name -> class or None
+
+    def visit_ClassDef(self, node):
+        self.owner.append(node.name)
+        self.generic_visit(node)
+        self.owner.pop()
+
+    def visit_FunctionDef(self, node):
+        self.scopes.append(self._local_classes(node))
+        self.generic_visit(node)
+        self.scopes.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Name(self, node):
+        self.used.add(node.id)
+
+    def visit_Attribute(self, node):
+        key = f"{self.class_of(node.value)}.{node.attr}"
+        self.used.add(key if key in self.methods else node.attr)
+        self.generic_visit(node)
+
+    def class_of(self, node):
+        """The class of an expression's value, where the source shows it."""
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                return func.id if func.id in self.classes else self.returns.get(func.id)
+            if isinstance(func, ast.Attribute):
+                return self.returns.get(f"{self.class_of(func.value)}.{func.attr}")
+            return None
+        if not isinstance(node, ast.Name):
+            return None
+        for scope in reversed(self.scopes):
+            if node.id in scope:
+                return scope[node.id]
+        if node.id in ("self", "cls"):
+            return self.owner[-1]
+        return node.id if node.id in self.classes else None
+
+    def _local_classes(self, func):
+        """Local name -> class for names whose every binding in the function
+        is an annotation naming a class or an assignment from a call whose
+        class is known; None for every other bound name."""
+        local = {}
+
+        def bind(name, cls):
+            local[name] = cls if local.get(name, cls) == cls else None
+
+        typed = set()
+        for arg in func.args.posonlyargs + func.args.args + func.args.kwonlyargs:
+            if arg.annotation is not None:
+                bind(arg.arg, _class_named(arg.annotation, self.classes))
+        for node in ast.walk(func):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                    and isinstance(node.targets[0], ast.Name):
+                bind(node.targets[0].id, self.class_of(node.value))
+                typed.add(node.targets[0])
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                bind(node.target.id, _class_named(node.annotation, self.classes))
+                typed.add(node.target)
+        for node in ast.walk(func):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) \
+                    and node not in typed:
+                local[node.id] = None
+        return local
+
+
 def unreferenced_definitions(defining: list[str], referring: list[str]) -> list[str]:
-    """Functions, classes and methods defined in the defining sources whose
-    name no Name or attribute in the referring sources reads. Dunder methods
-    are called by Python itself and are left out."""
-    defined = {}
-    for source in defining:
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+    """Functions, classes and methods defined in the defining sources that no
+    Name or attribute in the referring sources reads. A method is keyed
+    Class.method: a read counts for that class alone when the class of its
+    receiver is known (the class itself; self or cls in its body; a call of
+    its constructor, or of a function or method annotated to return it; a
+    local name bound only to such calls or annotated with the class), and for
+    every method of that name otherwise. Dunder methods are called by Python
+    itself and are left out."""
+    trees = [ast.parse(source) for source in defining]
+    classes = {node.name for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+    defined, methods, returns = {}, set(), {}
+    for tree in trees:
+        in_class = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        key = f"{node.name}.{item.name}"
+                        in_class.add(item)
+                        methods.add(key)
+                        defined.setdefault(key, item.lineno)
+                        returns[key] = _class_named(item.returns, classes)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    and node not in in_class:
                 defined.setdefault(node.name, node.lineno)
+                if not isinstance(node, ast.ClassDef):
+                    returns[node.name] = _class_named(node.returns, classes)
     used = set()
     for source in referring:
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    return sorted(f"{name} (line {line})" for name, line in defined.items()
-                  if name not in used and not (name.startswith("__") and name.endswith("__")))
+        reads = _Reads(classes, methods, returns)
+        reads.visit(ast.parse(source))
+        used |= reads.used
+
+    dead = []
+    for key, line in defined.items():
+        name = key.rpartition(".")[2]
+        if key not in used and name not in used \
+                and not (name.startswith("__") and name.endswith("__")):
+            dead.append(f"{key} (line {line})")
+    return sorted(dead)
 
 
 def test_detects_unreferenced_definitions():
     source = ("class A:\n    def __len__(self): return 0\n    def used(self): pass\n"
               "    def dead(self): pass\ndef helper(): pass\n")
     assert unreferenced_definitions([source], [source, "A().used()\nf = helper\n"]) == \
-        ["dead (line 4)"]
+        ["A.dead (line 4)"]
+    # a dead method beside a live one of the same name, called on a receiver
+    # whose class a return annotation gives
+    routes = ("class RouteSpec:\n    def to_csv(self, path): pass\n"
+              "class AdvisoryProfile:\n    def to_csv(self, path): pass\n"
+              "def solve_eco_dp(route: RouteSpec) -> AdvisoryProfile: pass\n")
+    cli = "def cmd(args):\n    profile = solve_eco_dp(args)\n    profile.to_csv(args.out)\n"
+    assert unreferenced_definitions([routes], [routes, cli]) == ["RouteSpec.to_csv (line 2)"]
+    # a receiver of unknown class, here a loop variable, reads the method of
+    # every class
+    unknown = ("def cmd(args):\n    for profile in [solve_eco_dp(args)]:\n"
+               "        profile.to_csv(args.out)\n")
+    assert unreferenced_definitions([routes], [routes, unknown]) == []
 
 
 def test_every_definition_is_referenced():

@@ -210,8 +210,25 @@ def test_rollout_divergence_reports_step():
     assert exc.value.step == 100
 
 
+def step_loop_rollout(basis, A, B, x0, u) -> np.ndarray:
+    """The reference the doubling scan replaced: lift once, advance one step
+    at a time, project each step. Returns the (len(u) + 1, 2) states."""
+    z = basis.lift(x0)
+    expect = [x0]
+    for k in range(len(u)):
+        z = A @ z + B[:, 0] * u[k]
+        expect.append(basis.project_many(z[None])[0])
+    return np.array(expect)
+
+
+def assert_matches_step_loop(pred, expect, rtol):
+    """Each channel within rtol of that channel's max |value| of the loop."""
+    got = np.column_stack([pred.v, pred.f_tr])
+    bound = rtol * np.max(np.abs(expect), axis=0)
+    assert np.all(np.abs(got - expect) <= bound), np.max(np.abs(got - expect) / bound)
+
+
 def test_lifted_rollout_matches_step_loop():
-    # reference: lift once, advance one step at a time, project each step
     basis = LiftedBasis(scale=(16.0, 1024.0))
     rng = np.random.default_rng(4)
     A = rng.normal(0, 0.3, size=(9, 9))
@@ -219,15 +236,10 @@ def test_lifted_rollout_matches_step_loop():
     m = KoopmanModel(basis=basis, A=A, B=B, sample_period=0.025)
     x0 = np.array([11.5, -230.0])
     u = rng.normal(12.0, 1.0, size=60)
-    z = basis.lift(x0)
-    expect = [x0]
-    for k in range(len(u)):
-        z = A @ z + B[:, 0] * u[k]
-        expect.append(basis.project_many(z[None])[0])
-    expect = np.array(expect)
     pred = m.rollout(x0, u)
-    np.testing.assert_array_equal(pred.v, expect[:, 0])
-    np.testing.assert_array_equal(pred.f_tr, expect[:, 1])
+    # the scan sums the same terms in another order: last bits differ
+    assert_matches_step_loop(pred, step_loop_rollout(basis, A, B, x0, u), 1e-12)
+    assert pred.v[0] == x0[0] and pred.f_tr[0] == x0[1]
     # rollout skips the constructor's checks; the checked constructor accepts
     # the same columns and keeps every array as it is
     checked = Trajectory(sample_period=pred.sample_period, t=pred.t, v=pred.v, f_tr=pred.f_tr,
@@ -236,6 +248,59 @@ def test_lifted_rollout_matches_step_loop():
         np.testing.assert_array_equal(getattr(checked, name), getattr(pred, name))
     np.testing.assert_array_equal(pred.t, np.arange(len(u) + 1) * 0.025)
     np.testing.assert_array_equal(pred.v_ref, np.append(u, u[-1]))
+
+
+@pytest.mark.parametrize("rho", [0.9, 1.0, 1.02])
+@pytest.mark.parametrize("steps", [1, 2, 3, 127, 128, 129, 200, 2000])
+def test_scan_rollout_matches_step_loop_at_every_length(steps, rho):
+    # lengths on either side of a power of two, where the number of strides
+    # changes; a random A is non-normal, scaled to spectral radius rho
+    basis = LiftedBasis(scale=(16.0, 1024.0))
+    rng = np.random.default_rng(7)
+    M = rng.normal(size=(9, 9))
+    A = M * (rho / np.max(np.abs(np.linalg.eigvals(M))))
+    B = rng.normal(size=(9, 1))
+    m = KoopmanModel(basis=basis, A=A, B=B, sample_period=0.025)
+    x0 = np.array([11.5, -230.0])
+    u = rng.normal(12.0, 1.0, size=steps)
+    pred = m.rollout(x0, u)
+    assert len(pred) == steps + 1
+    assert_matches_step_loop(pred, step_loop_rollout(basis, A, B, x0, u), 1e-12)
+
+
+def test_refined_scan_keeps_a_non_normal_rollout_at_the_loop_accuracy():
+    # squared powers of this A (Schur form with off-diagonal entries of
+    # spread 0.6, spectral radius 1.02) carry 1.4e-9 of error into the
+    # forecast without the refinement pass, 1e3 times the bound below
+    basis = LiftedBasis(scale=(16.0, 1024.0))
+    rng = np.random.default_rng(1)
+    Q, _ = np.linalg.qr(rng.normal(size=(9, 9)))
+    T = np.diag(np.linspace(1.02, 0.5, 9)) + np.triu(rng.normal(0, 0.6, size=(9, 9)), 1)
+    A = Q @ T @ Q.T
+    B = rng.normal(size=(9, 1))
+    x0 = np.array([11.5, -230.0])
+    u = rng.normal(12.0, 1.0, size=2000)
+    m = KoopmanModel(basis=basis, A=A, B=B, sample_period=0.025)
+    assert_matches_step_loop(m.rollout(x0, u), step_loop_rollout(basis, A, B, x0, u), 1e-12)
+
+
+def test_scan_reports_an_overflowing_power_the_loop_never_forms():
+    # A^128 overflows in its first entry, but the state has v = 0 and stays
+    # in the decaying coordinates: the loop's states are finite, while the
+    # scan multiplies by the infinite power and reports step 128
+    basis = LiftedBasis()
+    A = np.diag([1e3] + [0.5] * 8)
+    B = np.zeros((9, 1))
+    x0 = np.array([0.0, 2.0])
+    u = np.zeros(200)
+    assert np.isfinite(step_loop_rollout(basis, A, B, x0, u)).all()
+    m = KoopmanModel(basis=basis, A=A, B=B, sample_period=0.025)
+    with pytest.raises(RolloutDivergenceError) as exc:
+        m.rollout(x0, u)
+    assert exc.value.step == 128
+    # short of the first overflowing power the scan agrees with the loop
+    pred = m.rollout(x0, u[:127])
+    assert_matches_step_loop(pred, step_loop_rollout(basis, A, B, x0, u[:127]), 1e-12)
 
 
 def test_rollout_requires_inputs():
