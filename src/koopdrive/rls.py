@@ -8,7 +8,7 @@ z = [psi(x_k); u_k] and the update reads
     eps   = psi(x_next) - theta z
     K     = P z / (lambda + z' P z)
     theta = theta + eps K'
-    P     = (P - K z' P) / lambda,  then re-symmetrized
+    P     = (P - K z' P) / lambda
 
 With lambda = 1 and P(0) = kappa * I this is exactly sequential ridge
 regression with penalty 1/kappa, which is what the batch solver computes;
@@ -26,13 +26,20 @@ pair. stream_ticks stacks a segment's (v, f_tr, v_ref) rows once and hands
 each tick a view.
 
 The kernel works on 10-wide arrays, where numpy's per-call overhead costs
-more than the arithmetic. It multiplies with ndarray.dot, which makes the
-same BLAS call as @ without the ufunc dispatch, forms the outer products by
-broadcasting (the products np.outer computes), divides and re-symmetrizes
-the fresh covariance in place, and takes the error norm as sqrt(eps . eps),
-which is how np.linalg.norm computes it. An outer product as a one-term
-matrix product (np.dot of a column and a row) would be faster, but BLAS
-can turn a -0.0 product into +0.0 there, so the kernel keeps broadcasting.
+more than the arithmetic, so it makes one matrix product and one rank-one
+update per pair. The state is one C-contiguous (n + p) x p block
+[theta; P], with n lifted states and p = n + 1 regressors (9 and 10 at
+degree 3). w = block z gives theta z and P z in one product; the
+denominator is lambda + z' P z, and w[:n] -= psi_next turns theta z into
+-eps. Scaling w by 1/sqrt(denom) makes its P rows g = P z / sqrt(denom),
+and block -= w g' then adds eps K' to theta and subtracts g g' (which is
+K z' P for a symmetric P) from P in one broadcast; P is divided by lambda
+in place. The entries g_i g_j and g_j g_i are the same floating-point
+product, so a symmetric P stays exactly symmetric, as P(0) = I / lambda
+is, and no re-symmetrization is needed. The error norm is
+sqrt(eps . eps), which is how np.linalg.norm computes it. Every check runs
+on w before the block is touched, so a rejected pair leaves the state as
+it was.
 """
 
 from __future__ import annotations
@@ -87,31 +94,54 @@ class OnlineSettings:
         return max(int(round(steps)), 1)
 
 
-@dataclass
 class RlsState:
-    """Mutable adaptation state: parameter block, covariance, forgetting."""
+    """Mutable adaptation state: the block [theta; P] and the forgetting factor.
 
-    theta: np.ndarray
-    P: np.ndarray
-    lam: float
-    update_count: int = 0
+    The block is one C-contiguous (n + p) x p array whose rows [:n] are the
+    parameter block theta = [A B] and whose rows [n:] are the covariance P.
+    state.theta and state.P are views of it; assigning either writes into
+    the block.
+    """
 
-    def __post_init__(self):
-        self.theta = np.asarray(self.theta, dtype=float)
-        self.P = np.asarray(self.P, dtype=float)
-        if self.theta.ndim != 2:
+    def __init__(self, theta, P, lam: float, update_count: int = 0):
+        theta = np.asarray(theta, dtype=float)
+        P = np.asarray(P, dtype=float)
+        if theta.ndim != 2:
             raise ValueError("theta must be a 2-D block [A B]")
-        p = self.theta.shape[1]
-        if self.P.shape != (p, p):
-            raise ValueError(f"P must be ({p}, {p}), got {self.P.shape}")
-        if not (0.0 < self.lam <= 1.0):
-            raise ValueError(f"forgetting factor must be in (0, 1], got {self.lam}")
-        if not (np.all(np.isfinite(self.theta)) and np.all(np.isfinite(self.P))):
+        n, p = theta.shape
+        if P.shape != (p, p):
+            raise ValueError(f"P must be ({p}, {p}), got {P.shape}")
+        if not (0.0 < lam <= 1.0):
+            raise ValueError(f"forgetting factor must be in (0, 1], got {lam}")
+        self.block = np.empty((n + p, p))
+        self.block[:n] = theta
+        self.block[n:] = P
+        if not np.isfinite(self.block).all():
             raise ValueError("theta and P must be finite")
+        self._theta = self.block[:n]
+        self._P = self.block[n:]
+        self.lam = lam
+        self.update_count = update_count
+
+    @property
+    def theta(self) -> np.ndarray:
+        return self._theta
+
+    @theta.setter
+    def theta(self, value):
+        self._theta[...] = value
+
+    @property
+    def P(self) -> np.ndarray:
+        return self._P
+
+    @P.setter
+    def P(self, value):
+        self._P[...] = value
 
     @property
     def n_features(self) -> int:
-        return self.theta.shape[1]
+        return self.block.shape[1]
 
 
 def init_rls(model: KoopmanModel, lam: float) -> RlsState:
@@ -119,7 +149,7 @@ def init_rls(model: KoopmanModel, lam: float) -> RlsState:
     if not (0.0 < lam <= 1.0):
         raise ValueError(f"forgetting factor must be in (0, 1], got {lam}")
     p = model.lifted_dim + 1
-    return RlsState(theta=model.stacked().copy(), P=np.eye(p) / lam, lam=lam)
+    return RlsState(theta=model.stacked(), P=np.eye(p) / lam, lam=lam)
 
 
 def rls_update(state: RlsState, z: np.ndarray, psi_next: np.ndarray) -> float:
@@ -130,24 +160,24 @@ def rls_update(state: RlsState, z: np.ndarray, psi_next: np.ndarray) -> float:
     non-positive gain denominator or a non-finite prediction error raises
     RlsUpdateRejectedError and leaves the state exactly as it was.
     """
-    Pz = state.P.dot(z)
+    block = state.block
+    w = block.dot(z)  # [theta z; P z]
+    n = len(psi_next)
+    Pz = w[n:]
     denom = state.lam + float(z.dot(Pz))
     if not math.isfinite(denom) or denom <= 0.0:
         raise RlsUpdateRejectedError(f"update rejected: gain denominator is {denom}")
-    eps = psi_next - state.theta.dot(z)
-    sq = float(eps.dot(eps))
+    neg_eps = w[:n]
+    neg_eps -= psi_next
+    sq = float(neg_eps.dot(neg_eps))
     # sq is finite only if eps is; a finite eps whose square overflows passes
-    if not math.isfinite(sq) and not np.all(np.isfinite(eps)):
+    if not math.isfinite(sq) and not np.all(np.isfinite(neg_eps)):
         raise RlsUpdateRejectedError("update rejected: non-finite prediction error")
 
-    K = Pz / denom
-    state.theta += eps[:, None] * K  # the outer product eps K'
-    # z' P equals (P z)' while P stays symmetric, which re-symmetrizing enforces
-    P_new = state.P - K[:, None] * Pz
-    P_new /= state.lam
-    P_sym = P_new + P_new.T
-    P_sym *= 0.5
-    state.P = P_sym
+    w *= 1.0 / math.sqrt(denom)
+    # rows [:n] gain eps K' and rows [n:] lose g g' with g = P z / sqrt(denom)
+    block -= w[:, None] * w[n:]
+    state._P /= state.lam
     state.update_count += 1
     return math.sqrt(sq)
 

@@ -24,6 +24,7 @@ from koopdrive.evaluate import bench_update, evaluate_horizons
 from koopdrive.model import KoopmanModel, Trajectory
 from koopdrive.rls import (OnlineSettings, RlsState, init_rls, rls_update, snapshot_model,
                            stream_ticks)
+from test_rls import parent_kernel
 
 ROOT = Path(__file__).resolve().parents[1]
 ROUTE = ROOT / "configs" / "route_urban.csv"
@@ -164,7 +165,7 @@ def test_streaming_matches_batch(verdict):
 
 
 def test_streaming_covariance_health(verdict):
-    with verdict("streaming covariance: symmetric PD over 1e4 updates, "
+    with verdict("streaming covariance: exactly symmetric PD over 1e4 updates, "
                  "zero error leaves parameters untouched", None):
         basis = LiftedBasis()
         for lam in (0.9, 1.0):
@@ -173,7 +174,7 @@ def test_streaming_covariance_health(verdict):
             for _ in range(10_000):
                 rls_update(state, *_lift_pair(basis, rng.normal(size=2), rng.normal(size=1),
                                               rng.normal(size=2)))
-                assert np.max(np.abs(state.P - state.P.T)) <= 1e-9
+                assert np.array_equal(state.P, state.P.T)
                 np.linalg.cholesky(state.P)
 
         # parameters already explaining the data (theta maps psi to itself,
@@ -303,6 +304,32 @@ def test_adaptive_predictor_beats_frozen_model(verdict, work_dir):
         a5 = next(r for r in on if r.horizon_s == 5.0)
         assert a5.rmse_speed_mps <= 0.85 * o5.rmse_speed_mps
         assert a5.rmse_force_n <= 0.85 * o5.rmse_force_n
+
+
+def test_stacked_kernel_tracks_the_p_form_kernel(verdict, work_dir):
+    with verdict("distracted driver, default lambda, 1 s ticks: every tick-end theta within "
+                 "1e-9 of the P-form kernel over the eval segment and 1e-7 over the whole "
+                 "drive; the final P exactly symmetric and positive definite", 60.0):
+        sc = _scenario(work_dir)
+        cfg, model = sc["cfg"], sc["model"]
+        traj = sc["trajectories"][17]
+        online = OnlineSettings(lam=cfg["rls"]["lam"], cadence_s=cfg["rls"]["cadence_s"])
+        psi = model.basis.lift_many(traj.states())
+        Z = np.column_stack([psi[:-1], traj.v_ref[:-1]])
+        segment = [int(round(s / traj.sample_period)) for s in cfg["eval"]["segment_s"]]
+        for (start, stop), rel in ((segment, 1e-9), ((0, len(traj) - 1), 1e-7)):
+            state = init_rls(model, online.lam)
+            theta, P = state.theta.copy(), state.P.copy()
+            k = start
+            for end, _ in stream_ticks(state, model.basis, traj, start, stop,
+                                       online.tick_steps(traj.sample_period)):
+                for i in range(k, end):
+                    P, _ = parent_kernel(theta, P, online.lam, Z[i], psi[i + 1])
+                k = end
+                assert np.max(np.abs(state.theta - theta)) <= rel * np.max(np.abs(theta)), end
+            assert state.update_count == stop - start
+            assert np.array_equal(state.P, state.P.T)
+            np.linalg.cholesky(state.P)
 
 
 def _step_loop_states(model, x0, u) -> np.ndarray:

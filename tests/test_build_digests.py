@@ -9,13 +9,17 @@ fit's memory layout (shared roster columns, block lifting) was changed; the
 `fit --scaling none` outputs were recorded before the pre-scaler lost its
 affine offset. On the distracted driver it then runs `update` over 515-630 s
 at cadence 1.0 and 0.1 and `eval --online`, and compares the SHA-256 of the
-updated models and the tick logs with digests recorded before the RLS kernel
-lost its raw-pair path. The `eval --online` report CSV was re-recorded when
-rollouts moved from a per-step loop to a doubling scan, which sums the same
-terms in another order; its sixteen RMSEs are also checked against the
-per-step loop's values, written in below, to 1e-9 relative, so that a new
-digest cannot hide drift. Any change to the bytes of these files fails here.
-`advisory_meta.json` is left out because it records the absolute route path.
+updated models, the tick logs and the `eval --online` report CSV with
+digests recorded when the RLS kernel moved from separate theta and P
+products with a re-symmetrized P to one product with a stacked [theta; P]
+block and a rank-one update, which sums the same terms in another order
+(the tick logs' `mean_err_norm` moved by at most 7e-12 relative; the
+kernel's own tolerance gates are in test_rls.py and test_acceptance.py).
+The report's sixteen RMSEs are also checked against the values written in
+below, which the per-step rollout loop and the P-form kernel produced, to
+1e-9 relative, so that a new digest cannot hide drift. Any change to the
+bytes of these files fails here. `advisory_meta.json` is left out because
+it records the absolute route path.
 
 The digests pin numpy's `default_rng` streams (PCG64 `standard_normal` for
 the command noise, `random` for the gain jitter). A numpy release that
@@ -64,11 +68,11 @@ UNSCALED_FIT_GOLDEN = {
 
 
 ONLINE_GOLDEN = {
-    "update_1.0.json": "12c48fc964b3ec0d0b68b6281e03e19fc684e5008da8ebef80fa55d82f39948f",
-    "ticks_1.0.csv": "e76e0cc55b68671f60ba9411c591f00eef277783868ca5f955743f4b201b439b",
-    "update_0.1.json": "7f087edffd06d488c20a45e0c5c967b04f96a0c797716f994c5e571939d8358a",
-    "ticks_0.1.csv": "5906981663b86cbbbdb402759b3ffa49beb214e6689aae5d121bb284d392e212",
-    "eval_online.csv": "71248358c9855f4b5408c303762979c80246814a8b901ee1feb8b563d1e84b80",
+    "update_1.0.json": "e7ae5f8e69ac1d0fa5fe44249e8d062b4d1f6dfb28fba3412921e8c014edbe78",
+    "ticks_1.0.csv": "41a7cda5d3c112f91b8dc88662d8fb2f09937701ef3b88e58a9810f6bd30b4e8",
+    "update_0.1.json": "c06bdd1090c412f680e5661c40eebfe00116411abb095a495c837c25d5c69f31",
+    "ticks_0.1.csv": "7da0021168e94151db873d400f33c410d1df4bec0523296d92fa2fe48a2c604e",
+    "eval_online.csv": "c79433f18bff99f9e4df314ff0606fd443c2629e61e8fb44ff2d9a78f5c8db6f",
 }
 
 # (horizon_s, variant): (rmse_speed_mps, rmse_force_n) of the `eval --online`
