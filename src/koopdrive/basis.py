@@ -119,7 +119,7 @@ class LiftedBasis:
 
     def lift(self, x) -> np.ndarray:
         """Map one physical state to its lifted image, shape (lifted_dim,)."""
-        return self.lift_many(_state_array(x)[None, :])[0]
+        return self._lift_rows(_state_array(x)[None, :])[0]
 
     def lift_many(self, states: np.ndarray) -> np.ndarray:
         """Lift a batch of states, one per row; returns (k, lifted_dim)."""
@@ -128,6 +128,10 @@ class LiftedBasis:
             raise ValueError(f"expected (k, 2) state array, got {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("states must be finite")
+        return self._lift_rows(arr)
+
+    def _lift_rows(self, arr: np.ndarray) -> np.ndarray:
+        # arr is a checked, finite (k, 2) float array
         if self.scale is not None:
             arr = arr / self._scale
         # each power of v and f once, in one call, then one product per

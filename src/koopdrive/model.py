@@ -378,7 +378,8 @@ class KoopmanModel:
             # Z[k + 1] = A Z[k] + B u[k], the input term written first
             Z = np.empty((L + 1, self.lifted_dim))
             Z[0] = self.basis.lift(x0)
-            G = np.outer(u, self.B[:, 0])
+            # np.outer's products; a k = 1 matrix product would turn -0.0 into +0.0
+            G = u[:, None] * self.B[:, 0]
             Z[1:] = G
             At = self.A.T.copy()
             powers = [(1, At)]  # (s, (A^s)^T) for the strides s <= L, by squaring
@@ -402,9 +403,11 @@ class KoopmanModel:
 
         # u, x0 and every state are finite and t is uniform by construction,
         # so the constructor's checks would find nothing
+        v_ref = np.empty(L + 1)
+        v_ref[:L] = u
+        v_ref[L] = u[-1]  # advisory held through the end
         return _trusted_trajectory(self.sample_period, np.arange(L + 1) * self.sample_period,
-                                   states[:, 0], states[:, 1],
-                                   np.append(u, u[-1]))  # advisory held through the end
+                                   states[:, 0], states[:, 1], v_ref)
 
     def save(self, path: str) -> None:
         _write_json(path, {

@@ -28,18 +28,32 @@ each tick a view.
 The kernel works on 10-wide arrays, where numpy's per-call overhead costs
 more than the arithmetic, so it makes one matrix product and one rank-one
 update per pair. The state is one C-contiguous (n + p) x p block
-[theta; P], with n lifted states and p = n + 1 regressors (9 and 10 at
-degree 3). w = block z gives theta z and P z in one product; the
-denominator is lambda + z' P z, and w[:n] -= psi_next turns theta z into
--eps. Scaling w by 1/sqrt(denom) makes its P rows g = P z / sqrt(denom),
-and block -= w g' then adds eps K' to theta and subtracts g g' (which is
-K z' P for a symmetric P) from P in one broadcast; P is divided by lambda
-in place. The entries g_i g_j and g_j g_i are the same floating-point
-product, so a symmetric P stays exactly symmetric, as P(0) = I / lambda
-is, and no re-symmetrization is needed. The error norm is
+[theta; S], with n lifted states and p = n + 1 regressors (9 and 10 at
+degree 3), where S = mu P is the covariance times a scalar mu that carries
+the forgetting (the scaled-covariance form of exponentially weighted RLS;
+Ljung & Soderstrom, Theory and Practice of Recursive Identification, 1983).
+w = block z gives theta z and S z in one product, and
+md = mu lambda + z' S z is mu times the gain denominator. w[:n] -= psi_next
+turns theta z into -eps, and scaling w by 1/sqrt(md) makes its S rows
+g = S z / sqrt(md). block -= w g', taken as the (n + p, 1) x (1, p) matrix
+product, adds eps K' to theta and leaves S - g g' = mu lambda P_new in the
+S rows, so mu <- lambda mu keeps S = mu P without touching the block
+again. Each entry of that product is the single floating-point product
+w_i g_j, so g_i g_j and g_j g_i are the same number and a symmetric S stays
+exactly symmetric, as S(0) = P(0) = I / lambda is. The error norm is
 sqrt(eps . eps), which is how np.linalg.norm computes it. Every check runs
-on w before the block is touched, so a rejected pair leaves the state as
-it was.
+on w and md before the block is touched, so a rejected pair leaves the
+state as it was; the error names the gain denominator md / mu.
+
+mu starts at 1.0 and is reset to 1.0 when P is assigned. When it falls
+below 2**-512 (after about 3370 pairs at lambda = 0.9, 135 000 at the
+default), S and mu are both multiplied by 2**512. That scales w's S rows
+and md by 2**512 and sqrt(md) and g by its exact square root 2**256, all
+without rounding, and the powers cancel in every theta entry and in
+P = S / mu, so the rescale changes no bit of any later result; it depends
+only on the number of pairs applied, never on the tick boundaries. state.P
+returns S / mu as a new array and never writes it back, so reading P cannot
+change a later update either.
 """
 
 from __future__ import annotations
@@ -95,12 +109,15 @@ class OnlineSettings:
 
 
 class RlsState:
-    """Mutable adaptation state: the block [theta; P] and the forgetting factor.
+    """Mutable adaptation state: the block [theta; S], the scalar mu with
+    S = mu P, and the forgetting factor.
 
     The block is one C-contiguous (n + p) x p array whose rows [:n] are the
-    parameter block theta = [A B] and whose rows [n:] are the covariance P.
-    state.theta and state.P are views of it; assigning either writes into
-    the block.
+    parameter block theta = [A B] and whose rows [n:] are the scaled
+    covariance S. state.theta is a view of the block. state.P is S / mu,
+    computed on each read and never stored, so a read leaves the state as it
+    was. Assigning either writes into the block; assigning P also resets mu
+    to 1.0.
     """
 
     def __init__(self, theta, P, lam: float, update_count: int = 0):
@@ -119,7 +136,8 @@ class RlsState:
         if not np.isfinite(self.block).all():
             raise ValueError("theta and P must be finite")
         self._theta = self.block[:n]
-        self._P = self.block[n:]
+        self._S = self.block[n:]
+        self.mu = 1.0
         self.lam = lam
         self.update_count = update_count
 
@@ -133,15 +151,21 @@ class RlsState:
 
     @property
     def P(self) -> np.ndarray:
-        return self._P
+        return self._S / self.mu
 
     @P.setter
     def P(self, value):
-        self._P[...] = value
+        self._S[...] = value
+        self.mu = 1.0
 
     @property
     def n_features(self) -> int:
         return self.block.shape[1]
+
+
+# mu below this is scaled back up, together with S, by _MU_RESCALE
+_MU_FLOOR = 2.0 ** -512
+_MU_RESCALE = 2.0 ** 512
 
 
 def init_rls(model: KoopmanModel, lam: float) -> RlsState:
@@ -161,12 +185,13 @@ def rls_update(state: RlsState, z: np.ndarray, psi_next: np.ndarray) -> float:
     RlsUpdateRejectedError and leaves the state exactly as it was.
     """
     block = state.block
-    w = block.dot(z)  # [theta z; P z]
+    w = block.dot(z)  # [theta z; S z]
     n = len(psi_next)
-    Pz = w[n:]
-    denom = state.lam + float(z.dot(Pz))
-    if not math.isfinite(denom) or denom <= 0.0:
-        raise RlsUpdateRejectedError(f"update rejected: gain denominator is {denom}")
+    Sz = w[n:]
+    mu = state.mu * state.lam  # the next mu
+    md = mu + float(z.dot(Sz))  # mu times the gain denominator
+    if not math.isfinite(md) or md <= 0.0:
+        raise RlsUpdateRejectedError(f"update rejected: gain denominator is {md / state.mu}")
     neg_eps = w[:n]
     neg_eps -= psi_next
     sq = float(neg_eps.dot(neg_eps))
@@ -174,10 +199,13 @@ def rls_update(state: RlsState, z: np.ndarray, psi_next: np.ndarray) -> float:
     if not math.isfinite(sq) and not np.all(np.isfinite(neg_eps)):
         raise RlsUpdateRejectedError("update rejected: non-finite prediction error")
 
-    w *= 1.0 / math.sqrt(denom)
-    # rows [:n] gain eps K' and rows [n:] lose g g' with g = P z / sqrt(denom)
-    block -= w[:, None] * w[n:]
-    state._P /= state.lam
+    w *= 1.0 / math.sqrt(md)  # Sz becomes g = S z / sqrt(md)
+    # rows [:n] gain eps K' and rows [n:] lose g g', each entry one product
+    block -= w[:, None].dot(Sz[None])
+    if mu < _MU_FLOOR:
+        state._S *= _MU_RESCALE
+        mu *= _MU_RESCALE
+    state.mu = mu
     state.update_count += 1
     return math.sqrt(sq)
 

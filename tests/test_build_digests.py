@@ -10,11 +10,12 @@ fit's memory layout (shared roster columns, block lifting) was changed; the
 affine offset. On the distracted driver it then runs `update` over 515-630 s
 at cadence 1.0 and 0.1 and `eval --online`, and compares the SHA-256 of the
 updated models, the tick logs and the `eval --online` report CSV with
-digests recorded when the RLS kernel moved from separate theta and P
-products with a re-symmetrized P to one product with a stacked [theta; P]
-block and a rank-one update, which sums the same terms in another order
-(the tick logs' `mean_err_norm` moved by at most 7e-12 relative; the
-kernel's own tolerance gates are in test_rls.py and test_acceptance.py).
+digests recorded when the stacked [theta; P] kernel moved its forgetting
+into a scalar mu, with S = mu P in the block, and took the rank-one update
+as a k = 1 matrix product; S - g g' rounds differently from
+(P - g g') / lambda (the tick logs' `mean_err_norm` moved by at most
+9e-12 relative and the `eval --online` RMSEs by 1.4e-13; the kernel's own
+tolerance gates are in test_rls.py and test_acceptance.py).
 The report's sixteen RMSEs are also checked against the values written in
 below, which the per-step rollout loop and the P-form kernel produced, to
 1e-9 relative, so that a new digest cannot hide drift. Any change to the
@@ -68,11 +69,11 @@ UNSCALED_FIT_GOLDEN = {
 
 
 ONLINE_GOLDEN = {
-    "update_1.0.json": "e7ae5f8e69ac1d0fa5fe44249e8d062b4d1f6dfb28fba3412921e8c014edbe78",
-    "ticks_1.0.csv": "41a7cda5d3c112f91b8dc88662d8fb2f09937701ef3b88e58a9810f6bd30b4e8",
-    "update_0.1.json": "c06bdd1090c412f680e5661c40eebfe00116411abb095a495c837c25d5c69f31",
-    "ticks_0.1.csv": "7da0021168e94151db873d400f33c410d1df4bec0523296d92fa2fe48a2c604e",
-    "eval_online.csv": "c79433f18bff99f9e4df314ff0606fd443c2629e61e8fb44ff2d9a78f5c8db6f",
+    "update_1.0.json": "7835d950ef762a93f21ba4fa19b535c287f29b4f0015b0107a07b708b44cc512",
+    "ticks_1.0.csv": "ed00a04996b0008cf3b65e46e6af9271a036a94eee55830658af8a6c63caaf12",
+    "update_0.1.json": "a6989e93926f8c95ea53497dd09267349bb61be65891019f5608d7cead597b36",
+    "ticks_0.1.csv": "9d2a10354bcb0dca28311a748d4f244b73c8ad1baae8b8ecaac37296003d3ddc",
+    "eval_online.csv": "7c04a84a97c6b5cc81f6571723e7cab5b08188911f14413051808232bf379ac6",
 }
 
 # (horizon_s, variant): (rmse_speed_mps, rmse_force_n) of the `eval --online`

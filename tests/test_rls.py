@@ -41,11 +41,25 @@ def test_state_is_one_block_of_theta_and_p():
     state = RlsState(theta=theta, P=np.eye(10) / 0.9, lam=0.9)
     assert state.block.shape == (19, 10) and state.block.flags.c_contiguous
     np.testing.assert_array_equal(state.block, np.vstack([theta, np.eye(10) / 0.9]))
-    # theta and P are views of the block, and assigning either writes into it
+    assert state.mu == 1.0
+    # theta is a view of the block, and assigning it writes into the block
     state.theta = np.ones((9, 10))
+    assert np.shares_memory(state.theta, state.block)
+    np.testing.assert_array_equal(state.block[:9], np.ones((9, 10)))
+    # after updates the block's rows [9:] hold S = mu P, with mu = lambda**k
+    # taken one product at a time
+    _, _, Z, psi = scaled_stream(50)
+    mu = 1.0
+    for i in range(50):
+        rls_update(state, Z[i], psi[i + 1])
+        mu *= 0.9
+    assert state.mu == mu
+    np.testing.assert_array_equal(state.P, state.block[9:] / mu)
+    # assigning P writes S into the block and resets mu
+    theta_now = state.theta.copy()
     state.P = 2.0 * np.eye(10)
-    np.testing.assert_array_equal(state.block, np.vstack([np.ones((9, 10)), 2.0 * np.eye(10)]))
-    assert np.shares_memory(state.theta, state.block) and np.shares_memory(state.P, state.block)
+    assert state.mu == 1.0
+    np.testing.assert_array_equal(state.block, np.vstack([theta_now, 2.0 * np.eye(10)]))
     # the block is the state's own copy
     assert not np.shares_memory(theta, state.block)
 
@@ -197,6 +211,73 @@ def test_kernel_matches_parent_operators():
     assert_close_to_max(state.P, P)
     assert np.array_equal(state.P, state.P.T)
     assert state.update_count == 2000
+
+
+def excited_traj(n, seed=12):
+    # states and inputs drawn independently each sample, so every regressor
+    # direction is excited even at a 10-pair memory
+    rng = np.random.default_rng(seed)
+    return Trajectory(sample_period=0.025, t=np.arange(n) * 0.025, v=rng.normal(0, 1, n),
+                      f_tr=rng.normal(0, 1, n), v_ref=rng.normal(0, 1, n))
+
+
+def replay(model, basis, traj, tick_steps, read_p_every=0):
+    state = init_rls(model, 0.9)
+    for k, _ in enumerate(stream_ticks(state, basis, traj, 0, len(traj) - 1, tick_steps)):
+        if read_p_every and k % read_p_every == 0:
+            state.P
+    return state
+
+
+def test_mu_rescale_is_exact_and_independent_of_ticks():
+    # at lambda = 0.9, mu falls below 2**-512 near pair 3370 and is rescaled
+    basis = LiftedBasis()
+    model = KoopmanModel.from_stacked(
+        basis, np.random.default_rng(13).normal(0, 0.1, size=(9, 10)), 0.025)
+    traj = excited_traj(5001)
+    state = replay(model, basis, traj, 1)
+    assert state.update_count == 5000
+    # one exact rescale: mu is lambda**5000, taken one product at a time, times 2**512
+    mu = 1.0
+    for _ in range(5000):
+        mu *= 0.9
+    assert state.mu == mu * 2.0 ** 512
+    for other in (replay(model, basis, traj, 7), replay(model, basis, traj, 40),
+                  replay(model, basis, traj, 1, read_p_every=97)):
+        np.testing.assert_array_equal(other.theta, state.theta)
+        np.testing.assert_array_equal(other.P, state.P)
+        assert other.update_count == state.update_count
+
+    # the reference divides P by lambda every pair and never rescales
+    rows = np.column_stack([traj.v, traj.f_tr, traj.v_ref])
+    theta, P = model.stacked().copy(), np.eye(10) / 0.9
+    for i in range(5000):
+        P, _ = parent_kernel(theta, P, 0.9, *lift_pair(basis, rows[i, :2], rows[i, 2:3],
+                                                        rows[i + 1, :2]))
+    assert_close_to_max(state.theta, theta)
+    assert_close_to_max(state.P, P)
+
+    # S and mu scaled together by a power of two cross the floor at other
+    # pairs, and change no bit of theta or P
+    shifted = init_rls(model, 0.9)
+    shifted.block[9:] *= 2.0 ** -300
+    shifted.mu = 2.0 ** -300
+    for _ in stream_ticks(shifted, basis, traj, 0, 5000, 40):
+        pass
+    assert shifted.mu != state.mu
+    np.testing.assert_array_equal(shifted.theta, state.theta)
+    np.testing.assert_array_equal(shifted.P, state.P)
+
+    # a rejected pair after the crossing leaves the state untouched
+    block, mu = state.block.copy(), state.mu
+    z, psi_next = lift_pair(basis, rows[0, :2], rows[0, 2:3], rows[1, :2])
+    with pytest.raises(RlsUpdateRejectedError, match="non-finite prediction error"):
+        rls_update(state, z, np.full(9, np.nan))
+    with pytest.raises(RlsUpdateRejectedError, match="gain denominator is nan"), \
+            np.errstate(invalid="ignore"):
+        rls_update(state, np.full(10, np.inf), psi_next)
+    np.testing.assert_array_equal(state.block, block)
+    assert state.mu == mu and state.update_count == 5000
 
 
 def test_kernel_rejects_nan_prediction_error():
