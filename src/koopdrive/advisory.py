@@ -34,10 +34,13 @@ below-grid mask) depend only on a step's admissible speeds and grade, so the
 backward pass computes them once per run of consecutive steps with the same
 configuration and each step only gathers, interpolates and minimizes the
 next node's values; the forward pass and the initial-state cost use the same
-two interpolation halves. Infeasible cells hold a large sentinel instead of inf so the
-interpolation stays well defined; any query that puts weight on an
-infeasible neighbor is treated as infeasible, which errs on the conservative
-side near constraint boundaries.
+two interpolation halves. Infeasible cells hold a large sentinel instead of
+inf so the interpolation stays well defined. A query inside a cell with one
+infeasible corner takes the feasible corner's value, so feasibility along
+the state-of-charge axis is resolved to grid-cell resolution, which errs on
+the permissive side near constraint boundaries; a query below the grid, or
+inside a cell with two infeasible corners, is infeasible. The forward pass
+enforces the terminal floor on the continuous state of charge.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .model import _read_csv_table, _write_csv_table
+from .model import _check_sample_period, _read_csv_table, _samples, _write_csv_table
 
 BIG = 1e30  # infeasibility sentinel; np.inf would break linear interpolation
 _BIG_CUT = 1e29
@@ -373,9 +376,11 @@ def _interp_geometry(queries: np.ndarray, socgrid: np.ndarray,
 def _interp_values(table: np.ndarray, geometry: tuple) -> np.ndarray:
     """Linear interpolation of a (levels, soc_levels) value table at a geometry.
 
-    Queries outside the grid and queries touching a sentinel-valued neighbor
-    come back as BIG. Equal neighbors short-circuit to the shared value so
-    flat regions interpolate exactly.
+    The table holds BIG or values below _BIG_CUT, and so does the result.
+    Queries below the grid come back as BIG, a cell with one sentinel corner
+    takes the other corner's value, and equal neighbors short-circuit to the
+    shared value, so flat regions interpolate exactly and a cell with two
+    sentinel corners gives BIG.
     """
     flat0, flat1, w, below = geometry
     v0 = table.take(flat0)
@@ -388,9 +393,7 @@ def _interp_values(table: np.ndarray, geometry: tuple) -> np.ndarray:
     out = np.where(v0 == v1, v0, v0 + w * (v1 - v0))
     out = np.where(bad0 & ~bad1, v1, out)
     out = np.where(bad1 & ~bad0, v0, out)
-    out = np.where(bad0 & bad1, BIG, out)
-    out = np.where(below, BIG, out)
-    return np.where(out >= _BIG_CUT, BIG, out)
+    return np.where(below, BIG, out)
 
 
 def _price_edges(v1, v2, engine, grade, ds, config, socgrid, i2):
@@ -482,8 +485,6 @@ def solve_eco_dp(route: RouteSpec, config: EcoDpConfig) -> AdvisoryProfile:
             for c, iv2 in enumerate(i2):
                 if not feasible[c] or vals[c] >= _BIG_CUT:
                     continue
-                if soc_new[c] < socgrid[0] - 1e-12:
-                    continue
                 # the grid resolves the terminal floor to cell resolution;
                 # the last step enforces it on the continuous trajectory
                 if j == S - 1 and soc_new[c] <= config.soc_terminal_floor:
@@ -550,8 +551,7 @@ def resample_to_time(profile: AdvisoryProfile, sample_period: float):
     speed, since such a step has no finite crossing time (stops are pinned to
     a positive grid speed and contribute no dwell).
     """
-    if not sample_period > 0:
-        raise ValueError(f"sample_period must be positive, got {sample_period}")
+    _check_sample_period(sample_period)
     vbar = 0.5 * (profile.v_ref[:-1] + profile.v_ref[1:])
     bad = np.where(vbar <= 0.0)[0]
     if len(bad):
@@ -563,7 +563,7 @@ def resample_to_time(profile: AdvisoryProfile, sample_period: float):
                " and is not at an annotated stop")
         )
     duration = float(profile.node_times[-1])
-    n = int(math.floor(duration / sample_period + 1e-9))
+    n = int(math.floor(_samples("profile duration", duration, sample_period) + 1e-9))
     if n < 1:
         raise ValueError("profile is shorter than one sample period")
     t = np.arange(n) * sample_period

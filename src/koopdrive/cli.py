@@ -45,6 +45,8 @@ from .model import (
     RolloutDivergenceError,
     Trajectory,
     _check_same_sample_period,
+    _check_sample_period,
+    _check_spacing,
     _read_csv_table,
     _write_csv_table,
     _write_json,
@@ -141,8 +143,7 @@ def _online_settings(cfg: dict, args) -> OnlineSettings:
 
 def _sample_period(cfg: dict) -> float:
     period = cfg.get("sample_period", 0.025)
-    if not (_is_number(period) and period > 0):
-        raise ValueError(f"sample_period must be a positive number, got {period!r}")
+    _check_sample_period(period)
     return float(period)
 
 
@@ -235,12 +236,7 @@ def cmd_advisory(args) -> int:
 
 def _read_advisory_time_csv(path: str, period: float) -> np.ndarray:
     data = _read_csv_table(path, ADVISORY_TIME_HEADER, 2, "advisory")
-    dt = np.diff(data[:, 0])
-    if not np.allclose(dt, period, rtol=1e-9, atol=1e-9 * period):
-        raise ValueError(
-            f"{path}: advisory sample spacing {np.median(dt):.6f} s does not match "
-            f"the configured sample period {period} s"
-        )
+    _check_spacing(f"{path}: advisory time", data[:, 0], period)
     return data[:, 1]
 
 

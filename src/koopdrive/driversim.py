@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Trajectory
+from .model import Trajectory, _check_sample_period, _samples
 
 __all__ = [
     "VehicleParams",
@@ -133,8 +133,7 @@ def simulate_driver(vehicle: VehicleParams, driver: DriverParams, advisory,
     value. Where distraction windows overlap, the one later in
     driver.windows wins.
     """
-    if not sample_period > 0:
-        raise ValueError(f"sample_period must be positive, got {sample_period}")
+    _check_sample_period(sample_period)
     v_ref = np.asarray(advisory, dtype=float)
     if v_ref.ndim != 1 or len(v_ref) < 2:
         raise ValueError("advisory must be a 1-D series of at least 2 speeds")
@@ -156,7 +155,7 @@ def simulate_driver(vehicle: VehicleParams, driver: DriverParams, advisory,
     rng = np.random.default_rng(driver.seed)
     noise = rng.standard_normal(n) * driver.noise_std * noise_scale
 
-    delay_steps = int(round(driver.reaction_delay / dt))
+    delay_steps = int(round(_samples("reaction_delay", driver.reaction_delay, dt)))
     errors = []
     v_out = []
     f_out = []

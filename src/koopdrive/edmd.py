@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .basis import LiftedBasis, pow2_scale
-from .model import KoopmanModel, _check_same_sample_period
+from .model import KoopmanModel, _check_same_sample_period, _check_sample_period
 
 __all__ = [
     "FitConfig",
@@ -99,8 +99,7 @@ class DataMatrices:
     T: int = field(init=False, default=0)
 
     def __post_init__(self):
-        if not self.sample_period > 0:
-            raise ValueError(f"sample_period must be positive, got {self.sample_period}")
+        _check_sample_period(self.sample_period)
         m = 2 * self.basis.lifted_dim + 1
         self.R = np.zeros((m, m))
 

@@ -21,7 +21,6 @@ force errors in kN alongside N.
 
 from __future__ import annotations
 
-import math
 import platform
 import time
 from dataclasses import asdict, dataclass
@@ -29,7 +28,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .edmd import FitConfig, build_matrices, fit
-from .model import KoopmanModel, Trajectory, _check_same_sample_period, _write_csv_table
+from .model import (KoopmanModel, Trajectory, _check_same_sample_period, _samples,
+                    _write_csv_table)
 from .rls import OnlineSettings, init_rls, snapshot_model, stream_ticks
 
 MPS_TO_MPH = 2.23694
@@ -63,18 +63,6 @@ class HorizonReport:
     @property
     def rmse_force_kn(self) -> float:
         return self.rmse_force_n / 1000.0
-
-
-def _horizon_steps(horizon: float, dt: float) -> int:
-    """Samples in a horizon; a horizon that is not finite, or whose length in
-    samples overflows, raises ValueError."""
-    if not math.isfinite(horizon):
-        raise ValueError(f"horizon must be finite, got {horizon}")
-    steps = float(horizon) / dt
-    if not math.isfinite(steps):
-        raise ValueError(f"horizon {horizon} s over sample period {dt} s must be a finite "
-                         f"number of samples")
-    return int(round(steps))
 
 
 def _window_errors(model: KoopmanModel, traj: Trajectory, k0: int,
@@ -112,18 +100,18 @@ def evaluate_horizons(trajectory: Trajectory, model: KoopmanModel, horizons,
                       segment, online: OnlineSettings | None = None) -> list[HorizonReport]:
     """Windowed multi-horizon evaluation over a trajectory segment.
 
-    horizons are finite window lengths in seconds; each must fit inside the
-    segment at least once. With online settings given, the reports describe the
-    adapted predictor (variant "online"); otherwise the fixed model
-    (variant "offline"). Data whose sample period is not the model's raises
-    ValueError.
+    horizons are window lengths in seconds, each rounded to whole samples
+    and fitting inside the segment at least once. With online settings
+    given, the reports describe the adapted predictor (variant "online");
+    otherwise the fixed model (variant "offline"). Data whose sample period
+    is not the model's raises ValueError.
     """
     dt = trajectory.sample_period
     _check_same_sample_period("data", dt, "the model", model.sample_period)
     i0, i1 = trajectory.segment_indices(*segment)
     windows = []
     for horizon in horizons:
-        steps = _horizon_steps(horizon, dt)
+        steps = int(round(_samples("horizon", horizon, dt)))
         if steps < 1 or i0 + steps > i1:
             raise ValueError(
                 f"horizon {horizon} s does not fit inside segment {segment}"
@@ -190,7 +178,7 @@ def bench_update(trajectories, model: KoopmanModel, horizons,
 
     offline_times, online_totals, per_tick, speedups = [], [], [], []
     for horizon in horizons:
-        steps = _horizon_steps(horizon, dt)
+        steps = int(round(_samples("horizon", horizon, dt)))
         last = trajectories[-1]
         if steps < 1 or steps > len(last) - 1:
             raise ValueError(f"horizon {horizon} s does not fit in the last trajectory")

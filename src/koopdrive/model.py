@@ -36,6 +36,12 @@ full decimal precision, and free-form provenance left by the fitting code.
 A reload builds the model through its constructor, so a file passes the same
 checks as a model made in memory, and reproduces the matrices bit for bit.
 
+The time grid is one rule, kept here: _check_sample_period accepts a real,
+finite, positive period that is not a bool, _check_spacing holds every step
+of a time column to 2e-9 relative of the period, and _samples turns a
+duration in seconds into a count of sample periods, raising ValueError when
+that count is not finite. Each caller rounds the count its own way.
+
 Every table and JSON file of the package is written by the two writers here,
 _write_csv_table and _write_json, or, for trajectories, by the row template
 of Trajectory.write_csv. A float cell is the repr of its value, the shortest
@@ -93,8 +99,7 @@ class Trajectory:
     v_ref: np.ndarray
 
     def __post_init__(self):
-        if not (math.isfinite(self.sample_period) and self.sample_period > 0):
-            raise ValueError(f"sample_period must be positive, got {self.sample_period}")
+        _check_sample_period(self.sample_period)
         for name in ("t", "v", "f_tr", "v_ref"):
             arr = np.asarray(getattr(self, name), dtype=float)
             setattr(self, name, arr)
@@ -108,14 +113,7 @@ class Trajectory:
         for name in ("v", "f_tr", "v_ref"):
             if len(getattr(self, name)) != n:
                 raise ValueError("all trajectory columns must have the same length")
-        dt = np.diff(self.t)
-        # np.allclose(dt, T, rtol=1e-9, atol=1e-9 * T) for finite t and T > 0
-        if not np.all(np.abs(dt - self.sample_period) <= 2e-9 * self.sample_period):
-            worst = int(np.argmax(np.abs(dt - self.sample_period)))
-            raise ValueError(
-                f"time spacing must equal sample_period={self.sample_period}; "
-                f"sample {worst} has spacing {dt[worst]}"
-            )
+        _check_spacing("time", self.t, self.sample_period)
 
     def __len__(self) -> int:
         return len(self.t)
@@ -146,15 +144,17 @@ class Trajectory:
         """
         if not t_start < t_end:
             raise ValueError(f"segment must satisfy t_start < t_end, got [{t_start}, {t_end}]")
-        i0 = int(math.ceil((t_start - self.t[0]) / self.sample_period - 1e-9))
-        i1 = int(math.floor((t_end - self.t[0]) / self.sample_period + 1e-9))
+        span = f"segment [{t_start}, {t_end}]"
+        i0 = int(math.ceil(_samples(f"{span} start", t_start - self.t[0],
+                                    self.sample_period) - 1e-9))
+        i1 = int(math.floor(_samples(f"{span} end", t_end - self.t[0],
+                                     self.sample_period) + 1e-9))
         if i0 < 0 or i1 > len(self) - 1:
             raise ValueError(
-                f"segment [{t_start}, {t_end}] extends beyond the trajectory "
-                f"[{self.t[0]}, {self.t[-1]}]"
+                f"{span} extends beyond the trajectory [{self.t[0]}, {self.t[-1]}]"
             )
         if i1 - i0 < 1:
-            raise ValueError(f"segment [{t_start}, {t_end}] covers fewer than 2 samples")
+            raise ValueError(f"{span} covers fewer than 2 samples")
         return i0, i1
 
     def window(self, t_start: float, t_end: float) -> "Trajectory":
@@ -263,6 +263,29 @@ def _check_sample_period(period) -> None:
     if not (isinstance(period, (int, float)) and not isinstance(period, bool)
             and math.isfinite(period) and period > 0):
         raise ValueError(f"sample_period must be a positive finite number, got {period!r}")
+
+
+def _check_spacing(what: str, t: np.ndarray, period: float) -> None:
+    """Raise ValueError naming the worst sample unless every step of t is
+    within 2e-9 relative of period, which for a finite t and period > 0 is
+    np.allclose(np.diff(t), period, rtol=1e-9, atol=1e-9 * period)."""
+    dt = np.diff(t)
+    off = np.abs(dt - period)
+    if not np.all(off <= 2e-9 * period):
+        worst = int(np.argmax(off))
+        raise ValueError(f"{what} spacing must equal sample_period={period}; "
+                         f"sample {worst} has spacing {dt[worst]}")
+
+
+def _samples(what: str, seconds, period: float) -> float:
+    """seconds in sample periods, unrounded: each caller rounds the count its
+    own way. For a valid period, a non-finite count means seconds is not
+    finite or the division overflowed; either raises ValueError."""
+    steps = float(seconds) / float(period)
+    if not math.isfinite(steps):
+        raise ValueError(f"{what} of {seconds} s over sample_period={period} s "
+                         f"is not a finite number of samples")
+    return steps
 
 
 def _check_same_sample_period(what: str, period: float, reference: str, expected: float) -> None:

@@ -64,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import LiftedBasis
-from .model import KoopmanModel, Trajectory
+from .model import KoopmanModel, Trajectory, _samples
 
 __all__ = ["OnlineSettings", "RlsState", "RlsUpdateRejectedError", "init_rls", "rls_update",
            "update_tick", "stream_ticks", "snapshot_model"]
@@ -96,16 +96,8 @@ class OnlineSettings:
             raise ValueError(f"cadence must be positive and finite, got {self.cadence_s}")
 
     def tick_steps(self, sample_period: float) -> int:
-        """Transition pairs per tick at this cadence, at least one.
-
-        A cadence so long that its length in samples overflows raises
-        ValueError.
-        """
-        steps = self.cadence_s / sample_period
-        if not math.isfinite(steps):
-            raise ValueError(f"cadence {self.cadence_s} s over sample period {sample_period} s "
-                             f"must be a finite number of samples")
-        return max(int(round(steps)), 1)
+        """Transition pairs per tick at this cadence, at least one."""
+        return max(int(round(_samples("cadence", self.cadence_s, sample_period))), 1)
 
 
 class RlsState:

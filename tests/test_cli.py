@@ -547,10 +547,14 @@ def test_wrong_typed_config_value_exit_3(tmp_path, toy_build, stage, sections, m
     ("update", [], {"rls": dict(TOY_CONFIG["rls"], cadence_s=1e307)}),
     ("eval", ["--online", "--cadence", "1e307"], {}),
     ("bench", ["--cadence", "1e307"], {}),
+    ("update", ["--segment", "0", "inf"], {}),
+    ("eval", ["--segment", "0", "inf"], {}),
+    ("eval", [], {"eval": dict(TOY_CONFIG["eval"], segment_s=[0.0, 1e307])}),
 ], ids=["eval_flag", "eval.horizons_s", "bench_flag", "update_flag", "rls.cadence_s",
         "eval_online_flag", "eval_flag-overflow", "eval.horizons_s-overflow",
         "bench_flag-overflow", "update_flag-overflow", "rls.cadence_s-overflow",
-        "eval_online_flag-overflow", "bench_cadence_flag-overflow"])
+        "eval_online_flag-overflow", "bench_cadence_flag-overflow", "update_segment_flag",
+        "eval_segment_flag", "eval.segment_s-overflow"])
 def test_non_finite_horizon_or_cadence_exit_3(tmp_path, toy_build, stage, flags, sections,
                                               capsys):
     cfg = write_config(tmp_path, **sections)
@@ -591,12 +595,17 @@ def test_non_finite_horizon_or_cadence_exit_3(tmp_path, toy_build, stage, flags,
      "f_min must be finite"),
     ("simulate", {"vehicle": dict(TOY_CONFIG["vehicle"], f_max=math.inf)},
      "f_max must be finite"),
+    ("advisory", {"sample_period": math.inf},
+     "sample_period must be a positive finite number, got inf"),
+    # a valid period, but the profile's duration is no finite number of samples
+    ("advisory", {"sample_period": 5e-324}, "over sample_period=5e-324 s"),
 ], ids=["drivers.count", "seed", "vehicle.mass", "drivers.gain_jitter",
         "distracted.compliance", "sample_period", "advisory.gamma", "fit.max_degree",
         "fit.ridge", "rls.lam", "eval.horizons_s", "eval.segment_s",
         "driver.reaction_delay-inf", "driver.kp-nan", "advisory.v_levels-fraction",
         "advisory.soc_levels-float", "distracted.t_start-inf", "distracted.t_end-inf",
-        "distracted.noise_scale-inf", "vehicle.f_min-inf", "vehicle.f_max-inf"])
+        "distracted.noise_scale-inf", "vehicle.f_min-inf", "vehicle.f_max-inf",
+        "sample_period-inf", "sample_period-subnormal"])
 def test_boolean_non_finite_or_fractional_config_value_exit_3(tmp_path, toy_build, stage,
                                                              sections, message, capsys):
     # a JSON true is an int to isinstance, and was taken as the number 1

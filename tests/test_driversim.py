@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,14 @@ def test_distraction_window_weakens_tracking():
     assert tr_dist.v[k] < 12.0
     # after the window ends the distracted driver catches up
     assert tr_dist.v[-1] > 15.0
+
+
+@pytest.mark.parametrize("period", [math.inf, True, 5e-324])
+def test_simulate_rejects_bad_sample_period(period):
+    # 5e-324 is a valid period, but the 0.4 s reaction delay is no finite
+    # number of samples of it
+    with pytest.raises(ValueError, match="sample_period"):
+        simulate_driver(VEH, DriverParams(), np.full(10, 12.0), sample_period=period)
 
 
 def test_distraction_window_validation():

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -170,9 +171,11 @@ def test_segment_indices_inclusive_bounds():
 
 
 @pytest.mark.parametrize("t_start, t_end", [(2.0, 1.0), (1.0, 1.0), (-0.1, 1.0),
-                                            (4.0, 5.0), (1.0, 1.01)])
+                                            (4.0, 5.0), (1.0, 1.01), (0.0, math.inf),
+                                            (-math.inf, 1.0)])
 def test_segment_indices_rejects(t_start, t_end):
-    # reversed, empty, before the start, past the end, under 2 samples
+    # reversed, empty, before the start, past the end, under 2 samples, and
+    # bounds that are no finite number of samples
     traj = make_traj(n=200)
     with pytest.raises(ValueError):
         traj.segment_indices(t_start, t_end)
