@@ -36,21 +36,28 @@ configuration and each step only gathers, interpolates and minimizes the
 next node's values; the forward pass and the initial-state cost use the same
 two interpolation halves. Infeasible cells hold a large sentinel instead of
 inf so the interpolation stays well defined. A query inside a cell with one
-infeasible corner takes the feasible corner's value, so feasibility along
-the state-of-charge axis is resolved to grid-cell resolution, which errs on
-the permissive side near constraint boundaries; a query below the grid, or
-inside a cell with two infeasible corners, is infeasible. The forward pass
-enforces the terminal floor on the continuous state of charge.
+infeasible corner, always the lower (see _interp_values), takes the upper
+corner's value, so feasibility along the state-of-charge axis is resolved
+to grid-cell resolution, which errs on the permissive side near constraint
+boundaries; a query below the grid, or inside a cell with two infeasible
+corners, is infeasible. The forward pass enforces the terminal floor on the
+continuous state of charge.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import _check_sample_period, _read_csv_table, _samples, _write_csv_table
+from .model import (
+    _check_fields,
+    _check_sample_period,
+    _read_csv_table,
+    _samples,
+    _write_csv_table,
+)
 
 BIG = 1e30  # infeasibility sentinel; np.inf would break linear interpolation
 _BIG_CUT = 1e29
@@ -109,9 +116,7 @@ class PowertrainParams:
     def __post_init__(self):
         # a NaN fails none of the comparisons below, and an infinity makes the
         # planner's costs NaN or infinite
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        _check_fields(self)
         if self.mass <= 0 or self.battery_capacity_j <= 0:
             raise ValueError("mass and battery capacity must be positive")
         if not (0 < self.eta_drive <= 1 and 0 <= self.eta_regen <= 1):
@@ -217,16 +222,12 @@ class EcoDpConfig:
     def __post_init__(self):
         # an infinite acceleration bound or fuel scale would silently drop a
         # constraint or the fuel term
-        for name in ("gamma", "a_min", "a_max", "soc_min", "soc_max", "soc_initial",
-                     "soc_terminal_floor", "speed_floor"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        _check_fields(self)
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         for name in ("v_levels", "soc_levels"):
-            levels = getattr(self, name)
-            if not (isinstance(levels, int) and not isinstance(levels, bool) and levels >= 2):
-                raise ValueError(f"{name} must be an integer >= 2, got {levels!r}")
+            if getattr(self, name) < 2:
+                raise ValueError(f"{name} must be an integer >= 2, got {getattr(self, name)!r}")
         if not self.a_min < 0 < self.a_max:
             raise ValueError("acceleration bounds must straddle zero")
         if not 0.0 <= self.soc_min < self.soc_max <= 1.0:
@@ -237,10 +238,8 @@ class EcoDpConfig:
             raise ValueError("terminal floor must lie within the bounds")
         if not self.speed_floor > 0:
             raise ValueError("speed_floor must be positive to keep step times finite")
-        if self.m_dot_norm is not None and not (math.isfinite(self.m_dot_norm)
-                                                and self.m_dot_norm > 0):
-            raise ValueError(f"m_dot_norm must be positive and finite when given, "
-                             f"got {self.m_dot_norm}")
+        if self.m_dot_norm is not None and not self.m_dot_norm > 0:
+            raise ValueError(f"m_dot_norm must be positive when given, got {self.m_dot_norm}")
 
     @property
     def resolved_m_dot_norm(self) -> float:
@@ -377,22 +376,24 @@ def _interp_values(table: np.ndarray, geometry: tuple) -> np.ndarray:
     """Linear interpolation of a (levels, soc_levels) value table at a geometry.
 
     The table holds BIG or values below _BIG_CUT, and so does the result.
-    Queries below the grid come back as BIG, a cell with one sentinel corner
-    takes the other corner's value, and equal neighbors short-circuit to the
-    shared value, so flat regions interpolate exactly and a cell with two
-    sentinel corners gives BIG.
+    Queries below the grid come back as BIG, a cell whose lower corner alone
+    is a sentinel takes the upper corner's value (the forward pass re-checks
+    the exact bounds), equal neighbors short-circuit to the shared value, so
+    flat regions interpolate exactly, and two sentinel corners give BIG.
+
+    An upper corner alone is never a sentinel: each row of a value table is
+    upward closed in SoC (a feasible cell makes every higher SoC feasible).
+    By induction from the end: the terminal rows are feasible where SoC >
+    soc_terminal_floor; an edge's query min(s + dsoc, top), its cell's upper
+    corner and the complement of the below-grid mask all rise with the SoC s
+    it leaves from, so each edge is feasible on an upward closed set of s,
+    and the minimum over edges on their union, which is upward closed too.
     """
     flat0, flat1, w, below = geometry
     v0 = table.take(flat0)
     v1 = table.take(flat1)
-    bad0 = v0 >= _BIG_CUT
-    bad1 = v1 >= _BIG_CUT
-    # inside a cell with one infeasible corner the value extends constant
-    # from the feasible side: feasibility along the SoC axis is resolved at
-    # grid-cell resolution, and the forward pass re-checks the exact bounds
     out = np.where(v0 == v1, v0, v0 + w * (v1 - v0))
-    out = np.where(bad0 & ~bad1, v1, out)
-    out = np.where(bad1 & ~bad0, v0, out)
+    out = np.where((v0 >= _BIG_CUT) & (v1 < _BIG_CUT), v1, out)
     return np.where(below, BIG, out)
 
 

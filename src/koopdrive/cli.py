@@ -47,6 +47,7 @@ from .model import (
     _check_same_sample_period,
     _check_sample_period,
     _check_spacing,
+    _is_number,
     _read_csv_table,
     _write_csv_table,
     _write_json,
@@ -94,10 +95,6 @@ def _check_keys(values: dict, allowed, section: str) -> None:
 def _build(cls, values: dict, section: str):
     fields = dataclasses.fields(cls)
     _check_keys(values, [f.name for f in fields], section)
-    # no field is a bool, and a JSON true would otherwise pass as the number 1
-    flags = [k for k, v in values.items() if isinstance(v, bool)]
-    if flags:
-        raise ValueError(f"section '{section}': {', '.join(flags)} must not be a boolean")
     missing = [f.name for f in fields if f.name not in values
                and f.default is dataclasses.MISSING
                and f.default_factory is dataclasses.MISSING]
@@ -105,13 +102,8 @@ def _build(cls, values: dict, section: str):
         raise ValueError(f"section '{section}': missing keys: {', '.join(missing)}")
     try:
         return cls(**values)
-    except TypeError as exc:  # a wrong-typed value failed a comparison or check
+    except (TypeError, ValueError) as exc:  # a check, or a comparison of a wrong type
         raise ValueError(f"section '{section}': {exc}") from None
-
-
-def _is_number(value, types=(int, float)) -> bool:
-    """value is one of types; a bool is an int to isinstance but not a number here."""
-    return isinstance(value, types) and not isinstance(value, bool)
 
 
 def _is_number_list(value) -> bool:
@@ -123,10 +115,10 @@ def _eval_section(cfg: dict) -> dict:
     _check_keys(sec, ("horizons_s", "segment_s"), "eval")
     if "segment_s" in sec and not (_is_number_list(sec["segment_s"])
                                    and len(sec["segment_s"]) == 2):
-        raise ValueError(f"eval.segment_s must be two numbers, got {sec['segment_s']!r}")
+        raise ValueError(f"eval.segment_s must be two finite numbers, got {sec['segment_s']!r}")
     if "horizons_s" in sec and not (_is_number_list(sec["horizons_s"]) and sec["horizons_s"]):
         raise ValueError(
-            f"eval.horizons_s must be a non-empty list of numbers, got {sec['horizons_s']!r}"
+            f"eval.horizons_s must be a non-empty list of finite numbers, got {sec['horizons_s']!r}"
         )
     return sec
 

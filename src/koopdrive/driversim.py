@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Trajectory, _check_sample_period, _samples
+from .model import Trajectory, _check_fields, _check_sample_period, _samples
 
 __all__ = [
     "VehicleParams",
@@ -55,12 +55,10 @@ class VehicleParams:
     f_max: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.mass) and self.mass > 0):
-            raise ValueError(f"mass must be positive, got {self.mass}")
         # an infinite force bound would remove the actuator limit
-        for name in ("a0", "a1", "a2", "f_min", "f_max"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        _check_fields(self)
+        if not self.mass > 0:
+            raise ValueError(f"mass must be positive, got {self.mass}")
         if not self.f_min < 0 < self.f_max:
             raise ValueError(
                 f"force bounds must straddle zero, got [{self.f_min}, {self.f_max}]"
@@ -78,9 +76,7 @@ class DistractionWindow:
 
     def __post_init__(self):
         # an infinite noise scale passes the rate and force clamps as bang-bang steps
-        for name in ("t_start", "t_end", "noise_scale"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        _check_fields(self)
         if not self.t_start < self.t_end:
             raise ValueError(
                 f"window must have t_start < t_end, got [{self.t_start}, {self.t_end}]"
@@ -106,10 +102,7 @@ class DriverParams:
     windows: tuple[DistractionWindow, ...] = ()
 
     def __post_init__(self):
-        for name in ("kp", "ki", "reaction_delay", "force_rate_limit", "noise_std",
-                     "compliance", "hold_tau"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        _check_fields(self)
         if self.kp < 0 or self.ki < 0:
             raise ValueError("gains must be non-negative")
         if self.reaction_delay < 0:

@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .basis import LiftedBasis, pow2_scale
-from .model import KoopmanModel, _check_same_sample_period, _check_sample_period
+from .model import KoopmanModel, _check_fields, _check_same_sample_period, _check_sample_period
 
 __all__ = [
     "FitConfig",
@@ -72,14 +72,15 @@ class FitConfig:
 
     def __post_init__(self):
         # the ridge also arrives from model provenance, which is free-form JSON
-        if not (isinstance(self.ridge, (int, float)) and not isinstance(self.ridge, bool)
-                and math.isfinite(self.ridge) and self.ridge >= 0.0):
+        _check_fields(self)
+        if not self.ridge >= 0.0:
             raise ValueError(f"ridge must be a number >= 0, got {self.ridge!r}")
-        if len(self.split) != 3 or any(not (f > 0) for f in self.split):
-            raise ValueError(f"split needs three positive fractions, got {self.split}")
+        # comparisons are exact, so a huge JSON integer fails here, not in sum()
+        if len(self.split) != 3 or any(not (0 < f <= 1) for f in self.split):
+            raise ValueError(f"split needs three fractions in (0, 1], got {self.split}")
         if abs(sum(self.split) - 1.0) > 1e-9:
             raise ValueError(f"split fractions must sum to 1, got {self.split}")
-        if not (isinstance(self.max_degree, int) and self.max_degree >= 1):
+        if not self.max_degree >= 1:
             raise ValueError(f"max_degree must be an integer >= 1, got {self.max_degree!r}")
         if self.scaling not in ("pow2", "none"):
             raise ValueError(f"scaling must be 'pow2' or 'none', got {self.scaling!r}")

@@ -36,11 +36,14 @@ full decimal precision, and free-form provenance left by the fitting code.
 A reload builds the model through its constructor, so a file passes the same
 checks as a model made in memory, and reproduces the matrices bit for bit.
 
-The time grid is one rule, kept here: _check_sample_period accepts a real,
-finite, positive period that is not a bool, _check_spacing holds every step
-of a time column to 2e-9 relative of the period, and _samples turns a
-duration in seconds into a count of sample periods, raising ValueError when
-that count is not finite. Each caller rounds the count its own way.
+The number rule and the time grid are one rule each, kept here. _is_number
+accepts a real (or integral) value with a finite float that is not a bool,
+and _check_fields holds the int, float and float | None fields of a config
+dataclass to it. _check_sample_period accepts a positive period that is a
+number, _check_spacing holds every step of a time column to 2e-9 relative
+of the period, and _samples turns a duration in seconds into a count of
+sample periods, raising ValueError when the duration is no number or that
+count is not finite. Each caller rounds the count its own way.
 
 Every table and JSON file of the package is written by the two writers here,
 _write_csv_table and _write_json, or, for trajectories, by the row template
@@ -53,9 +56,10 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -243,25 +247,36 @@ def _write_csv_table(path: str, header: str, rows) -> None:
 
 
 def _write_json(path: str, payload) -> None:
-    _atomic_write_text(path, json.dumps(_jsonable(payload), indent=2) + "\n")
+    # a float64 is a float and writes as its repr, an array as its tolist()
+    _atomic_write_text(path, json.dumps(payload, indent=2, default=lambda o: o.tolist()) + "\n")
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
+def _is_number(value, kind=numbers.Real) -> bool:
+    """value is an instance of kind, not a bool (an int to isinstance), and has
+    a finite float; an integer too large for a float has none."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _check_fields(obj) -> None:
+    """Raise ValueError naming the first int field of obj that holds no
+    integer, or float (or non-None float | None) field that holds no number;
+    annotations are strings under `from __future__ import annotations`."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type == "int" and not _is_number(value, numbers.Integral):
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        if (f.type == "float" or f.type == "float | None" and value is not None) \
+                and not _is_number(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 def _check_sample_period(period) -> None:
-    # a bool is an int to isinstance, and a JSON true would pass as 1
-    if not (isinstance(period, (int, float)) and not isinstance(period, bool)
-            and math.isfinite(period) and period > 0):
+    if not (_is_number(period) and period > 0):
         raise ValueError(f"sample_period must be a positive finite number, got {period!r}")
 
 
@@ -279,9 +294,9 @@ def _check_spacing(what: str, t: np.ndarray, period: float) -> None:
 
 def _samples(what: str, seconds, period: float) -> float:
     """seconds in sample periods, unrounded: each caller rounds the count its
-    own way. For a valid period, a non-finite count means seconds is not
-    finite or the division overflowed; either raises ValueError."""
-    steps = float(seconds) / float(period)
+    own way. For a valid period, a non-finite count means seconds is no
+    finite number or the division overflowed; either raises ValueError."""
+    steps = float(seconds) / float(period) if _is_number(seconds) else math.inf
     if not math.isfinite(steps):
         raise ValueError(f"{what} of {seconds} s over sample_period={period} s "
                          f"is not a finite number of samples")

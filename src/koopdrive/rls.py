@@ -64,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import LiftedBasis
-from .model import KoopmanModel, Trajectory, _samples
+from .model import KoopmanModel, Trajectory, _check_fields, _samples
 
 __all__ = ["OnlineSettings", "RlsState", "RlsUpdateRejectedError", "init_rls", "rls_update",
            "update_tick", "stream_ticks", "snapshot_model"]
@@ -90,10 +90,11 @@ class OnlineSettings:
     cadence_s: float = 1.0
 
     def __post_init__(self):
+        _check_fields(self)
         if not (0.0 < self.lam <= 1.0):
             raise ValueError(f"forgetting factor must be in (0, 1], got {self.lam}")
-        if not (math.isfinite(self.cadence_s) and self.cadence_s > 0):
-            raise ValueError(f"cadence must be positive and finite, got {self.cadence_s}")
+        if not self.cadence_s > 0:
+            raise ValueError(f"cadence must be positive, got {self.cadence_s}")
 
     def tick_steps(self, sample_period: float) -> int:
         """Transition pairs per tick at this cadence, at least one."""

@@ -422,6 +422,26 @@ def test_backward_pass_matches_dense_reference(case, monkeypatch):
         assert np.array_equal(np.signbit(a), np.signbit(b)), name
 
 
+@pytest.mark.parametrize("graded", [False, True], ids=["shipped", "shipped_graded"])
+def test_value_rows_are_upward_closed_in_soc(graded):
+    # _interp_values relies on it: a cell whose upper corner alone is
+    # infeasible never occurs, so it has no branch for one
+    route = _shipped_route()
+    if graded:
+        grade = np.random.default_rng(6).uniform(-0.06, 0.06, len(route.grade))
+        route = RouteSpec(step_m=route.step_m, v_min=route.v_min, v_max=route.v_max,
+                          stop=route.stop, grade=grade)
+    config = EcoDpConfig(**json.loads(SHIPPED_CONFIG.read_text())["advisory"])
+    vgrid = np.linspace(config.speed_floor, float(np.max(route.v_max)), config.v_levels)
+    socgrid = np.linspace(config.soc_min, config.soc_max, config.soc_levels)
+    adm = advisory._admissible_speeds(route, vgrid)
+    feasible = advisory._value_function(route, config, vgrid, socgrid, adm) < _CUT
+    assert np.all(feasible[..., :-1] <= feasible[..., 1:])
+    # not vacuous: some rows of steps before the last hold both kinds of cell
+    inner = feasible[:-1]
+    assert np.any(inner.any(axis=-1) & ~inner.all(axis=-1))
+
+
 def _repeating_toy():
     """Twelve nodes under one speed window whose steps repeat in runs: stops
     at nodes 0 and 6, and grades that change from 0.0 to -0.0 and to 0.01

@@ -599,13 +599,28 @@ def test_non_finite_horizon_or_cadence_exit_3(tmp_path, toy_build, stage, flags,
      "sample_period must be a positive finite number, got inf"),
     # a valid period, but the profile's duration is no finite number of samples
     ("advisory", {"sample_period": 5e-324}, "over sample_period=5e-324 s"),
+    # JSON integers too large for a float, which overflowed in float()
+    ("advisory", {"sample_period": 10**400}, "sample_period must be a positive finite"),
+    ("simulate", {"vehicle": dict(TOY_CONFIG["vehicle"], mass=10**400)},
+     "mass must be finite"),
+    ("advisory", {"advisory": dict(TOY_CONFIG["advisory"], gamma=10**400)},
+     "gamma must be finite"),
+    ("fit", {"fit": dict(TOY_CONFIG["fit"], ridge=10**400)}, "ridge must be finite"),
+    ("fit", {"fit": dict(TOY_CONFIG["fit"], split=[10**400, 0.1, 0.1])}, "split needs"),
+    ("update", {"rls": {"cadence_s": 10**400}}, "cadence_s must be finite"),
+    ("eval", {"eval": dict(TOY_CONFIG["eval"], horizons_s=[10**400])}, "eval.horizons_s"),
+    ("eval", {"eval": dict(TOY_CONFIG["eval"], segment_s=[0.0, 10**400])}, "eval.segment_s"),
+    ("simulate", distracted_with(t_start=10**400), "t_start must be finite"),
 ], ids=["drivers.count", "seed", "vehicle.mass", "drivers.gain_jitter",
         "distracted.compliance", "sample_period", "advisory.gamma", "fit.max_degree",
         "fit.ridge", "rls.lam", "eval.horizons_s", "eval.segment_s",
         "driver.reaction_delay-inf", "driver.kp-nan", "advisory.v_levels-fraction",
         "advisory.soc_levels-float", "distracted.t_start-inf", "distracted.t_end-inf",
         "distracted.noise_scale-inf", "vehicle.f_min-inf", "vehicle.f_max-inf",
-        "sample_period-inf", "sample_period-subnormal"])
+        "sample_period-inf", "sample_period-subnormal", "sample_period-1e400",
+        "vehicle.mass-1e400", "advisory.gamma-1e400", "fit.ridge-1e400",
+        "fit.split-1e400", "rls.cadence_s-1e400", "eval.horizons_s-1e400",
+        "eval.segment_s-1e400", "distracted.t_start-1e400"])
 def test_boolean_non_finite_or_fractional_config_value_exit_3(tmp_path, toy_build, stage,
                                                              sections, message, capsys):
     # a JSON true is an int to isinstance, and was taken as the number 1
@@ -633,8 +648,8 @@ def advisory_with(powertrain=None, **entries):
     (advisory_with(a_max=math.inf), "a_max must be finite"),
     (advisory_with(a_min=-math.inf), "a_min must be finite"),
     (advisory_with(speed_floor=math.inf), "speed_floor must be finite"),
-    (advisory_with(m_dot_norm=math.inf), "m_dot_norm must be positive and finite"),
-    (advisory_with(m_dot_norm=math.nan), "m_dot_norm must be positive and finite"),
+    (advisory_with(m_dot_norm=math.inf), "m_dot_norm must be finite"),
+    (advisory_with(m_dot_norm=math.nan), "m_dot_norm must be finite"),
 ], ids=["powertrain.mass-nan", "powertrain.a2-inf", "powertrain.engine_power_max_w-inf",
         "a_max-inf", "a_min-inf", "speed_floor-inf", "m_dot_norm-inf", "m_dot_norm-nan"])
 def test_non_finite_advisory_value_exit_3(tmp_path, toy_build, sections, message, capsys):

@@ -1,7 +1,7 @@
 """Every name a koopdrive module imports is used or re-exported, every name
-it exports exists, only model.py writes files itself, and every function,
-class and method the package defines is referenced from the package or the
-benchmark."""
+it exports exists, only model.py writes files itself or tells a bool from a
+number, and every function, class and method the package defines is
+referenced from the package or the benchmark."""
 
 import ast
 import importlib
@@ -78,6 +78,35 @@ def test_detects_file_writes():
                          ids=lambda p: p.name)
 def test_only_model_writes_files(path):
     assert file_writes(path.read_text(encoding="utf-8")) == []
+
+
+def bool_checks(source: str) -> list[str]:
+    """Calls of isinstance(..., bool) or isinstance(..., (..., bool, ...)):
+    the number rule, model._is_number, is the one place that tells a bool
+    from a number."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            continue
+        kinds = node.args[1]
+        kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+        if any(isinstance(k, ast.Name) and k.id == "bool" for k in kinds):
+            found.append(f"isinstance(..., bool) (line {node.lineno})")
+    return found
+
+
+def test_detects_bool_checks():
+    source = ("isinstance(x, bool)\nisinstance(x, (int, bool))\nisinstance(x, int)\n"
+              "isinstance(x, np.bool_)\n")
+    assert bool_checks(source) == ["isinstance(..., bool) (line 1)",
+                                   "isinstance(..., bool) (line 2)"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "model.py"],
+                         ids=lambda p: p.name)
+def test_only_model_tells_bools_from_numbers(path):
+    assert bool_checks(path.read_text(encoding="utf-8")) == []
 
 
 def _class_named(node, classes):

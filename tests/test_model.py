@@ -1,16 +1,23 @@
+import dataclasses
 import json
 import math
+import numbers
 
 import numpy as np
 import pytest
 
+from koopdrive.advisory import EcoDpConfig, PowertrainParams
 from koopdrive.basis import LiftedBasis, pow2_scale
+from koopdrive.driversim import DistractionWindow, DriverParams, VehicleParams
+from koopdrive.edmd import FitConfig
 from koopdrive.model import (
     KoopmanModel,
     ModelFileError,
     RolloutDivergenceError,
     Trajectory,
+    _is_number,
 )
+from koopdrive.rls import OnlineSettings
 
 
 def make_traj(n=100, dt=0.025, seed=0):
@@ -411,3 +418,55 @@ def test_stacked_roundtrip():
     m2 = KoopmanModel.from_stacked(m.basis, theta, m.sample_period)
     np.testing.assert_array_equal(m2.A, m.A)
     np.testing.assert_array_equal(m2.B, m.B)
+
+
+# ------------------------------------------------------------ number rule
+
+CONFIG_BASES = [
+    PowertrainParams(),
+    EcoDpConfig(),
+    VehicleParams(mass=2200.0, a0=160.0, a1=2.5, a2=0.45, f_min=-9000.0, f_max=6500.0),
+    DistractionWindow(t_start=10.0, t_end=25.0),
+    DriverParams(),
+    FitConfig(),
+    OnlineSettings(),
+]
+BAD_VALUES = {
+    "float": [("true", True), ("nan", math.nan), ("inf", math.inf), ("1e400", 10**400)],
+    "int": [("true", True), ("fraction", 2.5)],
+}
+NUMBER_CASES = [
+    pytest.param(base, f.name, value, f"^{f.name} must be "
+                 + ("an integer, got " if f.type == "int" else "finite, got "),
+                 id=f"{type(base).__name__}.{f.name}-{label}")
+    for base in CONFIG_BASES for f in dataclasses.fields(base)
+    for label, value in BAD_VALUES.get("float" if f.type == "float | None" else f.type, [])
+]
+
+
+def test_every_config_class_has_numeric_fields():
+    # a module without `from __future__ import annotations` would leave the
+    # annotations as classes, and the rule (and these cases) would skip them
+    classes = {type(case.values[0]) for case in NUMBER_CASES}
+    assert classes == {type(base) for base in CONFIG_BASES}
+
+
+@pytest.mark.parametrize("base, name, value, message", NUMBER_CASES)
+def test_config_number_rule_names_the_field(base, name, value, message):
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(base, **{name: value})
+
+
+@pytest.mark.parametrize("value, kind, expected", [
+    (np.float64(0.5), numbers.Real, True),
+    (np.int64(3), numbers.Integral, True),
+    (3, numbers.Real, True),
+    (np.True_, numbers.Real, False),
+    (False, numbers.Integral, False),
+    (3.0, numbers.Integral, False),
+    ("1", numbers.Real, False),
+    (-math.inf, numbers.Real, False),
+    (-10**400, numbers.Integral, False),
+])
+def test_is_number(value, kind, expected):
+    assert _is_number(value, kind) is expected
