@@ -6,11 +6,19 @@ with one of four exit codes: 0 on success, 2 for I/O problems, 3 for invalid
 inputs or configuration, 4 for numerical failures (rank-deficient data,
 diverging rollouts, infeasible routes, rejected RLS updates).
 
-A JSON configuration file supplies the physical and algorithmic parameters;
-sections use the corresponding dataclass field names. Individual flags
-override single values. A top-level seed drives every stochastic choice, and
-per-driver seeds derive from it as seed + driver index, so one seed pins the
-whole pipeline byte for byte.
+A JSON configuration file supplies the physical and algorithmic parameters.
+Every command builds all of it, by one rule (_build), into a Config: a
+section or nested object (advisory.powertrain, a drivers.distracted entry)
+fills the dataclass whose field names it uses, a JSON list becomes a tuple,
+and a section that is no object, or an unknown or missing key or a
+wrong-typed value in any section, read by the command or not, exits 3 naming
+the dotted section. Before the build a flag overrides one key: --gamma
+advisory.gamma, --drivers drivers.count, --seed seed, --ridge fit.ridge,
+--degree fit.max_degree, --scaling fit.scaling, --split fit.split, --lam
+rls.lam, --cadence rls.cadence_s, --horizons eval.horizons_s and eval's
+--segment eval.segment_s. A top-level seed drives every stochastic choice,
+and per-driver seeds derive from it as seed + driver index, so one seed pins
+the whole pipeline byte for byte.
 """
 
 from __future__ import annotations
@@ -21,12 +29,13 @@ import glob
 import json
 import os
 import sys
+import typing
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .advisory import (
     EcoDpConfig,
-    PowertrainParams,
     RouteInfeasibleError,
     RouteSpec,
     resample_to_time,
@@ -44,6 +53,7 @@ from .model import (
     KoopmanModel,
     RolloutDivergenceError,
     Trajectory,
+    _check_fields,
     _check_same_sample_period,
     _check_sample_period,
     _check_spacing,
@@ -55,10 +65,74 @@ from .model import (
 from .rls import OnlineSettings, RlsUpdateRejectedError, init_rls, snapshot_model, stream_ticks
 
 ADVISORY_TIME_HEADER = "t_s,v_ref_mps"
-DEFAULT_HORIZONS_S = (50.0, 20.0, 10.0, 5.0)
 
-_CONFIG_SECTIONS = ("seed", "sample_period", "vehicle", "driver", "drivers",
-                    "fit", "rls", "eval", "advisory")
+# argparse dest -> the key its flag overrides (update's --segment is no key)
+_FLAG_KEYS = {"gamma": "advisory.gamma", "drivers": "drivers.count", "seed": "seed",
+              "ridge": "fit.ridge", "degree": "fit.max_degree", "scaling": "fit.scaling",
+              "split": "fit.split", "lam": "rls.lam", "cadence": "rls.cadence_s",
+              "horizons": "eval.horizons_s", "eval_segment": "eval.segment_s"}
+
+
+@dataclass(frozen=True)
+class DistractedDriver(DistractionWindow):
+    """A drivers.distracted entry: a window and its driver's roster index."""
+
+    index: object = field(kw_only=True)  # Roster checks it, against its count
+
+
+@dataclass(frozen=True)
+class Roster:
+    """The drivers section: roster size, PI gain spread, distraction windows."""
+
+    count: int = 1
+    gain_jitter: float = 0.0
+    distracted: tuple[DistractedDriver, ...] = ()
+
+    def __post_init__(self):
+        if not (_is_number(self.count, int) and self.count >= 1):
+            raise ValueError(f"count must be an integer, got {self.count!r}, "
+                             "and the driver count is at least 1")
+        _check_fields(self)
+        if not 0 <= self.gain_jitter < 1:
+            raise ValueError(f"gain_jitter must lie in [0, 1), got {self.gain_jitter!r}")
+        for d in self.distracted:
+            if not (_is_number(d.index, int) and 0 <= d.index < self.count):
+                raise ValueError(f"distracted index {d.index!r} must be an integer in "
+                                 f"[0, {self.count}) for a roster of {self.count} drivers")
+
+
+@dataclass(frozen=True)
+class EvalSettings:
+    """The eval section: the horizons eval and bench score, and eval's segment."""
+
+    horizons_s: tuple[float, ...] = (50.0, 20.0, 10.0, 5.0)
+    segment_s: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        _check_fields(self)
+        if not self.horizons_s:
+            raise ValueError("horizons_s must not be empty")
+        if self.segment_s is not None and len(self.segment_s) != 2:
+            raise ValueError(f"segment_s must be two numbers, got {self.segment_s!r}")
+
+
+@dataclass(frozen=True)
+class Config:
+    """The configuration file: seed, sample period and one field per section."""
+
+    seed: int = 0
+    sample_period: float = 0.025
+    vehicle: VehicleParams | None = None  # no defaults, so None unless given
+    driver: DriverParams = field(default_factory=DriverParams)
+    drivers: Roster = field(default_factory=Roster)
+    fit: FitConfig = field(default_factory=FitConfig)
+    rls: OnlineSettings = field(default_factory=OnlineSettings)
+    eval: EvalSettings = field(default_factory=EvalSettings)
+    advisory: EcoDpConfig = field(default_factory=EcoDpConfig)
+
+    def __post_init__(self):
+        _check_sample_period(self.sample_period)
+        _check_fields(self)
 
 
 def _fail(message: str, code: int) -> int:
@@ -66,77 +140,69 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValueError(f"{path}: configuration must be a JSON object")
-    unknown = sorted(set(cfg) - set(_CONFIG_SECTIONS))
+def _load_config(args) -> Config:
+    """The --config file ({} without one), the _FLAG_KEYS flags set over it, as a Config."""
+    values = {}
+    if args.config is not None:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            values = json.load(fh)
+    for dest, dotted in _FLAG_KEYS.items():
+        value = getattr(args, dest, None)
+        if value is None or not isinstance(values, dict):
+            continue
+        section, _, key = dotted.rpartition(".")
+        target = values.setdefault(section, {}) if section else values
+        if isinstance(target, dict):  # any other section fails the build
+            target[key] = value
+    return _build(Config, values, "")
+
+
+def _build(cls, values, section: str):
+    """cls built from a JSON object; every message names the dotted section.
+
+    A field annotated with a config class C, or C | None, is built the same
+    way from an object named section.field, and a tuple[C, ...] field from a
+    list of them. Any other list becomes a tuple.
+    """
+    where = f"section '{section}'" if section else "configuration"
+    if not isinstance(values, dict):
+        raise ValueError(f"{where} must be a JSON object, got {values!r}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(values) - set(fields))
     if unknown:
-        raise ValueError(f"{path}: unknown configuration keys: {', '.join(unknown)}")
-    return cfg
-
-
-def _section(cfg: dict, name: str) -> dict:
-    sec = cfg.get(name, {})
-    if not isinstance(sec, dict):
-        raise ValueError(f"configuration section '{name}' must be an object")
-    return dict(sec)
-
-
-def _check_keys(values: dict, allowed, section: str) -> None:
-    unknown = sorted(set(values) - set(allowed))
-    if unknown:
-        raise ValueError(f"section '{section}': unknown keys: {', '.join(unknown)}")
-
-
-def _build(cls, values: dict, section: str):
-    fields = dataclasses.fields(cls)
-    _check_keys(values, [f.name for f in fields], section)
-    missing = [f.name for f in fields if f.name not in values
+        raise ValueError(f"{where}: unknown keys: {', '.join(unknown)}")
+    for name in values:
+        if "set_by" in fields[name].metadata:
+            raise ValueError(f"{where}: {name} cannot be set here; "
+                             f"{fields[name].metadata['set_by']}")
+    missing = [name for name, f in fields.items() if name not in values
                and f.default is dataclasses.MISSING
                and f.default_factory is dataclasses.MISSING]
     if missing:
-        raise ValueError(f"section '{section}': missing keys: {', '.join(missing)}")
+        raise ValueError(f"{where}: missing keys: {', '.join(missing)}")
+    hints = typing.get_type_hints(cls)
+    kwargs = {name: _field_value(hints[name], value, f"{section}.{name}".lstrip("."))
+              for name, value in values.items()}
     try:
-        return cls(**values)
+        return cls(**kwargs)
     except (TypeError, ValueError) as exc:  # a check, or a comparison of a wrong type
-        raise ValueError(f"section '{section}': {exc}") from None
+        message = str(exc)
+        if section and message.partition(" ")[0] in fields:
+            message = f"{section}.{message}"
+        raise ValueError(f"{where}: {message}") from None
 
 
-def _is_number_list(value) -> bool:
-    return isinstance(value, list) and all(_is_number(x) for x in value)
-
-
-def _eval_section(cfg: dict) -> dict:
-    sec = _section(cfg, "eval")
-    _check_keys(sec, ("horizons_s", "segment_s"), "eval")
-    if "segment_s" in sec and not (_is_number_list(sec["segment_s"])
-                                   and len(sec["segment_s"]) == 2):
-        raise ValueError(f"eval.segment_s must be two finite numbers, got {sec['segment_s']!r}")
-    if "horizons_s" in sec and not (_is_number_list(sec["horizons_s"]) and sec["horizons_s"]):
-        raise ValueError(
-            f"eval.horizons_s must be a non-empty list of finite numbers, got {sec['horizons_s']!r}"
-        )
-    return sec
-
-
-def _online_settings(cfg: dict, args) -> OnlineSettings:
-    """The rls section, with --lam and --cadence overriding single values."""
-    sec = _section(cfg, "rls")
-    if args.lam is not None:
-        sec["lam"] = args.lam
-    if args.cadence is not None:
-        sec["cadence_s"] = args.cadence
-    return _build(OnlineSettings, sec, "rls")
-
-
-def _sample_period(cfg: dict) -> float:
-    period = cfg.get("sample_period", 0.025)
-    _check_sample_period(period)
-    return float(period)
+def _field_value(hint, value, section: str):
+    """The JSON value of a field annotated hint, built as _build says."""
+    params = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple and dataclasses.is_dataclass(params[0]):
+        if not isinstance(value, list):
+            raise ValueError(f"section '{section}' must be a list of JSON objects, got {value!r}")
+        return tuple(_build(params[0], entry, section) for entry in value)
+    for cls in (hint, *params):
+        if dataclasses.is_dataclass(cls):
+            return _build(cls, value, section)
+    return tuple(value) if isinstance(value, list) else value
 
 
 def _expand_data_paths(paths) -> list[str]:
@@ -179,20 +245,9 @@ def _read_trajectories(paths) -> list[Trajectory]:
 
 # ---------------------------------------------------------------- advisory
 
-def _eco_config(cfg: dict, gamma_override: float | None) -> EcoDpConfig:
-    sec = _section(cfg, "advisory")
-    pt = sec.pop("powertrain", None)
-    if pt is not None:
-        sec["powertrain"] = _build(PowertrainParams, pt, "advisory.powertrain")
-    if gamma_override is not None:
-        sec["gamma"] = gamma_override
-    return _build(EcoDpConfig, sec, "advisory")
-
-
 def cmd_advisory(args) -> int:
-    cfg = _load_config(args.config)
-    eco = _eco_config(cfg, args.gamma)
-    period = _sample_period(cfg)
+    cfg = _load_config(args)
+    period = float(cfg.sample_period)
     if not os.path.exists(args.route):
         raise FileNotFoundError(f"route file not found: {args.route}")
     route = RouteSpec.read_csv(args.route)
@@ -202,7 +257,7 @@ def cmd_advisory(args) -> int:
     with open(args.route, "rb") as fh:
         route_sha256 = hashlib.sha256(fh.read()).hexdigest()
 
-    profile = solve_eco_dp(route, eco)
+    profile = solve_eco_dp(route, cfg.advisory)
     t, v_ref = resample_to_time(profile, period)
 
     os.makedirs(args.out, exist_ok=True)
@@ -212,10 +267,10 @@ def cmd_advisory(args) -> int:
     _write_json(os.path.join(args.out, "advisory_meta.json"), {
         "route": os.path.basename(args.route),
         "route_sha256": route_sha256,
-        "gamma": eco.gamma,
+        "gamma": cfg.advisory.gamma,
         "total_cost": profile.total_cost,
         "duration_s": profile.duration,
-        "soc_initial": eco.soc_initial,
+        "soc_initial": cfg.advisory.soc_initial,
         "soc_final": float(profile.soc[-1]),
         "engine_steps": int(np.sum(profile.engine_on)),
         "sample_period": period,
@@ -235,97 +290,50 @@ def _read_advisory_time_csv(path: str, period: float) -> np.ndarray:
 # ---------------------------------------------------------------- simulate
 
 def cmd_simulate(args) -> int:
-    if args.config is None:
-        raise ValueError("simulate requires --config (vehicle parameters live there)")
-    cfg = _load_config(args.config)
-    period = _sample_period(cfg)
-    vehicle = _build(VehicleParams, _section(cfg, "vehicle"), "vehicle")
-    driver_sec = _section(cfg, "driver")
-    per_driver = sorted({"seed", "windows"} & set(driver_sec))
-    if per_driver:
-        raise ValueError(
-            f"section 'driver': {', '.join(per_driver)} cannot be set here; each driver's "
-            "seed is the top-level seed plus its index, and its windows come from "
-            "drivers.distracted"
-        )
-    driver_base = _build(DriverParams, driver_sec, "driver")
-
-    roster = _section(cfg, "drivers")
-    _check_keys(roster, ("count", "gain_jitter", "distracted"), "drivers")
-    count = args.drivers if args.drivers is not None else roster.get("count", 1)
-    if not (_is_number(count, int) and count >= 1):
-        raise ValueError(f"driver count must be a positive integer, got {count!r}")
-    gain_jitter = roster.get("gain_jitter", 0.0)
-    if not (_is_number(gain_jitter) and 0 <= gain_jitter < 1):
-        raise ValueError(f"gain_jitter must lie in [0, 1), got {gain_jitter!r}")
-    distracted = roster.get("distracted", [])
-    if not isinstance(distracted, list):
-        raise ValueError("drivers.distracted must be a list")
-    windows = []
-    for d in distracted:
-        if not isinstance(d, dict) or "index" not in d:
-            raise ValueError("each drivers.distracted entry needs an 'index'")
-        index = d["index"]
-        if not (_is_number(index, int) and 0 <= index < count):
-            raise ValueError(f"drivers.distracted index {index!r} must be an integer "
-                             f"in [0, {count}) for a roster of {count} drivers")
-        fields = {k: v for k, v in d.items() if k != "index"}
-        windows.append((index, _build(DistractionWindow, fields, "drivers.distracted")))
-
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    if not _is_number(seed, int):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
+    cfg = _load_config(args)
+    if cfg.vehicle is None:
+        raise ValueError("simulate requires --config with a vehicle section "
+                         "(vehicle parameters live there)")
+    period = float(cfg.sample_period)
+    roster = cfg.drivers
 
     v_ref = _read_advisory_time_csv(args.advisory, period)
 
     drivers = []
-    for i in range(count):
+    for i in range(roster.count):
         gains = {}
-        if gain_jitter > 0:
-            jrng = np.random.default_rng([seed + i, 17])
+        if roster.gain_jitter > 0:
+            jrng = np.random.default_rng([cfg.seed + i, 17])
             for gain in ("kp", "ki"):
-                base = getattr(driver_base, gain)
-                gains[gain] = base * (1.0 + gain_jitter * (2.0 * jrng.random() - 1.0))
+                base = getattr(cfg.driver, gain)
+                gains[gain] = base * (1.0 + roster.gain_jitter * (2.0 * jrng.random() - 1.0))
         drivers.append(dataclasses.replace(
-            driver_base, seed=seed + i,
-            windows=tuple(w for index, w in windows if index == i), **gains))
+            cfg.driver, seed=cfg.seed + i,
+            windows=tuple(w for w in roster.distracted if w.index == i), **gains))
 
     os.makedirs(args.out, exist_ok=True)
-    width = max(2, len(str(count)))
+    width = max(2, len(str(roster.count)))
     # a driver whose t and v_ref bytes equal the driver before's reuses its
     # row template, so those cells are formatted once for the whole roster;
     # bytes, not values, so a -0.0 never borrows "0.0"
     template = columns = None
     for i, driver in enumerate(drivers):
-        traj = simulate_driver(vehicle, driver, v_ref, sample_period=period)
+        traj = simulate_driver(cfg.vehicle, driver, v_ref, sample_period=period)
         same = (traj.t.tobytes(), traj.v_ref.tobytes())
         template = traj.write_csv(os.path.join(args.out, f"driver_{i + 1:0{width}d}.csv"),
                                   template if same == columns else None)
         columns = same
-    print(f"simulate: wrote {count} trajectories of {len(v_ref)} samples to {args.out}")
+    print(f"simulate: wrote {roster.count} trajectories of {len(v_ref)} samples to {args.out}")
     return 0
 
 
 # ---------------------------------------------------------------- fit
 
 def cmd_fit(args) -> int:
-    cfg = _load_config(args.config)
-    sec = _section(cfg, "fit")
-    if args.ridge is not None:
-        sec["ridge"] = args.ridge
-    if args.degree is not None:
-        sec["max_degree"] = args.degree
-    if args.scaling is not None:
-        sec["scaling"] = args.scaling
-    if args.split is not None:
-        sec["split"] = args.split
-    if isinstance(sec.get("split"), list):
-        sec["split"] = tuple(sec["split"])
-    fit_cfg = _build(FitConfig, sec, "fit")
-
+    cfg = _load_config(args)
     paths = _expand_data_paths(args.data)
     trajectories = _read_trajectories(paths)
-    model, report = fit_trajectories(trajectories, fit_cfg)
+    model, report = fit_trajectories(trajectories, cfg.fit)
     model.provenance["data_files"] = [os.path.basename(p) for p in paths]
 
     model.save(args.model_out)
@@ -340,8 +348,7 @@ def cmd_fit(args) -> int:
 # ---------------------------------------------------------------- update
 
 def cmd_update(args) -> int:
-    cfg = _load_config(args.config)
-    online = _online_settings(cfg, args)
+    online = _load_config(args).rls
 
     model = KoopmanModel.load(args.model)
     traj = Trajectory.read_csv(args.data)
@@ -370,13 +377,11 @@ def cmd_update(args) -> int:
 # ---------------------------------------------------------------- eval
 
 def cmd_eval(args) -> int:
-    cfg = _load_config(args.config)
-    eval_sec = _eval_section(cfg)
-    horizons = args.horizons or eval_sec.get("horizons_s", DEFAULT_HORIZONS_S)
-    segment = args.segment or eval_sec.get("segment_s")
+    cfg = _load_config(args)
+    horizons, segment = cfg.eval.horizons_s, cfg.eval.segment_s
     if segment is None:
         raise ValueError("eval needs --segment (or eval.segment_s in the configuration)")
-    online = _online_settings(cfg, args) if args.online else None
+    online = cfg.rls if args.online else None
 
     model = KoopmanModel.load(args.model)
     traj = Trajectory.read_csv(args.data)
@@ -393,15 +398,13 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------- bench
 
 def cmd_bench(args) -> int:
-    cfg = _load_config(args.config)
-    horizons = args.horizons or _eval_section(cfg).get("horizons_s", DEFAULT_HORIZONS_S)
-    online = _online_settings(cfg, args)
+    cfg = _load_config(args)
 
     model = KoopmanModel.load(args.model)
     paths = _expand_data_paths(args.data)
     trajectories = _read_trajectories(paths)
 
-    report = bench_update(trajectories, model, horizons, online=online)
+    report = bench_update(trajectories, model, cfg.eval.horizons_s, online=cfg.rls)
     for h, off, tick, s in zip(report.horizons_s, report.offline_fit_s,
                                report.online_per_tick_s, report.speedup):
         print(f"horizon {h:>5.1f} s: refit {off * 1e3:8.1f} ms, "
@@ -425,14 +428,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("advisory", help="solve the eco-driving advisory for a route")
     p.add_argument("--route", required=True, help="route CSV (node limits, stops, grades)")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--config", help="JSON configuration file")
     p.add_argument("--gamma", type=float, help="fuel/time trade-off override in [0, 1]")
     p.set_defaults(func=cmd_advisory)
 
     p = sub.add_parser("simulate", help="synthesize driver trajectories for an advisory")
     p.add_argument("--advisory", required=True, help="advisory time CSV from 'advisory'")
     p.add_argument("--out", required=True, help="output directory for driver CSVs")
-    p.add_argument("--config", help="JSON configuration file (required)")
     p.add_argument("--drivers", type=int, help="number of drivers (overrides config)")
     p.add_argument("--seed", type=int, help="top-level seed (overrides config)")
     p.set_defaults(func=cmd_simulate)
@@ -442,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trajectory CSV files or directories of them")
     p.add_argument("--model-out", required=True, help="model JSON output path")
     p.add_argument("--report-out", help="fit report JSON output path")
-    p.add_argument("--config", help="JSON configuration file")
     p.add_argument("--ridge", type=float, help="ridge penalty override")
     p.add_argument("--degree", type=int, help="basis degree override")
     p.add_argument("--scaling", choices=["pow2", "none"], help="pre-scaler override")
@@ -457,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="segment bounds in seconds")
     p.add_argument("--out", required=True, help="updated model JSON output path")
     p.add_argument("--log", help="per-tick log CSV output path")
-    p.add_argument("--config", help="JSON configuration file")
     p.add_argument("--lam", type=float, help="forgetting factor override")
     p.add_argument("--cadence", type=float, help="tick cadence override in seconds")
     p.set_defaults(func=cmd_update)
@@ -465,15 +464,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="multi-horizon prediction accuracy report")
     p.add_argument("--model", required=True, help="model JSON")
     p.add_argument("--data", required=True, help="trajectory CSV")
-    p.add_argument("--segment", type=float, nargs=2, metavar=("T0", "T1"),
-                   help="segment bounds in seconds")
+    p.add_argument("--segment", dest="eval_segment", type=float, nargs=2,
+                   metavar=("T0", "T1"), help="segment bounds in seconds")
     p.add_argument("--horizons", type=float, nargs="+", help="horizons in seconds")
     p.add_argument("--online", action="store_true",
                    help="also evaluate the online-adapted predictor")
     p.add_argument("--lam", type=float, help="forgetting factor override")
     p.add_argument("--cadence", type=float, help="tick cadence override in seconds")
     p.add_argument("--out", help="report CSV output path")
-    p.add_argument("--config", help="JSON configuration file")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="time full refits against streaming ticks")
@@ -484,9 +482,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=float, help="forgetting factor override")
     p.add_argument("--cadence", type=float, help="tick cadence override in seconds")
     p.add_argument("--out", help="benchmark report JSON output path")
-    p.add_argument("--config", help="JSON configuration file")
     p.set_defaults(func=cmd_bench)
 
+    for p in sub.choices.values():  # every command builds the whole configuration
+        p.add_argument("--config", help="JSON configuration file")
     return parser
 
 

@@ -29,7 +29,7 @@ reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -98,8 +98,11 @@ class DriverParams:
     noise_std: float = 120.0
     compliance: float = 1.0
     hold_tau: float = 4.0
-    seed: int = 0
-    windows: tuple[DistractionWindow, ...] = ()
+    # simulate sets these two per driver, so a configuration may not
+    seed: int = field(default=0, metadata={
+        "set_by": "each driver's seed is the top-level seed plus its index"})
+    windows: tuple[DistractionWindow, ...] = field(default=(), metadata={
+        "set_by": "each driver's windows come from drivers.distracted"})
 
     def __post_init__(self):
         _check_fields(self)

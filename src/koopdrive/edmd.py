@@ -75,15 +75,19 @@ class FitConfig:
         _check_fields(self)
         if not self.ridge >= 0.0:
             raise ValueError(f"ridge must be a number >= 0, got {self.ridge!r}")
-        # comparisons are exact, so a huge JSON integer fails here, not in sum()
-        if len(self.split) != 3 or any(not (0 < f <= 1) for f in self.split):
-            raise ValueError(f"split needs three fractions in (0, 1], got {self.split}")
-        if abs(sum(self.split) - 1.0) > 1e-9:
-            raise ValueError(f"split fractions must sum to 1, got {self.split}")
+        _check_split(self.split)
         if not self.max_degree >= 1:
             raise ValueError(f"max_degree must be an integer >= 1, got {self.max_degree!r}")
         if self.scaling not in ("pow2", "none"):
             raise ValueError(f"scaling must be 'pow2' or 'none', got {self.scaling!r}")
+
+
+def _check_split(split) -> None:
+    # comparisons are exact, so a huge JSON integer fails here, not in sum()
+    if len(split) != 3 or any(not (0 < f <= 1) for f in split):
+        raise ValueError(f"split needs three fractions in (0, 1], got {split}")
+    if abs(sum(split) - 1.0) > 1e-9:
+        raise ValueError(f"split fractions must sum to 1, got {split}")
 
 
 @dataclass
@@ -169,10 +173,7 @@ def split_dataset(trajectories, split=(0.8, 0.1, 0.1)):
     trajectories = list(trajectories)
     if not trajectories:
         raise ValueError("need at least one trajectory")
-    if len(split) != 3 or any(not (f > 0) for f in split):
-        raise ValueError(f"split needs three positive fractions, got {split}")
-    if abs(sum(split) - 1.0) > 1e-9:
-        raise ValueError(f"split fractions must sum to 1, got {split}")
+    _check_split(split)
     total = sum(len(t) for t in trajectories)
     b1 = int(math.floor(split[0] * total))
     b2 = int(math.floor((split[0] + split[1]) * total))

@@ -38,12 +38,12 @@ checks as a model made in memory, and reproduces the matrices bit for bit.
 
 The number rule and the time grid are one rule each, kept here. _is_number
 accepts a real (or integral) value with a finite float that is not a bool,
-and _check_fields holds the int, float and float | None fields of a config
-dataclass to it. _check_sample_period accepts a positive period that is a
-number, _check_spacing holds every step of a time column to 2e-9 relative
-of the period, and _samples turns a duration in seconds into a count of
-sample periods, raising ValueError when the duration is no number or that
-count is not finite. Each caller rounds the count its own way.
+and _check_fields holds the int, float, tuple[float, ...] and X | None
+fields of a config dataclass to it. _check_sample_period accepts a positive
+period that is a number, _check_spacing holds every step of a time column to
+2e-9 relative of the period, and _samples turns a duration in seconds into a
+count of sample periods, raising ValueError when the duration is no number
+or that count is not finite. Each caller rounds the count its own way.
 
 Every table and JSON file of the package is written by the two writers here,
 _write_csv_table and _write_json, or, for trajectories, by the row template
@@ -264,14 +264,19 @@ def _is_number(value, kind=numbers.Real) -> bool:
 
 def _check_fields(obj) -> None:
     """Raise ValueError naming the first int field of obj that holds no
-    integer, or float (or non-None float | None) field that holds no number;
-    annotations are strings under `from __future__ import annotations`."""
+    integer, or float field that holds no number, or tuple[float, ...] field
+    that holds no tuple of numbers; an X | None field may also hold None.
+    Annotations are strings under `from __future__ import annotations`."""
     for f in fields(obj):
         value = getattr(obj, f.name)
-        if f.type == "int" and not _is_number(value, numbers.Integral):
+        kind = f.type.removesuffix(" | None")
+        if value is None and kind != f.type:
+            continue
+        if kind == "int" and not _is_number(value, numbers.Integral):
             raise ValueError(f"{f.name} must be an integer, got {value!r}")
-        if (f.type == "float" or f.type == "float | None" and value is not None) \
-                and not _is_number(value):
+        if (kind == "float" and not _is_number(value)
+                or kind == "tuple[float, ...]"
+                and not (isinstance(value, tuple) and all(map(_is_number, value)))):
             raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 

@@ -45,15 +45,14 @@ sqrt(eps . eps), which is how np.linalg.norm computes it. Every check runs
 on w and md before the block is touched, so a rejected pair leaves the
 state as it was; the error names the gain denominator md / mu.
 
-mu starts at 1.0 and is reset to 1.0 when P is assigned. When it falls
-below 2**-512 (after about 3370 pairs at lambda = 0.9, 135 000 at the
-default), S and mu are both multiplied by 2**512. That scales w's S rows
-and md by 2**512 and sqrt(md) and g by its exact square root 2**256, all
-without rounding, and the powers cancel in every theta entry and in
-P = S / mu, so the rescale changes no bit of any later result; it depends
-only on the number of pairs applied, never on the tick boundaries. state.P
-returns S / mu as a new array and never writes it back, so reading P cannot
-change a later update either.
+mu starts at 1.0. When it falls below 2**-512 (after about 3370 pairs at
+lambda = 0.9, 135 000 at the default), S and mu are both multiplied by
+2**512. That scales w's S rows and md by 2**512 and sqrt(md) and g by its
+exact square root 2**256, all without rounding, and the powers cancel in
+every theta entry and in P = S / mu, so the rescale changes no bit of any
+later result; it depends only on the number of pairs applied, never on the
+tick boundaries. state.P returns S / mu as a new array and never writes it
+back, so reading P cannot change a later update either.
 """
 
 from __future__ import annotations
@@ -91,14 +90,18 @@ class OnlineSettings:
 
     def __post_init__(self):
         _check_fields(self)
-        if not (0.0 < self.lam <= 1.0):
-            raise ValueError(f"forgetting factor must be in (0, 1], got {self.lam}")
+        _check_forgetting_factor(self.lam)
         if not self.cadence_s > 0:
             raise ValueError(f"cadence must be positive, got {self.cadence_s}")
 
     def tick_steps(self, sample_period: float) -> int:
         """Transition pairs per tick at this cadence, at least one."""
         return max(int(round(_samples("cadence", self.cadence_s, sample_period))), 1)
+
+
+def _check_forgetting_factor(lam) -> None:
+    if not (0.0 < lam <= 1.0):
+        raise ValueError(f"forgetting factor must be in (0, 1], got {lam}")
 
 
 class RlsState:
@@ -109,11 +112,10 @@ class RlsState:
     parameter block theta = [A B] and whose rows [n:] are the scaled
     covariance S. state.theta is a view of the block. state.P is S / mu,
     computed on each read and never stored, so a read leaves the state as it
-    was. Assigning either writes into the block; assigning P also resets mu
-    to 1.0.
+    was.
     """
 
-    def __init__(self, theta, P, lam: float, update_count: int = 0):
+    def __init__(self, theta, P, lam: float):
         theta = np.asarray(theta, dtype=float)
         P = np.asarray(P, dtype=float)
         if theta.ndim != 2:
@@ -121,8 +123,7 @@ class RlsState:
         n, p = theta.shape
         if P.shape != (p, p):
             raise ValueError(f"P must be ({p}, {p}), got {P.shape}")
-        if not (0.0 < lam <= 1.0):
-            raise ValueError(f"forgetting factor must be in (0, 1], got {lam}")
+        _check_forgetting_factor(lam)
         self.block = np.empty((n + p, p))
         self.block[:n] = theta
         self.block[n:] = P
@@ -132,24 +133,15 @@ class RlsState:
         self._S = self.block[n:]
         self.mu = 1.0
         self.lam = lam
-        self.update_count = update_count
+        self.update_count = 0
 
     @property
     def theta(self) -> np.ndarray:
         return self._theta
 
-    @theta.setter
-    def theta(self, value):
-        self._theta[...] = value
-
     @property
     def P(self) -> np.ndarray:
         return self._S / self.mu
-
-    @P.setter
-    def P(self, value):
-        self._S[...] = value
-        self.mu = 1.0
 
     @property
     def n_features(self) -> int:
@@ -163,8 +155,7 @@ _MU_RESCALE = 2.0 ** 512
 
 def init_rls(model: KoopmanModel, lam: float) -> RlsState:
     """Start adaptation from a fitted model, with P = I / lambda."""
-    if not (0.0 < lam <= 1.0):
-        raise ValueError(f"forgetting factor must be in (0, 1], got {lam}")
+    _check_forgetting_factor(lam)  # before I / lambda divides by it
     p = model.lifted_dim + 1
     return RlsState(theta=model.stacked(), P=np.eye(p) / lam, lam=lam)
 

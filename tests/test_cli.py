@@ -498,6 +498,13 @@ def distracted_with(**entry):
     return {"drivers": dict(TOY_CONFIG["drivers"], distracted=[window])}
 
 
+def advisory_with(powertrain=None, **entries):
+    sec = dict(TOY_CONFIG["advisory"], **entries)
+    if powertrain is not None:
+        sec["powertrain"] = powertrain
+    return {"advisory": sec}
+
+
 @pytest.mark.parametrize("stage, sections, message", [
     ("simulate", {"vehicle": dict(TOY_CONFIG["vehicle"], mass="x")}, "section 'vehicle'"),
     ("simulate", {"driver": dict(TOY_CONFIG["driver"], kp="x")}, "section 'driver'"),
@@ -512,9 +519,21 @@ def distracted_with(**entry):
     ("eval", {"eval": dict(TOY_CONFIG["eval"], horizons_s="5")}, "eval.horizons_s"),
     ("eval", {"eval": dict(TOY_CONFIG["eval"], horizons_s=["5"])}, "eval.horizons_s"),
     ("eval", {"eval": dict(TOY_CONFIG["eval"], horizons_s=[])}, "eval.horizons_s"),
+    ("advisory", advisory_with(powertrain=True),
+     "section 'advisory.powertrain' must be a JSON object"),
+    ("advisory", advisory_with(powertrain=[1]),
+     "section 'advisory.powertrain' must be a JSON object"),
+    ("advisory", advisory_with(powertrain="x"),
+     "section 'advisory.powertrain' must be a JSON object"),
+    ("simulate", {"drivers": dict(TOY_CONFIG["drivers"],
+                                  distracted=TOY_CONFIG["drivers"]["distracted"] + [[1]])},
+     "section 'drivers.distracted' must be a JSON object"),
+    ("eval", {"eval": []}, "section 'eval' must be a JSON object"),
 ], ids=["vehicle.mass", "driver.kp", "distracted.t_start", "advisory.gamma", "rls.lam",
         "rls.cadence_s", "fit.max_degree", "fit.max_degree-float", "fit.split", "eval.segment_s",
-        "eval.horizons_s-str", "eval.horizons_s-list-of-str", "eval.horizons_s-empty"])
+        "eval.horizons_s-str", "eval.horizons_s-list-of-str", "eval.horizons_s-empty",
+        "advisory.powertrain-true", "advisory.powertrain-list", "advisory.powertrain-str",
+        "drivers.distracted-list", "eval-list"])
 def test_wrong_typed_config_value_exit_3(tmp_path, toy_build, stage, sections, message,
                                          capsys):
     out = tmp_path / "out"
@@ -527,6 +546,36 @@ def test_wrong_typed_config_value_exit_3(tmp_path, toy_build, stage, sections, m
     capsys.readouterr()
     bad = write_config(tmp_path, **sections)
     assert main(command_for(stage, toy_build, bad, out)) == 3
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stage, sections, message", [
+    ("advisory", {"fit": dict(TOY_CONFIG["fit"], ridg=0.0)}, "section 'fit': unknown keys: ridg"),
+    ("advisory", {"eval": dict(TOY_CONFIG["eval"], horizons_s="x")}, "eval.horizons_s"),
+    ("simulate", advisory_with(gama=0.5), "section 'advisory': unknown keys: gama"),
+    ("simulate", {"rls": {"lam": "x"}}, "rls.lam must be finite"),
+    ("fit", advisory_with(gama=0.5), "section 'advisory': unknown keys: gama"),
+    ("fit", {"eval": dict(TOY_CONFIG["eval"], horizons_s="x")}, "eval.horizons_s"),
+    ("fit", {"rls": {"lam": 7}}, "section 'rls': forgetting factor"),
+    ("update", advisory_with(gama=0.5), "section 'advisory': unknown keys: gama"),
+    ("update", {"eval": dict(TOY_CONFIG["eval"], segment_s=[10])}, "eval.segment_s"),
+    ("eval", advisory_with(gama=0.5), "section 'advisory': unknown keys: gama"),
+    ("eval", {"rls": {"lam": 7}}, "section 'rls': forgetting factor"),
+    ("bench", advisory_with(gama=0.5), "section 'advisory': unknown keys: gama"),
+    ("bench", {"vehicle": dict(TOY_CONFIG["vehicle"], mass="x")}, "vehicle.mass"),
+], ids=["advisory-fit.ridg", "advisory-eval.horizons_s", "simulate-advisory.gama",
+        "simulate-rls.lam", "fit-advisory.gama", "fit-eval.horizons_s", "fit-rls.lam",
+        "update-advisory.gama", "update-eval.segment_s", "eval-advisory.gama", "eval-rls.lam",
+        "bench-advisory.gama", "bench-vehicle.mass"])
+def test_section_the_command_does_not_read_is_checked_too(tmp_path, toy_build, stage, sections,
+                                                          message, capsys):
+    # eval runs without --online, so it does not read the rls section either
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, **sections)
+    assert main(command_for(stage, toy_build, cfg, out)) == 3
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
@@ -631,13 +680,6 @@ def test_boolean_non_finite_or_fractional_config_value_exit_3(tmp_path, toy_buil
     assert message in err
     assert "Traceback" not in err
     assert not out.exists()
-
-
-def advisory_with(powertrain=None, **entries):
-    sec = dict(TOY_CONFIG["advisory"], **entries)
-    if powertrain is not None:
-        sec["powertrain"] = powertrain
-    return {"advisory": sec}
 
 
 @pytest.mark.parametrize("sections, message", [

@@ -1,7 +1,8 @@
 """Every name a koopdrive module imports is used or re-exported, every name
 it exports exists, only model.py writes files itself or tells a bool from a
-number, and every function, class and method the package defines is
-referenced from the package or the benchmark."""
+number, no cli command reads the configuration as a dict, and every
+function, class and method the package defines is referenced from the
+package or the benchmark."""
 
 import ast
 import importlib
@@ -107,6 +108,50 @@ def test_detects_bool_checks():
                          ids=lambda p: p.name)
 def test_only_model_tells_bools_from_numbers(path):
     assert bool_checks(path.read_text(encoding="utf-8")) == []
+
+
+def config_reads(source: str) -> list[str]:
+    """Subscripts of, and .get calls on, the loaded configuration in a cmd_*
+    function: the value of a _load_config(...) or json.load(...) call, or a
+    name bound to one. Every command reads the Config that cli._build makes."""
+
+    def loads(node):
+        func = node.func if isinstance(node, ast.Call) else None
+        return (isinstance(func, ast.Name) and func.id == "_load_config"
+                or isinstance(func, ast.Attribute) and func.attr in ("load", "loads")
+                and isinstance(func.value, ast.Name) and func.value.id == "json")
+
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not (isinstance(func, ast.FunctionDef) and func.name.startswith("cmd_")):
+            continue
+        names = {target.id for node in ast.walk(func) if isinstance(node, ast.Assign)
+                 and loads(node.value) for target in node.targets
+                 if isinstance(target, ast.Name)}
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "get":
+                receiver, what = node.func.value, ".get"
+            elif isinstance(node, ast.Subscript):
+                receiver, what = node.value, "subscript"
+            else:
+                continue
+            if loads(receiver) or isinstance(receiver, ast.Name) and receiver.id in names:
+                found.append(f"{func.name}: {what} (line {node.lineno})")
+    return found
+
+
+def test_detects_config_reads():
+    source = ("def cmd_a(args):\n    cfg = _load_config(args)\n    cfg['fit']\n"
+              "    cfg.get('seed', 0)\n    cfg.fit.ridge\n    args.data[0]\n"
+              "def cmd_b(args):\n    json.load(fh).get('rls')\n"
+              "def helper(cfg):\n    cfg = _load_config(cfg)\n    cfg['eval']\n")
+    assert config_reads(source) == ["cmd_a: subscript (line 3)", "cmd_a: .get (line 4)",
+                                    "cmd_b: .get (line 8)"]
+
+
+def test_commands_read_no_config_dict():
+    assert config_reads((PACKAGE / "cli.py").read_text(encoding="utf-8")) == []
 
 
 def _class_named(node, classes):

@@ -8,6 +8,7 @@ import pytest
 
 from koopdrive.advisory import EcoDpConfig, PowertrainParams
 from koopdrive.basis import LiftedBasis, pow2_scale
+from koopdrive.cli import EvalSettings, Roster
 from koopdrive.driversim import DistractionWindow, DriverParams, VehicleParams
 from koopdrive.edmd import FitConfig
 from koopdrive.model import (
@@ -430,17 +431,21 @@ CONFIG_BASES = [
     DriverParams(),
     FitConfig(),
     OnlineSettings(),
+    Roster(),
+    EvalSettings(),
 ]
 BAD_VALUES = {
     "float": [("true", True), ("nan", math.nan), ("inf", math.inf), ("1e400", 10**400)],
     "int": [("true", True), ("fraction", 2.5)],
+    "tuple[float, ...]": [("true", (5.0, True)), ("nan", (math.nan,)), ("inf", (5.0, math.inf)),
+                          ("1e400", (10**400,)), ("str", ("5",)), ("not-a-tuple", 5.0)],
 }
 NUMBER_CASES = [
     pytest.param(base, f.name, value, f"^{f.name} must be "
                  + ("an integer, got " if f.type == "int" else "finite, got "),
                  id=f"{type(base).__name__}.{f.name}-{label}")
     for base in CONFIG_BASES for f in dataclasses.fields(base)
-    for label, value in BAD_VALUES.get("float" if f.type == "float | None" else f.type, [])
+    for label, value in BAD_VALUES.get(f.type.removesuffix(" | None"), [])
 ]
 
 
