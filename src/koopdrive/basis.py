@@ -130,15 +130,17 @@ class LiftedBasis:
             raise ValueError("states must be finite")
         return self._lift_rows(arr)
 
-    def _lift_rows(self, arr: np.ndarray) -> np.ndarray:
-        # arr is a checked, finite (k, 2) float array
+    def _lift_rows(self, arr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        # arr is a checked, finite (k, 2) float array; the monomials go into
+        # out, a (k, lifted_dim) float array, when one is given
         if self.scale is not None:
             arr = arr / self._scale
         # each power of v and f once, in one call, then one product per
         # monomial: the same pow calls and the same single multiply as a
         # product over v**a, f**b
         powers = (arr[:, :, None] ** self._powers).reshape(len(arr), -1)
-        return powers.take(self._v_cols, axis=1) * powers.take(self._f_cols, axis=1)
+        return np.multiply(powers.take(self._v_cols, axis=1),
+                           powers.take(self._f_cols, axis=1), out=out)
 
     def project_many(self, Z: np.ndarray) -> np.ndarray:
         arr = np.asarray(Z, dtype=float)

@@ -220,6 +220,14 @@ def _expand_data_paths(paths) -> list[str]:
     return out
 
 
+def _check_output_dirs(*paths) -> None:
+    """FileNotFoundError naming the first given output path whose directory
+    is missing, so a command with two outputs writes neither."""
+    for path in paths:
+        if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise FileNotFoundError(f"output directory not found for {path}")
+
+
 def _read_trajectories(paths) -> list[Trajectory]:
     """Read trajectory CSVs, holding repeated time and advisory columns once.
 
@@ -336,6 +344,7 @@ def cmd_fit(args) -> int:
     model, report = fit_trajectories(trajectories, cfg.fit)
     model.provenance["data_files"] = [os.path.basename(p) for p in paths]
 
+    _check_output_dirs(args.model_out, args.report_out)
     model.save(args.model_out)
     if args.report_out:
         _write_json(args.report_out, report.to_dict())
@@ -366,6 +375,7 @@ def cmd_update(args) -> int:
                                          "updated_from": os.path.basename(args.model),
                                          "update_segment": list(args.segment),
                                          "cadence_s": online.cadence_s})
+    _check_output_dirs(args.out, args.log)
     updated.save(args.out)
     if args.log:
         _write_csv_table(args.log, "tick,t_end_s,pairs,mean_err_norm", log_rows)

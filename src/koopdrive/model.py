@@ -58,12 +58,11 @@ import json
 import math
 import numbers
 import os
-import tempfile
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .basis import LiftedBasis, _state_array
+from .basis import LiftedBasis
 
 SCHEMA_VERSION = 1
 _MODEL_KIND = "lifted_linear_driver_model"
@@ -225,8 +224,14 @@ def _read_csv_table(path: str, header: str, columns: int, kind: str) -> np.ndarr
 
 
 def _atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=".part")
+    # 0o666 less the umask, as open(path, "w") would give; mkstemp's 0o600
+    # would survive the rename
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".tmp_{os.urandom(8).hex()}.part")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -395,7 +400,14 @@ class KoopmanModel:
         identity block. The scan needs ceil(log2(L + 1)) passes over the L
         steps, each one matrix product, where a step loop makes L; it sums
         the same terms in another order, and one refinement pass keeps it
-        as accurate as the loop (see the module docstring).
+        within the tested bounds of the loop (see the module docstring):
+        1e-12 of a channel's largest value on random models of spectral
+        radius 0.9-1.02, 1e-9 on the shipped replay's snapshots. One pass
+        does not reach the loop's accuracy for a strongly non-normal A: on
+        a synthetic A with 2-norm about 7, the 2000-step scan was 3.1e-9 of
+        a channel's largest value off a long-double loop, the float loop
+        1.5e-11. The inputs are checked first, then x0, once, by
+        basis.lift.
 
         Raises RolloutDivergenceError naming the first step whose lifted
         state is not finite. That is the step a per-step loop stops at,
@@ -410,17 +422,16 @@ class KoopmanModel:
         if not np.isfinite(u).all():
             raise ValueError("inputs must be finite")
 
-        x0 = _state_array(x0)
+        x0 = np.asarray(x0, dtype=float)
         L = len(u)
         states = np.empty((L + 1, 2))
-        states[0] = x0
 
         # overflow is the divergence signal itself, reported with the step
         # index below rather than as a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
             # Z[k + 1] = A Z[k] + B u[k], the input term written first
             Z = np.empty((L + 1, self.lifted_dim))
-            Z[0] = self.basis.lift(x0)
+            Z[0] = self.basis.lift(x0)  # the one check of x0: shape (2,), finite
             # np.outer's products; a k = 1 matrix product would turn -0.0 into +0.0
             G = u[:, None] * self.B[:, 0]
             Z[1:] = G
@@ -442,6 +453,7 @@ class KoopmanModel:
                 # the first non-finite row is the step reported
                 diverged = ~np.isfinite(Z[1:]).all(axis=1)
                 raise RolloutDivergenceError(step=int(np.argmax(diverged)) + 1)
+            states[0] = x0
             states[1:] = self.basis.project_many(Z[1:])
 
         # u, x0 and every state are finite and t is uniform by construction,

@@ -20,10 +20,12 @@ rls_update(state, z, psi_next) is the kernel: one lifted pair, no input
 validation. update_tick is the validating entry: it checks that the state
 has lifted_dim + 1 columns, checks its buffer's rows for finiteness in one
 pass (the per-pair mask that names the first malformed pair is built only
-when that pass fails), lifts the finite prefix once, writes the regressor
-rows [psi | u] into one preallocated array and calls the kernel once per
-pair. stream_ticks stacks a segment's (v, f_tr, v_ref) rows once and hands
-each tick a view.
+when that pass fails), and lifts the k + 1 rows of the finite prefix once,
+through the basis's unchecked row kernel, straight into one (k + 1, N + 1)
+array [psi | u]. Row i of it is the regressor z_i, and its first N entries
+are psi(x_i), the target of pair i - 1, so the kernel reads both as views
+of that one array, once per pair. stream_ticks stacks a segment's
+(v, f_tr, v_ref) rows once and hands each tick a view.
 
 The kernel works on 10-wide arrays, where numpy's per-call overhead costs
 more than the arithmetic, so it makes one matrix product and one rank-one
@@ -43,7 +45,12 @@ w_i g_j, so g_i g_j and g_j g_i are the same number and a symmetric S stays
 exactly symmetric, as S(0) = P(0) = I / lambda is. The error norm is
 sqrt(eps . eps), which is how np.linalg.norm computes it. Every check runs
 on w and md before the block is touched, so a rejected pair leaves the
-state as it was; the error names the gain denominator md / mu.
+state as it was; the error names the gain denominator md / mu. w and the
+product w g' are written into two scratch arrays of the state, not
+allocated per pair; each pair overwrites them before reading them, so they
+carry nothing from one pair to the next. The state keeps no view into the
+block or the scratch as an attribute (theta and S are sliced on each
+read), so copy.deepcopy gives a state that updates on its own.
 
 mu starts at 1.0. When it falls below 2**-512 (after about 3370 pairs at
 lambda = 0.9, 135 000 at the default), S and mu are both multiplied by
@@ -110,9 +117,9 @@ class RlsState:
 
     The block is one C-contiguous (n + p) x p array whose rows [:n] are the
     parameter block theta = [A B] and whose rows [n:] are the scaled
-    covariance S. state.theta is a view of the block. state.P is S / mu,
-    computed on each read and never stored, so a read leaves the state as it
-    was.
+    covariance S. state.theta is a view of the block, sliced on each read.
+    state.P is S / mu, computed on each read and never stored, so a read
+    leaves the state as it was.
     """
 
     def __init__(self, theta, P, lam: float):
@@ -129,19 +136,21 @@ class RlsState:
         self.block[n:] = P
         if not np.isfinite(self.block).all():
             raise ValueError("theta and P must be finite")
-        self._theta = self.block[:n]
-        self._S = self.block[n:]
+        self._n = n
         self.mu = 1.0
         self.lam = lam
         self.update_count = 0
+        # rls_update's scratch: w = block z, and the rank-one product w g'
+        self._w = np.empty(n + p)
+        self._wg = np.empty((n + p, p))
 
     @property
     def theta(self) -> np.ndarray:
-        return self._theta
+        return self.block[:self._n]
 
     @property
     def P(self) -> np.ndarray:
-        return self._S / self.mu
+        return self.block[self._n:] / self.mu
 
     @property
     def n_features(self) -> int:
@@ -169,7 +178,8 @@ def rls_update(state: RlsState, z: np.ndarray, psi_next: np.ndarray) -> float:
     RlsUpdateRejectedError and leaves the state exactly as it was.
     """
     block = state.block
-    w = block.dot(z)  # [theta z; S z]
+    w = state._w
+    block.dot(z, out=w)  # [theta z; S z]
     n = len(psi_next)
     Sz = w[n:]
     mu = state.mu * state.lam  # the next mu
@@ -185,9 +195,11 @@ def rls_update(state: RlsState, z: np.ndarray, psi_next: np.ndarray) -> float:
 
     w *= 1.0 / math.sqrt(md)  # Sz becomes g = S z / sqrt(md)
     # rows [:n] gain eps K' and rows [n:] lose g g', each entry one product
-    block -= w[:, None].dot(Sz[None])
+    wg = state._wg
+    w[:, None].dot(Sz[None], out=wg)
+    block -= wg
     if mu < _MU_FLOOR:
-        state._S *= _MU_RESCALE
+        block[n:] *= _MU_RESCALE
         mu *= _MU_RESCALE
     state.mu = mu
     state.update_count += 1
@@ -240,13 +252,15 @@ def update_tick(state: RlsState, basis: LiftedBasis, buffer) -> np.ndarray:
         good = n_pairs if ok.all() else int(np.argmin(ok))
     errs = np.empty(n_pairs)
     if good:
-        psi = basis.lift_many(rows[: good + 1, :2])
-        Z = np.empty((good, psi.shape[1] + 1))  # regressor rows [psi(x_k) | u_k]
-        Z[:, :-1] = psi[:-1]
-        Z[:, -1] = rows[:good, 2]
+        # row i is [psi(x_i) | u_i]: the regressor z_i, and psi(x_i) is the
+        # target of pair i - 1; the u of row good is never read
+        N = basis.lifted_dim
+        Z = np.empty((good + 1, N + 1))
+        basis._lift_rows(rows[: good + 1, :2], out=Z[:, :N])
+        Z[:, N] = rows[: good + 1, 2]
         try:
             for i in range(good):
-                errs[i] = rls_update(state, Z[i], psi[i + 1])
+                errs[i] = rls_update(state, Z[i], Z[i + 1, :N])
         except RlsUpdateRejectedError as exc:
             raise RlsUpdateRejectedError(f"tick aborted at buffered pair {i}: {exc}") from exc
     if good < n_pairs:

@@ -7,6 +7,7 @@ through the real CLI and shared by the checks that need it.
 """
 
 import contextlib
+import hashlib
 import itertools
 import json
 import math
@@ -23,7 +24,7 @@ from koopdrive.edmd import DataMatrices, FitConfig, fit
 from koopdrive.evaluate import bench_update, evaluate_horizons
 from koopdrive.model import KoopmanModel, Trajectory
 from koopdrive.rls import (OnlineSettings, RlsState, init_rls, rls_update, snapshot_model,
-                           stream_ticks)
+                           stream_ticks, update_tick)
 from test_rls import parent_kernel
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -330,6 +331,44 @@ def test_stacked_kernel_tracks_the_p_form_kernel(verdict, work_dir):
             assert state.update_count == stop - start
             assert np.array_equal(state.P, state.P.T)
             np.linalg.cholesky(state.P)
+
+
+# the distracted driver's whole-drive replay from the offline fit at the
+# default lambda, recorded before update_tick lifted its rows straight into
+# the regressor array and the kernel reused its scratch buffers: SHA-256 of
+# theta and of S, mu's hex, the pairs applied and the SHA-256 of every pair's
+# error norm in order. Every cadence gives these bytes.
+WHOLE_DRIVE_GOLDEN = {
+    "theta": "9d394881fdc5bb6a5316d9e765847aee8e8a0ecf8afde521e4bc4992c9fa514e",
+    "S": "e8bb31bd5f702bec99bd08c7499d9110d49c4eeece80a18cbf93ce33d66b1c58",
+    "mu": "0x1.7021a0d3502c6p-101",
+    "updates": 26446,
+    "errors": "392ddb0872b4891ae8fb0114ec6f669e81256a482beec5d2f36146226d5c3af1",
+}
+
+
+@pytest.mark.parametrize("tick_steps", [40, 4])
+def test_whole_drive_tick_bytes_are_pinned(verdict, work_dir, tick_steps):
+    with verdict(f"distracted driver, whole drive, {tick_steps} pairs a tick: trajectory "
+                 "slices and row views give the recorded theta, S, mu and error bytes", 60.0):
+        sc = _scenario(work_dir)
+        model, traj = sc["model"], sc["trajectories"][17]
+        rows = np.column_stack([traj.v, traj.f_tr, traj.v_ref])
+        n, N = len(traj), model.lifted_dim
+        found = []
+        # bench/run.py's per-tick Trajectory copies, then stream_ticks' row views
+        for buffer in (lambda lo, hi: traj.slice_samples(lo, hi + 1),
+                       lambda lo, hi: rows[lo:hi + 1]):
+            state = init_rls(model, OnlineSettings().lam)
+            errors = hashlib.sha256()
+            for lo in range(0, n - 1, tick_steps):
+                hi = min(lo + tick_steps, n - 1)
+                errors.update(update_tick(state, model.basis, buffer(lo, hi)).tobytes())
+            found.append({"theta": hashlib.sha256(state.theta.tobytes()).hexdigest(),
+                          "S": hashlib.sha256(state.block[N:].tobytes()).hexdigest(),
+                          "mu": state.mu.hex(), "updates": state.update_count,
+                          "errors": errors.hexdigest()})
+        assert found == [WHOLE_DRIVE_GOLDEN, WHOLE_DRIVE_GOLDEN]
 
 
 def _step_loop_states(model, x0, u) -> np.ndarray:

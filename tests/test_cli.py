@@ -122,6 +122,25 @@ def test_missing_file_exit_2(tmp_path, config_file):
                  "--config", str(config_file), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("stage, second", [("fit", "--report-out"), ("update", "--log")])
+def test_second_output_in_missing_directory_writes_nothing(tmp_path, toy_build, stage, second,
+                                                           capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    missing = tmp_path / "missing_dir" / "second"
+    argv = command_for(stage, toy_build, toy_build / "config.json", out / "first.json")
+    assert main(argv + [second, str(missing)]) == 2
+    assert f"output directory not found for {missing}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_output_in_missing_directory_names_the_path(tmp_path, toy_build, capsys):
+    missing = tmp_path / "missing_dir" / "report.csv"
+    assert main(command_for("eval", toy_build, toy_build / "config.json", missing)) == 2
+    err = capsys.readouterr().err
+    assert str(missing) in err and ".tmp_" not in err
+
+
 def test_bad_json_exit_3(tmp_path, toy_route):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")

@@ -1,8 +1,9 @@
 """Every name a koopdrive module imports is used or re-exported, every name
 it exports exists, only model.py writes files itself or tells a bool from a
-number, no cli command reads the configuration as a dict, and every
-function, class and method the package defines is referenced from the
-package or the benchmark."""
+number, no cli command reads the configuration as a dict, only basis.py and
+rls.update_tick call the unchecked lift kernel, and every function, class
+and method the package defines is referenced from the package or the
+benchmark."""
 
 import ast
 import importlib
@@ -152,6 +153,40 @@ def test_detects_config_reads():
 
 def test_commands_read_no_config_dict():
     assert config_reads((PACKAGE / "cli.py").read_text(encoding="utf-8")) == []
+
+
+def unchecked_lifts(source: str, module: str) -> list[str]:
+    """Reads of ._lift_rows, named by the innermost function making them,
+    except in basis.py and in rls.update_tick: the kernel skips the
+    finiteness check, so only a caller that makes that check first may use it."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == "_lift_rows" \
+                    and module != "basis" and (module, func) != ("rls", "update_tick"):
+                found.append(f"{func or '<module>'} (line {child.lineno})")
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  else func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_detects_unchecked_lifts():
+    source = ("def update_tick(state, basis, rows):\n    basis._lift_rows(rows)\n"
+              "def rollout(self, x0):\n    lift = self.basis._lift_rows\n"
+              "    def inner():\n        return lift(x0)\n"
+              "basis._lift_rows(x)\n")
+    assert unchecked_lifts(source, "rls") == ["rollout (line 4)", "<module> (line 7)"]
+    assert unchecked_lifts(source, "model") == ["update_tick (line 2)", "rollout (line 4)",
+                                                "<module> (line 7)"]
+    assert unchecked_lifts(source, "basis") == []
+
+
+@pytest.mark.parametrize("path", MODULES + sorted(BENCH.glob("*.py")), ids=lambda p: p.name)
+def test_only_checked_callers_use_the_lift_kernel(path):
+    assert unchecked_lifts(path.read_text(encoding="utf-8"), path.stem) == []
 
 
 def _class_named(node, classes):

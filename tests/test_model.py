@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 import numbers
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from koopdrive.model import (
     RolloutDivergenceError,
     Trajectory,
     _is_number,
+    _write_json,
 )
 from koopdrive.rls import OnlineSettings
 
@@ -320,6 +323,21 @@ def test_rollout_requires_inputs():
         m.rollout(np.array([1.0, 0.0]), np.array([]))
 
 
+def test_rollout_checks_inputs_then_the_initial_state():
+    m = identity_model()
+    with pytest.raises(ValueError, match="inputs must be a nonempty"):
+        m.rollout([np.nan, 0.0, 0.0], [])
+    with pytest.raises(ValueError, match="inputs must be finite"):
+        m.rollout([np.nan, 0.0], [np.inf])
+    with pytest.raises(ValueError, match=r"state must have shape \(2,\), got \(3,\)"):
+        m.rollout([1.0, 0.0, 0.0], [12.0])
+    with pytest.raises(ValueError, match="state must be finite"):
+        m.rollout([np.nan, 0.0], [12.0])
+    # a list start state, read as floats, is the forecast's first sample
+    pred = m.rollout([10, -0.0], [12.0])
+    assert pred.v[0] == 10.0 and math.copysign(1.0, pred.f_tr[0]) == -1.0
+
+
 def test_save_load_bit_exact(tmp_path):
     rng = np.random.default_rng(2)
     basis = LiftedBasis()
@@ -475,3 +493,16 @@ def test_config_number_rule_names_the_field(base, name, value, message):
 ])
 def test_is_number(value, kind, expected):
     assert _is_number(value, kind) is expected
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_written_files_follow_the_umask(tmp_path, umask, mode):
+    path = tmp_path / "out.json"
+    old = os.umask(umask)
+    try:
+        _write_json(str(path), {"a": 1.5})
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == mode
+    assert path.read_text() == '{\n  "a": 1.5\n}\n'
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -270,6 +271,75 @@ def test_mu_rescale_is_exact_and_independent_of_ticks():
         rls_update(state, np.full(10, np.inf), psi_next)
     np.testing.assert_array_equal(state.block, block)
     assert state.mu == mu and state.update_count == 5000
+
+
+def buffer_stream(lam=0.9, seed=13, n=5000):
+    # at lambda = 0.9 the stream crosses the mu rescale near pair 3370
+    basis = LiftedBasis()
+    model = KoopmanModel.from_stacked(
+        basis, np.random.default_rng(seed).normal(0, 0.1, size=(9, 10)), 0.025)
+    traj = excited_traj(n + 1, seed)
+    return basis, init_rls(model, lam), np.column_stack([traj.v, traj.f_tr, traj.v_ref])
+
+
+def feed(state, basis, rows, lo, hi, tick_steps):
+    """Ticks of tick_steps pairs over pairs lo..hi; the error norms' bytes."""
+    return b"".join(update_tick(state, basis, rows[i:min(i + tick_steps, hi) + 1]).tobytes()
+                    for i in range(lo, hi, tick_steps))
+
+
+def assert_same_state(state, other):
+    assert state.block.tobytes() == other.block.tobytes()
+    assert state.theta.tobytes() == other.theta.tobytes()
+    assert state.P.tobytes() == other.P.tobytes()
+    assert state.mu == other.mu and state.update_count == other.update_count
+
+
+def test_deepcopy_mid_stream_updates_on_its_own():
+    # a view into the block kept as an attribute would be copied as an array
+    # of its own, and theta (or the rescale of S) would stop following the block
+    basis, state, rows = buffer_stream()
+    feed(state, basis, rows, 0, 2000, 40)
+    twin = copy.deepcopy(state)
+    assert_same_state(twin, state)
+    assert feed(twin, basis, rows, 2000, 5000, 40) == feed(state, basis, rows, 2000, 5000, 40)
+    assert state.mu > 2.0 ** -512 > 0.9 ** 5000  # the rescale ran
+    assert_same_state(twin, state)
+
+
+def test_states_updated_in_alternation_match_lone_runs():
+    runs = [(0.9, 13, 0), (0.99737, 21, 2500)]  # (lambda, model seed, first pair)
+    lone = []
+    for lam, seed, lo in runs:
+        basis, state, rows = buffer_stream(lam, seed)
+        lone.append((state, feed(state, basis, rows, lo, lo + 2100, 7)))
+    both = [buffer_stream(lam, seed) for lam, seed, _ in runs]
+    errs = [b"", b""]
+    for i in range(0, 2100, 7):
+        for k, ((basis, state, rows), (_, _, lo)) in enumerate(zip(both, runs)):
+            errs[k] += feed(state, basis, rows, lo + i, lo + i + 7, 7)
+    for (state, lone_errs), (_, alternated, _), alternated_errs in zip(lone, both, errs):
+        assert alternated_errs == lone_errs
+        assert_same_state(alternated, state)
+
+
+def test_rejected_pairs_leave_the_state_and_the_next_update_as_they_were():
+    basis, state, rows = buffer_stream()
+    feed(state, basis, rows, 0, 100, 40)
+    block, mu = state.block.tobytes(), state.mu
+    z, psi_next = lift_pair(basis, rows[100, :2], rows[100, 2:3], rows[101, :2])
+    with pytest.raises(RlsUpdateRejectedError, match="non-finite prediction error"):
+        rls_update(state, z, np.full(9, np.nan))
+    with pytest.raises(RlsUpdateRejectedError, match="gain denominator is nan"), \
+            np.errstate(invalid="ignore"):
+        rls_update(state, np.full(10, np.inf), psi_next)
+    assert state.block.tobytes() == block
+    assert state.mu == mu and state.update_count == 100
+    # what the rejected pairs left in the kernel's scratch reaches no later pair
+    _, ref, _ = buffer_stream()
+    feed(ref, basis, rows, 0, 100, 40)
+    assert feed(state, basis, rows, 100, 300, 40) == feed(ref, basis, rows, 100, 300, 40)
+    assert_same_state(state, ref)
 
 
 def test_kernel_rejects_nan_prediction_error():
