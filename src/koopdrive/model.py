@@ -165,22 +165,18 @@ class Trajectory:
         i0, i1 = self.segment_indices(t_start, t_end)
         return self.slice_samples(i0, i1 + 1)
 
-    def write_csv(self, path: str, template: str | None = None) -> str:
-        """Write the CSV, each cell the repr of its float, and return the row
-        template used.
+    def write_csv(self, path: str, template: str | None = None) -> None:
+        """Write the CSV, each cell the repr of its float.
 
-        The template holds the formatted t and v_ref cells with %r slots for
-        v and f_tr. A writer of several trajectories may pass back the
-        template of an earlier one whose t and v_ref columns have exactly
-        the same bytes; the template is not checked against this one's.
+        The rows are filled from template, _row_template(t, v_ref): the
+        formatted t and v_ref cells with %r slots for v and f_tr. A writer of
+        several trajectories may pass one made from columns with exactly the
+        same bytes as this one's t and v_ref; it is not checked against them.
         """
         if template is None:
-            # repr (%r) is the shortest string that round-trips a float exactly
-            template = "".join([f"{t!r},%r,%r,{r!r}\n"
-                                for t, r in zip(self.t.tolist(), self.v_ref.tolist())])
+            template = _row_template(self.t, self.v_ref)
         values = np.column_stack((self.v, self.f_tr)).ravel().tolist()
         _atomic_write_text(path, TRAJECTORY_CSV_HEADER + "\n" + template % tuple(values))
-        return template
 
     @classmethod
     def read_csv(cls, path: str) -> "Trajectory":
@@ -193,6 +189,13 @@ class Trajectory:
         t, v, f_tr, v_ref = (data[:, j].copy() for j in range(4))
         period = float(np.median(np.diff(t)))
         return cls(sample_period=period, t=t, v=v, f_tr=f_tr, v_ref=v_ref)
+
+
+def _row_template(t: np.ndarray, v_ref: np.ndarray) -> str:
+    """The trajectory CSV rows of columns t and v_ref, each cell the repr of
+    its float, with %r slots for v and f_tr."""
+    # repr (%r) is the shortest string that round-trips a float exactly
+    return "".join([f"{a!r},%r,%r,{r!r}\n" for a, r in zip(t.tolist(), v_ref.tolist())])
 
 
 def _trusted_trajectory(sample_period: float, t: np.ndarray, v: np.ndarray, f_tr: np.ndarray,

@@ -1,7 +1,8 @@
 """Golden digests of the offline build outputs.
 
 Runs `advisory` -> `simulate` -> `fit` through the CLI on a reduced build
-(the shipped route, 16 x 11 DP grid, 3 drivers with driver 3 distracted) and
+(the shipped route, 16 x 11 DP grid, 3 drivers with driver 3 distracted),
+once with one usable CPU and once with the machine's, and for each build
 compares the SHA-256 of every CSV with digests recorded before the DP
 backward pass, the simulator loop and the CSV writers were rewritten for
 speed, and of `model.json` and `report.json` with digests recorded before the
@@ -32,6 +33,7 @@ different BLAS/LAPACK build may need new fit digests.
 import csv
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -104,56 +106,72 @@ def _digests(root: Path, names) -> dict:
 
 
 @pytest.fixture(scope="module")
-def build(tmp_path_factory):
-    """The reduced build's directory, after advisory -> simulate -> fit."""
-    root = tmp_path_factory.mktemp("build")
-    config = root / "config.json"
-    _reduced_config(config)
-    adv = root / "advisory"
-    assert main(["advisory", "--route", str(ROUTE), "--config", str(config),
-                 "--out", str(adv)]) == 0
-    assert main(["simulate", "--advisory", str(adv / "advisory_time.csv"),
-                 "--config", str(config), "--out", str(root / "drivers")]) == 0
-    assert main(["fit", "--data", str(root / "drivers"), "--config", str(config),
-                 "--model-out", str(root / "model.json"),
-                 "--report-out", str(root / "report.json")]) == 0
-    return root
+def builds(tmp_path_factory):
+    """The reduced build's directory after advisory -> simulate -> fit, by the
+    usable CPUs it ran on: one, which simulates the roster in one process,
+    and the machine's. Every golden digest must hold for both."""
+    roots = {}
+    for cpus in ("one CPU", "machine CPUs"):
+        root = tmp_path_factory.mktemp("build")
+        config = root / "config.json"
+        _reduced_config(config)
+        adv = root / "advisory"
+        with pytest.MonkeyPatch.context() as mp:
+            if cpus == "one CPU":
+                mp.setattr(os, "sched_getaffinity", lambda pid: {0})
+            assert main(["advisory", "--route", str(ROUTE), "--config", str(config),
+                         "--out", str(adv)]) == 0
+            assert main(["simulate", "--advisory", str(adv / "advisory_time.csv"),
+                         "--config", str(config), "--out", str(root / "drivers")]) == 0
+            assert main(["fit", "--data", str(root / "drivers"), "--config", str(config),
+                         "--model-out", str(root / "model.json"),
+                         "--report-out", str(root / "report.json")]) == 0
+        roots[cpus] = root
+    return roots
 
 
-def test_build_outputs_match_golden_digests(build):
-    written = sorted(str(p.relative_to(build)) for p in build.rglob("*.csv"))
-    assert written == sorted(GOLDEN)
-    assert _digests(build, GOLDEN) == GOLDEN
-    assert _digests(build, FIT_GOLDEN) == FIT_GOLDEN
+def test_build_outputs_match_golden_digests(builds):
+    for cpus, build in builds.items():
+        written = sorted(str(p.relative_to(build)) for p in build.rglob("*.csv"))
+        assert written == sorted(GOLDEN), cpus
+        assert _digests(build, GOLDEN) == GOLDEN, cpus
+        assert _digests(build, FIT_GOLDEN) == FIT_GOLDEN, cpus
 
 
-def test_unscaled_fit_matches_golden_digests(build, tmp_path):
-    assert main(["fit", "--data", str(build / "drivers"), "--config", str(build / "config.json"),
-                 "--scaling", "none", "--model-out", str(tmp_path / "model.json"),
-                 "--report-out", str(tmp_path / "report.json")]) == 0
-    assert _digests(tmp_path, UNSCALED_FIT_GOLDEN) == UNSCALED_FIT_GOLDEN
-    # a model written by fit, scaled or not, loads and saves back to its bytes
-    for written in (build / "model.json", tmp_path / "model.json"):
-        KoopmanModel.load(written).save(tmp_path / "resaved.json")
-        assert (tmp_path / "resaved.json").read_bytes() == written.read_bytes()
+def test_unscaled_fit_matches_golden_digests(builds, tmp_path):
+    for cpus, build in builds.items():
+        out = tmp_path / cpus.replace(" ", "_")
+        out.mkdir()
+        assert main(["fit", "--data", str(build / "drivers"),
+                     "--config", str(build / "config.json"), "--scaling", "none",
+                     "--model-out", str(out / "model.json"),
+                     "--report-out", str(out / "report.json")]) == 0
+        assert _digests(out, UNSCALED_FIT_GOLDEN) == UNSCALED_FIT_GOLDEN, cpus
+        # a model written by fit, scaled or not, loads and saves back to its bytes
+        for written in (build / "model.json", out / "model.json"):
+            KoopmanModel.load(written).save(out / "resaved.json")
+            assert (out / "resaved.json").read_bytes() == written.read_bytes(), cpus
 
 
-def test_online_outputs_match_golden_digests(build, tmp_path):
-    config = build / "config.json"
-    data = str(build / "drivers" / "driver_03.csv")
-    for cadence in ("1.0", "0.1"):
-        assert main(["update", "--model", str(build / "model.json"), "--data", data,
-                     "--segment", "515", "630", "--config", str(config),
-                     "--cadence", cadence, "--out", str(tmp_path / f"update_{cadence}.json"),
-                     "--log", str(tmp_path / f"ticks_{cadence}.csv")]) == 0
-    assert main(["eval", "--model", str(build / "model.json"), "--data", data,
-                 "--config", str(config), "--online",
-                 "--out", str(tmp_path / "eval_online.csv")]) == 0
-    assert _digests(tmp_path, ONLINE_GOLDEN) == ONLINE_GOLDEN
-    with open(tmp_path / "eval_online.csv", newline="", encoding="utf-8") as fh:
-        rmse = {(row["horizon_s"], row["variant"]):
-                (float(row["rmse_speed_mps"]), float(row["rmse_force_n"]))
-                for row in csv.DictReader(fh)}
-    assert rmse.keys() == LOOP_RMSE.keys()
-    for key, expect in LOOP_RMSE.items():
-        np.testing.assert_allclose(rmse[key], expect, rtol=1e-9, atol=0.0)
+def test_online_outputs_match_golden_digests(builds, tmp_path):
+    for cpus, build in builds.items():
+        out = tmp_path / cpus.replace(" ", "_")
+        out.mkdir()
+        config = build / "config.json"
+        data = str(build / "drivers" / "driver_03.csv")
+        for cadence in ("1.0", "0.1"):
+            assert main(["update", "--model", str(build / "model.json"), "--data", data,
+                         "--segment", "515", "630", "--config", str(config),
+                         "--cadence", cadence, "--out", str(out / f"update_{cadence}.json"),
+                         "--log", str(out / f"ticks_{cadence}.csv")]) == 0
+        assert main(["eval", "--model", str(build / "model.json"), "--data", data,
+                     "--config", str(config), "--online",
+                     "--out", str(out / "eval_online.csv")]) == 0
+        assert _digests(out, ONLINE_GOLDEN) == ONLINE_GOLDEN, cpus
+        with open(out / "eval_online.csv", newline="", encoding="utf-8") as fh:
+            rmse = {(row["horizon_s"], row["variant"]):
+                    (float(row["rmse_speed_mps"]), float(row["rmse_force_n"]))
+                    for row in csv.DictReader(fh)}
+        assert rmse.keys() == LOOP_RMSE.keys()
+        for key, expect in LOOP_RMSE.items():
+            np.testing.assert_allclose(rmse[key], expect, rtol=1e-9, atol=0.0)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import shutil
 
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from koopdrive import cli
 from koopdrive.basis import LiftedBasis
 from koopdrive.cli import _read_trajectories, main
 from koopdrive.model import KoopmanModel, ModelFileError, Trajectory
@@ -391,44 +393,132 @@ def test_advisory_meta_does_not_depend_on_the_directory(tmp_path, config_file, m
     assert meta["route_sha256"] == digest
 
 
-def test_simulate_reuses_csv_cells_only_for_equal_bytes(tmp_path, toy_route, config_file,
-                                                       monkeypatch):
-    # drivers 3 and 4 differ from drivers 1 and 2 only in the sign of one
-    # zero in v_ref, so driver 3 must format its own t and v_ref cells
+def test_simulate_reuses_csv_cells_only_for_equal_bytes(tmp_path, config_file, monkeypatch):
+    # one row template is made, from the advisory's t and v_ref columns, and a
+    # driver writes with it only when its own columns have the same bytes:
+    # drivers 3 and 4 differ from the advisory only in the sign of one zero
+    # in v_ref and driver 5 only in the sign of t[0], so each formats its
+    # own cells. One usable CPU, so the spies see every driver.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     t = np.arange(5) * 0.025
     v_ref = np.array([0.0, 1.5, 0.0, 0.1 + 0.2, 7.0])
-    flipped = v_ref.copy()
-    flipped[2] = -0.0
-    columns = iter([v_ref, v_ref, flipped, flipped, v_ref])
+    advisory = tmp_path / "advisory_time.csv"
+    advisory.write_text("t_s,v_ref_mps\n" + "".join(f"{a!r},{r!r}\n"
+                                                      for a, r in zip(t.tolist(), v_ref.tolist())))
+    flipped, t_signed = v_ref.copy(), t.copy()
+    flipped[2] = t_signed[0] = -0.0
+    columns = [(t, v_ref), (t, v_ref), (t, flipped), (t, flipped), (t_signed, v_ref)]
+    n = len(t)
 
     def fake_driver(vehicle, driver, v_ref, sample_period):
-        return Trajectory(sample_period=sample_period, t=t, v=np.full(5, 3.0 + driver.seed),
-                          f_tr=np.full(5, -1.0), v_ref=next(columns))
+        t_col, v_ref_col = columns[driver.seed - TOY_CONFIG["seed"]]
+        return Trajectory(sample_period=sample_period, t=t_col, v=np.full(n, 3.0 + driver.seed),
+                          f_tr=np.full(n, -1.0), v_ref=v_ref_col)
 
-    reused = []
+    made, passed = [], []
+    row_template = cli._row_template
     write_csv = Trajectory.write_csv
 
-    def spy(self, path, template=None):
-        reused.append(template is not None)
-        return write_csv(self, path, template)
+    def template_spy(t_col, v_ref_col):
+        made.append((t_col.tobytes(), v_ref_col.tobytes()))
+        return row_template(t_col, v_ref_col)
+
+    def write_spy(self, path, template=None):
+        passed.append(template)
+        write_csv(self, path, template)
 
     monkeypatch.setattr("koopdrive.cli.simulate_driver", fake_driver)
-    monkeypatch.setattr(Trajectory, "write_csv", spy)
-    adv = tmp_path / "adv"
-    assert main(["advisory", "--route", str(toy_route), "--config", str(config_file),
-                 "--out", str(adv)]) == 0
+    monkeypatch.setattr("koopdrive.cli._row_template", template_spy)
+    monkeypatch.setattr(Trajectory, "write_csv", write_spy)
     out = tmp_path / "drivers"
-    assert main(["simulate", "--advisory", str(adv / "advisory_time.csv"), "--config",
-                 str(config_file), "--drivers", "5", "--out", str(out)]) == 0
-    assert reused == [False, True, False, True, False]
-    for k, column in enumerate([v_ref, v_ref, flipped, flipped, v_ref]):
-        cols = (t, np.full(5, 3.0 + k), np.full(5, -1.0), column)
+    assert main(["simulate", "--advisory", str(advisory), "--config", str(config_file),
+                 "--drivers", "5", "--out", str(out)]) == 0
+    assert made == [(t.tobytes(), v_ref.tobytes())]
+    assert [template is not None for template in passed] == [True, True, False, False, False]
+    assert passed[0] is passed[1]
+    for k, (t_col, v_ref_col) in enumerate(columns):
+        cols = (t_col, np.full(n, 3.0 + k), np.full(n, -1.0), v_ref_col)
         expected = ["t_s,v_mps,f_tr_n,v_ref_mps"] + [
-            ",".join(repr(float(col[i])) for col in cols) for i in range(5)
+            ",".join(repr(float(col[i])) for col in cols) for i in range(n)
         ]
         assert (out / f"driver_0{k + 1}.csv").read_bytes() == (
             "\n".join(expected) + "\n").encode()
-    assert "-0.0" in (out / "driver_03.csv").read_text()
+    assert (out / "driver_03.csv").read_text().split("\n")[3].endswith(",-0.0")
+    assert (out / "driver_05.csv").read_text().split("\n")[1].startswith("-0.0,")
+
+
+@pytest.fixture
+def toy_advisory(tmp_path, toy_route, config_file):
+    """The toy route's advisory_time.csv."""
+    adv = tmp_path / "adv"
+    assert main(["advisory", "--route", str(toy_route), "--config", str(config_file),
+                 "--out", str(adv)]) == 0
+    return adv / "advisory_time.csv"
+
+
+def assert_no_child_process():
+    # neither a running worker nor an exited one left unjoined: waitpid finds
+    # no child at all (active_children alone would reap an unjoined one)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert multiprocessing.active_children() == []
+
+
+def test_simulate_on_several_processes_matches_one(tmp_path, toy_advisory, config_file,
+                                                   monkeypatch):
+    # 5 drivers on 4 usable CPUs: the caller and three forked workers
+    written = {}
+    for cpus in ({0}, {0, 1, 2, 3}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        out = tmp_path / f"drivers_{len(cpus)}"
+        assert main(["simulate", "--advisory", str(toy_advisory), "--config",
+                     str(config_file), "--drivers", "5", "--out", str(out)]) == 0
+        assert_no_child_process()
+        written[len(cpus)] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert sorted(written[1]) == [f"driver_0{k}.csv" for k in range(1, 6)]
+    assert written[1] == written[4]
+
+
+def test_simulate_failure_in_a_worker_exits_as_serial(tmp_path, toy_advisory, config_file,
+                                                      monkeypatch, capsys):
+    # drivers 2 and 3 fail; on two processes the worker runs driver 2 and the
+    # caller driver 3, and driver 2's failure is reported, as the serial loop
+    # reports it
+    real = cli.simulate_driver
+
+    def failing(vehicle, driver, v_ref, sample_period):
+        if driver.seed in (1, 2):
+            raise ValueError(f"driver seed {driver.seed} failed")
+        return real(vehicle, driver, v_ref, sample_period=sample_period)
+
+    monkeypatch.setattr("koopdrive.cli.simulate_driver", failing)
+    outcomes = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        code = main(["simulate", "--advisory", str(toy_advisory), "--config",
+                     str(config_file), "--out", str(tmp_path / f"drivers_{len(cpus)}")])
+        outcomes.append((code, capsys.readouterr().err))
+        assert_no_child_process()
+    assert outcomes == [(3, "error: driver seed 1 failed\n")] * 2
+
+
+def test_simulate_worker_that_dies_exits_2(tmp_path, toy_advisory, config_file, monkeypatch,
+                                          capsys):
+    caller = os.getpid()
+    real = cli.simulate_driver
+
+    def dying(vehicle, driver, v_ref, sample_period):
+        if driver.seed == 1 and os.getpid() != caller:
+            os._exit(7)
+        return real(vehicle, driver, v_ref, sample_period=sample_period)
+
+    monkeypatch.setattr("koopdrive.cli.simulate_driver", dying)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert main(["simulate", "--advisory", str(toy_advisory), "--config", str(config_file),
+                 "--out", str(tmp_path / "drivers")]) == 2
+    assert capsys.readouterr().err == ("error: the worker for roster indices 1, 3, ... "
+                                       "exited with code 7 before reporting\n")
+    assert_no_child_process()
 
 
 def test_roster_shares_columns_only_for_equal_bytes(tmp_path):

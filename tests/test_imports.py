@@ -1,9 +1,9 @@
 """Every name a koopdrive module imports is used or re-exported, every name
 it exports exists, only model.py writes files itself or tells a bool from a
-number, no cli command reads the configuration as a dict, only basis.py and
-rls.update_tick call the unchecked lift kernel, and every function, class
-and method the package defines is referenced from the package or the
-benchmark."""
+number, only cli.py starts processes, no cli command reads the configuration
+as a dict, only basis.py and rls.update_tick call the unchecked lift kernel,
+and every function, class and method the package defines is referenced from
+the package or the benchmark."""
 
 import ast
 import importlib
@@ -80,6 +80,43 @@ def test_detects_file_writes():
                          ids=lambda p: p.name)
 def test_only_model_writes_files(path):
     assert file_writes(path.read_text(encoding="utf-8")) == []
+
+
+def process_starts(source: str) -> list[str]:
+    """Imports of multiprocessing and concurrent.futures, and reads of
+    os.fork: cli._map_roster is the one place that starts processes."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif (isinstance(node, ast.Attribute) and node.attr == "fork"
+              and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            names = ["os.fork"]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name == "os.fork" or name.split(".")[0] == "multiprocessing"
+                  or name.split(".")[:2] == ["concurrent", "futures"]]
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_detects_process_starts():
+    source = ("import multiprocessing.context\nfrom concurrent.futures import Executor\n"
+              "from concurrent import futures\nimport os\nos.fork()\nos.getpid()\n"
+              "from os import fork\nimport concurrent\nfrom .multiprocessing import x\n"
+              "def f():\n    import multiprocessing as mp\n")
+    assert process_starts(source) == [
+        "multiprocessing.context (line 1)", "concurrent.futures.Executor (line 2)",
+        "concurrent.futures (line 3)", "os.fork (line 5)", "os.fork (line 7)",
+        "multiprocessing (line 11)"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "cli.py"],
+                         ids=lambda p: p.name)
+def test_only_the_roster_map_starts_processes(path):
+    assert process_starts(path.read_text(encoding="utf-8")) == []
 
 
 def bool_checks(source: str) -> list[str]:
