@@ -26,22 +26,28 @@ state of charge itself, so value functions are flat along that axis away
 from feasibility boundaries.
 
 Interpolation of the value function is linear along the state-of-charge axis
-only; velocity transitions land exactly on grid nodes. The backward pass
-interpolates only the edges inside the acceleration bounds, since every
-other edge is priced at the sentinel whatever its value. Those edges, their
-stage costs and the interpolation geometry (cell indices, weights, the
-below-grid mask) depend only on a step's admissible speeds and grade, so the
-backward pass computes them once per run of consecutive steps with the same
-configuration and each step only gathers, interpolates and minimizes the
-next node's values; the forward pass and the initial-state cost use the same
-two interpolation halves. Infeasible cells hold a large sentinel instead of
-inf so the interpolation stays well defined. A query inside a cell with one
-infeasible corner, always the lower (see _interp_values), takes the upper
-corner's value, so feasibility along the state-of-charge axis is resolved
-to grid-cell resolution, which errs on the permissive side near constraint
+only; velocity transitions land exactly on grid nodes. Every pass reads one
+edge table per step: a step's edges (acceleration feasibility, acceleration,
+time, stage cost and SoC change, with the engine mode as a leading axis)
+depend only on its admissible speeds and grade, so _edge_tables prices each
+distinct configuration once and steps sharing it share the table. The
+backward pass interpolates only the edges inside the acceleration bounds,
+since every other edge is priced at the sentinel whatever its value, and
+builds their interpolation geometry (cell indices, weights, the below-grid
+mask) once per run of consecutive steps sharing a table; each step only
+gathers, interpolates and minimizes the next node's values. The forward pass
+reads the current speed's row of the table and takes the edge of least
+(cost + value, |acceleration|), remaining ties going to the engine off and
+then to the lower speed; the walk that names the first blocking node reads
+the table's feasibility masks. Infeasible cells hold a large sentinel instead
+of inf so the interpolation stays well defined. A query inside a cell with
+one infeasible corner, always the lower (see _interp_values), takes the upper
+corner's value, so feasibility along the state-of-charge axis is resolved to
+grid-cell resolution, which errs on the permissive side near constraint
 boundaries; a query below the grid, or inside a cell with two infeasible
 corners, is infeasible. The forward pass enforces the terminal floor on the
-continuous state of charge.
+continuous state of charge, and names the node it cannot leave when that
+state of charge has no admissible step left.
 """
 
 from __future__ import annotations
@@ -54,6 +60,7 @@ import numpy as np
 from .model import (
     _check_fields,
     _check_sample_period,
+    _check_spacing,
     _read_csv_table,
     _samples,
     _write_csv_table,
@@ -151,8 +158,8 @@ class RouteSpec:
     grade: np.ndarray
 
     def __post_init__(self):
-        if not self.step_m > 0:
-            raise ValueError(f"step_m must be positive, got {self.step_m}")
+        if not (self.step_m > 0 and math.isfinite(self.step_m)):
+            raise ValueError(f"step_m must be positive and finite, got {self.step_m}")
         object.__setattr__(self, "v_min", np.asarray(self.v_min, dtype=float))
         object.__setattr__(self, "v_max", np.asarray(self.v_max, dtype=float))
         object.__setattr__(self, "stop", np.asarray(self.stop, dtype=bool))
@@ -190,10 +197,11 @@ class RouteSpec:
             raise ValueError(f"{path}: stop must be 0 or 1, got {float(data[row, 3])!r} in "
                              f"data row {row + 1} (position_m {float(data[row, 0])!r})")
         pos = data[:, 0]
-        steps = np.diff(pos)
-        step = float(steps[0]) if len(steps) else 0.0
-        if step <= 0 or not np.allclose(steps, step, rtol=1e-9, atol=1e-9):
-            raise ValueError(f"{path}: node positions must be uniformly spaced")
+        step = float(pos[1] - pos[0])
+        if not (math.isfinite(step) and step > 0):
+            raise ValueError(f"{path}: node positions must rise by a positive finite step, "
+                             f"got {step!r} between the first two")
+        _check_spacing(f"{path}: node position", pos, step)
         return cls(step_m=step, v_min=data[:, 1], v_max=data[:, 2],
                    stop=data[:, 3] != 0.0, grade=data[:, 4])
 
@@ -397,111 +405,118 @@ def _interp_values(table: np.ndarray, geometry: tuple) -> np.ndarray:
     return np.where(below, BIG, out)
 
 
-def _price_edges(v1, v2, engine, grade, ds, config, socgrid, i2):
-    """The edges inside the acceleration bounds of one step and engine mode:
-    their (r, c) cells, stage costs and the interpolation geometry of the
-    SoC they land on in the value table of the next node."""
-    feasible, _, _, stage, dsoc = edge_quantities(v1, v2, engine, grade, ds, config)
-    r, c = np.nonzero(feasible)
-    geometry = _interp_geometry(socgrid[None, :] + dsoc[r, c][:, None], socgrid, i2[c])
-    return r, c, stage[r, c][:, None], geometry
+def _edge_tables(route: RouteSpec, config: EcoDpConfig, vgrid: np.ndarray,
+                 adm: list[np.ndarray]) -> list[tuple]:
+    """Per step, (feasible, accel, dt, stage, dsoc) of every edge, each of
+    shape (2, len(adm[j]), len(adm[j + 1])) with the engine mode first.
+
+    A step's edges depend only on its admissible speeds and grade, so one
+    edge_quantities call prices each distinct configuration and the steps
+    sharing it share one table object; the key holds the exact bytes, so
+    -0.0 and 0.0 differ.
+    """
+    engine = np.array([0, 1])[:, None, None]
+    priced = {}
+    tables = []
+    for j in range(route.n_steps):
+        key = (adm[j].tobytes(), adm[j + 1].tobytes(), route.grade[j].tobytes())
+        if key not in priced:
+            priced[key] = tuple(np.broadcast_arrays(*edge_quantities(
+                vgrid[adm[j]][None, :, None], vgrid[adm[j + 1]][None, None, :], engine,
+                route.grade[j], route.step_m, config)))
+        tables.append(priced[key])
+    return tables
 
 
-def _value_function(route: RouteSpec, config: EcoDpConfig, vgrid: np.ndarray,
-                    socgrid: np.ndarray, adm: list[np.ndarray]) -> np.ndarray:
+def _value_function(config: EcoDpConfig, vgrid: np.ndarray, socgrid: np.ndarray,
+                    adm: list[np.ndarray], tables: list[tuple]) -> np.ndarray:
     """Backward induction: (n_steps + 1, v_levels, soc_levels) cost-to-go."""
-    ds = route.step_m
-    S = route.n_steps
+    S = len(tables)
     ns = len(socgrid)
     # terminal value: zero wherever the node limits and the strict SoC floor hold
     V = np.full((S + 1, len(vgrid), ns), BIG)
     ok_soc = socgrid > config.soc_terminal_floor
     V[S][np.ix_(adm[S], np.where(ok_soc)[0])] = 0.0
 
-    # a step's edges, stage costs and interpolation geometry depend only on
-    # its admissible speeds and grade, so a step whose configuration equals
-    # the step before's reuses that pricing; only one configuration is held
-    # at a time, and the key holds the exact bytes, so -0.0 and 0.0 differ
-    key = priced = None
+    # the edges inside the acceleration bounds, their stage costs and the
+    # interpolation geometry of the SoC they land on are built once for each
+    # run of steps sharing a table
+    table = None
     for j in range(S - 1, -1, -1):
-        i1 = adm[j]
-        i2 = adm[j + 1]
-        step_key = (i1.tobytes(), i2.tobytes(), route.grade[j].tobytes())
-        if step_key != key:
-            key = step_key
-            priced = [_price_edges(vgrid[i1][:, None], vgrid[i2][None, :], engine,
-                                   route.grade[j], ds, config, socgrid, i2)
-                      for engine in (0, 1)]
-        best = np.full((len(i1), ns), BIG)
-        for r, c, stage_rc, geometry in priced:
-            # vals is exactly BIG or below the cut, and BIG plus a stage cost
-            # below about 7e13 rounds back to BIG, so the sums need no second
-            # cut; edges outside the acceleration bounds keep the sentinel
-            total = np.full((len(i1), len(i2), ns), BIG)
-            total[r, c] = stage_rc + _interp_values(V[j + 1], geometry)
-            best = np.minimum(best, total.min(axis=1))
-        V[j][i1] = best
+        if tables[j] is not table:
+            table = tables[j]
+            feasible, _, _, stage, dsoc = table
+            e, r, c = np.nonzero(feasible)
+            stage_erc = stage[e, r, c][:, None]
+            geometry = _interp_geometry(socgrid[None, :] + dsoc[e, r, c][:, None],
+                                        socgrid, adm[j + 1][c])
+        # vals is exactly BIG or below the cut, and BIG plus a stage cost
+        # below about 7e13 rounds back to BIG, so the sums need no second
+        # cut; edges outside the acceleration bounds keep the sentinel
+        total = np.full(stage.shape + (ns,), BIG)
+        total[e, r, c] = stage_erc + _interp_values(V[j + 1], geometry)
+        V[j][adm[j]] = total.min(axis=(0, 2))
     return V
 
 
 def solve_eco_dp(route: RouteSpec, config: EcoDpConfig) -> AdvisoryProfile:
     """Backward induction plus greedy forward reconstruction.
 
-    Ties in the forward pass break toward the smaller acceleration magnitude
-    and then toward keeping the engine off.
+    Ties in the forward pass break toward the smaller acceleration magnitude,
+    then toward keeping the engine off, then toward the lower speed.
     """
     ds = route.step_m
     S = route.n_steps
     vgrid = np.linspace(config.speed_floor, float(np.max(route.v_max)), config.v_levels)
     socgrid = np.linspace(config.soc_min, config.soc_max, config.soc_levels)
     adm = _admissible_speeds(route, vgrid)
-    V = _value_function(route, config, vgrid, socgrid, adm)
+    tables = _edge_tables(route, config, vgrid, adm)
+    V = _value_function(config, vgrid, socgrid, adm, tables)
 
-    start_iv = int(adm[0][0])
     soc0 = config.soc_initial
     total_cost = float(_interp_values(
-        V[0], _interp_geometry(np.array([[soc0]]), socgrid, np.array([start_iv])))[0, 0])
+        V[0], _interp_geometry(np.array([[soc0]]), socgrid, adm[0][:1]))[0, 0])
     if total_cost >= _BIG_CUT:
-        _raise_first_blocking(route, config, V, adm, vgrid)
+        _raise_first_blocking(route, V, adm, tables)
 
-    # forward reconstruction with continuous SoC
+    # forward reconstruction with continuous SoC; c is the current speed's
+    # row in the step's table
     v_ref = np.empty(S + 1)
     soc = np.empty(S + 1)
     cum = np.zeros(S + 1)
     engine_on = np.zeros(S, dtype=int)
     node_times = np.zeros(S + 1)
-    iv = start_iv
-    v_ref[0] = vgrid[iv]
+    c = 0
+    v_ref[0] = vgrid[adm[0][0]]
     soc[0] = soc0
     for j in range(S):
         i2 = adm[j + 1]
-        chosen = None
-        for engine in (0, 1):
-            feasible, accel, dt, stage, dsoc = edge_quantities(
-                vgrid[iv], vgrid[i2], engine, route.grade[j], ds, config
+        feasible, accel, dt, stage, dsoc = (q[:, c] for q in tables[j])
+        soc_new = np.minimum(soc[j] + dsoc, socgrid[-1])
+        vals = _interp_values(V[j + 1], _interp_geometry(
+            soc_new.reshape(-1, 1), socgrid, np.tile(i2, 2))).reshape(soc_new.shape)
+        ok = feasible & (vals < _BIG_CUT)
+        # the grid resolves the terminal floor to cell resolution; the last
+        # step enforces it on the continuous trajectory
+        if j == S - 1:
+            ok &= soc_new > config.soc_terminal_floor
+        if not ok.any():
+            raise RouteInfeasibleError(
+                j, j * ds,
+                f"from state of charge {float(soc[j]):.4f} no admissible step leads to "
+                f"a path ending above the terminal floor {config.soc_terminal_floor} "
+                "(the grid resolves that floor only to cell resolution)"
             )
-            soc_new = np.minimum(soc[j] + dsoc, socgrid[-1])
-            vals = _interp_values(
-                V[j + 1], _interp_geometry(soc_new[:, None], socgrid, i2))[:, 0]
-            for c, iv2 in enumerate(i2):
-                if not feasible[c] or vals[c] >= _BIG_CUT:
-                    continue
-                # the grid resolves the terminal floor to cell resolution;
-                # the last step enforces it on the continuous trajectory
-                if j == S - 1 and soc_new[c] <= config.soc_terminal_floor:
-                    continue
-                key = (stage[c] + vals[c], abs(accel[c]), engine)
-                if chosen is None or key < chosen[0]:
-                    chosen = (key, int(iv2), engine, float(stage[c]),
-                              float(soc_new[c]), float(dt[c]))
-        if chosen is None:
-            _raise_first_blocking(route, config, V, adm, vgrid)
-        _, iv, eng, stage_c, soc_c, dt_c = chosen
-        engine_on[j] = eng
-        v_ref[j + 1] = vgrid[iv]
-        soc[j + 1] = soc_c
-        cum[j + 1] = cum[j] + stage_c
-        node_times[j + 1] = node_times[j] + dt_c
+        # the least (cost + value, |accel|) among the admissible edges; they
+        # are in engine-major order, so the stable sort breaks the remaining
+        # ties toward keeping the engine off, then toward the lower speed
+        cost = np.where(ok, stage + vals, np.inf)
+        e, c = divmod(int(np.lexsort((np.abs(accel).ravel(), cost.ravel()))[0]), len(i2))
+        engine_on[j] = e
+        v_ref[j + 1] = vgrid[i2[c]]
+        soc[j + 1] = soc_new[e, c]
+        cum[j + 1] = cum[j] + stage[e, c]
+        node_times[j + 1] = node_times[j] + dt[e, c]
 
     return AdvisoryProfile(
         step_m=ds,
@@ -516,25 +531,19 @@ def solve_eco_dp(route: RouteSpec, config: EcoDpConfig) -> AdvisoryProfile:
     )
 
 
-def _raise_first_blocking(route: RouteSpec, config: EcoDpConfig, V, adm, vgrid):
+def _raise_first_blocking(route: RouteSpec, V, adm, tables):
     """Walk forward to find the first node no admissible path can reach."""
-    reachable = {int(adm[0][0])}
-    for j in range(route.n_steps):
-        nxt = set()
-        for iv in reachable:
-            feasible, _, _, _, _ = edge_quantities(
-                vgrid[iv], vgrid[adm[j + 1]], 0, route.grade[j], route.step_m, config
-            )
-            for c, iv2 in enumerate(adm[j + 1]):
-                if feasible[c] and np.any(V[j + 1][int(iv2)] < _BIG_CUT):
-                    nxt.add(int(iv2))
-        if not nxt:
+    reachable = np.arange(len(adm[0])) == 0
+    for j, (feasible, *_) in enumerate(tables):
+        # feasible is the acceleration bound, the same for both engine modes
+        reachable = (feasible[0][reachable].any(axis=0)
+                     & np.any(V[j + 1][adm[j + 1]] < _BIG_CUT, axis=1))
+        if not reachable.any():
             raise RouteInfeasibleError(
                 j + 1, (j + 1) * route.step_m,
                 "no speed at this node is reachable under the acceleration bounds "
                 "while keeping the remaining route feasible"
             )
-        reachable = nxt
     raise RouteInfeasibleError(
         0, 0.0,
         "the initial state admits no feasible path (check state-of-charge "

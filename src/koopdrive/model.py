@@ -40,10 +40,11 @@ The number rule and the time grid are one rule each, kept here. _is_number
 accepts a real (or integral) value with a finite float that is not a bool,
 and _check_fields holds the int, float, tuple[float, ...] and X | None
 fields of a config dataclass to it. _check_sample_period accepts a positive
-period that is a number, _check_spacing holds every step of a time column to
-2e-9 relative of the period, and _samples turns a duration in seconds into a
-count of sample periods, raising ValueError when the duration is no number
-or that count is not finite. Each caller rounds the count its own way.
+period that is a number, _check_spacing holds every step of a time column
+(or of a route's node positions) to 2e-9 relative of the period, and
+_samples turns a duration in seconds into a count of sample periods, raising
+ValueError when the duration is no number or that count is not finite. Each
+caller rounds the count its own way.
 
 Every table and JSON file of the package is written by the two writers here,
 _write_csv_table and _write_json, or, for trajectories, by the row template
@@ -301,7 +302,7 @@ def _check_spacing(what: str, t: np.ndarray, period: float) -> None:
     off = np.abs(dt - period)
     if not np.all(off <= 2e-9 * period):
         worst = int(np.argmax(off))
-        raise ValueError(f"{what} spacing must equal sample_period={period}; "
+        raise ValueError(f"{what} spacing must equal {period}; "
                          f"sample {worst} has spacing {dt[worst]}")
 
 

@@ -134,9 +134,10 @@ def test_route_csv_roundtrip(tmp_path):
 
 
 def test_route_validation():
-    with pytest.raises(ValueError):
-        RouteSpec(step_m=0.0, v_min=np.zeros(3), v_max=np.ones(3),
-                  stop=np.zeros(3, dtype=bool), grade=np.zeros(3))
+    for step in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            RouteSpec(step_m=step, v_min=np.zeros(3), v_max=np.ones(3),
+                      stop=np.zeros(3, dtype=bool), grade=np.zeros(3))
     with pytest.raises(ValueError):
         RouteSpec(step_m=10.0, v_min=np.full(3, 5.0), v_max=np.full(3, 2.0),
                   stop=np.zeros(3, dtype=bool), grade=np.zeros(3))
@@ -374,6 +375,21 @@ def _shipped_route():
     return RouteSpec.read_csv(str(SHIPPED_ROUTE))
 
 
+def _shipped_config(**kw):
+    return EcoDpConfig(**{**json.loads(SHIPPED_CONFIG.read_text())["advisory"], **kw})
+
+
+def _grids(route, config):
+    vgrid = np.linspace(config.speed_floor, float(np.max(route.v_max)), config.v_levels)
+    socgrid = np.linspace(config.soc_min, config.soc_max, config.soc_levels)
+    return vgrid, socgrid, advisory._admissible_speeds(route, vgrid)
+
+
+def _value_function(route, config, vgrid, socgrid, adm):
+    return advisory._value_function(config, vgrid, socgrid, adm,
+                                    advisory._edge_tables(route, config, vgrid, adm))
+
+
 # the last case narrows the SoC window until the engine has to run on part
 # of the route; its value rows mix feasible and sentinel cells away from the
 # terminal node (checked below), so backward queries land in cells with one
@@ -394,11 +410,9 @@ BACKWARD_CASES = {
 def test_backward_pass_matches_dense_reference(case, monkeypatch):
     make_route, config = BACKWARD_CASES[case]
     route = make_route()
-    vgrid = np.linspace(config.speed_floor, float(np.max(route.v_max)), config.v_levels)
-    socgrid = np.linspace(config.soc_min, config.soc_max, config.soc_levels)
-    adm = advisory._admissible_speeds(route, vgrid)
+    vgrid, socgrid, adm = _grids(route, config)
 
-    V = advisory._value_function(route, config, vgrid, socgrid, adm)
+    V = _value_function(route, config, vgrid, socgrid, adm)
     V_ref = _reference_value_function(route, config, vgrid, socgrid, adm)
     assert np.array_equal(V, V_ref)
     assert np.array_equal(np.signbit(V), np.signbit(V_ref))
@@ -410,7 +424,8 @@ def test_backward_pass_matches_dense_reference(case, monkeypatch):
     prof = solve_eco_dp(route, config)
     if case == "shipped_tight_soc":
         assert prof.engine_on.any()
-    monkeypatch.setattr(advisory, "_value_function", _reference_value_function)
+    monkeypatch.setattr(advisory, "_value_function",
+                        lambda *args: _reference_value_function(route, config, vgrid, socgrid, adm))
     ref = solve_eco_dp(route, config)
     assert prof.total_cost == ref.total_cost
     assert prof.step_m == ref.step_m
@@ -431,11 +446,8 @@ def test_value_rows_are_upward_closed_in_soc(graded):
         grade = np.random.default_rng(6).uniform(-0.06, 0.06, len(route.grade))
         route = RouteSpec(step_m=route.step_m, v_min=route.v_min, v_max=route.v_max,
                           stop=route.stop, grade=grade)
-    config = EcoDpConfig(**json.loads(SHIPPED_CONFIG.read_text())["advisory"])
-    vgrid = np.linspace(config.speed_floor, float(np.max(route.v_max)), config.v_levels)
-    socgrid = np.linspace(config.soc_min, config.soc_max, config.soc_levels)
-    adm = advisory._admissible_speeds(route, vgrid)
-    feasible = advisory._value_function(route, config, vgrid, socgrid, adm) < _CUT
+    config = _shipped_config()
+    feasible = _value_function(route, config, *_grids(route, config)) < _CUT
     assert np.all(feasible[..., :-1] <= feasible[..., 1:])
     # not vacuous: some rows of steps before the last hold both kinds of cell
     inner = feasible[:-1]
@@ -453,29 +465,38 @@ def _repeating_toy():
                      stop=stop, grade=grade)
 
 
-def test_backward_pass_prices_each_run_of_equal_steps_once(monkeypatch):
+def test_edge_tables_price_each_distinct_step_once(monkeypatch):
     route = _repeating_toy()
     config = toy_config(soc_levels=7)
-    vgrid = np.linspace(config.speed_floor, float(np.max(route.v_max)), config.v_levels)
-    socgrid = np.linspace(config.soc_min, config.soc_max, config.soc_levels)
-    adm = advisory._admissible_speeds(route, vgrid)
+    vgrid, socgrid, adm = _grids(route, config)
     keys = [(adm[j].tobytes(), adm[j + 1].tobytes(), route.grade[j].tobytes())
             for j in range(route.n_steps)]
-    # 11 steps in 5 configurations; runs of equal consecutive steps:
-    # 0 | 1-2 | 3-4 (-0.0) | 5 (into the stop) | 6 | 7-9 | 10 (0.01)
+    # 11 steps in 5 configurations: 0, 6 (leaving a stop) | 1-4, 7-9 (0.0)
+    # | 3-4 (-0.0) | 5 (into the stop) | 10 (0.01)
     assert len(set(keys)) == 5
-    runs = 1 + sum(keys[j] != keys[j + 1] for j in range(route.n_steps - 1))
-    assert runs == 7
 
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(args[2])
+        calls.append(args)
         return edge_quantities(*args, **kwargs)
 
     monkeypatch.setattr(advisory, "edge_quantities", counting)
-    V = advisory._value_function(route, config, vgrid, socgrid, adm)
-    assert sorted(calls) == [0] * runs + [1] * runs
+    tables = advisory._edge_tables(route, config, vgrid, adm)
+    assert len(calls) == 5
+    # steps with equal keys share one table object, and no other steps do
+    for j, k in itertools.combinations(range(route.n_steps), 2):
+        assert (tables[j] is tables[k]) == (keys[j] == keys[k])
+    # each table holds what pricing its step alone gives, engine mode first
+    monkeypatch.undo()
+    for j, table in enumerate(tables):
+        for engine in (0, 1):
+            alone = edge_quantities(vgrid[adm[j]][:, None], vgrid[adm[j + 1]][None, :],
+                                    engine, route.grade[j], route.step_m, config)
+            for got, want in zip(table, alone):
+                assert got.shape == (2, len(adm[j]), len(adm[j + 1]))
+                assert got[engine].tobytes() == np.broadcast_to(want, got[engine].shape).tobytes()
+    V = advisory._value_function(config, vgrid, socgrid, adm, tables)
     V_ref = _reference_value_function(route, config, vgrid, socgrid, adm)
     assert V.tobytes() == V_ref.tobytes()
 
@@ -486,19 +507,128 @@ def test_shipped_stage_costs_leave_the_sentinel_exact(gamma):
     # second cut; that needs BIG + stage == BIG, which holds for any stage
     # below about 7e13 (half the spacing of doubles near 1e30)
     route = _shipped_route()
-    config = EcoDpConfig(**{**json.loads(SHIPPED_CONFIG.read_text())["advisory"],
-                            "gamma": gamma})
-    vgrid = np.linspace(config.speed_floor, float(np.max(route.v_max)), config.v_levels)
-    adm = advisory._admissible_speeds(route, vgrid)
-    for j in range(route.n_steps):
+    config = _shipped_config(gamma=gamma)
+    vgrid, _, adm = _grids(route, config)
+    for feasible, _, _, stage, _ in advisory._edge_tables(route, config, vgrid, adm):
+        priced = stage[feasible]
+        assert np.all(np.isfinite(priced))
+        assert np.all(np.abs(priced) < 1e6)
+        assert np.all(BIG + priced == BIG)
+
+
+# ------------------------------------------------------------ forward pass
+
+def _reference_forward(route, config, vgrid, socgrid, adm, V):
+    """The per-candidate forward loop: each step prices both engine modes
+    from the current speed and keeps the least (cost + value, |accel|,
+    engine) key under a strict <, so exact ties go to the earlier candidate."""
+    ds = route.step_m
+    S = route.n_steps
+    v_ref = np.empty(S + 1)
+    soc = np.empty(S + 1)
+    cum = np.zeros(S + 1)
+    engine_on = np.zeros(S, dtype=int)
+    node_times = np.zeros(S + 1)
+    iv = int(adm[0][0])
+    v_ref[0] = vgrid[iv]
+    soc[0] = config.soc_initial
+    for j in range(S):
+        i2 = adm[j + 1]
+        chosen = None
         for engine in (0, 1):
-            feasible, _, _, stage, _ = edge_quantities(
-                vgrid[adm[j]][:, None], vgrid[adm[j + 1]][None, :], engine,
-                route.grade[j], route.step_m, config)
-            priced = stage[feasible]
-            assert np.all(np.isfinite(priced))
-            assert np.all(np.abs(priced) < 1e6)
-            assert np.all(BIG + priced == BIG)
+            feasible, accel, dt, stage, dsoc = edge_quantities(
+                vgrid[iv], vgrid[i2], engine, route.grade[j], ds, config)
+            soc_new = np.minimum(soc[j] + dsoc, socgrid[-1])
+            vals = _reference_interp_rows(V[j + 1][i2], soc_new[:, None], socgrid)[:, 0]
+            for c, iv2 in enumerate(i2):
+                if not feasible[c] or vals[c] >= _CUT:
+                    continue
+                if j == S - 1 and soc_new[c] <= config.soc_terminal_floor:
+                    continue
+                key = (stage[c] + vals[c], abs(accel[c]), engine)
+                if chosen is None or key < chosen[0]:
+                    chosen = (key, int(iv2), engine, float(stage[c]),
+                              float(soc_new[c]), float(dt[c]))
+        assert chosen is not None, f"no admissible step from node {j}"
+        _, iv, eng, stage_c, soc_c, dt_c = chosen
+        engine_on[j] = eng
+        v_ref[j + 1] = vgrid[iv]
+        soc[j + 1] = soc_c
+        cum[j + 1] = cum[j] + stage_c
+        node_times[j + 1] = node_times[j] + dt_c
+    return dict(v_ref=v_ref, soc=soc, cumulative_cost=cum, engine_on=engine_on,
+                node_times=node_times)
+
+
+def _assert_forward_matches_reference(route, config, V=None):
+    vgrid, socgrid, adm = _grids(route, config)
+    if V is None:  # the V solve_eco_dp uses; the backward-pass tests check it
+        V = _value_function(route, config, vgrid, socgrid, adm)
+    prof = solve_eco_dp(route, config)
+    ref = _reference_forward(route, config, vgrid, socgrid, adm, V)
+    for name, b in ref.items():
+        a = getattr(prof, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+    return prof
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.25, 0.5, 0.75, 1.0])
+def test_forward_pass_matches_reference_on_shipped_route(gamma):
+    _assert_forward_matches_reference(_shipped_route(), _shipped_config(gamma=gamma))
+
+
+# the last case narrows the SoC window until the engine has to run
+GRADED_CASES = {
+    3: dict(gamma=0.0),
+    4: dict(gamma=1.0),
+    5: dict(v_levels=16, soc_levels=11, soc_min=0.36, soc_max=0.44, soc_initial=0.43,
+            soc_terminal_floor=0.37),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GRADED_CASES))
+def test_forward_pass_matches_reference_on_graded_routes(seed):
+    route = _shipped_route()
+    grade = np.random.default_rng(seed).uniform(-0.03, 0.03, len(route.grade))
+    route = RouteSpec(step_m=route.step_m, v_min=route.v_min, v_max=route.v_max,
+                      stop=route.stop, grade=grade)
+    prof = _assert_forward_matches_reference(route, _shipped_config(**GRADED_CASES[seed]))
+    assert prof.engine_on.any() or seed != 5
+
+
+def test_forward_pass_breaks_exact_ties_like_the_reference(monkeypatch):
+    # one step decelerating from 8.0 m/s to 4.3 (|a| 2.28) or 6.15 (|a| 1.31)
+    # under pure time weighting, so both engine modes cost the same, and a
+    # flat value table that makes the two speeds' costs tie exactly:
+    # dt0 + (dt1 - dt0) == dt1, the difference being exact as dt0 / dt1 < 2
+    route = RouteSpec(step_m=10.0, v_min=np.array([7.9, 4.0]), v_max=np.array([8.0, 6.5]),
+                      stop=np.zeros(2, dtype=bool), grade=np.zeros(2))
+    config = toy_config(gamma=0.0, a_min=-3.0)
+    vgrid, _, adm = _grids(route, config)
+    assert adm[0].tolist() == [4] and adm[1].tolist() == [2, 3]
+    _, _, dt, _, _ = edge_quantities(vgrid[4], vgrid[2:4], 0, 0.0, route.step_m, config)
+    V = np.full((2, config.v_levels, config.soc_levels), BIG)
+    V[1, 2] = dt[1] - dt[0]
+    V[1, 3] = 0.0
+    V[0, 4] = dt[1]
+    assert dt[0] + V[1, 2, 0] == dt[1] + V[1, 3, 0]
+    monkeypatch.setattr(advisory, "_value_function", lambda *args: V)
+    prof = _assert_forward_matches_reference(route, config, V)
+    # the tie goes to the smaller |accel|, then to the engine off
+    assert prof.v_ref[1] == vgrid[3]
+    assert prof.engine_on.tolist() == [0]
+
+
+def test_forward_dead_end_names_its_node_and_soc():
+    # the grid resolves the terminal floor to cell resolution, so at a floor
+    # of 0.38 it admits the initial state, but the continuous state of charge
+    # reaches node 739 at 0.3464 with no step left that ends above the floor
+    with pytest.raises(RouteInfeasibleError) as exc:
+        solve_eco_dp(_shipped_route(), _shipped_config(soc_terminal_floor=0.38))
+    assert exc.value.node_index == 739
+    assert "state of charge 0.3464" in str(exc.value)
+    assert "terminal floor 0.38" in str(exc.value)
 
 
 # ------------------------------------------------------------ resampling

@@ -180,6 +180,33 @@ def test_route_stop_other_than_0_or_1_exit_3(tmp_path, config_file, cells, capsy
     assert not out.exists()
 
 
+_FIRST_STEP = "node positions must rise by a positive finite step, got {} between the first two"
+
+
+@pytest.mark.parametrize("nodes,row,cell,message", [
+    (2, 2, "inf", _FIRST_STEP.format("inf")),
+    (None, 2, "-10.0", _FIRST_STEP.format("-10.0")),
+    (None, 300, "nan", "node position spacing must equal 10.0; sample 298 has spacing nan"),
+    (None, 300, "2991.0", "node position spacing must equal 10.0; sample 298 has spacing 11.0"),
+], ids=["two_nodes_second_inf", "second_negative", "nan", "off_grid"])
+def test_route_positions_off_the_grid_exit_3(tmp_path, config_file, nodes, row, cell, message,
+                                             capsys):
+    # every node position must sit on one grid of positive finite step; a
+    # two-node route whose second node is at inf would otherwise read as a
+    # route of infinite step and fail only in the solver
+    lines = SHIPPED_ROUTE.read_text().splitlines()[:None if nodes is None else nodes + 1]
+    fields = lines[row].split(",")
+    fields[0] = cell
+    lines[row] = ",".join(fields)
+    route = tmp_path / "route.csv"
+    route.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "adv"
+    assert main(["advisory", "--route", str(route), "--config", str(config_file),
+                 "--out", str(out)]) == 3
+    assert f"{route}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_infeasible_route_exit_4(tmp_path, config_file):
     # mandatory 9 m/s next to a stop is kinematically unreachable
     p = tmp_path / "bad_route.csv"

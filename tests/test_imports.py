@@ -2,7 +2,7 @@
 it exports exists, only model.py writes files itself or tells a bool from a
 number, only cli.py starts processes, no cli command reads the configuration
 as a dict, only basis.py and rls.update_tick call the unchecked lift kernel,
-and every function, class and method the package defines is referenced from
+only advisory._edge_tables prices advisory edges, and every function, class and method the package defines is referenced from
 the package or the benchmark."""
 
 import ast
@@ -224,6 +224,42 @@ def test_detects_unchecked_lifts():
 @pytest.mark.parametrize("path", MODULES + sorted(BENCH.glob("*.py")), ids=lambda p: p.name)
 def test_only_checked_callers_use_the_lift_kernel(path):
     assert unchecked_lifts(path.read_text(encoding="utf-8"), path.stem) == []
+
+
+def edge_pricings(source: str, module: str) -> list[str]:
+    """Reads of edge_quantities, named by the innermost function making them,
+    except in advisory._edge_tables: the backward pass, the forward pass and
+    the infeasibility walk read one edge table, so all three price a step
+    identically and each distinct step is priced once."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Name) and child.id == "edge_quantities"
+                    or isinstance(child, ast.Attribute) and child.attr == "edge_quantities") \
+                    and (module, func) != ("advisory", "_edge_tables"):
+                found.append(f"{func or '<module>'} (line {child.lineno})")
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  else func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_detects_edge_pricings():
+    source = ("def _edge_tables(route):\n    edge_quantities(route)\n"
+              "def solve_eco_dp(route):\n    price = advisory.edge_quantities\n"
+              "    def inner():\n        return price(route)\n"
+              "def edge_quantities(v1, v2):\n    return v1\n"
+              "edge_quantities(1, 2)\n")
+    assert edge_pricings(source, "advisory") == ["solve_eco_dp (line 4)", "<module> (line 9)"]
+    assert edge_pricings(source, "cli") == ["_edge_tables (line 2)", "solve_eco_dp (line 4)",
+                                            "<module> (line 9)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_edge_table_prices_advisory_edges(path):
+    assert edge_pricings(path.read_text(encoding="utf-8"), path.stem) == []
 
 
 def _class_named(node, classes):
