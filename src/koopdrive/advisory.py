@@ -9,6 +9,8 @@ a step time dt = ds / vbar with vbar = (v1 + v2) / 2. Each step is charged
     cost = (gamma * m_eqf / m_norm + (1 - gamma)) * dt
 
 so gamma = 0 buys pure travel time and gamma = 1 pure (equivalent) fuel.
+m_norm, the powertrain's largest engine fuel rate, keeps the fuel term
+dimensionless and order one.
 
 Hard constraints: per-node speed limits, mandatory stops (pinned to the
 lowest grid speed so step times stay finite; dwell time at a stop is not
@@ -208,11 +210,7 @@ class RouteSpec:
 
 @dataclass(frozen=True)
 class EcoDpConfig:
-    """Grid resolution, bounds, and weighting for the advisory solver.
-
-    m_dot_norm of None defaults to the surrogate's maximum engine fuel rate,
-    which keeps the fuel term in the stage cost dimensionless and order one.
-    """
+    """Grid resolution, bounds, and weighting for the advisory solver."""
 
     gamma: float = 0.5
     v_levels: int = 28
@@ -224,12 +222,10 @@ class EcoDpConfig:
     soc_initial: float = 0.40
     soc_terminal_floor: float = 0.26
     speed_floor: float = 0.6
-    m_dot_norm: float | None = None
     powertrain: PowertrainParams = field(default_factory=PowertrainParams)
 
     def __post_init__(self):
-        # an infinite acceleration bound or fuel scale would silently drop a
-        # constraint or the fuel term
+        # an infinite acceleration bound would silently drop a constraint
         _check_fields(self)
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
@@ -246,14 +242,6 @@ class EcoDpConfig:
             raise ValueError("terminal floor must lie within the bounds")
         if not self.speed_floor > 0:
             raise ValueError("speed_floor must be positive to keep step times finite")
-        if self.m_dot_norm is not None and not self.m_dot_norm > 0:
-            raise ValueError(f"m_dot_norm must be positive when given, got {self.m_dot_norm}")
-
-    @property
-    def resolved_m_dot_norm(self) -> float:
-        if self.m_dot_norm is not None:
-            return self.m_dot_norm
-        return self.powertrain.max_engine_fuel_rate
 
 
 def surrogate_powertrain(v, a, engine_on, grade, params: PowertrainParams):
@@ -301,7 +289,8 @@ def edge_quantities(v1, v2, engine_on, grade, step_m: float, config: EcoDpConfig
     vbar = 0.5 * (v1 + v2)
     dt = step_m / vbar
     m_eqf, dsoc_ds = surrogate_powertrain(vbar, accel, engine_on, grade, config.powertrain)
-    stage = (config.gamma * m_eqf / config.resolved_m_dot_norm + (1.0 - config.gamma)) * dt
+    m_norm = config.powertrain.max_engine_fuel_rate
+    stage = (config.gamma * m_eqf / m_norm + (1.0 - config.gamma)) * dt
     dsoc = dsoc_ds * step_m
     feasible = (accel >= config.a_min) & (accel <= config.a_max)
     return feasible, accel, dt, stage, dsoc

@@ -25,12 +25,14 @@ and multiplies the two gathered columns of each monomial: the same ``pow``
 calls and the same single multiply as a product over v**a and f**b, so the
 bits are that product's.
 
-The optional pre-scale, which keeps the monomials well conditioned, is one
-power of two per channel, the nearest to its training peak (pow2_scale), so
-project_many(lift_many(x)) is x bit for bit, signed zeros included. Peaks
-of 2**1023.5 and above have no such scale and raise ValueError. Model files
-write it as {"scale": [...], "offset": [0.0, 0.0]}; another offset, or a
-scale that is not a positive power of two, is rejected.
+Every basis divides the state by its scale before lifting, which keeps the
+monomials well conditioned: one power of two per channel, the nearest to its
+training peak (pow2_scale), so project_many(lift_many(x)) is x bit for bit,
+signed zeros included. The default unit scale 2**0 takes the same path and
+lifts raw units. Peaks of 2**1023.5 and above have no such scale and raise
+ValueError. Model files write it as {"scale": [...], "offset": [0.0, 0.0]};
+another offset, a missing or null scaler, or a scale that is not a positive
+power of two, is rejected.
 """
 
 from __future__ import annotations
@@ -88,23 +90,22 @@ def _enumerate_exponents(max_degree: int) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class LiftedBasis:
-    """Monomials of (v, f_tr) of degree 1..max_degree, identity pair first;
-    with a scale (one power of two per channel), of the state divided by it."""
+    """Monomials of (v, f_tr) of degree 1..max_degree, identity pair first,
+    of the state divided by its scale (one power of two per channel)."""
 
     max_degree: int = 3
-    scale: tuple[float, float] | None = None
+    scale: tuple[float, float] = (1.0, 1.0)
     monomials: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.max_degree < 1:
             raise ValueError(f"max_degree must be >= 1, got {self.max_degree}")
-        if self.scale is not None:
-            # a positive finite float is a power of two iff its mantissa is 1/2
-            if len(self.scale) != 2 or not all(isinstance(s, float) and 0.0 < s < math.inf
-                                               and math.frexp(s)[0] == 0.5 for s in self.scale):
-                raise ValueError(f"scale must be two positive finite powers of two, "
-                                 f"got {self.scale!r}")
-            object.__setattr__(self, "_scale", np.array(self.scale))
+        # a positive finite float is a power of two iff its mantissa is 1/2
+        if len(self.scale) != 2 or not all(isinstance(s, float) and 0.0 < s < math.inf
+                                           and math.frexp(s)[0] == 0.5 for s in self.scale):
+            raise ValueError(f"scale must be two positive finite powers of two, "
+                             f"got {self.scale!r}")
+        object.__setattr__(self, "_scale", np.array(self.scale))
         monomials = _enumerate_exponents(self.max_degree)
         object.__setattr__(self, "monomials", monomials)
         # columns of the (k, 2 (d + 1)) power array: v**0..v**d, then f**0..f**d
@@ -133,8 +134,7 @@ class LiftedBasis:
     def _lift_rows(self, arr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         # arr is a checked, finite (k, 2) float array; the monomials go into
         # out, a (k, lifted_dim) float array, when one is given
-        if self.scale is not None:
-            arr = arr / self._scale
+        arr = arr / self._scale
         # each power of v and f once, in one call, then one product per
         # monomial: the same pow calls and the same single multiply as a
         # product over v**a, f**b
@@ -146,35 +146,36 @@ class LiftedBasis:
         arr = np.asarray(Z, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != self.lifted_dim:
             raise ValueError(f"expected (k, {self.lifted_dim}) array, got {arr.shape}")
-        X = arr[:, :2]
-        if self.scale is not None:
-            X = X * self._scale
-        return X
+        return arr[:, :2] * self._scale
 
     def to_dict(self) -> dict:
         return {
             "state_dim": 2,
             "max_degree": self.max_degree,
             "monomials": [list(e) for e in self.monomials],
-            "scaler": ({"scale": list(self.scale), "offset": [0.0, 0.0]}
-                       if self.scale is not None else None),
+            "scaler": {"scale": list(self.scale), "offset": [0.0, 0.0]},
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "LiftedBasis":
-        """Rebuild a basis, rejecting any shape but the canonical one."""
+        """Rebuild a basis whose state_dim and max_degree are integers,
+        rejecting any shape but the canonical one."""
         if d["state_dim"] != 2:
             raise ValueError(f"state_dim must be 2, got {d['state_dim']!r}")
-        scaler = d.get("scaler")
-        scale = None
-        if scaler is not None:
-            # floats only, as written: a JSON true or "0" is no number here
-            offset = scaler["offset"]
-            if not (len(offset) == 2 and all(isinstance(o, float) and o == 0.0 for o in offset)):
-                raise ValueError(f"scaler offset must be [0.0, 0.0], got {offset!r}")
-            scale = tuple(scaler["scale"])
-        basis = cls(max_degree=int(d["max_degree"]), scale=scale)
+        scaler = d["scaler"]
+        if not isinstance(scaler, dict):
+            raise ValueError(f"scaler must be an object, got {scaler!r}")
+        # floats only, as written: a JSON true or "0" is no number here
+        offset = scaler["offset"]
+        if not (len(offset) == 2 and all(isinstance(o, float) and o == 0.0 for o in offset)):
+            raise ValueError(f"scaler offset must be [0.0, 0.0], got {offset!r}")
+        degree, monomials = d["max_degree"], d["monomials"]
+        # the count first, so a huge degree is refused before its pairs are enumerated
+        count = (degree + 1) * (degree + 2) // 2 - 1
+        if len(monomials) != count:
+            raise ValueError(f"degree {degree} has {count} monomials, got {len(monomials)}")
+        basis = cls(max_degree=degree, scale=tuple(scaler["scale"]))
         canonical = [list(e) for e in basis.monomials]
-        if d["monomials"] != canonical:
-            raise ValueError(f"monomials must be {canonical} for degree {basis.max_degree}")
+        if monomials != canonical:
+            raise ValueError(f"monomials must be {canonical} for degree {degree}")
         return basis

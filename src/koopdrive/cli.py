@@ -14,11 +14,11 @@ and a section that is no object, or an unknown or missing key or a
 wrong-typed value in any section, read by the command or not, exits 3 naming
 the dotted section. Before the build a flag overrides one key: --gamma
 advisory.gamma, --drivers drivers.count, --seed seed, --ridge fit.ridge,
---degree fit.max_degree, --scaling fit.scaling, --split fit.split, --lam
-rls.lam, --cadence rls.cadence_s, --horizons eval.horizons_s and eval's
---segment eval.segment_s. A top-level seed drives every stochastic choice,
-and per-driver seeds derive from it as seed + driver index, so one seed pins
-the whole pipeline byte for byte.
+--degree fit.max_degree, --split fit.split, --lam rls.lam, --cadence
+rls.cadence_s, --horizons eval.horizons_s and eval's --segment
+eval.segment_s. A top-level seed drives every stochastic choice, and
+per-driver seeds derive from it as seed + driver index, so one seed pins the
+whole pipeline byte for byte.
 
 simulate runs its roster on p = min(usable CPUs, drivers) processes
 (_map_roster; the CPUs os.sched_getaffinity counts): the calling process
@@ -82,9 +82,9 @@ ADVISORY_TIME_HEADER = "t_s,v_ref_mps"
 
 # argparse dest -> the key its flag overrides (update's --segment is no key)
 _FLAG_KEYS = {"gamma": "advisory.gamma", "drivers": "drivers.count", "seed": "seed",
-              "ridge": "fit.ridge", "degree": "fit.max_degree", "scaling": "fit.scaling",
-              "split": "fit.split", "lam": "rls.lam", "cadence": "rls.cadence_s",
-              "horizons": "eval.horizons_s", "eval_segment": "eval.segment_s"}
+              "ridge": "fit.ridge", "degree": "fit.max_degree", "split": "fit.split",
+              "lam": "rls.lam", "cadence": "rls.cadence_s", "horizons": "eval.horizons_s",
+              "eval_segment": "eval.segment_s"}
 
 
 @dataclass(frozen=True)
@@ -540,7 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report-out", help="fit report JSON output path")
     p.add_argument("--ridge", type=float, help="ridge penalty override")
     p.add_argument("--degree", type=int, help="basis degree override")
-    p.add_argument("--scaling", choices=["pow2", "none"], help="pre-scaler override")
     p.add_argument("--split", type=float, nargs=3, metavar=("TRAIN", "VAL", "TEST"),
                    help="split fractions override")
     p.set_defaults(func=cmd_fit)

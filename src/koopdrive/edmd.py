@@ -20,8 +20,10 @@ the residual and one-step errors from || R [theta^T; -I] ||.
 
 fit_trajectories lifts states divided by the basis scale: per channel, the
 power of two nearest to the training part's peak |v| or |f_tr|, so the
-one-step errors return to physical units by one exact multiply. Every
-trajectory of a fit must share one sample period to 2e-9 relative.
+one-step errors return to physical units by one exact multiply. The report
+and the model's provenance record that pre-scale as "scaling": "pow2" and
+"scaled": true. Every trajectory of a fit must share one sample period to
+2e-9 relative.
 """
 
 from __future__ import annotations
@@ -58,17 +60,12 @@ class RankDeficientDataError(ValueError):
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Settings for an offline fit.
-
-    scaling selects the pre-scale applied before lifting: "pow2" divides each
-    channel by the power of two nearest to its training peak (exact to
-    invert), "none" lifts raw physical units.
-    """
+    """Settings for an offline fit: the ridge penalty, the train / validation
+    / test split of the trajectories and the basis degree."""
 
     ridge: float = 0.0
     split: tuple[float, float, float] = (0.8, 0.1, 0.1)
     max_degree: int = 3
-    scaling: str = "pow2"
 
     def __post_init__(self):
         # the ridge also arrives from model provenance, which is free-form JSON
@@ -78,8 +75,6 @@ class FitConfig:
         _check_split(self.split)
         if not self.max_degree >= 1:
             raise ValueError(f"max_degree must be an integer >= 1, got {self.max_degree!r}")
-        if self.scaling not in ("pow2", "none"):
-            raise ValueError(f"scaling must be 'pow2' or 'none', got {self.scaling!r}")
 
 
 def _check_split(split) -> None:
@@ -250,7 +245,7 @@ def fit(matrices: DataMatrices, config: FitConfig) -> KoopmanModel:
         "residual_fro": residual,
         "condition_number": cond,
         "basis": f"monomials of degree 1..{matrices.basis.max_degree}",
-        "scaled": matrices.basis.scale is not None,
+        "scaled": True,
     }
     return KoopmanModel.from_stacked(matrices.basis, theta, matrices.sample_period, provenance)
 
@@ -258,7 +253,7 @@ def fit(matrices: DataMatrices, config: FitConfig) -> KoopmanModel:
 def _one_step_rmse(model: KoopmanModel, matrices: DataMatrices) -> tuple[float, float]:
     # the identity columns of the lifted error, in physical units
     err = _errors(matrices.R, model.stacked())[:, :2]
-    rms = np.sqrt(np.sum(err**2, axis=0) / matrices.T) * (matrices.basis.scale or (1.0, 1.0))
+    rms = np.sqrt(np.sum(err**2, axis=0) / matrices.T) * matrices.basis.scale
     return float(rms[0]), float(rms[1])
 
 
@@ -273,7 +268,7 @@ class FitReport:
     ridge: float
     max_degree: int
     scaling: str
-    scaler: dict | None
+    scaler: dict
     one_step_rmse_v_mps: dict
     one_step_rmse_f_n: dict
 
@@ -284,15 +279,13 @@ class FitReport:
 def fit_trajectories(trajectories, config: FitConfig) -> tuple[KoopmanModel, FitReport]:
     """Split, lift, and fit a set of recorded trajectories.
 
-    The pre-scale (if any) is computed from the training part only: per
-    channel, the power of two nearest to its peak magnitude. The report
-    carries one-step prediction errors in physical units for all three parts.
+    The pre-scale is computed from the training part only: per channel, the
+    power of two nearest to its peak magnitude. The report carries one-step
+    prediction errors in physical units for all three parts.
     """
     train, val, test = split_dataset(trajectories, config.split)
-    scale = None
-    if config.scaling == "pow2":
-        scale = (pow2_scale(max(np.max(np.abs(traj.v)) for traj in train), "v"),
-                 pow2_scale(max(np.max(np.abs(traj.f_tr)) for traj in train), "f_tr"))
+    scale = (pow2_scale(max(np.max(np.abs(traj.v)) for traj in train), "v"),
+             pow2_scale(max(np.max(np.abs(traj.f_tr)) for traj in train), "f_tr"))
     basis = LiftedBasis(max_degree=config.max_degree, scale=scale)
     mats = {name: build_matrices(part, basis)
             for name, part in (("train", train), ("validation", val), ("test", test))}
@@ -310,7 +303,7 @@ def fit_trajectories(trajectories, config: FitConfig) -> tuple[KoopmanModel, Fit
         condition_number=model.provenance["condition_number"],
         ridge=config.ridge,
         max_degree=config.max_degree,
-        scaling=config.scaling,
+        scaling="pow2",
         scaler=basis.to_dict()["scaler"],
         one_step_rmse_v_mps=rmse_v,
         one_step_rmse_f_n=rmse_f,

@@ -499,7 +499,11 @@ class KoopmanModel:
             raise ModelFileError(f"{path}: input_dim must be 1 (the advisory speed), "
                                  f"got {input_dim!r}")
         try:
-            basis = LiftedBasis.from_dict(payload["basis"])
+            doc = payload["basis"]
+            for key in ("state_dim", "max_degree"):
+                if not _is_number(doc[key], int):
+                    raise ValueError(f"{key} must be an integer, got {doc[key]!r}")
+            basis = LiftedBasis.from_dict(doc)
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelFileError(f"{path}: invalid basis metadata: {exc}") from None
         provenance = payload.get("provenance") or {}

@@ -104,7 +104,7 @@ def test_edge_stage_blends_time_and_fuel():
     v1, v2 = np.array([8.0]), np.array([8.0])
     feas, a, dt, stage, dsoc = edge_quantities(v1, v2, 0, 0.0, 10.0, cfg)
     m_eqf, _ = surrogate_powertrain(np.array([8.0]), np.array([0.0]), 0, 0.0, cfg.powertrain)
-    expect = (0.5 * m_eqf[0] / cfg.resolved_m_dot_norm + 0.5) * dt[0]
+    expect = (0.5 * m_eqf[0] / cfg.powertrain.max_engine_fuel_rate + 0.5) * dt[0]
     np.testing.assert_allclose(stage[0], expect, rtol=1e-12)
 
 

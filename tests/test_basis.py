@@ -111,8 +111,11 @@ def test_scaler_dict_roundtrip():
     # the file keeps a zero offset next to the scale
     assert d["scaler"] == {"scale": [16.0, 4096.0], "offset": [0.0, 0.0]}
     assert LiftedBasis.from_dict(d) == basis
-    assert LiftedBasis().to_dict()["scaler"] is None
+    # the default basis writes its unit scale the same way
+    assert LiftedBasis().to_dict()["scaler"] == {"scale": [1.0, 1.0], "offset": [0.0, 0.0]}
     assert LiftedBasis.from_dict(LiftedBasis().to_dict()) == LiftedBasis()
+    with pytest.raises(ValueError, match="scaler must be an object"):
+        LiftedBasis.from_dict(dict(d, scaler=None))
     for offset in ([1.0, 0.0], [0.0], [False, 0.0], ["0", 0.0]):
         with pytest.raises(ValueError, match="offset must be"):
             LiftedBasis.from_dict(dict(d, scaler={"scale": [16.0, 4096.0], "offset": offset}))

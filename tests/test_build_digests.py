@@ -7,16 +7,16 @@ compares the SHA-256 of every CSV with digests recorded before the DP
 backward pass, the simulator loop and the CSV writers were rewritten for
 speed, and of `model.json` and `report.json` with digests recorded before the
 fit's memory layout (shared roster columns, block lifting) was changed; the
-`fit --scaling none` outputs were recorded before the pre-scaler lost its
-affine offset. On the distracted driver it then runs `update` over 515-630 s
-at cadence 1.0 and 0.1 and `eval --online`, and compares the SHA-256 of the
-updated models, the tick logs and the `eval --online` report CSV with
-digests recorded when the stacked [theta; P] kernel moved its forgetting
-into a scalar mu, with S = mu P in the block, and took the rank-one update
-as a k = 1 matrix product; S - g g' rounds differently from
-(P - g g') / lambda (the tick logs' `mean_err_norm` moved by at most
-9e-12 relative and the `eval --online` RMSEs by 1.4e-13; the kernel's own
-tolerance gates are in test_rls.py and test_acceptance.py).
+fit's `model.json` must also load and save back to the same bytes. On the
+distracted driver it then runs `update` over 515-630 s at cadence 1.0 and 0.1
+and `eval --online`, and compares the SHA-256 of the updated models, the tick
+logs and the `eval --online` report CSV with digests recorded when the
+stacked [theta; P] kernel moved its forgetting into a scalar mu, with
+S = mu P in the block, and took the rank-one update as a k = 1 matrix
+product; S - g g' rounds differently from (P - g g') / lambda (the tick logs'
+`mean_err_norm` moved by at most 9e-12 relative and the `eval --online` RMSEs
+by 1.4e-13; the kernel's own tolerance gates are in test_rls.py and
+test_acceptance.py).
 The report's sixteen RMSEs are also checked against the values written in
 below, which the per-step rollout loop and the P-form kernel produced, to
 1e-9 relative, so that a new digest cannot hide drift. Any change to the
@@ -62,11 +62,6 @@ GOLDEN = {
 FIT_GOLDEN = {
     "model.json": "03da6a56690dcf01a806ffc43a42126a324b91212593123b95ff407da8e22164",
     "report.json": "2ce06b91da97bd2601da902f7bf542e258cafa7ab339d514289e7d53c6d425a4",
-}
-
-UNSCALED_FIT_GOLDEN = {
-    "model.json": "5dad820c1b41bc5541f97ea4f2a1e49f4d32199c0eadce6737519a536c7172fa",
-    "report.json": "2771378456b396084770480301b6dfca5493e50622e884e097eeb595772cd2a1",
 }
 
 
@@ -130,27 +125,16 @@ def builds(tmp_path_factory):
     return roots
 
 
-def test_build_outputs_match_golden_digests(builds):
+def test_build_outputs_match_golden_digests(builds, tmp_path):
     for cpus, build in builds.items():
         written = sorted(str(p.relative_to(build)) for p in build.rglob("*.csv"))
         assert written == sorted(GOLDEN), cpus
         assert _digests(build, GOLDEN) == GOLDEN, cpus
         assert _digests(build, FIT_GOLDEN) == FIT_GOLDEN, cpus
-
-
-def test_unscaled_fit_matches_golden_digests(builds, tmp_path):
-    for cpus, build in builds.items():
-        out = tmp_path / cpus.replace(" ", "_")
-        out.mkdir()
-        assert main(["fit", "--data", str(build / "drivers"),
-                     "--config", str(build / "config.json"), "--scaling", "none",
-                     "--model-out", str(out / "model.json"),
-                     "--report-out", str(out / "report.json")]) == 0
-        assert _digests(out, UNSCALED_FIT_GOLDEN) == UNSCALED_FIT_GOLDEN, cpus
-        # a model written by fit, scaled or not, loads and saves back to its bytes
-        for written in (build / "model.json", out / "model.json"):
-            KoopmanModel.load(written).save(out / "resaved.json")
-            assert (out / "resaved.json").read_bytes() == written.read_bytes(), cpus
+        # the model written by fit loads and saves back to its bytes
+        resaved = tmp_path / f"{cpus.replace(' ', '_')}.json"
+        KoopmanModel.load(build / "model.json").save(resaved)
+        assert resaved.read_bytes() == (build / "model.json").read_bytes(), cpus
 
 
 def test_online_outputs_match_golden_digests(builds, tmp_path):

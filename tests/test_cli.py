@@ -1,9 +1,13 @@
+import argparse
+import dataclasses
 import hashlib
 import json
 import math
 import multiprocessing
 import os
+import re
 import shutil
+import typing
 
 from pathlib import Path
 
@@ -27,8 +31,7 @@ TOY_CONFIG = {
     "drivers": {"count": 3, "gain_jitter": 0.1,
                 "distracted": [{"index": 2, "t_start": 10.0, "t_end": 25.0,
                                 "compliance": 0.2, "noise_scale": 2.0}]},
-    "fit": {"ridge": 0.0, "split": [0.8, 0.1, 0.1], "max_degree": 3,
-            "scaling": "pow2"},
+    "fit": {"ridge": 0.0, "split": [0.8, 0.1, 0.1], "max_degree": 3},
     "rls": {"lam": 0.99737, "cadence_s": 1.0},
     "eval": {"horizons_s": [10.0, 5.0], "segment_s": [10.0, 30.0]},
     "advisory": {"gamma": 0.5, "v_levels": 12, "soc_levels": 11},
@@ -702,10 +705,15 @@ def test_wrong_typed_config_value_exit_3(tmp_path, toy_build, stage, sections, m
     ("eval", {"rls": {"lam": 7}}, "section 'rls': forgetting factor"),
     ("bench", advisory_with(gama=0.5), "section 'advisory': unknown keys: gama"),
     ("bench", {"vehicle": dict(TOY_CONFIG["vehicle"], mass="x")}, "vehicle.mass"),
+    # keys of removed options: the unscaled fit and the fuel-rate normaliser
+    ("fit", {"fit": dict(TOY_CONFIG["fit"], scaling="pow2")},
+     "section 'fit': unknown keys: scaling"),
+    ("advisory", advisory_with(m_dot_norm=1.0), "section 'advisory': unknown keys: m_dot_norm"),
 ], ids=["advisory-fit.ridg", "advisory-eval.horizons_s", "simulate-advisory.gama",
         "simulate-rls.lam", "fit-advisory.gama", "fit-eval.horizons_s", "fit-rls.lam",
         "update-advisory.gama", "update-eval.segment_s", "eval-advisory.gama", "eval-rls.lam",
-        "bench-advisory.gama", "bench-vehicle.mass"])
+        "bench-advisory.gama", "bench-vehicle.mass", "fit-fit.scaling",
+        "advisory-advisory.m_dot_norm"])
 def test_section_the_command_does_not_read_is_checked_too(tmp_path, toy_build, stage, sections,
                                                           message, capsys):
     # eval runs without --online, so it does not read the rls section either
@@ -818,6 +826,51 @@ def test_boolean_non_finite_or_fractional_config_value_exit_3(tmp_path, toy_buil
     assert not out.exists()
 
 
+def test_removed_scaling_flag_is_a_usage_error(tmp_path, toy_build, capsys):
+    out = tmp_path / "model.json"
+    with pytest.raises(SystemExit) as exc:
+        main(command_for("fit", toy_build, toy_build / "config.json", out)
+             + ["--scaling", "pow2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --scaling pow2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_flag_rows() -> list[tuple[str, set, str]]:
+    """(flag, commands, key) of each row of README's flag-override table."""
+    table = README.read_text(encoding="utf-8").split("| flag | command | key |\n", 1)[1]
+    rows = []
+    for line in table.split("\n\n", 1)[0].splitlines()[1:]:
+        flag, commands, key = re.fullmatch(r"\| `(--[\w-]+)` \| (.+) \| `([\w.]+)` \|",
+                                           line).groups()
+        rows.append((flag, set(re.findall(r"`(\w+)`", commands)), key))
+    return rows
+
+
+def test_flag_table_matches_parser_config_and_readme():
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    options = {}  # dest -> {command: the flag's option strings there}
+    for command, parser in subparsers.items():
+        for action in parser._actions:
+            options.setdefault(action.dest, {})[command] = action.option_strings
+    rows = readme_flag_rows()
+    assert sorted(key for _, _, key in rows) == sorted(cli._FLAG_KEYS.values())
+    for dest, dotted in cli._FLAG_KEYS.items():
+        assert dest in options, dest
+        *sections, name = dotted.split(".")
+        cls = cli.Config
+        for section in sections:
+            cls = typing.get_type_hints(cls)[section]
+        assert name in {f.name for f in dataclasses.fields(cls)}, dotted
+        flag, commands = next((flag, commands) for flag, commands, key in rows if key == dotted)
+        assert commands == set(options[dest]), dotted
+        assert all(flag in strings for strings in options[dest].values()), dotted
+
+
 @pytest.mark.parametrize("sections, message", [
     (advisory_with(powertrain={"mass": math.nan}), "mass must be finite"),
     (advisory_with(powertrain={"a2": math.inf}), "a2 must be finite"),
@@ -826,13 +879,11 @@ def test_boolean_non_finite_or_fractional_config_value_exit_3(tmp_path, toy_buil
     (advisory_with(a_max=math.inf), "a_max must be finite"),
     (advisory_with(a_min=-math.inf), "a_min must be finite"),
     (advisory_with(speed_floor=math.inf), "speed_floor must be finite"),
-    (advisory_with(m_dot_norm=math.inf), "m_dot_norm must be finite"),
-    (advisory_with(m_dot_norm=math.nan), "m_dot_norm must be finite"),
 ], ids=["powertrain.mass-nan", "powertrain.a2-inf", "powertrain.engine_power_max_w-inf",
-        "a_max-inf", "a_min-inf", "speed_floor-inf", "m_dot_norm-inf", "m_dot_norm-nan"])
+        "a_max-inf", "a_min-inf", "speed_floor-inf"])
 def test_non_finite_advisory_value_exit_3(tmp_path, toy_build, sections, message, capsys):
     # a NaN mass wrote a NaN total cost, an infinite a2 made the route
-    # infeasible, and an infinite a_max or m_dot_norm dropped a bound or the fuel term
+    # infeasible, and an infinite a_max dropped a bound
     out = tmp_path / "out"
     cfg = write_config(tmp_path, **sections)
     assert "NaN" in cfg.read_text() or "Infinity" in cfg.read_text()
@@ -927,8 +978,16 @@ def with_scaler(scale, offset=(0.0, 0.0)):
     (with_scaler((16.0, 512.0), offset=(1.0, 0.0)), False),
     (with_scaler((3.0, 512.0)), False),
     (with_scaler((-16.0, 512.0)), False),
+    (lambda doc: doc["basis"].update(scaler=None), False),
+    (lambda doc: doc["basis"].update(max_degree=True), False),
+    (lambda doc: doc["basis"].update(max_degree=3.7), False),
+    (lambda doc: doc["basis"].update(max_degree="3"), False),
+    (lambda doc: doc["basis"].update(max_degree=10**9), False),
+    (lambda doc: doc["basis"].update(state_dim=2.0), False),
 ], ids=["canonical", "state_dim_3", "permuted_monomials", "input_dim_7", "two_column_B",
-        "scaled_canonical", "offset_1", "scale_3", "scale_minus_16"])
+        "scaled_canonical", "offset_1", "scale_3", "scale_minus_16", "scaler_null",
+        "max_degree_true", "max_degree_3.7", "max_degree_str", "max_degree_huge",
+        "state_dim_2.0"])
 def test_other_model_shapes_are_rejected(tmp_path, edit, loads, capsys):
     n = 9
     model = KoopmanModel(basis=LiftedBasis(), A=0.9 * np.eye(n), B=np.zeros((n, 1)),

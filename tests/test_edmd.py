@@ -252,7 +252,7 @@ def test_fit_trajectories_end_to_end():
         x = (A @ basis.lift(x) + B[:, 0] * u[k])[:2]
     traj = Trajectory(sample_period=0.025, t=np.arange(n) * 0.025,
                       v=vs, f_tr=fs, v_ref=u)
-    model, report = fit_trajectories([traj], FitConfig(scaling="none"))
+    model, report = fit_trajectories([traj], FitConfig())
     assert report.one_step_rmse_v_mps["train"] < 1e-8
     assert report.one_step_rmse_v_mps["test"] < 1e-8
     d = report.to_dict()

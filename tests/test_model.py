@@ -365,7 +365,7 @@ def test_model_rejects_two_column_B():
 @pytest.mark.parametrize("scaled", [False, True], ids=["raw", "pow2"])
 @pytest.mark.parametrize("degree", [1, 2, 3, 4])
 def test_save_load_save_is_byte_identical(tmp_path, degree, scaled):
-    scale = (pow2_scale(17.0, "v"), pow2_scale(-5100.0, "f_tr")) if scaled else None
+    scale = (pow2_scale(17.0, "v"), pow2_scale(-5100.0, "f_tr")) if scaled else (1.0, 1.0)
     basis = LiftedBasis(max_degree=degree, scale=scale)
     n = basis.lifted_dim
     rng = np.random.default_rng(degree)
@@ -430,6 +430,22 @@ def test_load_rejects_what_the_constructor_rejects(tmp_path, edit, message):
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelFileError, match=message):
         KoopmanModel.load(path)
+
+
+@pytest.mark.parametrize("key, value", [("max_degree", True), ("max_degree", 1.0),
+                                        ("state_dim", 2.0)],
+                         ids=["max_degree_true", "max_degree_1.0", "state_dim_2.0"])
+def test_load_rejects_non_integer_basis_sizes(tmp_path, key, value):
+    # a degree-1 file with any of these once loaded, and saved back other bytes
+    path = tmp_path / "m.json"
+    KoopmanModel(basis=LiftedBasis(max_degree=1), A=np.eye(2), B=np.zeros((2, 1)),
+                 sample_period=0.025).save(path)
+    doc = json.loads(path.read_text())
+    doc["basis"][key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFileError, match=f"{key} must be an integer, got {value!r}"):
+        KoopmanModel.load(path)
+
 
 def test_stacked_roundtrip():
     m = identity_model()

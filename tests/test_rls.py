@@ -433,7 +433,7 @@ def random_rows(n, v_scale=1.0, f_scale=1.0, seed=3):
 
 
 @pytest.mark.parametrize("scaler, lam, v_scale, f_scale", [
-    (None, 1.0, 1.0, 1.0),
+    ((1.0, 1.0), 1.0, 1.0, 1.0),
     ((16.0, 512.0), 0.99737, 10.0, 500.0),
 ])
 def test_update_tick_matches_per_pair_updates(scaler, lam, v_scale, f_scale):
