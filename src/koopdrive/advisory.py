@@ -16,7 +16,8 @@ Hard constraints: per-node speed limits, mandatory stops (pinned to the
 lowest grid speed so step times stay finite; dwell time at a stop is not
 modeled), acceleration bounds, state-of-charge bounds along the way, and a
 strict terminal state-of-charge floor. Infeasible routes raise
-RouteInfeasibleError naming the first blocking node.
+RouteInfeasibleError naming the first blocking node, or the initial state of
+charge and the least one from which a path ends above the floor.
 
 The powertrain surrogate has two modes. Battery-only propulsion draws the
 wheel power through a fixed drive efficiency and recovers braking power with
@@ -41,15 +42,24 @@ gathers, interpolates and minimizes the next node's values. The forward pass
 reads the current speed's row of the table and takes the edge of least
 (cost + value, |acceleration|), remaining ties going to the engine off and
 then to the lower speed; the walk that names the first blocking node reads
-the table's feasibility masks. Infeasible cells hold a large sentinel instead
-of inf so the interpolation stays well defined. A query inside a cell with
-one infeasible corner, always the lower (see _interp_values), takes the upper
-corner's value, so feasibility along the state-of-charge axis is resolved to
-grid-cell resolution, which errs on the permissive side near constraint
-boundaries; a query below the grid, or inside a cell with two infeasible
-corners, is infeasible. The forward pass enforces the terminal floor on the
-continuous state of charge, and names the node it cannot leave when that
-state of charge has no admissible step left.
+the table's feasibility masks.
+
+State-of-charge feasibility is decided in one place, _soc_bounds. Since the
+rates do not depend on the state of charge, one more backward pass over the
+edge tables gives the boundary line (Elbert, Ebbesen & Guzzella 2013, IEEE
+TCST 21(3)): per node and admissible speed, b, the least float state of
+charge from which the forward pass's own float operations reach the end above
+the floor. The strict floor is b = nextafter(floor, inf) at the last node,
+and no b lies below soc_min - 1e-12, the slack that _interp_geometry's
+below-grid mask and the tests' exhaustive enumeration share. solve_eco_dp
+refuses an initial state of charge below b at node 0, naming both; the
+forward pass keeps only the edges that land at or above the next node's b,
+so it never dead-ends; and the walk follows the speeds whose b a full battery
+meets. The value grid only prices: infeasible cells hold a large sentinel
+instead of inf so the interpolation stays well defined, a query inside a cell
+with one infeasible corner, always the lower (see _interp_values), takes the
+upper corner's value, and a query below the grid, or inside a cell with two
+infeasible corners, is infeasible.
 """
 
 from __future__ import annotations
@@ -374,8 +384,8 @@ def _interp_values(table: np.ndarray, geometry: tuple) -> np.ndarray:
 
     The table holds BIG or values below _BIG_CUT, and so does the result.
     Queries below the grid come back as BIG, a cell whose lower corner alone
-    is a sentinel takes the upper corner's value (the forward pass re-checks
-    the exact bounds), equal neighbors short-circuit to the shared value, so
+    is a sentinel takes the upper corner's value (_soc_bounds decides
+    feasibility exactly), equal neighbors short-circuit to the shared value, so
     flat regions interpolate exactly, and two sentinel corners give BIG.
 
     An upper corner alone is never a sentinel: each row of a value table is
@@ -448,6 +458,46 @@ def _value_function(config: EcoDpConfig, vgrid: np.ndarray, socgrid: np.ndarray,
     return V
 
 
+def _soc_bounds(config: EcoDpConfig, adm: list[np.ndarray],
+                tables: list[tuple]) -> list[np.ndarray]:
+    """Per node, b_j over adm[j]: the least float SoC from which the forward
+    pass's own float operations reach the end above the terminal floor.
+
+    b_S is the float just above the floor. b_j(v) is the least float s whose
+    float s + dsoc is at least b_{j+1}(v'), over the acceleration-feasible
+    edges to a speed v' with b_{j+1}(v') <= soc_max, but no less than
+    soc_min - 1e-12, the bound of _interp_geometry's below-grid mask; inf
+    where no edge qualifies. The clamp of s + dsoc at soc_max does not matter,
+    since min(x, soc_max) >= b exactly when x >= b for b <= soc_max. No rate
+    depends on the SoC, so states at or above b_j(v) reach the end above the
+    floor and states below it do not.
+    """
+    b = [np.full(len(adm[-1]), np.nextafter(config.soc_terminal_floor, np.inf))]
+    table = None
+    for step in reversed(tables):
+        if step is not table:
+            # float addition is monotone, so the least start falls as dsoc
+            # rises and only the engine mode draining less matters; -inf
+            # marks the edges outside the acceleration bounds
+            table = step
+            dsoc = table[4].max(axis=0)
+            dsoc_ok = np.where(table[0][0], dsoc, -np.inf)
+        target = np.where(b[-1] <= config.soc_max, b[-1], np.inf)
+        # target - dsoc rounds, so step each edge's start up until its
+        # s + dsoc >= target holds; inf stays inf
+        s = target - dsoc_ok
+        while (low := s + dsoc < target).any():
+            s = np.where(low, np.nextafter(s, np.inf), s)
+        # then step each node's least start down while some edge still holds
+        least = s.min(axis=1)
+        down = np.nextafter(least, -np.inf)
+        while (lower := (down[:, None] + dsoc_ok >= target).any(axis=1)).any():
+            least = np.where(lower, down, least)
+            down = np.nextafter(least, -np.inf)
+        b.append(np.maximum(least, config.soc_min - 1e-12))
+    return b[::-1]
+
+
 def solve_eco_dp(route: RouteSpec, config: EcoDpConfig) -> AdvisoryProfile:
     """Backward induction plus greedy forward reconstruction.
 
@@ -461,12 +511,13 @@ def solve_eco_dp(route: RouteSpec, config: EcoDpConfig) -> AdvisoryProfile:
     adm = _admissible_speeds(route, vgrid)
     tables = _edge_tables(route, config, vgrid, adm)
     V = _value_function(config, vgrid, socgrid, adm, tables)
+    b = _soc_bounds(config, adm, tables)
 
     soc0 = config.soc_initial
+    if soc0 < b[0][0]:
+        _raise_first_blocking(route, config, b, adm, tables)
     total_cost = float(_interp_values(
         V[0], _interp_geometry(np.array([[soc0]]), socgrid, adm[0][:1]))[0, 0])
-    if total_cost >= _BIG_CUT:
-        _raise_first_blocking(route, V, adm, tables)
 
     # forward reconstruction with continuous SoC; c is the current speed's
     # row in the step's table
@@ -484,22 +535,11 @@ def solve_eco_dp(route: RouteSpec, config: EcoDpConfig) -> AdvisoryProfile:
         soc_new = np.minimum(soc[j] + dsoc, socgrid[-1])
         vals = _interp_values(V[j + 1], _interp_geometry(
             soc_new.reshape(-1, 1), socgrid, np.tile(i2, 2))).reshape(soc_new.shape)
-        ok = feasible & (vals < _BIG_CUT)
-        # the grid resolves the terminal floor to cell resolution; the last
-        # step enforces it on the continuous trajectory
-        if j == S - 1:
-            ok &= soc_new > config.soc_terminal_floor
-        if not ok.any():
-            raise RouteInfeasibleError(
-                j, j * ds,
-                f"from state of charge {float(soc[j]):.4f} no admissible step leads to "
-                f"a path ending above the terminal floor {config.soc_terminal_floor} "
-                "(the grid resolves that floor only to cell resolution)"
-            )
-        # the least (cost + value, |accel|) among the admissible edges; they
-        # are in engine-major order, so the stable sort breaks the remaining
-        # ties toward keeping the engine off, then toward the lower speed
-        cost = np.where(ok, stage + vals, np.inf)
+        # the least (cost + value, |accel|) among the edges that keep a path
+        # ending above the floor, of which soc[j] >= b[j] leaves at least
+        # one; they are in engine-major order, so the stable sort breaks the
+        # remaining ties toward keeping the engine off, then the lower speed
+        cost = np.where(feasible & (soc_new >= b[j + 1]), stage + vals, np.inf)
         e, c = divmod(int(np.lexsort((np.abs(accel).ravel(), cost.ravel()))[0]), len(i2))
         engine_on[j] = e
         v_ref[j + 1] = vgrid[i2[c]]
@@ -520,24 +560,23 @@ def solve_eco_dp(route: RouteSpec, config: EcoDpConfig) -> AdvisoryProfile:
     )
 
 
-def _raise_first_blocking(route: RouteSpec, V, adm, tables):
-    """Walk forward to find the first node no admissible path can reach."""
+def _raise_first_blocking(route: RouteSpec, config: EcoDpConfig, b, adm, tables):
+    """Walk forward to find the first node whose reachable speeds all need
+    more than a full battery (b > soc_max, inf where the acceleration bounds
+    block every path), else refuse the initial state of charge against b_0."""
     reachable = np.arange(len(adm[0])) == 0
     for j, (feasible, *_) in enumerate(tables):
         # feasible is the acceleration bound, the same for both engine modes
-        reachable = (feasible[0][reachable].any(axis=0)
-                     & np.any(V[j + 1][adm[j + 1]] < _BIG_CUT, axis=1))
+        reachable = feasible[0][reachable].any(axis=0) & (b[j + 1] <= config.soc_max)
         if not reachable.any():
             raise RouteInfeasibleError(
                 j + 1, (j + 1) * route.step_m,
                 "no speed at this node is reachable under the acceleration bounds "
                 "while keeping the remaining route feasible"
             )
-    raise RouteInfeasibleError(
-        0, 0.0,
-        "the initial state admits no feasible path (check state-of-charge "
-        "bounds against the terminal floor)"
-    )
+    raise RouteInfeasibleError(0, 0.0, f"initial state of charge {float(config.soc_initial)!r} is "
+                               f"below {float(b[0][0])!r}, the least from which a path ends above "
+                               f"the terminal floor {float(config.soc_terminal_floor)!r}")
 
 
 def resample_to_time(profile: AdvisoryProfile, sample_period: float):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 from pathlib import Path
@@ -180,7 +181,8 @@ def toy_config(**kw):
 
 def enumerate_paths(route, config):
     """Exhaustive reference: every admissible speed/engine sequence, exact
-    continuous SoC, costs accumulated right to left."""
+    continuous SoC, costs accumulated right to left. Each edge is priced
+    once, on its own, and its floats are reused by every sequence crossing it."""
     vgrid = np.linspace(config.speed_floor, float(np.max(route.v_max)), config.v_levels)
     S = route.n_steps
     adm = []
@@ -190,6 +192,7 @@ def enumerate_paths(route, config):
         else:
             adm.append([int(i) for i in np.where(
                 (vgrid >= route.v_min[j] - 1e-9) & (vgrid <= route.v_max[j] + 1e-9))[0]])
+    priced = {}
     best = None
     for speeds in itertools.product(*adm):
         for engines in itertools.product((0, 1), repeat=S):
@@ -197,17 +200,21 @@ def enumerate_paths(route, config):
             stages = []
             ok = True
             for j in range(S):
-                feas, a, dt, stage, dsoc = edge_quantities(
-                    np.array([vgrid[speeds[j]]]), np.array([vgrid[speeds[j + 1]]]),
-                    engines[j], route.grade[j], route.step_m, config)
-                if not feas[0]:
+                key = (j, speeds[j], speeds[j + 1], engines[j])
+                if key not in priced:
+                    feas, _, _, stage, dsoc = edge_quantities(
+                        np.array([vgrid[speeds[j]]]), np.array([vgrid[speeds[j + 1]]]),
+                        engines[j], route.grade[j], route.step_m, config)
+                    priced[key] = (bool(feas[0]), float(stage[0]), float(dsoc[0]))
+                feas, stage, dsoc = priced[key]
+                if not feas:
                     ok = False
                     break
-                soc = min(soc + float(dsoc[0]), config.soc_max)
+                soc = min(soc + dsoc, config.soc_max)
                 if soc < config.soc_min - 1e-12:
                     ok = False
                     break
-                stages.append(float(stage[0]))
+                stages.append(stage)
             if not ok or soc <= config.soc_terminal_floor:
                 continue
             cost = 0.0
@@ -620,15 +627,128 @@ def test_forward_pass_breaks_exact_ties_like_the_reference(monkeypatch):
     assert prof.engine_on.tolist() == [0]
 
 
-def test_forward_dead_end_names_its_node_and_soc():
-    # the grid resolves the terminal floor to cell resolution, so at a floor
-    # of 0.38 it admits the initial state, but the continuous state of charge
-    # reaches node 739 at 0.3464 with no step left that ends above the floor
+# ------------------------------------------------------------ SoC bounds
+
+def _bounds(route, config):
+    vgrid, _, adm = _grids(route, config)
+    return vgrid, adm, advisory._soc_bounds(config, adm,
+                                            advisory._edge_tables(route, config, vgrid, adm))
+
+
+def _graded_toy(rng):
+    """Five nodes after a stop under one speed window, with steep grades and
+    a battery small enough that one step moves the SoC across grid cells."""
+    route = RouteSpec(step_m=float(rng.choice([20.0, 40.0])), v_min=np.zeros(5),
+                      v_max=np.full(5, 9.5), stop=np.array([True, False, False, False, False]),
+                      grade=rng.uniform(-0.08, 0.08, 5))
+    floor = rng.uniform(0.25, 0.6)
+    config = EcoDpConfig(v_levels=4, soc_levels=int(rng.choice([3, 5, 11])),
+                         soc_terminal_floor=floor, soc_initial=floor + rng.uniform(-0.02, 0.03),
+                         powertrain=PowertrainParams(battery_capacity_j=2e5))
+    return route, config
+
+
+def _solve_or_none(route, config):
+    try:
+        return solve_eco_dp(route, config)
+    except RouteInfeasibleError:
+        return None
+
+
+def test_verdict_matches_enumeration_on_graded_toys():
+    # 41 of the 60 have a path; the grid-cell verdict and the forward dead
+    # end refused 9 of those: instances 4, 5, 8, 12, 13, 16, 18, 23 and 51
+    rng = np.random.default_rng(1)
+    cases = [_graded_toy(rng) for _ in range(60)]
+    profiles = [_solve_or_none(route, config) for route, config in cases]
+    solvable = [enumerate_paths(route, config) is not None for route, config in cases]
+    assert [prof is not None for prof in profiles] == solvable
+    assert 0 < sum(solvable) < len(cases)
+    for (route, config), prof in zip(cases, profiles):
+        vgrid, adm, b = _bounds(route, config)
+        if prof is None:
+            assert config.soc_initial < b[0][0]
+            continue
+        # the profile never falls below the least SoC of its speed, node 0
+        # and the strict floor at the last node included
+        for j, (v, soc) in enumerate(zip(prof.v_ref, prof.soc)):
+            assert soc >= b[j][vgrid[adm[j]] == v].item()
+        assert prof.soc[-1] > config.soc_terminal_floor
+
+
+@pytest.mark.parametrize("floor", [0.26, 0.35])
+def test_least_initial_soc_is_exact_to_the_ulp_on_shipped_route(floor):
+    # a plain b_{j+1} - dsoc recursion gives a b_0 one ulp too low here: at
+    # floor 0.26, 0.2151994682204546, from which the forward pass dead-ends
+    route = _shipped_route()
+    b0 = float(_bounds(route, _shipped_config(soc_terminal_floor=floor))[2][0][0])
+    prof = solve_eco_dp(route, _shipped_config(soc_terminal_floor=floor, soc_initial=b0))
+    assert prof.soc[0] == b0
+    assert prof.soc[-1] > floor
+    below = float(np.nextafter(b0, 0))
     with pytest.raises(RouteInfeasibleError) as exc:
-        solve_eco_dp(_shipped_route(), _shipped_config(soc_terminal_floor=0.38))
-    assert exc.value.node_index == 739
-    assert "state of charge 0.3464" in str(exc.value)
-    assert "terminal floor 0.38" in str(exc.value)
+        solve_eco_dp(route, _shipped_config(soc_terminal_floor=floor, soc_initial=below))
+    assert exc.value.node_index == 0
+    assert f"initial state of charge {below!r} is below {b0!r}" in str(exc.value)
+
+
+def test_least_initial_soc_is_exact_to_the_ulp_on_toys():
+    # on the graded toys, steps that move the SoC by tenths make
+    # target - dsoc round a float above or below the least start, so both
+    # halves of the ulp step act
+    rng = np.random.default_rng(1)
+    cases = [(accel_only_toy(), toy_config())] + [_graded_toy(rng) for _ in range(20)]
+    checked = 0
+    for route, config in cases:
+        b0 = float(_bounds(route, config)[2][0][0])
+        if not config.soc_min < b0 <= config.soc_max:
+            continue
+        checked += 1
+        assert enumerate_paths(route, dataclasses.replace(config, soc_initial=b0)) is not None
+        below = dataclasses.replace(config, soc_initial=float(np.nextafter(b0, 0)))
+        assert enumerate_paths(route, below) is None
+    assert checked >= 10
+
+
+@pytest.mark.parametrize("floor", [0.35, 0.38])
+def test_feasible_shipped_floors_solve(floor):
+    # the least initial SoC is 0.3052 and 0.3352, below the initial 0.40;
+    # the grid-cell verdict let both through, and the forward pass then
+    # dead-ended at node 739 with SoC 0.3464
+    prof = solve_eco_dp(_shipped_route(), _shipped_config(soc_terminal_floor=floor))
+    assert floor < prof.soc[-1] < floor + 2e-6
+
+
+@pytest.mark.parametrize("initial, floor, least", [(0.4, 0.45, 0.4052), (0.21, 0.89, 0.8452)],
+                         ids=["floor_0.45", "initial_0.21_floor_0.89"])
+def test_infeasible_shipped_soc_is_refused_at_node_0(initial, floor, least):
+    # both passed the grid-cell verdict and dead-ended late, at nodes 737 and 720
+    route = _shipped_route()
+    config = _shipped_config(soc_initial=initial, soc_terminal_floor=floor)
+    b0 = float(_bounds(route, config)[2][0][0])
+    assert b0 == pytest.approx(least, abs=1e-4)
+    with pytest.raises(RouteInfeasibleError) as exc:
+        solve_eco_dp(route, config)
+    assert exc.value.node_index == 0
+    assert f"initial state of charge {initial!r} is below {b0!r}" in str(exc.value)
+
+
+def test_soc_blocked_node_is_named():
+    # the 40% climb after node 2 drains more than a full battery at every
+    # speed, and the descent before it, which would charge past full, cannot
+    # store the surplus: no speed at node 1 can finish, whatever the start
+    route = RouteSpec(step_m=40.0, v_min=np.zeros(4), v_max=np.full(4, 9.5),
+                      stop=np.array([True, False, False, False]),
+                      grade=np.array([0.0, -0.2, 0.4, 0.0]))
+    config = EcoDpConfig(v_levels=4, soc_levels=5, soc_initial=0.85,
+                         powertrain=PowertrainParams(battery_capacity_j=1e5))
+    _, _, b = _bounds(route, config)
+    assert np.all(np.isfinite(b[2]) & (b[2] > config.soc_max))
+    assert np.all(np.isinf(b[1]))
+    with pytest.raises(RouteInfeasibleError) as exc:
+        solve_eco_dp(route, config)
+    assert exc.value.node_index == 1
+    assert "reachable" in str(exc.value)
 
 
 # ------------------------------------------------------------ resampling

@@ -2,8 +2,9 @@
 it exports exists, only model.py writes files itself or tells a bool from a
 number, only cli.py starts processes, no cli command reads the configuration
 as a dict, only basis.py and rls.update_tick call the unchecked lift kernel,
-only advisory._edge_tables prices advisory edges, and every function, class and method the package defines is referenced from
-the package or the benchmark."""
+only advisory._edge_tables prices advisory edges, only
+advisory._interp_values reads the sentinel cut, and every function, class and
+method the package defines is referenced from the package or the benchmark."""
 
 import ast
 import importlib
@@ -226,18 +227,16 @@ def test_only_checked_callers_use_the_lift_kernel(path):
     assert unchecked_lifts(path.read_text(encoding="utf-8"), path.stem) == []
 
 
-def edge_pricings(source: str, module: str) -> list[str]:
-    """Reads of edge_quantities, named by the innermost function making them,
-    except in advisory._edge_tables: the backward pass, the forward pass and
-    the infeasibility walk read one edge table, so all three price a step
-    identically and each distinct step is priced once."""
+def reads_outside(source: str, module: str, name: str, home: tuple) -> list[str]:
+    """Reads of name, as a name or an attribute, named by the innermost
+    function making them, except in home, a (module, function) pair."""
     found = []
 
     def visit(node, func):
         for child in ast.iter_child_nodes(node):
-            if (isinstance(child, ast.Name) and child.id == "edge_quantities"
-                    or isinstance(child, ast.Attribute) and child.attr == "edge_quantities") \
-                    and (module, func) != ("advisory", "_edge_tables"):
+            if (isinstance(child, ast.Name) and child.id == name
+                    or isinstance(child, ast.Attribute) and child.attr == name) \
+                    and isinstance(child.ctx, ast.Load) and (module, func) != home:
                 found.append(f"{func or '<module>'} (line {child.lineno})")
             visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
                   else func)
@@ -246,20 +245,44 @@ def edge_pricings(source: str, module: str) -> list[str]:
     return found
 
 
+# the backward pass, the forward pass and the infeasibility walk read one
+# edge table, so all three price a step identically and each distinct step
+# is priced once
+EDGE_PRICER = ("advisory", "_edge_tables")
+# _soc_bounds alone decides SoC feasibility; the sentinel cut only keeps the
+# value interpolation well defined
+CUT_READER = ("advisory", "_interp_values")
+
+
 def test_detects_edge_pricings():
     source = ("def _edge_tables(route):\n    edge_quantities(route)\n"
               "def solve_eco_dp(route):\n    price = advisory.edge_quantities\n"
               "    def inner():\n        return price(route)\n"
               "def edge_quantities(v1, v2):\n    return v1\n"
               "edge_quantities(1, 2)\n")
-    assert edge_pricings(source, "advisory") == ["solve_eco_dp (line 4)", "<module> (line 9)"]
-    assert edge_pricings(source, "cli") == ["_edge_tables (line 2)", "solve_eco_dp (line 4)",
-                                            "<module> (line 9)"]
+    assert reads_outside(source, "advisory", "edge_quantities", EDGE_PRICER) == [
+        "solve_eco_dp (line 4)", "<module> (line 9)"]
+    assert reads_outside(source, "cli", "edge_quantities", EDGE_PRICER) == [
+        "_edge_tables (line 2)", "solve_eco_dp (line 4)", "<module> (line 9)"]
+
+
+def test_detects_sentinel_cut_reads():
+    source = ("_BIG_CUT = 1e29\n"
+              "def _interp_values(v):\n    return v >= _BIG_CUT\n"
+              "def solve_eco_dp(cost):\n    return cost < advisory._BIG_CUT\n")
+    assert reads_outside(source, "advisory", "_BIG_CUT", CUT_READER) == ["solve_eco_dp (line 5)"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_the_edge_table_prices_advisory_edges(path):
-    assert edge_pricings(path.read_text(encoding="utf-8"), path.stem) == []
+    assert reads_outside(path.read_text(encoding="utf-8"), path.stem, "edge_quantities",
+                         EDGE_PRICER) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_interp_values_reads_the_sentinel_cut(path):
+    assert reads_outside(path.read_text(encoding="utf-8"), path.stem, "_BIG_CUT",
+                         CUT_READER) == []
 
 
 def _class_named(node, classes):
