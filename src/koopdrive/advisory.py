@@ -385,8 +385,7 @@ def _interp_values(table: np.ndarray, geometry: tuple) -> np.ndarray:
     The table holds BIG or values below _BIG_CUT, and so does the result.
     Queries below the grid come back as BIG, a cell whose lower corner alone
     is a sentinel takes the upper corner's value (_soc_bounds decides
-    feasibility exactly), equal neighbors short-circuit to the shared value, so
-    flat regions interpolate exactly, and two sentinel corners give BIG.
+    feasibility exactly), and two sentinel corners give BIG.
 
     An upper corner alone is never a sentinel: each row of a value table is
     upward closed in SoC (a feasible cell makes every higher SoC feasible).
@@ -399,8 +398,7 @@ def _interp_values(table: np.ndarray, geometry: tuple) -> np.ndarray:
     flat0, flat1, w, below = geometry
     v0 = table.take(flat0)
     v1 = table.take(flat1)
-    out = np.where(v0 == v1, v0, v0 + w * (v1 - v0))
-    out = np.where((v0 >= _BIG_CUT) & (v1 < _BIG_CUT), v1, out)
+    out = np.where((v0 >= _BIG_CUT) & (v1 < _BIG_CUT), v1, v0 + w * (v1 - v0))
     return np.where(below, BIG, out)
 
 

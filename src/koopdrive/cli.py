@@ -4,7 +4,8 @@ Every command validates all of its inputs before creating any output, writes
 files atomically (temp file plus rename), and reports failures on stderr
 with one of four exit codes: 0 on success, 2 for I/O problems, 3 for invalid
 inputs or configuration, 4 for numerical failures (rank-deficient data,
-diverging rollouts, infeasible routes, rejected RLS updates).
+diverging rollouts, infeasible routes, an RLS prediction error that is not
+finite or RLS information singular to working precision).
 
 A JSON configuration file supplies the physical and algorithmic parameters.
 Every command builds all of it, by one rule (_build), into a Config: a
@@ -477,6 +478,7 @@ def cmd_eval(args) -> int:
     if segment is None:
         raise ValueError("eval needs --segment (or eval.segment_s in the configuration)")
     online = cfg.rls if args.online else None
+    _check_output_dirs(args.out)
 
     model = KoopmanModel.load(args.model)
     traj = Trajectory.read_csv(args.data)
@@ -494,6 +496,7 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _load_config(args)
+    _check_output_dirs(args.out)
 
     model = KoopmanModel.load(args.model)
     paths = _expand_data_paths(args.data)

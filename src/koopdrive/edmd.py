@@ -53,6 +53,8 @@ __all__ = [
 # pair than folding a whole 26k-sample trajectory at once
 _FOLD_ROWS = 4096
 
+_EPS = np.finfo(float).eps
+
 
 class RankDeficientDataError(ValueError):
     """The stacked data matrix is rank deficient and no ridge was requested."""
@@ -128,7 +130,7 @@ class DataMatrices:
             rows[m:, :N] = X[lo:hi]
             rows[m:, N] = U[lo:hi]
             rows[m:, N + 1:] = X_plus[lo:hi]
-            self.R = np.linalg.qr(rows, mode="r")
+            self.R = _fold(rows)
         self.T += k
 
 
@@ -199,6 +201,24 @@ def split_dataset(trajectories, split=(0.8, 0.1, 0.1)):
     return parts
 
 
+def _fold(rows: np.ndarray) -> np.ndarray:
+    """R of a QR decomposition of rows, R^T R = rows^T rows: every fold, offline and online."""
+    return np.linalg.qr(rows, mode="r")
+
+
+def _rank(R11: np.ndarray, count: int) -> tuple[int, np.ndarray]:
+    """The rank of R11, counting the singular values above count * eps *
+    sigma_max, and the singular values, largest first."""
+    svals = np.linalg.svd(R11, compute_uv=False)
+    return int(np.count_nonzero(svals > count * _EPS * svals[0])), svals
+
+
+def _solve(R: np.ndarray, p: int) -> np.ndarray:
+    """theta, the least-squares solution of rows [z | y] folded into R, whose
+    first p columns are the regressors z: R11 theta^T = R12."""
+    return np.linalg.solve(R[:p, :p], R[:p, p:]).T
+
+
 def _errors(R: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """R [theta^T; -I]: its column norms are those of the prediction errors."""
     p = theta.shape[1]
@@ -224,18 +244,16 @@ def fit(matrices: DataMatrices, config: FitConfig) -> KoopmanModel:
     R = matrices.R
     if config.ridge > 0.0:
         prior = math.sqrt(config.ridge) * np.eye(p, len(R))
-        R_solve = np.linalg.qr(np.vstack([R, prior]), mode="r")
+        R_solve = _fold(np.vstack([R, prior]))
     else:
         R_solve = R
-    R11, R12 = R_solve[:p, :p], R_solve[:p, p:]
-    svals = np.linalg.svd(R11, compute_uv=False)
-    rank = int(np.sum(svals > max(T, p) * np.finfo(float).eps * svals[0]))
+    rank, svals = _rank(R_solve[:p, :p], max(T, p))
     if config.ridge == 0.0 and rank < p:
         raise RankDeficientDataError(
             f"stacked data matrix has rank {rank} < {p}; the regression is "
             "degenerate (insufficient excitation). Use ridge > 0 or richer data."
         )
-    theta = np.linalg.solve(R11, R12).T
+    theta = _solve(R_solve, p)
     residual = float(np.linalg.norm(_errors(R, theta)))
     cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else float("inf")
     provenance = {

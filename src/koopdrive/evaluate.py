@@ -11,9 +11,11 @@ The online variant streams the segment once, for all horizons together,
 through recursive least-squares ticks (1 s of samples per tick by default),
 and predicts each window with the parameter snapshot taken at that window's
 start; updates made inside a window therefore only benefit later windows,
-keeping the evaluation causal. Pairs are applied one at a time in order, so
-the snapshots do not depend on where tick boundaries fall, and a horizon's
-report is the same whether it is evaluated alone or with others.
+keeping the evaluation causal. The state folds its pairs in fixed blocks
+counted from the segment start, and a snapshot folds the pairs pending since
+into a copy, so the snapshots do not depend on where tick boundaries fall,
+and a horizon's report is the same whether it is evaluated alone or with
+others.
 
 Reported units follow road practice: speed errors in mph alongside m/s, and
 force errors in kN alongside N.

@@ -510,6 +510,13 @@ class KoopmanModel:
         if not isinstance(provenance, dict):
             raise ModelFileError(f"{path}: provenance must be an object")
         try:
+            for key in ("A", "B"):
+                # numpy reads a JSON true as 1.0 and a string "0.5" as 0.5
+                rows = payload.get(key)
+                bad = [x for row in rows if isinstance(row, list) for x in row
+                       if not _is_number(x)] if isinstance(rows, list) else []
+                if bad:
+                    raise ValueError(f"{key} entries must be finite numbers, got {bad[0]!r}")
             return cls(basis=basis, A=payload.get("A"), B=payload.get("B"),
                        sample_period=payload.get("sample_period"), provenance=provenance)
         except (TypeError, ValueError) as exc:

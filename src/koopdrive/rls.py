@@ -1,65 +1,43 @@
 """Recursive least-squares adaptation of the lifted dynamics.
 
 The stacked parameter block theta = [A B], with B the single advisory-speed
-column, is refreshed from streaming transition pairs with exponential
-forgetting. For a pair (x_k, u_k, x_next) the regressor is
-z = [psi(x_k); u_k] and the update reads
+column, is refreshed from streaming transition pairs (regressor
+z = [psi(x_k); u_k], target psi(x_next)) with exponential forgetting. After
+k pairs theta minimizes
 
-    eps   = psi(x_next) - theta z
-    K     = P z / (lambda + z' P z)
-    theta = theta + eps K'
-    P     = (P - K z' P) / lambda
+    lambda^(k+1) ||theta - theta_0||_F^2
+        + sum_i lambda^(k-i) ||psi(x_next,i) - theta z_i||^2,
 
-With lambda = 1 and P(0) = kappa * I this is exactly sequential ridge
-regression with penalty 1/kappa, which is what the batch solver computes;
-lambda < 1 discounts old data with the usual 1/(1 - lambda) sample memory.
-No covariance resetting or windup protection is applied beyond the
-forgetting factor itself.
+which is RLS started from P(0) = I / lambda; with lambda = 1 and
+theta_0 = 0 it is the batch fit with ridge 1.
 
-rls_update(state, z, psi_next) is the kernel: one lifted pair, no input
-validation. update_tick is the validating entry: it checks that the state
-has lifted_dim + 1 columns, checks its buffer's rows for finiteness in one
-pass (the per-pair mask that names the first malformed pair is built only
-when that pass fails), and lifts the k + 1 rows of the finite prefix once,
+The state is the square-root information form (Bierman, Factorization
+Methods for Discrete Sequential Estimation, 1977) of edmd's offline fit: an
+upper triangular R with R'R = P^-1, and theta. A pair's row is [z | eps],
+with eps = psi(x_next) - theta z, so the rows are relative to theta and
+theta_0's prior rows are sqrt(lambda) [I | 0]. Every _FOLD_PAIRS pairs,
+counted from the start of the stream, the k pending rows are folded into R
+by one QR (edmd._fold), the oldest weighted by lambda^((k-1)/2), the newest
+by 1 and R by lambda^(k/2), and theta moves by the folded rows'
+least-squares solution (edmd._solve), which is then 0 again: the state
+keeps no right-hand side, and pairs with zero error leave theta bit for
+bit. rls_update(state, z, psi_next) writes one pair's row and returns its
+error norm, against theta as of the last fold. Reading state.theta or
+state.P folds the pending rows into a copy, so theta after k pairs depends
+neither on the tick boundaries nor on the reads. A fold or read whose R11
+has sigma_min <= p eps sigma_max (edmd.fit's rank rule, with p regressors)
+raises RlsUpdateRejectedError, as does a non-finite prediction error; the
+refused pair leaves the state as it was.
+
+update_tick is the validating entry: it checks that the state has
+lifted_dim + 1 columns, checks its buffer's rows for finiteness in one pass
+(the per-pair mask that names the first malformed pair is built only when
+that pass fails), and lifts the k + 1 rows of the finite prefix once,
 through the basis's unchecked row kernel, straight into one (k + 1, N + 1)
 array [psi | u]. Row i of it is the regressor z_i, and its first N entries
-are psi(x_i), the target of pair i - 1, so the kernel reads both as views
+are psi(x_i), the target of pair i - 1, so rls_update reads both as views
 of that one array, once per pair. stream_ticks stacks a segment's
 (v, f_tr, v_ref) rows once and hands each tick a view.
-
-The kernel works on 10-wide arrays, where numpy's per-call overhead costs
-more than the arithmetic, so it makes one matrix product and one rank-one
-update per pair. The state is one C-contiguous (n + p) x p block
-[theta; S], with n lifted states and p = n + 1 regressors (9 and 10 at
-degree 3), where S = mu P is the covariance times a scalar mu that carries
-the forgetting (the scaled-covariance form of exponentially weighted RLS;
-Ljung & Soderstrom, Theory and Practice of Recursive Identification, 1983).
-w = block z gives theta z and S z in one product, and
-md = mu lambda + z' S z is mu times the gain denominator. w[:n] -= psi_next
-turns theta z into -eps, and scaling w by 1/sqrt(md) makes its S rows
-g = S z / sqrt(md). block -= w g', taken as the (n + p, 1) x (1, p) matrix
-product, adds eps K' to theta and leaves S - g g' = mu lambda P_new in the
-S rows, so mu <- lambda mu keeps S = mu P without touching the block
-again. Each entry of that product is the single floating-point product
-w_i g_j, so g_i g_j and g_j g_i are the same number and a symmetric S stays
-exactly symmetric, as S(0) = P(0) = I / lambda is. The error norm is
-sqrt(eps . eps), which is how np.linalg.norm computes it. Every check runs
-on w and md before the block is touched, so a rejected pair leaves the
-state as it was; the error names the gain denominator md / mu. w and the
-product w g' are written into two scratch arrays of the state, not
-allocated per pair; each pair overwrites them before reading them, so they
-carry nothing from one pair to the next. The state keeps no view into the
-block or the scratch as an attribute (theta and S are sliced on each
-read), so copy.deepcopy gives a state that updates on its own.
-
-mu starts at 1.0. When it falls below 2**-512 (after about 3370 pairs at
-lambda = 0.9, 135 000 at the default), S and mu are both multiplied by
-2**512. That scales w's S rows and md by 2**512 and sqrt(md) and g by its
-exact square root 2**256, all without rounding, and the powers cancel in
-every theta entry and in P = S / mu, so the rescale changes no bit of any
-later result; it depends only on the number of pairs applied, never on the
-tick boundaries. state.P returns S / mu as a new array and never writes it
-back, so reading P cannot change a later update either.
 """
 
 from __future__ import annotations
@@ -70,16 +48,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import LiftedBasis
+from .edmd import _fold, _rank, _solve
 from .model import KoopmanModel, Trajectory, _check_fields, _samples
 
 __all__ = ["OnlineSettings", "RlsState", "RlsUpdateRejectedError", "init_rls", "rls_update",
            "update_tick", "stream_ticks", "snapshot_model"]
 
+# pairs per fold: one second of 40 Hz samples, so a 1 s tick reads theta
+# just after a fold, and 4-pair ticks fold every tenth tick
+_FOLD_PAIRS = 40
+
 
 class RlsUpdateRejectedError(ArithmeticError):
-    """An update was refused on numerical grounds: a non-positive gain
-    denominator (the covariance is no longer positive definite) or a
-    non-finite prediction error. The state is left untouched."""
+    """An update or a read was refused on numerical grounds: a non-finite
+    prediction error, or information singular to working precision. The
+    state is left untouched."""
 
 
 @dataclass(frozen=True)
@@ -88,8 +71,8 @@ class OnlineSettings:
 
     The forgetting factor applies per sample.  At 40 Hz a per-sample
     0.99737 discounts one second of history by about 0.9; per-sample
-    factors far below that inflate the covariance without bound on
-    weakly exciting driving data.
+    factors far below that forget the information of weakly excited
+    directions until it is singular.
     """
 
     lam: float = 0.99737
@@ -112,96 +95,90 @@ def _check_forgetting_factor(lam) -> None:
 
 
 class RlsState:
-    """Mutable adaptation state: the block [theta; S], the scalar mu with
-    S = mu P, and the forgetting factor.
+    """Mutable adaptation state: the p x p information factor R, theta as of
+    the last fold, the rows pending since, and the forgetting factor. It
+    starts from theta with R = sqrt(lambda) I, which is P = I / lambda;
+    state.theta and state.P fold the pending rows into a copy on each read."""
 
-    The block is one C-contiguous (n + p) x p array whose rows [:n] are the
-    parameter block theta = [A B] and whose rows [n:] are the scaled
-    covariance S. state.theta is a view of the block, sliced on each read.
-    state.P is S / mu, computed on each read and never stored, so a read
-    leaves the state as it was.
-    """
-
-    def __init__(self, theta, P, lam: float):
-        theta = np.asarray(theta, dtype=float)
-        P = np.asarray(P, dtype=float)
+    def __init__(self, theta, lam: float):
+        theta = np.array(theta, dtype=float)
         if theta.ndim != 2:
             raise ValueError("theta must be a 2-D block [A B]")
-        n, p = theta.shape
-        if P.shape != (p, p):
-            raise ValueError(f"P must be ({p}, {p}), got {P.shape}")
+        if not np.isfinite(theta).all():
+            raise ValueError("theta must be finite")
         _check_forgetting_factor(lam)
-        self.block = np.empty((n + p, p))
-        self.block[:n] = theta
-        self.block[n:] = P
-        if not np.isfinite(self.block).all():
-            raise ValueError("theta and P must be finite")
-        self._n = n
-        self.mu = 1.0
+        n, p = theta.shape
         self.lam = lam
+        self.R = math.sqrt(lam) * np.eye(p)
+        self._theta = theta
+        # the pending rows [z | eps], as regressors and prediction errors
+        self._Z = np.empty((_FOLD_PAIRS, p))
+        self._E = np.empty((_FOLD_PAIRS, n))
+        self._pending = 0
+        # _weights[k] = lambda^(k/2), the weight of a row k pairs older than the fold
+        self._weights = math.sqrt(lam) ** np.arange(_FOLD_PAIRS + 1)
         self.update_count = 0
-        # rls_update's scratch: w = block z, and the rank-one product w g'
-        self._w = np.empty(n + p)
-        self._wg = np.empty((n + p, p))
+
+    def _folded(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """R and theta with the first k pending rows folded in: the state's
+        own when k is 0, else new arrays."""
+        if k == 0:
+            return self.R, self._theta
+        p = self.n_features
+        w = self._weights[k - 1::-1, None]
+        # R's rows carry no right-hand side: the last fold's theta solves them
+        stack = np.zeros((p + k, p + len(self._theta)))
+        np.multiply(self.R, self._weights[k], out=stack[:p, :p])
+        np.multiply(self._Z[:k], w, out=stack[p:, :p])
+        np.multiply(self._E[:k], w, out=stack[p:, p:])
+        R = _fold(stack)
+        rank, svals = _rank(R[:p, :p], p)
+        if rank < p:
+            raise RlsUpdateRejectedError(
+                f"update rejected: the information is singular to working precision "
+                f"(sigma_min {svals[-1]:.3g}, sigma_max {svals[0]:.3g})")
+        return R[:p, :p], self._theta + _solve(R, p)
 
     @property
     def theta(self) -> np.ndarray:
-        return self.block[:self._n]
+        return self._folded(self._pending)[1]
 
     @property
     def P(self) -> np.ndarray:
-        return self.block[self._n:] / self.mu
+        R_inv = np.linalg.inv(self._folded(self._pending)[0])
+        P = R_inv @ R_inv.T
+        return (P + P.T) / 2.0
 
     @property
     def n_features(self) -> int:
-        return self.block.shape[1]
-
-
-# mu below this is scaled back up, together with S, by _MU_RESCALE
-_MU_FLOOR = 2.0 ** -512
-_MU_RESCALE = 2.0 ** 512
+        return len(self.R)
 
 
 def init_rls(model: KoopmanModel, lam: float) -> RlsState:
     """Start adaptation from a fitted model, with P = I / lambda."""
-    _check_forgetting_factor(lam)  # before I / lambda divides by it
-    p = model.lifted_dim + 1
-    return RlsState(theta=model.stacked(), P=np.eye(p) / lam, lam=lam)
+    return RlsState(theta=model.stacked(), lam=lam)
 
 
 def rls_update(state: RlsState, z: np.ndarray, psi_next: np.ndarray) -> float:
-    """Apply one lifted pair in place; returns the prediction error norm.
+    """Apply one lifted pair; returns the norm of its prediction error
+    against theta as of the last fold.
 
     z is the regressor [psi(x_k); u_k] and psi_next is psi(x_next), both
-    finite and of the state's widths; update_tick checks that. A
-    non-positive gain denominator or a non-finite prediction error raises
-    RlsUpdateRejectedError and leaves the state exactly as it was.
+    finite and of the state's widths; update_tick checks that. A non-finite
+    prediction error, or a fold whose information is singular, raises
+    RlsUpdateRejectedError and leaves the state as it was.
     """
-    block = state.block
-    w = state._w
-    block.dot(z, out=w)  # [theta z; S z]
-    n = len(psi_next)
-    Sz = w[n:]
-    mu = state.mu * state.lam  # the next mu
-    md = mu + float(z.dot(Sz))  # mu times the gain denominator
-    if not math.isfinite(md) or md <= 0.0:
-        raise RlsUpdateRejectedError(f"update rejected: gain denominator is {md / state.mu}")
-    neg_eps = w[:n]
-    neg_eps -= psi_next
-    sq = float(neg_eps.dot(neg_eps))
+    k = state._pending
+    state._Z[k] = z
+    eps = state._E[k]
+    np.subtract(psi_next, state._theta.dot(z), out=eps)
+    sq = eps.dot(eps)
     # sq is finite only if eps is; a finite eps whose square overflows passes
-    if not math.isfinite(sq) and not np.all(np.isfinite(neg_eps)):
+    if not math.isfinite(sq) and not np.all(np.isfinite(eps)):
         raise RlsUpdateRejectedError("update rejected: non-finite prediction error")
-
-    w *= 1.0 / math.sqrt(md)  # Sz becomes g = S z / sqrt(md)
-    # rows [:n] gain eps K' and rows [n:] lose g g', each entry one product
-    wg = state._wg
-    w[:, None].dot(Sz[None], out=wg)
-    block -= wg
-    if mu < _MU_FLOOR:
-        block[n:] *= _MU_RESCALE
-        mu *= _MU_RESCALE
-    state.mu = mu
+    if k + 1 == _FOLD_PAIRS:
+        state.R, state._theta = state._folded(_FOLD_PAIRS)
+    state._pending = (k + 1) % _FOLD_PAIRS
     state.update_count += 1
     return math.sqrt(sq)
 

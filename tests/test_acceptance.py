@@ -23,8 +23,8 @@ from koopdrive.cli import main
 from koopdrive.edmd import DataMatrices, FitConfig, fit
 from koopdrive.evaluate import bench_update, evaluate_horizons
 from koopdrive.model import KoopmanModel, Trajectory
-from koopdrive.rls import (OnlineSettings, RlsState, init_rls, rls_update, snapshot_model,
-                           stream_ticks, update_tick)
+from koopdrive.rls import (OnlineSettings, init_rls, rls_update, snapshot_model, stream_ticks,
+                           update_tick)
 from test_rls import parent_kernel
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -147,7 +147,7 @@ def test_offline_fit_recovers_linear_system(verdict):
 
 
 def test_streaming_matches_batch(verdict):
-    with verdict("streaming fit (lam=1, P0=1e6 I) matches batch ridge to 1e-6", 5.0):
+    with verdict("streaming fit (lam=1, P0=I) matches batch ridge 1 to 1e-12", 5.0):
         basis = LiftedBasis()
         rng = np.random.default_rng(11)
         T = 2000
@@ -156,13 +156,13 @@ def test_streaming_matches_batch(verdict):
         U = rng.normal(size=(1, T))
         data = DataMatrices(basis=basis, sample_period=0.025)
         data.add(basis.lift_many(pts), basis.lift_many(nxt), U[0])
-        batch = fit(data, FitConfig(ridge=1e-6))
-        state = RlsState(theta=np.zeros((9, 10)), P=1e6 * np.eye(10), lam=1.0)
+        batch = fit(data, FitConfig(ridge=1.0))
+        state = init_rls(_zero_model(basis), 1.0)
         for k in range(T):
             rls_update(state, *_lift_pair(basis, pts[k], U[:, k], nxt[k]))
         rel = (np.linalg.norm(state.theta - batch.stacked())
                / np.linalg.norm(batch.stacked()))
-        assert rel < 1e-6
+        assert rel < 1e-12
 
 
 def test_streaming_covariance_health(verdict):
@@ -308,8 +308,8 @@ def test_adaptive_predictor_beats_frozen_model(verdict, work_dir):
 
 
 def test_stacked_kernel_tracks_the_p_form_kernel(verdict, work_dir):
-    with verdict("distracted driver, default lambda, 1 s ticks: every tick-end theta within "
-                 "1e-9 of the P-form kernel over the eval segment and 1e-7 over the whole "
+    with verdict("distracted driver, default lambda, 1 s ticks: every tick-end theta of the "
+                 "information form within 1e-9 of the P-form kernel over the eval segment and 1e-7 over the whole "
                  "drive; the final P exactly symmetric and positive definite", 60.0):
         sc = _scenario(work_dir)
         cfg, model = sc["cfg"], sc["model"]
@@ -334,27 +334,27 @@ def test_stacked_kernel_tracks_the_p_form_kernel(verdict, work_dir):
 
 
 # the distracted driver's whole-drive replay from the offline fit at the
-# default lambda, recorded before update_tick lifted its rows straight into
-# the regressor array and the kernel reused its scratch buffers: SHA-256 of
-# theta and of S, mu's hex, the pairs applied and the SHA-256 of every pair's
-# error norm in order. Every cadence gives these bytes.
+# default lambda, recorded when the state took the square-root information
+# form: SHA-256 of theta, of P and of the information factor R, the pairs
+# applied and the SHA-256 of every pair's error norm in order. Every cadence
+# gives these bytes.
 WHOLE_DRIVE_GOLDEN = {
-    "theta": "9d394881fdc5bb6a5316d9e765847aee8e8a0ecf8afde521e4bc4992c9fa514e",
-    "S": "e8bb31bd5f702bec99bd08c7499d9110d49c4eeece80a18cbf93ce33d66b1c58",
-    "mu": "0x1.7021a0d3502c6p-101",
+    "theta": "0a71ac20968bc4d50b03440b6a4966f3b5114e81077d3725696540bba8f77ab9",
+    "P": "ea4308ed7b6662577b14b0ecd1c2cbb774bf987648c4e4dfe63bf1ffef10dc4b",
+    "R": "00bdf29ae13ba62c8494356504b761589dba50389651bed07eac4d3553f29d89",
     "updates": 26446,
-    "errors": "392ddb0872b4891ae8fb0114ec6f669e81256a482beec5d2f36146226d5c3af1",
+    "errors": "36200f1f662f5535317b9b09f03fd007f973834870b165558d4a04424dce6ec1",
 }
 
 
 @pytest.mark.parametrize("tick_steps", [40, 4])
 def test_whole_drive_tick_bytes_are_pinned(verdict, work_dir, tick_steps):
     with verdict(f"distracted driver, whole drive, {tick_steps} pairs a tick: trajectory "
-                 "slices and row views give the recorded theta, S, mu and error bytes", 60.0):
+                 "slices and row views give the recorded theta, P, R and error bytes", 60.0):
         sc = _scenario(work_dir)
         model, traj = sc["model"], sc["trajectories"][17]
         rows = np.column_stack([traj.v, traj.f_tr, traj.v_ref])
-        n, N = len(traj), model.lifted_dim
+        n = len(traj)
         found = []
         # bench/run.py's per-tick Trajectory copies, then stream_ticks' row views
         for buffer in (lambda lo, hi: traj.slice_samples(lo, hi + 1),
@@ -365,10 +365,23 @@ def test_whole_drive_tick_bytes_are_pinned(verdict, work_dir, tick_steps):
                 hi = min(lo + tick_steps, n - 1)
                 errors.update(update_tick(state, model.basis, buffer(lo, hi)).tobytes())
             found.append({"theta": hashlib.sha256(state.theta.tobytes()).hexdigest(),
-                          "S": hashlib.sha256(state.block[N:].tobytes()).hexdigest(),
-                          "mu": state.mu.hex(), "updates": state.update_count,
-                          "errors": errors.hexdigest()})
+                          "P": hashlib.sha256(state.P.tobytes()).hexdigest(),
+                          "R": hashlib.sha256(state.R.tobytes()).hexdigest(),
+                          "updates": state.update_count, "errors": errors.hexdigest()})
         assert found == [WHOLE_DRIVE_GOLDEN, WHOLE_DRIVE_GOLDEN]
+
+
+@pytest.mark.parametrize("lam", ["0.9", "0.99"])
+def test_update_survives_the_windup_segment(verdict, work_dir, tmp_path, lam):
+    with verdict(f"distracted driver, 0-660 s at lambda {lam}: update adapts over the "
+                 "whole drive, where the P-form covariance lost definiteness", 60.0):
+        _scenario(work_dir)
+        out = tmp_path / "updated.json"
+        assert main(["update", "--model", str(work_dir / "model.json"),
+                     "--data", str(work_dir / "drivers" / "driver_18.csv"),
+                     "--segment", "0", "660", "--config", str(CONFIG), "--lam", lam,
+                     "--out", str(out)]) == 0
+        assert KoopmanModel.load(str(out)).provenance["updates"] == 26400
 
 
 def _step_loop_states(model, x0, u) -> np.ndarray:

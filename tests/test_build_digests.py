@@ -10,13 +10,13 @@ fit's memory layout (shared roster columns, block lifting) was changed; the
 fit's `model.json` must also load and save back to the same bytes. On the
 distracted driver it then runs `update` over 515-630 s at cadence 1.0 and 0.1
 and `eval --online`, and compares the SHA-256 of the updated models, the tick
-logs and the `eval --online` report CSV with digests recorded when the
-stacked [theta; P] kernel moved its forgetting into a scalar mu, with
-S = mu P in the block, and took the rank-one update as a k = 1 matrix
-product; S - g g' rounds differently from (P - g g') / lambda (the tick logs'
-`mean_err_norm` moved by at most 9e-12 relative and the `eval --online` RMSEs
-by 1.4e-13; the kernel's own tolerance gates are in test_rls.py and
-test_acceptance.py).
+logs and the `eval --online` report CSV with digests recorded when the RLS
+state took the square-root information form, which folds 40 pairs at a time
+and rounds differently from the P form it replaced: the updated theta moved
+by 5.9e-11 of max|theta|, the `eval --online` RMSEs by at most 3.0e-13
+relative, and the tick logs' `mean_err_norm` changed meaning, to the error
+against theta as of the last fold (the kernel's own tolerance gates are in
+test_rls.py and test_acceptance.py).
 The report's sixteen RMSEs are also checked against the values written in
 below, which the per-step rollout loop and the P-form kernel produced, to
 1e-9 relative, so that a new digest cannot hide drift. Any change to the
@@ -66,11 +66,11 @@ FIT_GOLDEN = {
 
 
 ONLINE_GOLDEN = {
-    "update_1.0.json": "7835d950ef762a93f21ba4fa19b535c287f29b4f0015b0107a07b708b44cc512",
-    "ticks_1.0.csv": "ed00a04996b0008cf3b65e46e6af9271a036a94eee55830658af8a6c63caaf12",
-    "update_0.1.json": "a6989e93926f8c95ea53497dd09267349bb61be65891019f5608d7cead597b36",
-    "ticks_0.1.csv": "9d2a10354bcb0dca28311a748d4f244b73c8ad1baae8b8ecaac37296003d3ddc",
-    "eval_online.csv": "7c04a84a97c6b5cc81f6571723e7cab5b08188911f14413051808232bf379ac6",
+    "update_1.0.json": "61b02d714d6bd292340ecee5d0faad0d77f50a0fb38eecfb72c45f2cf5c8b0dc",
+    "ticks_1.0.csv": "c08e1da01794c5053405f8289852eccc455fd6bc36f35936341015c222dbcda5",
+    "update_0.1.json": "03d1f21b1da0c5b46d56356eb6e6403e66719e07ef59ac109e9b1a57942f8577",
+    "ticks_0.1.csv": "4804db9d945641b33b5428b6c13f09164f68f39dc54aea6875c7be1e859cc8e9",
+    "eval_online.csv": "09ef32f07c7777316ce5771d9027ba78f9778c53bef7be7a5d8a486d69db8e8c",
 }
 
 # (horizon_s, variant): (rmse_speed_mps, rmse_force_n) of the `eval --online`

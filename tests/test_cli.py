@@ -146,6 +146,16 @@ def test_output_in_missing_directory_names_the_path(tmp_path, toy_build, capsys)
     assert str(missing) in err and ".tmp_" not in err
 
 
+@pytest.mark.parametrize("stage", ["eval", "bench"])
+def test_report_in_missing_directory_exits_before_any_work(tmp_path, toy_build, stage, capsys):
+    # the report used to be computed and printed before its write failed
+    missing = tmp_path / "missing_dir" / "report"
+    assert main(command_for(stage, toy_build, toy_build / "config.json", missing)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"output directory not found for {missing}" in captured.err
+
+
 def test_bad_json_exit_3(tmp_path, toy_route):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
@@ -321,15 +331,16 @@ def test_update_unknown_rls_key_exit_3(tmp_path, toy_route, config_file):
 
 
 def test_rejected_update_exit_4(tmp_path, toy_route, config_file, capsys):
-    # a per-sample forgetting factor this small drives P indefinite within a
-    # few pairs, so the gain denominator turns negative
+    # a per-sample forgetting factor this small leaves the first fold of
+    # pairs the information of its last few rows only, singular to working
+    # precision by the offline fit's rank rule
     out = run_pipeline(tmp_path, toy_route, config_file, "h")
     upd = out / "model_upd.json"
     assert main(["update", "--model", str(out / "model.json"),
                  "--data", str(out / "drivers" / "driver_01.csv"),
                  "--segment", "10", "20", "--config", str(config_file),
                  "--lam", "0.001", "--out", str(upd)]) == 4
-    assert "gain denominator" in capsys.readouterr().err
+    assert "information is singular to working precision" in capsys.readouterr().err
     assert not upd.exists()
 
 

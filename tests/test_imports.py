@@ -3,8 +3,9 @@ it exports exists, only model.py writes files itself or tells a bool from a
 number, only cli.py starts processes, no cli command reads the configuration
 as a dict, only basis.py and rls.update_tick call the unchecked lift kernel,
 only advisory._edge_tables prices advisory edges, only
-advisory._interp_values reads the sentinel cut, and every function, class and
-method the package defines is referenced from the package or the benchmark."""
+advisory._interp_values reads the sentinel cut, only edmd._fold calls
+np.linalg.qr, and every function, class and method the package defines is
+referenced from the package or the benchmark."""
 
 import ast
 import importlib
@@ -252,6 +253,9 @@ EDGE_PRICER = ("advisory", "_edge_tables")
 # _soc_bounds alone decides SoC feasibility; the sentinel cut only keeps the
 # value interpolation well defined
 CUT_READER = ("advisory", "_interp_values")
+# the offline fit, its ridge and the online adaptation fold rows into an R
+# factor by one call, so fit and adaptation stay one least-squares state
+FOLDER = ("edmd", "_fold")
 
 
 def test_detects_edge_pricings():
@@ -271,6 +275,20 @@ def test_detects_sentinel_cut_reads():
               "def _interp_values(v):\n    return v >= _BIG_CUT\n"
               "def solve_eco_dp(cost):\n    return cost < advisory._BIG_CUT\n")
     assert reads_outside(source, "advisory", "_BIG_CUT", CUT_READER) == ["solve_eco_dp (line 5)"]
+
+
+def test_detects_qr_calls():
+    source = ("def _fold(rows):\n    return np.linalg.qr(rows, mode='r')\n"
+              "def fit(R, prior):\n    return np.linalg.qr(np.vstack([R, prior]))\n"
+              "def _folded(self):\n    return qr(self.stack)\n")
+    assert reads_outside(source, "edmd", "qr", FOLDER) == ["fit (line 4)", "_folded (line 6)"]
+    assert reads_outside(source, "rls", "qr", FOLDER) == [
+        "_fold (line 2)", "fit (line 4)", "_folded (line 6)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_fold_helper_calls_qr(path):
+    assert reads_outside(path.read_text(encoding="utf-8"), path.stem, "qr", FOLDER) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

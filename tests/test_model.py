@@ -412,7 +412,7 @@ def test_load_rejects_bad_shapes(tmp_path):
 @pytest.mark.parametrize("edit, message", [
     (lambda doc: doc.pop("A"), "A must be"),
     (lambda doc: doc["A"][0].pop(), "inhomogeneous"),
-    (lambda doc: doc["A"][0].__setitem__(0, "x"), "could not convert"),
+    (lambda doc: doc["A"][0].__setitem__(0, "x"), "A entries must be finite numbers, got 'x'"),
     (lambda doc: doc["B"][0].__setitem__(0, 1e999), "finite"),
     (lambda doc: doc.pop("sample_period"), "got None"),
     (lambda doc: doc.update(sample_period="0.025"), "got '0.025'"),
@@ -444,6 +444,21 @@ def test_load_rejects_non_integer_basis_sizes(tmp_path, key, value):
     doc["basis"][key] = value
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelFileError, match=f"{key} must be an integer, got {value!r}"):
+        KoopmanModel.load(path)
+
+
+@pytest.mark.parametrize("key, value", [("A", True), ("B", "0.5"), ("A", 10**400)],
+                         ids=["A_true", "B_string", "A_huge_integer"])
+def test_load_rejects_matrix_entries_that_are_no_numbers(tmp_path, key, value):
+    # numpy reads true as 1.0 and "0.5" as 0.5, so such a file once loaded;
+    # an integer too large for a float once escaped as an OverflowError
+    path = tmp_path / "m.json"
+    KoopmanModel(basis=LiftedBasis(max_degree=1), A=np.eye(2), B=np.zeros((2, 1)),
+                 sample_period=0.025).save(path)
+    doc = json.loads(path.read_text())
+    doc[key][1][0] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFileError, match=f"{key} entries must be finite numbers"):
         KoopmanModel.load(path)
 
 

@@ -8,6 +8,7 @@ from koopdrive.basis import LiftedBasis
 from koopdrive.edmd import DataMatrices, FitConfig, fit
 from koopdrive.model import KoopmanModel, Trajectory
 from koopdrive.rls import (
+    _FOLD_PAIRS,
     RlsState,
     RlsUpdateRejectedError,
     init_rls,
@@ -37,25 +38,29 @@ def test_init_covariance_scale():
     np.testing.assert_array_equal(state1.P, np.eye(10))
 
 
-def test_state_is_one_block_of_theta_and_p():
+def test_state_starts_from_the_prior_rows():
     theta = np.random.default_rng(2).normal(size=(9, 10))
-    state = RlsState(theta=theta, P=np.eye(10) / 0.9, lam=0.9)
-    assert state.block.shape == (19, 10) and state.block.flags.c_contiguous
-    np.testing.assert_array_equal(state.block, np.vstack([theta, np.eye(10) / 0.9]))
-    assert state.mu == 1.0
-    # theta is a view of the block
-    assert np.shares_memory(state.theta, state.block)
-    # after updates the block's rows [9:] hold S = mu P, with mu = lambda**k
-    # taken one product at a time
-    _, _, Z, psi = scaled_stream(50)
-    mu = 1.0
-    for i in range(50):
+    state = RlsState(theta=theta, lam=0.9)
+    # R = sqrt(lambda) I is P = I / lambda, and theta is theta_0 bit for bit
+    np.testing.assert_array_equal(state.R, math.sqrt(0.9) * np.eye(10))
+    np.testing.assert_array_equal(state.theta, theta)
+    np.testing.assert_allclose(state.P, np.eye(10) / 0.9, rtol=1e-15, atol=0.0)
+    # theta is the state's own copy
+    assert not np.shares_memory(theta, state.theta)
+    # the pairs before the first fold are pending: R stays the prior's, and
+    # a read folds them into a copy
+    _, _, Z, psi = scaled_stream(_FOLD_PAIRS)
+    for i in range(_FOLD_PAIRS - 1):
         rls_update(state, Z[i], psi[i + 1])
-        mu *= 0.9
-    assert state.mu == mu
-    np.testing.assert_array_equal(state.P, state.block[9:] / mu)
-    # the block is the state's own copy
-    assert not np.shares_memory(theta, state.block)
+    np.testing.assert_array_equal(state.R, math.sqrt(0.9) * np.eye(10))
+    read = state.theta
+    np.testing.assert_array_equal(state.theta, read)
+    assert not np.array_equal(read, theta)
+    # the last pair of the block folds: R is a new upper triangular factor
+    rls_update(state, Z[-1], psi[-1])
+    assert not np.array_equal(state.R, math.sqrt(0.9) * np.eye(10))
+    assert np.array_equal(state.R, np.triu(state.R))
+    assert not np.array_equal(state.theta, read)
 
 
 def test_init_rejects_bad_lambda():
@@ -114,8 +119,8 @@ def test_symmetry_over_many_updates():
 
 
 def test_batch_equivalence():
-    # lam=1 with huge prior covariance reproduces ridge least squares; the
-    # targets are lifted physical samples so both paths see identical data
+    # lam=1 reproduces ridge least squares; the targets are lifted physical
+    # samples so both paths see identical data
     basis = LiftedBasis()
     rng = np.random.default_rng(5)
     T = 500
@@ -124,14 +129,14 @@ def test_batch_equivalence():
     U = rng.normal(size=(1, T))
     data = DataMatrices(basis=basis, sample_period=0.025)
     data.add(basis.lift_many(pts), basis.lift_many(nxt), U[0])
-    batch = fit(data, FitConfig(ridge=1e-6))
+    batch = fit(data, FitConfig(ridge=1.0))
 
-    m0 = zero_model(basis)
-    state = RlsState(theta=m0.stacked(), P=1e6 * np.eye(10), lam=1.0)
+    # lambda = 1 from theta_0 = 0 starts from P = I, which is a ridge of 1
+    state = init_rls(zero_model(basis), 1.0)
     for k in range(T):
         rls_update(state, *lift_pair(basis, pts[k], U[:, k], nxt[k]))
     rel = np.linalg.norm(state.theta - batch.stacked()) / np.linalg.norm(batch.stacked())
-    assert rel < 1e-6
+    assert rel < 1e-12
 
 
 def test_update_rejects_nonfinite():
@@ -145,23 +150,36 @@ def test_update_rejects_nonfinite():
     assert state.update_count == 0
 
 
-def test_update_rejects_indefinite_covariance():
-    # with P = -I the gain denominator lam - |z|^2 is negative
-    basis = LiftedBasis()
-    state = RlsState(zero_model(basis).stacked(), -np.eye(10), 0.9)
-    theta_before = state.theta.copy()
-    with pytest.raises(RlsUpdateRejectedError, match="gain denominator"):
-        rls_update(state, *lift_pair(basis, np.array([10.0, 100.0]), np.array([12.0]),
-                                     np.array([10.0, 100.0])))
-    np.testing.assert_array_equal(state.theta, theta_before)
-    np.testing.assert_array_equal(state.P, -np.eye(state.n_features))
-    assert state.update_count == 0
+SINGULAR = "information is singular to working precision"
+
+
+def test_update_rejects_singular_information():
+    # at lambda = 1e-4 the tenth newest row of a fold weighs 1e-18 of the
+    # newest, so ten rows leave R11 singular to working precision, by
+    # edmd.fit's rank rule
+    basis, state, rows = buffer_stream(lam=1e-4, n=100)
+    with pytest.raises(RlsUpdateRejectedError,
+                       match=f"buffered pair {_FOLD_PAIRS - 1}: .*{SINGULAR}"):
+        update_tick(state, basis, rows)
+    assert state.update_count == _FOLD_PAIRS - 1
+    # the pair whose fold was refused is not applied: the state is the one
+    # that stopped a pair earlier
+    _, ref, _ = buffer_stream(lam=1e-4, n=100)
+    feed(ref, basis, rows, 0, _FOLD_PAIRS - 1, _FOLD_PAIRS)
+    assert state.R.tobytes() == ref.R.tobytes()
+    assert state.update_count == ref.update_count
+    # a read folds the pending rows into a copy, by the same rule
+    with pytest.raises(RlsUpdateRejectedError, match=SINGULAR):
+        state.theta
+    with pytest.raises(RlsUpdateRejectedError, match=SINGULAR):
+        state.P
 
 
 def parent_kernel(theta, P, lam, z, psi_next):
-    """The P-form kernel that the stacked [theta; P] block replaced, with @,
-    np.outer, np.linalg.norm and a transpose-add re-symmetrization; updates
-    theta in place and returns the new P and the error norm."""
+    """The P-form kernel that the information form replaced, kept as its
+    reference, with @, np.outer, np.linalg.norm and a transpose-add
+    re-symmetrization; updates theta in place and returns the new P and the
+    error norm against theta before the pair."""
     Pz = P @ z
     denom = lam + float(z @ Pz)
     if not math.isfinite(denom) or denom <= 0.0:
@@ -190,16 +208,27 @@ def scaled_stream(n, seed=5):
     return basis, model, np.column_stack([psi[:-1], rows[:-1, 2]]), psi
 
 
+def parent_replay(theta, lam, Z, psi):
+    """The P-form kernel over the pairs (Z[i], psi[i + 1]); returns theta, P
+    and each pair's error norm against theta as of the last multiple of
+    _FOLD_PAIRS pairs, which is what rls_update reports."""
+    theta, P, at_fold, errs = theta.copy(), np.eye(theta.shape[1]) / lam, theta.copy(), []
+    for i in range(len(Z)):
+        errs.append(float(np.linalg.norm(psi[i + 1] - at_fold @ Z[i])))
+        P, _ = parent_kernel(theta, P, lam, Z[i], psi[i + 1])
+        if (i + 1) % _FOLD_PAIRS == 0:
+            at_fold = theta.copy()
+    return theta, P, np.array(errs)
+
+
 def test_kernel_matches_parent_operators():
     basis, model, Z, psi = scaled_stream(2000)
     state = init_rls(model, 0.99737)
-    theta, P = state.theta.copy(), state.P.copy()
-    # the one block product sums theta z and P z in another order than the
-    # reference, so the stacked kernel agrees to a stated tolerance, not bitwise
-    for i in range(len(Z)):
-        err = rls_update(state, Z[i], psi[i + 1])
-        P, ref_err = parent_kernel(theta, P, 0.99737, Z[i], psi[i + 1])
-        assert abs(err - ref_err) <= 1e-9 * ref_err, i
+    errs = [rls_update(state, Z[i], psi[i + 1]) for i in range(len(Z))]
+    # the information form rounds differently from the P form, so the two
+    # agree to a stated tolerance, not bitwise
+    theta, P, ref_errs = parent_replay(model.stacked(), 0.99737, Z, psi)
+    np.testing.assert_allclose(errs, ref_errs, rtol=1e-9, atol=0.0)
     assert_close_to_max(state.theta, theta)
     assert_close_to_max(state.P, P)
     assert np.array_equal(state.P, state.P.T)
@@ -214,67 +243,44 @@ def excited_traj(n, seed=12):
                       f_tr=rng.normal(0, 1, n), v_ref=rng.normal(0, 1, n))
 
 
-def replay(model, basis, traj, tick_steps, read_p_every=0):
+def replay(model, basis, traj, tick_steps, read_every=0):
+    """The stream's state and the bytes of every tick's error norms; with
+    read_every, theta and P are read after every read_every-th tick."""
     state = init_rls(model, 0.9)
-    for k, _ in enumerate(stream_ticks(state, basis, traj, 0, len(traj) - 1, tick_steps)):
-        if read_p_every and k % read_p_every == 0:
-            state.P
-    return state
+    errs = b""
+    for k, (_, e) in enumerate(stream_ticks(state, basis, traj, 0, len(traj) - 1, tick_steps)):
+        errs += e.tobytes()
+        if read_every and k % read_every == 0:
+            state.theta, state.P
+    return state, errs
 
 
-def test_mu_rescale_is_exact_and_independent_of_ticks():
-    # at lambda = 0.9, mu falls below 2**-512 near pair 3370 and is rescaled
+def test_theta_after_k_pairs_depends_on_neither_ticks_nor_reads():
+    # folds fall every _FOLD_PAIRS pairs from the start of the stream, and a
+    # read folds the pending rows into a copy, so 1-, 7- and 40-pair ticks,
+    # with or without reads between them, give the same bytes
     basis = LiftedBasis()
     model = KoopmanModel.from_stacked(
         basis, np.random.default_rng(13).normal(0, 0.1, size=(9, 10)), 0.025)
     traj = excited_traj(5001)
-    state = replay(model, basis, traj, 1)
+    state, errs = replay(model, basis, traj, 1)
     assert state.update_count == 5000
-    # one exact rescale: mu is lambda**5000, taken one product at a time, times 2**512
-    mu = 1.0
-    for _ in range(5000):
-        mu *= 0.9
-    assert state.mu == mu * 2.0 ** 512
-    for other in (replay(model, basis, traj, 7), replay(model, basis, traj, 40),
-                  replay(model, basis, traj, 1, read_p_every=97)):
-        np.testing.assert_array_equal(other.theta, state.theta)
-        np.testing.assert_array_equal(other.P, state.P)
-        assert other.update_count == state.update_count
+    for tick_steps, read_every in ((7, 0), (40, 0), (1, 97), (7, 3), (40, 1)):
+        other, other_errs = replay(model, basis, traj, tick_steps, read_every)
+        assert other_errs == errs
+        assert_same_state(other, state)
 
-    # the reference divides P by lambda every pair and never rescales
+    # the P-form reference, the error against theta as of the last fold
     rows = np.column_stack([traj.v, traj.f_tr, traj.v_ref])
-    theta, P = model.stacked().copy(), np.eye(10) / 0.9
-    for i in range(5000):
-        P, _ = parent_kernel(theta, P, 0.9, *lift_pair(basis, rows[i, :2], rows[i, 2:3],
-                                                        rows[i + 1, :2]))
+    psi = basis.lift_many(rows[:, :2])
+    theta, P, ref_errs = parent_replay(model.stacked(), 0.9,
+                                       np.column_stack([psi[:-1], rows[:-1, 2]]), psi)
+    np.testing.assert_allclose(np.frombuffer(errs), ref_errs, rtol=1e-9, atol=0.0)
     assert_close_to_max(state.theta, theta)
     assert_close_to_max(state.P, P)
 
-    # S and mu scaled together by a power of two cross the floor at other
-    # pairs, and change no bit of theta or P
-    shifted = init_rls(model, 0.9)
-    shifted.block[9:] *= 2.0 ** -300
-    shifted.mu = 2.0 ** -300
-    for _ in stream_ticks(shifted, basis, traj, 0, 5000, 40):
-        pass
-    assert shifted.mu != state.mu
-    np.testing.assert_array_equal(shifted.theta, state.theta)
-    np.testing.assert_array_equal(shifted.P, state.P)
-
-    # a rejected pair after the crossing leaves the state untouched
-    block, mu = state.block.copy(), state.mu
-    z, psi_next = lift_pair(basis, rows[0, :2], rows[0, 2:3], rows[1, :2])
-    with pytest.raises(RlsUpdateRejectedError, match="non-finite prediction error"):
-        rls_update(state, z, np.full(9, np.nan))
-    with pytest.raises(RlsUpdateRejectedError, match="gain denominator is nan"), \
-            np.errstate(invalid="ignore"):
-        rls_update(state, np.full(10, np.inf), psi_next)
-    np.testing.assert_array_equal(state.block, block)
-    assert state.mu == mu and state.update_count == 5000
-
 
 def buffer_stream(lam=0.9, seed=13, n=5000):
-    # at lambda = 0.9 the stream crosses the mu rescale near pair 3370
     basis = LiftedBasis()
     model = KoopmanModel.from_stacked(
         basis, np.random.default_rng(seed).normal(0, 0.1, size=(9, 10)), 0.025)
@@ -289,21 +295,19 @@ def feed(state, basis, rows, lo, hi, tick_steps):
 
 
 def assert_same_state(state, other):
-    assert state.block.tobytes() == other.block.tobytes()
+    assert state.R.tobytes() == other.R.tobytes()
     assert state.theta.tobytes() == other.theta.tobytes()
     assert state.P.tobytes() == other.P.tobytes()
-    assert state.mu == other.mu and state.update_count == other.update_count
+    assert state.update_count == other.update_count
 
 
 def test_deepcopy_mid_stream_updates_on_its_own():
-    # a view into the block kept as an attribute would be copied as an array
-    # of its own, and theta (or the rescale of S) would stop following the block
+    # the copy is taken with pairs pending, which must be copied with it
     basis, state, rows = buffer_stream()
-    feed(state, basis, rows, 0, 2000, 40)
+    feed(state, basis, rows, 0, 2010, 30)
     twin = copy.deepcopy(state)
     assert_same_state(twin, state)
-    assert feed(twin, basis, rows, 2000, 5000, 40) == feed(state, basis, rows, 2000, 5000, 40)
-    assert state.mu > 2.0 ** -512 > 0.9 ** 5000  # the rescale ran
+    assert feed(twin, basis, rows, 2010, 5000, 40) == feed(state, basis, rows, 2010, 5000, 40)
     assert_same_state(twin, state)
 
 
@@ -326,16 +330,16 @@ def test_states_updated_in_alternation_match_lone_runs():
 def test_rejected_pairs_leave_the_state_and_the_next_update_as_they_were():
     basis, state, rows = buffer_stream()
     feed(state, basis, rows, 0, 100, 40)
-    block, mu = state.block.tobytes(), state.mu
+    R, theta, P = state.R.tobytes(), state.theta.tobytes(), state.P.tobytes()
     z, psi_next = lift_pair(basis, rows[100, :2], rows[100, 2:3], rows[101, :2])
     with pytest.raises(RlsUpdateRejectedError, match="non-finite prediction error"):
         rls_update(state, z, np.full(9, np.nan))
-    with pytest.raises(RlsUpdateRejectedError, match="gain denominator is nan"), \
+    with pytest.raises(RlsUpdateRejectedError, match="non-finite prediction error"), \
             np.errstate(invalid="ignore"):
         rls_update(state, np.full(10, np.inf), psi_next)
-    assert state.block.tobytes() == block
-    assert state.mu == mu and state.update_count == 100
-    # what the rejected pairs left in the kernel's scratch reaches no later pair
+    assert (state.R.tobytes(), state.theta.tobytes(), state.P.tobytes()) == (R, theta, P)
+    assert state.update_count == 100
+    # what the rejected pairs wrote into the pending rows reaches no later pair
     _, ref, _ = buffer_stream()
     feed(ref, basis, rows, 0, 100, 40)
     assert feed(state, basis, rows, 100, 300, 40) == feed(ref, basis, rows, 100, 300, 40)
@@ -419,9 +423,9 @@ def test_update_tick_accepts_rows():
 
 def test_update_tick_keeps_rejection_type():
     basis = LiftedBasis()
-    state = RlsState(zero_model(basis).stacked(), -np.eye(10), 0.9)
-    with pytest.raises(RlsUpdateRejectedError, match="buffered pair 0"):
-        update_tick(state, basis, make_traj(5))
+    state = init_rls(zero_model(basis), 1e-3)
+    with pytest.raises(RlsUpdateRejectedError, match=f"buffered pair {_FOLD_PAIRS - 1}"):
+        update_tick(state, basis, make_traj(_FOLD_PAIRS + 1))
     with pytest.raises(ValueError, match="buffered pair 0"):
         update_tick(state, basis, np.array([[np.nan, 0.0, 12.0], [10.0, 0.0, 12.0]]))
 
@@ -444,12 +448,10 @@ def test_update_tick_matches_per_pair_updates(scaler, lam, v_scale, f_scale):
     rows = random_rows(400, v_scale, f_scale)
     tick = init_rls(model, lam)
     errs = update_tick(tick, basis, rows)
-    theta, P = model.stacked().copy(), np.eye(10) / lam
-    ref_errs = []
-    for i in range(len(rows) - 1):
-        P, err = parent_kernel(theta, P, lam, *lift_pair(basis, rows[i, :2], rows[i, 2:3],
-                                                          rows[i + 1, :2]))
-        ref_errs.append(err)
+    pairs = [lift_pair(basis, rows[i, :2], rows[i, 2:3], rows[i + 1, :2])
+             for i in range(len(rows) - 1)]
+    theta, P, ref_errs = parent_replay(model.stacked(), lam, [z for z, _ in pairs],
+                                       [None] + [psi for _, psi in pairs])
     np.testing.assert_allclose(errs, ref_errs, rtol=1e-9, atol=0.0)
     assert_close_to_max(tick.theta, theta)
     assert_close_to_max(tick.P, P)
