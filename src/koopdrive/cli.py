@@ -425,12 +425,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     cfg = _load_config(args)
+    _check_output_dirs(args.model_out, args.report_out)
     paths = _expand_data_paths(args.data)
     trajectories = _read_trajectories(paths)
     model, report = fit_trajectories(trajectories, cfg.fit)
     model.provenance["data_files"] = [os.path.basename(p) for p in paths]
 
-    _check_output_dirs(args.model_out, args.report_out)
     model.save(args.model_out)
     if args.report_out:
         _write_json(args.report_out, report.to_dict())
@@ -444,6 +444,7 @@ def cmd_fit(args) -> int:
 
 def cmd_update(args) -> int:
     online = _load_config(args).rls
+    _check_output_dirs(args.out, args.log)
 
     model = KoopmanModel.load(args.model)
     traj = Trajectory.read_csv(args.data)
@@ -461,7 +462,6 @@ def cmd_update(args) -> int:
                                          "updated_from": os.path.basename(args.model),
                                          "update_segment": list(args.segment),
                                          "cadence_s": online.cadence_s})
-    _check_output_dirs(args.out, args.log)
     updated.save(args.out)
     if args.log:
         _write_csv_table(args.log, "tick,t_end_s,pairs,mean_err_norm", log_rows)

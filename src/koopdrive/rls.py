@@ -24,20 +24,22 @@ keeps no right-hand side, and pairs with zero error leave theta bit for
 bit. rls_update(state, z, psi_next) writes one pair's row and returns its
 error norm, against theta as of the last fold. Reading state.theta or
 state.P folds the pending rows into a copy, so theta after k pairs depends
-neither on the tick boundaries nor on the reads. A fold or read whose R11
-has sigma_min <= p eps sigma_max (edmd.fit's rank rule, with p regressors)
-raises RlsUpdateRejectedError, as does a non-finite prediction error; the
-refused pair leaves the state as it was.
+neither on the tick boundaries nor on the reads, and a theta read is
+read-only. A fold or read whose R11 has sigma_min <= p eps sigma_max
+(edmd.fit's rank rule, with p regressors) raises RlsUpdateRejectedError,
+as does a non-finite prediction error; the refused pair leaves the state
+as it was.
 
-update_tick is the validating entry: it checks that the state has
-lifted_dim + 1 columns, checks its buffer's rows for finiteness in one pass
-(the per-pair mask that names the first malformed pair is built only when
-that pass fails), and lifts the k + 1 rows of the finite prefix once,
-through the basis's unchecked row kernel, straight into one (k + 1, N + 1)
-array [psi | u]. Row i of it is the regressor z_i, and its first N entries
-are psi(x_i), the target of pair i - 1, so rls_update reads both as views
-of that one array, once per pair. stream_ticks stacks a segment's
-(v, f_tr, v_ref) rows once and hands each tick a view.
+update_tick is the per-tick entry: it checks that the state has
+lifted_dim + 1 columns and lifts the k + 1 samples of its Trajectory
+buffer once, through the basis's unchecked row kernel, straight into one
+(k + 1, N + 1) array [psi | u]. A Trajectory is finite by construction, so
+the lift needs no check of its own. Row i of that array is the regressor
+z_i, and its first N entries are psi(x_i), the target of pair i - 1, so
+rls_update reads both as views of that one array, once per pair; a value
+made non-finite after construction reaches it as a non-finite prediction
+error and is refused. stream_ticks hands each tick a Trajectory of views
+into the segment's columns.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ import numpy as np
 
 from .basis import LiftedBasis
 from .edmd import _fold, _rank, _solve
-from .model import KoopmanModel, Trajectory, _check_fields, _samples
+from .model import KoopmanModel, Trajectory, _check_fields, _samples, _trusted_trajectory
 
 __all__ = ["OnlineSettings", "RlsState", "RlsUpdateRejectedError", "init_rls", "rls_update",
            "update_tick", "stream_ticks", "snapshot_model"]
@@ -141,7 +143,11 @@ class RlsState:
 
     @property
     def theta(self) -> np.ndarray:
-        return self._folded(self._pending)[1]
+        # read-only whether or not pairs are pending: theta is replaced at
+        # each fold, never written in place
+        theta = self._folded(self._pending)[1].view()
+        theta.flags.writeable = False
+        return theta
 
     @property
     def P(self) -> np.ndarray:
@@ -163,8 +169,8 @@ def rls_update(state: RlsState, z: np.ndarray, psi_next: np.ndarray) -> float:
     """Apply one lifted pair; returns the norm of its prediction error
     against theta as of the last fold.
 
-    z is the regressor [psi(x_k); u_k] and psi_next is psi(x_next), both
-    finite and of the state's widths; update_tick checks that. A non-finite
+    z is the regressor [psi(x_k); u_k] and psi_next is psi(x_next), both of
+    the state's widths; update_tick checks that. A non-finite
     prediction error, or a fold whose information is singular, raises
     RlsUpdateRejectedError and leaves the state as it was.
     """
@@ -183,66 +189,35 @@ def rls_update(state: RlsState, z: np.ndarray, psi_next: np.ndarray) -> float:
     return math.sqrt(sq)
 
 
-def _buffer_rows(buffer) -> np.ndarray:
-    # the Trajectory branch serves bench/run.py's replay, which still hands
-    # update_tick per-tick trajectory slices; the package passes row arrays
-    if isinstance(buffer, Trajectory):
-        rows = np.empty((len(buffer), 3))
-        rows[:, 0] = buffer.v
-        rows[:, 1] = buffer.f_tr
-        rows[:, 2] = buffer.v_ref
-        return rows
-    arr = np.asarray(buffer, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise ValueError(f"buffer must be a Trajectory or a (k, 3) array, got {arr.shape}")
-    return arr
-
-
-def update_tick(state: RlsState, basis: LiftedBasis, buffer) -> np.ndarray:
+def update_tick(state: RlsState, basis: LiftedBasis, buffer: Trajectory) -> np.ndarray:
     """Apply one tick's worth of buffered samples in time order.
 
-    The buffer holds rows (v, f_tr, v_ref) and should include the last sample
-    seen before the tick, so a tick covering 1 s of 40 Hz data carries 41
-    rows and produces 40 updates. A buffer with fewer than two rows leaves
-    the state unchanged. Returns the per-pair prediction error norms.
+    The buffer should include the last sample seen before the tick, so a
+    tick covering 1 s of 40 Hz data carries 41 samples and produces 40
+    updates. Returns the per-pair prediction error norms.
 
     A state whose width is not basis.lifted_dim + 1 raises ValueError before
-    any pair is applied. The pairs before the first malformed one (a
-    non-finite state or input) are lifted once and applied; the malformed
-    pair then raises ValueError. A pair the kernel rejects raises
-    RlsUpdateRejectedError. Either names the pair's index in the buffer,
-    and the pairs before it stay applied.
+    any pair is applied. A pair the kernel rejects raises
+    RlsUpdateRejectedError naming the pair's index in the buffer, and the
+    pairs before it stay applied. A state made non-finite in sample r after
+    the buffer was built is refused at pair r - 1 (its target), or at pair
+    0 for the first sample, and an input in sample r at pair r.
     """
     if state.n_features != basis.lifted_dim + 1:
         raise ValueError(f"state has {state.n_features} columns, expected "
                          f"{basis.lifted_dim + 1} for this basis")
-    rows = _buffer_rows(buffer)
-    if len(rows) < 2:
-        return np.empty(0)
-    n_pairs = len(rows) - 1
-    finite = np.isfinite(rows)
-    good = n_pairs
-    if not finite.all():
-        # pair i reads the states of rows i and i + 1 and the input of row i,
-        # so a non-finite input in the last row breaks no pair
-        ok = finite[:-1, :2].all(axis=1) & finite[1:, :2].all(axis=1) & finite[:-1, 2]
-        good = n_pairs if ok.all() else int(np.argmin(ok))
-    errs = np.empty(n_pairs)
-    if good:
-        # row i is [psi(x_i) | u_i]: the regressor z_i, and psi(x_i) is the
-        # target of pair i - 1; the u of row good is never read
-        N = basis.lifted_dim
-        Z = np.empty((good + 1, N + 1))
-        basis._lift_rows(rows[: good + 1, :2], out=Z[:, :N])
-        Z[:, N] = rows[: good + 1, 2]
-        try:
-            for i in range(good):
-                errs[i] = rls_update(state, Z[i], Z[i + 1, :N])
-        except RlsUpdateRejectedError as exc:
-            raise RlsUpdateRejectedError(f"tick aborted at buffered pair {i}: {exc}") from exc
-    if good < n_pairs:
-        raise ValueError(f"tick aborted at buffered pair {good}: x_k {rows[good, :2]}, "
-                         f"u_k {rows[good, 2]} and x_next {rows[good + 1, :2]} must be finite")
+    # row i is [psi(x_i) | u_i]: the regressor z_i, and psi(x_i) is the
+    # target of pair i - 1; the last sample's u is never read
+    N = basis.lifted_dim
+    Z = np.empty((len(buffer), N + 1))
+    basis._lift_rows(np.column_stack((buffer.v, buffer.f_tr)), out=Z[:, :N])
+    Z[:, N] = buffer.v_ref
+    errs = np.empty(len(buffer) - 1)
+    try:
+        for i in range(len(errs)):
+            errs[i] = rls_update(state, Z[i], Z[i + 1, :N])
+    except RlsUpdateRejectedError as exc:
+        raise RlsUpdateRejectedError(f"tick aborted at buffered pair {i}: {exc}") from exc
     return errs
 
 
@@ -250,19 +225,18 @@ def stream_ticks(state: RlsState, basis: LiftedBasis, traj: Trajectory, start: i
                  stop: int, tick_steps: int):
     """Apply the pairs between samples start and stop, tick_steps pairs a tick.
 
-    The segment's rows (v, f_tr, v_ref) are stacked once, and each tick gets
-    a view of them that carries the sample before the tick, so every pair is
+    Each tick gets a Trajectory of views into traj's columns, copying
+    nothing, that carries the sample before the tick, so every pair is
     applied exactly once; only the last tick may be shorter. Yields
     (index of the tick's last sample, update_tick's error norms) per tick.
     """
     if not 0 <= start <= stop < len(traj):
         raise ValueError(f"bad sample range [{start}, {stop}] for length {len(traj)}")
-    seg = slice(start, stop + 1)
-    rows = np.column_stack([traj.v[seg], traj.f_tr[seg], traj.v_ref[seg]])
-    n_pairs = stop - start
-    for lo in range(0, n_pairs, tick_steps):
-        hi = min(lo + tick_steps, n_pairs)
-        yield start + hi, update_tick(state, basis, rows[lo:hi + 1])
+    for lo in range(start, stop, tick_steps):
+        end = min(lo + tick_steps, stop)
+        tick = slice(lo, end + 1)
+        yield end, update_tick(state, basis, _trusted_trajectory(
+            traj.sample_period, traj.t[tick], traj.v[tick], traj.f_tr[tick], traj.v_ref[tick]))
 
 
 def snapshot_model(state: RlsState, basis: LiftedBasis, sample_period: float,

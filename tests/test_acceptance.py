@@ -350,20 +350,28 @@ WHOLE_DRIVE_GOLDEN = {
 @pytest.mark.parametrize("tick_steps", [40, 4])
 def test_whole_drive_tick_bytes_are_pinned(verdict, work_dir, tick_steps):
     with verdict(f"distracted driver, whole drive, {tick_steps} pairs a tick: trajectory "
-                 "slices and row views give the recorded theta, P, R and error bytes", 60.0):
+                 "copies and stream_ticks' views give the recorded theta, P, R and error bytes",
+                 60.0):
         sc = _scenario(work_dir)
         model, traj = sc["model"], sc["trajectories"][17]
-        rows = np.column_stack([traj.v, traj.f_tr, traj.v_ref])
         n = len(traj)
+
+        def copies(state):
+            # bench/run.py's per-tick Trajectory copies
+            for lo in range(0, n - 1, tick_steps):
+                yield update_tick(state, model.basis,
+                                  traj.slice_samples(lo, min(lo + tick_steps, n - 1) + 1))
+
+        def views(state):
+            for _, errs in stream_ticks(state, model.basis, traj, 0, n - 1, tick_steps):
+                yield errs
+
         found = []
-        # bench/run.py's per-tick Trajectory copies, then stream_ticks' row views
-        for buffer in (lambda lo, hi: traj.slice_samples(lo, hi + 1),
-                       lambda lo, hi: rows[lo:hi + 1]):
+        for ticks in (copies, views):
             state = init_rls(model, OnlineSettings().lam)
             errors = hashlib.sha256()
-            for lo in range(0, n - 1, tick_steps):
-                hi = min(lo + tick_steps, n - 1)
-                errors.update(update_tick(state, model.basis, buffer(lo, hi)).tobytes())
+            for errs in ticks(state):
+                errors.update(errs.tobytes())
             found.append({"theta": hashlib.sha256(state.theta.tobytes()).hexdigest(),
                           "P": hashlib.sha256(state.P.tobytes()).hexdigest(),
                           "R": hashlib.sha256(state.R.tobytes()).hexdigest(),

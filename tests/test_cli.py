@@ -156,6 +156,18 @@ def test_report_in_missing_directory_exits_before_any_work(tmp_path, toy_build, 
     assert f"output directory not found for {missing}" in captured.err
 
 
+@pytest.mark.parametrize("stage, work", [("fit", "fit_trajectories"), ("update", "stream_ticks")])
+def test_output_in_missing_directory_exits_before_fitting_or_streaming(tmp_path, toy_build,
+                                                                       monkeypatch, stage, work):
+    # the directory used to be checked only after the fit or the stream
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{work} ran before the output directory was checked")
+
+    monkeypatch.setattr(cli, work, refuse)
+    missing = tmp_path / "missing_dir" / "model.json"
+    assert main(command_for(stage, toy_build, toy_build / "config.json", missing)) == 2
+
+
 def test_bad_json_exit_3(tmp_path, toy_route):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")

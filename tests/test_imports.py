@@ -197,7 +197,8 @@ def test_commands_read_no_config_dict():
 def unchecked_lifts(source: str, module: str) -> list[str]:
     """Reads of ._lift_rows, named by the innermost function making them,
     except in basis.py and in rls.update_tick: the kernel skips the
-    finiteness check, so only a caller that makes that check first may use it."""
+    finiteness check, so only a caller whose input is a Trajectory, finite by
+    construction, may use it."""
     found = []
 
     def visit(node, func):

@@ -63,6 +63,20 @@ def test_state_starts_from_the_prior_rows():
     assert not np.array_equal(state.theta, read)
 
 
+@pytest.mark.parametrize("pending", [0, 3])
+def test_theta_read_is_read_only(pending):
+    # with no pairs pending the read is a view of the state's own theta,
+    # with pairs pending a fresh fold; neither may be written into
+    _, model, Z, psi = scaled_stream(pending)
+    state = init_rls(model, 0.9)
+    for i in range(pending):
+        rls_update(state, Z[i], psi[i + 1])
+    before = state.theta.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        state.theta[0, 0] = 1.0
+    assert state.theta.tobytes() == before
+
+
 def test_init_rejects_bad_lambda():
     with pytest.raises(ValueError):
         init_rls(zero_model(), 0.0)
@@ -139,12 +153,24 @@ def test_batch_equivalence():
     assert rel < 1e-12
 
 
+def traj_of(rows) -> Trajectory:
+    """A 40 Hz Trajectory over (v, f_tr, v_ref) rows."""
+    rows = np.asarray(rows, dtype=float)
+    return Trajectory(sample_period=0.025, t=np.arange(len(rows)) * 0.025, v=rows[:, 0],
+                      f_tr=rows[:, 1], v_ref=rows[:, 2])
+
+
 def test_update_rejects_nonfinite():
     basis = LiftedBasis()
     state = init_rls(zero_model(basis), 0.9)
     theta_before = state.theta.copy()
-    with pytest.raises(ValueError, match="buffered pair 0: .* must be finite"):
-        update_tick(state, basis, np.array([[np.nan, 0.0, 1.0], [0.0, 0.0, 1.0]]))
+    # a Trajectory is finite by construction; a value written in afterwards
+    # reaches the kernel as a non-finite prediction error
+    buffer = traj_of([[1.0, 0.5, 1.0], [0.0, 0.5, 1.0]])
+    buffer.v[0] = np.nan
+    with pytest.raises(RlsUpdateRejectedError,
+                       match="buffered pair 0: .*non-finite prediction error"):
+        update_tick(state, basis, buffer)
     # failed updates must not half-apply
     np.testing.assert_array_equal(state.theta, theta_before)
     assert state.update_count == 0
@@ -157,15 +183,15 @@ def test_update_rejects_singular_information():
     # at lambda = 1e-4 the tenth newest row of a fold weighs 1e-18 of the
     # newest, so ten rows leave R11 singular to working precision, by
     # edmd.fit's rank rule
-    basis, state, rows = buffer_stream(lam=1e-4, n=100)
+    basis, state, traj = buffer_stream(lam=1e-4, n=100)
     with pytest.raises(RlsUpdateRejectedError,
                        match=f"buffered pair {_FOLD_PAIRS - 1}: .*{SINGULAR}"):
-        update_tick(state, basis, rows)
+        update_tick(state, basis, traj)
     assert state.update_count == _FOLD_PAIRS - 1
     # the pair whose fold was refused is not applied: the state is the one
     # that stopped a pair earlier
     _, ref, _ = buffer_stream(lam=1e-4, n=100)
-    feed(ref, basis, rows, 0, _FOLD_PAIRS - 1, _FOLD_PAIRS)
+    feed(ref, basis, traj, 0, _FOLD_PAIRS - 1, _FOLD_PAIRS)
     assert state.R.tobytes() == ref.R.tobytes()
     assert state.update_count == ref.update_count
     # a read folds the pending rows into a copy, by the same rule
@@ -199,7 +225,7 @@ def assert_close_to_max(actual, desired, rel=1e-9):
 
 
 def scaled_stream(n, seed=5):
-    # lifted regressors of random rows as update_tick builds them, row views included
+    # lifted regressors of random rows as update_tick builds them
     basis = LiftedBasis(scale=(16.0, 512.0))
     model = KoopmanModel.from_stacked(
         basis, np.random.default_rng(seed).normal(0, 0.1, size=(9, 10)), 0.025)
@@ -284,14 +310,12 @@ def buffer_stream(lam=0.9, seed=13, n=5000):
     basis = LiftedBasis()
     model = KoopmanModel.from_stacked(
         basis, np.random.default_rng(seed).normal(0, 0.1, size=(9, 10)), 0.025)
-    traj = excited_traj(n + 1, seed)
-    return basis, init_rls(model, lam), np.column_stack([traj.v, traj.f_tr, traj.v_ref])
+    return basis, init_rls(model, lam), excited_traj(n + 1, seed)
 
 
-def feed(state, basis, rows, lo, hi, tick_steps):
+def feed(state, basis, traj, lo, hi, tick_steps):
     """Ticks of tick_steps pairs over pairs lo..hi; the error norms' bytes."""
-    return b"".join(update_tick(state, basis, rows[i:min(i + tick_steps, hi) + 1]).tobytes()
-                    for i in range(lo, hi, tick_steps))
+    return b"".join(e.tobytes() for _, e in stream_ticks(state, basis, traj, lo, hi, tick_steps))
 
 
 def assert_same_state(state, other):
@@ -303,11 +327,11 @@ def assert_same_state(state, other):
 
 def test_deepcopy_mid_stream_updates_on_its_own():
     # the copy is taken with pairs pending, which must be copied with it
-    basis, state, rows = buffer_stream()
-    feed(state, basis, rows, 0, 2010, 30)
+    basis, state, traj = buffer_stream()
+    feed(state, basis, traj, 0, 2010, 30)
     twin = copy.deepcopy(state)
     assert_same_state(twin, state)
-    assert feed(twin, basis, rows, 2010, 5000, 40) == feed(state, basis, rows, 2010, 5000, 40)
+    assert feed(twin, basis, traj, 2010, 5000, 40) == feed(state, basis, traj, 2010, 5000, 40)
     assert_same_state(twin, state)
 
 
@@ -315,23 +339,24 @@ def test_states_updated_in_alternation_match_lone_runs():
     runs = [(0.9, 13, 0), (0.99737, 21, 2500)]  # (lambda, model seed, first pair)
     lone = []
     for lam, seed, lo in runs:
-        basis, state, rows = buffer_stream(lam, seed)
-        lone.append((state, feed(state, basis, rows, lo, lo + 2100, 7)))
+        basis, state, traj = buffer_stream(lam, seed)
+        lone.append((state, feed(state, basis, traj, lo, lo + 2100, 7)))
     both = [buffer_stream(lam, seed) for lam, seed, _ in runs]
     errs = [b"", b""]
     for i in range(0, 2100, 7):
-        for k, ((basis, state, rows), (_, _, lo)) in enumerate(zip(both, runs)):
-            errs[k] += feed(state, basis, rows, lo + i, lo + i + 7, 7)
+        for k, ((basis, state, traj), (_, _, lo)) in enumerate(zip(both, runs)):
+            errs[k] += feed(state, basis, traj, lo + i, lo + i + 7, 7)
     for (state, lone_errs), (_, alternated, _), alternated_errs in zip(lone, both, errs):
         assert alternated_errs == lone_errs
         assert_same_state(alternated, state)
 
 
 def test_rejected_pairs_leave_the_state_and_the_next_update_as_they_were():
-    basis, state, rows = buffer_stream()
-    feed(state, basis, rows, 0, 100, 40)
+    basis, state, traj = buffer_stream()
+    feed(state, basis, traj, 0, 100, 40)
     R, theta, P = state.R.tobytes(), state.theta.tobytes(), state.P.tobytes()
-    z, psi_next = lift_pair(basis, rows[100, :2], rows[100, 2:3], rows[101, :2])
+    x = traj.states()
+    z, psi_next = lift_pair(basis, x[100], traj.v_ref[100:101], x[101])
     with pytest.raises(RlsUpdateRejectedError, match="non-finite prediction error"):
         rls_update(state, z, np.full(9, np.nan))
     with pytest.raises(RlsUpdateRejectedError, match="non-finite prediction error"), \
@@ -341,8 +366,8 @@ def test_rejected_pairs_leave_the_state_and_the_next_update_as_they_were():
     assert state.update_count == 100
     # what the rejected pairs wrote into the pending rows reaches no later pair
     _, ref, _ = buffer_stream()
-    feed(ref, basis, rows, 0, 100, 40)
-    assert feed(state, basis, rows, 100, 300, 40) == feed(ref, basis, rows, 100, 300, 40)
+    feed(ref, basis, traj, 0, 100, 40)
+    assert feed(state, basis, traj, 100, 300, 40) == feed(ref, basis, traj, 100, 300, 40)
     assert_same_state(state, ref)
 
 
@@ -404,30 +429,11 @@ def test_update_tick_pair_count():
     assert state.update_count == 40
 
 
-def test_update_tick_short_buffer_is_noop():
-    basis = LiftedBasis()
-    state = init_rls(zero_model(basis), 1.0)
-    one_row = np.array([[10.0, 0.0, 12.0]])
-    errs = update_tick(state, basis, one_row)
-    assert len(errs) == 0
-    assert state.update_count == 0
-
-
-def test_update_tick_accepts_rows():
-    basis = LiftedBasis()
-    state = init_rls(zero_model(basis), 1.0)
-    rows = np.column_stack([np.full(5, 10.0), np.zeros(5), np.full(5, 12.0)])
-    errs = update_tick(state, basis, rows)
-    assert len(errs) == 4
-
-
 def test_update_tick_keeps_rejection_type():
     basis = LiftedBasis()
     state = init_rls(zero_model(basis), 1e-3)
     with pytest.raises(RlsUpdateRejectedError, match=f"buffered pair {_FOLD_PAIRS - 1}"):
         update_tick(state, basis, make_traj(_FOLD_PAIRS + 1))
-    with pytest.raises(ValueError, match="buffered pair 0"):
-        update_tick(state, basis, np.array([[np.nan, 0.0, 12.0], [10.0, 0.0, 12.0]]))
 
 
 def random_rows(n, v_scale=1.0, f_scale=1.0, seed=3):
@@ -447,7 +453,7 @@ def test_update_tick_matches_per_pair_updates(scaler, lam, v_scale, f_scale):
         basis, np.random.default_rng(8).normal(0, 0.1, size=(9, 10)), 0.025)
     rows = random_rows(400, v_scale, f_scale)
     tick = init_rls(model, lam)
-    errs = update_tick(tick, basis, rows)
+    errs = update_tick(tick, basis, traj_of(rows))
     pairs = [lift_pair(basis, rows[i, :2], rows[i, 2:3], rows[i + 1, :2])
              for i in range(len(rows) - 1)]
     theta, P, ref_errs = parent_replay(model.stacked(), lam, [z for z, _ in pairs],
@@ -468,17 +474,23 @@ def test_update_tick_matches_per_pair_updates(scaler, lam, v_scale, f_scale):
     pytest.param([(8, 1), (3, 2)], np.nan, 3, id="earlier-of-two-wins"),
 ])
 def test_update_tick_names_first_bad_pair(cells, value, pair):
-    # a bad state in row r breaks pair r - 1 (its x_next) and pair r (its x_k);
-    # a bad input breaks pair r
+    # a value written into the buffer's v, f_tr or v_ref after construction:
+    # a bad state in row r breaks pair r - 1 (its x_next) and pair r (its
+    # x_k), a bad input breaks pair r, and the kernel refuses the first
     basis = LiftedBasis()
     state = init_rls(zero_model(basis), 1.0)
     rows = random_rows(12)
+    buffer = traj_of(rows)
+    columns = (buffer.v, buffer.f_tr, buffer.v_ref)
     for row, col in cells:
+        columns[col][row] = value
         rows[row, col] = value
-    with pytest.raises(ValueError, match=f"buffered pair {pair}: .* must be finite"):
-        update_tick(state, basis, rows)
+    with pytest.raises(RlsUpdateRejectedError,
+                       match=f"buffered pair {pair}: .*non-finite prediction error"), \
+            np.errstate(invalid="ignore"):
+        update_tick(state, basis, buffer)
     assert state.update_count == pair
-    # the finite prefix is applied exactly as pair-by-pair updates would apply it
+    # the pairs before it are applied exactly as pair-by-pair updates apply them
     ref = init_rls(zero_model(basis), 1.0)
     for i in range(pair):
         rls_update(ref, *lift_pair(basis, rows[i, :2], rows[i, 2:3], rows[i + 1, :2]))
@@ -489,16 +501,16 @@ def test_update_tick_names_first_bad_pair(cells, value, pair):
 def test_update_tick_ignores_last_input():
     basis = LiftedBasis()
     state = init_rls(zero_model(basis), 1.0)
-    rows = random_rows(6)
-    rows[-1, 2] = np.nan
-    assert len(update_tick(state, basis, rows)) == 5
+    buffer = traj_of(random_rows(6))
+    buffer.v_ref[-1] = np.nan
+    assert len(update_tick(state, basis, buffer)) == 5
     assert state.update_count == 5
 
 
 def test_update_tick_rejects_state_of_another_basis():
     state = init_rls(zero_model(LiftedBasis(max_degree=2)), 1.0)
     with pytest.raises(ValueError, match="state has 6 columns, expected 10"):
-        update_tick(state, LiftedBasis(), random_rows(4))
+        update_tick(state, LiftedBasis(), traj_of(random_rows(4)))
     assert state.update_count == 0
 
 
@@ -584,11 +596,11 @@ def test_snapshot_roundtrip():
 def test_snapshot_does_not_follow_later_updates():
     basis = LiftedBasis()
     state = init_rls(zero_model(basis), 0.99)
-    rows = random_rows(41)
-    update_tick(state, basis, rows[:21])
+    traj = traj_of(random_rows(41))
+    update_tick(state, basis, traj.slice_samples(0, 21))
     snap = snapshot_model(state, basis, 0.025)
     frozen = state.theta.copy()
-    update_tick(state, basis, rows[20:])
+    update_tick(state, basis, traj.slice_samples(20, 41))
     assert not np.array_equal(state.theta, frozen)
     np.testing.assert_array_equal(snap.stacked(), frozen)
     assert snap.A.shape == (9, 9) and snap.B.shape == (9, 1)
@@ -600,7 +612,9 @@ def test_snapshot_rejects_non_finite_theta(row, col, bad):
     # an accepted update can overflow theta; the snapshot must not freeze it
     basis = LiftedBasis()
     state = init_rls(zero_model(basis), 0.99)
-    state.theta[row, col] = bad
+    theta = state.theta.copy()
+    theta[row, col] = bad
+    state._theta = theta
     with pytest.raises(ValueError, match="model matrices must be finite"):
         snapshot_model(state, basis, 0.025)
 
