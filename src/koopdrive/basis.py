@@ -20,10 +20,12 @@ variables precede pure powers, and otherwise exponent pairs are sorted
 lexicographically descending. The monomials follow from ``max_degree`` by
 this rule, so a basis is rebuilt exactly from its degree and scale.
 
-``lift_many`` raises both channels to the powers 0..max_degree in one call
-and multiplies the two gathered columns of each monomial: the same ``pow``
-calls and the same single multiply as a product over v**a and f**b, so the
-bits are that product's.
+``lift``, ``lift_many`` and the per-tick lift of ``rls.update_tick`` share
+one kernel that takes the v and f columns: it stacks them into one (2, k)
+array, divides it by the scale column in place, raises both channels to the
+powers 0..max_degree in one call and multiplies the two gathered columns of
+each monomial: the same ``pow`` calls and the same single multiply as a
+product over v**a and f**b, so the bits are that product's.
 
 Every basis divides the state by its scale before lifting, which keeps the
 monomials well conditioned: one power of two per channel, the nearest to its
@@ -106,13 +108,13 @@ class LiftedBasis:
             raise ValueError(f"scale must be two positive finite powers of two, "
                              f"got {self.scale!r}")
         object.__setattr__(self, "_scale", np.array(self.scale))
+        object.__setattr__(self, "_scale_column", np.array(self.scale)[:, None])
         monomials = _enumerate_exponents(self.max_degree)
         object.__setattr__(self, "monomials", monomials)
-        # columns of the (k, 2 (d + 1)) power array: v**0..v**d, then f**0..f**d
+        # the (2, k, d + 1) power array holds v**0..v**d, then f**0..f**d
         object.__setattr__(self, "_powers", np.arange(self.max_degree + 1, dtype=float))
-        object.__setattr__(self, "_v_cols", np.array([a for a, _ in monomials]))
-        object.__setattr__(self, "_f_cols",
-                           np.array([self.max_degree + 1 + b for _, b in monomials]))
+        object.__setattr__(self, "_v_exponents", np.array([a for a, _ in monomials]))
+        object.__setattr__(self, "_f_exponents", np.array([b for _, b in monomials]))
 
     @property
     def lifted_dim(self) -> int:
@@ -120,7 +122,8 @@ class LiftedBasis:
 
     def lift(self, x) -> np.ndarray:
         """Map one physical state to its lifted image, shape (lifted_dim,)."""
-        return self._lift_rows(_state_array(x)[None, :])[0]
+        x = _state_array(x)
+        return self._lift_columns(x[:1], x[1:])[0]
 
     def lift_many(self, states: np.ndarray) -> np.ndarray:
         """Lift a batch of states, one per row; returns (k, lifted_dim)."""
@@ -129,18 +132,19 @@ class LiftedBasis:
             raise ValueError(f"expected (k, 2) state array, got {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("states must be finite")
-        return self._lift_rows(arr)
+        return self._lift_columns(arr[:, 0], arr[:, 1])
 
-    def _lift_rows(self, arr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        # arr is a checked, finite (k, 2) float array; the monomials go into
-        # out, a (k, lifted_dim) float array, when one is given
-        arr = arr / self._scale
+    def _lift_columns(self, v: np.ndarray, f: np.ndarray) -> np.ndarray:
+        # v and f are checked, finite float columns of one length k; returns
+        # the (k, lifted_dim) monomials
+        scaled = np.array((v, f))
+        scaled /= self._scale_column
         # each power of v and f once, in one call, then one product per
         # monomial: the same pow calls and the same single multiply as a
         # product over v**a, f**b
-        powers = (arr[:, :, None] ** self._powers).reshape(len(arr), -1)
-        return np.multiply(powers.take(self._v_cols, axis=1),
-                           powers.take(self._f_cols, axis=1), out=out)
+        powers = scaled[:, :, None] ** self._powers
+        return np.multiply(powers[0].take(self._v_exponents, axis=1),
+                           powers[1].take(self._f_exponents, axis=1))
 
     def project_many(self, Z: np.ndarray) -> np.ndarray:
         arr = np.asarray(Z, dtype=float)

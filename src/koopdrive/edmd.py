@@ -16,7 +16,9 @@ factor plus one fold block. Since R^T R equals the Gram matrix of the stacked
 rows, every quantity of the fit follows from R alone: theta from its leading
 (N+1) x (N+1) block, the rank and condition number from that block's
 singular values (rank counts those above max(T, N+1) * eps * sigma_max), and
-the residual and one-step errors from || R [theta^T; -I] ||.
+the residual and one-step errors from || R [theta^T; -I] ||. Every fold,
+offline and online, is one raw-mode LAPACK QR (_fold) whose lower triangle
+is zeroed by a cached mask, the bits of np.linalg.qr's R.
 
 fit_trajectories lifts states divided by the basis scale: per channel, the
 power of two nearest to the training part's peak |v| or |f_tr|, so the
@@ -28,6 +30,7 @@ and the model's provenance record that pre-scale as "scaling": "pow2" and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -202,8 +205,22 @@ def split_dataset(trajectories, split=(0.8, 0.1, 0.1)):
 
 
 def _fold(rows: np.ndarray) -> np.ndarray:
-    """R of a QR decomposition of rows, R^T R = rows^T rows: every fold, offline and online."""
-    return np.linalg.qr(rows, mode="r")
+    """R of a QR decomposition of rows, R^T R = rows^T rows: every fold, offline and online.
+
+    The bits of np.linalg.qr(rows, mode="r"): LAPACK's R sits on and above
+    the diagonal of the raw factor's first min(m, n) rows, and the strict
+    lower triangle, which holds the reflectors, reads +0.0.
+    """
+    h = np.linalg.qr(rows, mode="raw")[0].T[:min(rows.shape)]
+    return np.where(_strictly_lower(*h.shape), 0.0, h)
+
+
+@functools.cache
+def _strictly_lower(m: int, n: int) -> np.ndarray:
+    """The read-only (m, n) mask of the entries below the diagonal."""
+    mask = np.tri(m, n, -1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def _rank(R11: np.ndarray, count: int) -> tuple[int, np.ndarray]:

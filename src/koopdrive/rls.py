@@ -21,24 +21,27 @@ by one QR (edmd._fold), the oldest weighted by lambda^((k-1)/2), the newest
 by 1 and R by lambda^(k/2), and theta moves by the folded rows'
 least-squares solution (edmd._solve), which is then 0 again: the state
 keeps no right-hand side, and pairs with zero error leave theta bit for
-bit. rls_update(state, z, psi_next) writes one pair's row and returns its
-error norm, against theta as of the last fold. Reading state.theta or
-state.P folds the pending rows into a copy, so theta after k pairs depends
-neither on the tick boundaries nor on the reads, and a theta read is
-read-only. A fold or read whose R11 has sigma_min <= p eps sigma_max
+bit. R and the pending rows share one row stack [R | 0; z | eps], so a
+fold weighs its rows by one column in one multiply before the QR.
+rls_update(state, z, psi_next) writes one pair's row into that stack and
+returns its error norm, against theta as of the last fold. Reading
+state.theta or state.P folds the pending rows into a copy, so theta after
+k pairs depends neither on the tick boundaries nor on the reads, and a
+theta read is read-only. A fold or read whose R11 has sigma_min <= p eps sigma_max
 (edmd.fit's rank rule, with p regressors) raises RlsUpdateRejectedError,
-as does a non-finite prediction error; the refused pair leaves the state
-as it was.
+as does a non-finite prediction error, also where numpy's warnings are
+errors; the refused pair leaves the state as it was.
 
 update_tick is the per-tick entry: it checks that the state has
 lifted_dim + 1 columns and lifts the k + 1 samples of its Trajectory
-buffer once, through the basis's unchecked row kernel, straight into one
-(k + 1, N + 1) array [psi | u]. A Trajectory is finite by construction, so
-the lift needs no check of its own. Row i of that array is the regressor
-z_i, and its first N entries are psi(x_i), the target of pair i - 1, so
-rls_update reads both as views of that one array, once per pair; a value
-made non-finite after construction reaches it as a non-finite prediction
-error and is refused. stream_ticks hands each tick a Trajectory of views
+buffer once, from its v and f_tr columns through the basis's unchecked
+column kernel, into one contiguous (k + 1, N) array psi, and appends the
+inputs as a last column: Z = [psi | u]. A Trajectory is finite by
+construction, so the lift needs no check of its own. Row i of Z is the
+regressor z_i, and row i of psi is psi(x_i), the target of pair i - 1,
+so rls_update reads both as row views, once per pair; a value made
+non-finite after construction reaches it as a non-finite prediction error
+and is refused. stream_ticks hands each tick a Trajectory of views
 into the segment's columns.
 """
 
@@ -97,10 +100,12 @@ def _check_forgetting_factor(lam) -> None:
 
 
 class RlsState:
-    """Mutable adaptation state: the p x p information factor R, theta as of
-    the last fold, the rows pending since, and the forgetting factor. It
-    starts from theta with R = sqrt(lambda) I, which is P = I / lambda;
-    state.theta and state.P fold the pending rows into a copy on each read."""
+    """Mutable adaptation state: one (p + _FOLD_PAIRS) x (p + n) row stack
+    holding the p x p information factor R as [R | 0] above the rows [z | eps]
+    pending since the last fold, theta as of that fold, and the forgetting
+    factor. It starts from theta with R = sqrt(lambda) I, which is
+    P = I / lambda; state.theta and state.P fold the pending rows into a copy
+    on each read."""
 
     def __init__(self, theta, lam: float):
         theta = np.array(theta, dtype=float)
@@ -111,14 +116,20 @@ class RlsState:
         _check_forgetting_factor(lam)
         n, p = theta.shape
         self.lam = lam
-        self.R = math.sqrt(lam) * np.eye(p)
+        self.n_features = p
         self._theta = theta
-        # the pending rows [z | eps], as regressors and prediction errors
-        self._Z = np.empty((_FOLD_PAIRS, p))
-        self._E = np.empty((_FOLD_PAIRS, n))
+        # [R | 0] in the first p rows, then the pending rows [z | eps]; R's
+        # rows carry no right-hand side, since the last fold's theta solves them
+        self._rows = np.zeros((p + _FOLD_PAIRS, p + n))
+        self._rows[:p, :p] = math.sqrt(lam) * np.eye(p)
         self._pending = 0
-        # _weights[k] = lambda^(k/2), the weight of a row k pairs older than the fold
-        self._weights = math.sqrt(lam) ** np.arange(_FOLD_PAIRS + 1)
+        # _weights[k, :p + k] weighs the rows of a k-row fold: lambda^(k/2)
+        # for R, and lambda^(j/2) for a pending row j pairs older than the newest
+        w = math.sqrt(lam) ** np.arange(_FOLD_PAIRS + 1)
+        self._weights = np.zeros((_FOLD_PAIRS + 1, p + _FOLD_PAIRS, 1))
+        for k in range(1, _FOLD_PAIRS + 1):
+            self._weights[k, :p] = w[k]
+            self._weights[k, p:p + k, 0] = w[k - 1::-1]
         self.update_count = 0
 
     def _folded(self, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -127,19 +138,18 @@ class RlsState:
         if k == 0:
             return self.R, self._theta
         p = self.n_features
-        w = self._weights[k - 1::-1, None]
-        # R's rows carry no right-hand side: the last fold's theta solves them
-        stack = np.zeros((p + k, p + len(self._theta)))
-        np.multiply(self.R, self._weights[k], out=stack[:p, :p])
-        np.multiply(self._Z[:k], w, out=stack[p:, :p])
-        np.multiply(self._E[:k], w, out=stack[p:, p:])
-        R = _fold(stack)
+        R = _fold(self._rows[:p + k] * self._weights[k, :p + k])
         rank, svals = _rank(R[:p, :p], p)
         if rank < p:
             raise RlsUpdateRejectedError(
                 f"update rejected: the information is singular to working precision "
                 f"(sigma_min {svals[-1]:.3g}, sigma_max {svals[0]:.3g})")
         return R[:p, :p], self._theta + _solve(R, p)
+
+    @property
+    def R(self) -> np.ndarray:
+        """The information factor as of the last fold, a view of the row stack."""
+        return self._rows[:self.n_features, :self.n_features]
 
     @property
     def theta(self) -> np.ndarray:
@@ -155,10 +165,6 @@ class RlsState:
         P = R_inv @ R_inv.T
         return (P + P.T) / 2.0
 
-    @property
-    def n_features(self) -> int:
-        return len(self.R)
-
 
 def init_rls(model: KoopmanModel, lam: float) -> RlsState:
     """Start adaptation from a fitted model, with P = I / lambda."""
@@ -172,18 +178,27 @@ def rls_update(state: RlsState, z: np.ndarray, psi_next: np.ndarray) -> float:
     z is the regressor [psi(x_k); u_k] and psi_next is psi(x_next), both of
     the state's widths; update_tick checks that. A non-finite
     prediction error, or a fold whose information is singular, raises
-    RlsUpdateRejectedError and leaves the state as it was.
+    RlsUpdateRejectedError and leaves the state as it was; so does an
+    inf * 0 or inf - inf in the prediction where RuntimeWarnings are errors.
     """
     k = state._pending
-    state._Z[k] = z
-    eps = state._E[k]
-    np.subtract(psi_next, state._theta.dot(z), out=eps)
+    p = state.n_features
+    row = state._rows[p + k]
+    row[:p] = z
+    eps = row[p:]
+    try:
+        np.subtract(psi_next, state._theta.dot(z), out=eps)
+    except RuntimeWarning as exc:
+        # inf * 0 or inf - inf where warnings are errors; elsewhere the NaN
+        # it makes is refused below
+        raise RlsUpdateRejectedError("update rejected: non-finite prediction error") from exc
     sq = eps.dot(eps)
     # sq is finite only if eps is; a finite eps whose square overflows passes
     if not math.isfinite(sq) and not np.all(np.isfinite(eps)):
         raise RlsUpdateRejectedError("update rejected: non-finite prediction error")
     if k + 1 == _FOLD_PAIRS:
-        state.R, state._theta = state._folded(_FOLD_PAIRS)
+        R, state._theta = state._folded(_FOLD_PAIRS)
+        state._rows[:p, :p] = R
     state._pending = (k + 1) % _FOLD_PAIRS
     state.update_count += 1
     return math.sqrt(sq)
@@ -206,16 +221,14 @@ def update_tick(state: RlsState, basis: LiftedBasis, buffer: Trajectory) -> np.n
     if state.n_features != basis.lifted_dim + 1:
         raise ValueError(f"state has {state.n_features} columns, expected "
                          f"{basis.lifted_dim + 1} for this basis")
-    # row i is [psi(x_i) | u_i]: the regressor z_i, and psi(x_i) is the
+    # row i of Z is [psi(x_i) | u_i], the regressor z_i, and psi(x_i) is the
     # target of pair i - 1; the last sample's u is never read
-    N = basis.lifted_dim
-    Z = np.empty((len(buffer), N + 1))
-    basis._lift_rows(np.column_stack((buffer.v, buffer.f_tr)), out=Z[:, :N])
-    Z[:, N] = buffer.v_ref
+    psi = basis._lift_columns(buffer.v, buffer.f_tr)
+    Z = np.concatenate((psi, buffer.v_ref[:, None]), axis=1)
     errs = np.empty(len(buffer) - 1)
     try:
         for i in range(len(errs)):
-            errs[i] = rls_update(state, Z[i], Z[i + 1, :N])
+            errs[i] = rls_update(state, Z[i], psi[i + 1])
     except RlsUpdateRejectedError as exc:
         raise RlsUpdateRejectedError(f"tick aborted at buffered pair {i}: {exc}") from exc
     return errs

@@ -1,11 +1,13 @@
 """The benchmark's replay contract with the package, checked in tier-1.
 
-A reduced `fine_tick` run of `bench/run.py` (4 pairs a tick), untraced and
-traced, must end with `correct` true and no failed operation. Its own
-output checks then hold that `update_tick` accepts the benchmark's per-tick
-`Trajectory.slice_samples` buffers, that `update_count` counts every pair
-applied, that the final P is exactly symmetric and passes Cholesky, and,
-traced, that `rls_update` runs once per pair.
+Reduced `fine_tick` (4 pairs a tick) and `online_adapt` (40 pairs a tick,
+with a snapshot and a 5 s rollout after every tick, so after every fold)
+runs of `bench/run.py`, untraced and traced, must end with `correct` true
+and no failed operation. Their own output checks then hold that
+`update_tick` accepts the benchmark's per-tick `Trajectory.slice_samples`
+buffers, that `update_count` counts every pair applied, that the final P is
+exactly symmetric and passes Cholesky, that every tick's snapshot and
+rollout succeed, and, traced, that `rls_update` runs once per pair.
 """
 
 import json
@@ -18,10 +20,9 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("trace", [0, 1])
-def test_fine_tick_smoke_run_is_correct(trace):
+def smoke_run(workload, trace):
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "fine_tick", "--seed", "3",
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "3",
          "--seconds", "1", "--trace", str(trace), "--size", "smoke"],
         cwd=ROOT, capture_output=True, text=True, timeout=600,
     )
@@ -29,3 +30,13 @@ def test_fine_tick_smoke_run_is_correct(trace):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"], proc.stderr
     assert result["failed"] == 0
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_fine_tick_smoke_run_is_correct(trace):
+    smoke_run("fine_tick", trace)
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_online_adapt_smoke_run_is_correct(trace):
+    smoke_run("online_adapt", trace)

@@ -10,6 +10,7 @@ from koopdrive.basis import LiftedBasis
 from koopdrive.cli import main
 from koopdrive.edmd import (
     _FOLD_ROWS,
+    _fold,
     DataMatrices,
     FitConfig,
     RankDeficientDataError,
@@ -209,6 +210,44 @@ def test_add_folds_blocks_and_rejects_non_finite_values():
             data.add(bad[:, :9], bad[:, 10:], bad[:, 9])
     np.testing.assert_array_equal(data.R, R_before)
     assert data.T == 90
+
+
+def fold_blocks():
+    """Row blocks of every fold shape: fit's full block and its ridge fold,
+    and the RLS reads that fold k < 9 pending rows under the 10 rows
+    [R | 0], wider than tall. Each holds +0.0 and -0.0 entries and a
+    column of zeros, so R's own signed zeros are exercised too."""
+    rng = np.random.default_rng(11)
+    full = rng.normal(size=(_FOLD_ROWS + 19, 19)) * np.logspace(0, 6, 19)
+    full[:, 4] = np.where(rng.random(len(full)) < 0.5, 0.0, -0.0)
+    full[7, :] = -0.0
+    square = np.triu(rng.normal(size=(19, 19)))
+    square[3, 3:] = -0.0
+    blocks = {"fit": full, "square": square}
+    for k in range(9):
+        rows = np.zeros((10 + k, 19))
+        rows[:10, :10] = np.triu(rng.normal(size=(10, 10)))
+        rows[10:] = rng.normal(size=(k, 19))
+        rows[10:, 2] = -0.0
+        blocks[f"read-{k}"] = rows
+    return blocks
+
+
+@pytest.mark.parametrize("name", list(fold_blocks()))
+def test_fold_is_numpys_r_byte_for_byte(name):
+    rows = fold_blocks()[name]
+    before = rows.tobytes()
+    R = _fold(rows)
+    ref = np.linalg.qr(rows, mode="r")
+    # tobytes compares every bit, sign bits included
+    assert R.shape == ref.shape and R.dtype == ref.dtype
+    assert R.tobytes() == ref.tobytes()
+    assert R.flags.c_contiguous and R.flags.writeable
+    # the strict lower triangle holds +0.0, as numpy's triu writes it
+    lower = np.tri(*R.shape, -1, dtype=bool)
+    assert np.all(R[lower] == 0.0) and not np.signbit(R[lower]).any()
+    # the rows themselves are left alone
+    assert rows.tobytes() == before
 
 
 def test_split_dataset_fractions():

@@ -195,7 +195,7 @@ def test_commands_read_no_config_dict():
 
 
 def unchecked_lifts(source: str, module: str) -> list[str]:
-    """Reads of ._lift_rows, named by the innermost function making them,
+    """Reads of ._lift_columns, named by the innermost function making them,
     except in basis.py and in rls.update_tick: the kernel skips the
     finiteness check, so only a caller whose input is a Trajectory, finite by
     construction, may use it."""
@@ -203,7 +203,7 @@ def unchecked_lifts(source: str, module: str) -> list[str]:
 
     def visit(node, func):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Attribute) and child.attr == "_lift_rows" \
+            if isinstance(child, ast.Attribute) and child.attr == "_lift_columns" \
                     and module != "basis" and (module, func) != ("rls", "update_tick"):
                 found.append(f"{func or '<module>'} (line {child.lineno})")
             visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -214,10 +214,11 @@ def unchecked_lifts(source: str, module: str) -> list[str]:
 
 
 def test_detects_unchecked_lifts():
-    source = ("def update_tick(state, basis, rows):\n    basis._lift_rows(rows)\n"
-              "def rollout(self, x0):\n    lift = self.basis._lift_rows\n"
-              "    def inner():\n        return lift(x0)\n"
-              "basis._lift_rows(x)\n")
+    source = ("def update_tick(state, basis, buffer):\n"
+              "    basis._lift_columns(buffer.v, buffer.f_tr)\n"
+              "def rollout(self, x0):\n    lift = self.basis._lift_columns\n"
+              "    def inner():\n        return lift(x0[:1], x0[1:])\n"
+              "basis._lift_columns(v, f)\n")
     assert unchecked_lifts(source, "rls") == ["rollout (line 4)", "<module> (line 7)"]
     assert unchecked_lifts(source, "model") == ["update_tick (line 2)", "rollout (line 4)",
                                                 "<module> (line 7)"]

@@ -1,5 +1,6 @@
 import copy
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -359,8 +360,7 @@ def test_rejected_pairs_leave_the_state_and_the_next_update_as_they_were():
     z, psi_next = lift_pair(basis, x[100], traj.v_ref[100:101], x[101])
     with pytest.raises(RlsUpdateRejectedError, match="non-finite prediction error"):
         rls_update(state, z, np.full(9, np.nan))
-    with pytest.raises(RlsUpdateRejectedError, match="non-finite prediction error"), \
-            np.errstate(invalid="ignore"):
+    with pytest.raises(RlsUpdateRejectedError, match="non-finite prediction error"):
         rls_update(state, np.full(10, np.inf), psi_next)
     assert (state.R.tobytes(), state.theta.tobytes(), state.P.tobytes()) == (R, theta, P)
     assert state.update_count == 100
@@ -369,6 +369,28 @@ def test_rejected_pairs_leave_the_state_and_the_next_update_as_they_were():
     feed(ref, basis, traj, 0, 100, 40)
     assert feed(state, basis, traj, 100, 300, 40) == feed(ref, basis, traj, 100, 300, 40)
     assert_same_state(state, ref)
+
+
+@pytest.mark.parametrize("action", ["error", "ignore"])
+def test_infinite_regressor_on_a_zero_column_is_refused(action):
+    # inf times theta's zero column is numpy's "invalid value" in theta z;
+    # where that warning is an error, as in this suite's settings, and where
+    # it is ignored, the kernel refuses the pair and the state stays as it was
+    basis = LiftedBasis()
+    state = init_rls(zero_model(basis), 0.9)
+    x = random_rows(4)
+    for i in range(3):
+        rls_update(state, *lift_pair(basis, x[i, :2], x[i, 2:], x[i + 1, :2]))
+    before = (state.R.tobytes(), state.theta.tobytes(), state.P.tobytes(),
+              state.update_count, state._pending)
+    z, psi_next = lift_pair(basis, x[3, :2], x[3, 2:], x[0, :2])
+    z[0] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter(action, RuntimeWarning)
+        with pytest.raises(RlsUpdateRejectedError, match="non-finite prediction error"):
+            rls_update(state, z, psi_next)
+    assert (state.R.tobytes(), state.theta.tobytes(), state.P.tobytes(),
+            state.update_count, state._pending) == before
 
 
 def test_kernel_rejects_nan_prediction_error():
@@ -486,8 +508,7 @@ def test_update_tick_names_first_bad_pair(cells, value, pair):
         columns[col][row] = value
         rows[row, col] = value
     with pytest.raises(RlsUpdateRejectedError,
-                       match=f"buffered pair {pair}: .*non-finite prediction error"), \
-            np.errstate(invalid="ignore"):
+                       match=f"buffered pair {pair}: .*non-finite prediction error"):
         update_tick(state, basis, buffer)
     assert state.update_count == pair
     # the pairs before it are applied exactly as pair-by-pair updates apply them
