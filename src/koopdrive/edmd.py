@@ -8,11 +8,15 @@ the stacked block theta = [A B] solves
     min || Psi+ - [Psi u] theta^T ||_F
 
 optionally with a ridge penalty ridge * ||theta||_F^2. The pairs are never
-stacked: each trajectory's rows [Psi | u | Psi+] are lifted and folded into
-the upper triangular factor R of a QR decomposition of all rows seen so far
-(a streaming tall-skinny QR) one block of _FOLD_ROWS pairs at a time, so
+stacked: build_matrices, the one fold loop, lifts each trajectory's rows
+[Psi | u | Psi+] one block of _FOLD_ROWS pairs at a time, checks the block
+finite once and folds it into the upper triangular factor R of a QR
+decomposition of all rows seen so far (a streaming tall-skinny QR), so
 beyond the trajectories the caller holds, memory stays at one (2N+1) x (2N+1)
-factor plus one fold block. Since R^T R equals the Gram matrix of the stacked
+factor plus one fold block. It returns R and the pair count as a frozen
+DataMatrices record. A lift that overflows is refused with ValueError naming
+the trajectory and its samples, where numpy's warnings are errors too.
+Since R^T R equals the Gram matrix of the stacked
 rows, every quantity of the fit follows from R alone: theta from its leading
 (N+1) x (N+1) block, the rank and condition number from that block's
 singular values (rank counts those above max(T, N+1) * eps * sigma_max), and
@@ -32,12 +36,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .basis import LiftedBasis, pow2_scale
-from .model import KoopmanModel, _check_fields, _check_same_sample_period, _check_sample_period
+from .model import KoopmanModel, _check_fields, _check_same_sample_period
 
 __all__ = [
     "FitConfig",
@@ -90,51 +94,15 @@ def _check_split(split) -> None:
         raise ValueError(f"split fractions must sum to 1, got {split}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DataMatrices:
-    """Upper triangular factor R of the stacked pairs [Psi | u | Psi+] and their count T.
-
-    Starts empty; `add` folds in a block of pairs, so R^T R always equals
-    M^T M for the (T, 2N+1) matrix M of every row added so far.
-    """
+    """Upper triangular factor R of the stacked pairs [Psi | u | Psi+] and their
+    count T: R^T R equals M^T M for the (T, 2N+1) matrix M of the pairs."""
 
     basis: LiftedBasis
     sample_period: float
-    R: np.ndarray = field(init=False, repr=False)
-    T: int = field(init=False, default=0)
-
-    def __post_init__(self):
-        _check_sample_period(self.sample_period)
-        m = 2 * self.basis.lifted_dim + 1
-        self.R = np.zeros((m, m))
-
-    def add(self, X, X_plus, U) -> None:
-        """Fold k pairs into R: X and X_plus are (k, N) lifted states and their
-        successors, one pair per row, and U holds the k advisory speeds."""
-        N = self.basis.lifted_dim
-        X = np.asarray(X, dtype=float)
-        X_plus = np.asarray(X_plus, dtype=float)
-        U = np.asarray(U, dtype=float)
-        if X.ndim != 2 or X.shape[1] != N:
-            raise ValueError(f"X must be (k, {N}), got {X.shape}")
-        if X_plus.shape != X.shape:
-            raise ValueError(f"X_plus shape {X_plus.shape} must match X {X.shape}")
-        k = X.shape[0]
-        if U.shape != (k,):
-            raise ValueError(f"U must be ({k},), got {U.shape}")
-        for name, block in (("X", X), ("X_plus", X_plus), ("U", U)):
-            if not np.all(np.isfinite(block)):
-                raise ValueError(f"{name} contains non-finite values")
-        m = len(self.R)
-        for lo in range(0, k, _FOLD_ROWS):
-            hi = min(lo + _FOLD_ROWS, k)
-            rows = np.empty((m + hi - lo, m))
-            rows[:m] = self.R
-            rows[m:, :N] = X[lo:hi]
-            rows[m:, N] = U[lo:hi]
-            rows[m:, N + 1:] = X_plus[lo:hi]
-            self.R = _fold(rows)
-        self.T += k
+    R: np.ndarray
+    T: int
 
 
 def build_matrices(trajectories, basis: LiftedBasis) -> DataMatrices:
@@ -145,6 +113,8 @@ def build_matrices(trajectories, basis: LiftedBasis) -> DataMatrices:
     lifted from samples lo..hi, and each block is one fold of R: the same
     rows and the same folds as lifting the whole trajectory, so R is bit
     for bit the same, while no more than one block's lifted pairs exist.
+    A block whose lift overflows raises ValueError naming the trajectory
+    and its samples, whatever numpy's warning settings.
     """
     trajectories = list(trajectories)
     if not trajectories:
@@ -152,14 +122,26 @@ def build_matrices(trajectories, basis: LiftedBasis) -> DataMatrices:
     period = trajectories[0].sample_period
     for i, traj in enumerate(trajectories):
         _check_same_sample_period(f"trajectory {i}", traj.sample_period, "trajectory 0", period)
-    matrices = DataMatrices(basis=basis, sample_period=period)
-    for traj in trajectories:
+    N = basis.lifted_dim
+    m = 2 * N + 1
+    R = np.zeros((m, m))
+    for i, traj in enumerate(trajectories):
         pairs = len(traj) - 1
         for lo in range(0, pairs, _FOLD_ROWS):
             hi = min(lo + _FOLD_ROWS, pairs)
-            Z = basis.lift_many(np.column_stack((traj.v[lo:hi + 1], traj.f_tr[lo:hi + 1])))
-            matrices.add(Z[:-1], Z[1:], traj.v_ref[lo:hi])
-    return matrices
+            # an overflow is refused below, by one check of the block
+            with np.errstate(over="ignore", invalid="ignore"):
+                Z = basis.lift_many(np.column_stack((traj.v[lo:hi + 1], traj.f_tr[lo:hi + 1])))
+            if not np.isfinite(Z).all():
+                raise ValueError(f"trajectory {i}: samples {lo}..{hi} (t = {float(traj.t[lo])} "
+                                 f"to {float(traj.t[hi])} s) lift to non-finite values")
+            rows = np.empty((m + hi - lo, m))
+            rows[:m] = R
+            rows[m:, :N] = Z[:-1]
+            rows[m:, N] = traj.v_ref[lo:hi]
+            rows[m:, N + 1:] = Z[1:]
+            R = _fold(rows)
+    return DataMatrices(basis, period, R, sum(len(traj) - 1 for traj in trajectories))
 
 
 def split_dataset(trajectories, split=(0.8, 0.1, 0.1)):

@@ -20,11 +20,12 @@ import pytest
 from koopdrive.advisory import EcoDpConfig, RouteSpec, edge_quantities, solve_eco_dp
 from koopdrive.basis import LiftedBasis
 from koopdrive.cli import main
-from koopdrive.edmd import DataMatrices, FitConfig, fit
+from koopdrive.edmd import FitConfig, fit
 from koopdrive.evaluate import bench_update, evaluate_horizons
 from koopdrive.model import KoopmanModel, Trajectory
 from koopdrive.rls import (OnlineSettings, init_rls, rls_update, snapshot_model, stream_ticks,
                            update_tick)
+from test_edmd import fold_pairs
 from test_rls import parent_kernel
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -170,8 +171,7 @@ def test_offline_fit_recovers_linear_system(verdict):
         T = 5000
         X = rng.normal(size=(9, T))
         U = rng.normal(size=(1, T))
-        data = DataMatrices(basis=basis, sample_period=0.025)
-        data.add(X.T, (A @ X + B @ U).T, U[0])
+        data = fold_pairs(basis, np.vstack([X, U, A @ X + B @ U]).T)
         model = fit(data, FitConfig(ridge=0.0))
         truth = np.hstack([A, B])
         rel = np.linalg.norm(model.stacked() - truth) / np.linalg.norm(truth)
@@ -186,8 +186,7 @@ def test_streaming_matches_batch(verdict):
         pts = rng.normal(size=(T, 2))
         nxt = rng.normal(size=(T, 2))
         U = rng.normal(size=(1, T))
-        data = DataMatrices(basis=basis, sample_period=0.025)
-        data.add(basis.lift_many(pts), basis.lift_many(nxt), U[0])
+        data = fold_pairs(basis, np.hstack([basis.lift_many(pts), U.T, basis.lift_many(nxt)]))
         batch = fit(data, FitConfig(ridge=1.0))
         state = init_rls(_zero_model(basis), 1.0)
         for k in range(T):

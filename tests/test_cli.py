@@ -8,6 +8,7 @@ import os
 import re
 import shutil
 import typing
+import warnings
 
 from pathlib import Path
 
@@ -274,6 +275,28 @@ def test_fit_state_peak_without_pow2_scale_exit_3(tmp_path, config_file, capsys)
                  "--model-out", str(out)]) == 3
     err = capsys.readouterr().err
     assert "f_tr" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("action", ["error", "always"])
+def test_fit_on_a_test_sample_whose_lift_overflows_exit_3(tmp_path, toy_build, action, capsys):
+    # the last driver's tail is the test split; 1e120 cubed overflows its
+    # lift, which exits 3 naming the samples, with no numpy warning whether
+    # warnings are errors, as in this suite's settings, or are all shown
+    data = tmp_path / "drivers"
+    shutil.copytree(toy_build / "drivers", data)
+    traj = Trajectory.read_csv(data / "driver_03.csv")
+    traj.v[-20] = 1e120
+    traj.write_csv(data / "driver_03.csv")
+    out = tmp_path / "m.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action, RuntimeWarning)
+        assert main(["fit", "--data", str(data), "--config", str(toy_build / "config.json"),
+                     "--model-out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert re.search(r"trajectory 0: samples \d+\.\.\d+ \(t = .* s\) lift to non-finite", err)
+    assert "Traceback" not in err and "Warning" not in err
+    assert caught == []
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -35,11 +36,21 @@ def random_lifted_system(seed=0, spectral_radius=0.9):
     return basis, A, B, rng
 
 
+def fold_pairs(basis, *trajectory_rows, sample_period=0.025):
+    """DataMatrices of stacked pair rows [Psi | u | Psi+], one array per
+    trajectory, each folded by edmd._fold in blocks of _FOLD_ROWS rows from
+    its first row, as build_matrices folds a trajectory's lifted blocks."""
+    m = 2 * basis.lifted_dim + 1
+    R = np.zeros((m, m))
+    for M in trajectory_rows:
+        for lo in range(0, len(M), _FOLD_ROWS):
+            R = _fold(np.vstack([R, M[lo:lo + _FOLD_ROWS]]))
+    return DataMatrices(basis, sample_period, R, sum(len(M) for M in trajectory_rows))
+
+
 def fold(basis, X, X_plus, U):
     """DataMatrices of the pairs in the columns of X, X_plus (N x T) and U (1 x T)."""
-    data = DataMatrices(basis=basis, sample_period=0.025)
-    data.add(X.T, X_plus.T, U[0])
-    return data
+    return fold_pairs(basis, np.vstack([X, U, X_plus]).T)
 
 
 def lifted_data(basis, A, B, rng, T):
@@ -159,11 +170,8 @@ def test_build_matrices_pairs_align():
 
 def whole_trajectory_matrices(trajectories, basis):
     """Reference for build_matrices: each trajectory lifted in one piece."""
-    data = DataMatrices(basis=basis, sample_period=trajectories[0].sample_period)
-    for traj in trajectories:
-        Z = basis.lift_many(traj.states())
-        data.add(Z[:-1], Z[1:], traj.v_ref[:-1])
-    return data
+    return fold_pairs(basis, *(stacked_pairs([traj], basis) for traj in trajectories),
+                      sample_period=trajectories[0].sample_period)
 
 
 @pytest.mark.parametrize("pairs", [1, _FOLD_ROWS - 1, _FOLD_ROWS, _FOLD_ROWS + 1,
@@ -192,24 +200,19 @@ def test_build_matrices_memory_stays_near_one_block():
     assert peak < 0.5 * len(traj) * basis.lifted_dim * 8
 
 
-def test_add_folds_blocks_and_rejects_non_finite_values():
-    basis = LiftedBasis()
-    rng = np.random.default_rng(10)
-    M = np.hstack([basis.lift_many(rng.normal(size=(90, 2))), rng.normal(size=(90, 1)),
-                   basis.lift_many(rng.normal(size=(90, 2)))])
-    data = DataMatrices(basis=basis, sample_period=0.025)
-    for lo, hi in ((0, 5), (5, 40), (40, 90)):
-        data.add(M[lo:hi, :9], M[lo:hi, 10:], M[lo:hi, 9])
-    assert data.T == 90
-    assert_same_gram(data.R, M)
-    R_before = data.R.copy()
-    for name, col in (("X", 3), ("U", 9), ("X_plus", 12)):
-        bad = M[:4].copy()
-        bad[2, col] = np.inf
-        with pytest.raises(ValueError, match=f"^{name} contains non-finite values"):
-            data.add(bad[:, :9], bad[:, 10:], bad[:, 9])
-    np.testing.assert_array_equal(data.R, R_before)
-    assert data.T == 90
+@pytest.mark.parametrize("action", ["error", "always"])
+def test_build_matrices_refuses_a_lift_that_overflows(action):
+    # 1e120 cubed overflows the lift; the refusal names the trajectory and
+    # its block's samples, and numpy warns of nothing, whether its warnings
+    # are errors, as in this suite's settings, or are all shown
+    bad = make_traj(_FOLD_ROWS + 100, seed=2)
+    bad.v[_FOLD_ROWS + 10] = 1e120
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action, RuntimeWarning)
+        with pytest.raises(ValueError, match=rf"^trajectory 1: samples {_FOLD_ROWS}\.\."
+                           rf"{_FOLD_ROWS + 99} \(t = 102\.4 to .* s\) lift to non-finite"):
+            build_matrices([make_traj(50, seed=1), bad], LiftedBasis())
+    assert caught == []
 
 
 def fold_blocks():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from koopdrive.basis import LiftedBasis
-from koopdrive.edmd import DataMatrices, FitConfig, fit
+from koopdrive.edmd import FitConfig, fit
 from koopdrive.model import KoopmanModel, Trajectory
 from koopdrive.rls import (
     _FOLD_PAIRS,
@@ -18,6 +18,7 @@ from koopdrive.rls import (
     stream_ticks,
     update_tick,
 )
+from test_edmd import fold_pairs
 
 
 def zero_model(basis=None):
@@ -142,8 +143,7 @@ def test_batch_equivalence():
     pts = rng.normal(size=(T, 2))
     nxt = rng.normal(size=(T, 2))
     U = rng.normal(size=(1, T))
-    data = DataMatrices(basis=basis, sample_period=0.025)
-    data.add(basis.lift_many(pts), basis.lift_many(nxt), U[0])
+    data = fold_pairs(basis, np.hstack([basis.lift_many(pts), U.T, basis.lift_many(nxt)]))
     batch = fit(data, FitConfig(ridge=1.0))
 
     # lambda = 1 from theta_0 = 0 starts from P = I, which is a ridge of 1
