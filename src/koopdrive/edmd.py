@@ -147,18 +147,19 @@ def build_matrices(trajectories, basis: LiftedBasis) -> DataMatrices:
 def split_dataset(trajectories, split=(0.8, 0.1, 0.1)):
     """Contiguous train/validation/test split of the cascaded sample stream.
 
-    Trajectories are concatenated in order and cut at floor(f * total)
-    sample boundaries; a trajectory that spans a boundary is divided, and the
-    transition pair across the cut is dropped implicitly. Each resulting part
-    must contain at least 2 samples.
+    Trajectories are concatenated in order and cut at floor((f + 1e-9) *
+    total) sample boundaries, f a cumulative fraction; a trajectory that
+    spans a boundary is divided, and the transition pair across the cut is
+    dropped implicitly. Each resulting part must contain at least 2 samples.
     """
     trajectories = list(trajectories)
     if not trajectories:
         raise ValueError("need at least one trajectory")
     _check_split(split)
     total = sum(len(t) for t in trajectories)
-    b1 = int(math.floor(split[0] * total))
-    b2 = int(math.floor((split[0] + split[1]) * total))
+    # with the 1e-9 slack _check_split allows on the sum, so that 0.7 + 0.2,
+    # 0.8999999999999999 in floats, cuts 30 samples at 27
+    b1, b2 = (int(math.floor((f + 1e-9) * total)) for f in (split[0], split[0] + split[1]))
     parts: tuple[list, list, list] = ([], [], [])
     names = ("train", "validation", "test")
     bounds = (0, b1, b2, total)

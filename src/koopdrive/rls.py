@@ -29,8 +29,12 @@ state.theta or state.P folds the pending rows into a copy, so theta after
 k pairs depends neither on the tick boundaries nor on the reads, and a
 theta read is read-only. A fold or read whose R11 has sigma_min <= p eps sigma_max
 (edmd.fit's rank rule, with p regressors) raises RlsUpdateRejectedError,
-as does a non-finite prediction error, also where numpy's warnings are
-errors; the refused pair leaves the state as it was.
+as does a non-finite prediction error; the refused pair leaves the state
+as it was. The verdict, the pair it names and the state do not depend on
+numpy's warning settings: where RuntimeWarnings are errors, an overflow in
+the tick's lift or in an error's square is caught and the step redone as
+numpy does it by default, on the exception path only, so an accepted tick
+enters no np.errstate.
 
 update_tick is the per-tick entry: it checks that the state has
 lifted_dim + 1 columns and lifts the k + 1 samples of its Trajectory
@@ -180,6 +184,8 @@ def rls_update(state: RlsState, z: np.ndarray, psi_next: np.ndarray) -> float:
     prediction error, or a fold whose information is singular, raises
     RlsUpdateRejectedError and leaves the state as it was; so does an
     inf * 0 or inf - inf in the prediction where RuntimeWarnings are errors.
+    A finite error whose square overflows is accepted, with norm inf, in
+    every warning mode.
     """
     k = state._pending
     p = state.n_features
@@ -192,7 +198,12 @@ def rls_update(state: RlsState, z: np.ndarray, psi_next: np.ndarray) -> float:
         # inf * 0 or inf - inf where warnings are errors; elsewhere the NaN
         # it makes is refused below
         raise RlsUpdateRejectedError("update rejected: non-finite prediction error") from exc
-    sq = eps.dot(eps)
+    try:
+        sq = eps.dot(eps)
+    except RuntimeWarning:
+        # a finite eps whose square overflows, where warnings are errors;
+        # elsewhere sq is inf, and the pair passes below either way
+        sq = math.inf
     # sq is finite only if eps is; a finite eps whose square overflows passes
     if not math.isfinite(sq) and not np.all(np.isfinite(eps)):
         raise RlsUpdateRejectedError("update rejected: non-finite prediction error")
@@ -216,14 +227,22 @@ def update_tick(state: RlsState, basis: LiftedBasis, buffer: Trajectory) -> np.n
     RlsUpdateRejectedError naming the pair's index in the buffer, and the
     pairs before it stay applied. A state made non-finite in sample r after
     the buffer was built is refused at pair r - 1 (its target), or at pair
-    0 for the first sample, and an input in sample r at pair r.
+    0 for the first sample, and an input in sample r at pair r. A sample
+    whose lift overflows is refused the same way, also where numpy's
+    RuntimeWarnings are errors.
     """
     if state.n_features != basis.lifted_dim + 1:
         raise ValueError(f"state has {state.n_features} columns, expected "
                          f"{basis.lifted_dim + 1} for this basis")
     # row i of Z is [psi(x_i) | u_i], the regressor z_i, and psi(x_i) is the
     # target of pair i - 1; the last sample's u is never read
-    psi = basis._lift_columns(buffer.v, buffer.f_tr)
+    try:
+        psi = basis._lift_columns(buffer.v, buffer.f_tr)
+    except RuntimeWarning:
+        # an overflow where warnings are errors: lift again as elsewhere, so
+        # rls_update refuses the first pair that reads a non-finite row
+        with np.errstate(over="ignore", invalid="ignore"):
+            psi = basis._lift_columns(buffer.v, buffer.f_tr)
     Z = np.concatenate((psi, buffer.v_ref[:, None]), axis=1)
     errs = np.empty(len(buffer) - 1)
     try:

@@ -21,7 +21,10 @@ The report's sixteen RMSEs are also checked against the values written in
 below, which the per-step rollout loop and the P-form kernel produced, to
 1e-9 relative, so that a new digest cannot hide drift. Any change to the
 bytes of these files fails here. `advisory_meta.json` is left out because
-it records the absolute route path.
+it records the absolute route path. `fit` and `update --cadence 1.0` are
+also run in a fresh process with `OPENBLAS_NUM_THREADS=1`, and their
+`model.json`, `report.json` and updated model must match the same digests,
+so the digests do not depend on the BLAS thread count.
 
 The digests pin numpy's `default_rng` streams (PCG64 `standard_normal` for
 the command noise, `random` for the gain jitter). A numpy release that
@@ -34,6 +37,8 @@ import csv
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -159,3 +164,28 @@ def test_online_outputs_match_golden_digests(builds, tmp_path):
         assert rmse.keys() == LOOP_RMSE.keys()
         for key, expect in LOOP_RMSE.items():
             np.testing.assert_allclose(rmse[key], expect, rtol=1e-9, atol=0.0)
+
+
+def test_fit_and_update_digests_hold_with_one_blas_thread(builds, tmp_path):
+    # one OpenBLAS thread, set before numpy loads in a fresh process, folds
+    # and solves to the same bits as the machine's default thread count
+    build = builds["machine CPUs"]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                        os.environ.get("PYTHONPATH")])))
+
+    def cli(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from koopdrive.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", *argv, "--config", str(build / "config.json")],
+            env=env, capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+
+    cli("fit", "--data", str(build / "drivers"), "--model-out", str(tmp_path / "model.json"),
+        "--report-out", str(tmp_path / "report.json"))
+    assert _digests(tmp_path, FIT_GOLDEN) == FIT_GOLDEN
+    cli("update", "--model", str(tmp_path / "model.json"),
+        "--data", str(build / "drivers" / "driver_03.csv"), "--segment", "515", "630",
+        "--cadence", "1.0", "--out", str(tmp_path / "update_1.0.json"))
+    name = "update_1.0.json"
+    assert _digests(tmp_path, [name]) == {name: ONLINE_GOLDEN[name]}

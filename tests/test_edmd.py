@@ -264,6 +264,13 @@ def test_split_dataset_fractions():
     assert total == 1000
 
 
+def test_split_cuts_at_the_cumulative_fraction():
+    # 0.7 + 0.2 is 0.8999999999999999 in floats, and 30 times that floors to
+    # 26; the cut allows the 1e-9 slack the fractions' sum is allowed
+    parts = split_dataset([make_traj(30, seed=4)], (0.7, 0.2, 0.1))
+    assert [len(part[0]) for part in parts] == [21, 6, 3]
+
+
 def test_split_rejects_bad_fractions():
     with pytest.raises(ValueError):
         FitConfig(split=(0.5, 0.2, 0.2))

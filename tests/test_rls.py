@@ -393,6 +393,41 @@ def test_infinite_regressor_on_a_zero_column_is_refused(action):
             state.update_count, state._pending) == before
 
 
+@pytest.mark.parametrize("action", ["error", "ignore"])
+@pytest.mark.parametrize("value, pair, reason", [
+    pytest.param(1e120, 9, "non-finite prediction error", id="lift-overflows"),
+    pytest.param(1e60, 39, "singular", id="error-square-overflows"),
+])
+def test_huge_speed_gets_one_verdict_in_every_warning_mode(action, value, pair, reason):
+    # a speed of 1e120 in sample 10 overflows the tick's lift, and pair 9
+    # is refused; one of 1e60 lifts, but pair 9's error norm overflows to
+    # inf, which is accepted, and the fold after pair 39 is singular. Where
+    # numpy's warnings are errors, as in this suite's settings, and where
+    # they are ignored, the verdict, its pair and the state are the same
+    basis = LiftedBasis(scale=(16.0, 512.0))
+    model = KoopmanModel.from_stacked(
+        basis, np.random.default_rng(8).normal(0, 0.1, size=(9, 10)), 0.025)
+    rows = random_rows(41, 10.0, 500.0)
+    rows[10, 0] = value
+    buffer = traj_of(rows)
+
+    def run(mode):
+        state = init_rls(model, 0.99737)
+        with warnings.catch_warnings():
+            warnings.simplefilter(mode, RuntimeWarning)
+            with pytest.raises(RlsUpdateRejectedError, match=f"buffered pair {pair}: .*{reason}"):
+                update_tick(state, basis, buffer)
+        # theta and P would fold the pending rows, singular here; the state
+        # is theta as of the last fold and the stack's rows up to the pending ones
+        p = state.n_features
+        return (state._theta.tobytes(), state._rows[:p + state._pending].tobytes(),
+                state._pending, state.update_count)
+
+    state = run(action)
+    assert state[3] == pair
+    assert state == run("ignore")
+
+
 def test_kernel_rejects_nan_prediction_error():
     basis, model, Z, psi = scaled_stream(1)
     state = init_rls(model, 0.99737)
