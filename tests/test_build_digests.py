@@ -10,16 +10,20 @@ fit's memory layout (shared roster columns, block lifting) was changed; the
 fit's `model.json` must also load and save back to the same bytes. On the
 distracted driver it then runs `update` over 515-630 s at cadence 1.0 and 0.1
 and `eval --online`, and compares the SHA-256 of the updated models, the tick
-logs and the `eval --online` report CSV with digests recorded when the RLS
-state took the square-root information form, which folds 40 pairs at a time
-and rounds differently from the P form it replaced: the updated theta moved
-by 5.9e-11 of max|theta|, the `eval --online` RMSEs by at most 3.0e-13
-relative, and the tick logs' `mean_err_norm` changed meaning, to the error
-against theta as of the last fold (the kernel's own tolerance gates are in
-test_rls.py and test_acceptance.py).
+logs and the `eval --online` report CSV with digests recorded when the
+segment came to be selected on the t column, which starts 515-630 s at
+t = 515.0 (sample 20600) where the period read from t had put it one sample
+later. The RLS state is in the square-root information form, which folds 40
+pairs at a time and rounds differently from the P form it replaced: the
+`eval --online` RMSEs are 2.3e-13 relative or less off the P-form kernel's,
+and the tick logs' `mean_err_norm` is the error against theta as of the last
+fold (the kernel's own tolerance gates are in test_rls.py and
+test_acceptance.py).
 The report's sixteen RMSEs are also checked against the values written in
-below, which the per-step rollout loop and the P-form kernel produced, to
-1e-9 relative, so that a new digest cannot hide drift. Any change to the
+below, which the per-step rollout loop (test_acceptance._step_loop_states)
+and the P-form kernel (test_rls.parent_kernel, one pair at a time) produced
+on samples 20600-25200, to 1e-9 relative, so that a new digest cannot hide
+drift. Any change to the
 bytes of these files fails here. `advisory_meta.json` is left out because
 it records the absolute route path. `fit` and `update --cadence 1.0` are
 also run in a fresh process with `OPENBLAS_NUM_THREADS=1`, and their
@@ -71,24 +75,24 @@ FIT_GOLDEN = {
 
 
 ONLINE_GOLDEN = {
-    "update_1.0.json": "61b02d714d6bd292340ecee5d0faad0d77f50a0fb38eecfb72c45f2cf5c8b0dc",
-    "ticks_1.0.csv": "c08e1da01794c5053405f8289852eccc455fd6bc36f35936341015c222dbcda5",
-    "update_0.1.json": "03d1f21b1da0c5b46d56356eb6e6403e66719e07ef59ac109e9b1a57942f8577",
-    "ticks_0.1.csv": "4804db9d945641b33b5428b6c13f09164f68f39dc54aea6875c7be1e859cc8e9",
-    "eval_online.csv": "09ef32f07c7777316ce5771d9027ba78f9778c53bef7be7a5d8a486d69db8e8c",
+    "update_1.0.json": "0508271d7a7e77a616edff48ddf8557b1c7fdddab7adbb8f39417e4922773481",
+    "ticks_1.0.csv": "0f91120ccab4a88291cb5d3c39757d00c3aa10787a1f14edb28c400d8d63b6f5",
+    "update_0.1.json": "743956127ee69375d2ab889f9eba1575d2926a2e13134b0bcb506397722bc259",
+    "ticks_0.1.csv": "433100768ceec1e85ad2262ef95bea7c5fddf97c0b0cb418298c1fa4f0feb90d",
+    "eval_online.csv": "07296f34cf8b674ca502ab643ca522868fd22426314227fb686ad9edf4df2a52",
 }
 
 # (horizon_s, variant): (rmse_speed_mps, rmse_force_n) of the `eval --online`
 # report, as the per-step rollout loop wrote them
 LOOP_RMSE = {
-    ("50.0", "offline"): (3.6266275997680677, 1243.3605804830395),
-    ("20.0", "offline"): (3.267031590149925, 1138.8344010292672),
-    ("10.0", "offline"): (2.7879665266764557, 1237.7952202768588),
-    ("5.0", "offline"): (1.7957444404332494, 1505.2797229705902),
-    ("50.0", "online"): (2.843893398885055, 661.1199387387937),
-    ("20.0", "online"): (2.5489010547525135, 658.4737328395133),
-    ("10.0", "online"): (1.515969241764584, 607.7597940118104),
-    ("5.0", "online"): (0.5298926732484205, 486.1205320471475),
+    ("50.0", "offline"): (3.6278790563347876, 1244.621941942476),
+    ("20.0", "offline"): (3.267897035641078, 1142.8540092748299),
+    ("10.0", "offline"): (2.7978794341382187, 1242.6593232147206),
+    ("5.0", "offline"): (1.7729317009191583, 1479.7457349219678),
+    ("50.0", "online"): (2.8481760520909534, 663.9408199727495),
+    ("20.0", "online"): (2.5541224953583654, 663.7906002267002),
+    ("10.0", "online"): (1.5076843425341941, 608.0221386503312),
+    ("5.0", "online"): (0.5107804144403066, 475.08620137082016),
 }
 
 

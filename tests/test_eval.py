@@ -82,6 +82,21 @@ def test_segment_beyond_trajectory():
         evaluate_horizons(traj, model, [1.0], (0.0, 500.0))
 
 
+def test_segment_of_a_csv_starts_at_its_first_sample(tmp_path):
+    # the period read from a 26447-sample CSV at 0.025 s, the shipped
+    # drive's length, is 5.7e-14 relative short; converting 515 s to samples
+    # through it started the segment one sample late, at t = 515.025, and
+    # the 5 s horizon scored 22 of its 23 windows
+    model = linear_readout_model()
+    path = tmp_path / "drive.csv"
+    model_trajectory(model, n=26447).write_csv(str(path))
+    traj = Trajectory.read_csv(str(path))
+    assert traj.sample_period < 0.025
+    assert traj.segment_indices(515.0, 630.0) == (20600, 25200)
+    report, = evaluate_horizons(traj, model, [5.0], (515.0, 630.0))
+    assert report.n_windows == 23
+
+
 def test_online_matches_offline_on_perfect_model():
     # an exact model leaves the RLS error at zero, so adaptation changes
     # nothing and both variants agree
