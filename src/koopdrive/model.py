@@ -143,10 +143,10 @@ class Trajectory:
     def segment_indices(self, t_start: float, t_end: float) -> tuple[int, int]:
         """First and last index of the samples with t in [t_start, t_end].
 
-        The samples are found in the t column itself, each bound with a
-        millionth of a period to spare, so neither the rounding of t nor that
-        of a period read from t (the median spacing of arange(n) * 0.025 is
-        5.7e-14 relative short) moves a bound by a sample. Raises ValueError
+        The bounds are found in the t column itself, with a millionth of a
+        period to spare, so the rounding of a period read from t (the median
+        spacing of arange(n) * 0.025 can be 5.7e-14 relative short) does not
+        move them by a sample. Raises ValueError
         unless t_start < t_end, both bounds are a finite number of sample
         periods from the first sample, the segment lies inside the
         trajectory and it covers at least 2 samples.
