@@ -315,7 +315,6 @@ class AdvisoryProfile:
     point association).
     """
 
-    step_m: float
     positions: np.ndarray
     v_ref: np.ndarray
     soc: np.ndarray
@@ -502,7 +501,6 @@ def solve_eco_dp(route: RouteSpec, config: EcoDpConfig) -> AdvisoryProfile:
     Ties in the forward pass break toward the smaller acceleration magnitude,
     then toward keeping the engine off, then toward the lower speed.
     """
-    ds = route.step_m
     S = route.n_steps
     vgrid = np.linspace(config.speed_floor, float(np.max(route.v_max)), config.v_levels)
     socgrid = np.linspace(config.soc_min, config.soc_max, config.soc_levels)
@@ -546,7 +544,6 @@ def solve_eco_dp(route: RouteSpec, config: EcoDpConfig) -> AdvisoryProfile:
         node_times[j + 1] = node_times[j] + dt[e, c]
 
     return AdvisoryProfile(
-        step_m=ds,
         positions=route.positions,
         v_ref=v_ref,
         soc=soc,

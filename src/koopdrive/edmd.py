@@ -265,12 +265,12 @@ def fit(matrices: DataMatrices, config: FitConfig) -> KoopmanModel:
         "basis": f"monomials of degree 1..{matrices.basis.max_degree}",
         "scaled": True,
     }
-    return KoopmanModel.from_stacked(matrices.basis, theta, matrices.sample_period, provenance)
+    return KoopmanModel(matrices.basis, theta, matrices.sample_period, provenance)
 
 
 def _one_step_rmse(model: KoopmanModel, matrices: DataMatrices) -> tuple[float, float]:
     # the identity columns of the lifted error, in physical units
-    err = _errors(matrices.R, model.stacked())[:, :2]
+    err = _errors(matrices.R, model.theta)[:, :2]
     rms = np.sqrt(np.sum(err**2, axis=0) / matrices.T) * matrices.basis.scale
     return float(rms[0]), float(rms[1])
 

@@ -1,9 +1,12 @@
 """Lifted linear driver-response model: prediction, rollout, persistence.
 
-A model is the triple (A, B, basis) together with the sample period. One
-prediction step advances the lifted vector z by A @ z + B @ u, where u is the
-advisory speed, the one exogenous input, so B is a single column. The
-physical state (v, f_tr) is read out of the first two entries of z (the
+A model is the basis, the parameter block theta = [A B] and the sample
+period. One prediction step advances the lifted vector z by A @ z + B @ u,
+where u is the advisory speed, the one exogenous input, so B is a single
+column and theta is N x (N + 1). Every model, fitted, adapted or loaded, is
+built by the KoopmanModel constructor, which copies theta and checks its
+shape, its finiteness and the sample period once; A and B are views of it.
+The physical state (v, f_tr) is read out of the first two entries of z (the
 identity observables), so the readout matrix is [I 0] by construction and
 is not stored.
 
@@ -28,13 +31,13 @@ state and every state are checked finite on the way and the time column is
 an arange of the sample period.
 Trajectory.slice_samples copies a slice of an already validated trajectory
 and does not validate it again either; both build their result through
-_trusted_trajectory. KoopmanModel.from_stacked checks the stacked block
-[A B] once and does not check the copies of A and B again.
+_trusted_trajectory.
 
-Model files are JSON documents carrying the basis metadata, the matrices at
-full decimal precision, and free-form provenance left by the fitting code.
-A reload builds the model through its constructor, so a file passes the same
-checks as a model made in memory, and reproduces the matrices bit for bit.
+Model files are JSON documents carrying the basis metadata, A and B at full
+decimal precision, and free-form provenance left by the fitting code. A
+reload checks A's and B's shapes, stacks them and builds the model through
+its constructor, so a file passes the same checks as a model made in memory,
+and reproduces the matrices bit for bit.
 
 The number rule and the time grid are one rule each, kept here. _is_number
 accepts a real (or integral) value with a finite float that is not a bool,
@@ -350,23 +353,21 @@ def _doubling_scan(W: np.ndarray, powers) -> None:
 
 @dataclass
 class KoopmanModel:
-    """Linear recursion in lifted coordinates driven by the advisory speed."""
+    """Linear recursion in lifted coordinates driven by the advisory speed:
+    theta = [A B], a copy of the array passed in, with A and B views of it."""
 
     basis: LiftedBasis
-    A: np.ndarray
-    B: np.ndarray
+    theta: np.ndarray
     sample_period: float
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.A = np.asarray(self.A, dtype=float)
-        self.B = np.asarray(self.B, dtype=float)
+        self.theta = np.array(self.theta, dtype=float)
         N = self.basis.lifted_dim
-        if self.A.shape != (N, N):
-            raise ValueError(f"A must be ({N}, {N}) for this basis, got {self.A.shape}")
-        if self.B.shape != (N, 1):
-            raise ValueError(f"B must be ({N}, 1) for this basis, got {self.B.shape}")
-        if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.B))):
+        if self.theta.shape != (N, N + 1):
+            raise ValueError(f"theta must be ({N}, {N + 1}) for this basis, "
+                             f"got {self.theta.shape}")
+        if not np.isfinite(self.theta).all():
             raise ValueError("model matrices must be finite")
         _check_sample_period(self.sample_period)
 
@@ -374,32 +375,13 @@ class KoopmanModel:
     def lifted_dim(self) -> int:
         return self.basis.lifted_dim
 
-    @classmethod
-    def from_stacked(cls, basis: LiftedBasis, theta: np.ndarray, sample_period: float,
-                     provenance: dict | None = None) -> "KoopmanModel":
-        """Build a model from the stacked parameter block [A B].
+    @property
+    def A(self) -> np.ndarray:
+        return self.theta[:, :self.lifted_dim]
 
-        A and B are copied out of theta once, so the model never shares
-        memory with theta, and the constructor's checks run once on theta
-        rather than again on the copies.
-        """
-        theta = np.asarray(theta, dtype=float)
-        N = basis.lifted_dim
-        if theta.shape != (N, N + 1):
-            raise ValueError(f"stacked block must be ({N}, {N + 1}), got {theta.shape}")
-        if not np.isfinite(theta).all():
-            raise ValueError("model matrices must be finite")
-        _check_sample_period(sample_period)
-        model = object.__new__(cls)
-        model.basis = basis
-        model.A = theta[:, :N].copy()
-        model.B = theta[:, N:].copy()
-        model.sample_period = sample_period
-        model.provenance = provenance or {}
-        return model
-
-    def stacked(self) -> np.ndarray:
-        return np.hstack([self.A, self.B])
+    @property
+    def B(self) -> np.ndarray:
+        return self.theta[:, self.lifted_dim:]
 
     def rollout(self, x0, inputs) -> Trajectory:
         """Simulate the model forward from a physical initial state.
@@ -516,14 +498,20 @@ class KoopmanModel:
         if not isinstance(provenance, dict):
             raise ModelFileError(f"{path}: provenance must be an object")
         try:
-            for key in ("A", "B"):
+            N = basis.lifted_dim
+            blocks = []
+            for key, shape in (("A", (N, N)), ("B", (N, 1))):
                 # numpy reads a JSON true as 1.0 and a string "0.5" as 0.5
                 rows = payload.get(key)
                 bad = [x for row in rows if isinstance(row, list) for x in row
                        if not _is_number(x)] if isinstance(rows, list) else []
                 if bad:
                     raise ValueError(f"{key} entries must be finite numbers, got {bad[0]!r}")
-            return cls(basis=basis, A=payload.get("A"), B=payload.get("B"),
+                blocks.append(np.asarray(rows, dtype=float))
+                if blocks[-1].shape != shape:
+                    raise ValueError(f"{key} must be {shape} for this basis, "
+                                     f"got {blocks[-1].shape}")
+            return cls(basis=basis, theta=np.hstack(blocks),
                        sample_period=payload.get("sample_period"), provenance=provenance)
         except (TypeError, ValueError) as exc:
             raise ModelFileError(f"{path}: {exc}") from None

@@ -1,7 +1,7 @@
 """Recursive least-squares adaptation of the lifted dynamics.
 
-The stacked parameter block theta = [A B], with B the single advisory-speed
-column, is refreshed from streaming transition pairs (regressor
+The parameter block theta = [A B] of a KoopmanModel, with B the single
+advisory-speed column, is refreshed from streaming transition pairs (regressor
 z = [psi(x_k); u_k], target psi(x_next)) with exponential forgetting. After
 k pairs theta minimizes
 
@@ -28,13 +28,15 @@ returns its error norm, against theta as of the last fold. Reading
 state.theta or state.P folds the pending rows into a copy, so theta after
 k pairs depends neither on the tick boundaries nor on the reads, and a
 theta read is read-only. A fold or read whose R11 has sigma_min <= p eps sigma_max
-(edmd.fit's rank rule, with p regressors) raises RlsUpdateRejectedError,
-as does a non-finite prediction error; the refused pair leaves the state
-as it was. The verdict, the pair it names and the state do not depend on
-numpy's warning settings: where RuntimeWarnings are errors, an overflow in
-the tick's lift or in an error's square is caught and the step redone as
-numpy does it by default, on the exception path only, so an accepted tick
-enters no np.errstate.
+(edmd.fit's rank rule, with p regressors), or whose new theta is not
+finite, raises RlsUpdateRejectedError, as does a non-finite prediction
+error; the refused pair leaves the state as it was. The verdict, the pair
+it names and the state do not depend on numpy's warning settings: where
+RuntimeWarnings are errors, an overflow in the tick's lift or in an
+error's square is caught and the step redone as numpy does it by default,
+on the exception path only, so an accepted tick enters no np.errstate.
+init_rls starts from a copy of the model's theta, and snapshot_model hands
+state.theta to the KoopmanModel constructor, which copies it.
 
 update_tick is the per-tick entry: it checks that the state has
 lifted_dim + 1 columns and lifts the k + 1 samples of its Trajectory
@@ -148,7 +150,10 @@ class RlsState:
             raise RlsUpdateRejectedError(
                 f"update rejected: the information is singular to working precision "
                 f"(sigma_min {svals[-1]:.3g}, sigma_max {svals[0]:.3g})")
-        return R[:p, :p], self._theta + _solve(R, p)
+        theta = self._theta + _solve(R, p)
+        if not np.isfinite(theta).all():
+            raise RlsUpdateRejectedError("update rejected: the folded theta is not finite")
+        return R[:p, :p], theta
 
     @property
     def R(self) -> np.ndarray:
@@ -171,8 +176,8 @@ class RlsState:
 
 
 def init_rls(model: KoopmanModel, lam: float) -> RlsState:
-    """Start adaptation from a fitted model, with P = I / lambda."""
-    return RlsState(theta=model.stacked(), lam=lam)
+    """Start adaptation from a model's theta, copied, with P = I / lambda."""
+    return RlsState(theta=model.theta, lam=lam)
 
 
 def rls_update(state: RlsState, z: np.ndarray, psi_next: np.ndarray) -> float:
@@ -275,11 +280,11 @@ def snapshot_model(state: RlsState, basis: LiftedBasis, sample_period: float,
                    provenance: dict | None = None) -> KoopmanModel:
     """Freeze the current parameter block into a standalone model.
 
-    A and B are copied out of state.theta, so later updates of the state do
-    not reach the snapshot. A theta that an accepted update overflowed
-    raises ValueError, as does a bad sample period.
+    The constructor copies state.theta, so later updates of the state do not
+    reach the snapshot. The provenance starts with fitted_by, updates and
+    lambda, then the given entries; this run's updates and lambda win over
+    the given ones. A bad sample period raises ValueError.
     """
-    prov = {"fitted_by": "rls", "updates": state.update_count, "lambda": state.lam}
-    if provenance:
-        prov.update(provenance)
-    return KoopmanModel.from_stacked(basis, state.theta, sample_period, prov)
+    run = {"updates": state.update_count, "lambda": state.lam}
+    prov = {"fitted_by": "rls", **run, **(provenance or {}), **run}
+    return KoopmanModel(basis, state.theta, sample_period, prov)

@@ -84,8 +84,7 @@ def _scenario(work_dir: Path) -> dict:
 
 def _zero_model(basis):
     n = basis.lifted_dim
-    return KoopmanModel(basis=basis, A=np.zeros((n, n)), B=np.zeros((n, 1)),
-                        sample_period=0.025)
+    return KoopmanModel(basis=basis, theta=np.zeros((n, n + 1)), sample_period=0.025)
 
 
 def _lift_pair(basis, x_k, u_k, x_next):
@@ -174,7 +173,7 @@ def test_offline_fit_recovers_linear_system(verdict):
         data = fold_pairs(basis, np.vstack([X, U, A @ X + B @ U]).T)
         model = fit(data, FitConfig(ridge=0.0))
         truth = np.hstack([A, B])
-        rel = np.linalg.norm(model.stacked() - truth) / np.linalg.norm(truth)
+        rel = np.linalg.norm(model.theta - truth) / np.linalg.norm(truth)
         assert rel < 1e-8
 
 
@@ -191,8 +190,7 @@ def test_streaming_matches_batch(verdict):
         state = init_rls(_zero_model(basis), 1.0)
         for k in range(T):
             rls_update(state, *_lift_pair(basis, pts[k], U[:, k], nxt[k]))
-        rel = (np.linalg.norm(state.theta - batch.stacked())
-               / np.linalg.norm(batch.stacked()))
+        rel = np.linalg.norm(state.theta - batch.theta) / np.linalg.norm(batch.theta)
         assert rel < 1e-12
 
 
@@ -212,8 +210,7 @@ def test_streaming_covariance_health(verdict):
         # parameters already explaining the data (theta maps psi to itself,
         # next state equal to current) must pass through bit for bit
         n = basis.lifted_dim
-        ident = KoopmanModel(basis=basis, A=np.eye(n), B=np.zeros((n, 1)),
-                             sample_period=0.025)
+        ident = KoopmanModel(basis=basis, theta=np.eye(n, n + 1), sample_period=0.025)
         state = init_rls(ident, 0.9)
         theta_before = state.theta.copy()
         rng = np.random.default_rng(3)

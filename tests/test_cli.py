@@ -379,6 +379,47 @@ def test_rejected_update_exit_4(tmp_path, toy_route, config_file, capsys):
     assert not upd.exists()
 
 
+@pytest.mark.parametrize("cadence", ["1.0", "0.5"])
+def test_update_whose_fold_overflows_theta_exit_4(tmp_path, cadence, capsys):
+    # the last sample lifts to finite but huge values: its pair's error norm
+    # overflows to inf and is accepted, and the fold after it is refused
+    # rather than leaving a non-finite theta for the snapshot to find
+    model = tmp_path / "model.json"
+    KoopmanModel(LiftedBasis(), np.zeros((9, 10)), 0.025).save(model)
+    rng = np.random.default_rng(0)
+    v = 10.0 + rng.standard_normal(41)
+    v[-1] = 5e102
+    data = tmp_path / "traj.csv"
+    Trajectory(sample_period=0.025, t=np.arange(41) * 0.025, v=v,
+               f_tr=100.0 * rng.standard_normal(41), v_ref=np.full(41, 10.0)).write_csv(data)
+    upd = tmp_path / "upd.json"
+    assert main(["update", "--model", str(model), "--data", str(data), "--segment", "0", "1.0",
+                 "--cadence", cadence, "--out", str(upd)]) == 4
+    assert "folded theta is not finite" in capsys.readouterr().err
+    assert not upd.exists()
+
+
+def test_update_of_an_updated_model_records_this_run(tmp_path):
+    # the carried-over provenance once overwrote this run's update count and
+    # forgetting factor with the first run's
+    model = tmp_path / "model.json"
+    KoopmanModel(LiftedBasis(), np.zeros((9, 10)), 0.025).save(model)
+    rng = np.random.default_rng(1)
+    data = tmp_path / "traj.csv"
+    Trajectory(sample_period=0.025, t=np.arange(201) * 0.025, v=10.0 + rng.standard_normal(201),
+               f_tr=100.0 * rng.standard_normal(201), v_ref=np.full(201, 10.0)).write_csv(data)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert main(["update", "--model", str(model), "--data", str(data), "--segment", "0", "1.0",
+                 "--lam", "0.99", "--out", str(first)]) == 0
+    assert main(["update", "--model", str(first), "--data", str(data), "--segment", "0", "4.0",
+                 "--lam", "0.95", "--out", str(second)]) == 0
+    provenance = [json.loads(path.read_text())["provenance"] for path in (first, second)]
+    assert [(prov["updates"], prov["lambda"]) for prov in provenance] == [(40, 0.99), (160, 0.95)]
+    assert provenance[1]["updated_from"] == "first.json"
+    assert list(provenance[0]) == list(provenance[1]) == [
+        "fitted_by", "updates", "lambda", "updated_from", "update_segment", "cadence_s"]
+
+
 def test_update_segment_past_data_exit_3(tmp_path, toy_route, config_file, capsys):
     out = run_pipeline(tmp_path, toy_route, config_file, "i")
     upd = out / "model_upd.json"
@@ -1036,8 +1077,7 @@ def with_scaler(scale, offset=(0.0, 0.0)):
         "state_dim_2.0"])
 def test_other_model_shapes_are_rejected(tmp_path, edit, loads, capsys):
     n = 9
-    model = KoopmanModel(basis=LiftedBasis(), A=0.9 * np.eye(n), B=np.zeros((n, 1)),
-                         sample_period=0.025)
+    model = KoopmanModel(basis=LiftedBasis(), theta=0.9 * np.eye(n, n + 1), sample_period=0.025)
     path = tmp_path / "model.json"
     model.save(path)
     if edit is not None:

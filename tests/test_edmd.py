@@ -120,7 +120,7 @@ def test_ridge_matches_normal_equations():
     model = fit(fold(basis, X, X_plus, U), FitConfig(ridge=lam))
     G = np.vstack([X, U])
     theta_ref = X_plus @ G.T @ np.linalg.inv(G @ G.T + lam * np.eye(10))
-    np.testing.assert_allclose(model.stacked(), theta_ref, rtol=1e-8, atol=1e-10)
+    np.testing.assert_allclose(model.theta, theta_ref, rtol=1e-8, atol=1e-10)
 
 
 def make_traj(n, dt=0.025, seed=0, v_ref=12.0):
@@ -385,7 +385,7 @@ def test_streaming_fit_matches_stacked_lstsq(reduced_roster, ridge):
         stacks[name] = (M[:, :9].T, M[:, 10:].T, M[:, 9:10].T)
     theta, residual, cond = reference_fit(*stacks["train"], ridge)
 
-    assert np.max(np.abs(model.stacked() - theta)) <= 1e-12 * np.max(np.abs(theta))
+    assert np.max(np.abs(model.theta - theta)) <= 1e-12 * np.max(np.abs(theta))
     assert report.residual_fro == pytest.approx(residual, rel=1e-9, abs=0)
     assert report.condition_number == pytest.approx(cond, rel=1e-9, abs=0)
     for name, (X, X_plus, U) in stacks.items():

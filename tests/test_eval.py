@@ -33,7 +33,7 @@ def linear_readout_model(seed=0):
     A[0, 1] = 0.001
     B = np.zeros((9, 1))
     B[0, 0] = 0.1
-    return KoopmanModel(basis=basis, A=A, B=B, sample_period=0.025)
+    return KoopmanModel(basis=basis, theta=np.hstack([A, B]), sample_period=0.025)
 
 
 def model_trajectory(model, n=4000, seed=1, v0=10.0, f0=100.0):
@@ -114,7 +114,7 @@ def test_online_adapts_to_changed_dynamics():
     # data from a perturbed system: the offline model is wrong, the online
     # variant learns the change inside the segment
     model = linear_readout_model()
-    changed = KoopmanModel(basis=model.basis, A=model.A * 0.97, B=model.B * 1.2,
+    changed = KoopmanModel(basis=model.basis, theta=np.hstack([model.A * 0.97, model.B * 1.2]),
                            sample_period=model.sample_period)
     traj = model_trajectory(changed, n=8000)
     seg = (0.0, 8000 * 0.025 - 0.025)
@@ -125,7 +125,7 @@ def test_online_adapts_to_changed_dynamics():
 
 def changed_dynamics_case(n=2000):
     model = linear_readout_model()
-    changed = KoopmanModel(basis=model.basis, A=model.A * 0.97, B=model.B * 1.2,
+    changed = KoopmanModel(basis=model.basis, theta=np.hstack([model.A * 0.97, model.B * 1.2]),
                            sample_period=model.sample_period)
     return model, model_trajectory(changed, n=n), (0.0, (n - 1) * 0.025)
 

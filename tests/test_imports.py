@@ -4,8 +4,9 @@ number, only cli.py starts processes, no cli command reads the configuration
 as a dict, only basis.py and rls.update_tick call the unchecked lift kernel,
 only advisory._edge_tables prices advisory edges, only
 advisory._interp_values reads the sentinel cut, only edmd._fold calls
-np.linalg.qr, and every function, class and method the package defines is
-referenced from the package or the benchmark."""
+np.linalg.qr, only model._trusted_trajectory builds an object round its
+constructor with __new__, and every function, class and method the package
+defines is referenced from the package or the benchmark."""
 
 import ast
 import importlib
@@ -258,6 +259,9 @@ CUT_READER = ("advisory", "_interp_values")
 # the offline fit, its ridge and the online adaptation fold rows into an R
 # factor by one call, so fit and adaptation stay one least-squares state
 FOLDER = ("edmd", "_fold")
+# a fitted, adapted or loaded model is built by the KoopmanModel constructor,
+# which checks theta; only a trajectory already checked skips its constructor
+NEW_CALLER = ("model", "_trusted_trajectory")
 
 
 def test_detects_edge_pricings():
@@ -286,6 +290,22 @@ def test_detects_qr_calls():
     assert reads_outside(source, "edmd", "qr", FOLDER) == ["fit (line 4)", "_folded (line 6)"]
     assert reads_outside(source, "rls", "qr", FOLDER) == [
         "_fold (line 2)", "fit (line 4)", "_folded (line 6)"]
+
+
+def test_detects_constructor_bypasses():
+    source = ("def _trusted_trajectory(t):\n    out = object.__new__(Trajectory)\n"
+              "def from_stacked(cls, theta):\n    model = object.__new__(cls)\n"
+              "make = object.__new__\n")
+    assert reads_outside(source, "model", "__new__", NEW_CALLER) == [
+        "from_stacked (line 4)", "<module> (line 5)"]
+    assert reads_outside(source, "rls", "__new__", NEW_CALLER) == [
+        "_trusted_trajectory (line 2)", "from_stacked (line 4)", "<module> (line 5)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_trusted_trajectories_skip_their_constructor(path):
+    assert reads_outside(path.read_text(encoding="utf-8"), path.stem, "__new__",
+                         NEW_CALLER) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

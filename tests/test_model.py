@@ -3,6 +3,7 @@ import json
 import math
 import numbers
 import os
+import re
 import stat
 
 import numpy as np
@@ -22,7 +23,7 @@ from koopdrive.model import (
     _row_template,
     _write_json,
 )
-from koopdrive.rls import OnlineSettings
+from koopdrive.rls import OnlineSettings, init_rls, snapshot_model
 
 
 def make_traj(n=100, dt=0.025, seed=0):
@@ -38,7 +39,7 @@ def identity_model():
     basis = LiftedBasis()
     A = np.eye(9)
     B = np.zeros((9, 1))
-    return KoopmanModel(basis=basis, A=A, B=B, sample_period=0.025)
+    return KoopmanModel(basis=basis, theta=np.hstack([A, B]), sample_period=0.025)
 
 
 def test_trajectory_validates_spacing():
@@ -219,7 +220,7 @@ def test_rollout_divergence_reports_step():
     basis = LiftedBasis()
     A = np.eye(9) * 1e3
     B = np.zeros((9, 1))
-    m = KoopmanModel(basis=basis, A=A, B=B, sample_period=0.025)
+    m = KoopmanModel(basis=basis, theta=np.hstack([A, B]), sample_period=0.025)
     with pytest.raises(RolloutDivergenceError) as exc:
         m.rollout(np.array([1e3, 1e3]), np.zeros(200))
     assert exc.value.step == 100
@@ -248,7 +249,7 @@ def test_lifted_rollout_matches_step_loop():
     rng = np.random.default_rng(4)
     A = rng.normal(0, 0.3, size=(9, 9))
     B = rng.normal(size=(9, 1))
-    m = KoopmanModel(basis=basis, A=A, B=B, sample_period=0.025)
+    m = KoopmanModel(basis=basis, theta=np.hstack([A, B]), sample_period=0.025)
     x0 = np.array([11.5, -230.0])
     u = rng.normal(12.0, 1.0, size=60)
     pred = m.rollout(x0, u)
@@ -275,7 +276,7 @@ def test_scan_rollout_matches_step_loop_at_every_length(steps, rho):
     M = rng.normal(size=(9, 9))
     A = M * (rho / np.max(np.abs(np.linalg.eigvals(M))))
     B = rng.normal(size=(9, 1))
-    m = KoopmanModel(basis=basis, A=A, B=B, sample_period=0.025)
+    m = KoopmanModel(basis=basis, theta=np.hstack([A, B]), sample_period=0.025)
     x0 = np.array([11.5, -230.0])
     u = rng.normal(12.0, 1.0, size=steps)
     pred = m.rollout(x0, u)
@@ -295,7 +296,7 @@ def test_refined_scan_keeps_a_non_normal_rollout_at_the_loop_accuracy():
     B = rng.normal(size=(9, 1))
     x0 = np.array([11.5, -230.0])
     u = rng.normal(12.0, 1.0, size=2000)
-    m = KoopmanModel(basis=basis, A=A, B=B, sample_period=0.025)
+    m = KoopmanModel(basis=basis, theta=np.hstack([A, B]), sample_period=0.025)
     assert_matches_step_loop(m.rollout(x0, u), step_loop_rollout(basis, A, B, x0, u), 1e-12)
 
 
@@ -309,7 +310,7 @@ def test_scan_reports_an_overflowing_power_the_loop_never_forms():
     x0 = np.array([0.0, 2.0])
     u = np.zeros(200)
     assert np.isfinite(step_loop_rollout(basis, A, B, x0, u)).all()
-    m = KoopmanModel(basis=basis, A=A, B=B, sample_period=0.025)
+    m = KoopmanModel(basis=basis, theta=np.hstack([A, B]), sample_period=0.025)
     with pytest.raises(RolloutDivergenceError) as exc:
         m.rollout(x0, u)
     assert exc.value.step == 128
@@ -344,7 +345,7 @@ def test_save_load_bit_exact(tmp_path):
     basis = LiftedBasis()
     A = rng.normal(size=(9, 9))
     B = rng.normal(size=(9, 1))
-    m = KoopmanModel(basis=basis, A=A, B=B, sample_period=0.025,
+    m = KoopmanModel(basis=basis, theta=np.hstack([A, B]), sample_period=0.025,
                      provenance={"source": "test"})
     path = tmp_path / "model.json"
     m.save(path)
@@ -356,10 +357,12 @@ def test_save_load_bit_exact(tmp_path):
     assert back.provenance["source"] == "test"
 
 
-def test_model_rejects_two_column_B():
-    with pytest.raises(ValueError, match=r"B must be \(9, 1\)"):
-        KoopmanModel(basis=LiftedBasis(), A=np.zeros((9, 9)), B=np.zeros((9, 2)),
-                     sample_period=0.025)
+def test_model_rejects_theta_of_another_shape():
+    # no B column, another basis's size, and a flat block
+    for shape in [(9, 9), (10, 11), (90,)]:
+        with pytest.raises(ValueError, match=re.escape(f"theta must be (9, 10) for this basis, "
+                                                       f"got {shape}")):
+            KoopmanModel(basis=LiftedBasis(), theta=np.zeros(shape), sample_period=0.025)
 
 
 @pytest.mark.parametrize("scaled", [False, True], ids=["raw", "pow2"])
@@ -369,7 +372,7 @@ def test_save_load_save_is_byte_identical(tmp_path, degree, scaled):
     basis = LiftedBasis(max_degree=degree, scale=scale)
     n = basis.lifted_dim
     rng = np.random.default_rng(degree)
-    m = KoopmanModel(basis=basis, A=rng.normal(size=(n, n)), B=rng.normal(size=(n, 1)),
+    m = KoopmanModel(basis=basis, theta=rng.normal(size=(n, n + 1)),
                      sample_period=0.025, provenance={"source": "test"})
     first, second = tmp_path / "first.json", tmp_path / "second.json"
     m.save(first)
@@ -438,7 +441,7 @@ def test_load_rejects_what_the_constructor_rejects(tmp_path, edit, message):
 def test_load_rejects_non_integer_basis_sizes(tmp_path, key, value):
     # a degree-1 file with any of these once loaded, and saved back other bytes
     path = tmp_path / "m.json"
-    KoopmanModel(basis=LiftedBasis(max_degree=1), A=np.eye(2), B=np.zeros((2, 1)),
+    KoopmanModel(basis=LiftedBasis(max_degree=1), theta=np.eye(2, 3),
                  sample_period=0.025).save(path)
     doc = json.loads(path.read_text())
     doc["basis"][key] = value
@@ -453,7 +456,7 @@ def test_load_rejects_matrix_entries_that_are_no_numbers(tmp_path, key, value):
     # numpy reads true as 1.0 and "0.5" as 0.5, so such a file once loaded;
     # an integer too large for a float once escaped as an OverflowError
     path = tmp_path / "m.json"
-    KoopmanModel(basis=LiftedBasis(max_degree=1), A=np.eye(2), B=np.zeros((2, 1)),
+    KoopmanModel(basis=LiftedBasis(max_degree=1), theta=np.eye(2, 3),
                  sample_period=0.025).save(path)
     doc = json.loads(path.read_text())
     doc[key][1][0] = value
@@ -462,13 +465,26 @@ def test_load_rejects_matrix_entries_that_are_no_numbers(tmp_path, key, value):
         KoopmanModel.load(path)
 
 
-def test_stacked_roundtrip():
-    m = identity_model()
-    theta = m.stacked()
-    assert theta.shape == (9, 10)
-    m2 = KoopmanModel.from_stacked(m.basis, theta, m.sample_period)
-    np.testing.assert_array_equal(m2.A, m.A)
-    np.testing.assert_array_equal(m2.B, m.B)
+def test_constructor_copies_theta_and_views_A_and_B():
+    basis = LiftedBasis()
+    theta = np.random.default_rng(5).normal(size=(9, 10))
+    m = KoopmanModel(basis, theta, 0.025)
+    frozen = theta.copy()
+    # a later write to the array passed in does not reach the model
+    theta[0, 0] = theta[8, 9] = 7.0
+    assert m.theta.tobytes() == frozen.tobytes()
+    # nor does one to the RLS state that it starts, or that a snapshot freezes
+    state = init_rls(m, 0.97)
+    snap = snapshot_model(state, basis, 0.025)
+    state._theta[0, 0] = state._theta[8, 9] = 7.0
+    assert m.theta.tobytes() == snap.theta.tobytes() == frozen.tobytes()
+    # A and B are views of theta's blocks, bit for bit
+    assert m.A.tobytes() == frozen[:, :9].tobytes()
+    assert m.B.tobytes() == frozen[:, 9:].tobytes()
+    assert np.shares_memory(m.A, m.theta) and np.shares_memory(m.B, m.theta)
+    # a theta with a two-column B is refused
+    with pytest.raises(ValueError, match=r"theta must be \(9, 10\) for this basis, got \(9, 11\)"):
+        KoopmanModel(basis, np.zeros((9, 11)), 0.025)
 
 
 # ------------------------------------------------------------ number rule

@@ -24,8 +24,7 @@ from test_edmd import fold_pairs
 def zero_model(basis=None):
     basis = basis or LiftedBasis()
     n = basis.lifted_dim
-    return KoopmanModel(basis=basis, A=np.zeros((n, n)), B=np.zeros((n, 1)),
-                        sample_period=0.025)
+    return KoopmanModel(basis=basis, theta=np.zeros((n, n + 1)), sample_period=0.025)
 
 
 def lift_pair(basis, x_k, u_k, x_next):
@@ -89,8 +88,7 @@ def test_init_rejects_bad_lambda():
 def test_gain_hand_value():
     # regressor e_0: the gain reduces to K_0 = P00 / (lam + P00)
     basis = LiftedBasis(max_degree=1)
-    m = KoopmanModel(basis=basis, A=np.zeros((2, 2)), B=np.zeros((2, 1)),
-                     sample_period=0.025)
+    m = KoopmanModel(basis=basis, theta=np.zeros((2, 3)), sample_period=0.025)
     state = init_rls(m, 0.9)
     # z = [psi(1, 0); u = 0] and psi(x_next) = psi(0, 0)
     rls_update(state, np.array([1.0, 0.0, 0.0]), np.zeros(2))
@@ -105,7 +103,7 @@ def test_zero_error_leaves_theta_unchanged():
     # theta = [I 0] predicts psi(x) for x_next = x, so eps is exactly zero
     basis = LiftedBasis()
     theta = np.hstack([np.eye(9), np.zeros((9, 1))])
-    m = KoopmanModel.from_stacked(basis, theta, 0.025)
+    m = KoopmanModel(basis, theta, 0.025)
     state = init_rls(m, 0.9)
     theta_before = state.theta.copy()
     rng = np.random.default_rng(0)
@@ -150,7 +148,7 @@ def test_batch_equivalence():
     state = init_rls(zero_model(basis), 1.0)
     for k in range(T):
         rls_update(state, *lift_pair(basis, pts[k], U[:, k], nxt[k]))
-    rel = np.linalg.norm(state.theta - batch.stacked()) / np.linalg.norm(batch.stacked())
+    rel = np.linalg.norm(state.theta - batch.theta) / np.linalg.norm(batch.theta)
     assert rel < 1e-12
 
 
@@ -228,8 +226,7 @@ def assert_close_to_max(actual, desired, rel=1e-9):
 def scaled_stream(n, seed=5):
     # lifted regressors of random rows as update_tick builds them
     basis = LiftedBasis(scale=(16.0, 512.0))
-    model = KoopmanModel.from_stacked(
-        basis, np.random.default_rng(seed).normal(0, 0.1, size=(9, 10)), 0.025)
+    model = KoopmanModel(basis, np.random.default_rng(seed).normal(0, 0.1, size=(9, 10)), 0.025)
     rows = random_rows(n + 1, 10.0, 500.0, seed=seed)
     psi = basis.lift_many(rows[:, :2])
     return basis, model, np.column_stack([psi[:-1], rows[:-1, 2]]), psi
@@ -254,7 +251,7 @@ def test_kernel_matches_parent_operators():
     errs = [rls_update(state, Z[i], psi[i + 1]) for i in range(len(Z))]
     # the information form rounds differently from the P form, so the two
     # agree to a stated tolerance, not bitwise
-    theta, P, ref_errs = parent_replay(model.stacked(), 0.99737, Z, psi)
+    theta, P, ref_errs = parent_replay(model.theta, 0.99737, Z, psi)
     np.testing.assert_allclose(errs, ref_errs, rtol=1e-9, atol=0.0)
     assert_close_to_max(state.theta, theta)
     assert_close_to_max(state.P, P)
@@ -287,8 +284,7 @@ def test_theta_after_k_pairs_depends_on_neither_ticks_nor_reads():
     # read folds the pending rows into a copy, so 1-, 7- and 40-pair ticks,
     # with or without reads between them, give the same bytes
     basis = LiftedBasis()
-    model = KoopmanModel.from_stacked(
-        basis, np.random.default_rng(13).normal(0, 0.1, size=(9, 10)), 0.025)
+    model = KoopmanModel(basis, np.random.default_rng(13).normal(0, 0.1, size=(9, 10)), 0.025)
     traj = excited_traj(5001)
     state, errs = replay(model, basis, traj, 1)
     assert state.update_count == 5000
@@ -300,7 +296,7 @@ def test_theta_after_k_pairs_depends_on_neither_ticks_nor_reads():
     # the P-form reference, the error against theta as of the last fold
     rows = np.column_stack([traj.v, traj.f_tr, traj.v_ref])
     psi = basis.lift_many(rows[:, :2])
-    theta, P, ref_errs = parent_replay(model.stacked(), 0.9,
+    theta, P, ref_errs = parent_replay(model.theta, 0.9,
                                        np.column_stack([psi[:-1], rows[:-1, 2]]), psi)
     np.testing.assert_allclose(np.frombuffer(errs), ref_errs, rtol=1e-9, atol=0.0)
     assert_close_to_max(state.theta, theta)
@@ -309,8 +305,7 @@ def test_theta_after_k_pairs_depends_on_neither_ticks_nor_reads():
 
 def buffer_stream(lam=0.9, seed=13, n=5000):
     basis = LiftedBasis()
-    model = KoopmanModel.from_stacked(
-        basis, np.random.default_rng(seed).normal(0, 0.1, size=(9, 10)), 0.025)
+    model = KoopmanModel(basis, np.random.default_rng(seed).normal(0, 0.1, size=(9, 10)), 0.025)
     return basis, init_rls(model, lam), excited_traj(n + 1, seed)
 
 
@@ -405,8 +400,7 @@ def test_huge_speed_gets_one_verdict_in_every_warning_mode(action, value, pair, 
     # numpy's warnings are errors, as in this suite's settings, and where
     # they are ignored, the verdict, its pair and the state are the same
     basis = LiftedBasis(scale=(16.0, 512.0))
-    model = KoopmanModel.from_stacked(
-        basis, np.random.default_rng(8).normal(0, 0.1, size=(9, 10)), 0.025)
+    model = KoopmanModel(basis, np.random.default_rng(8).normal(0, 0.1, size=(9, 10)), 0.025)
     rows = random_rows(41, 10.0, 500.0)
     rows[10, 0] = value
     buffer = traj_of(rows)
@@ -426,6 +420,47 @@ def test_huge_speed_gets_one_verdict_in_every_warning_mode(action, value, pair, 
     state = run(action)
     assert state[3] == pair
     assert state == run("ignore")
+
+
+def overflowing_buffer(samples):
+    """Moderate samples of which the last has a speed of 5e102: its lift on
+    the unit-scale basis is finite but huge, so the error norm of the pair
+    it ends overflows to inf and is accepted, and the fold after that pair
+    would make theta non-finite."""
+    rows = random_rows(samples, 10.0, 100.0)
+    rows[-1, 0] = 5e102
+    return traj_of(rows)
+
+
+@pytest.mark.parametrize("action", ["error", "ignore"])
+def test_fold_that_overflows_theta_is_refused_and_keeps_the_state(action):
+    basis = LiftedBasis()
+    ref = init_rls(zero_model(basis), 0.99737)
+    update_tick(ref, basis, overflowing_buffer(41).slice_samples(0, 40))
+    state = init_rls(zero_model(basis), 0.99737)
+    with warnings.catch_warnings():
+        warnings.simplefilter(action, RuntimeWarning)
+        with pytest.raises(RlsUpdateRejectedError,
+                           match="buffered pair 39: .*folded theta is not finite"):
+            update_tick(state, basis, overflowing_buffer(41))
+    # the 39 pairs before it stay applied, and the refused one left no trace
+    assert_same_state(state, ref)
+    assert state._pending == ref._pending == 39
+    assert np.isfinite(state._theta).all()
+
+
+def test_read_that_would_overflow_theta_is_refused():
+    # 39 pairs leave the overflowing pair pending; a read folds it into a copy
+    basis = LiftedBasis()
+    state = init_rls(zero_model(basis), 0.99737)
+    update_tick(state, basis, overflowing_buffer(40))
+    before = (state._theta.tobytes(), state._rows[:10 + 39].tobytes(), state.update_count)
+    for read in (lambda: state.theta, lambda: state.P,
+                 lambda: snapshot_model(state, basis, 0.025)):
+        with pytest.raises(RlsUpdateRejectedError, match="folded theta is not finite"):
+            read()
+    assert (state._theta.tobytes(), state._rows[:10 + 39].tobytes(),
+            state.update_count) == before
 
 
 def test_kernel_rejects_nan_prediction_error():
@@ -506,14 +541,13 @@ def random_rows(n, v_scale=1.0, f_scale=1.0, seed=3):
 def test_update_tick_matches_per_pair_updates(scaler, lam, v_scale, f_scale):
     # reference: each pair lifted one state at a time and fed to parent_kernel
     basis = LiftedBasis(scale=scaler)
-    model = KoopmanModel.from_stacked(
-        basis, np.random.default_rng(8).normal(0, 0.1, size=(9, 10)), 0.025)
+    model = KoopmanModel(basis, np.random.default_rng(8).normal(0, 0.1, size=(9, 10)), 0.025)
     rows = random_rows(400, v_scale, f_scale)
     tick = init_rls(model, lam)
     errs = update_tick(tick, basis, traj_of(rows))
     pairs = [lift_pair(basis, rows[i, :2], rows[i, 2:3], rows[i + 1, :2])
              for i in range(len(rows) - 1)]
-    theta, P, ref_errs = parent_replay(model.stacked(), lam, [z for z, _ in pairs],
+    theta, P, ref_errs = parent_replay(model.theta, lam, [z for z, _ in pairs],
                                        [None] + [psi for _, psi in pairs])
     np.testing.assert_allclose(errs, ref_errs, rtol=1e-9, atol=0.0)
     assert_close_to_max(tick.theta, theta)
@@ -616,8 +650,7 @@ def test_stream_ticks_matches_per_tick_trajectory_buffers(tick_steps):
     # the stream's ticks against update_tick over per-tick copies of the
     # trajectory; neither 7 nor 40 divides the 250 pairs, so the last tick is short
     basis = LiftedBasis(scale=(16.0, 512.0))
-    model = KoopmanModel.from_stacked(
-        basis, np.random.default_rng(4).normal(0, 0.1, size=(9, 10)), 0.025)
+    model = KoopmanModel(basis, np.random.default_rng(4).normal(0, 0.1, size=(9, 10)), 0.025)
     traj = make_traj(400, seed=6)
     start, stop = 37, 287
     stream = init_rls(model, 0.99737)
@@ -642,10 +675,10 @@ def test_snapshot_roundtrip():
     basis = LiftedBasis()
     rng = np.random.default_rng(9)
     theta = rng.normal(size=(9, 10))
-    m = KoopmanModel.from_stacked(basis, theta, 0.025)
+    m = KoopmanModel(basis, theta, 0.025)
     state = init_rls(m, 0.97)
     snap = snapshot_model(state, basis, 0.025)
-    np.testing.assert_array_equal(snap.stacked(), theta)
+    np.testing.assert_array_equal(snap.theta, theta)
     assert snap.sample_period == 0.025
 
 
@@ -658,14 +691,15 @@ def test_snapshot_does_not_follow_later_updates():
     frozen = state.theta.copy()
     update_tick(state, basis, traj.slice_samples(20, 41))
     assert not np.array_equal(state.theta, frozen)
-    np.testing.assert_array_equal(snap.stacked(), frozen)
+    np.testing.assert_array_equal(snap.theta, frozen)
     assert snap.A.shape == (9, 9) and snap.B.shape == (9, 1)
 
 
 @pytest.mark.parametrize("row, col", [(0, 0), (8, 9)], ids=["A", "B"])
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_snapshot_rejects_non_finite_theta(row, col, bad):
-    # an accepted update can overflow theta; the snapshot must not freeze it
+    # a non-finite theta, however the state came by it, is refused by the
+    # model constructor; the fold itself refuses one (see the overflow tests)
     basis = LiftedBasis()
     state = init_rls(zero_model(basis), 0.99)
     theta = state.theta.copy()
