@@ -24,7 +24,12 @@ keeps no right-hand side, and pairs with zero error leave theta bit for
 bit. R and the pending rows share one row stack [R | 0; z | eps], so a
 fold weighs its rows by one column in one multiply before the QR.
 rls_update(state, z, psi_next) writes one pair's row into that stack and
-returns its error norm, against theta as of the last fold. Reading
+returns its error norm, against theta as of the last fold. It writes
+through the (z, eps) views of the pending rows that the state makes once:
+z is copied into its view, the prediction theta z goes straight into the
+eps view, and psi_next minus it replaces it there, so a pair makes no
+temporary array. A copy or a pickle of the state drops the views and the
+restored state makes its own, on its own stack. Reading
 state.theta or state.P folds the pending rows into a copy, so theta after
 k pairs depends neither on the tick boundaries nor on the reads, and a
 theta read is read-only. A fold or read whose R11 has sigma_min <= p eps sigma_max
@@ -45,10 +50,10 @@ column kernel, into one contiguous (k + 1, N) array psi, and appends the
 inputs as a last column: Z = [psi | u]. A Trajectory is finite by
 construction, so the lift needs no check of its own. Row i of Z is the
 regressor z_i, and row i of psi is psi(x_i), the target of pair i - 1,
-so rls_update reads both as row views, once per pair; a value made
-non-finite after construction reaches it as a non-finite prediction error
-and is refused. stream_ticks hands each tick a Trajectory of views
-into the segment's columns.
+so update_tick calls rls_update once per pair, through the module name,
+with both as row views; a value made non-finite after construction
+reaches it as a non-finite prediction error and is refused. stream_ticks
+hands each tick a Trajectory of views into the segment's columns.
 """
 
 from __future__ import annotations
@@ -111,7 +116,8 @@ class RlsState:
     pending since the last fold, theta as of that fold, and the forgetting
     factor. It starts from theta with R = sqrt(lambda) I, which is
     P = I / lambda; state.theta and state.P fold the pending rows into a copy
-    on each read."""
+    on each read. The (z, eps) views of each pending row are made once and
+    remade, never copied, when the state is deep-copied or unpickled."""
 
     def __init__(self, theta, lam: float):
         theta = np.array(theta, dtype=float)
@@ -128,6 +134,7 @@ class RlsState:
         # rows carry no right-hand side, since the last fold's theta solves them
         self._rows = np.zeros((p + _FOLD_PAIRS, p + n))
         self._rows[:p, :p] = math.sqrt(lam) * np.eye(p)
+        self._pair_rows = self._row_views()
         self._pending = 0
         # _weights[k, :p + k] weighs the rows of a k-row fold: lambda^(k/2)
         # for R, and lambda^(j/2) for a pending row j pairs older than the newest
@@ -137,6 +144,23 @@ class RlsState:
             self._weights[k, :p] = w[k]
             self._weights[k, p:p + k, 0] = w[k - 1::-1]
         self.update_count = 0
+
+    def _row_views(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(z, eps) views of each pending row of the stack, the rows that
+        rls_update writes."""
+        p = self.n_features
+        return [(row[:p], row[p:]) for row in self._rows[p:]]
+
+    def __getstate__(self) -> dict:
+        # the row views are not copied or pickled, so no copy holds views of
+        # the original's stack; __setstate__ makes them on the copy's own
+        state = self.__dict__.copy()
+        del state["_pair_rows"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._pair_rows = self._row_views()
 
     def _folded(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """R and theta with the first k pending rows folded in: the state's
@@ -193,12 +217,13 @@ def rls_update(state: RlsState, z: np.ndarray, psi_next: np.ndarray) -> float:
     every warning mode.
     """
     k = state._pending
-    p = state.n_features
-    row = state._rows[p + k]
-    row[:p] = z
-    eps = row[p:]
+    z_row, eps = state._pair_rows[k]
+    z_row[...] = z
     try:
-        np.subtract(psi_next, state._theta.dot(z), out=eps)
+        # the prediction goes into the error row, which then takes
+        # psi_next - prediction: no temporary
+        state._theta.dot(z, out=eps)
+        np.subtract(psi_next, eps, out=eps)
     except RuntimeWarning as exc:
         # inf * 0 or inf - inf where warnings are errors; elsewhere the NaN
         # it makes is refused below
@@ -214,7 +239,7 @@ def rls_update(state: RlsState, z: np.ndarray, psi_next: np.ndarray) -> float:
         raise RlsUpdateRejectedError("update rejected: non-finite prediction error")
     if k + 1 == _FOLD_PAIRS:
         R, state._theta = state._folded(_FOLD_PAIRS)
-        state._rows[:p, :p] = R
+        state.R[...] = R
     state._pending = (k + 1) % _FOLD_PAIRS
     state.update_count += 1
     return math.sqrt(sq)

@@ -1,5 +1,6 @@
 import copy
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -331,6 +332,20 @@ def test_deepcopy_mid_stream_updates_on_its_own():
     assert_same_state(twin, state)
 
 
+def test_pickle_mid_stream_updates_on_its_own():
+    # the restored state writes its pairs through row views of its own
+    # stack, not of the original's
+    basis, state, traj = buffer_stream()
+    feed(state, basis, traj, 0, 2010, 30)
+    twin = pickle.loads(pickle.dumps(state))
+    assert twin._pending == state._pending == 10
+    assert twin._rows.tobytes() == state._rows.tobytes()
+    assert all(np.shares_memory(view, twin._rows) and not np.shares_memory(view, state._rows)
+               for pair in twin._pair_rows for view in pair)
+    assert feed(twin, basis, traj, 2010, 5000, 40) == feed(state, basis, traj, 2010, 5000, 40)
+    assert_same_state(twin, state)
+
+
 def test_states_updated_in_alternation_match_lone_runs():
     runs = [(0.9, 13, 0), (0.99737, 21, 2500)]  # (lambda, model seed, first pair)
     lone = []
@@ -618,6 +633,46 @@ def test_update_tick_calls_kernel_once_per_pair(monkeypatch):
     basis = LiftedBasis()
     state = init_rls(zero_model(basis), 1.0)
     assert len(update_tick(state, basis, make_traj(41))) == len(calls) == 40
+
+
+def row_view_kernel(state, z, psi_next):
+    """rls_update as it was before the state cached its pending rows' views:
+    one row view of the stack, two slices of it, and the prediction as a
+    temporary; the byte reference of the kernel on finite pairs."""
+    k = state._pending
+    p = state.n_features
+    row = state._rows[p + k]
+    row[:p] = z
+    eps = row[p:]
+    np.subtract(psi_next, state._theta.dot(z), out=eps)
+    sq = eps.dot(eps)
+    if not math.isfinite(sq) and not np.all(np.isfinite(eps)):
+        raise RlsUpdateRejectedError("update rejected: non-finite prediction error")
+    if k + 1 == _FOLD_PAIRS:
+        R, state._theta = state._folded(_FOLD_PAIRS)
+        state._rows[:p, :p] = R
+    state._pending = (k + 1) % _FOLD_PAIRS
+    state.update_count += 1
+    return math.sqrt(sq)
+
+
+@pytest.mark.parametrize("tick_steps", [1, 4, 7, 40])
+def test_update_tick_matches_the_row_view_kernel_bytes(monkeypatch, tick_steps):
+    # 250 pairs are six folds and ten pending pairs
+    import koopdrive.rls
+
+    basis = LiftedBasis(scale=(16.0, 512.0))
+    model = KoopmanModel(basis, np.random.default_rng(4).normal(0, 0.1, size=(9, 10)), 0.025)
+    traj = make_traj(400, seed=6)
+    state = init_rls(model, 0.99737)
+    errs = feed(state, basis, traj, 37, 287, tick_steps)
+    monkeypatch.setattr(koopdrive.rls, "rls_update", row_view_kernel)
+    ref = init_rls(model, 0.99737)
+    assert feed(ref, basis, traj, 37, 287, tick_steps) == errs
+    assert state._rows.tobytes() == ref._rows.tobytes()
+    assert state._theta.tobytes() == ref._theta.tobytes()
+    assert_same_state(state, ref)
+    assert state.update_count == 250
 
 
 def test_stream_ticks_covers_each_pair_once():
