@@ -307,9 +307,10 @@ def snapshot_model(state: RlsState, basis: LiftedBasis, sample_period: float,
 
     The constructor copies state.theta, so later updates of the state do not
     reach the snapshot. The provenance starts with fitted_by, updates and
-    lambda, then the given entries; this run's updates and lambda win over
-    the given ones. A bad sample period raises ValueError.
+    lambda, then the given entries; this run's fitted_by ("rls"), updates
+    and lambda win over the given ones. A bad sample period raises
+    ValueError.
     """
-    run = {"updates": state.update_count, "lambda": state.lam}
-    prov = {"fitted_by": "rls", **run, **(provenance or {}), **run}
+    run = {"fitted_by": "rls", "updates": state.update_count, "lambda": state.lam}
+    prov = {**run, **(provenance or {}), **run}
     return KoopmanModel(basis, state.theta, sample_period, prov)

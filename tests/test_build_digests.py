@@ -75,9 +75,9 @@ FIT_GOLDEN = {
 
 
 ONLINE_GOLDEN = {
-    "update_1.0.json": "0508271d7a7e77a616edff48ddf8557b1c7fdddab7adbb8f39417e4922773481",
+    "update_1.0.json": "a5fd4afd1d988bb2c83d87a55b87f0adb0971c3608908d1cda6ec292b3214ed8",
     "ticks_1.0.csv": "0f91120ccab4a88291cb5d3c39757d00c3aa10787a1f14edb28c400d8d63b6f5",
-    "update_0.1.json": "743956127ee69375d2ab889f9eba1575d2926a2e13134b0bcb506397722bc259",
+    "update_0.1.json": "ab892db691ec4a1f95a60a1707f6b82c81e6ef21e325ab0cdfab00fe2bd21aa0",
     "ticks_0.1.csv": "433100768ceec1e85ad2262ef95bea7c5fddf97c0b0cb418298c1fa4f0feb90d",
     "eval_online.csv": "07296f34cf8b674ca502ab643ca522868fd22426314227fb686ad9edf4df2a52",
 }

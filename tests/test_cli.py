@@ -420,6 +420,20 @@ def test_update_of_an_updated_model_records_this_run(tmp_path):
         "fitted_by", "updates", "lambda", "updated_from", "update_segment", "cadence_s"]
 
 
+def test_update_of_a_fitted_model_records_rls(tmp_path, toy_build):
+    # the fitted model's "fitted_by": "edmd.fit" was once carried over
+    fitted = json.loads((toy_build / "model.json").read_text())["provenance"]
+    assert fitted["fitted_by"] == "edmd.fit"
+    upd = tmp_path / "upd.json"
+    assert main(["update", "--model", str(toy_build / "model.json"),
+                 "--data", str(toy_build / "drivers" / "driver_01.csv"),
+                 "--segment", "10", "30", "--out", str(upd)]) == 0
+    provenance = json.loads(upd.read_text())["provenance"]
+    assert provenance["fitted_by"] == "rls"
+    assert list(provenance)[:3] == ["fitted_by", "updates", "lambda"]
+    assert provenance["updated_from"] == "model.json"
+
+
 def test_update_segment_past_data_exit_3(tmp_path, toy_route, config_file, capsys):
     out = run_pipeline(tmp_path, toy_route, config_file, "i")
     upd = out / "model_upd.json"
