@@ -19,14 +19,16 @@ strict terminal state-of-charge floor. Infeasible routes raise
 RouteInfeasibleError naming the first blocking node, or the initial state of
 charge and the least one from which a path ends above the floor.
 
-The powertrain surrogate has two modes. Battery-only propulsion draws the
-wheel power through a fixed drive efficiency and recovers braking power with
-a regeneration efficiency; its equivalent fuel rate is the battery power
-times an equivalence factor. Engine-assisted mode covers most of the battery
-draw with an affine (idle plus proportional) fuel map; engine drag also cuts
-the regeneration capture. Both state-of-charge rates are independent of the
-state of charge itself, so value functions are flat along that axis away
-from feasibility boundaries.
+The wheel power is priced from the vehicle the drivers are simulated in,
+driversim.VehicleParams (its mass and quadratic road load), plus gravity on
+the grade. The hybrid drivetrain that delivers it, PowertrainParams, has two
+modes. Battery-only propulsion draws the wheel power through a fixed drive
+efficiency and recovers braking power with a regeneration efficiency; its
+equivalent fuel rate is the battery power times an equivalence factor.
+Engine-assisted mode covers most of the battery draw with an affine (idle
+plus proportional) fuel map; engine drag also cuts the regeneration capture.
+Both state-of-charge rates are independent of the state of charge itself, so
+value functions are flat along that axis away from feasibility boundaries.
 
 Interpolation of the value function is linear along the state-of-charge axis
 only; velocity transitions land exactly on grid nodes. Every pass reads one
@@ -69,6 +71,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .driversim import VehicleParams
 from .model import (
     _check_fields,
     _check_sample_period,
@@ -80,6 +83,7 @@ from .model import (
 
 BIG = 1e30  # infeasibility sentinel; np.inf would break linear interpolation
 _BIG_CUT = 1e29
+GRAVITY = 9.81  # m/s^2
 
 ROUTE_CSV_HEADER = "position_m,v_min_mps,v_max_mps,stop,grade"
 
@@ -110,18 +114,16 @@ class RouteInfeasibleError(ValueError):
 
 @dataclass(frozen=True)
 class PowertrainParams:
-    """Two-mode plug-in hybrid surrogate, sized to a minivan-class vehicle.
+    """Two-mode plug-in hybrid drivetrain, sized to a minivan-class vehicle.
 
-    The engine fuel slope must not be below the battery equivalence factor;
-    together with the positive idle rate this makes engine-assisted running
-    strictly costlier than battery-only running at every operating point,
-    while draining the battery strictly less.
+    The drivetrain only: the mass and road load it moves are the configured
+    vehicle's (driversim.VehicleParams). The engine fuel slope must not be
+    below the battery equivalence factor; together with the positive idle
+    rate this makes engine-assisted running strictly costlier than
+    battery-only running at every operating point, while draining the
+    battery strictly less.
     """
 
-    mass: float = 2200.0
-    a0: float = 160.0
-    a1: float = 2.5
-    a2: float = 0.45
     eta_drive: float = 0.85
     eta_regen: float = 0.60
     battery_capacity_j: float = 5.76e7
@@ -130,14 +132,13 @@ class PowertrainParams:
     engine_kg_per_j: float = 7.3e-8
     engine_battery_share: float = 0.3
     engine_power_max_w: float = 9.0e4
-    gravity: float = 9.81
 
     def __post_init__(self):
         # a NaN fails none of the comparisons below, and an infinity makes the
         # planner's costs NaN or infinite
         _check_fields(self)
-        if self.mass <= 0 or self.battery_capacity_j <= 0:
-            raise ValueError("mass and battery capacity must be positive")
+        if not self.battery_capacity_j > 0:
+            raise ValueError("battery capacity must be positive")
         if not (0 < self.eta_drive <= 1 and 0 <= self.eta_regen <= 1):
             raise ValueError("efficiencies must lie in (0, 1]")
         if not (0 < self.engine_battery_share < 1):
@@ -254,11 +255,14 @@ class EcoDpConfig:
             raise ValueError("speed_floor must be positive to keep step times finite")
 
 
-def surrogate_powertrain(v, a, engine_on, grade, params: PowertrainParams):
+def surrogate_powertrain(v, a, engine_on, grade, vehicle: VehicleParams, params: PowertrainParams):
     """Equivalent fuel rate (kg/s) and SoC slope (1/m) at an operating point.
 
-    Accepts scalars or broadcastable arrays. Speeds must be strictly
-    positive; the advisory grid guarantees that by construction.
+    The wheel power is the vehicle's: its mass times the acceleration, its
+    road load a0 + a1 v + a2 v^2 and its weight on the grade, at speed v;
+    params is the drivetrain that delivers it. Accepts scalars or
+    broadcastable arrays. Speeds must be strictly positive; the advisory
+    grid guarantees that by construction.
     """
     v = np.asarray(v, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -269,8 +273,8 @@ def surrogate_powertrain(v, a, engine_on, grade, params: PowertrainParams):
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(grade))):
         raise ValueError("acceleration and grade must be finite")
 
-    road = params.a0 + params.a1 * v + params.a2 * v * v
-    p_wheel = (params.mass * a + road + params.mass * params.gravity * grade) * v
+    road = vehicle.a0 + vehicle.a1 * v + vehicle.a2 * v * v
+    p_wheel = (vehicle.mass * a + road + vehicle.mass * GRAVITY * grade) * v
     p_batt_ev = np.where(p_wheel >= 0.0, p_wheel / params.eta_drive,
                          p_wheel * params.eta_regen)
     share = np.where(engine_on, params.engine_battery_share, 1.0)
@@ -285,7 +289,8 @@ def surrogate_powertrain(v, a, engine_on, grade, params: PowertrainParams):
     return m_eqf, dsoc_ds
 
 
-def edge_quantities(v1, v2, engine_on, grade, step_m: float, config: EcoDpConfig):
+def edge_quantities(v1, v2, engine_on, grade, step_m: float, vehicle: VehicleParams,
+                    config: EcoDpConfig):
     """Everything a transition between adjacent nodes costs and does.
 
     Returns (feasible, accel, dt, stage_cost, dsoc); feasible reflects the
@@ -298,7 +303,7 @@ def edge_quantities(v1, v2, engine_on, grade, step_m: float, config: EcoDpConfig
     accel = (v2 * v2 - v1 * v1) / (2.0 * step_m)
     vbar = 0.5 * (v1 + v2)
     dt = step_m / vbar
-    m_eqf, dsoc_ds = surrogate_powertrain(vbar, accel, engine_on, grade, config.powertrain)
+    m_eqf, dsoc_ds = surrogate_powertrain(vbar, accel, engine_on, grade, vehicle, config.powertrain)
     m_norm = config.powertrain.max_engine_fuel_rate
     stage = (config.gamma * m_eqf / m_norm + (1.0 - config.gamma)) * dt
     dsoc = dsoc_ds * step_m
@@ -401,8 +406,8 @@ def _interp_values(table: np.ndarray, geometry: tuple) -> np.ndarray:
     return np.where(below, BIG, out)
 
 
-def _edge_tables(route: RouteSpec, config: EcoDpConfig, vgrid: np.ndarray,
-                 adm: list[np.ndarray]) -> list[tuple]:
+def _edge_tables(route: RouteSpec, vehicle: VehicleParams, config: EcoDpConfig,
+                 vgrid: np.ndarray, adm: list[np.ndarray]) -> list[tuple]:
     """Per step, (feasible, accel, dt, stage, dsoc) of every edge, each of
     shape (2, len(adm[j]), len(adm[j + 1])) with the engine mode first.
 
@@ -419,7 +424,7 @@ def _edge_tables(route: RouteSpec, config: EcoDpConfig, vgrid: np.ndarray,
         if key not in priced:
             priced[key] = tuple(np.broadcast_arrays(*edge_quantities(
                 vgrid[adm[j]][None, :, None], vgrid[adm[j + 1]][None, None, :], engine,
-                route.grade[j], route.step_m, config)))
+                route.grade[j], route.step_m, vehicle, config)))
         tables.append(priced[key])
     return tables
 
@@ -495,8 +500,10 @@ def _soc_bounds(config: EcoDpConfig, adm: list[np.ndarray],
     return b[::-1]
 
 
-def solve_eco_dp(route: RouteSpec, config: EcoDpConfig) -> AdvisoryProfile:
-    """Backward induction plus greedy forward reconstruction.
+def solve_eco_dp(route: RouteSpec, vehicle: VehicleParams,
+                 config: EcoDpConfig) -> AdvisoryProfile:
+    """Backward induction plus greedy forward reconstruction, pricing the
+    route for the given vehicle.
 
     Ties in the forward pass break toward the smaller acceleration magnitude,
     then toward keeping the engine off, then toward the lower speed.
@@ -505,7 +512,7 @@ def solve_eco_dp(route: RouteSpec, config: EcoDpConfig) -> AdvisoryProfile:
     vgrid = np.linspace(config.speed_floor, float(np.max(route.v_max)), config.v_levels)
     socgrid = np.linspace(config.soc_min, config.soc_max, config.soc_levels)
     adm = _admissible_speeds(route, vgrid)
-    tables = _edge_tables(route, config, vgrid, adm)
+    tables = _edge_tables(route, vehicle, config, vgrid, adm)
     V = _value_function(config, vgrid, socgrid, adm, tables)
     b = _soc_bounds(config, adm, tables)
 

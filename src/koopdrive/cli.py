@@ -150,6 +150,12 @@ class Config:
         _check_fields(self)
 
 
+def _require_vehicle(cfg: Config, command: str) -> None:
+    """Refuse a configuration without the vehicle that advisory prices and simulate drives."""
+    if cfg.vehicle is None:
+        raise ValueError(f"{command} requires --config with a vehicle section")
+
+
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
@@ -337,6 +343,7 @@ def _map_roster(run, count: int) -> None:
 
 def cmd_advisory(args) -> int:
     cfg = _load_config(args)
+    _require_vehicle(cfg, "advisory")
     period = float(cfg.sample_period)
     if not os.path.exists(args.route):
         raise FileNotFoundError(f"route file not found: {args.route}")
@@ -347,7 +354,7 @@ def cmd_advisory(args) -> int:
     with open(args.route, "rb") as fh:
         route_sha256 = hashlib.sha256(fh.read()).hexdigest()
 
-    profile = solve_eco_dp(route, cfg.advisory)
+    profile = solve_eco_dp(route, cfg.vehicle, cfg.advisory)
     t, v_ref = resample_to_time(profile, period)
 
     os.makedirs(args.out, exist_ok=True)
@@ -382,9 +389,7 @@ def _read_advisory_time_csv(path: str, period: float) -> tuple[np.ndarray, np.nd
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    if cfg.vehicle is None:
-        raise ValueError("simulate requires --config with a vehicle section "
-                         "(vehicle parameters live there)")
+    _require_vehicle(cfg, "simulate")
     period = float(cfg.sample_period)
     roster = cfg.drivers
 

@@ -121,7 +121,7 @@ class DriverParams:
 
 
 def simulate_driver(vehicle: VehicleParams, driver: DriverParams, advisory,
-                    sample_period: float = 0.025, v0: float | None = None) -> Trajectory:
+                    sample_period: float, v0: float | None = None) -> Trajectory:
     """Simulate one driver following (or ignoring) an advisory.
 
     advisory is a 1-D series of at least 2 finite speeds already on the

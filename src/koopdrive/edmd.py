@@ -144,7 +144,7 @@ def build_matrices(trajectories, basis: LiftedBasis) -> DataMatrices:
     return DataMatrices(basis, period, R, sum(len(traj) - 1 for traj in trajectories))
 
 
-def split_dataset(trajectories, split=(0.8, 0.1, 0.1)):
+def split_dataset(trajectories, split):
     """Contiguous train/validation/test split of the cascaded sample stream.
 
     Trajectories are concatenated in order and cut at floor((f + 1e-9) *

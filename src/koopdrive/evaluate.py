@@ -156,7 +156,7 @@ class BenchReport:
 
 
 def bench_update(trajectories, model: KoopmanModel, horizons,
-                 online: OnlineSettings | None = None) -> BenchReport:
+                 online: OnlineSettings) -> BenchReport:
     """Time full refits against streaming ticks on the same data.
 
     The offline side refits once on the whole accumulated dataset (the new
@@ -172,7 +172,6 @@ def bench_update(trajectories, model: KoopmanModel, horizons,
     """
     trajectories = list(trajectories)
     config = FitConfig(ridge=model.provenance.get("ridge", 0.0))
-    online = online or OnlineSettings()
     n_pairs = sum(len(t) - 1 for t in trajectories)
     last = trajectories[-1]
     dt = last.sample_period

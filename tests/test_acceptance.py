@@ -20,6 +20,7 @@ import pytest
 from koopdrive.advisory import EcoDpConfig, RouteSpec, edge_quantities, solve_eco_dp
 from koopdrive.basis import LiftedBasis
 from koopdrive.cli import main
+from koopdrive.driversim import VehicleParams
 from koopdrive.edmd import FitConfig, fit
 from koopdrive.evaluate import bench_update, evaluate_horizons
 from koopdrive.model import KoopmanModel, Trajectory
@@ -31,6 +32,7 @@ from test_rls import parent_kernel
 ROOT = Path(__file__).resolve().parents[1]
 ROUTE = ROOT / "configs" / "route_urban.csv"
 CONFIG = ROOT / "configs" / "default.json"
+VEH = VehicleParams(**json.loads(CONFIG.read_text())["vehicle"])
 
 _SCENARIO: dict = {}
 
@@ -265,7 +267,7 @@ def enumerate_paths(route, config):
             for j in range(S):
                 feas, a, dt, stage, dsoc = edge_quantities(
                     np.array([vgrid[speeds[j]]]), np.array([vgrid[speeds[j + 1]]]),
-                    engines[j], route.grade[j], route.step_m, config)
+                    engines[j], route.grade[j], route.step_m, VEH, config)
                 if not feas[0]:
                     ok = False
                     break
@@ -291,16 +293,16 @@ def test_planner_matches_enumeration_and_keeps_constraints(verdict):
             config = toy_config(gamma=gamma)
             oracle = enumerate_paths(toy, config)
             assert oracle is not None
-            assert solve_eco_dp(toy, config).total_cost == oracle
+            assert solve_eco_dp(toy, VEH, config).total_cost == oracle
         config4 = toy_config(v_levels=4)
-        assert solve_eco_dp(second_toy(), config4).total_cost == enumerate_paths(
+        assert solve_eco_dp(second_toy(), VEH, config4).total_cost == enumerate_paths(
             second_toy(), config4)
 
         cfg = json.loads(CONFIG.read_text())
         eco = EcoDpConfig(**cfg["advisory"])
         assert eco.gamma == 0.5 and eco.soc_initial == 0.4
         route = RouteSpec.read_csv(str(ROUTE))
-        prof = solve_eco_dp(route, eco)
+        prof = solve_eco_dp(route, VEH, eco)
         for j in range(len(prof.v_ref)):
             if route.stop[j]:
                 assert prof.v_ref[j] == eco.speed_floor
@@ -461,14 +463,24 @@ def test_tick_is_faster_than_refit(verdict, work_dir):
         cfg = sc["cfg"]
         horizons = cfg["eval"]["horizons_s"]
         online = OnlineSettings(lam=cfg["rls"]["lam"], cadence_s=cfg["rls"]["cadence_s"])
-        half = bench_update(sc["trajectories"][:9], sc["model"], horizons, online=online)
-        full = bench_update(sc["trajectories"], sc["model"], horizons, online=online)
+        # half and full history run interleaved, each going first in every
+        # other round, so a change of host speed between runs reaches both
+        data = {"half": sc["trajectories"][:9], "full": sc["trajectories"]}
+        runs = {"half": [], "full": []}
+        for round_ in range(4):
+            for name in ("half", "full") if round_ % 2 == 0 else ("full", "half"):
+                runs[name].append(bench_update(data[name], sc["model"], horizons, online=online))
+        half, full = runs["half"][0], runs["full"][0]
         assert full.n_pairs == 2 * half.n_pairs
         assert full.n_pairs >= 100_000
         assert full.warning is None
-        assert min(full.speedup) >= 50.0
-        for t_half, t_full in zip(half.online_per_tick_s, full.online_per_tick_s):
-            assert t_full <= 2.0 * t_half
+        # the median over the rounds, per horizon
+        median = {name: {key: np.median([getattr(r, key) for r in reports], axis=0)
+                         for key in ("offline_fit_s", "online_per_tick_s")}
+                  for name, reports in runs.items()}
+        assert min(median["full"]["offline_fit_s"] / median["full"]["online_per_tick_s"]) >= 50.0
+        assert np.all(median["full"]["online_per_tick_s"]
+                      <= 2.0 * median["half"]["online_per_tick_s"])
 
 
 def test_pipeline_is_deterministic(verdict, tmp_path):

@@ -20,11 +20,13 @@ from koopdrive.advisory import (
     solve_eco_dp,
     surrogate_powertrain,
 )
+from koopdrive.driversim import VehicleParams
 from koopdrive.model import _write_csv_table
 
 PT = PowertrainParams()
 SHIPPED_ROUTE = Path(__file__).resolve().parents[1] / "configs" / "route_urban.csv"
 SHIPPED_CONFIG = SHIPPED_ROUTE.with_name("default.json")
+VEH = VehicleParams(**json.loads(SHIPPED_CONFIG.read_text())["vehicle"])
 
 
 # ------------------------------------------------------------ powertrain
@@ -35,8 +37,8 @@ def test_engine_mode_never_cheaper():
     rng = np.random.default_rng(0)
     v = rng.uniform(1, 14, 200)
     a = rng.uniform(-2, 1.5, 200)
-    m_ev, ds_ev = surrogate_powertrain(v, a, 0, 0.0, PT)
-    m_hev, ds_hev = surrogate_powertrain(v, a, 1, 0.0, PT)
+    m_ev, ds_ev = surrogate_powertrain(v, a, 0, 0.0, VEH, PT)
+    m_hev, ds_hev = surrogate_powertrain(v, a, 1, 0.0, VEH, PT)
     assert np.all(m_hev >= m_ev - 1e-15)
 
 
@@ -44,27 +46,43 @@ def test_engine_mode_drains_less():
     rng = np.random.default_rng(1)
     v = rng.uniform(1, 14, 200)
     a = rng.uniform(0.1, 1.5, 200)  # accelerating, battery discharging
-    _, ds_ev = surrogate_powertrain(v, a, 0, 0.0, PT)
-    _, ds_hev = surrogate_powertrain(v, a, 1, 0.0, PT)
+    _, ds_ev = surrogate_powertrain(v, a, 0, 0.0, VEH, PT)
+    _, ds_hev = surrogate_powertrain(v, a, 1, 0.0, VEH, PT)
     assert np.all(ds_ev < 0)
     assert np.all(np.abs(ds_hev) < np.abs(ds_ev))
 
 
 def test_regen_charges_battery():
     # hard braking at speed recovers charge
-    _, ds = surrogate_powertrain(np.array([12.0]), np.array([-2.0]), 0, 0.0, PT)
+    _, ds = surrogate_powertrain(np.array([12.0]), np.array([-2.0]), 0, 0.0, VEH, PT)
     assert ds[0] > 0
 
 
 def test_ev_mode_burns_no_fuel_only_equivalent():
-    m_ev, ds_ev = surrogate_powertrain(np.array([10.0]), np.array([0.0]), 0, 0.0, PT)
+    m_ev, ds_ev = surrogate_powertrain(np.array([10.0]), np.array([0.0]), 0, 0.0, VEH, PT)
     # cruise at 10 m/s: equivalent mass rate = equiv_factor * battery power
-    road = PT.a0 + PT.a1 * 10 + PT.a2 * 100
+    road = VEH.a0 + VEH.a1 * 10 + VEH.a2 * 100
     p_batt = road * 10.0 / PT.eta_drive
     np.testing.assert_allclose(m_ev[0], PT.equiv_factor_kg_per_j * p_batt, rtol=1e-12)
     # SoC slope is per metre of travel
     np.testing.assert_allclose(ds_ev[0], -p_batt / PT.battery_capacity_j / 10.0,
                                rtol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["mass", "a0", "a1", "a2"])
+def test_wheel_power_reads_each_vehicle_field(name):
+    # the vehicle's mass and road load price the wheel power, gravity on the
+    # grade included; the powertrain holds no copy of them
+    v, a, grade = np.array([10.0]), np.array([0.5]), 0.02
+    slopes = []
+    for vehicle in (VEH, dataclasses.replace(VEH, **{name: 1.5 * getattr(VEH, name)})):
+        _, ds = surrogate_powertrain(v, a, 0, grade, vehicle, PT)
+        p_wheel = (vehicle.mass * a + vehicle.a0 + vehicle.a1 * v + vehicle.a2 * v * v
+                   + vehicle.mass * 9.81 * grade) * v
+        np.testing.assert_allclose(ds, -p_wheel / PT.eta_drive / PT.battery_capacity_j / v,
+                                   rtol=1e-12)
+        slopes.append(ds[0])
+    assert slopes[0] != slopes[1]
 
 
 def test_powertrain_validation():
@@ -74,11 +92,13 @@ def test_powertrain_validation():
         PowertrainParams(eta_drive=0.0)
     with pytest.raises(ValueError):
         PowertrainParams(engine_battery_share=1.5)
+    with pytest.raises(ValueError, match="battery capacity must be positive"):
+        PowertrainParams(battery_capacity_j=0.0)
 
 
 def test_powertrain_requires_motion():
     with pytest.raises(ValueError):
-        surrogate_powertrain(np.array([0.0]), np.array([0.0]), 0, 0.0, PT)
+        surrogate_powertrain(np.array([0.0]), np.array([0.0]), 0, 0.0, VEH, PT)
 
 
 # ------------------------------------------------------------ edge pricing
@@ -86,7 +106,7 @@ def test_powertrain_requires_motion():
 def test_edge_timing_uses_mean_speed():
     cfg = EcoDpConfig()
     feas, a, dt, stage, dsoc = edge_quantities(
-        np.array([4.0]), np.array([6.0]), 0, 0.0, 10.0, cfg)
+        np.array([4.0]), np.array([6.0]), 0, 0.0, 10.0, VEH, cfg)
     assert feas[0]
     np.testing.assert_allclose(dt[0], 10.0 / 5.0, rtol=1e-12)
     np.testing.assert_allclose(a[0], (36 - 16) / 20.0, rtol=1e-12)
@@ -94,24 +114,26 @@ def test_edge_timing_uses_mean_speed():
 
 def test_edge_accel_bounds_enforced():
     cfg = EcoDpConfig()
-    feas, *_ = edge_quantities(np.array([0.6]), np.array([10.0]), 0, 0.0, 10.0, cfg)
+    feas, *_ = edge_quantities(np.array([0.6]), np.array([10.0]), 0, 0.0, 10.0, VEH, cfg)
     assert not feas[0]
-    feas, *_ = edge_quantities(np.array([12.0]), np.array([2.0]), 0, 0.0, 10.0, cfg)
+    feas, *_ = edge_quantities(np.array([12.0]), np.array([2.0]), 0, 0.0, 10.0, VEH, cfg)
     assert not feas[0]
 
 
 def test_edge_stage_blends_time_and_fuel():
     cfg = EcoDpConfig(gamma=0.5)
     v1, v2 = np.array([8.0]), np.array([8.0])
-    feas, a, dt, stage, dsoc = edge_quantities(v1, v2, 0, 0.0, 10.0, cfg)
-    m_eqf, _ = surrogate_powertrain(np.array([8.0]), np.array([0.0]), 0, 0.0, cfg.powertrain)
+    feas, a, dt, stage, dsoc = edge_quantities(v1, v2, 0, 0.0, 10.0, VEH, cfg)
+    m_eqf, _ = surrogate_powertrain(np.array([8.0]), np.array([0.0]), 0, 0.0, VEH,
+                                    cfg.powertrain)
     expect = (0.5 * m_eqf[0] / cfg.powertrain.max_engine_fuel_rate + 0.5) * dt[0]
     np.testing.assert_allclose(stage[0], expect, rtol=1e-12)
 
 
 def test_gamma_zero_is_pure_time():
     cfg = EcoDpConfig(gamma=0.0)
-    _, _, dt, stage, _ = edge_quantities(np.array([8.0]), np.array([8.0]), 1, 0.0, 10.0, cfg)
+    _, _, dt, stage, _ = edge_quantities(np.array([8.0]), np.array([8.0]), 1, 0.0, 10.0,
+                                         VEH, cfg)
     np.testing.assert_array_equal(stage, dt)
 
 
@@ -204,7 +226,7 @@ def enumerate_paths(route, config):
                 if key not in priced:
                     feas, _, _, stage, dsoc = edge_quantities(
                         np.array([vgrid[speeds[j]]]), np.array([vgrid[speeds[j + 1]]]),
-                        engines[j], route.grade[j], route.step_m, config)
+                        engines[j], route.grade[j], route.step_m, VEH, config)
                     priced[key] = (bool(feas[0]), float(stage[0]), float(dsoc[0]))
                 feas, stage, dsoc = priced[key]
                 if not feas:
@@ -228,7 +250,7 @@ def enumerate_paths(route, config):
 def test_dp_matches_enumeration_exactly():
     route = accel_only_toy()
     config = toy_config()
-    prof = solve_eco_dp(route, config)
+    prof = solve_eco_dp(route, VEH, config)
     oracle = enumerate_paths(route, config)
     assert oracle is not None
     assert prof.total_cost == oracle
@@ -238,7 +260,7 @@ def test_dp_matches_enumeration_other_gammas():
     route = accel_only_toy()
     for gamma in (0.0, 0.25, 1.0):
         config = toy_config(gamma=gamma)
-        prof = solve_eco_dp(route, config)
+        prof = solve_eco_dp(route, VEH, config)
         assert prof.total_cost == enumerate_paths(route, config)
 
 
@@ -251,14 +273,14 @@ def test_dp_matches_enumeration_second_toy():
     grade = np.array([0.0, 0.015, 0.0, 0.0])
     route = RouteSpec(step_m=12.0, v_min=v_min, v_max=v_max, stop=stop, grade=grade)
     config = toy_config(v_levels=4)
-    prof = solve_eco_dp(route, config)
+    prof = solve_eco_dp(route, VEH, config)
     assert prof.total_cost == enumerate_paths(route, config)
 
 
 def test_dp_profile_keeps_constraints():
     route = accel_only_toy()
     config = toy_config()
-    prof = solve_eco_dp(route, config)
+    prof = solve_eco_dp(route, VEH, config)
     # speed window at every node, stop pinned at the crawl floor
     assert prof.v_ref[0] == config.speed_floor
     for j in range(1, len(prof.v_ref)):
@@ -277,7 +299,7 @@ def test_dp_profile_keeps_constraints():
 
 def test_dp_prefers_electric_when_unconstrained():
     route = accel_only_toy()
-    prof = solve_eco_dp(route, toy_config())
+    prof = solve_eco_dp(route, VEH, toy_config())
     assert int(prof.engine_on.sum()) == 0
 
 
@@ -285,7 +307,7 @@ def test_infeasible_soc_raises():
     route = accel_only_toy()
     config = toy_config(soc_initial=0.21, soc_terminal_floor=0.89)
     with pytest.raises(RouteInfeasibleError) as exc:
-        solve_eco_dp(route, config)
+        solve_eco_dp(route, VEH, config)
     assert exc.value.node_index == 0
 
 
@@ -297,7 +319,7 @@ def test_infeasible_kinematics_raises():
     route = RouteSpec(step_m=10.0, v_min=v_min, v_max=v_max, stop=stop,
                       grade=np.zeros(3))
     with pytest.raises(RouteInfeasibleError) as exc:
-        solve_eco_dp(route, EcoDpConfig())
+        solve_eco_dp(route, VEH, EcoDpConfig())
     assert "reachable" in str(exc.value)
 
 
@@ -306,7 +328,7 @@ def test_duration_grows_with_energy_weight():
     route = accel_only_toy()
     d = {}
     for gamma in (0.0, 0.5, 1.0):
-        d[gamma] = solve_eco_dp(route, toy_config(gamma=gamma)).duration
+        d[gamma] = solve_eco_dp(route, VEH, toy_config(gamma=gamma)).duration
     assert d[0.0] <= d[0.5] <= d[1.0]
 
 
@@ -355,7 +377,7 @@ def _reference_value_function(route, config, vgrid, socgrid, adm):
         best = np.full((len(i1), ns), BIG)
         for engine in (0, 1):
             feasible, _, _, stage, dsoc = edge_quantities(
-                v1, v2, engine, route.grade[j], ds, config
+                v1, v2, engine, route.grade[j], ds, VEH, config
             )
             queries = socgrid[None, None, :] + dsoc[:, :, None]
             vals = _reference_interp_rows(
@@ -394,7 +416,7 @@ def _grids(route, config):
 
 def _value_function(route, config, vgrid, socgrid, adm):
     return advisory._value_function(config, vgrid, socgrid, adm,
-                                    advisory._edge_tables(route, config, vgrid, adm))
+                                    advisory._edge_tables(route, VEH, config, vgrid, adm))
 
 
 # the last case narrows the SoC window until the engine has to run on part
@@ -428,12 +450,12 @@ def test_backward_pass_matches_dense_reference(case, monkeypatch):
         mixed = np.any(inner >= _CUT, axis=-1) & np.any(inner < _CUT, axis=-1)
         assert mixed.any()
 
-    prof = solve_eco_dp(route, config)
+    prof = solve_eco_dp(route, VEH, config)
     if case == "shipped_tight_soc":
         assert prof.engine_on.any()
     monkeypatch.setattr(advisory, "_value_function",
                         lambda *args: _reference_value_function(route, config, vgrid, socgrid, adm))
-    ref = solve_eco_dp(route, config)
+    ref = solve_eco_dp(route, VEH, config)
     assert prof.total_cost == ref.total_cost
     for name in ("positions", "v_ref", "soc", "cumulative_cost", "engine_on",
                  "node_times", "stop"):
@@ -488,7 +510,7 @@ def test_edge_tables_price_each_distinct_step_once(monkeypatch):
         return edge_quantities(*args, **kwargs)
 
     monkeypatch.setattr(advisory, "edge_quantities", counting)
-    tables = advisory._edge_tables(route, config, vgrid, adm)
+    tables = advisory._edge_tables(route, VEH, config, vgrid, adm)
     assert len(calls) == 5
     # steps with equal keys share one table object, and no other steps do
     for j, k in itertools.combinations(range(route.n_steps), 2):
@@ -498,7 +520,7 @@ def test_edge_tables_price_each_distinct_step_once(monkeypatch):
     for j, table in enumerate(tables):
         for engine in (0, 1):
             alone = edge_quantities(vgrid[adm[j]][:, None], vgrid[adm[j + 1]][None, :],
-                                    engine, route.grade[j], route.step_m, config)
+                                    engine, route.grade[j], route.step_m, VEH, config)
             for got, want in zip(table, alone):
                 assert got.shape == (2, len(adm[j]), len(adm[j + 1]))
                 assert got[engine].tobytes() == np.broadcast_to(want, got[engine].shape).tobytes()
@@ -515,7 +537,7 @@ def test_shipped_stage_costs_leave_the_sentinel_exact(gamma):
     route = _shipped_route()
     config = _shipped_config(gamma=gamma)
     vgrid, _, adm = _grids(route, config)
-    for feasible, _, _, stage, _ in advisory._edge_tables(route, config, vgrid, adm):
+    for feasible, _, _, stage, _ in advisory._edge_tables(route, VEH, config, vgrid, adm):
         priced = stage[feasible]
         assert np.all(np.isfinite(priced))
         assert np.all(np.abs(priced) < 1e6)
@@ -543,7 +565,7 @@ def _reference_forward(route, config, vgrid, socgrid, adm, V):
         chosen = None
         for engine in (0, 1):
             feasible, accel, dt, stage, dsoc = edge_quantities(
-                vgrid[iv], vgrid[i2], engine, route.grade[j], ds, config)
+                vgrid[iv], vgrid[i2], engine, route.grade[j], ds, VEH, config)
             soc_new = np.minimum(soc[j] + dsoc, socgrid[-1])
             vals = _reference_interp_rows(V[j + 1][i2], soc_new[:, None], socgrid)[:, 0]
             for c, iv2 in enumerate(i2):
@@ -570,7 +592,7 @@ def _assert_forward_matches_reference(route, config, V=None):
     vgrid, socgrid, adm = _grids(route, config)
     if V is None:  # the V solve_eco_dp uses; the backward-pass tests check it
         V = _value_function(route, config, vgrid, socgrid, adm)
-    prof = solve_eco_dp(route, config)
+    prof = solve_eco_dp(route, VEH, config)
     ref = _reference_forward(route, config, vgrid, socgrid, adm, V)
     for name, b in ref.items():
         a = getattr(prof, name)
@@ -613,7 +635,7 @@ def test_forward_pass_breaks_exact_ties_like_the_reference(monkeypatch):
     config = toy_config(gamma=0.0, a_min=-3.0)
     vgrid, _, adm = _grids(route, config)
     assert adm[0].tolist() == [4] and adm[1].tolist() == [2, 3]
-    _, _, dt, _, _ = edge_quantities(vgrid[4], vgrid[2:4], 0, 0.0, route.step_m, config)
+    _, _, dt, _, _ = edge_quantities(vgrid[4], vgrid[2:4], 0, 0.0, route.step_m, VEH, config)
     V = np.full((2, config.v_levels, config.soc_levels), BIG)
     V[1, 2] = dt[1] - dt[0]
     V[1, 3] = 0.0
@@ -630,8 +652,8 @@ def test_forward_pass_breaks_exact_ties_like_the_reference(monkeypatch):
 
 def _bounds(route, config):
     vgrid, _, adm = _grids(route, config)
-    return vgrid, adm, advisory._soc_bounds(config, adm,
-                                            advisory._edge_tables(route, config, vgrid, adm))
+    tables = advisory._edge_tables(route, VEH, config, vgrid, adm)
+    return vgrid, adm, advisory._soc_bounds(config, adm, tables)
 
 
 def _graded_toy(rng):
@@ -649,7 +671,7 @@ def _graded_toy(rng):
 
 def _solve_or_none(route, config):
     try:
-        return solve_eco_dp(route, config)
+        return solve_eco_dp(route, VEH, config)
     except RouteInfeasibleError:
         return None
 
@@ -681,12 +703,12 @@ def test_least_initial_soc_is_exact_to_the_ulp_on_shipped_route(floor):
     # floor 0.26, 0.2151994682204546, from which the forward pass dead-ends
     route = _shipped_route()
     b0 = float(_bounds(route, _shipped_config(soc_terminal_floor=floor))[2][0][0])
-    prof = solve_eco_dp(route, _shipped_config(soc_terminal_floor=floor, soc_initial=b0))
+    prof = solve_eco_dp(route, VEH, _shipped_config(soc_terminal_floor=floor, soc_initial=b0))
     assert prof.soc[0] == b0
     assert prof.soc[-1] > floor
     below = float(np.nextafter(b0, 0))
     with pytest.raises(RouteInfeasibleError) as exc:
-        solve_eco_dp(route, _shipped_config(soc_terminal_floor=floor, soc_initial=below))
+        solve_eco_dp(route, VEH, _shipped_config(soc_terminal_floor=floor, soc_initial=below))
     assert exc.value.node_index == 0
     assert f"initial state of charge {below!r} is below {b0!r}" in str(exc.value)
 
@@ -714,7 +736,7 @@ def test_feasible_shipped_floors_solve(floor):
     # the least initial SoC is 0.3052 and 0.3352, below the initial 0.40;
     # the grid-cell verdict let both through, and the forward pass then
     # dead-ended at node 739 with SoC 0.3464
-    prof = solve_eco_dp(_shipped_route(), _shipped_config(soc_terminal_floor=floor))
+    prof = solve_eco_dp(_shipped_route(), VEH, _shipped_config(soc_terminal_floor=floor))
     assert floor < prof.soc[-1] < floor + 2e-6
 
 
@@ -727,7 +749,7 @@ def test_infeasible_shipped_soc_is_refused_at_node_0(initial, floor, least):
     b0 = float(_bounds(route, config)[2][0][0])
     assert b0 == pytest.approx(least, abs=1e-4)
     with pytest.raises(RouteInfeasibleError) as exc:
-        solve_eco_dp(route, config)
+        solve_eco_dp(route, VEH, config)
     assert exc.value.node_index == 0
     assert f"initial state of charge {initial!r} is below {b0!r}" in str(exc.value)
 
@@ -745,7 +767,7 @@ def test_soc_blocked_node_is_named():
     assert np.all(np.isfinite(b[2]) & (b[2] > config.soc_max))
     assert np.all(np.isinf(b[1]))
     with pytest.raises(RouteInfeasibleError) as exc:
-        solve_eco_dp(route, config)
+        solve_eco_dp(route, VEH, config)
     assert exc.value.node_index == 1
     assert "reachable" in str(exc.value)
 
@@ -754,7 +776,7 @@ def test_soc_blocked_node_is_named():
 
 def test_resample_grid():
     route = accel_only_toy()
-    prof = solve_eco_dp(route, toy_config())
+    prof = solve_eco_dp(route, VEH, toy_config())
     t, v = resample_to_time(prof, 0.025)
     assert t[0] == 0.0
     np.testing.assert_allclose(np.diff(t), 0.025, rtol=0, atol=1e-12)
@@ -767,7 +789,7 @@ def test_resample_grid():
 
 def test_resample_interpolates_between_nodes():
     route = accel_only_toy()
-    prof = solve_eco_dp(route, toy_config())
+    prof = solve_eco_dp(route, VEH, toy_config())
     t, v = resample_to_time(prof, 0.025)
     # node times map back onto the profile speeds
     for j, tn in enumerate(prof.node_times[:-1]):
@@ -778,7 +800,7 @@ def test_resample_interpolates_between_nodes():
 
 def test_profile_csv(tmp_path):
     route = accel_only_toy()
-    prof = solve_eco_dp(route, toy_config())
+    prof = solve_eco_dp(route, VEH, toy_config())
     p = tmp_path / "prof.csv"
     prof.to_csv(p)
     header = p.read_text().splitlines()[0]

@@ -16,8 +16,10 @@ import numpy as np
 import pytest
 
 from koopdrive import cli
+from koopdrive.advisory import EcoDpConfig, RouteSpec, solve_eco_dp
 from koopdrive.basis import LiftedBasis
 from koopdrive.cli import _read_trajectories, main
+from koopdrive.driversim import VehicleParams
 from koopdrive.model import KoopmanModel, ModelFileError, Trajectory
 from koopdrive.rls import OnlineSettings
 
@@ -254,6 +256,51 @@ def test_simulate_requires_config(tmp_path, toy_route):
     out = tmp_path / "o"
     rc = main(["simulate", "--advisory", str(toy_route), "--out", str(out)])
     assert rc == 3
+
+
+@pytest.mark.parametrize("stage", ["advisory", "simulate"])
+def test_command_without_vehicle_section_exit_3(tmp_path, toy_build, stage, capsys):
+    # both price or drive the configured vehicle; no other section stands in
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({k: v for k, v in TOY_CONFIG.items() if k != "vehicle"}))
+    assert main(command_for(stage, toy_build, cfg, out)) == 3
+    err = capsys.readouterr().err
+    assert f"{stage} requires --config with a vehicle section" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["mass", "a0", "a1", "a2", "gravity"])
+def test_vehicle_key_in_powertrain_section_exit_3(tmp_path, toy_build, key, capsys):
+    # the vehicle is described once, in the vehicle section
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, **advisory_with(powertrain={key: 1.0}))
+    assert main(command_for("advisory", toy_build, cfg, out)) == 3
+    assert f"section 'advisory.powertrain': unknown keys: {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_advisory_prices_the_configured_vehicle(tmp_path, toy_route):
+    # a lighter vehicle changes the plan, and the command writes what the
+    # library solves for that vehicle
+    route = RouteSpec.read_csv(str(toy_route))
+    written = {}
+    for mass in (2200.0, 1800.0):
+        vehicle = dict(TOY_CONFIG["vehicle"], mass=mass)
+        out = tmp_path / f"adv_{mass:.0f}"
+        assert main(["advisory", "--route", str(toy_route), "--config",
+                     str(write_config(tmp_path, vehicle=vehicle)), "--out", str(out)]) == 0
+        profile = solve_eco_dp(route, VehicleParams(**vehicle),
+                               EcoDpConfig(**TOY_CONFIG["advisory"]))
+        profile.to_csv(str(tmp_path / "expected.csv"))
+        distance = (out / "advisory_distance.csv").read_bytes()
+        assert distance == (tmp_path / "expected.csv").read_bytes()
+        total_cost = json.loads((out / "advisory_meta.json").read_text())["total_cost"]
+        assert total_cost == profile.total_cost
+        written[mass] = (distance, total_cost)
+    assert written[1800.0][0] != written[2200.0][0]
+    assert written[1800.0][1] != written[2200.0][1]
 
 
 def test_fit_rejects_malformed_csv(tmp_path, config_file):
@@ -973,18 +1020,20 @@ def test_flag_table_matches_parser_config_and_readme():
 
 
 @pytest.mark.parametrize("sections, message", [
-    (advisory_with(powertrain={"mass": math.nan}), "mass must be finite"),
-    (advisory_with(powertrain={"a2": math.inf}), "a2 must be finite"),
+    (advisory_with(powertrain={"battery_capacity_j": math.nan}),
+     "battery_capacity_j must be finite"),
+    (advisory_with(powertrain={"eta_regen": math.inf}), "eta_regen must be finite"),
     (advisory_with(powertrain={"engine_power_max_w": math.inf}),
      "engine_power_max_w must be finite"),
     (advisory_with(a_max=math.inf), "a_max must be finite"),
     (advisory_with(a_min=-math.inf), "a_min must be finite"),
     (advisory_with(speed_floor=math.inf), "speed_floor must be finite"),
-], ids=["powertrain.mass-nan", "powertrain.a2-inf", "powertrain.engine_power_max_w-inf",
-        "a_max-inf", "a_min-inf", "speed_floor-inf"])
+], ids=["powertrain.battery_capacity_j-nan", "powertrain.eta_regen-inf",
+        "powertrain.engine_power_max_w-inf", "a_max-inf", "a_min-inf", "speed_floor-inf"])
 def test_non_finite_advisory_value_exit_3(tmp_path, toy_build, sections, message, capsys):
-    # a NaN mass wrote a NaN total cost, an infinite a2 made the route
-    # infeasible, and an infinite a_max dropped a bound
+    # the nested powertrain section is held to the finiteness rule too; a
+    # NaN powertrain mass once wrote a NaN total cost, and an infinite a_max
+    # dropped a bound
     out = tmp_path / "out"
     cfg = write_config(tmp_path, **sections)
     assert "NaN" in cfg.read_text() or "Infinity" in cfg.read_text()

@@ -94,7 +94,8 @@ def test_window_lookup_last_added_wins():
     wide = DistractionWindow(20.0, 80.0, compliance=0.5, noise_scale=1.5)
 
     def run(*windows):
-        return simulate_driver(VEH, DriverParams(seed=0, windows=windows), adv, v0=10.0)
+        return simulate_driver(VEH, DriverParams(seed=0, windows=windows), adv,
+                               sample_period=0.025, v0=10.0)
 
     # an earlier window that a later one fully covers changes nothing
     alone, covered = run(wide), run(short, wide)
@@ -108,8 +109,10 @@ def test_integer_compliance_matches_float():
     # an integer compliance must not truncate a window's fractional one
     adv = np.where(np.arange(4000) * 0.025 < 40.0, 10.0, 16.0)
     window = (DistractionWindow(30.0, 60.0, compliance=0.5),)
-    as_int = simulate_driver(VEH, DriverParams(compliance=1, seed=0, windows=window), adv)
-    as_float = simulate_driver(VEH, DriverParams(compliance=1.0, seed=0, windows=window), adv)
+    as_int = simulate_driver(VEH, DriverParams(compliance=1, seed=0, windows=window), adv,
+                             sample_period=0.025)
+    as_float = simulate_driver(VEH, DriverParams(compliance=1.0, seed=0, windows=window), adv,
+                               sample_period=0.025)
     np.testing.assert_array_equal(as_int.v, as_float.v)
     np.testing.assert_array_equal(as_int.f_tr, as_float.f_tr)
 

@@ -161,7 +161,7 @@ def test_online_horizons_are_independent():
 def test_bench_report_fields():
     model = linear_readout_model()
     trajs = [model_trajectory(model, n=3000, seed=s) for s in (1, 2)]
-    r = bench_update(trajs, model, [5.0])
+    r = bench_update(trajs, model, [5.0], online=OnlineSettings())
     assert r.n_pairs == 2 * 2999
     assert r.horizons_s == [5.0]
     assert r.offline_fit_s[0] > 0
@@ -185,7 +185,7 @@ def test_bench_refits_with_the_model_ridge():
     with pytest.raises(RankDeficientDataError):
         fit_trajectories(trajs, FitConfig())
     model, _ = fit_trajectories(trajs, FitConfig(ridge=1e-6))
-    r = bench_update(trajs, model, [5.0])
+    r = bench_update(trajs, model, [5.0], online=OnlineSettings())
     assert r.offline_fit_s[0] > 0
     assert r.online_per_tick_s[0] > 0
 
