@@ -271,16 +271,6 @@ def test_command_without_vehicle_section_exit_3(tmp_path, toy_build, stage, caps
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key", ["mass", "a0", "a1", "a2", "gravity"])
-def test_vehicle_key_in_powertrain_section_exit_3(tmp_path, toy_build, key, capsys):
-    # the vehicle is described once, in the vehicle section
-    out = tmp_path / "out"
-    cfg = write_config(tmp_path, **advisory_with(powertrain={key: 1.0}))
-    assert main(command_for("advisory", toy_build, cfg, out)) == 3
-    assert f"section 'advisory.powertrain': unknown keys: {key}" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_advisory_prices_the_configured_vehicle(tmp_path, toy_route):
     # a lighter vehicle changes the plan, and the command writes what the
     # library solves for that vehicle
@@ -853,15 +843,20 @@ def test_wrong_typed_config_value_exit_3(tmp_path, toy_build, stage, sections, m
     ("eval", {"rls": {"lam": 7}}, "section 'rls': forgetting factor"),
     ("bench", advisory_with(gama=0.5), "section 'advisory': unknown keys: gama"),
     ("bench", {"vehicle": dict(TOY_CONFIG["vehicle"], mass="x")}, "vehicle.mass"),
-    # keys of removed options: the unscaled fit and the fuel-rate normaliser
+    # keys of removed options: the unscaled fit, the fuel-rate normaliser and
+    # the powertrain's copy of the vehicle, which is described once, in vehicle
     ("fit", {"fit": dict(TOY_CONFIG["fit"], scaling="pow2")},
      "section 'fit': unknown keys: scaling"),
     ("advisory", advisory_with(m_dot_norm=1.0), "section 'advisory': unknown keys: m_dot_norm"),
+    *[("advisory", advisory_with(powertrain={key: 1.0}),
+       f"section 'advisory.powertrain': unknown keys: {key}")
+      for key in ("mass", "a0", "a1", "a2", "gravity")],
 ], ids=["advisory-fit.ridg", "advisory-eval.horizons_s", "simulate-advisory.gama",
         "simulate-rls.lam", "fit-advisory.gama", "fit-eval.horizons_s", "fit-rls.lam",
         "update-advisory.gama", "update-eval.segment_s", "eval-advisory.gama", "eval-rls.lam",
         "bench-advisory.gama", "bench-vehicle.mass", "fit-fit.scaling",
-        "advisory-advisory.m_dot_norm"])
+        "advisory-advisory.m_dot_norm", "advisory-powertrain.mass", "advisory-powertrain.a0",
+        "advisory-powertrain.a1", "advisory-powertrain.a2", "advisory-powertrain.gravity"])
 def test_section_the_command_does_not_read_is_checked_too(tmp_path, toy_build, stage, sections,
                                                           message, capsys):
     # eval runs without --online, so it does not read the rls section either
@@ -1031,9 +1026,8 @@ def test_flag_table_matches_parser_config_and_readme():
 ], ids=["powertrain.battery_capacity_j-nan", "powertrain.eta_regen-inf",
         "powertrain.engine_power_max_w-inf", "a_max-inf", "a_min-inf", "speed_floor-inf"])
 def test_non_finite_advisory_value_exit_3(tmp_path, toy_build, sections, message, capsys):
-    # the nested powertrain section is held to the finiteness rule too; a
-    # NaN powertrain mass once wrote a NaN total cost, and an infinite a_max
-    # dropped a bound
+    # the nested powertrain section is held to the finiteness rule too, and
+    # an infinite a_max would drop a bound
     out = tmp_path / "out"
     cfg = write_config(tmp_path, **sections)
     assert "NaN" in cfg.read_text() or "Infinity" in cfg.read_text()
