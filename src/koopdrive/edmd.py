@@ -149,7 +149,8 @@ def split_dataset(trajectories, split):
 
     Trajectories are concatenated in order and cut at floor((f + 1e-9) *
     total) sample boundaries, f a cumulative fraction; a trajectory that
-    spans a boundary is divided, and the transition pair across the cut is
+    spans a boundary is divided by Trajectory.slice_samples, into parts that
+    are views of its columns, and the transition pair across the cut is
     dropped implicitly. Each resulting part must contain at least 2 samples.
     """
     trajectories = list(trajectories)

@@ -29,9 +29,11 @@ before the state does, that is the power's step (see KoopmanModel.rollout).
 Its forecast Trajectory is not validated again: the inputs, the initial
 state and every state are checked finite on the way and the time column is
 an arange of the sample period.
-Trajectory.slice_samples copies a slice of an already validated trajectory
-and does not validate it again either; both build their result through
-_trusted_trajectory.
+Trajectory.slice_samples hands out a slice of an already validated
+trajectory as views of its columns, copying nothing, and does not validate
+it again either; both build their result through _trusted_trajectory, the
+one slicing rule that Trajectory.window, edmd.split_dataset and
+rls.stream_ticks go through.
 
 Model files are JSON documents carrying the basis metadata, A and B at full
 decimal precision, and free-form provenance left by the fitting code. A
@@ -130,18 +132,24 @@ class Trajectory:
         return np.column_stack([self.v, self.f_tr])
 
     def slice_samples(self, start: int, stop: int) -> "Trajectory":
-        """Copy of samples start to stop - 1, not validated again.
+        """Samples start to stop - 1 as views of this trajectory's columns,
+        not validated again.
 
         A contiguous slice of a validated trajectory inherits its finiteness
         and spacing, so only the slice bounds and its length are checked.
+        Nothing is copied: a slice of a read-only column (a roster column
+        that cli._read_trajectories shares) is read-only, and a write
+        through a slice of a writable column reaches this trajectory.
+        Nothing in the package writes a trajectory's columns after
+        construction.
         """
         if not 0 <= start < stop <= len(self):
             raise ValueError(f"bad sample slice [{start}, {stop}) for length {len(self)}")
         if stop - start < 2:
             raise ValueError(f"a trajectory needs at least 2 samples, got {stop - start}")
-        return _trusted_trajectory(self.sample_period, self.t[start:stop].copy(),
-                                   self.v[start:stop].copy(), self.f_tr[start:stop].copy(),
-                                   self.v_ref[start:stop].copy())
+        part = slice(start, stop)
+        return _trusted_trajectory(self.sample_period, self.t[part], self.v[part],
+                                   self.f_tr[part], self.v_ref[part])
 
     def segment_indices(self, t_start: float, t_end: float) -> tuple[int, int]:
         """First and last index of the samples with t in [t_start, t_end].
@@ -171,7 +179,8 @@ class Trajectory:
         return i0, i1
 
     def window(self, t_start: float, t_end: float) -> "Trajectory":
-        """Sub-trajectory of samples with t in [t_start, t_end]."""
+        """Sub-trajectory of samples with t in [t_start, t_end], as views
+        (see slice_samples)."""
         i0, i1 = self.segment_indices(t_start, t_end)
         return self.slice_samples(i0, i1 + 1)
 

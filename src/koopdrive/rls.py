@@ -53,7 +53,8 @@ regressor z_i, and row i of psi is psi(x_i), the target of pair i - 1,
 so update_tick calls rls_update once per pair, through the module name,
 with both as row views; a value made non-finite after construction
 reaches it as a non-finite prediction error and is refused. stream_ticks
-hands each tick a Trajectory of views into the segment's columns.
+hands each tick Trajectory.slice_samples of the segment, the one slicing
+rule, whose columns are views of the segment's: no tick copies a column.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ import numpy as np
 
 from .basis import LiftedBasis
 from .edmd import _fold, _rank, _solve
-from .model import KoopmanModel, Trajectory, _check_fields, _samples, _trusted_trajectory
+from .model import KoopmanModel, Trajectory, _check_fields, _samples
 
 __all__ = ["OnlineSettings", "RlsState", "RlsUpdateRejectedError", "init_rls", "rls_update",
            "update_tick", "stream_ticks", "snapshot_model"]
@@ -287,18 +288,17 @@ def stream_ticks(state: RlsState, basis: LiftedBasis, traj: Trajectory, start: i
                  stop: int, tick_steps: int):
     """Apply the pairs between samples start and stop, tick_steps pairs a tick.
 
-    Each tick gets a Trajectory of views into traj's columns, copying
-    nothing, that carries the sample before the tick, so every pair is
-    applied exactly once; only the last tick may be shorter. Yields
+    Each tick gets traj.slice_samples(lo, end + 1), a Trajectory of views
+    into traj's columns, copying nothing, that carries the sample before the
+    tick, so every pair is applied exactly once; only the last tick may be
+    shorter. Yields
     (index of the tick's last sample, update_tick's error norms) per tick.
     """
     if not 0 <= start <= stop < len(traj):
         raise ValueError(f"bad sample range [{start}, {stop}] for length {len(traj)}")
     for lo in range(start, stop, tick_steps):
         end = min(lo + tick_steps, stop)
-        tick = slice(lo, end + 1)
-        yield end, update_tick(state, basis, _trusted_trajectory(
-            traj.sample_period, traj.t[tick], traj.v[tick], traj.f_tr[tick], traj.v_ref[tick]))
+        yield end, update_tick(state, basis, traj.slice_samples(lo, end + 1))
 
 
 def snapshot_model(state: RlsState, basis: LiftedBasis, sample_period: float,

@@ -5,8 +5,9 @@ as a dict, only basis.py and rls.update_tick call the unchecked lift kernel,
 only advisory._edge_tables prices advisory edges, only
 advisory._interp_values reads the sentinel cut, only edmd._fold calls
 np.linalg.qr, only model._trusted_trajectory builds an object round its
-constructor with __new__, and every function, class and method the package
-defines is referenced from the package or the benchmark."""
+constructor with __new__, no module but model.py reads _trusted_trajectory,
+and every function, class and method the package defines is referenced from
+the package or the benchmark."""
 
 import ast
 import importlib
@@ -262,6 +263,9 @@ FOLDER = ("edmd", "_fold")
 # a fitted, adapted or loaded model is built by the KoopmanModel constructor,
 # which checks theta; only a trajectory already checked skips its constructor
 NEW_CALLER = ("model", "_trusted_trajectory")
+# a trajectory is sliced by one rule, Trajectory.slice_samples; only model.py
+# builds a trusted trajectory, so no other module slices round that rule
+SLICER = "model"
 
 
 def test_detects_edge_pricings():
@@ -300,6 +304,22 @@ def test_detects_constructor_bypasses():
         "from_stacked (line 4)", "<module> (line 5)"]
     assert reads_outside(source, "rls", "__new__", NEW_CALLER) == [
         "_trusted_trajectory (line 2)", "from_stacked (line 4)", "<module> (line 5)"]
+
+
+def test_detects_trusted_trajectory_reads():
+    source = ("from .model import _trusted_trajectory\n"
+              "def stream_ticks(traj, tick):\n"
+              "    return _trusted_trajectory(traj.sample_period, traj.t[tick])\n"
+              "def cut(traj):\n    return model._trusted_trajectory\n")
+    assert reads_outside(source, "rls", "_trusted_trajectory", (SLICER, None)) == [
+        "stream_ticks (line 3)", "cut (line 5)"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != SLICER],
+                         ids=lambda p: p.name)
+def test_only_model_reads_trusted_trajectories(path):
+    assert reads_outside(path.read_text(encoding="utf-8"), path.stem, "_trusted_trajectory",
+                         (SLICER, None)) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -80,14 +80,29 @@ def test_slice_samples_matches_validated_trajectory():
         np.testing.assert_array_equal(getattr(part, name), getattr(ref, name))
 
 
-def test_slice_samples_copies_columns():
+def test_slice_samples_views_columns():
+    # a slice copies nothing: each column is a view of its source's, so a
+    # read-only column (as a shared roster column is) stays read-only, and a
+    # write through a writable one reaches the source
     traj = make_traj(n=20)
-    before = [traj.t.copy(), traj.v.copy(), traj.f_tr.copy(), traj.v_ref.copy()]
+    traj.t.flags.writeable = False
+    t3 = traj.t[3]
     part = traj.slice_samples(3, 9)
     for name in ("t", "v", "f_tr", "v_ref"):
-        getattr(part, name)[:] = -1.0
-    for arr, old in zip((traj.t, traj.v, traj.f_tr, traj.v_ref), before):
-        np.testing.assert_array_equal(arr, old)
+        assert np.shares_memory(getattr(part, name), getattr(traj, name))
+    with pytest.raises(ValueError, match="read-only"):
+        part.t[0] = -1.0
+    assert traj.t[3] == t3
+    part.v[0] = -1.0
+    assert traj.v[3] == -1.0
+    # the bounds are the slice's own, with the messages of any trajectory
+    for start, stop, message in [(0, 7, r"bad sample slice \[0, 7\) for length 6"),
+                                 (5, 6, r"a trajectory needs at least 2 samples, got 1")]:
+        with pytest.raises(ValueError, match=message):
+            part.slice_samples(start, stop)
+    inner = part.slice_samples(1, 6)
+    assert np.shares_memory(inner.t, traj.t) and not inner.t.flags.writeable
+    np.testing.assert_array_equal(inner.v, traj.v[4:9])
 
 
 @pytest.mark.parametrize("start, stop, message", [

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from koopdrive.basis import LiftedBasis
+from koopdrive.driversim import DriverParams, simulate_driver
 from koopdrive.edmd import FitConfig, fit
-from koopdrive.model import KoopmanModel, Trajectory
+from koopdrive.model import KoopmanModel, Trajectory, _trusted_trajectory
 from koopdrive.rls import (
     _FOLD_PAIRS,
     RlsState,
@@ -19,6 +20,7 @@ from koopdrive.rls import (
     stream_ticks,
     update_tick,
 )
+from test_driversim import VEH
 from test_edmd import fold_pairs
 
 
@@ -667,6 +669,40 @@ def test_update_tick_matches_the_row_view_kernel_bytes(monkeypatch, tick_steps):
     state = init_rls(model, 0.99737)
     errs = feed(state, basis, traj, 37, 287, tick_steps)
     monkeypatch.setattr(koopdrive.rls, "rls_update", row_view_kernel)
+    ref = init_rls(model, 0.99737)
+    assert feed(ref, basis, traj, 37, 287, tick_steps) == errs
+    assert state._rows.tobytes() == ref._rows.tobytes()
+    assert_same_state(state, ref)
+    assert state.update_count == 250
+
+
+def copying_slice_samples(self, start, stop):
+    """Trajectory.slice_samples as it was before slices became views: the
+    same bounds checks, then a copy of each column; the byte reference of a
+    tick buffer."""
+    if not 0 <= start < stop <= len(self):
+        raise ValueError(f"bad sample slice [{start}, {stop}) for length {len(self)}")
+    if stop - start < 2:
+        raise ValueError(f"a trajectory needs at least 2 samples, got {stop - start}")
+    return _trusted_trajectory(self.sample_period, self.t[start:stop].copy(),
+                               self.v[start:stop].copy(), self.f_tr[start:stop].copy(),
+                               self.v_ref[start:stop].copy())
+
+
+@pytest.mark.parametrize("tick_steps", [1, 4, 7, 40])
+def test_view_ticks_match_the_copied_tick_bytes(monkeypatch, tick_steps):
+    # a simulated driver following a varying advisory, its t and v_ref
+    # read-only as a shared roster's are; 250 pairs are six folds and ten
+    # pending pairs, fed through update_tick by stream_ticks' slices
+    basis = LiftedBasis(scale=(16.0, 512.0))
+    model = KoopmanModel(basis, np.random.default_rng(4).normal(0, 0.1, size=(9, 10)), 0.025)
+    advisory = 12.0 + 3.0 * np.sin(np.arange(400) * 0.025 / 2.0)
+    traj = simulate_driver(VEH, DriverParams(seed=7), advisory, sample_period=0.025)
+    traj.t.flags.writeable = traj.v_ref.flags.writeable = False
+    state = init_rls(model, 0.99737)
+    errs = feed(state, basis, traj, 37, 287, tick_steps)
+    monkeypatch.setattr(Trajectory, "slice_samples", copying_slice_samples)
+    assert not np.shares_memory(traj.slice_samples(37, 41).v, traj.v)
     ref = init_rls(model, 0.99737)
     assert feed(ref, basis, traj, 37, 287, tick_steps) == errs
     assert state._rows.tobytes() == ref._rows.tobytes()
