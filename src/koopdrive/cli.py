@@ -33,11 +33,24 @@ to start and import the package (2-CPU Linux host, Python 3.11). The only
 other threads are numpy's OpenBLAS pool, which OpenBLAS's own fork handler
 stops before the fork, so the process forks with one thread; Python 3.12+
 warns only about forking a multi-threaded process.
+
+main runs each command with numpy's OpenBLAS at one thread and puts the
+count it found back on return, also when the command raises. The largest
+products the package makes are fit's 4115 x 19 fold blocks, too small to
+gain from threads, and with two threads fit's first folds stalled for about
+a second in some fresh processes (0.65-2.08 s for fit against 0.63-0.78 s
+with one thread). The count is set by a call, since OPENBLAS_NUM_THREADS is
+read only when numpy loads: through ctypes, the scipy_openblas get and set
+calls of the library numpy's core module links. Where that library or
+either call is missing, nothing is changed. Only this process's BLAS pool
+is touched; a library caller that does not go through main keeps its own.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import dataclasses
 import glob
 import json
@@ -591,20 +604,51 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _blas_thread_calls():
+    """The (get, set) thread-count calls of the OpenBLAS that numpy's core
+    module links, or None where the library or either call is missing."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get, put = (lib.scipy_openblas_get_num_threads64_,
+                    lib.scipy_openblas_set_num_threads64_)
+    except (AttributeError, OSError):
+        return None
+    put.argtypes, put.restype = (ctypes.c_int,), None
+    return get, put
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """numpy's OpenBLAS at one thread inside the block, the count it had
+    put back on leaving it; no change where the calls are missing."""
+    calls = _blas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    old = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(old)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except OSError as exc:
-        return _fail(str(exc), 2)
-    except (RouteInfeasibleError, RankDeficientDataError, RolloutDivergenceError,
-            RlsUpdateRejectedError) as exc:
-        return _fail(str(exc), 4)
-    except json.JSONDecodeError as exc:
-        return _fail(f"malformed JSON: {exc}", 3)
-    except ValueError as exc:
-        return _fail(str(exc), 3)
+    with _one_blas_thread():
+        try:
+            return args.func(args)
+        except OSError as exc:
+            return _fail(str(exc), 2)
+        except (RouteInfeasibleError, RankDeficientDataError, RolloutDivergenceError,
+                RlsUpdateRejectedError) as exc:
+            return _fail(str(exc), 4)
+        except json.JSONDecodeError as exc:
+            return _fail(f"malformed JSON: {exc}", 3)
+        except ValueError as exc:
+            return _fail(str(exc), 3)
 
 
 if __name__ == "__main__":

@@ -26,7 +26,8 @@ on samples 20600-25200, to 1e-9 relative, so that a new digest cannot hide
 drift. Any change to the
 bytes of these files fails here. `advisory_meta.json` is left out because
 it records the absolute route path. `fit` and `update --cadence 1.0` are
-also run in a fresh process with `OPENBLAS_NUM_THREADS=1`, and their
+also run in a fresh process with `OPENBLAS_NUM_THREADS=1`, and again in
+process, where `main` runs each command on one OpenBLAS thread itself; their
 `model.json`, `report.json` and updated model must match the same digests,
 so the digests do not depend on the BLAS thread count.
 
@@ -48,6 +49,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from koopdrive import cli
 from koopdrive.cli import main
 from koopdrive.model import KoopmanModel
 
@@ -178,18 +180,49 @@ def test_fit_and_update_digests_hold_with_one_blas_thread(builds, tmp_path):
                PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                         os.environ.get("PYTHONPATH")])))
 
-    def cli(*argv):
+    config = build / "config.json"
+
+    def fresh(*argv):
         proc = subprocess.run(
             [sys.executable, "-c", "import sys; from koopdrive.cli import main; "
-             "sys.exit(main(sys.argv[1:]))", *argv, "--config", str(build / "config.json")],
+             "sys.exit(main(sys.argv[1:]))", *argv, "--config", str(config)],
             env=env, capture_output=True, text=True, timeout=600)
         assert proc.returncode == 0, proc.stderr
 
-    cli("fit", "--data", str(build / "drivers"), "--model-out", str(tmp_path / "model.json"),
-        "--report-out", str(tmp_path / "report.json"))
+    fresh("fit", "--data", str(build / "drivers"), "--model-out", str(tmp_path / "model.json"),
+          "--report-out", str(tmp_path / "report.json"))
     assert _digests(tmp_path, FIT_GOLDEN) == FIT_GOLDEN
-    cli("update", "--model", str(tmp_path / "model.json"),
-        "--data", str(build / "drivers" / "driver_03.csv"), "--segment", "515", "630",
-        "--cadence", "1.0", "--out", str(tmp_path / "update_1.0.json"))
+    fresh("update", "--model", str(tmp_path / "model.json"),
+          "--data", str(build / "drivers" / "driver_03.csv"), "--segment", "515", "630",
+          "--cadence", "1.0", "--out", str(tmp_path / "update_1.0.json"))
     name = "update_1.0.json"
     assert _digests(tmp_path, [name]) == {name: ONLINE_GOLDEN[name]}
+
+    # in process, main sets the one thread itself: the fit and the stream
+    # run under it (where numpy's OpenBLAS has the calls), and write the
+    # same bytes
+    calls = cli._blas_thread_calls()
+    threads = calls[0] if calls else lambda: None
+    seen = []
+
+    def counted(real):
+        def run(*args):
+            seen.append(threads())
+            return real(*args)
+        return run
+
+    here = tmp_path / "in_process"
+    here.mkdir()
+    with pytest.MonkeyPatch.context() as mp:
+        for stage in ("fit_trajectories", "init_rls"):
+            mp.setattr(cli, stage, counted(getattr(cli, stage)))
+        assert main(["fit", "--data", str(build / "drivers"), "--config", str(config),
+                     "--model-out", str(here / "model.json"),
+                     "--report-out", str(here / "report.json")]) == 0
+        assert main(["update", "--model", str(here / "model.json"),
+                     "--data", str(build / "drivers" / "driver_03.csv"),
+                     "--segment", "515", "630", "--cadence", "1.0", "--config", str(config),
+                     "--out", str(here / "update_1.0.json")]) == 0
+    assert seen == [1 if calls else None] * 2
+    assert _digests(here, FIT_GOLDEN) == FIT_GOLDEN
+    assert _digests(here, [name]) == {name: ONLINE_GOLDEN[name]}

@@ -125,6 +125,70 @@ def test_update_writes_model_and_log(tmp_path, toy_route, config_file):
     assert header == "tick,t_end_s,pairs,mean_err_norm"
 
 
+@pytest.fixture
+def blas_threads():
+    """The thread-count read of numpy's OpenBLAS, through the calls main
+    uses, with the count at 2 for the test and put back after it."""
+    calls = cli._blas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy's OpenBLAS has no thread-count calls")
+    get, put = calls
+    old = get()
+    put(2)
+    yield get
+    put(old)
+
+
+def record_blas_threads(monkeypatch, get, fail=None):
+    """The thread counts seen by every _load_config call, which each command
+    makes first; with fail, each call then raises it."""
+    seen = []
+    load = cli._load_config
+
+    def recorded(args):
+        seen.append(get())
+        if fail is not None:
+            raise fail
+        return load(args)
+
+    monkeypatch.setattr(cli, "_load_config", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("extra, code", [({}, 0), ({"colour": 1}, 3)], ids=["exit_0", "exit_3"])
+def test_command_runs_on_one_blas_thread_and_puts_the_count_back(tmp_path, toy_route,
+                                                                 blas_threads, monkeypatch,
+                                                                 extra, code):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**TOY_CONFIG, **extra}))
+    seen = record_blas_threads(monkeypatch, blas_threads)
+    assert blas_threads() == 2
+    assert main(["advisory", "--route", str(toy_route), "--config", str(cfg),
+                 "--out", str(tmp_path / "advisory")]) == code
+    assert seen == [1]
+    assert blas_threads() == 2
+
+
+def test_command_that_raises_puts_the_blas_count_back(tmp_path, toy_route, config_file,
+                                                       blas_threads, monkeypatch):
+    seen = record_blas_threads(monkeypatch, blas_threads, fail=KeyboardInterrupt())
+    with pytest.raises(KeyboardInterrupt):
+        main(["advisory", "--route", str(toy_route), "--config", str(config_file),
+              "--out", str(tmp_path / "advisory")])
+    assert seen == [1]
+    assert blas_threads() == 2
+
+
+def test_command_without_blas_thread_calls_changes_nothing(tmp_path, toy_route, config_file,
+                                                           blas_threads, monkeypatch):
+    monkeypatch.setattr(cli, "_blas_thread_calls", lambda: None)
+    seen = record_blas_threads(monkeypatch, blas_threads)
+    assert main(["advisory", "--route", str(toy_route), "--config", str(config_file),
+                 "--out", str(tmp_path / "advisory")]) == 0
+    assert seen == [2]
+    assert blas_threads() == 2
+
+
 def test_missing_file_exit_2(tmp_path, config_file):
     assert main(["advisory", "--route", str(tmp_path / "nope.csv"),
                  "--config", str(config_file), "--out", str(tmp_path / "o")]) == 2
