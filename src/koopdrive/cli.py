@@ -37,13 +37,15 @@ warns only about forking a multi-threaded process.
 main runs each command with numpy's OpenBLAS at one thread and puts the
 count it found back on return, also when the command raises. The largest
 products the package makes are fit's 4115 x 19 fold blocks, too small to
-gain from threads, and with two threads fit's first folds stalled for about
-a second in some fresh processes (0.65-2.08 s for fit against 0.63-0.78 s
-with one thread). The count is set by a call, since OPENBLAS_NUM_THREADS is
-read only when numpy loads: through ctypes, the scipy_openblas get and set
-calls of the library numpy's core module links. Where that library or
-either call is missing, nothing is changed. Only this process's BLAS pool
-is touched; a library caller that does not go through main keeps its own.
+gain from threads, and with two threads fit's folds stalled for about a
+second in some fresh processes: on the shipped roster (2-CPU x86 VM), a
+fresh `koopdrive fit` took 1.04-2.59 s, 8 of 14 runs over 2 s, with two
+threads and 0.97-1.42 s in 14 of 14 with one. The count is set by a call,
+since OPENBLAS_NUM_THREADS is read only when numpy loads: through ctypes,
+the scipy_openblas get and set calls of the library numpy's core module
+links. Where that library or either call is missing, nothing is changed.
+Only this process's BLAS pool is touched; a library caller that does not
+go through main keeps its own.
 """
 
 from __future__ import annotations
@@ -613,6 +615,7 @@ def _blas_thread_calls():
                     lib.scipy_openblas_set_num_threads64_)
     except (AttributeError, OSError):
         return None
+    get.argtypes, get.restype = (), ctypes.c_int
     put.argtypes, put.restype = (ctypes.c_int,), None
     return get, put
 

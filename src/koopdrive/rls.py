@@ -291,8 +291,8 @@ def stream_ticks(state: RlsState, basis: LiftedBasis, traj: Trajectory, start: i
     Each tick gets traj.slice_samples(lo, end + 1), a Trajectory of views
     into traj's columns, copying nothing, that carries the sample before the
     tick, so every pair is applied exactly once; only the last tick may be
-    shorter. Yields
-    (index of the tick's last sample, update_tick's error norms) per tick.
+    shorter. Yields (index of the tick's last sample, update_tick's error
+    norms) per tick.
     """
     if not 0 <= start <= stop < len(traj):
         raise ValueError(f"bad sample range [{start}, {stop}] for length {len(traj)}")

@@ -28,8 +28,10 @@ bytes of these files fails here. `advisory_meta.json` is left out because
 it records the absolute route path. `fit` and `update --cadence 1.0` are
 also run in a fresh process with `OPENBLAS_NUM_THREADS=1`, and again in
 process, where `main` runs each command on one OpenBLAS thread itself; their
-`model.json`, `report.json` and updated model must match the same digests,
-so the digests do not depend on the BLAS thread count.
+`model.json`, `report.json` and updated model must match the same digests.
+`fit` is also called past `main`, as a library caller would, with two
+OpenBLAS threads, and must match them too, so the digests do not depend on
+the BLAS thread count.
 
 The digests pin numpy's `default_rng` streams (PCG64 `standard_normal` for
 the command noise, `random` for the gain jitter). A numpy release that
@@ -226,3 +228,24 @@ def test_fit_and_update_digests_hold_with_one_blas_thread(builds, tmp_path):
     assert seen == [1 if calls else None] * 2
     assert _digests(here, FIT_GOLDEN) == FIT_GOLDEN
     assert _digests(here, [name]) == {name: ONLINE_GOLDEN[name]}
+
+
+def test_fit_digests_hold_outside_main_with_two_blas_threads(builds, tmp_path):
+    # main fits on one OpenBLAS thread, so the builds above do; a caller that
+    # skips main keeps its own count, and the fit's bytes must not depend on it
+    calls = cli._blas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy's OpenBLAS has no thread-count calls")
+    get, put = calls
+    build = builds["machine CPUs"]
+    args = cli.build_parser().parse_args([
+        "fit", "--data", str(build / "drivers"), "--config", str(build / "config.json"),
+        "--model-out", str(tmp_path / "model.json"), "--report-out", str(tmp_path / "report.json")])
+    old = get()
+    put(2)
+    try:
+        assert get() == 2
+        assert args.func(args) == 0
+    finally:
+        put(old)
+    assert _digests(tmp_path, FIT_GOLDEN) == FIT_GOLDEN
