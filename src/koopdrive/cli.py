@@ -22,17 +22,21 @@ per-driver seeds derive from it as seed + driver index, so one seed pins the
 whole pipeline byte for byte.
 
 simulate runs its roster on p = min(usable CPUs, drivers) processes
-(_map_roster; the CPUs os.sched_getaffinity counts): the calling process
-and p - 1 workers, each simulating and writing every p-th driver. Every
-driver file is byte-identical to a one-CPU run, which starts no worker,
-and a failure exits as that run would, with the lowest-numbered failing
-driver's code and message. Workers start by "fork": they share the built
-Config, the advisory and the CSV row template without pickling and start
-in about 4 ms, where "forkserver" and "spawn" workers took 0.25-0.42 s each
-to start and import the package (2-CPU Linux host, Python 3.11). The only
-other threads are numpy's OpenBLAS pool, which OpenBLAS's own fork handler
-stops before the fork, so the process forks with one thread; Python 3.12+
-warns only about forking a multi-threaded process.
+(_map_roster; the CPUs os.sched_getaffinity counts). With p = 1 the caller
+runs every driver and starts no process. Otherwise p workers of a
+concurrent.futures process pool simulate and write one driver per task
+while the caller waits. Every driver file is byte-identical to a one-CPU
+run, and a failure exits as that run would, with the lowest-numbered
+failing driver's code and message; a worker that dies exits 2. Workers
+start by "fork": the executor's initializer binds the simulate closure once
+in each worker, which inherits it, with the built Config, the advisory and
+the CSV row template, without pickling, and workers start in about 4 ms,
+where "forkserver" and "spawn" workers took 0.25-0.42 s each to start and
+import the package (2-CPU Linux host, Python 3.11). The pool forks every
+worker before it starts its manager thread, and the only other threads are
+numpy's OpenBLAS pool, which OpenBLAS's own fork handler stops before the
+fork, so the process forks with one thread; Python 3.12+ warns only about
+forking a multi-threaded process.
 
 main runs each command with numpy's OpenBLAS at one thread and puts the
 count it found back on return, also when the command raises. The largest
@@ -287,19 +291,20 @@ def _read_trajectories(paths) -> list[Trajectory]:
     return trajectories
 
 
-def _first_failure(run, indices):
-    """(i, the exception) for the first i in indices whose run(i) raises, else None."""
-    for i in indices:
-        try:
-            run(i)
-        except Exception as exc:
-            return i, exc
-    return None
+# set only in a pool worker, by its initializer: the calling process never
+# binds it, so no run outlives its _map_roster call there
+_roster_run = None
 
 
-def _send_first_failure(send, run, indices) -> None:
-    """A worker's share: send _first_failure(run, indices) to the caller."""
-    send.send(_first_failure(run, indices))
+def _bind_roster_run(run) -> None:
+    """A pool worker's initializer: bind the run its tasks call."""
+    global _roster_run
+    _roster_run = run
+
+
+def _call_roster_run(i: int) -> None:
+    """A pool task: run roster index i in this worker."""
+    _roster_run(i)
 
 
 def _map_roster(run, count: int) -> None:
@@ -307,51 +312,35 @@ def _map_roster(run, count: int) -> None:
     and raise what the serial loop would raise.
 
     p = min(usable CPUs, count), and p = 1 where os.sched_getaffinity does
-    not exist. Process k runs indices k, k + p, k + 2p, ...: process 0 is
-    the caller, and the other p - 1 are workers started with the "fork"
-    method. Each process stops at its first failing index, and the failure
-    with the lowest index is raised, as the serial loop would raise it;
-    higher indices may have run in other processes. A worker that exits
-    without reporting raises ChildProcessError. Every worker is joined
-    before this returns or raises.
+    not exist. With p = 1 the caller runs the serial loop itself. Otherwise
+    a concurrent.futures process pool of p workers started with the "fork"
+    method runs one index per task while the caller waits: the executor's
+    initializer binds run once in each worker, which inherits it without
+    pickling, so a task sends one int and returns None. The results are read
+    in index order, so the failure with the lowest index is raised, as the
+    serial loop would raise it, and tasks not yet started are cancelled;
+    higher indices may have run. A worker that dies raises
+    ChildProcessError. Every worker is joined before this returns or raises.
     """
     try:
         procs = min(len(os.sched_getaffinity(0)), count)
     except AttributeError:
         procs = 1
-    if procs > 1:
-        # imported here: the other commands and a one-CPU run start no worker
-        import multiprocessing
-        context = multiprocessing.get_context("fork")
-    workers = []
+    if procs <= 1:
+        for i in range(count):
+            run(i)
+        return
+    # imported here: the other commands and a one-CPU run start no worker
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
     try:
-        for k in range(1, procs):
-            receive, send = context.Pipe(duplex=False)
-            worker = context.Process(target=_send_first_failure, daemon=True,
-                                     args=(send, run, range(k, count, procs)))
-            worker.start()
-            send.close()  # so a worker that dies leaves the pipe at EOF
-            workers.append((k, worker, receive))
-        failures = [_first_failure(run, range(0, count, procs))]
-        for k, worker, receive in workers:
-            try:
-                failures.append(receive.recv())
-            except EOFError:
-                worker.join()
-                raise ChildProcessError(
-                    f"the worker for roster indices {k}, {k + procs}, ... exited with "
-                    f"code {worker.exitcode} before reporting") from None
-    except BaseException:
-        for _, worker, _ in workers:
-            worker.terminate()
-        raise
-    finally:
-        for _, worker, receive in workers:
-            worker.join()
-            receive.close()
-    failures = [f for f in failures if f is not None]
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
+        with ProcessPoolExecutor(procs, multiprocessing.get_context("fork"),
+                                 initializer=_bind_roster_run, initargs=(run,)) as pool:
+            list(pool.map(_call_roster_run, range(count)))
+    except BrokenProcessPool:
+        raise ChildProcessError(
+            "a roster worker process died before reporting its driver") from None
 
 
 # ---------------------------------------------------------------- advisory

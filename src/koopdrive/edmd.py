@@ -148,10 +148,10 @@ def split_dataset(trajectories, split):
     """Contiguous train/validation/test split of the cascaded sample stream.
 
     Trajectories are concatenated in order and cut at floor((f + 1e-9) *
-    total) sample boundaries, f a cumulative fraction; a trajectory that
-    spans a boundary is divided by Trajectory.slice_samples, into parts that
-    are views of its columns, and the transition pair across the cut is
-    dropped implicitly. Each resulting part must contain at least 2 samples.
+    total) sample boundaries, f a cumulative fraction. Every part, a whole
+    trajectory included, is a Trajectory.slice_samples view of its columns,
+    and the transition pair across a cut is dropped implicitly. Each
+    resulting part must contain at least 2 samples.
     """
     trajectories = list(trajectories)
     if not trajectories:
@@ -177,10 +177,7 @@ def split_dataset(trajectories, split):
                     f"{names[part_idx]} part would receive a {hi - lo}-sample fragment; "
                     "dataset is too small for this split"
                 )
-            if lo == 0 and hi == n:
-                parts[part_idx].append(traj)
-            else:
-                parts[part_idx].append(traj.slice_samples(lo, hi))
+            parts[part_idx].append(traj.slice_samples(lo, hi))
         offset += n
     for name, part in zip(names, parts):
         if not part:

@@ -7,6 +7,10 @@ import multiprocessing
 import os
 import re
 import shutil
+import subprocess
+import sys
+import threading
+import time
 import typing
 import warnings
 
@@ -688,34 +692,57 @@ def toy_advisory(tmp_path, toy_route, config_file):
     return adv / "advisory_time.csv"
 
 
-def assert_no_child_process():
+def assert_no_child_process(threads):
     # neither a running worker nor an exited one left unjoined: waitpid finds
-    # no child at all (active_children alone would reap an unjoined one)
+    # no child at all (active_children alone would reap an unjoined one); and
+    # no thread the pool started (its manager, a queue feeder) is left, so
+    # the count is back to threads, read before the command
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
 
 
 def test_simulate_on_several_processes_matches_one(tmp_path, toy_advisory, config_file,
                                                    monkeypatch):
-    # 5 drivers on 4 usable CPUs: the caller and three forked workers
+    # 5 drivers on 4 usable CPUs: a pool of four forked workers
     written = {}
+    threads = threading.active_count()
     for cpus in ({0}, {0, 1, 2, 3}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
         out = tmp_path / f"drivers_{len(cpus)}"
         assert main(["simulate", "--advisory", str(toy_advisory), "--config",
                      str(config_file), "--drivers", "5", "--out", str(out)]) == 0
-        assert_no_child_process()
+        assert_no_child_process(threads)
         written[len(cpus)] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
     assert sorted(written[1]) == [f"driver_0{k}.csv" for k in range(1, 6)]
     assert written[1] == written[4]
 
 
+def test_simulate_on_one_cpu_imports_no_process_module(tmp_path, toy_advisory, config_file):
+    # a fresh process, so no other test's imports count: the one-CPU run is
+    # the serial loop, which loads neither process module
+    script = ("import os, sys\n"
+              "os.sched_getaffinity = lambda pid: {0}\n"
+              "from koopdrive.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print(code, sorted(m for m in sys.modules if m.split('.')[0] in "
+              "('multiprocessing', 'concurrent')))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "simulate", "--advisory", str(toy_advisory),
+         "--config", str(config_file), "--out", str(tmp_path / "drivers")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert len(list((tmp_path / "drivers").iterdir())) == TOY_CONFIG["drivers"]["count"]
+
+
 def test_simulate_failure_in_a_worker_exits_as_serial(tmp_path, toy_advisory, config_file,
                                                       monkeypatch, capsys):
-    # drivers 2 and 3 fail; on two processes the worker runs driver 2 and the
-    # caller driver 3, and driver 2's failure is reported, as the serial loop
-    # reports it
+    # drivers 2 and 3 fail; on two processes each runs in a worker, and
+    # driver 2's failure is reported, as the serial loop reports it
     real = cli.simulate_driver
 
     def failing(vehicle, driver, v_ref, sample_period):
@@ -725,13 +752,45 @@ def test_simulate_failure_in_a_worker_exits_as_serial(tmp_path, toy_advisory, co
 
     monkeypatch.setattr("koopdrive.cli.simulate_driver", failing)
     outcomes = []
+    threads = threading.active_count()
     for cpus in ({0}, {0, 1}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
         code = main(["simulate", "--advisory", str(toy_advisory), "--config",
                      str(config_file), "--out", str(tmp_path / f"drivers_{len(cpus)}")])
         outcomes.append((code, capsys.readouterr().err))
-        assert_no_child_process()
+        assert_no_child_process(threads)
     assert outcomes == [(3, "error: driver seed 1 failed\n")] * 2
+
+
+def test_simulate_reports_the_lower_failure_that_raises_later(tmp_path, toy_advisory,
+                                                              config_file, monkeypatch, capsys):
+    # drivers 2 and 3 fail, driver 2 half a second after it starts: on two
+    # processes one worker sleeps in driver 2 while the other runs drivers 1
+    # and 3, so driver 3 raises first. Driver 2's failure is still the one
+    # reported, as the serial loop reports it; results read in completion
+    # order would report driver 3's.
+    real = cli.simulate_driver
+    raised = tmp_path / "raised.txt"
+
+    def failing(vehicle, driver, v_ref, sample_period):
+        if driver.seed in (1, 2):
+            if driver.seed == 1:
+                time.sleep(0.5)
+            with open(raised, "a", encoding="utf-8") as fh:
+                fh.write(f"{driver.seed}\n")
+            raise ValueError(f"driver seed {driver.seed} failed")
+        return real(vehicle, driver, v_ref, sample_period=sample_period)
+
+    monkeypatch.setattr("koopdrive.cli.simulate_driver", failing)
+    threads = threading.active_count()
+    for cpus, order in (({0}, "1\n"), ({0, 1}, "2\n1\n")):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        raised.write_text("")
+        code = main(["simulate", "--advisory", str(toy_advisory), "--config",
+                     str(config_file), "--out", str(tmp_path / f"drivers_{len(cpus)}")])
+        assert (code, capsys.readouterr().err) == (3, "error: driver seed 1 failed\n"), cpus
+        assert raised.read_text() == order, cpus  # the case's premise: who raised first
+        assert_no_child_process(threads)
 
 
 def test_simulate_worker_that_dies_exits_2(tmp_path, toy_advisory, config_file, monkeypatch,
@@ -746,11 +805,12 @@ def test_simulate_worker_that_dies_exits_2(tmp_path, toy_advisory, config_file, 
 
     monkeypatch.setattr("koopdrive.cli.simulate_driver", dying)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    threads = threading.active_count()
     assert main(["simulate", "--advisory", str(toy_advisory), "--config", str(config_file),
                  "--out", str(tmp_path / "drivers")]) == 2
-    assert capsys.readouterr().err == ("error: the worker for roster indices 1, 3, ... "
-                                       "exited with code 7 before reporting\n")
-    assert_no_child_process()
+    assert capsys.readouterr().err == ("error: a roster worker process died before "
+                                       "reporting its driver\n")
+    assert_no_child_process(threads)
 
 
 def test_roster_shares_columns_only_for_equal_bytes(tmp_path):
