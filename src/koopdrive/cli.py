@@ -211,10 +211,6 @@ def _build(cls, values, section: str):
     unknown = sorted(set(values) - set(fields))
     if unknown:
         raise ValueError(f"{where}: unknown keys: {', '.join(unknown)}")
-    for name in values:
-        if "set_by" in fields[name].metadata:
-            raise ValueError(f"{where}: {name} cannot be set here; "
-                             f"{fields[name].metadata['set_by']}")
     missing = [name for name, f in fields.items() if name not in values
                and f.default is dataclasses.MISSING
                and f.default_factory is dataclasses.MISSING]
@@ -249,7 +245,7 @@ def _expand_data_paths(paths) -> list[str]:
     out: list[str] = []
     for p in paths:
         if os.path.isdir(p):
-            inside = sorted(glob.glob(os.path.join(p, "*.csv")))
+            inside = sorted(glob.glob(os.path.join(glob.escape(p), "*.csv")))
             if not inside:
                 raise FileNotFoundError(f"no .csv files in directory {p}")
             out.extend(inside)
@@ -407,9 +403,7 @@ def cmd_simulate(args) -> int:
             for gain in ("kp", "ki"):
                 base = getattr(cfg.driver, gain)
                 gains[gain] = base * (1.0 + roster.gain_jitter * (2.0 * jrng.random() - 1.0))
-        drivers.append(dataclasses.replace(
-            cfg.driver, seed=cfg.seed + i,
-            windows=tuple(w for w in roster.distracted if w.index == i), **gains))
+        drivers.append(dataclasses.replace(cfg.driver, **gains))
 
     os.makedirs(args.out, exist_ok=True)
     width = max(2, len(str(roster.count)))
@@ -420,7 +414,8 @@ def cmd_simulate(args) -> int:
     columns = (t.tobytes(), v_ref.tobytes())
 
     def simulate(i):
-        traj = simulate_driver(cfg.vehicle, drivers[i], v_ref, sample_period=period)
+        traj = simulate_driver(cfg.vehicle, drivers[i], v_ref, period, seed=cfg.seed + i,
+                               windows=tuple(w for w in roster.distracted if w.index == i))
         same = (traj.t.tobytes(), traj.v_ref.tobytes()) == columns
         traj.write_csv(os.path.join(args.out, f"driver_{i + 1:0{width}d}.csv"),
                        template if same else None)

@@ -28,8 +28,7 @@ reproducible bit for bit.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,7 +88,11 @@ class DistractionWindow:
 
 @dataclass(frozen=True)
 class DriverParams:
-    """PI driver with reaction delay; later windows override earlier ones."""
+    """PI driver with reaction delay: the driver section of the configuration.
+
+    A drive's noise seed and distraction windows are simulate_driver
+    arguments, not fields, since simulate gives each roster driver its own.
+    """
 
     kp: float = 700.0
     ki: float = 120.0
@@ -98,11 +101,6 @@ class DriverParams:
     noise_std: float = 120.0
     compliance: float = 1.0
     hold_tau: float = 4.0
-    # simulate sets these two per driver, so a configuration may not
-    seed: int = field(default=0, metadata={
-        "set_by": "each driver's seed is the top-level seed plus its index"})
-    windows: tuple[DistractionWindow, ...] = field(default=(), metadata={
-        "set_by": "each driver's windows come from drivers.distracted"})
 
     def __post_init__(self):
         _check_fields(self)
@@ -121,13 +119,15 @@ class DriverParams:
 
 
 def simulate_driver(vehicle: VehicleParams, driver: DriverParams, advisory,
-                    sample_period: float, v0: float | None = None) -> Trajectory:
-    """Simulate one driver following (or ignoring) an advisory.
+                    sample_period: float, *, seed: int = 0,
+                    windows: tuple[DistractionWindow, ...] = ()) -> Trajectory:
+    """Simulate one drive of a driver following (or ignoring) an advisory.
 
     advisory is a 1-D series of at least 2 finite speeds already on the
-    sample grid, one per sample; the trajectory has one sample per advisory
-    value. Where distraction windows overlap, the one later in
-    driver.windows wins.
+    sample grid, one per sample, the first of them >= 0; the trajectory has
+    one sample per advisory value and starts at the advisory's first speed.
+    seed seeds the command noise. Where distraction windows overlap, the one
+    later in windows wins.
     """
     _check_sample_period(sample_period)
     v_ref = np.asarray(advisory, dtype=float)
@@ -143,12 +143,12 @@ def simulate_driver(vehicle: VehicleParams, driver: DriverParams, advisory,
     # driver's is an integer
     compliance = np.full(n, float(driver.compliance))
     noise_scale = np.ones(n)
-    for w in driver.windows:  # later windows overwrite earlier ones
+    for w in windows:  # later windows overwrite earlier ones
         mask = (t >= w.t_start) & (t <= w.t_end)
         compliance[mask] = w.compliance
         noise_scale[mask] = w.noise_scale
 
-    rng = np.random.default_rng(driver.seed)
+    rng = np.random.default_rng(seed)
     noise = rng.standard_normal(n) * driver.noise_std * noise_scale
 
     delay_steps = int(round(_samples("reaction_delay", driver.reaction_delay, dt)))
@@ -156,9 +156,9 @@ def simulate_driver(vehicle: VehicleParams, driver: DriverParams, advisory,
     v_out = []
     f_out = []
 
-    v = float(v_ref[0]) if v0 is None else float(v0)
-    if not (math.isfinite(v) and v >= 0):
-        raise ValueError(f"initial speed must be finite and >= 0, got {v}")
+    v = float(v_ref[0])
+    if v < 0:
+        raise ValueError(f"the advisory's first speed must be >= 0, got {v}")
     v_hold = v
     integ = 0.0
     f_prev = 0.0

@@ -646,9 +646,9 @@ def test_simulate_reuses_csv_cells_only_for_equal_bytes(tmp_path, config_file, m
     columns = [(t, v_ref), (t, v_ref), (t, flipped), (t, flipped), (t_signed, v_ref)]
     n = len(t)
 
-    def fake_driver(vehicle, driver, v_ref, sample_period):
-        t_col, v_ref_col = columns[driver.seed - TOY_CONFIG["seed"]]
-        return Trajectory(sample_period=sample_period, t=t_col, v=np.full(n, 3.0 + driver.seed),
+    def fake_driver(vehicle, driver, v_ref, sample_period, *, seed, windows):
+        t_col, v_ref_col = columns[seed - TOY_CONFIG["seed"]]
+        return Trajectory(sample_period=sample_period, t=t_col, v=np.full(n, 3.0 + seed),
                           f_tr=np.full(n, -1.0), v_ref=v_ref_col)
 
     made, passed = [], []
@@ -745,10 +745,10 @@ def test_simulate_failure_in_a_worker_exits_as_serial(tmp_path, toy_advisory, co
     # driver 2's failure is reported, as the serial loop reports it
     real = cli.simulate_driver
 
-    def failing(vehicle, driver, v_ref, sample_period):
-        if driver.seed in (1, 2):
-            raise ValueError(f"driver seed {driver.seed} failed")
-        return real(vehicle, driver, v_ref, sample_period=sample_period)
+    def failing(vehicle, driver, v_ref, sample_period, *, seed, windows):
+        if seed in (1, 2):
+            raise ValueError(f"driver seed {seed} failed")
+        return real(vehicle, driver, v_ref, sample_period, seed=seed, windows=windows)
 
     monkeypatch.setattr("koopdrive.cli.simulate_driver", failing)
     outcomes = []
@@ -772,14 +772,14 @@ def test_simulate_reports_the_lower_failure_that_raises_later(tmp_path, toy_advi
     real = cli.simulate_driver
     raised = tmp_path / "raised.txt"
 
-    def failing(vehicle, driver, v_ref, sample_period):
-        if driver.seed in (1, 2):
-            if driver.seed == 1:
+    def failing(vehicle, driver, v_ref, sample_period, *, seed, windows):
+        if seed in (1, 2):
+            if seed == 1:
                 time.sleep(0.5)
             with open(raised, "a", encoding="utf-8") as fh:
-                fh.write(f"{driver.seed}\n")
-            raise ValueError(f"driver seed {driver.seed} failed")
-        return real(vehicle, driver, v_ref, sample_period=sample_period)
+                fh.write(f"{seed}\n")
+            raise ValueError(f"driver seed {seed} failed")
+        return real(vehicle, driver, v_ref, sample_period, seed=seed, windows=windows)
 
     monkeypatch.setattr("koopdrive.cli.simulate_driver", failing)
     threads = threading.active_count()
@@ -798,10 +798,10 @@ def test_simulate_worker_that_dies_exits_2(tmp_path, toy_advisory, config_file, 
     caller = os.getpid()
     real = cli.simulate_driver
 
-    def dying(vehicle, driver, v_ref, sample_period):
-        if driver.seed == 1 and os.getpid() != caller:
+    def dying(vehicle, driver, v_ref, sample_period, *, seed, windows):
+        if seed == 1 and os.getpid() != caller:
             os._exit(7)
-        return real(vehicle, driver, v_ref, sample_period=sample_period)
+        return real(vehicle, driver, v_ref, sample_period, seed=seed, windows=windows)
 
     monkeypatch.setattr("koopdrive.cli.simulate_driver", dying)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -811,6 +811,63 @@ def test_simulate_worker_that_dies_exits_2(tmp_path, toy_advisory, config_file, 
     assert capsys.readouterr().err == ("error: a roster worker process died before "
                                        "reporting its driver\n")
     assert_no_child_process(threads)
+
+
+def test_simulate_gives_each_drive_its_seed_gains_and_windows(tmp_path, toy_advisory,
+                                                              monkeypatch):
+    # driver 2's two windows are given around driver 0's one: each drive gets
+    # seed + index, that index's windows in file order and PI gains drawn
+    # from default_rng([seed + index, 17]). On two CPUs the spy runs in the
+    # pool's workers, so it records to a file.
+    distracted = [{"index": 2, "t_start": 30.0, "t_end": 40.0, "compliance": 0.5,
+                   "noise_scale": 1.5},
+                  {"index": 0, "t_start": 5.0, "t_end": 8.0},
+                  {"index": 2, "t_start": 10.0, "t_end": 25.0}]
+    cfg = write_config(tmp_path, seed=11, drivers={"count": 3, "gain_jitter": 0.1,
+                                                   "distracted": distracted})
+    calls = tmp_path / "calls.jsonl"
+    real = cli.simulate_driver
+
+    def spy(vehicle, driver, v_ref, sample_period, *, seed, windows):
+        with open(calls, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps([seed, dataclasses.asdict(driver),
+                                 [dataclasses.asdict(w) for w in windows]]) + "\n")
+        return real(vehicle, driver, v_ref, sample_period, seed=seed, windows=windows)
+
+    expected = {}
+    for i in range(3):
+        jrng = np.random.default_rng([11 + i, 17])
+        kp, ki = (TOY_CONFIG["driver"][gain] * (1.0 + 0.1 * (2.0 * jrng.random() - 1.0))
+                  for gain in ("kp", "ki"))
+        expected[11 + i] = [dict(TOY_CONFIG["driver"], kp=kp, ki=ki),
+                            [{"compliance": 0.2, "noise_scale": 2.0, **w}
+                             for w in distracted if w["index"] == i]]
+    assert [len(expected[11 + i][1]) for i in range(3)] == [1, 0, 2]
+    monkeypatch.setattr("koopdrive.cli.simulate_driver", spy)
+    written = {}
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        calls.write_text("")
+        out = tmp_path / f"drivers_{len(cpus)}"
+        assert main(["simulate", "--advisory", str(toy_advisory), "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        records = [json.loads(line) for line in calls.read_text().splitlines()]
+        assert sorted(seed for seed, _, _ in records) == [11, 12, 13], cpus
+        assert {seed: [driver, windows] for seed, driver, windows in records} == expected
+        written[len(cpus)] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert written[1] == written[2]
+
+
+def test_simulate_negative_first_advisory_speed_exit_3(tmp_path, config_file, capsys):
+    # a drive starts at the advisory's first speed, which may not be negative
+    advisory = tmp_path / "advisory_time.csv"
+    advisory.write_text("t_s,v_ref_mps\n0.0,-0.5\n0.025,1.0\n0.05,2.0\n")
+    out = tmp_path / "drivers"
+    assert main(["simulate", "--advisory", str(advisory), "--config", str(config_file),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: the advisory's first speed must be >= 0, got -0.5\n"
+    assert not any(out.glob("*.csv"))
 
 
 def test_roster_shares_columns_only_for_equal_bytes(tmp_path):
@@ -1165,14 +1222,26 @@ def test_non_finite_advisory_value_exit_3(tmp_path, toy_build, sections, message
 @pytest.mark.parametrize("key, value", [("seed", 12345), ("windows", [{"t_start": 1.0}])],
                          ids=["seed", "windows"])
 def test_per_driver_key_in_driver_section_exit_3(tmp_path, toy_build, key, value, capsys):
-    # simulate sets both per driver, so a value here would be ignored
+    # simulate gives each drive its seed and windows, so DriverParams has no
+    # such field and the key is unknown like any other
     out = tmp_path / "out"
     cfg = write_config(tmp_path, driver=dict(TOY_CONFIG["driver"], **{key: value}))
     assert main(command_for("simulate", toy_build, cfg, out)) == 3
     err = capsys.readouterr().err
-    assert f"section 'driver': {key} cannot be set here" in err
+    assert err == f"error: section 'driver': unknown keys: {key}\n"
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_fit_from_a_directory_named_like_a_glob_pattern(tmp_path, toy_build):
+    # "runs[1]" is a glob character class; the directory is escaped, so its
+    # CSVs are found and the fit equals the one from the roster's own directory
+    runs = tmp_path / "runs[1]"
+    shutil.copytree(toy_build / "drivers", runs)
+    model = tmp_path / "model.json"
+    assert main(["fit", "--data", str(runs), "--config", str(toy_build / "config.json"),
+                 "--model-out", str(model)]) == 0
+    assert model.read_bytes() == (toy_build / "model.json").read_bytes()
 
 
 def test_bench_boolean_model_ridge_exit_3(tmp_path, toy_build, capsys):

@@ -1,4 +1,7 @@
+import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,26 +24,41 @@ def test_vehicle_validation():
         VehicleParams(mass=2200, a0=160, a1=2.5, a2=0.45, f_min=100, f_max=6500)
 
 
+def starting_at(v0, adv):
+    """adv with its first sample set to v0, the speed a drive starts at."""
+    adv = np.array(adv, dtype=float)
+    adv[0] = v0
+    return adv
+
+
+def test_driver_params_are_the_driver_section():
+    # the shipped driver section sets every field and nothing else: a drive's
+    # seed and windows are simulate_driver arguments
+    shipped = json.loads((Path(__file__).resolve().parents[1] / "configs" / "default.json")
+                         .read_text(encoding="utf-8"))
+    assert [f.name for f in dataclasses.fields(DriverParams)] == list(shipped["driver"])
+
+
 def test_same_seed_reproduces_bitwise():
-    drv = DriverParams(seed=3)
+    drv = DriverParams()
     adv = np.full(2000, 12.0)
-    a = simulate_driver(VEH, drv, adv, sample_period=0.025)
-    b = simulate_driver(VEH, drv, adv, sample_period=0.025)
+    a = simulate_driver(VEH, drv, adv, sample_period=0.025, seed=3)
+    b = simulate_driver(VEH, drv, adv, sample_period=0.025, seed=3)
     np.testing.assert_array_equal(a.v, b.v)
     np.testing.assert_array_equal(a.f_tr, b.f_tr)
 
 
 def test_different_seed_differs():
     adv = np.full(2000, 12.0)
-    a = simulate_driver(VEH, DriverParams(seed=1), adv, sample_period=0.025)
-    b = simulate_driver(VEH, DriverParams(seed=2), adv, sample_period=0.025)
+    a = simulate_driver(VEH, DriverParams(), adv, sample_period=0.025, seed=1)
+    b = simulate_driver(VEH, DriverParams(), adv, sample_period=0.025, seed=2)
     assert not np.array_equal(a.v, b.v)
 
 
 def test_tracks_constant_advisory():
-    drv = DriverParams(noise_std=0.0, seed=0)
-    adv = np.full(4000, 12.0)  # 100 s
-    traj = simulate_driver(VEH, drv, adv, sample_period=0.025, v0=12.0)
+    drv = DriverParams(noise_std=0.0)
+    adv = np.full(4000, 12.0)  # 100 s, starting at 12
+    traj = simulate_driver(VEH, drv, adv, sample_period=0.025)
     # settled tracking: the last quarter stays near the advisory
     tail = traj.v[3000:]
     assert abs(tail.mean() - 12.0) < 0.2
@@ -48,23 +66,22 @@ def test_tracks_constant_advisory():
 
 
 def test_zero_compliance_holds_speed():
-    drv = DriverParams(noise_std=0.0, compliance=0.0, seed=0)
+    drv = DriverParams(noise_std=0.0, compliance=0.0)
     # advisory asks for a large change; a fully non-compliant driver ignores it
-    adv = np.full(4000, 25.0)
-    traj = simulate_driver(VEH, drv, adv, sample_period=0.025, v0=10.0)
+    adv = starting_at(10.0, np.full(4000, 25.0))
+    traj = simulate_driver(VEH, drv, adv, sample_period=0.025)
     assert np.all(np.abs(traj.v - 10.0) < 0.5)
 
 
 def test_distraction_window_weakens_tracking():
-    base = DriverParams(noise_std=0.0, seed=0)
-    distracted = DriverParams(noise_std=0.0, seed=0,
-                              windows=(DistractionWindow(20.0, 80.0, compliance=0.0),))
+    drv = DriverParams(noise_std=0.0)
+    window = DistractionWindow(20.0, 80.0, compliance=0.0)
     n = 4000  # 100 s
     t = np.arange(n) * 0.025
-    # the advisory steps up in the middle of the distraction window
+    # the advisory starts at 10 and steps up in the middle of the distraction window
     adv = np.where(t < 40.0, 10.0, 16.0)
-    tr_full = simulate_driver(VEH, base, adv, sample_period=0.025, v0=10.0)
-    tr_dist = simulate_driver(VEH, distracted, adv, sample_period=0.025, v0=10.0)
+    tr_full = simulate_driver(VEH, drv, adv, sample_period=0.025)
+    tr_dist = simulate_driver(VEH, drv, adv, sample_period=0.025, windows=(window,))
     # by 70 s the attentive driver reached 16, the distracted one ignored it
     k = int(70 / 0.025)
     assert tr_full.v[k] > 15.0
@@ -81,6 +98,13 @@ def test_simulate_rejects_bad_sample_period(period):
         simulate_driver(VEH, DriverParams(), np.full(10, 12.0), sample_period=period)
 
 
+def test_negative_first_advisory_speed_is_refused():
+    # a drive starts at the advisory's first speed, which may not be negative
+    with pytest.raises(ValueError, match=r"^the advisory's first speed must be >= 0, got -0.5$"):
+        simulate_driver(VEH, DriverParams(), starting_at(-0.5, np.full(10, 12.0)),
+                        sample_period=0.025)
+
+
 def test_distraction_window_validation():
     with pytest.raises(ValueError):
         DistractionWindow(t_start=5.0, t_end=5.0)
@@ -93,9 +117,8 @@ def test_window_lookup_last_added_wins():
     short = DistractionWindow(30.0, 50.0, compliance=0.1, noise_scale=3.0)
     wide = DistractionWindow(20.0, 80.0, compliance=0.5, noise_scale=1.5)
 
-    def run(*windows):
-        return simulate_driver(VEH, DriverParams(seed=0, windows=windows), adv,
-                               sample_period=0.025, v0=10.0)
+    def run(*windows):  # the advisory starts at 10
+        return simulate_driver(VEH, DriverParams(), adv, sample_period=0.025, windows=windows)
 
     # an earlier window that a later one fully covers changes nothing
     alone, covered = run(wide), run(short, wide)
@@ -109,43 +132,43 @@ def test_integer_compliance_matches_float():
     # an integer compliance must not truncate a window's fractional one
     adv = np.where(np.arange(4000) * 0.025 < 40.0, 10.0, 16.0)
     window = (DistractionWindow(30.0, 60.0, compliance=0.5),)
-    as_int = simulate_driver(VEH, DriverParams(compliance=1, seed=0, windows=window), adv,
-                             sample_period=0.025)
-    as_float = simulate_driver(VEH, DriverParams(compliance=1.0, seed=0, windows=window), adv,
-                               sample_period=0.025)
+    as_int = simulate_driver(VEH, DriverParams(compliance=1), adv, sample_period=0.025,
+                             windows=window)
+    as_float = simulate_driver(VEH, DriverParams(compliance=1.0), adv, sample_period=0.025,
+                               windows=window)
     np.testing.assert_array_equal(as_int.v, as_float.v)
     np.testing.assert_array_equal(as_int.f_tr, as_float.f_tr)
 
 
 def test_force_respects_limits():
-    drv = DriverParams(kp=5e4, ki=1e3, noise_std=500.0, seed=0)
-    adv = np.concatenate([np.full(2000, 30.0), np.full(2000, 0.5)])
-    traj = simulate_driver(VEH, drv, adv, sample_period=0.025, v0=0.0)
+    drv = DriverParams(kp=5e4, ki=1e3, noise_std=500.0)
+    adv = starting_at(0.0, np.concatenate([np.full(2000, 30.0), np.full(2000, 0.5)]))
+    traj = simulate_driver(VEH, drv, adv, sample_period=0.025)
     assert traj.f_tr.max() <= VEH.f_max + 1e-9
     assert traj.f_tr.min() >= VEH.f_min - 1e-9
 
 
 def test_force_rate_limit():
     dt = 0.025
-    drv = DriverParams(kp=5e4, ki=0.0, noise_std=0.0, force_rate_limit=6000.0, seed=0)
-    adv = np.full(2000, 30.0)
-    traj = simulate_driver(VEH, drv, adv, sample_period=dt, v0=0.0)
+    drv = DriverParams(kp=5e4, ki=0.0, noise_std=0.0, force_rate_limit=6000.0)
+    adv = starting_at(0.0, np.full(2000, 30.0))
+    traj = simulate_driver(VEH, drv, adv, sample_period=dt)
     steps = np.diff(traj.f_tr)
     assert np.max(np.abs(steps)) <= 6000.0 * dt + 1e-9
 
 
 def test_speed_never_negative():
-    drv = DriverParams(kp=5e4, noise_std=2000.0, seed=7)
-    adv = np.full(4000, 0.0)
-    traj = simulate_driver(VEH, drv, adv, sample_period=0.025, v0=5.0)
+    drv = DriverParams(kp=5e4, noise_std=2000.0)
+    adv = starting_at(5.0, np.full(4000, 0.0))
+    traj = simulate_driver(VEH, drv, adv, sample_period=0.025, seed=7)
     assert traj.v.min() >= 0.0
 
 
 def test_reaction_delay_holds_initial_force():
     dt = 0.025
-    drv = DriverParams(reaction_delay=0.5, noise_std=0.0, seed=0)
-    adv = np.full(400, 20.0)
-    traj = simulate_driver(VEH, drv, adv, sample_period=dt, v0=10.0)
+    drv = DriverParams(reaction_delay=0.5, noise_std=0.0)
+    adv = starting_at(10.0, np.full(400, 20.0))
+    traj = simulate_driver(VEH, drv, adv, sample_period=dt)
     # before the delay elapses the driver has not responded yet
     k_delay = int(0.5 / dt)
     assert np.all(traj.f_tr[:k_delay] == 0.0)
@@ -153,7 +176,7 @@ def test_reaction_delay_holds_initial_force():
 
 
 def test_output_contains_advisory_column():
-    drv = DriverParams(seed=0)
+    drv = DriverParams()
     adv = np.linspace(10, 14, 1000)
     traj = simulate_driver(VEH, drv, adv, sample_period=0.025)
     np.testing.assert_array_equal(traj.v_ref, adv)
@@ -161,25 +184,25 @@ def test_output_contains_advisory_column():
 
 # ------------------------------------------------------------ reference loop
 
-def _reference_loop(vehicle, driver, v_ref, dt, v0=None):
+def _reference_loop(vehicle, driver, v_ref, dt, seed=0, windows=()):
     """The sample loop as first written: numpy element indexing, builtin
     min/max clamps and the quadratic road load a0 + a1 v + a2 v^2. Returns (v, f_tr)."""
     n = len(v_ref)
     t = np.arange(n) * dt
     compliance = np.full(n, driver.compliance)
     noise_scale = np.ones(n)
-    for w in driver.windows:
+    for w in windows:
         mask = (t >= w.t_start) & (t <= w.t_end)
         compliance[mask] = w.compliance
         noise_scale[mask] = w.noise_scale
-    rng = np.random.default_rng(driver.seed)
+    rng = np.random.default_rng(seed)
     noise = rng.standard_normal(n) * driver.noise_std * noise_scale
 
     delay_steps = int(round(driver.reaction_delay / dt))
     errors = np.zeros(n)
     v_arr = np.empty(n)
     f_arr = np.empty(n)
-    v = float(v_ref[0]) if v0 is None else float(v0)
+    v = float(v_ref[0])
     v_hold = v
     integ = 0.0
     f_prev = 0.0
@@ -220,25 +243,28 @@ def _stress_advisory(dt=0.025):
 
 
 WINDOW = DistractionWindow(t_start=10.0, t_end=30.0, compliance=0.1, noise_scale=3.0)
+# case: (driver, seed, windows, starting speed, or None for the advisory's 30)
 REFERENCE_CASES = {
-    "default_seed0": (DriverParams(seed=0), None),
-    "default_seed5": (DriverParams(seed=5), 0.0),
-    "stiff_no_delay": (DriverParams(kp=5e4, ki=1e3, reaction_delay=0.0, seed=1), 0.0),
-    "soft_long_delay": (DriverParams(kp=300.0, ki=40.0, reaction_delay=1.0, seed=2), 3.0),
-    "distracted": (DriverParams(seed=3, windows=(WINDOW,)), 0.0),
-    "distracted_no_delay": (DriverParams(kp=900.0, ki=200.0, reaction_delay=0.0,
-                                         seed=4, windows=(WINDOW,)), 5.0),
-    "noiseless_from_minus_zero": (DriverParams(noise_std=0.0, seed=6), -0.0),
+    "default_seed0": (DriverParams(), 0, (), None),
+    "default_seed5": (DriverParams(), 5, (), 0.0),
+    "stiff_no_delay": (DriverParams(kp=5e4, ki=1e3, reaction_delay=0.0), 1, (), 0.0),
+    "soft_long_delay": (DriverParams(kp=300.0, ki=40.0, reaction_delay=1.0), 2, (), 3.0),
+    "distracted": (DriverParams(), 3, (WINDOW,), 0.0),
+    "distracted_no_delay": (DriverParams(kp=900.0, ki=200.0, reaction_delay=0.0), 4,
+                            (WINDOW,), 5.0),
+    "noiseless_from_minus_zero": (DriverParams(noise_std=0.0), 6, (), -0.0),
 }
 
 
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
 def test_loop_matches_reference_bitwise(case):
     dt = 0.025
-    driver, v0 = REFERENCE_CASES[case]
+    driver, seed, windows, v0 = REFERENCE_CASES[case]
     adv = _stress_advisory(dt)
-    v_ref_loop, f_ref_loop = _reference_loop(VEH, driver, adv, dt, v0)
-    traj = simulate_driver(VEH, driver, adv, sample_period=dt, v0=v0)
+    if v0 is not None:
+        adv = starting_at(v0, adv)
+    v_ref_loop, f_ref_loop = _reference_loop(VEH, driver, adv, dt, seed, windows)
+    traj = simulate_driver(VEH, driver, adv, sample_period=dt, seed=seed, windows=windows)
     for got, want in ((traj.v, v_ref_loop), (traj.f_tr, f_ref_loop), (traj.v_ref, adv)):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -253,13 +279,13 @@ def test_loop_matches_reference_bitwise(case):
 
 def test_standstill_clamp_keeps_negative_zero():
     # a plant so heavy that a tiny force underflows to a -0.0 speed change:
-    # from v0 = -0.0 the clamp sees max(-0.0, 0.0), and the builtin keeps
-    # its first argument
+    # from a start at -0.0 the clamp sees max(-0.0, 0.0), and the builtin
+    # keeps its first argument
     heavy = VehicleParams(mass=1e25, a0=0.0, a1=0.0, a2=0.0, f_min=-9000.0, f_max=6500.0)
-    driver = DriverParams(noise_std=1e-300, seed=4)  # first noise sample < 0
-    adv = np.zeros(40)
-    v_ref_loop, f_ref_loop = _reference_loop(heavy, driver, adv, 0.025, -0.0)
-    traj = simulate_driver(heavy, driver, adv, sample_period=0.025, v0=-0.0)
+    driver = DriverParams(noise_std=1e-300)  # seed 4: first noise sample < 0
+    adv = starting_at(-0.0, np.zeros(40))
+    v_ref_loop, f_ref_loop = _reference_loop(heavy, driver, adv, 0.025, seed=4)
+    traj = simulate_driver(heavy, driver, adv, sample_period=0.025, seed=4)
     assert np.signbit(v_ref_loop[1]) and v_ref_loop[1] == 0.0
     assert np.array_equal(np.signbit(traj.v), np.signbit(v_ref_loop))
     assert np.array_equal(traj.v, v_ref_loop)

@@ -7,7 +7,7 @@ only advisory._interp_values reads the sentinel cut, only edmd._fold calls
 np.linalg.qr, only model._trusted_trajectory builds an object round its
 constructor with __new__, no module but model.py reads _trusted_trajectory,
 and every function, class and method the package defines is referenced from
-the package or the benchmark."""
+the package or the benchmark; and code_lines counts only code lines."""
 
 import ast
 import importlib
@@ -16,6 +16,7 @@ import pathlib
 import pytest
 
 import koopdrive
+from code_lines import code_lines
 
 PACKAGE = pathlib.Path(koopdrive.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -522,3 +523,25 @@ def test_every_definition_is_referenced():
     package = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
     bench = [p.read_text(encoding="utf-8") for p in sorted(BENCH.glob("*.py"))]
     assert unreferenced_definitions(package, package + bench) == []
+
+
+def test_code_lines_skip_blanks_comments_and_docstrings():
+    source = ('"""Module docstring,\n\nover three lines."""\n'
+              "\n"
+              "# a comment\n"
+              "import os  # a trailing comment keeps its line\n"
+              "\n"
+              "class A:\n"
+              "    '''Class docstring.'''\n"
+              "\n"
+              "    def f(self):\n"
+              '        """Function docstring,\n        two lines."""\n'
+              "        # an indented comment\n"
+              "        text = '''a string that is no docstring\n"
+              "        spans two code lines'''\n"
+              '        "a later string statement is code"\n'
+              "        return (text,\n"
+              "                os.sep)\n")
+    # import, class, def, the two-line string, the later string, the
+    # two-line return
+    assert code_lines(source) == 8

@@ -521,9 +521,12 @@ BAD_VALUES = {
     "tuple[float, ...]": [("true", (5.0, True)), ("nan", (math.nan,)), ("inf", (5.0, math.inf)),
                           ("1e400", (10**400,)), ("str", ("5",)), ("not-a-tuple", 5.0)],
 }
-# fields a config class no longer has: the vehicle is described once, by
-# VehicleParams, so a value for the powertrain's old copy is refused by name
-REMOVED_FIELDS = {PowertrainParams: ("mass", "a0", "a1", "a2", "gravity")}
+# fields a config class no longer has, each with the type it had: the
+# vehicle is described once, by VehicleParams, so a value for the
+# powertrain's old copy is refused by name, and so is a driver seed, which
+# simulate_driver takes per drive
+REMOVED_FIELDS = {PowertrainParams: dict.fromkeys(("mass", "a0", "a1", "a2", "gravity"), "float"),
+                  DriverParams: {"seed": "int"}}
 NUMBER_CASES = [
     pytest.param(base, f.name, value, ValueError, f"^{f.name} must be "
                  + ("an integer, got " if f.type == "int" else "finite, got "),
@@ -533,8 +536,8 @@ NUMBER_CASES = [
 ] + [
     pytest.param(base, name, value, TypeError, f"unexpected keyword argument '{name}'$",
                  id=f"{type(base).__name__}.{name}-{label}")
-    for base in CONFIG_BASES for name in REMOVED_FIELDS.get(type(base), ())
-    for label, value in BAD_VALUES["float"]
+    for base in CONFIG_BASES for name, kind in REMOVED_FIELDS.get(type(base), {}).items()
+    for label, value in BAD_VALUES[kind]
 ]
 
 

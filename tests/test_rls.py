@@ -697,7 +697,7 @@ def test_view_ticks_match_the_copied_tick_bytes(monkeypatch, tick_steps):
     basis = LiftedBasis(scale=(16.0, 512.0))
     model = KoopmanModel(basis, np.random.default_rng(4).normal(0, 0.1, size=(9, 10)), 0.025)
     advisory = 12.0 + 3.0 * np.sin(np.arange(400) * 0.025 / 2.0)
-    traj = simulate_driver(VEH, DriverParams(seed=7), advisory, sample_period=0.025)
+    traj = simulate_driver(VEH, DriverParams(), advisory, sample_period=0.025, seed=7)
     traj.t.flags.writeable = traj.v_ref.flags.writeable = False
     state = init_rls(model, 0.99737)
     errs = feed(state, basis, traj, 37, 287, tick_steps)
