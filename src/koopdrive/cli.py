@@ -1,8 +1,12 @@
 """Command line pipeline: advisory, simulate, fit, update, eval, bench.
 
-Every command validates all of its inputs before creating any output, writes
-files atomically (temp file plus rename), and reports failures on stderr
-with one of four exit codes: 0 on success, 2 for I/O problems, 3 for invalid
+Every command validates all of its inputs before creating any output.
+Output paths are checked before the first write (_check_outputs): one that
+is an existing directory exits 2, and two that name one file exit 3.
+simulate makes its --out directory only as a drive is written, so an input
+that every drive refuses leaves no directory. Every command writes files
+atomically (temp file plus rename), and reports failures on stderr with one
+of four exit codes: 0 on success, 2 for I/O problems, 3 for invalid
 inputs or configuration, 4 for numerical failures (rank-deficient data,
 diverging rollouts, infeasible routes, an RLS prediction error that is not
 finite or RLS information singular to working precision).
@@ -256,12 +260,19 @@ def _expand_data_paths(paths) -> list[str]:
     return out
 
 
-def _check_output_dirs(*paths) -> None:
-    """FileNotFoundError naming the first given output path whose directory
-    is missing, so a command with two outputs writes neither."""
+def _check_outputs(*paths) -> None:
+    """Refuse the given output paths before any is written, so a command
+    with two outputs writes neither: FileNotFoundError naming the first
+    path whose directory is missing, IsADirectoryError naming the first
+    that is a directory, and ValueError when two name one file."""
+    paths = [path for path in paths if path is not None]
     for path in paths:
-        if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise FileNotFoundError(f"output directory not found for {path}")
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"output path is a directory: {path}")
+    if len({os.path.realpath(path) for path in paths}) < len(paths):
+        raise ValueError(f"outputs {' and '.join(paths)} name one file")
 
 
 def _read_trajectories(paths) -> list[Trajectory]:
@@ -405,7 +416,6 @@ def cmd_simulate(args) -> int:
                 gains[gain] = base * (1.0 + roster.gain_jitter * (2.0 * jrng.random() - 1.0))
         drivers.append(dataclasses.replace(cfg.driver, **gains))
 
-    os.makedirs(args.out, exist_ok=True)
     width = max(2, len(str(roster.count)))
     # the t and v_ref cells are formatted once, from the advisory's columns;
     # a driver whose t or v_ref bytes differ from them formats its own
@@ -417,6 +427,9 @@ def cmd_simulate(args) -> int:
         traj = simulate_driver(cfg.vehicle, drivers[i], v_ref, period, seed=cfg.seed + i,
                                windows=tuple(w for w in roster.distracted if w.index == i))
         same = (traj.t.tobytes(), traj.v_ref.tobytes()) == columns
+        # made here, not before the roster: an input every drive refuses
+        # fails the first drive before any directory is made
+        os.makedirs(args.out, exist_ok=True)
         traj.write_csv(os.path.join(args.out, f"driver_{i + 1:0{width}d}.csv"),
                        template if same else None)
 
@@ -429,7 +442,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     cfg = _load_config(args)
-    _check_output_dirs(args.model_out, args.report_out)
+    _check_outputs(args.model_out, args.report_out)
     paths = _expand_data_paths(args.data)
     trajectories = _read_trajectories(paths)
     model, report = fit_trajectories(trajectories, cfg.fit)
@@ -448,7 +461,7 @@ def cmd_fit(args) -> int:
 
 def cmd_update(args) -> int:
     online = _load_config(args).rls
-    _check_output_dirs(args.out, args.log)
+    _check_outputs(args.out, args.log)
 
     model = KoopmanModel.load(args.model)
     traj = Trajectory.read_csv(args.data)
@@ -482,7 +495,7 @@ def cmd_eval(args) -> int:
     if segment is None:
         raise ValueError("eval needs --segment (or eval.segment_s in the configuration)")
     online = cfg.rls if args.online else None
-    _check_output_dirs(args.out)
+    _check_outputs(args.out)
 
     model = KoopmanModel.load(args.model)
     traj = Trajectory.read_csv(args.data)
@@ -500,7 +513,7 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _load_config(args)
-    _check_output_dirs(args.out)
+    _check_outputs(args.out)
 
     model = KoopmanModel.load(args.model)
     paths = _expand_data_paths(args.data)

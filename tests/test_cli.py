@@ -239,6 +239,38 @@ def test_output_in_missing_directory_exits_before_fitting_or_streaming(tmp_path,
     assert main(command_for(stage, toy_build, toy_build / "config.json", missing)) == 2
 
 
+@pytest.mark.parametrize("stage, second", [("fit", "--report-out"), ("update", "--log")])
+def test_second_output_that_is_a_directory_writes_nothing(tmp_path, toy_build, stage, second,
+                                                          capsys):
+    # the first output used to be written before the second's write failed
+    out = tmp_path / "out"
+    out.mkdir()
+    taken = out / "taken"
+    taken.mkdir()
+    argv = command_for(stage, toy_build, toy_build / "config.json", out / "first.json")
+    assert main(argv + [second, str(taken)]) == 2
+    assert capsys.readouterr().err == f"error: output path is a directory: {taken}\n"
+    assert [p.name for p in out.iterdir()] == ["taken"]
+    assert list(taken.iterdir()) == []
+
+
+@pytest.mark.parametrize("stage, second", [("fit", "--report-out"), ("update", "--log")])
+@pytest.mark.parametrize("spelling", ["same", "dotted", "symlinked"])
+def test_two_outputs_naming_one_file_exit_3(tmp_path, toy_build, stage, second, spelling,
+                                            capsys):
+    # the second output used to overwrite the first, and the command exit 0
+    out = tmp_path / "out"
+    out.mkdir()
+    (tmp_path / "link").symlink_to(out)
+    first = out / "m.json"
+    again = {"same": str(first), "dotted": os.path.join(str(tmp_path), ".", "out", "m.json"),
+             "symlinked": str(tmp_path / "link" / "m.json")}[spelling]
+    argv = command_for(stage, toy_build, toy_build / "config.json", first)
+    assert main(argv + [second, again]) == 3
+    assert capsys.readouterr().err == f"error: outputs {first} and {again} name one file\n"
+    assert list(out.iterdir()) == []
+
+
 def test_bad_json_exit_3(tmp_path, toy_route):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
@@ -858,16 +890,43 @@ def test_simulate_gives_each_drive_its_seed_gains_and_windows(tmp_path, toy_advi
     assert written[1] == written[2]
 
 
-def test_simulate_negative_first_advisory_speed_exit_3(tmp_path, config_file, capsys):
-    # a drive starts at the advisory's first speed, which may not be negative
+def assert_simulate_refused(tmp_path, speeds, config, message, monkeypatch, capsys):
+    """simulate on an advisory of the given speeds exits 3 with message and
+    leaves no --out directory, on one CPU and on two: every drive refuses
+    the input, so none is written and no directory is made."""
     advisory = tmp_path / "advisory_time.csv"
-    advisory.write_text("t_s,v_ref_mps\n0.0,-0.5\n0.025,1.0\n0.05,2.0\n")
-    out = tmp_path / "drivers"
-    assert main(["simulate", "--advisory", str(advisory), "--config", str(config_file),
-                 "--out", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert err == "error: the advisory's first speed must be >= 0, got -0.5\n"
-    assert not any(out.glob("*.csv"))
+    advisory.write_text("t_s,v_ref_mps\n" + "".join(f"{k * 0.025},{v}\n"
+                                                   for k, v in enumerate(speeds)))
+    threads = threading.active_count()
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        out = tmp_path / f"drivers_{len(cpus)}"
+        assert main(["simulate", "--advisory", str(advisory), "--config", str(config),
+                     "--out", str(out)]) == 3, cpus
+        assert capsys.readouterr().err == f"error: {message}\n", cpus
+        assert not out.exists(), cpus
+        assert_no_child_process(threads)
+
+
+def test_simulate_negative_first_advisory_speed_exit_3(tmp_path, config_file, monkeypatch,
+                                                        capsys):
+    # a drive starts at the advisory's first speed, which may not be negative
+    assert_simulate_refused(tmp_path, ["-0.5", "1.0", "2.0"], config_file,
+                            "the advisory's first speed must be >= 0, got -0.5",
+                            monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("speeds, driver, message", [
+    (["0.0", "nan", "2.0"], {}, "advisory speeds must be finite"),
+    (["0.0", "1.0", "2.0"], {"reaction_delay": 1e308},
+     "reaction_delay of 1e+308 s over sample_period=0.025 s is not a finite number of samples"),
+], ids=["nan_speed", "huge_reaction_delay"])
+def test_simulate_input_every_drive_refuses_leaves_no_out_directory(tmp_path, speeds, driver,
+                                                                    message, monkeypatch,
+                                                                    capsys):
+    # the --out directory used to be made before the first drive ran
+    config = write_config(tmp_path, driver=dict(TOY_CONFIG["driver"], **driver))
+    assert_simulate_refused(tmp_path, speeds, config, message, monkeypatch, capsys)
 
 
 def test_roster_shares_columns_only_for_equal_bytes(tmp_path):

@@ -1,5 +1,7 @@
-"""Every name a koopdrive module imports is used or re-exported, every name
-it exports exists, only model.py writes files itself or tells a bool from a
+"""The package imports nothing, so importing a module loads that module and
+its own imports alone, and the project's version is the package's; every
+name a koopdrive module imports is used or re-exported, every name it
+exports exists, only model.py writes files itself or tells a bool from a
 number, only cli._map_roster starts processes, no cli command reads the
 configuration as a dict, only basis.py and rls.update_tick call the
 unchecked lift kernel, only advisory._edge_tables prices advisory edges,
@@ -11,7 +13,10 @@ the package or the benchmark; and code_lines counts only code lines."""
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -21,6 +26,55 @@ from code_lines import code_lines
 PACKAGE = pathlib.Path(koopdrive.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+
+
+def test_the_package_imports_nothing():
+    # each module's __all__ is the one list of its public names: the package
+    # re-exports none of them
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))] == []
+
+
+def import_closure(stem: str) -> set[str]:
+    """koopdrive and the package modules that importing koopdrive.<stem>
+    loads, read from the module-level `from .x import` lines."""
+    loaded, todo = {"koopdrive"}, [stem]
+    while todo:
+        name = todo.pop()
+        if f"koopdrive.{name}" in loaded:
+            continue
+        loaded.add(f"koopdrive.{name}")
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+        todo.extend(node.module for node in tree.body
+                    if isinstance(node, ast.ImportFrom) and node.level == 1)
+    return loaded
+
+
+def test_import_closure_follows_the_sources():
+    assert import_closure("basis") == {"koopdrive", "koopdrive.basis"}
+    assert import_closure("cli") == {"koopdrive"} | {f"koopdrive.{p.stem}" for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_importing_a_module_loads_its_closure_alone(path):
+    # a fresh interpreter, so no other test's imports count
+    script = (f"import sys, koopdrive.{path.stem}\n"
+              "print(' '.join(sorted(m for m in sys.modules "
+              "if m.split('.')[0] == 'koopdrive')))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) == import_closure(path.stem)
+
+
+@pytest.mark.filterwarnings("ignore:Support for `\\[tool.setuptools\\]`")
+def test_project_version_is_the_package_version():
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    config = pyprojecttoml.read_configuration(PACKAGE.parents[1] / "pyproject.toml")
+    assert config["project"]["version"] == koopdrive.__version__
 
 
 def unused_imports(source: str) -> list[str]:
