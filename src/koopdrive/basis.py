@@ -32,9 +32,7 @@ monomials well conditioned: one power of two per channel, the nearest to its
 training peak (pow2_scale), so project_many(lift_many(x)) is x bit for bit,
 signed zeros included. The default unit scale 2**0 takes the same path and
 lifts raw units. Peaks of 2**1023.5 and above have no such scale and raise
-ValueError. Model files write it as {"scale": [...], "offset": [0.0, 0.0]};
-another offset, a missing or null scaler, or a scale that is not a positive
-power of two, is rejected.
+ValueError. The model file's form of a basis is model.py's to decide.
 """
 
 from __future__ import annotations
@@ -151,35 +149,3 @@ class LiftedBasis:
         if arr.ndim != 2 or arr.shape[1] != self.lifted_dim:
             raise ValueError(f"expected (k, {self.lifted_dim}) array, got {arr.shape}")
         return arr[:, :2] * self._scale
-
-    def to_dict(self) -> dict:
-        return {
-            "state_dim": 2,
-            "max_degree": self.max_degree,
-            "monomials": [list(e) for e in self.monomials],
-            "scaler": {"scale": list(self.scale), "offset": [0.0, 0.0]},
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LiftedBasis":
-        """Rebuild a basis whose state_dim and max_degree are integers,
-        rejecting any shape but the canonical one."""
-        if d["state_dim"] != 2:
-            raise ValueError(f"state_dim must be 2, got {d['state_dim']!r}")
-        scaler = d["scaler"]
-        if not isinstance(scaler, dict):
-            raise ValueError(f"scaler must be an object, got {scaler!r}")
-        # floats only, as written: a JSON true or "0" is no number here
-        offset = scaler["offset"]
-        if not (len(offset) == 2 and all(isinstance(o, float) and o == 0.0 for o in offset)):
-            raise ValueError(f"scaler offset must be [0.0, 0.0], got {offset!r}")
-        degree, monomials = d["max_degree"], d["monomials"]
-        # the count first, so a huge degree is refused before its pairs are enumerated
-        count = (degree + 1) * (degree + 2) // 2 - 1
-        if len(monomials) != count:
-            raise ValueError(f"degree {degree} has {count} monomials, got {len(monomials)}")
-        basis = cls(max_degree=degree, scale=tuple(scaler["scale"]))
-        canonical = [list(e) for e in basis.monomials]
-        if monomials != canonical:
-            raise ValueError(f"monomials must be {canonical} for degree {degree}")
-        return basis

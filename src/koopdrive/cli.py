@@ -1,15 +1,17 @@
 """Command line pipeline: advisory, simulate, fit, update, eval, bench.
 
-Every command validates all of its inputs before creating any output.
-Output paths are checked before the first write (_check_outputs): one that
-is an existing directory exits 2, and two that name one file exit 3.
-simulate makes its --out directory only as a drive is written, so an input
-that every drive refuses leaves no directory. Every command writes files
-atomically (temp file plus rename), and reports failures on stderr with one
-of four exit codes: 0 on success, 2 for I/O problems, 3 for invalid
-inputs or configuration, 4 for numerical failures (rank-deficient data,
-diverging rollouts, infeasible routes, an RLS prediction error that is not
-finite or RLS information singular to working precision).
+Every command validates all of its inputs before creating any output. A
+command's files are checked before the first write (_check_files): an output
+that is an existing directory exits 2, and two outputs, an output and an
+input, or two inputs (a --data file named twice, directly or through its
+directory) that name one file by os.path.realpath exit 3. simulate makes its
+--out directory only as a drive is written, so an input that every drive
+refuses leaves no directory. Every command writes files atomically (temp
+file plus rename), and reports failures on stderr with one of four exit
+codes: 0 on success, 2 for I/O problems, 3 for invalid inputs or
+configuration, 4 for numerical failures (rank-deficient data, diverging
+rollouts, infeasible routes, an RLS prediction error that is not finite or
+RLS information singular to working precision).
 
 A JSON configuration file supplies the physical and algorithmic parameters.
 Every command builds all of it, by one rule (_build), into a Config: a
@@ -28,19 +30,20 @@ whole pipeline byte for byte.
 simulate runs its roster on p = min(usable CPUs, drivers) processes
 (_map_roster; the CPUs os.sched_getaffinity counts). With p = 1 the caller
 runs every driver and starts no process. Otherwise p workers of a
-concurrent.futures process pool simulate and write one driver per task
-while the caller waits. Every driver file is byte-identical to a one-CPU
-run, and a failure exits as that run would, with the lowest-numbered
-failing driver's code and message; a worker that dies exits 2. Workers
-start by "fork": the executor's initializer binds the simulate closure once
-in each worker, which inherits it, with the built Config, the advisory and
-the CSV row template, without pickling, and workers start in about 4 ms,
-where "forkserver" and "spawn" workers took 0.25-0.42 s each to start and
-import the package (2-CPU Linux host, Python 3.11). The pool forks every
-worker before it starts its manager thread, and the only other threads are
-numpy's OpenBLAS pool, which OpenBLAS's own fork handler stops before the
-fork, so the process forks with one thread; Python 3.12+ warns only about
-forking a multi-threaded process.
+concurrent.futures process pool simulate and write one driver per task while
+the caller waits; each draws its driver's PI gain spread there. Every driver
+file is byte-identical to a one-CPU run, and a failure exits as that run
+would, with the lowest-numbered failing driver's code and message; a worker
+that dies exits 2. Workers start by "fork": the executor's initializer binds
+the simulate closure once in each worker, which inherits it, with the built
+Config and the advisory, without pickling, and each worker formats the CSV
+row template of its drivers' shared t and v_ref once (model._row_template).
+Workers start in about 4 ms, where "forkserver" and "spawn" workers took
+0.25-0.42 s each to start and import the package (2-CPU Linux host, Python
+3.11). The pool forks every worker before it starts its manager thread, and
+the only other threads are numpy's OpenBLAS pool, which OpenBLAS's own fork
+handler stops before the fork, so the process forks with one thread; Python
+3.12+ warns only about forking a multi-threaded process.
 
 main runs each command with numpy's OpenBLAS at one thread and puts the
 count it found back on return, also when the command raises. The largest
@@ -96,7 +99,6 @@ from .model import (
     _check_spacing,
     _is_number,
     _read_csv_table,
-    _row_template,
     _write_csv_table,
     _write_json,
 )
@@ -260,19 +262,27 @@ def _expand_data_paths(paths) -> list[str]:
     return out
 
 
-def _check_outputs(*paths) -> None:
-    """Refuse the given output paths before any is written, so a command
-    with two outputs writes neither: FileNotFoundError naming the first
-    path whose directory is missing, IsADirectoryError naming the first
-    that is a directory, and ValueError when two name one file."""
-    paths = [path for path in paths if path is not None]
-    for path in paths:
+def _check_files(inputs, outputs) -> None:
+    """Refuse a command's files before any output is written, so a command
+    with two outputs writes neither, no output overwrites an input and no
+    input is read twice: FileNotFoundError naming the first output whose
+    directory is missing, IsADirectoryError naming the first output that is
+    a directory, and ValueError naming two files that os.path.realpath
+    resolves to one. None stands for an output not given."""
+    outputs = [path for path in outputs if path is not None]
+    for path in outputs:
         if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise FileNotFoundError(f"output directory not found for {path}")
         if os.path.isdir(path):
             raise IsADirectoryError(f"output path is a directory: {path}")
-    if len({os.path.realpath(path) for path in paths}) < len(paths):
-        raise ValueError(f"outputs {' and '.join(paths)} name one file")
+    if len({os.path.realpath(path) for path in outputs}) < len(outputs):
+        raise ValueError(f"outputs {' and '.join(outputs)} name one file")
+    files = [*inputs, *outputs]
+    real = [os.path.realpath(path) for path in files]
+    for i, first in enumerate(map(real.index, real)):
+        if first < i:
+            role = "input" if i < len(inputs) else "output"
+            raise ValueError(f"{role} {files[i]} and input {files[first]} name one file")
 
 
 def _read_trajectories(paths) -> list[Trajectory]:
@@ -389,13 +399,6 @@ def cmd_advisory(args) -> int:
     return 0
 
 
-def _read_advisory_time_csv(path: str, period: float) -> tuple[np.ndarray, np.ndarray]:
-    """The advisory's t and v_ref columns."""
-    data = _read_csv_table(path, ADVISORY_TIME_HEADER, 2, "advisory")
-    _check_spacing(f"{path}: advisory time", data[:, 0], period)
-    return data[:, 0], data[:, 1]
-
-
 # ---------------------------------------------------------------- simulate
 
 def cmd_simulate(args) -> int:
@@ -404,34 +407,24 @@ def cmd_simulate(args) -> int:
     period = float(cfg.sample_period)
     roster = cfg.drivers
 
-    t, v_ref = _read_advisory_time_csv(args.advisory, period)
-
-    drivers = []
-    for i in range(roster.count):
-        gains = {}
-        if roster.gain_jitter > 0:
-            jrng = np.random.default_rng([cfg.seed + i, 17])
-            for gain in ("kp", "ki"):
-                base = getattr(cfg.driver, gain)
-                gains[gain] = base * (1.0 + roster.gain_jitter * (2.0 * jrng.random() - 1.0))
-        drivers.append(dataclasses.replace(cfg.driver, **gains))
+    advisory = _read_csv_table(args.advisory, ADVISORY_TIME_HEADER, 2, "advisory")
+    _check_spacing(f"{args.advisory}: advisory time", advisory[:, 0], period)
+    v_ref = advisory[:, 1]
 
     width = max(2, len(str(roster.count)))
-    # the t and v_ref cells are formatted once, from the advisory's columns;
-    # a driver whose t or v_ref bytes differ from them formats its own
-    # (bytes, not values, so a -0.0 never borrows "0.0")
-    template = _row_template(t, v_ref)
-    columns = (t.tobytes(), v_ref.tobytes())
 
     def simulate(i):
-        traj = simulate_driver(cfg.vehicle, drivers[i], v_ref, period, seed=cfg.seed + i,
+        # the PI gain spread; a zero jitter multiplies each gain by exactly 1.0
+        jrng = np.random.default_rng([cfg.seed + i, 17])
+        gains = {gain: getattr(cfg.driver, gain) * (
+            1.0 + roster.gain_jitter * (2.0 * jrng.random() - 1.0)) for gain in ("kp", "ki")}
+        traj = simulate_driver(cfg.vehicle, dataclasses.replace(cfg.driver, **gains), v_ref,
+                               period, seed=cfg.seed + i,
                                windows=tuple(w for w in roster.distracted if w.index == i))
-        same = (traj.t.tobytes(), traj.v_ref.tobytes()) == columns
         # made here, not before the roster: an input every drive refuses
         # fails the first drive before any directory is made
         os.makedirs(args.out, exist_ok=True)
-        traj.write_csv(os.path.join(args.out, f"driver_{i + 1:0{width}d}.csv"),
-                       template if same else None)
+        traj.write_csv(os.path.join(args.out, f"driver_{i + 1:0{width}d}.csv"))
 
     _map_roster(simulate, roster.count)
     print(f"simulate: wrote {roster.count} trajectories of {len(v_ref)} samples to {args.out}")
@@ -442,8 +435,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     cfg = _load_config(args)
-    _check_outputs(args.model_out, args.report_out)
     paths = _expand_data_paths(args.data)
+    _check_files(paths, (args.model_out, args.report_out))
     trajectories = _read_trajectories(paths)
     model, report = fit_trajectories(trajectories, cfg.fit)
     model.provenance["data_files"] = [os.path.basename(p) for p in paths]
@@ -461,7 +454,7 @@ def cmd_fit(args) -> int:
 
 def cmd_update(args) -> int:
     online = _load_config(args).rls
-    _check_outputs(args.out, args.log)
+    _check_files((args.model, args.data), (args.out, args.log))
 
     model = KoopmanModel.load(args.model)
     traj = Trajectory.read_csv(args.data)
@@ -495,7 +488,7 @@ def cmd_eval(args) -> int:
     if segment is None:
         raise ValueError("eval needs --segment (or eval.segment_s in the configuration)")
     online = cfg.rls if args.online else None
-    _check_outputs(args.out)
+    _check_files((args.model, args.data), (args.out,))
 
     model = KoopmanModel.load(args.model)
     traj = Trajectory.read_csv(args.data)
@@ -513,10 +506,10 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _load_config(args)
-    _check_outputs(args.out)
+    paths = _expand_data_paths(args.data)
+    _check_files((args.model, *paths), (args.out,))
 
     model = KoopmanModel.load(args.model)
-    paths = _expand_data_paths(args.data)
     trajectories = _read_trajectories(paths)
 
     report = bench_update(trajectories, model, cfg.eval.horizons_s, online=cfg.rls)

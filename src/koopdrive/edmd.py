@@ -28,8 +28,9 @@ fit_trajectories lifts states divided by the basis scale: per channel, the
 power of two nearest to the training part's peak |v| or |f_tr|, so the
 one-step errors return to physical units by one exact multiply. The report
 and the model's provenance record that pre-scale as "scaling": "pow2" and
-"scaled": true. Every trajectory of a fit must share one sample period to
-2e-9 relative.
+"scaled": true, and the report carries the model file's scaler object, which
+model._scaler builds. Every trajectory of a fit must share one sample period
+to 2e-9 relative.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .basis import LiftedBasis, pow2_scale
-from .model import KoopmanModel, _check_fields, _check_same_sample_period
+from .model import KoopmanModel, _check_fields, _check_same_sample_period, _scaler
 
 __all__ = [
     "FitConfig",
@@ -320,7 +321,7 @@ def fit_trajectories(trajectories, config: FitConfig) -> tuple[KoopmanModel, Fit
         ridge=config.ridge,
         max_degree=config.max_degree,
         scaling="pow2",
-        scaler=basis.to_dict()["scaler"],
+        scaler=_scaler(basis),
         one_step_rmse_v_mps=rmse_v,
         one_step_rmse_f_n=rmse_f,
     )

@@ -35,8 +35,16 @@ it again either; both build their result through _trusted_trajectory, the
 one slicing rule that Trajectory.window, edmd.split_dataset and
 rls.stream_ticks go through.
 
-Model files are JSON documents carrying the basis metadata, A and B at full
-decimal precision, and free-form provenance left by the fitting code. A
+Model files are JSON documents carrying the basis block, A and B at full
+decimal precision, and free-form provenance left by the fitting code. The
+format is decided here alone: KoopmanModel.save writes the basis block,
+{"state_dim": 2, "max_degree": d, "monomials": [...], "scaler": {"scale":
+[...], "offset": [0.0, 0.0]}}, whose monomials follow from d, and
+KoopmanModel.load checks it in one place: a state_dim or max_degree that is
+no integer, a state_dim other than 2, a missing or null scaler, another
+offset, another monomial list (its length first, so a huge degree is refused
+at once), or a scale that is not two positive finite powers of two, is
+rejected. _scaler builds the scaler object, which the fit report copies. A
 reload checks A's and B's shapes, stacks them and builds the model through
 its constructor, so a file passes the same checks as a model made in memory,
 and reproduces the matrices bit for bit.
@@ -55,11 +63,15 @@ Every table and JSON file of the package is written by the two writers here,
 _write_csv_table and _write_json, or, for trajectories, by the row template
 of Trajectory.write_csv. A float cell is the repr of its value, the shortest
 string that reads back to the same float, and a file appears atomically
-(temp file plus rename).
+(temp file plus rename). The row template holds the t and v_ref cells of a
+trajectory; _row_template keeps the last one it made, keyed on the exact
+bytes of both columns, so a roster on one time grid following one advisory
+formats them once per process, and a -0.0 never reuses a "0.0".
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -184,16 +196,10 @@ class Trajectory:
         i0, i1 = self.segment_indices(t_start, t_end)
         return self.slice_samples(i0, i1 + 1)
 
-    def write_csv(self, path: str, template: str | None = None) -> None:
-        """Write the CSV, each cell the repr of its float.
-
-        The rows are filled from template, _row_template(t, v_ref): the
-        formatted t and v_ref cells with %r slots for v and f_tr. A writer of
-        several trajectories may pass one made from columns with exactly the
-        same bytes as this one's t and v_ref; it is not checked against them.
-        """
-        if template is None:
-            template = _row_template(self.t, self.v_ref)
+    def write_csv(self, path: str) -> None:
+        """Write the CSV, each cell the repr of its float, the rows filled
+        from the row template of this trajectory's t and v_ref bytes."""
+        template = _row_template(self.t.tobytes(), self.v_ref.tobytes())
         values = np.column_stack((self.v, self.f_tr)).ravel().tolist()
         _atomic_write_text(path, TRAJECTORY_CSV_HEADER + "\n" + template % tuple(values))
 
@@ -210,11 +216,13 @@ class Trajectory:
         return cls(sample_period=period, t=t, v=v, f_tr=f_tr, v_ref=v_ref)
 
 
-def _row_template(t: np.ndarray, v_ref: np.ndarray) -> str:
-    """The trajectory CSV rows of columns t and v_ref, each cell the repr of
-    its float, with %r slots for v and f_tr."""
+@functools.lru_cache(maxsize=1)
+def _row_template(t: bytes, v_ref: bytes) -> str:
+    """The trajectory CSV rows of the float64 columns with bytes t and v_ref,
+    each cell the repr of its float, with %r slots for v and f_tr."""
     # repr (%r) is the shortest string that round-trips a float exactly
-    return "".join([f"{a!r},%r,%r,{r!r}\n" for a, r in zip(t.tolist(), v_ref.tolist())])
+    return "".join([f"{a!r},%r,%r,{r!r}\n" for a, r in zip(np.frombuffer(t).tolist(),
+                                                           np.frombuffer(v_ref).tolist())])
 
 
 def _trusted_trajectory(sample_period: float, t: np.ndarray, v: np.ndarray, f_tr: np.ndarray,
@@ -347,6 +355,11 @@ def _check_same_sample_period(what: str, period: float, reference: str, expected
         raise ValueError(f"{what} has sample_period {period}, but {reference} has {expected}")
 
 
+def _scaler(basis: LiftedBasis) -> dict:
+    """The model file's scaler object: the basis scale and a zero offset."""
+    return {"scale": list(basis.scale), "offset": [0.0, 0.0]}
+
+
 def _doubling_scan(W: np.ndarray, powers) -> None:
     """Run the recurrence W[k] += A W[k - 1], k = 1, 2, ..., in place, given
     the transposed powers (s, (A^s)^T) for s = 1, 2, 4, ... up to at least
@@ -469,7 +482,9 @@ class KoopmanModel:
         _write_json(path, {
             "kind": _MODEL_KIND,
             "schema_version": SCHEMA_VERSION,
-            "basis": self.basis.to_dict(),
+            "basis": {"state_dim": 2, "max_degree": self.basis.max_degree,
+                      "monomials": [list(e) for e in self.basis.monomials],
+                      "scaler": _scaler(self.basis)},
             "sample_period": self.sample_period,
             "input_dim": 1,
             "A": self.A,
@@ -500,7 +515,24 @@ class KoopmanModel:
             for key in ("state_dim", "max_degree"):
                 if not _is_number(doc[key], int):
                     raise ValueError(f"{key} must be an integer, got {doc[key]!r}")
-            basis = LiftedBasis.from_dict(doc)
+            if doc["state_dim"] != 2:
+                raise ValueError(f"state_dim must be 2, got {doc['state_dim']!r}")
+            scaler = doc["scaler"]
+            if not isinstance(scaler, dict):
+                raise ValueError(f"scaler must be an object, got {scaler!r}")
+            # floats only, as written: a JSON true or "0" is no number here
+            offset = scaler["offset"]
+            if not (len(offset) == 2 and all(isinstance(o, float) and o == 0.0 for o in offset)):
+                raise ValueError(f"scaler offset must be [0.0, 0.0], got {offset!r}")
+            degree, monomials = doc["max_degree"], doc["monomials"]
+            # the count first, so a huge degree is refused before its pairs are enumerated
+            count = (degree + 1) * (degree + 2) // 2 - 1
+            if len(monomials) != count:
+                raise ValueError(f"degree {degree} has {count} monomials, got {len(monomials)}")
+            basis = LiftedBasis(max_degree=degree, scale=tuple(scaler["scale"]))
+            canonical = [list(e) for e in basis.monomials]
+            if monomials != canonical:
+                raise ValueError(f"monomials must be {canonical} for degree {degree}")
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelFileError(f"{path}: invalid basis metadata: {exc}") from None
         provenance = payload.get("provenance") or {}

@@ -1,10 +1,13 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from koopdrive.basis import LiftedBasis, pow2_scale
+from koopdrive.model import KoopmanModel, ModelFileError
 
 
 def test_monomial_ordering_degree3():
@@ -105,25 +108,50 @@ def test_scale_must_be_two_positive_powers_of_two(scale):
         LiftedBasis(scale=scale)
 
 
-def test_scaler_dict_roundtrip():
-    basis = LiftedBasis(scale=(16.0, 4096.0))
-    d = basis.to_dict()
-    # the file keeps a zero offset next to the scale
-    assert d["scaler"] == {"scale": [16.0, 4096.0], "offset": [0.0, 0.0]}
-    assert LiftedBasis.from_dict(d) == basis
-    # the default basis writes its unit scale the same way
-    assert LiftedBasis().to_dict()["scaler"] == {"scale": [1.0, 1.0], "offset": [0.0, 0.0]}
-    assert LiftedBasis.from_dict(LiftedBasis().to_dict()) == LiftedBasis()
-    with pytest.raises(ValueError, match="scaler must be an object"):
-        LiftedBasis.from_dict(dict(d, scaler=None))
-    for offset in ([1.0, 0.0], [0.0], [False, 0.0], ["0", 0.0]):
-        with pytest.raises(ValueError, match="offset must be"):
-            LiftedBasis.from_dict(dict(d, scaler={"scale": [16.0, 4096.0], "offset": offset}))
-    for scale in ([True, 4096.0], ["16", 4096.0], [16, 4096.0]):
-        with pytest.raises(ValueError, match="powers of two"):
-            LiftedBasis.from_dict(dict(d, scaler={"scale": scale, "offset": [0.0, 0.0]}))
-    with pytest.raises(KeyError):
-        LiftedBasis.from_dict(dict(d, scaler={}))
+def write_model(path, basis, edit=None):
+    """Save a model of basis to path, then apply edit to its basis block."""
+    n = basis.lifted_dim
+    KoopmanModel(basis=basis, theta=np.eye(n, n + 1), sample_period=0.025).save(path)
+    if edit is not None:
+        doc = json.loads(path.read_text())
+        edit(doc["basis"])
+        path.write_text(json.dumps(doc))
+    return path
+
+
+def test_scaler_dict_roundtrip(tmp_path):
+    # the model file is the basis's one serialized form: save writes the
+    # scale with a zero offset and load rebuilds the same basis
+    for basis, scale in ((LiftedBasis(scale=(16.0, 4096.0)), [16.0, 4096.0]),
+                         (LiftedBasis(), [1.0, 1.0])):
+        path = write_model(tmp_path / "m.json", basis)
+        assert json.loads(path.read_text())["basis"]["scaler"] == {"scale": scale,
+                                                                   "offset": [0.0, 0.0]}
+        assert KoopmanModel.load(path).basis == basis
+
+
+def with_scaler(scale=(16.0, 4096.0), offset=(0.0, 0.0)):
+    return lambda block: block.update(scaler={"scale": list(scale), "offset": list(offset)})
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda block: block.update(scaler=None), "scaler must be an object, got None"),
+    (lambda block: block.pop("scaler"), "'scaler'"),
+    (lambda block: block.update(scaler={}), "'offset'"),
+    (lambda block: block["scaler"].pop("scale"), "'scale'"),
+    *[(with_scaler(offset=offset), re.escape(f"scaler offset must be [0.0, 0.0], got {offset!r}"))
+      for offset in ([1.0, 0.0], [0.0], [False, 0.0], ["0", 0.0])],
+    *[(with_scaler(scale=scale), "scale must be two positive finite powers of two")
+      for scale in ([True, 4096.0], ["16", 4096.0], [16, 4096.0], [3.0, 4096.0],
+                    [-16.0, 4096.0], [16.0])],
+], ids=["null_scaler", "no_scaler", "empty_scaler", "no_scale", "offset_1", "offset_short",
+        "offset_false", "offset_text", "scale_true", "scale_text", "scale_int", "scale_3",
+        "scale_negative", "scale_short"])
+def test_model_file_refuses_another_scaler(tmp_path, edit, message):
+    # every scaler the file format does not write is refused on load
+    path = write_model(tmp_path / "m.json", LiftedBasis(scale=(16.0, 4096.0)), edit)
+    with pytest.raises(ModelFileError, match="invalid basis metadata: " + message):
+        KoopmanModel.load(path)
 
 
 def test_scaled_lift_magnitudes():

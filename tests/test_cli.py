@@ -24,7 +24,7 @@ from koopdrive.advisory import EcoDpConfig, RouteSpec, solve_eco_dp
 from koopdrive.basis import LiftedBasis
 from koopdrive.cli import _read_trajectories, main
 from koopdrive.driversim import VehicleParams
-from koopdrive.model import KoopmanModel, ModelFileError, Trajectory
+from koopdrive.model import KoopmanModel, ModelFileError, Trajectory, _row_template
 from koopdrive.rls import OnlineSettings
 
 TOY_CONFIG = {
@@ -269,6 +269,63 @@ def test_two_outputs_naming_one_file_exit_3(tmp_path, toy_build, stage, second, 
     assert main(argv + [second, again]) == 3
     assert capsys.readouterr().err == f"error: outputs {first} and {again} name one file\n"
     assert list(out.iterdir()) == []
+
+
+def file_bytes(root):
+    """Every file under root, by relative path, with its bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("argv, output, given", [
+    (["update", "--model", "model.json", "--data", "drivers/driver_01.csv", "--segment", "10",
+      "30", "--out", "drivers/driver_01.csv"], "drivers/driver_01.csv", "drivers/driver_01.csv"),
+    (["update", "--model", "model.json", "--data", "drivers/driver_01.csv", "--segment", "10",
+      "30", "--out", "model.json"], "model.json", "model.json"),
+    (["fit", "--data", "drivers", "--model-out", "drivers/driver_01.csv"],
+     "drivers/driver_01.csv", "drivers/driver_01.csv"),
+    (["fit", "--data", "drivers", "--model-out", "m.json", "--report-out",
+      "./drivers/../drivers/driver_03.csv"],
+     "./drivers/../drivers/driver_03.csv", "drivers/driver_03.csv"),
+    (["eval", "--model", "model.json", "--data", "drivers/driver_02.csv",
+      "--out", "drivers/driver_02.csv"], "drivers/driver_02.csv", "drivers/driver_02.csv"),
+    (["bench", "--model", "model.json", "--data", "drivers", "--out", "link/model.json"],
+     "link/model.json", "model.json"),
+], ids=["update_data", "update_model", "fit_roster", "fit_report_dotted", "eval_data",
+        "bench_model_symlinked"])
+def test_output_naming_an_input_exit_3(tmp_path, toy_build, monkeypatch, argv, output, given,
+                                       capsys):
+    # each of these once exited 0 with the input replaced by the output
+    build = tmp_path / "build"
+    shutil.copytree(toy_build, build)
+    (build / "link").symlink_to(build)
+    monkeypatch.chdir(build)
+    before = file_bytes(build)
+    assert main(argv + ["--config", "config.json"]) == 3
+    assert capsys.readouterr().err == f"error: output {output} and input {given} name one file\n"
+    assert file_bytes(build) == before
+
+
+@pytest.mark.parametrize("stage", ["fit", "bench"])
+@pytest.mark.parametrize("data, later, first", [
+    (["drivers/driver_03.csv", "drivers/driver_03.csv"], "drivers/driver_03.csv",
+     "drivers/driver_03.csv"),
+    (["drivers", "drivers/driver_03.csv"], "drivers/driver_03.csv", "drivers/driver_03.csv"),
+    (["drivers", "link/drivers"], "link/drivers/driver_01.csv", "drivers/driver_01.csv"),
+], ids=["twice", "directly_and_in_its_directory", "symlinked_directory"])
+def test_data_file_named_twice_exit_3(tmp_path, toy_build, monkeypatch, stage, data, later,
+                                      first, capsys):
+    # a file named twice was read twice: its pairs counted double in the fit
+    # and could fall on both sides of the train/test cut
+    build = tmp_path / "build"
+    shutil.copytree(toy_build, build)
+    (build / "link").symlink_to(build)
+    monkeypatch.chdir(build)
+    before = file_bytes(build)
+    out = {"fit": ["--model-out", "m.json"],
+           "bench": ["--model", "model.json", "--out", "r.json"]}[stage]
+    assert main([stage, "--data", *data, *out, "--config", "config.json"]) == 3
+    assert capsys.readouterr().err == f"error: input {later} and input {first} name one file\n"
+    assert file_bytes(build) == before
 
 
 def test_bad_json_exit_3(tmp_path, toy_route):
@@ -662,11 +719,11 @@ def test_advisory_meta_does_not_depend_on_the_directory(tmp_path, config_file, m
 
 
 def test_simulate_reuses_csv_cells_only_for_equal_bytes(tmp_path, config_file, monkeypatch):
-    # one row template is made, from the advisory's t and v_ref columns, and a
-    # driver writes with it only when its own columns have the same bytes:
-    # drivers 3 and 4 differ from the advisory only in the sign of one zero
-    # in v_ref and driver 5 only in the sign of t[0], so each formats its
-    # own cells. One usable CPU, so the spies see every driver.
+    # a driver reuses the t and v_ref cells of the driver before only when
+    # its own columns have the same bytes: drivers 3 and 4 differ from the
+    # advisory only in the sign of one zero in v_ref and driver 5 only in the
+    # sign of t[0], so the roster formats three row templates. One usable
+    # CPU, so this process writes every driver.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     t = np.arange(5) * 0.025
     v_ref = np.array([0.0, 1.5, 0.0, 0.1 + 0.2, 7.0])
@@ -683,27 +740,13 @@ def test_simulate_reuses_csv_cells_only_for_equal_bytes(tmp_path, config_file, m
         return Trajectory(sample_period=sample_period, t=t_col, v=np.full(n, 3.0 + seed),
                           f_tr=np.full(n, -1.0), v_ref=v_ref_col)
 
-    made, passed = [], []
-    row_template = cli._row_template
-    write_csv = Trajectory.write_csv
-
-    def template_spy(t_col, v_ref_col):
-        made.append((t_col.tobytes(), v_ref_col.tobytes()))
-        return row_template(t_col, v_ref_col)
-
-    def write_spy(self, path, template=None):
-        passed.append(template)
-        write_csv(self, path, template)
-
     monkeypatch.setattr("koopdrive.cli.simulate_driver", fake_driver)
-    monkeypatch.setattr("koopdrive.cli._row_template", template_spy)
-    monkeypatch.setattr(Trajectory, "write_csv", write_spy)
+    _row_template.cache_clear()
     out = tmp_path / "drivers"
     assert main(["simulate", "--advisory", str(advisory), "--config", str(config_file),
                  "--drivers", "5", "--out", str(out)]) == 0
-    assert made == [(t.tobytes(), v_ref.tobytes())]
-    assert [template is not None for template in passed] == [True, True, False, False, False]
-    assert passed[0] is passed[1]
+    info = _row_template.cache_info()
+    assert (info.misses, info.hits) == (3, 2)
     for k, (t_col, v_ref_col) in enumerate(columns):
         cols = (t_col, np.full(n, 3.0 + k), np.full(n, -1.0), v_ref_col)
         expected = ["t_s,v_mps,f_tr_n,v_ref_mps"] + [
@@ -1242,6 +1285,10 @@ def test_flag_table_matches_parser_config_and_readme():
             options.setdefault(action.dest, {})[command] = action.option_strings
     rows = readme_flag_rows()
     assert sorted(key for _, _, key in rows) == sorted(cli._FLAG_KEYS.values())
+    # the cli docstring names each flag and its key in one sentence of prose
+    prose = re.search(r"a flag overrides one key:(.*?)\.\s", cli.__doc__, re.S).group(1)
+    assert sorted(re.findall(r"(--[\w-]+)\s+([\w.]+)", prose)) == sorted(
+        (flag, key) for flag, _, key in rows)
     for dest, dotted in cli._FLAG_KEYS.items():
         assert dest in options, dest
         *sections, name = dotted.split(".")

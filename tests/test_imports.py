@@ -1,15 +1,17 @@
-"""The package imports nothing, so importing a module loads that module and
-its own imports alone, and the project's version is the package's; every
-name a koopdrive module imports is used or re-exported, every name it
-exports exists, only model.py writes files itself or tells a bool from a
-number, only cli._map_roster starts processes, no cli command reads the
-configuration as a dict, only basis.py and rls.update_tick call the
-unchecked lift kernel, only advisory._edge_tables prices advisory edges,
-only advisory._interp_values reads the sentinel cut, only edmd._fold calls
-np.linalg.qr, only model._trusted_trajectory builds an object round its
-constructor with __new__, no module but model.py reads _trusted_trajectory,
-and every function, class and method the package defines is referenced from
-the package or the benchmark; and code_lines counts only code lines."""
+"""The package imports nothing, so importing a module loads that module and its
+own imports alone, and the project's version is the package's; every name a
+koopdrive module imports is used or re-exported, every name it exports exists,
+only model.py writes files itself or tells a bool from a number, only
+cli._map_roster starts processes, no cli command reads the configuration as a
+dict, only basis.py and rls.update_tick call the unchecked lift kernel, only
+advisory._edge_tables prices advisory edges, only advisory._interp_values reads
+the sentinel cut, only edmd._fold calls np.linalg.qr, only
+model._trusted_trajectory builds an object round its constructor with __new__,
+no module but model.py reads _trusted_trajectory, only Trajectory.write_csv
+asks for a row template, no module but model.py holds a key of the model file's
+basis block, and every function, class and method the package defines is
+referenced from the package or the benchmark; and code_lines counts only code
+lines."""
 
 import ast
 import importlib
@@ -341,6 +343,10 @@ NEW_CALLER = ("model", "_trusted_trajectory")
 # a trajectory is sliced by one rule, Trajectory.slice_samples; only model.py
 # builds a trusted trajectory, so no other module slices round that rule
 SLICER = "model"
+# the row template is keyed on the bytes of the t and v_ref columns it
+# formats; only the trajectory writer asks for one, so no caller can hand a
+# file the cells of another trajectory
+ROW_TEMPLATE_CALLER = ("model", "write_csv")
 
 
 def test_detects_edge_pricings():
@@ -388,6 +394,61 @@ def test_detects_trusted_trajectory_reads():
               "def cut(traj):\n    return model._trusted_trajectory\n")
     assert reads_outside(source, "rls", "_trusted_trajectory", (SLICER, None)) == [
         "stream_ticks (line 3)", "cut (line 5)"]
+
+
+def test_detects_row_template_calls():
+    source = ("def write_csv(self, path):\n"
+              "    template = _row_template(self.t.tobytes(), self.v_ref.tobytes())\n"
+              "def cmd_simulate(args):\n    template = _row_template(t, v_ref)\n"
+              "    def simulate(i):\n        model._row_template(t, v_ref)\n")
+    assert reads_outside(source, "cli", "_row_template", ROW_TEMPLATE_CALLER) == [
+        "write_csv (line 2)", "cmd_simulate (line 4)", "simulate (line 6)"]
+    assert reads_outside(source, "model", "_row_template", ROW_TEMPLATE_CALLER) == [
+        "cmd_simulate (line 4)", "simulate (line 6)"]
+
+
+@pytest.mark.parametrize("path", MODULES + sorted(BENCH.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_trajectory_writer_asks_for_row_templates(path):
+    assert reads_outside(path.read_text(encoding="utf-8"), path.stem, "_row_template",
+                         ROW_TEMPLATE_CALLER) == []
+
+
+# the keys of the model file's basis block: model.py writes and checks the
+# block, so no other module spells one out
+MODEL_FILE_KEYS = {"state_dim", "monomials", "offset"}
+
+
+def key_literals(source: str, keys) -> list[str]:
+    """String constants equal to one of keys. The attribute name given to
+    setattr, getattr or object.__setattr__ is no file key."""
+    tree = ast.parse(source)
+    attribute_names = {id(node.args[1]) for node in ast.walk(tree)
+                       if isinstance(node, ast.Call) and len(node.args) > 1
+                       and (isinstance(node.func, ast.Name) and node.func.id in ("setattr",
+                                                                                  "getattr")
+                            or isinstance(node.func, ast.Attribute)
+                            and node.func.attr == "__setattr__")}
+    found = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and node.value in keys and id(node) not in attribute_names]
+    return [f"{node.value!r} (line {node.lineno})"
+            for node in sorted(found, key=lambda node: (node.lineno, node.col_offset))]
+
+
+def test_detects_model_file_keys():
+    source = ('"""A docstring on the offset and the monomials."""\n'
+              'block = {"state_dim": 2, "scale": [1.0]}\nblock["monomials"]\n'
+              'scaler.get("offset")\nobject.__setattr__(self, "monomials", m)\n'
+              'setattr(basis, "offset", 0.0)\nfor key in ("max_degree", "state_dim"): pass\n')
+    assert key_literals(source, MODEL_FILE_KEYS) == [
+        "'state_dim' (line 2)", "'monomials' (line 3)", "'offset' (line 4)",
+        "'state_dim' (line 7)"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "model.py"],
+                         ids=lambda p: p.name)
+def test_only_model_holds_model_file_keys(path):
+    assert key_literals(path.read_text(encoding="utf-8"), MODEL_FILE_KEYS) == []
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.stem != SLICER],

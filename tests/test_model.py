@@ -160,21 +160,31 @@ def test_trajectory_csv_matches_per_cell_repr(tmp_path):
 
 
 def test_row_template_writes_per_cell_repr(tmp_path):
-    # the row template of t and v_ref, passed to trajectories with the same t
-    # and v_ref bytes, formats only their v and f_tr
+    # trajectories written in turn: the second and fourth have the t and
+    # v_ref bytes of the one before and reuse its cells, while the third and
+    # fifth differ from those only in the sign of one zero, in v_ref and in
+    # t[0], and format their own. Each file is its per-cell repr bytes.
     t = np.arange(5) * 0.025
-    v_ref = np.array([-0.0, 1.5, 0.0, 0.1 + 0.2, 7.0])
-    template = _row_template(t, v_ref)
-    for k in range(2):
-        traj = Trajectory(sample_period=0.025, t=t, v=np.full(5, 3.0 + k),
-                          f_tr=np.full(5, -1.0 - k), v_ref=v_ref)
+    v_ref = np.array([0.0, 1.5, 0.0, 0.1 + 0.2, 7.0])
+    flipped, t_signed = v_ref.copy(), t.copy()
+    flipped[2] = t_signed[0] = -0.0
+    columns = [(t, v_ref), (t.copy(), v_ref.copy()), (t, flipped), (t, flipped), (t_signed, v_ref)]
+    _row_template.cache_clear()
+    for k, (t_col, v_ref_col) in enumerate(columns):
+        traj = Trajectory(sample_period=0.025, t=t_col, v=np.full(5, 3.0 + k),
+                          f_tr=np.full(5, -1.0 - k), v_ref=v_ref_col)
         p = tmp_path / f"driver_{k}.csv"
-        traj.write_csv(p, template)
+        traj.write_csv(p)
         cols = (traj.t, traj.v, traj.f_tr, traj.v_ref)
         expected = ["t_s,v_mps,f_tr_n,v_ref_mps"] + [
             ",".join(repr(float(col[i])) for col in cols) for i in range(5)
         ]
         assert p.read_bytes() == ("\n".join(expected) + "\n").encode()
+    # each distinct (t, v_ref) pair of bytes was formatted once
+    info = _row_template.cache_info()
+    assert (info.misses, info.hits) == (3, 2)
+    assert (tmp_path / "driver_2.csv").read_text().split("\n")[3].endswith(",-0.0")
+    assert (tmp_path / "driver_4.csv").read_text().split("\n")[1].startswith("-0.0,")
 
 
 def test_trajectory_csv_rejects_bad_header(tmp_path):
