@@ -1,11 +1,16 @@
 """Command line pipeline: advisory, simulate, fit, update, eval, bench.
 
 Every command validates all of its inputs before creating any output. A
-command's files are checked before the first write (_check_files): an output
-that is an existing directory exits 2, and two outputs, an output and an
-input, or two inputs (a --data file named twice, directly or through its
-directory) that name one file by os.path.realpath exit 3. simulate makes its
---out directory only as a drive is written, so an input that every drive
+command's files are checked before the first write: two outputs, an output
+and an input, or two inputs (a --data file named twice, directly or through
+its directory) that name one file by os.path.realpath exit 3
+(_check_distinct). The inputs are --config, when given, and the files the
+command reads; the outputs of advisory are its three files in --out
+(ADVISORY_FILES), and those of simulate the driver_NN.csv it writes for
+each driver of the roster. fit, update, eval and bench also refuse, with
+exit 2, an output that is an existing directory or whose directory is
+missing (_check_files); advisory and simulate make their --out directory.
+simulate makes it only as a drive is written, so an input that every drive
 refuses leaves no directory. Every command writes files atomically (temp
 file plus rename), and reports failures on stderr with one of four exit
 codes: 0 on success, 2 for I/O problems, 3 for invalid inputs or
@@ -14,18 +19,18 @@ rollouts, infeasible routes, an RLS prediction error that is not finite or
 RLS information singular to working precision).
 
 A JSON configuration file supplies the physical and algorithmic parameters.
-Every command builds all of it, by one rule (_build), into a Config: a
-section or nested object (advisory.powertrain, a drivers.distracted entry)
-fills the dataclass whose field names it uses, a JSON list becomes a tuple,
-and a section that is no object, or an unknown or missing key or a
-wrong-typed value in any section, read by the command or not, exits 3 naming
-the dotted section. Before the build a flag overrides one key: --gamma
-advisory.gamma, --drivers drivers.count, --seed seed, --ridge fit.ridge,
---degree fit.max_degree, --split fit.split, --lam rls.lam, --cadence
-rls.cadence_s, --horizons eval.horizons_s and eval's --segment
-eval.segment_s. A top-level seed drives every stochastic choice, and
-per-driver seeds derive from it as seed + driver index, so one seed pins the
-whole pipeline byte for byte.
+main builds all of it once, by one rule (_build), into the Config it hands
+the command, before the command reads or checks anything else: a section or
+nested object (advisory.powertrain, a drivers.distracted entry) fills the
+dataclass whose field names it uses, a JSON list becomes a tuple, and a
+section that is no object, or an unknown or missing key or a wrong-typed
+value in any section, read by the command or not, exits 3 naming the dotted
+section. Before the build a flag overrides one key: --gamma advisory.gamma,
+--drivers drivers.count, --seed seed, --ridge fit.ridge, --degree
+fit.max_degree, --split fit.split, --lam rls.lam, --cadence rls.cadence_s,
+--horizons eval.horizons_s and eval's --segment eval.segment_s. A top-level
+seed drives every stochastic choice, and per-driver seeds derive from it as
+seed + driver index, so one seed pins the whole pipeline byte for byte.
 
 simulate runs its roster on p = min(usable CPUs, drivers) processes
 (_map_roster; the CPUs os.sched_getaffinity counts). With p = 1 the caller
@@ -105,6 +110,8 @@ from .model import (
 from .rls import OnlineSettings, RlsUpdateRejectedError, init_rls, snapshot_model, stream_ticks
 
 ADVISORY_TIME_HEADER = "t_s,v_ref_mps"
+# the files advisory writes in its --out directory
+ADVISORY_FILES = ("advisory_distance.csv", "advisory_time.csv", "advisory_meta.json")
 
 # argparse dest -> the key its flag overrides (update's --segment is no key)
 _FLAG_KEYS = {"gamma": "advisory.gamma", "drivers": "drivers.count", "seed": "seed",
@@ -264,17 +271,25 @@ def _expand_data_paths(paths) -> list[str]:
 
 def _check_files(inputs, outputs) -> None:
     """Refuse a command's files before any output is written, so a command
-    with two outputs writes neither, no output overwrites an input and no
-    input is read twice: FileNotFoundError naming the first output whose
-    directory is missing, IsADirectoryError naming the first output that is
-    a directory, and ValueError naming two files that os.path.realpath
-    resolves to one. None stands for an output not given."""
+    with two outputs writes neither: FileNotFoundError naming the first
+    output whose directory is missing, IsADirectoryError naming the first
+    output that is a directory, then _check_distinct. None stands for a
+    file not given."""
     outputs = [path for path in outputs if path is not None]
     for path in outputs:
         if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise FileNotFoundError(f"output directory not found for {path}")
         if os.path.isdir(path):
             raise IsADirectoryError(f"output path is a directory: {path}")
+    _check_distinct(inputs, outputs)
+
+
+def _check_distinct(inputs, outputs) -> None:
+    """Refuse, so that no output overwrites an input or another output and
+    no input is read twice, two files that os.path.realpath resolves to
+    one: ValueError naming both. None stands for a file not given."""
+    inputs = [path for path in inputs if path is not None]
+    outputs = [path for path in outputs if path is not None]
     if len({os.path.realpath(path) for path in outputs}) < len(outputs):
         raise ValueError(f"outputs {' and '.join(outputs)} name one file")
     files = [*inputs, *outputs]
@@ -362,12 +377,11 @@ def _map_roster(run, count: int) -> None:
 
 # ---------------------------------------------------------------- advisory
 
-def cmd_advisory(args) -> int:
-    cfg = _load_config(args)
+def cmd_advisory(args, cfg: Config) -> int:
     _require_vehicle(cfg, "advisory")
     period = float(cfg.sample_period)
-    if not os.path.exists(args.route):
-        raise FileNotFoundError(f"route file not found: {args.route}")
+    distance_csv, time_csv, meta_json = (os.path.join(args.out, name) for name in ADVISORY_FILES)
+    _check_distinct((args.config, args.route), (distance_csv, time_csv, meta_json))
     route = RouteSpec.read_csv(args.route)
     # imported here: hashlib loads OpenSSL, about 3.5 MB of RSS that the
     # other commands would carry for nothing
@@ -379,10 +393,9 @@ def cmd_advisory(args) -> int:
     t, v_ref = resample_to_time(profile, period)
 
     os.makedirs(args.out, exist_ok=True)
-    profile.to_csv(os.path.join(args.out, "advisory_distance.csv"))
-    _write_csv_table(os.path.join(args.out, "advisory_time.csv"), ADVISORY_TIME_HEADER,
-                     zip(t.tolist(), v_ref.tolist()))
-    _write_json(os.path.join(args.out, "advisory_meta.json"), {
+    profile.to_csv(distance_csv)
+    _write_csv_table(time_csv, ADVISORY_TIME_HEADER, zip(t.tolist(), v_ref.tolist()))
+    _write_json(meta_json, {
         "route": os.path.basename(args.route),
         "route_sha256": route_sha256,
         "gamma": cfg.advisory.gamma,
@@ -401,17 +414,18 @@ def cmd_advisory(args) -> int:
 
 # ---------------------------------------------------------------- simulate
 
-def cmd_simulate(args) -> int:
-    cfg = _load_config(args)
+def cmd_simulate(args, cfg: Config) -> int:
     _require_vehicle(cfg, "simulate")
     period = float(cfg.sample_period)
     roster = cfg.drivers
+    width = max(2, len(str(roster.count)))
+    written = [os.path.join(args.out, f"driver_{i + 1:0{width}d}.csv")
+               for i in range(roster.count)]
+    _check_distinct((args.config, args.advisory), written)
 
     advisory = _read_csv_table(args.advisory, ADVISORY_TIME_HEADER, 2, "advisory")
     _check_spacing(f"{args.advisory}: advisory time", advisory[:, 0], period)
     v_ref = advisory[:, 1]
-
-    width = max(2, len(str(roster.count)))
 
     def simulate(i):
         # the PI gain spread; a zero jitter multiplies each gain by exactly 1.0
@@ -424,7 +438,7 @@ def cmd_simulate(args) -> int:
         # made here, not before the roster: an input every drive refuses
         # fails the first drive before any directory is made
         os.makedirs(args.out, exist_ok=True)
-        traj.write_csv(os.path.join(args.out, f"driver_{i + 1:0{width}d}.csv"))
+        traj.write_csv(written[i])
 
     _map_roster(simulate, roster.count)
     print(f"simulate: wrote {roster.count} trajectories of {len(v_ref)} samples to {args.out}")
@@ -433,10 +447,9 @@ def cmd_simulate(args) -> int:
 
 # ---------------------------------------------------------------- fit
 
-def cmd_fit(args) -> int:
-    cfg = _load_config(args)
+def cmd_fit(args, cfg: Config) -> int:
     paths = _expand_data_paths(args.data)
-    _check_files(paths, (args.model_out, args.report_out))
+    _check_files((args.config, *paths), (args.model_out, args.report_out))
     trajectories = _read_trajectories(paths)
     model, report = fit_trajectories(trajectories, cfg.fit)
     model.provenance["data_files"] = [os.path.basename(p) for p in paths]
@@ -452,9 +465,9 @@ def cmd_fit(args) -> int:
 
 # ---------------------------------------------------------------- update
 
-def cmd_update(args) -> int:
-    online = _load_config(args).rls
-    _check_files((args.model, args.data), (args.out, args.log))
+def cmd_update(args, cfg: Config) -> int:
+    online = cfg.rls
+    _check_files((args.config, args.model, args.data), (args.out, args.log))
 
     model = KoopmanModel.load(args.model)
     traj = Trajectory.read_csv(args.data)
@@ -482,13 +495,12 @@ def cmd_update(args) -> int:
 
 # ---------------------------------------------------------------- eval
 
-def cmd_eval(args) -> int:
-    cfg = _load_config(args)
+def cmd_eval(args, cfg: Config) -> int:
     horizons, segment = cfg.eval.horizons_s, cfg.eval.segment_s
     if segment is None:
         raise ValueError("eval needs --segment (or eval.segment_s in the configuration)")
     online = cfg.rls if args.online else None
-    _check_files((args.model, args.data), (args.out,))
+    _check_files((args.config, args.model, args.data), (args.out,))
 
     model = KoopmanModel.load(args.model)
     traj = Trajectory.read_csv(args.data)
@@ -504,10 +516,9 @@ def cmd_eval(args) -> int:
 
 # ---------------------------------------------------------------- bench
 
-def cmd_bench(args) -> int:
-    cfg = _load_config(args)
+def cmd_bench(args, cfg: Config) -> int:
     paths = _expand_data_paths(args.data)
-    _check_files((args.model, *paths), (args.out,))
+    _check_files((args.config, args.model, *paths), (args.out,))
 
     model = KoopmanModel.load(args.model)
     trajectories = _read_trajectories(paths)
@@ -564,8 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="segment bounds in seconds")
     p.add_argument("--out", required=True, help="updated model JSON output path")
     p.add_argument("--log", help="per-tick log CSV output path")
-    p.add_argument("--lam", type=float, help="forgetting factor override")
-    p.add_argument("--cadence", type=float, help="tick cadence override in seconds")
     p.set_defaults(func=cmd_update)
 
     p = sub.add_parser("eval", help="multi-horizon prediction accuracy report")
@@ -573,11 +582,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="trajectory CSV")
     p.add_argument("--segment", dest="eval_segment", type=float, nargs=2,
                    metavar=("T0", "T1"), help="segment bounds in seconds")
-    p.add_argument("--horizons", type=float, nargs="+", help="horizons in seconds")
     p.add_argument("--online", action="store_true",
                    help="also evaluate the online-adapted predictor")
-    p.add_argument("--lam", type=float, help="forgetting factor override")
-    p.add_argument("--cadence", type=float, help="tick cadence override in seconds")
     p.add_argument("--out", help="report CSV output path")
     p.set_defaults(func=cmd_eval)
 
@@ -585,14 +591,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="model JSON")
     p.add_argument("--data", required=True, nargs="+",
                    help="trajectory CSV files or directories of them")
-    p.add_argument("--horizons", type=float, nargs="+", help="horizons in seconds")
-    p.add_argument("--lam", type=float, help="forgetting factor override")
-    p.add_argument("--cadence", type=float, help="tick cadence override in seconds")
     p.add_argument("--out", help="benchmark report JSON output path")
     p.set_defaults(func=cmd_bench)
 
-    for p in sub.choices.values():  # every command builds the whole configuration
+    for command, p in sub.choices.items():  # main builds the whole configuration
         p.add_argument("--config", help="JSON configuration file")
+        if command in ("update", "eval", "bench"):
+            p.add_argument("--lam", type=float, help="forgetting factor override")
+            p.add_argument("--cadence", type=float, help="tick cadence override in seconds")
+        if command in ("eval", "bench"):
+            p.add_argument("--horizons", type=float, nargs="+", help="horizons in seconds")
     return parser
 
 
@@ -632,7 +640,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with _one_blas_thread():
         try:
-            return args.func(args)
+            return args.func(args, _load_config(args))
         except OSError as exc:
             return _fail(str(exc), 2)
         except (RouteInfeasibleError, RankDeficientDataError, RolloutDivergenceError,

@@ -245,7 +245,7 @@ def test_fit_digests_hold_outside_main_with_two_blas_threads(builds, tmp_path):
     put(2)
     try:
         assert get() == 2
-        assert args.func(args) == 0
+        assert args.func(args, cli._load_config(args)) == 0
     finally:
         put(old)
     assert _digests(tmp_path, FIT_GOLDEN) == FIT_GOLDEN

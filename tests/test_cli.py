@@ -144,8 +144,8 @@ def blas_threads():
 
 
 def record_blas_threads(monkeypatch, get, fail=None):
-    """The thread counts seen by every _load_config call, which each command
-    makes first; with fail, each call then raises it."""
+    """The thread counts seen by every _load_config call, which main makes
+    before each command; with fail, each call then raises it."""
     seen = []
     load = cli._load_config
 
@@ -271,6 +271,16 @@ def test_two_outputs_naming_one_file_exit_3(tmp_path, toy_build, stage, second, 
     assert list(out.iterdir()) == []
 
 
+@pytest.fixture
+def build_copy(tmp_path, toy_build, monkeypatch):
+    """A copy of the toy build as the working directory, with link a symlink to it."""
+    build = tmp_path / "build"
+    shutil.copytree(toy_build, build)
+    (build / "link").symlink_to(build)
+    monkeypatch.chdir(build)
+    return build
+
+
 def file_bytes(root):
     """Every file under root, by relative path, with its bytes."""
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
@@ -292,17 +302,56 @@ def file_bytes(root):
      "link/model.json", "model.json"),
 ], ids=["update_data", "update_model", "fit_roster", "fit_report_dotted", "eval_data",
         "bench_model_symlinked"])
-def test_output_naming_an_input_exit_3(tmp_path, toy_build, monkeypatch, argv, output, given,
-                                       capsys):
+def test_output_naming_an_input_exit_3(build_copy, argv, output, given, capsys):
     # each of these once exited 0 with the input replaced by the output
-    build = tmp_path / "build"
-    shutil.copytree(toy_build, build)
-    (build / "link").symlink_to(build)
-    monkeypatch.chdir(build)
-    before = file_bytes(build)
+    before = file_bytes(build_copy)
     assert main(argv + ["--config", "config.json"]) == 3
     assert capsys.readouterr().err == f"error: output {output} and input {given} name one file\n"
-    assert file_bytes(build) == before
+    assert file_bytes(build_copy) == before
+
+
+@pytest.mark.parametrize("argv, copies, output, given", [
+    (["advisory", "--route", "route.csv", "--out", "new", "--config", "new/advisory_meta.json"],
+     {"new/advisory_meta.json": "config.json"}, "new/advisory_meta.json",
+     "new/advisory_meta.json"),
+    (["simulate", "--advisory", "advisory/advisory_time.csv", "--out", "new",
+      "--config", "new/driver_02.csv"],
+     {"new/driver_02.csv": "config.json"}, "new/driver_02.csv", "new/driver_02.csv"),
+    (["fit", "--data", "drivers", "--model-out", "config.json", "--config", "config.json"],
+     {}, "config.json", "config.json"),
+    (["update", "--model", "model.json", "--data", "drivers/driver_01.csv", "--segment", "10",
+      "30", "--out", "m.json", "--log", "./drivers/../config.json", "--config", "config.json"],
+     {}, "./drivers/../config.json", "config.json"),
+    (["eval", "--model", "model.json", "--data", "drivers/driver_02.csv", "--out", "config.json",
+      "--config", "config.json"], {}, "config.json", "config.json"),
+    (["bench", "--model", "model.json", "--data", "drivers", "--out", "link/config.json",
+      "--config", "config.json"], {}, "link/config.json", "config.json"),
+    (["advisory", "--route", "new/advisory_time.csv", "--out", "new", "--config", "config.json"],
+     {"new/advisory_time.csv": "route.csv"}, "new/advisory_time.csv", "new/advisory_time.csv"),
+    (["advisory", "--route", "new/advisory_distance.csv", "--out", "link/new",
+      "--config", "config.json"], {"new/advisory_distance.csv": "route.csv"},
+     "link/new/advisory_distance.csv", "new/advisory_distance.csv"),
+    (["simulate", "--advisory", "new/driver_01.csv", "--out", "new", "--config", "config.json"],
+     {"new/driver_01.csv": "advisory/advisory_time.csv"}, "new/driver_01.csv",
+     "new/driver_01.csv"),
+    (["simulate", "--advisory", "new/driver_03.csv", "--out", "link/new",
+      "--config", "config.json"], {"new/driver_03.csv": "advisory/advisory_time.csv"},
+     "link/new/driver_03.csv", "new/driver_03.csv"),
+], ids=["advisory_config", "simulate_config", "fit_config", "update_log_config_dotted",
+        "eval_config", "bench_config_symlinked", "advisory_route", "advisory_route_symlinked",
+        "simulate_advisory", "simulate_advisory_symlinked"])
+def test_output_naming_the_config_or_the_advisory_input_exit_3(build_copy, argv, copies, output,
+                                                                given, capsys):
+    # each of these once exited 0 with the configuration, the route or the
+    # advisory replaced by an output: --config was no input to the file
+    # rule, and advisory and simulate did not apply it
+    for target, source in copies.items():
+        (build_copy / target).parent.mkdir(exist_ok=True)
+        shutil.copyfile(build_copy / source, build_copy / target)
+    before = file_bytes(build_copy)
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: output {output} and input {given} name one file\n"
+    assert file_bytes(build_copy) == before
 
 
 @pytest.mark.parametrize("stage", ["fit", "bench"])
@@ -312,20 +361,15 @@ def test_output_naming_an_input_exit_3(tmp_path, toy_build, monkeypatch, argv, o
     (["drivers", "drivers/driver_03.csv"], "drivers/driver_03.csv", "drivers/driver_03.csv"),
     (["drivers", "link/drivers"], "link/drivers/driver_01.csv", "drivers/driver_01.csv"),
 ], ids=["twice", "directly_and_in_its_directory", "symlinked_directory"])
-def test_data_file_named_twice_exit_3(tmp_path, toy_build, monkeypatch, stage, data, later,
-                                      first, capsys):
+def test_data_file_named_twice_exit_3(build_copy, stage, data, later, first, capsys):
     # a file named twice was read twice: its pairs counted double in the fit
     # and could fall on both sides of the train/test cut
-    build = tmp_path / "build"
-    shutil.copytree(toy_build, build)
-    (build / "link").symlink_to(build)
-    monkeypatch.chdir(build)
-    before = file_bytes(build)
+    before = file_bytes(build_copy)
     out = {"fit": ["--model-out", "m.json"],
            "bench": ["--model", "model.json", "--out", "r.json"]}[stage]
     assert main([stage, "--data", *data, *out, "--config", "config.json"]) == 3
     assert capsys.readouterr().err == f"error: input {later} and input {first} name one file\n"
-    assert file_bytes(build) == before
+    assert file_bytes(build_copy) == before
 
 
 def test_bad_json_exit_3(tmp_path, toy_route):
@@ -1010,6 +1054,39 @@ def test_unknown_eval_key_exit_3(tmp_path, toy_route, config_file):
     assert not reports.exists()
 
 
+@pytest.mark.parametrize("flags, horizons", [
+    ([], [10.0, 5.0]), (["--horizons", "5", "20", "10"], [5.0, 20.0, 10.0]),
+], ids=["configured", "flag"])
+def test_bench_reports_each_horizon_in_order(tmp_path, toy_build, flags, horizons, capsys):
+    out = tmp_path / "bench.json"
+    assert main(command_for("bench", toy_build, toy_build / "config.json", out) + flags) == 0
+    pairs = sum(len(Trajectory.read_csv(p)) - 1 for p in sorted((toy_build / "drivers").iterdir()))
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(horizons) + 1
+    for line, h in zip(lines, horizons):
+        assert re.fullmatch(rf"horizon {re.escape(f'{h:>5.1f}')} s: refit +\d+\.\d ms, "
+                            r"tick +\d+\.\d us, speedup +(\d+\.\d|inf)x", line), line
+    assert lines[-1] == (f"warning: dataset has only {pairs} transition pairs; timings below "
+                         "1e5 pairs understate the retraining cost")
+    report = json.loads(out.read_text())
+    assert set(report) == {"horizons_s", "n_pairs", "offline_fit_s", "online_total_s",
+                           "online_per_tick_s", "speedup", "hardware", "warning"}
+    assert report["horizons_s"] == horizons and report["n_pairs"] == pairs
+    for key in ("offline_fit_s", "online_total_s", "online_per_tick_s", "speedup"):
+        assert len(report[key]) == len(horizons), key
+
+
+@pytest.mark.parametrize("horizon", ["1000", "0.01"], ids=["past_the_drive", "under_one_step"])
+def test_bench_horizon_outside_the_last_trajectory_exit_3(tmp_path, toy_build, horizon, capsys):
+    out = tmp_path / "bench.json"
+    argv = command_for("bench", toy_build, toy_build / "config.json", out)
+    assert main(argv + ["--horizons", "5", horizon]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: horizon {float(horizon)} s does not fit in the last "
+                            "trajectory\n")
+    assert captured.out == "" and not out.exists()
+
+
 def test_bench_non_numeric_model_ridge_exit_3(tmp_path, toy_route, config_file):
     # bench refits with the ridge in the model's provenance, read from the file
     out = run_pipeline(tmp_path, toy_route, config_file, "r")
@@ -1299,6 +1376,101 @@ def test_flag_table_matches_parser_config_and_readme():
         flag, commands = next((flag, commands) for flag, commands, key in rows if key == dotted)
         assert commands == set(options[dest]), dotted
         assert all(flag in strings for strings in options[dest].values()), dotted
+
+
+# each command's options as (option strings, dest, type, nargs, required, default,
+# metavar, help), recorded when each command still declared its own --lam,
+# --cadence and --horizons
+COMMAND_OPTIONS = {
+    "advisory": {
+        (("-h", "--help"), "help", None, 0, False, "==SUPPRESS==", None,
+         "show this help message and exit"),
+        (("--route",), "route", None, None, True, None, None,
+         "route CSV (node limits, stops, grades)"),
+        (("--out",), "out", None, None, True, None, None, "output directory"),
+        (("--gamma",), "gamma", "float", None, False, None, None,
+         "fuel/time trade-off override in [0, 1]"),
+        (("--config",), "config", None, None, False, None, None, "JSON configuration file"),
+    },
+    "simulate": {
+        (("-h", "--help"), "help", None, 0, False, "==SUPPRESS==", None,
+         "show this help message and exit"),
+        (("--advisory",), "advisory", None, None, True, None, None,
+         "advisory time CSV from 'advisory'"),
+        (("--out",), "out", None, None, True, None, None, "output directory for driver CSVs"),
+        (("--drivers",), "drivers", "int", None, False, None, None,
+         "number of drivers (overrides config)"),
+        (("--seed",), "seed", "int", None, False, None, None, "top-level seed (overrides config)"),
+        (("--config",), "config", None, None, False, None, None, "JSON configuration file"),
+    },
+    "fit": {
+        (("-h", "--help"), "help", None, 0, False, "==SUPPRESS==", None,
+         "show this help message and exit"),
+        (("--data",), "data", None, "+", True, None, None,
+         "trajectory CSV files or directories of them"),
+        (("--model-out",), "model_out", None, None, True, None, None, "model JSON output path"),
+        (("--report-out",), "report_out", None, None, False, None, None,
+         "fit report JSON output path"),
+        (("--ridge",), "ridge", "float", None, False, None, None, "ridge penalty override"),
+        (("--degree",), "degree", "int", None, False, None, None, "basis degree override"),
+        (("--split",), "split", "float", 3, False, None, ("TRAIN", "VAL", "TEST"),
+         "split fractions override"),
+        (("--config",), "config", None, None, False, None, None, "JSON configuration file"),
+    },
+    "update": {
+        (("-h", "--help"), "help", None, 0, False, "==SUPPRESS==", None,
+         "show this help message and exit"),
+        (("--model",), "model", None, None, True, None, None, "model JSON to start from"),
+        (("--data",), "data", None, None, True, None, None, "trajectory CSV"),
+        (("--segment",), "segment", "float", 2, True, None, ("T0", "T1"),
+         "segment bounds in seconds"),
+        (("--out",), "out", None, None, True, None, None, "updated model JSON output path"),
+        (("--log",), "log", None, None, False, None, None, "per-tick log CSV output path"),
+        (("--lam",), "lam", "float", None, False, None, None, "forgetting factor override"),
+        (("--cadence",), "cadence", "float", None, False, None, None,
+         "tick cadence override in seconds"),
+        (("--config",), "config", None, None, False, None, None, "JSON configuration file"),
+    },
+    "eval": {
+        (("-h", "--help"), "help", None, 0, False, "==SUPPRESS==", None,
+         "show this help message and exit"),
+        (("--model",), "model", None, None, True, None, None, "model JSON"),
+        (("--data",), "data", None, None, True, None, None, "trajectory CSV"),
+        (("--segment",), "eval_segment", "float", 2, False, None, ("T0", "T1"),
+         "segment bounds in seconds"),
+        (("--horizons",), "horizons", "float", "+", False, None, None, "horizons in seconds"),
+        (("--online",), "online", None, 0, False, False, None,
+         "also evaluate the online-adapted predictor"),
+        (("--lam",), "lam", "float", None, False, None, None, "forgetting factor override"),
+        (("--cadence",), "cadence", "float", None, False, None, None,
+         "tick cadence override in seconds"),
+        (("--out",), "out", None, None, False, None, None, "report CSV output path"),
+        (("--config",), "config", None, None, False, None, None, "JSON configuration file"),
+    },
+    "bench": {
+        (("-h", "--help"), "help", None, 0, False, "==SUPPRESS==", None,
+         "show this help message and exit"),
+        (("--model",), "model", None, None, True, None, None, "model JSON"),
+        (("--data",), "data", None, "+", True, None, None,
+         "trajectory CSV files or directories of them"),
+        (("--horizons",), "horizons", "float", "+", False, None, None, "horizons in seconds"),
+        (("--lam",), "lam", "float", None, False, None, None, "forgetting factor override"),
+        (("--cadence",), "cadence", "float", None, False, None, None,
+         "tick cadence override in seconds"),
+        (("--out",), "out", None, None, False, None, None, "benchmark report JSON output path"),
+        (("--config",), "config", None, None, False, None, None, "JSON configuration file"),
+    },
+}
+
+
+def test_each_command_keeps_its_options():
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    options = {command: {(tuple(a.option_strings), a.dest, getattr(a.type, "__name__", a.type),
+                          a.nargs, a.required, a.default, a.metavar, a.help)
+                         for a in parser._actions}
+               for command, parser in subparsers.items()}
+    assert options == COMMAND_OPTIONS
 
 
 @pytest.mark.parametrize("sections, message", [

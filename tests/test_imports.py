@@ -231,8 +231,9 @@ def test_only_model_tells_bools_from_numbers(path):
 
 def config_reads(source: str) -> list[str]:
     """Subscripts of, and .get calls on, the loaded configuration in a cmd_*
-    function: the value of a _load_config(...) or json.load(...) call, or a
-    name bound to one. Every command reads the Config that cli._build makes."""
+    function: its cfg parameter, the value of a _load_config(...) or
+    json.load(...) call, or a name bound to one. Every command reads the
+    Config that cli._build makes."""
 
     def loads(node):
         func = node.func if isinstance(node, ast.Call) else None
@@ -247,6 +248,7 @@ def config_reads(source: str) -> list[str]:
         names = {target.id for node in ast.walk(func) if isinstance(node, ast.Assign)
                  and loads(node.value) for target in node.targets
                  if isinstance(target, ast.Name)}
+        names.update(arg.arg for arg in func.args.args if arg.arg == "cfg")
         for node in ast.walk(func):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
                     and node.func.attr == "get":
@@ -264,9 +266,10 @@ def test_detects_config_reads():
     source = ("def cmd_a(args):\n    cfg = _load_config(args)\n    cfg['fit']\n"
               "    cfg.get('seed', 0)\n    cfg.fit.ridge\n    args.data[0]\n"
               "def cmd_b(args):\n    json.load(fh).get('rls')\n"
-              "def helper(cfg):\n    cfg = _load_config(cfg)\n    cfg['eval']\n")
+              "def helper(cfg):\n    cfg = _load_config(cfg)\n    cfg['eval']\n"
+              "def cmd_c(args, cfg):\n    cfg['rls']\n    cfg.rls.lam\n    args.get('lam')\n")
     assert config_reads(source) == ["cmd_a: subscript (line 3)", "cmd_a: .get (line 4)",
-                                    "cmd_b: .get (line 8)"]
+                                    "cmd_b: .get (line 8)", "cmd_c: subscript (line 13)"]
 
 
 def test_commands_read_no_config_dict():
