@@ -1,22 +1,23 @@
 """Command line pipeline: advisory, simulate, fit, update, eval, bench.
 
-Every command validates all of its inputs before creating any output. A
-command's files are checked before the first write: two outputs, an output
-and an input, or two inputs (a --data file named twice, directly or through
-its directory) that name one file by os.path.realpath exit 3
-(_check_distinct). The inputs are --config, when given, and the files the
-command reads; the outputs of advisory are its three files in --out
-(ADVISORY_FILES), and those of simulate the driver_NN.csv it writes for
-each driver of the roster. fit, update, eval and bench also refuse, with
-exit 2, an output that is an existing directory or whose directory is
-missing (_check_files); advisory and simulate make their --out directory.
-simulate makes it only as a drive is written, so an input that every drive
-refuses leaves no directory. Every command writes files atomically (temp
-file plus rename), and reports failures on stderr with one of four exit
-codes: 0 on success, 2 for I/O problems, 3 for invalid inputs or
-configuration, 4 for numerical failures (rank-deficient data, diverging
-rollouts, infeasible routes, an RLS prediction error that is not finite or
-RLS information singular to working precision).
+Every command validates all of its inputs before creating any output. One
+file rule, _check_files, refuses a command's files once, before any read,
+solve or drive. With exit 2: an output that is an existing directory, and
+an output whose directory is missing, except that advisory and simulate
+make their --out directory and refuse instead an --out that is no directory
+or lies under a file. With exit 3: two outputs, an output and an input, or
+two inputs (a --data file named twice, directly or through its directory)
+that name one file by os.path.realpath. The inputs are --config, when
+given, and the files the command reads; the outputs of advisory are its
+three files in --out (ADVISORY_FILES), and those of simulate the
+driver_NN.csv it writes for each driver of the roster. simulate makes --out
+only as a drive is written, so an input that every drive refuses leaves no
+directory. Every command writes files atomically (temp file plus rename),
+and reports failures on stderr with one of four exit codes: 0 on success, 2
+for I/O problems, 3 for invalid inputs or configuration, 4 for numerical
+failures (rank-deficient data, diverging rollouts, infeasible routes, an
+RLS prediction error that is not finite or RLS information singular to
+working precision).
 
 A JSON configuration file supplies the physical and algorithmic parameters.
 main builds all of it once, by one rule (_build), into the Config it hands
@@ -269,27 +270,30 @@ def _expand_data_paths(paths) -> list[str]:
     return out
 
 
-def _check_files(inputs, outputs) -> None:
-    """Refuse a command's files before any output is written, so a command
-    with two outputs writes neither: FileNotFoundError naming the first
-    output whose directory is missing, IsADirectoryError naming the first
-    output that is a directory, then _check_distinct. None stands for a
-    file not given."""
+def _check_files(inputs, outputs, made=None) -> None:
+    """Refuse a command's files before any read, solve or drive, so that a
+    refused command writes nothing. made is the --out directory the command
+    makes and puts every output in (advisory, simulate), or None. With exit
+    2: NotADirectoryError when made, or the nearest of its ancestors that
+    exists, is no directory; without made, FileNotFoundError naming the first
+    output whose directory is missing; IsADirectoryError naming the first
+    output that is a directory. Then, so that no output overwrites an input
+    or another output and no input is read twice, ValueError naming two
+    files that os.path.realpath resolves to one. None stands for a file not
+    given."""
+    inputs = [path for path in inputs if path is not None]
     outputs = [path for path in outputs if path is not None]
+    ancestor = made or "."  # without made, the working directory, which passes
+    while not os.path.lexists(ancestor):
+        ancestor = os.path.dirname(ancestor) or "."
+    if not os.path.isdir(ancestor):
+        raise NotADirectoryError(f"output directory {made} cannot be made: "
+                                 f"{ancestor} is not a directory")
     for path in outputs:
-        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        if made is None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise FileNotFoundError(f"output directory not found for {path}")
         if os.path.isdir(path):
             raise IsADirectoryError(f"output path is a directory: {path}")
-    _check_distinct(inputs, outputs)
-
-
-def _check_distinct(inputs, outputs) -> None:
-    """Refuse, so that no output overwrites an input or another output and
-    no input is read twice, two files that os.path.realpath resolves to
-    one: ValueError naming both. None stands for a file not given."""
-    inputs = [path for path in inputs if path is not None]
-    outputs = [path for path in outputs if path is not None]
     if len({os.path.realpath(path) for path in outputs}) < len(outputs):
         raise ValueError(f"outputs {' and '.join(outputs)} name one file")
     files = [*inputs, *outputs]
@@ -381,7 +385,7 @@ def cmd_advisory(args, cfg: Config) -> int:
     _require_vehicle(cfg, "advisory")
     period = float(cfg.sample_period)
     distance_csv, time_csv, meta_json = (os.path.join(args.out, name) for name in ADVISORY_FILES)
-    _check_distinct((args.config, args.route), (distance_csv, time_csv, meta_json))
+    _check_files((args.config, args.route), (distance_csv, time_csv, meta_json), args.out)
     route = RouteSpec.read_csv(args.route)
     # imported here: hashlib loads OpenSSL, about 3.5 MB of RSS that the
     # other commands would carry for nothing
@@ -421,7 +425,7 @@ def cmd_simulate(args, cfg: Config) -> int:
     width = max(2, len(str(roster.count)))
     written = [os.path.join(args.out, f"driver_{i + 1:0{width}d}.csv")
                for i in range(roster.count)]
-    _check_distinct((args.config, args.advisory), written)
+    _check_files((args.config, args.advisory), written, args.out)
 
     advisory = _read_csv_table(args.advisory, ADVISORY_TIME_HEADER, 2, "advisory")
     _check_spacing(f"{args.advisory}: advisory time", advisory[:, 0], period)

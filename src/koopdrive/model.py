@@ -208,12 +208,16 @@ class Trajectory:
         """Read a trajectory CSV; each column is its own contiguous array.
 
         No column is a view into the (n, 4) parse buffer, so that buffer is
-        freed on return and a caller may drop or share single columns.
+        freed on return and a caller may drop or share single columns. A
+        ValueError, also one from the constructor's checks, names path.
         """
         data = _read_csv_table(path, TRAJECTORY_CSV_HEADER, 4, "trajectory")
         t, v, f_tr, v_ref = (data[:, j].copy() for j in range(4))
         period = float(np.median(np.diff(t)))
-        return cls(sample_period=period, t=t, v=v, f_tr=f_tr, v_ref=v_ref)
+        try:
+            return cls(sample_period=period, t=t, v=v, f_tr=f_tr, v_ref=v_ref)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 @functools.lru_cache(maxsize=1)
@@ -266,9 +270,11 @@ def _atomic_write_text(path: str, text: str) -> None:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):  # named by path, not by the temp file
+            raise type(exc)(exc.errno, exc.strerror, path) from None
         raise
 
 

@@ -372,6 +372,109 @@ def test_data_file_named_twice_exit_3(build_copy, stage, data, later, first, cap
     assert file_bytes(build_copy) == before
 
 
+def all_paths(root):
+    """Every file and directory under root, by relative path."""
+    return sorted(p.relative_to(root) for p in root.rglob("*"))
+
+
+@pytest.mark.parametrize("argv, made, message", [
+    (["advisory", "--route", "route.csv", "--out", "o1"], ["o1/advisory_time.csv"],
+     "output path is a directory: o1/advisory_time.csv"),
+    (["advisory", "--route", "route.csv", "--out", "o3"], ["o3"],
+     "output directory o3 cannot be made: o3 is not a directory"),
+    (["simulate", "--advisory", "advisory/advisory_time.csv", "--out", "o2"], ["o2"],
+     "output directory o2 cannot be made: o2 is not a directory"),
+    (["simulate", "--advisory", "advisory/advisory_time.csv", "--out", "o4"],
+     ["o4/driver_02.csv"], "output path is a directory: o4/driver_02.csv"),
+    (["advisory", "--route", "route.csv", "--out", "o3/sub/x"], ["o3"],
+     "output directory o3/sub/x cannot be made: o3 is not a directory"),
+    (["simulate", "--advisory", "advisory/advisory_time.csv", "--out", "o3/sub/x"], ["o3"],
+     "output directory o3/sub/x cannot be made: o3 is not a directory"),
+], ids=["advisory_output_is_a_directory", "advisory_out_is_a_file", "simulate_out_is_a_file",
+        "simulate_output_is_a_directory", "advisory_out_under_a_file",
+        "simulate_out_under_a_file"])
+def test_bad_out_directory_exits_2_before_solving_or_driving(build_copy, monkeypatch, argv,
+                                                             made, message, capsys):
+    # each of these used to run the solve or a drive first, and some wrote
+    # files before failing on the --out directory or naming a temp file
+    def refuse(*args, **kwargs):
+        raise AssertionError("the work ran before the --out directory was checked")
+
+    monkeypatch.setattr(cli, "solve_eco_dp", refuse)
+    monkeypatch.setattr(cli, "simulate_driver", refuse)
+    for path in made:  # a path ending in .csv is made a directory, the rest a file
+        if path.endswith(".csv"):
+            (build_copy / path).mkdir(parents=True)
+        else:
+            (build_copy / path).write_text("")
+    before, paths = file_bytes(build_copy), all_paths(build_copy)
+    assert main(argv + ["--config", "config.json"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert (file_bytes(build_copy), all_paths(build_copy)) == (before, paths)
+
+
+@pytest.mark.parametrize("stage", ["fit", "update", "eval", "bench"])
+@pytest.mark.parametrize("row, cells, message", [
+    (5, "0.1,nan,100.0,10.0", "v contains non-finite values"),
+    (5, "0.2,10.0,100.0,10.0", "time spacing must equal {period}; sample 3 has spacing 0.125"),
+], ids=["nan_speed", "bad_time"])
+def test_trajectory_refusal_names_the_file(build_copy, stage, row, cells, message, capsys):
+    # the constructor's message used to reach the command line without the file
+    bad = build_copy / "drivers" / "driver_02.csv"
+    lines = bad.read_text().splitlines(keepends=True)
+    lines[row] = cells + "\n"
+    bad.write_text("".join(lines))
+    t = np.loadtxt(bad, delimiter=",", skiprows=1, usecols=0)
+    data = {"fit": "drivers", "bench": "drivers"}.get(stage, "drivers/driver_02.csv")
+    argv = command_for(stage, build_copy, "config.json", "out")
+    argv[argv.index("--data") + 1] = data
+    assert main(argv) == 3
+    message = message.format(period=float(np.median(np.diff(t))))
+    assert capsys.readouterr().err == f"error: drivers/driver_02.csv: {message}\n"
+    assert not (build_copy / "out").exists()
+
+
+def write_model_version(path, version):
+    doc = json.loads(path.read_text())
+    doc["schema_version"] = version
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("argv, setup, code, message", [
+    (["fit", "--data", "bad.csv", "--model-out", "m.json"],
+     lambda root: (root / "bad.csv").write_text(
+         "t_s,v_mps,f_tr_n,v_ref_mps\n0.0,1.0,2.0,3.0\n0.025,1.0,x,3.0\n"), 3,
+     "bad.csv: malformed trajectory row: could not convert string 'x' to float64 "
+     "at row 1, column 3."),
+    (["fit", "--data", "one.csv", "--model-out", "m.json"],
+     lambda root: (root / "one.csv").write_text("t_s,v_mps,f_tr_n,v_ref_mps\n0.0,1.0,2.0,3.0\n"),
+     3, "one.csv: expected at least 2 rows of 4 columns, got (1, 4)"),
+    (["eval", "--model", "model.json", "--data", "drivers/driver_01.csv"],
+     lambda root: write_model_version(root / "model.json", 2), 3,
+     "model.json: unsupported schema_version 2, expected 1"),
+    (["bench", "--model", "model.json", "--data", "empty"],
+     lambda root: (root / "empty").mkdir(), 2, "no .csv files in directory empty"),
+    (["fit", "--data", "drivers", "nope.csv", "--model-out", "m.json"], None, 2,
+     "data file not found: nope.csv"),
+    (["eval", "--model", "model.json", "--data", "drivers/driver_01.csv", "--config", "c.json"],
+     lambda root: (root / "c.json").write_text(json.dumps(
+         dict(TOY_CONFIG, eval={"horizons_s": [10.0]}))), 3,
+     "eval needs --segment (or eval.segment_s in the configuration)"),
+], ids=["malformed_row", "one_row", "schema_version", "empty_data_directory",
+        "missing_data_file", "eval_without_segment"])
+def test_refused_input_exits_with_its_message(build_copy, argv, setup, code, message, capsys):
+    if setup is not None:
+        setup(build_copy)
+    if "--config" not in argv:
+        argv = argv + ["--config", "config.json"]
+    before = file_bytes(build_copy)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert file_bytes(build_copy) == before
+
+
 def test_bad_json_exit_3(tmp_path, toy_route):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")

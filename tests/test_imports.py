@@ -3,7 +3,8 @@ own imports alone, and the project's version is the package's; every name a
 koopdrive module imports is used or re-exported, every name it exports exists,
 only model.py writes files itself or tells a bool from a number, only
 cli._map_roster starts processes, no cli command reads the configuration as a
-dict, only basis.py and rls.update_tick call the unchecked lift kernel, only
+dict, every cli command applies cli._check_files, the one file check, once,
+only basis.py and rls.update_tick call the unchecked lift kernel, only
 advisory._edge_tables prices advisory edges, only advisory._interp_values reads
 the sentinel cut, only edmd._fold calls np.linalg.qr, only
 model._trusted_trajectory builds an object round its constructor with __new__,
@@ -274,6 +275,42 @@ def test_detects_config_reads():
 
 def test_commands_read_no_config_dict():
     assert config_reads((PACKAGE / "cli.py").read_text(encoding="utf-8")) == []
+
+
+def file_checks(source: str) -> list[str]:
+    """Every cmd_* function that does not call _check_files exactly once,
+    and every other file check: a function but _check_files named _check_*
+    or reading os.path.realpath. cli._check_files is the command line's one
+    file rule, applied once per command."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, ast.FunctionDef) or func.name == "_check_files":
+            continue
+        calls = sum(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "_check_files" for node in ast.walk(func))
+        if func.name.startswith("cmd_") and calls != 1:
+            found.append(f"{func.name} calls _check_files {calls} times")
+        if func.name.startswith("_check_"):
+            found.append(f"{func.name} (line {func.lineno})")
+    return found + reads_outside(source, "cli", "realpath", ("cli", "_check_files"))
+
+
+def test_detects_file_checks():
+    source = ("def _check_files(inputs, outputs, made=None):\n    os.path.realpath(inputs[0])\n"
+              "def _check_distinct(inputs, outputs):\n    os.path.realpath(outputs[0])\n"
+              "def cmd_a(args, cfg):\n    _check_files((), ())\n    _check_distinct((), ())\n"
+              "def cmd_b(args, cfg):\n    _check_distinct((), ())\n"
+              "def cmd_c(args, cfg):\n    _check_files((), ())\n"
+              "    def inner():\n        _check_files((), (), args.out)\n"
+              "def cmd_d(args, cfg):\n    _check_files((), ())\n")
+    assert file_checks(source) == ["_check_distinct (line 3)",
+                                   "cmd_b calls _check_files 0 times",
+                                   "cmd_c calls _check_files 2 times",
+                                   "_check_distinct (line 4)"]
+
+
+def test_every_command_applies_the_one_file_rule_once():
+    assert file_checks((PACKAGE / "cli.py").read_text(encoding="utf-8")) == []
 
 
 def unchecked_lifts(source: str, module: str) -> list[str]:

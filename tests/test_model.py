@@ -194,6 +194,29 @@ def test_trajectory_csv_rejects_bad_header(tmp_path):
         Trajectory.read_csv(p)
 
 
+def test_trajectory_csv_refusal_names_the_file_and_the_constructor_does_not(tmp_path):
+    p = tmp_path / "nan.csv"
+    p.write_text("t_s,v_mps,f_tr_n,v_ref_mps\n0.0,1.0,2.0,3.0\n0.025,nan,2.0,3.0\n")
+    with pytest.raises(ValueError) as info:
+        Trajectory.read_csv(p)
+    assert str(info.value) == f"{p}: v contains non-finite values"
+    with pytest.raises(ValueError) as info:
+        Trajectory(sample_period=0.025, t=np.array([0.0, 0.025]), v=np.array([1.0, np.nan]),
+                   f_tr=np.zeros(2), v_ref=np.ones(2))
+    assert str(info.value) == "v contains non-finite values"
+
+
+def test_save_over_a_directory_names_the_path_and_leaves_no_temp_file(tmp_path):
+    # the failed rename used to name the temp file it left behind for cleanup
+    target = tmp_path / "dirout"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError) as info:
+        identity_model().save(str(target))
+    assert str(info.value) == f"[Errno 21] Is a directory: '{target}'"
+    assert ".tmp_" not in str(info.value)
+    assert [p.name for p in tmp_path.rglob("*")] == ["dirout"]
+
+
 def test_window_selects_halfopen_range():
     traj = make_traj(n=200)
     w = traj.window(1.0, 2.0)
