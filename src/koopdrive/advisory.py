@@ -46,22 +46,22 @@ reads the current speed's row of the table and takes the edge of least
 then to the lower speed; the walk that names the first blocking node reads
 the table's feasibility masks.
 
-State-of-charge feasibility is decided in one place, _soc_bounds. Since the
-rates do not depend on the state of charge, one more backward pass over the
-edge tables gives the boundary line (Elbert, Ebbesen & Guzzella 2013, IEEE
-TCST 21(3)): per node and admissible speed, b, the least float state of
-charge from which the forward pass's own float operations reach the end above
-the floor. The strict floor is b = nextafter(floor, inf) at the last node,
-and no b lies below soc_min - 1e-12, the slack that _interp_geometry's
-below-grid mask and the tests' exhaustive enumeration share. solve_eco_dp
-refuses an initial state of charge below b at node 0, naming both; the
-forward pass keeps only the edges that land at or above the next node's b,
-so it never dead-ends; and the walk follows the speeds whose b a full battery
-meets. The value grid only prices: infeasible cells hold a large sentinel
-instead of inf so the interpolation stays well defined, a query inside a cell
-with one infeasible corner, always the lower (see _interp_values), takes the
-upper corner's value, and a query below the grid, or inside a cell with two
-infeasible corners, is infeasible.
+State-of-charge feasibility is decided in one place, _backward's b. Since
+the rates do not depend on the state of charge, the one backward pass over
+the edge tables gives, beside the value function, the boundary line (Elbert,
+Ebbesen & Guzzella 2013, IEEE TCST 21(3)): per node and admissible speed, b,
+the least float state of charge from which the forward pass's own float
+operations reach the end above the floor. The strict floor is b =
+nextafter(floor, inf) at the last node, and no b lies below soc_min - 1e-12,
+the slack that _interp_geometry's below-grid mask and the tests' exhaustive
+enumeration share. solve_eco_dp refuses an initial state of charge below b
+at node 0, naming both; the forward pass keeps only the edges that land at
+or above the next node's b, so it never dead-ends; and the walk follows the
+speeds whose b a full battery meets. The value grid only prices: infeasible
+cells hold a large sentinel instead of inf so the interpolation stays well
+defined, a query inside a cell with one infeasible corner, always the lower
+(see _interp_values), takes the upper corner's value, and a query below the
+grid, or inside a cell with two infeasible corners, is infeasible.
 """
 
 from __future__ import annotations
@@ -76,6 +76,7 @@ from .model import (
     _check_fields,
     _check_sample_period,
     _check_spacing,
+    _is_number,
     _read_csv_table,
     _samples,
     _write_csv_table,
@@ -171,7 +172,7 @@ class RouteSpec:
     grade: np.ndarray
 
     def __post_init__(self):
-        if not (self.step_m > 0 and math.isfinite(self.step_m)):
+        if not (_is_number(self.step_m) and self.step_m > 0):
             raise ValueError(f"step_m must be positive and finite, got {self.step_m}")
         object.__setattr__(self, "v_min", np.asarray(self.v_min, dtype=float))
         object.__setattr__(self, "v_max", np.asarray(self.v_max, dtype=float))
@@ -203,6 +204,8 @@ class RouteSpec:
 
     @classmethod
     def read_csv(cls, path: str) -> "RouteSpec":
+        """Read a route CSV. A ValueError, also one from the constructor's
+        checks, names path."""
         data = _read_csv_table(path, ROUTE_CSV_HEADER, 5, "route")
         bad = np.flatnonzero((data[:, 3] != 0.0) & (data[:, 3] != 1.0))
         if len(bad):
@@ -215,8 +218,11 @@ class RouteSpec:
             raise ValueError(f"{path}: node positions must rise by a positive finite step, "
                              f"got {step!r} between the first two")
         _check_spacing(f"{path}: node position", pos, step)
-        return cls(step_m=step, v_min=data[:, 1], v_max=data[:, 2],
-                   stop=data[:, 3] != 0.0, grade=data[:, 4])
+        try:
+            return cls(step_m=step, v_min=data[:, 1], v_max=data[:, 2],
+                       stop=data[:, 3] != 0.0, grade=data[:, 4])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -388,7 +394,7 @@ def _interp_values(table: np.ndarray, geometry: tuple) -> np.ndarray:
 
     The table holds BIG or values below _BIG_CUT, and so does the result.
     Queries below the grid come back as BIG, a cell whose lower corner alone
-    is a sentinel takes the upper corner's value (_soc_bounds decides
+    is a sentinel takes the upper corner's value (_backward's b decides
     feasibility exactly), and two sentinel corners give BIG.
 
     An upper corner alone is never a sentinel: each row of a value table is
@@ -429,19 +435,34 @@ def _edge_tables(route: RouteSpec, vehicle: VehicleParams, config: EcoDpConfig,
     return tables
 
 
-def _value_function(config: EcoDpConfig, vgrid: np.ndarray, socgrid: np.ndarray,
-                    adm: list[np.ndarray], tables: list[tuple]) -> np.ndarray:
-    """Backward induction: (n_steps + 1, v_levels, soc_levels) cost-to-go."""
+def _backward(config: EcoDpConfig, vgrid: np.ndarray, socgrid: np.ndarray,
+              adm: list[np.ndarray], tables: list[tuple]) -> tuple:
+    """Backward induction over the steps: (V, b).
+
+    V is the (n_steps + 1, v_levels, soc_levels) cost-to-go. b holds, per
+    node, b_j over adm[j]: the least float SoC from which the forward pass's
+    own float operations reach the end above the terminal floor.
+
+    b_S is the float just above the floor. b_j(v) is the least float s whose
+    float s + dsoc is at least b_{j+1}(v'), over the acceleration-feasible
+    edges to a speed v' with b_{j+1}(v') <= soc_max, but no less than
+    soc_min - 1e-12, the bound of _interp_geometry's below-grid mask; inf
+    where no edge qualifies. The clamp of s + dsoc at soc_max does not matter,
+    since min(x, soc_max) >= b exactly when x >= b for b <= soc_max. No rate
+    depends on the SoC, so states at or above b_j(v) reach the end above the
+    floor and states below it do not. Neither V nor b reads the other.
+    """
     S = len(tables)
     ns = len(socgrid)
     # terminal value: zero wherever the node limits and the strict SoC floor hold
     V = np.full((S + 1, len(vgrid), ns), BIG)
     ok_soc = socgrid > config.soc_terminal_floor
     V[S][np.ix_(adm[S], np.where(ok_soc)[0])] = 0.0
+    b = [None] * S + [np.full(len(adm[S]), np.nextafter(config.soc_terminal_floor, np.inf))]
 
-    # the edges inside the acceleration bounds, their stage costs and the
-    # interpolation geometry of the SoC they land on are built once for each
-    # run of steps sharing a table
+    # the edges inside the acceleration bounds, their stage costs, the
+    # interpolation geometry of the SoC they land on and the edges' least
+    # drain are built once for each run of steps sharing a table
     table = None
     for j in range(S - 1, -1, -1):
         if tables[j] is not table:
@@ -451,44 +472,23 @@ def _value_function(config: EcoDpConfig, vgrid: np.ndarray, socgrid: np.ndarray,
             stage_erc = stage[e, r, c][:, None]
             geometry = _interp_geometry(socgrid[None, :] + dsoc[e, r, c][:, None],
                                         socgrid, adm[j + 1][c])
+            # float addition is monotone, so the least start falls as dsoc
+            # rises and only the engine mode draining less matters; -inf
+            # marks the edges outside the acceleration bounds
+            dsoc_max = dsoc.max(axis=0)
+            dsoc_ok = np.where(feasible[0], dsoc_max, -np.inf)
         # vals is exactly BIG or below the cut, and BIG plus a stage cost
         # below about 7e13 rounds back to BIG, so the sums need no second
         # cut; edges outside the acceleration bounds keep the sentinel
         total = np.full(stage.shape + (ns,), BIG)
         total[e, r, c] = stage_erc + _interp_values(V[j + 1], geometry)
         V[j][adm[j]] = total.min(axis=(0, 2))
-    return V
 
-
-def _soc_bounds(config: EcoDpConfig, adm: list[np.ndarray],
-                tables: list[tuple]) -> list[np.ndarray]:
-    """Per node, b_j over adm[j]: the least float SoC from which the forward
-    pass's own float operations reach the end above the terminal floor.
-
-    b_S is the float just above the floor. b_j(v) is the least float s whose
-    float s + dsoc is at least b_{j+1}(v'), over the acceleration-feasible
-    edges to a speed v' with b_{j+1}(v') <= soc_max, but no less than
-    soc_min - 1e-12, the bound of _interp_geometry's below-grid mask; inf
-    where no edge qualifies. The clamp of s + dsoc at soc_max does not matter,
-    since min(x, soc_max) >= b exactly when x >= b for b <= soc_max. No rate
-    depends on the SoC, so states at or above b_j(v) reach the end above the
-    floor and states below it do not.
-    """
-    b = [np.full(len(adm[-1]), np.nextafter(config.soc_terminal_floor, np.inf))]
-    table = None
-    for step in reversed(tables):
-        if step is not table:
-            # float addition is monotone, so the least start falls as dsoc
-            # rises and only the engine mode draining less matters; -inf
-            # marks the edges outside the acceleration bounds
-            table = step
-            dsoc = table[4].max(axis=0)
-            dsoc_ok = np.where(table[0][0], dsoc, -np.inf)
-        target = np.where(b[-1] <= config.soc_max, b[-1], np.inf)
-        # target - dsoc rounds, so step each edge's start up until its
-        # s + dsoc >= target holds; inf stays inf
+        target = np.where(b[j + 1] <= config.soc_max, b[j + 1], np.inf)
+        # target - dsoc_ok rounds, so step each edge's start up until its
+        # s + dsoc_max >= target holds; inf stays inf
         s = target - dsoc_ok
-        while (low := s + dsoc < target).any():
+        while (low := s + dsoc_max < target).any():
             s = np.where(low, np.nextafter(s, np.inf), s)
         # then step each node's least start down while some edge still holds
         least = s.min(axis=1)
@@ -496,8 +496,8 @@ def _soc_bounds(config: EcoDpConfig, adm: list[np.ndarray],
         while (lower := (down[:, None] + dsoc_ok >= target).any(axis=1)).any():
             least = np.where(lower, down, least)
             down = np.nextafter(least, -np.inf)
-        b.append(np.maximum(least, config.soc_min - 1e-12))
-    return b[::-1]
+        b[j] = np.maximum(least, config.soc_min - 1e-12)
+    return V, b
 
 
 def solve_eco_dp(route: RouteSpec, vehicle: VehicleParams,
@@ -513,8 +513,7 @@ def solve_eco_dp(route: RouteSpec, vehicle: VehicleParams,
     socgrid = np.linspace(config.soc_min, config.soc_max, config.soc_levels)
     adm = _admissible_speeds(route, vgrid)
     tables = _edge_tables(route, vehicle, config, vgrid, adm)
-    V = _value_function(config, vgrid, socgrid, adm, tables)
-    b = _soc_bounds(config, adm, tables)
+    V, b = _backward(config, vgrid, socgrid, adm, tables)
 
     soc0 = config.soc_initial
     if soc0 < b[0][0]:

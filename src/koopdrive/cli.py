@@ -2,22 +2,22 @@
 
 Every command validates all of its inputs before creating any output. One
 file rule, _check_files, refuses a command's files once, before any read,
-solve or drive. With exit 2: an output that is an existing directory, and
-an output whose directory is missing, except that advisory and simulate
-make their --out directory and refuse instead an --out that is no directory
-or lies under a file. With exit 3: two outputs, an output and an input, or
-two inputs (a --data file named twice, directly or through its directory)
-that name one file by os.path.realpath. The inputs are --config, when
-given, and the files the command reads; the outputs of advisory are its
-three files in --out (ADVISORY_FILES), and those of simulate the
-driver_NN.csv it writes for each driver of the roster. simulate makes --out
-only as a drive is written, so an input that every drive refuses leaves no
-directory. Every command writes files atomically (temp file plus rename),
-and reports failures on stderr with one of four exit codes: 0 on success, 2
-for I/O problems, 3 for invalid inputs or configuration, 4 for numerical
-failures (rank-deficient data, diverging rollouts, infeasible routes, an
-RLS prediction error that is not finite or RLS information singular to
-working precision).
+solve or drive. With exit 2: an empty output or --out path, an output that
+is an existing directory, and an output whose directory is missing, except
+that advisory and simulate make their --out directory and refuse instead an
+--out that is no directory or lies under a file. With exit 3: two outputs,
+an output and an input, or two inputs (a --data file named twice, directly
+or through its directory) that name one file by os.path.realpath. The
+inputs are --config, when given, and the files the command reads; the
+outputs of advisory are its three files in --out (ADVISORY_FILES), and
+those of simulate the driver_NN.csv it writes for each driver of the
+roster. simulate makes --out only as a drive is written, so an input that
+every drive refuses leaves no directory. Every command writes files
+atomically (temp file plus rename), and reports failures on stderr with one
+of four exit codes: 0 on success, 2 for I/O problems, 3 for invalid inputs
+or configuration, 4 for numerical failures (rank-deficient data, diverging
+rollouts, infeasible routes, an RLS prediction error that is not finite or
+RLS information singular to working precision).
 
 A JSON configuration file supplies the physical and algorithmic parameters.
 main builds all of it once, by one rule (_build), into the Config it hands
@@ -71,6 +71,7 @@ import argparse
 import contextlib
 import ctypes
 import dataclasses
+import errno
 import glob
 import json
 import os
@@ -274,15 +275,18 @@ def _check_files(inputs, outputs, made=None) -> None:
     """Refuse a command's files before any read, solve or drive, so that a
     refused command writes nothing. made is the --out directory the command
     makes and puts every output in (advisory, simulate), or None. With exit
-    2: NotADirectoryError when made, or the nearest of its ancestors that
-    exists, is no directory; without made, FileNotFoundError naming the first
-    output whose directory is missing; IsADirectoryError naming the first
-    output that is a directory. Then, so that no output overwrites an input
-    or another output and no input is read twice, ValueError naming two
-    files that os.path.realpath resolves to one. None stands for a file not
-    given."""
+    2: FileNotFoundError, as open("") raises it, for an empty made or
+    output; NotADirectoryError when made, or the nearest of its ancestors
+    that exists, is no directory; without made, FileNotFoundError naming the
+    first output whose directory is missing; IsADirectoryError naming the
+    first output that is a directory. Then, so that no output overwrites an
+    input or another output and no input is read twice, ValueError naming
+    two files that os.path.realpath resolves to one. None, and only None,
+    stands for a file not given."""
     inputs = [path for path in inputs if path is not None]
     outputs = [path for path in outputs if path is not None]
+    if "" in (made, *outputs):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), "")
     ancestor = made or "."  # without made, the working directory, which passes
     while not os.path.lexists(ancestor):
         ancestor = os.path.dirname(ancestor) or "."
@@ -459,7 +463,7 @@ def cmd_fit(args, cfg: Config) -> int:
     model.provenance["data_files"] = [os.path.basename(p) for p in paths]
 
     model.save(args.model_out)
-    if args.report_out:
+    if args.report_out is not None:
         _write_json(args.report_out, report.to_dict())
     print(f"fit: {report.split_pairs['train']} training pairs, "
           f"residual {report.residual_fro:.4g}, "
@@ -490,7 +494,7 @@ def cmd_update(args, cfg: Config) -> int:
                                          "update_segment": list(args.segment),
                                          "cadence_s": online.cadence_s})
     updated.save(args.out)
-    if args.log:
+    if args.log is not None:
         _write_csv_table(args.log, "tick,t_end_s,pairs,mean_err_norm", log_rows)
     print(f"update: {state.update_count} updates over {len(log_rows)} ticks, "
           f"model -> {args.out}")
@@ -513,7 +517,7 @@ def cmd_eval(args, cfg: Config) -> int:
     if online is not None:
         reports += evaluate_horizons(traj, model, horizons, segment, online=online)
     print(format_reports(reports))
-    if args.out:
+    if args.out is not None:
         reports_to_csv(reports, args.out)
     return 0
 
@@ -534,7 +538,7 @@ def cmd_bench(args, cfg: Config) -> int:
               f"tick {tick * 1e6:8.1f} us, speedup {s:8.1f}x")
     if report.warning:
         print(f"warning: {report.warning}")
-    if args.out:
+    if args.out is not None:
         _write_json(args.out, report.to_dict())
     return 0
 

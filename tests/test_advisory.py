@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -167,6 +168,38 @@ def test_route_validation():
     with pytest.raises(ValueError):
         RouteSpec(step_m=10.0, v_min=np.zeros(2), v_max=np.ones(3),
                   stop=np.zeros(3, dtype=bool), grade=np.zeros(3))
+
+
+def _profile(v_ref, stop):
+    n = len(v_ref)
+    return AdvisoryProfile(positions=np.arange(n) * 10.0, v_ref=np.asarray(v_ref),
+                           soc=np.full(n, 0.5), cumulative_cost=np.zeros(n),
+                           engine_on=np.zeros(n - 1, dtype=int), node_times=np.arange(n) * 2.0,
+                           stop=np.asarray(stop), total_cost=0.0)
+
+
+@pytest.mark.parametrize("refused, message", [
+    (lambda: RouteSpec(step_m=10.0, v_min=[0.0], v_max=[1.0], stop=[False], grade=[0.0]),
+     "a route needs at least two nodes"),
+    (lambda: RouteSpec(step_m=True, v_min=np.zeros(3), v_max=np.ones(3),
+                       stop=np.zeros(3, dtype=bool), grade=np.zeros(3)),
+     "step_m must be positive and finite, got True"),
+    (lambda: surrogate_powertrain(1.0, np.nan, 0, 0.0, VEH, PT),
+     "acceleration and grade must be finite"),
+    (lambda: surrogate_powertrain(1.0, 0.0, 0, np.inf, VEH, PT),
+     "acceleration and grade must be finite"),
+    (lambda: resample_to_time(_profile([0.0, 0.0, 5.0], [True, False, False]), 0.025),
+     "step 0 has non-positive mean speed 0.0 (stop nodes must sit at a positive grid speed)"),
+    (lambda: resample_to_time(_profile([5.0, -5.0, 5.0], [False, False, False]), 0.025),
+     "step 0 has non-positive mean speed 0.0 and is not at an annotated stop"),
+], ids=["one_node", "bool_step", "nan_acceleration", "inf_grade", "zero_speed_at_a_stop",
+        "zero_speed_off_a_stop"])
+def test_library_refusal_has_its_message(refused, message):
+    # no command reaches these: a route file has two rows, the route's grades
+    # and the grid's speeds are finite, and the solver's speeds are positive;
+    # step_m=True was taken for a step of 1 m
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        refused()
 
 
 def test_config_validation():
@@ -415,8 +448,8 @@ def _grids(route, config):
 
 
 def _value_function(route, config, vgrid, socgrid, adm):
-    return advisory._value_function(config, vgrid, socgrid, adm,
-                                    advisory._edge_tables(route, VEH, config, vgrid, adm))
+    return advisory._backward(config, vgrid, socgrid, adm,
+                              advisory._edge_tables(route, VEH, config, vgrid, adm))[0]
 
 
 # the last case narrows the SoC window until the engine has to run on part
@@ -453,8 +486,9 @@ def test_backward_pass_matches_dense_reference(case, monkeypatch):
     prof = solve_eco_dp(route, VEH, config)
     if case == "shipped_tight_soc":
         assert prof.engine_on.any()
-    monkeypatch.setattr(advisory, "_value_function",
-                        lambda *args: _reference_value_function(route, config, vgrid, socgrid, adm))
+    backward = advisory._backward
+    monkeypatch.setattr(advisory, "_backward", lambda *args: (
+        _reference_value_function(route, config, vgrid, socgrid, adm), backward(*args)[1]))
     ref = solve_eco_dp(route, VEH, config)
     assert prof.total_cost == ref.total_cost
     for name in ("positions", "v_ref", "soc", "cumulative_cost", "engine_on",
@@ -524,7 +558,7 @@ def test_edge_tables_price_each_distinct_step_once(monkeypatch):
             for got, want in zip(table, alone):
                 assert got.shape == (2, len(adm[j]), len(adm[j + 1]))
                 assert got[engine].tobytes() == np.broadcast_to(want, got[engine].shape).tobytes()
-    V = advisory._value_function(config, vgrid, socgrid, adm, tables)
+    V = advisory._backward(config, vgrid, socgrid, adm, tables)[0]
     V_ref = _reference_value_function(route, config, vgrid, socgrid, adm)
     assert V.tobytes() == V_ref.tobytes()
 
@@ -641,7 +675,8 @@ def test_forward_pass_breaks_exact_ties_like_the_reference(monkeypatch):
     V[1, 3] = 0.0
     V[0, 4] = dt[1]
     assert dt[0] + V[1, 2, 0] == dt[1] + V[1, 3, 0]
-    monkeypatch.setattr(advisory, "_value_function", lambda *args: V)
+    backward = advisory._backward
+    monkeypatch.setattr(advisory, "_backward", lambda *args: (V, backward(*args)[1]))
     prof = _assert_forward_matches_reference(route, config, V)
     # the tie goes to the smaller |accel|, then to the engine off
     assert prof.v_ref[1] == vgrid[3]
@@ -651,9 +686,9 @@ def test_forward_pass_breaks_exact_ties_like_the_reference(monkeypatch):
 # ------------------------------------------------------------ SoC bounds
 
 def _bounds(route, config):
-    vgrid, _, adm = _grids(route, config)
+    vgrid, socgrid, adm = _grids(route, config)
     tables = advisory._edge_tables(route, VEH, config, vgrid, adm)
-    return vgrid, adm, advisory._soc_bounds(config, adm, tables)
+    return vgrid, adm, advisory._backward(config, vgrid, socgrid, adm, tables)[1]
 
 
 def _graded_toy(rng):

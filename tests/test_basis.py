@@ -177,6 +177,16 @@ def test_lift_rejects_wrong_shape():
         basis.project_many(np.ones((1, 4)))
 
 
+@pytest.mark.parametrize("states, message", [
+    (np.ones((3, 3)), "expected (k, 2) state array, got (3, 3)"),
+    (np.ones(2), "expected (k, 2) state array, got (2,)"),
+    (np.array([[1.0, np.nan]]), "states must be finite"),
+], ids=["three_columns", "one_state_flat", "nan"])
+def test_lift_many_refuses_its_states(states, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        LiftedBasis().lift_many(states)
+
+
 def test_degree_bounds():
     with pytest.raises(ValueError):
         LiftedBasis(max_degree=0)

@@ -414,6 +414,37 @@ def test_bad_out_directory_exits_2_before_solving_or_driving(build_copy, monkeyp
     assert (file_bytes(build_copy), all_paths(build_copy)) == (before, paths)
 
 
+@pytest.mark.parametrize("argv", [
+    ["fit", "--data", "drivers", "--model-out", ""],
+    ["fit", "--data", "drivers", "--model-out", "m.json", "--report-out", ""],
+    ["update", "--model", "model.json", "--data", "drivers/driver_01.csv", "--segment", "10",
+     "30", "--out", ""],
+    ["update", "--model", "model.json", "--data", "drivers/driver_01.csv", "--segment", "10",
+     "30", "--out", "u.json", "--log", ""],
+    ["eval", "--model", "model.json", "--data", "drivers/driver_01.csv", "--out", ""],
+    ["bench", "--model", "model.json", "--data", "drivers", "--out", ""],
+    ["advisory", "--route", "route.csv", "--out", ""],
+    ["simulate", "--advisory", "advisory/advisory_time.csv", "--out", ""],
+], ids=["fit_model_out", "fit_report_out", "update_out", "update_log", "eval_out", "bench_out",
+        "advisory_out", "simulate_out"])
+def test_empty_output_path_exits_2_before_any_work(build_copy, monkeypatch, argv, capsys):
+    # each of these used to run the whole stage, then exit 2 from open("") or
+    # os.makedirs(""), or exit 0 with nothing written; fit and update also
+    # made a temp file in the working directory's parent first
+    def refuse(*args, **kwargs):
+        raise AssertionError("the work ran before the empty output path was refused")
+
+    for kernel in ("solve_eco_dp", "simulate_driver", "fit_trajectories", "stream_ticks",
+                   "evaluate_horizons", "bench_update"):
+        monkeypatch.setattr(cli, kernel, refuse)
+    root = build_copy.parent
+    before, paths = file_bytes(root), all_paths(root)
+    assert main(argv + ["--config", "config.json"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: [Errno 2] No such file or directory: ''\n")
+    assert (file_bytes(root), all_paths(root)) == (before, paths)
+
+
 @pytest.mark.parametrize("stage", ["fit", "update", "eval", "bench"])
 @pytest.mark.parametrize("row, cells, message", [
     (5, "0.1,nan,100.0,10.0", "v contains non-finite values"),
@@ -441,6 +472,18 @@ def write_model_version(path, version):
     path.write_text(json.dumps(doc))
 
 
+def write_route_row(root, cells):
+    """r.csv: the toy route with the node at 40 m replaced by cells."""
+    lines = (root / "route.csv").read_text().splitlines(keepends=True)
+    lines[5] = cells + "\n"
+    (root / "r.csv").write_text("".join(lines))
+
+
+ADVISORY = ["advisory", "--route", "route.csv", "--out", "o"]
+SIMULATE = ["simulate", "--advisory", "advisory/advisory_time.csv", "--out", "o"]
+FIT = ["fit", "--data", "drivers", "--model-out", "m.json"]
+
+
 @pytest.mark.parametrize("argv, setup, code, message", [
     (["fit", "--data", "bad.csv", "--model-out", "m.json"],
      lambda root: (root / "bad.csv").write_text(
@@ -461,18 +504,88 @@ def write_model_version(path, version):
      lambda root: (root / "c.json").write_text(json.dumps(
          dict(TOY_CONFIG, eval={"horizons_s": [10.0]}))), 3,
      "eval needs --segment (or eval.segment_s in the configuration)"),
+    (["advisory", "--route", "r.csv", "--out", "o"],
+     lambda root: write_route_row(root, "40.0,5.0,5.1,0,0.0"), 4,
+     "route infeasible at node 4 (40.0 m): no grid speed inside limits [5.0, 5.1]"),
+    (["advisory", "--route", "r.csv", "--out", "o"],
+     lambda root: write_route_row(root, "40.0,5.0,4.0,0,0.0"), 3,
+     "r.csv: need 0 <= v_min < v_max at every node"),
+    (["advisory", "--route", "r.csv", "--out", "o"],
+     lambda root: write_route_row(root, "40.0,0.0,13.9,0,inf"), 3,
+     "r.csv: route arrays must be finite"),
+    (["advisory", "--route", "r.csv", "--out", "o"],
+     lambda root: write_route_row(root, "40.0,nan,13.9,0,0.0"), 3,
+     "r.csv: route arrays must be finite"),
+    (ADVISORY + ["--config", "cfg.json"], lambda root: write_config(
+        root, **advisory_with(powertrain={"engine_idle_kg_per_s": 0.0})), 3,
+     "section 'advisory.powertrain': engine idle fuel rate must be positive"),
+    (ADVISORY + ["--config", "cfg.json"], lambda root: write_config(
+        root, **advisory_with(v_levels=1)), 3,
+     "section 'advisory': advisory.v_levels must be an integer >= 2, got 1"),
+    (ADVISORY + ["--config", "cfg.json"], lambda root: write_config(
+        root, **advisory_with(soc_initial=0.1)), 3,
+     "section 'advisory': initial state of charge must lie within the bounds"),
+    (ADVISORY + ["--config", "cfg.json"], lambda root: write_config(
+        root, sample_period=1000.0), 3, "profile is shorter than one sample period"),
+    (SIMULATE + ["--config", "cfg.json"], lambda root: write_config(
+        root, drivers=dict(TOY_CONFIG["drivers"], gain_jitter=1.0)), 3,
+     "section 'drivers': drivers.gain_jitter must lie in [0, 1), got 1.0"),
+    (SIMULATE + ["--config", "cfg.json"], lambda root: write_config(
+        root, drivers=dict(TOY_CONFIG["drivers"], distracted={})), 3,
+     "section 'drivers.distracted' must be a list of JSON objects, got {}"),
+    (SIMULATE + ["--config", "cfg.json"], lambda root: write_config(
+        root, **distracted_with(noise_scale=-1.0)), 3,
+     "section 'drivers.distracted': drivers.distracted.noise_scale must be >= 0, got -1.0"),
+    (SIMULATE + ["--config", "cfg.json"], lambda root: write_config(
+        root, driver=dict(TOY_CONFIG["driver"], kp=-1.0)), 3,
+     "section 'driver': gains must be non-negative"),
+    (SIMULATE + ["--config", "cfg.json"], lambda root: write_config(
+        root, driver=dict(TOY_CONFIG["driver"], reaction_delay=-0.1)), 3,
+     "section 'driver': driver.reaction_delay must be >= 0, got -0.1"),
+    (SIMULATE + ["--config", "cfg.json"], lambda root: write_config(
+        root, driver=dict(TOY_CONFIG["driver"], force_rate_limit=0.0)), 3,
+     "section 'driver': driver.force_rate_limit must be positive, got 0.0"),
+    (SIMULATE + ["--config", "cfg.json"], lambda root: write_config(
+        root, driver=dict(TOY_CONFIG["driver"], noise_std=-1.0)), 3,
+     "section 'driver': driver.noise_std must be >= 0, got -1.0"),
+    (SIMULATE + ["--config", "cfg.json"], lambda root: write_config(
+        root, driver=dict(TOY_CONFIG["driver"], compliance=2.0)), 3,
+     "section 'driver': driver.compliance must lie in [0, 1], got 2.0"),
+    (SIMULATE + ["--config", "cfg.json"], lambda root: write_config(
+        root, driver=dict(TOY_CONFIG["driver"], hold_tau=0.0)), 3,
+     "section 'driver': driver.hold_tau must be positive, got 0.0"),
+    (FIT + ["--ridge", "-1"], None, 3,
+     "section 'fit': fit.ridge must be a number >= 0, got -1.0"),
+    (FIT + ["--degree", "0"], None, 3,
+     "section 'fit': fit.max_degree must be an integer >= 1, got 0"),
+    (FIT + ["--split", "0.5", "0.0001", "0.4999"], None, 3,
+     "validation part is empty; dataset is too small for this split"),
+    (["fit", "--data", "short.csv", "--model-out", "m.json", "--degree", "5"],
+     lambda root: (root / "short.csv").write_text("".join(
+         (root / "drivers" / "driver_01.csv").read_text().splitlines(keepends=True)[:21])), 3,
+     "15 transition pairs cannot determine 21 columns; add data or use ridge > 0"),
+    (["update", "--model", "model.json", "--data", "drivers/driver_01.csv", "--segment", "10",
+      "30", "--out", "u.json", "--cadence", "0"], None, 3,
+     "section 'rls': cadence must be positive, got 0.0"),
 ], ids=["malformed_row", "one_row", "schema_version", "empty_data_directory",
-        "missing_data_file", "eval_without_segment"])
+        "missing_data_file", "eval_without_segment", "no_grid_speed_inside_the_limits",
+        "route_v_max_below_v_min", "route_inf_grade", "route_nan_v_min",
+        "advisory.powertrain.engine_idle_kg_per_s", "advisory.v_levels",
+        "advisory.soc_initial", "sample_period_over_the_drive", "drivers.gain_jitter",
+        "drivers.distracted-object", "drivers.distracted.noise_scale", "driver.kp",
+        "driver.reaction_delay", "driver.force_rate_limit", "driver.noise_std",
+        "driver.compliance", "driver.hold_tau", "ridge", "degree", "split_leaving_a_part_empty",
+        "fewer_pairs_than_columns", "cadence"])
 def test_refused_input_exits_with_its_message(build_copy, argv, setup, code, message, capsys):
     if setup is not None:
         setup(build_copy)
     if "--config" not in argv:
         argv = argv + ["--config", "config.json"]
-    before = file_bytes(build_copy)
+    before, paths = file_bytes(build_copy), all_paths(build_copy)
     assert main(argv) == code
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
-    assert file_bytes(build_copy) == before
+    assert (file_bytes(build_copy), all_paths(build_copy)) == (before, paths)
 
 
 def test_bad_json_exit_3(tmp_path, toy_route):

@@ -105,6 +105,13 @@ def test_negative_first_advisory_speed_is_refused():
                         sample_period=0.025)
 
 
+@pytest.mark.parametrize("advisory", [np.full(1, 12.0), np.full((2, 2), 12.0)],
+                         ids=["one_speed", "two_dimensional"])
+def test_advisory_must_be_a_series_of_two_speeds(advisory):
+    with pytest.raises(ValueError, match="^advisory must be a 1-D series of at least 2 speeds$"):
+        simulate_driver(VEH, DriverParams(), advisory, sample_period=0.025)
+
+
 def test_distraction_window_validation():
     with pytest.raises(ValueError):
         DistractionWindow(t_start=5.0, t_end=5.0)

@@ -278,6 +278,16 @@ def test_split_rejects_bad_fractions():
         FitConfig(split=(1.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("refused", [
+    lambda: build_matrices([], LiftedBasis()),
+    lambda: split_dataset([], (0.8, 0.1, 0.1)),
+    lambda: fit_trajectories([], FitConfig()),
+], ids=["build_matrices", "split_dataset", "fit_trajectories"])
+def test_no_trajectory_is_refused(refused):
+    with pytest.raises(ValueError, match="^need at least one trajectory$"):
+        refused()
+
+
 def test_split_rejects_fragment():
     trajs = [make_traj(5, seed=5)]
     with pytest.raises(ValueError):

@@ -6,7 +6,8 @@ cli._map_roster starts processes, no cli command reads the configuration as a
 dict, every cli command applies cli._check_files, the one file check, once,
 only basis.py and rls.update_tick call the unchecked lift kernel, only
 advisory._edge_tables prices advisory edges, only advisory._interp_values reads
-the sentinel cut, only edmd._fold calls np.linalg.qr, only
+the sentinel cut, only advisory._backward walks the route's steps in reverse,
+only edmd._fold calls np.linalg.qr, only
 model._trusted_trajectory builds an object round its constructor with __new__,
 no module but model.py reads _trusted_trajectory, only Trajectory.write_csv
 asks for a row template, no module but model.py holds a key of the model file's
@@ -349,31 +350,56 @@ def test_only_checked_callers_use_the_lift_kernel(path):
     assert unchecked_lifts(path.read_text(encoding="utf-8"), path.stem) == []
 
 
+def walk_in_functions(source: str):
+    """Every node of source, in ast order, with the name of the innermost
+    function holding it (None at module level)."""
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            yield child, func
+            yield from visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func)
+
+    return visit(ast.parse(source), None)
+
+
 def reads_outside(source: str, module: str, name: str, home: tuple) -> list[str]:
     """Reads of name, as a name or an attribute, named by the innermost
     function making them, except in home, a (module, function) pair."""
-    found = []
+    return [f"{func or '<module>'} (line {node.lineno})"
+            for node, func in walk_in_functions(source)
+            if (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name)
+            and isinstance(node.ctx, ast.Load) and (module, func) != home]
 
-    def visit(node, func):
-        for child in ast.iter_child_nodes(node):
-            if (isinstance(child, ast.Name) and child.id == name
-                    or isinstance(child, ast.Attribute) and child.attr == name) \
-                    and isinstance(child.ctx, ast.Load) and (module, func) != home:
-                found.append(f"{func or '<module>'} (line {child.lineno})")
-            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-                  else func)
 
-    visit(ast.parse(source), None)
-    return found
+def _negative_literal(node) -> bool:
+    try:
+        return ast.literal_eval(node) < 0
+    except (TypeError, ValueError):
+        return False
+
+
+def reverse_walks(source: str) -> list[str]:
+    """Calls of reversed, and of range with a negative literal step, named by
+    the innermost function making them, except in BACKWARD_WALKER."""
+    return [f"{func or '<module>'} (line {node.lineno})"
+            for node, func in walk_in_functions(source)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and func != BACKWARD_WALKER
+            and (node.func.id == "reversed" or node.func.id == "range"
+                 and len(node.args) == 3 and _negative_literal(node.args[2]))]
 
 
 # the backward pass, the forward pass and the infeasibility walk read one
 # edge table, so all three price a step identically and each distinct step
 # is priced once
 EDGE_PRICER = ("advisory", "_edge_tables")
-# _soc_bounds alone decides SoC feasibility; the sentinel cut only keeps the
-# value interpolation well defined
+# _backward's b alone decides SoC feasibility; the sentinel cut only keeps
+# the value interpolation well defined
 CUT_READER = ("advisory", "_interp_values")
+# the value function and the SoC bounds come from one walk back over the
+# route's steps, which finds each run of steps sharing a table once
+BACKWARD_WALKER = "_backward"
 # the offline fit, its ridge and the online adaptation fold rows into an R
 # factor by one call, so fit and adaptation stay one least-squares state
 FOLDER = ("edmd", "_fold")
@@ -406,6 +432,20 @@ def test_detects_sentinel_cut_reads():
               "def _interp_values(v):\n    return v >= _BIG_CUT\n"
               "def solve_eco_dp(cost):\n    return cost < advisory._BIG_CUT\n")
     assert reads_outside(source, "advisory", "_BIG_CUT", CUT_READER) == ["solve_eco_dp (line 5)"]
+
+
+def test_detects_reverse_walks():
+    source = ("def _backward(tables):\n    for j in range(len(tables) - 1, -1, -1): pass\n"
+              "def _soc_bounds(tables):\n    for step in reversed(tables): pass\n"
+              "def _value_function(S):\n    return [j for j in range(S, 0, -2)]\n"
+              "def solve_eco_dp(S, k):\n    range(0, S, 2), range(S, 0, k), tables[::-1]\n"
+              "    def inner():\n        return list(reversed(range(S)))\n")
+    assert reverse_walks(source) == ["_soc_bounds (line 4)", "_value_function (line 6)",
+                                     "inner (line 10)"]
+
+
+def test_only_the_backward_pass_walks_the_steps_in_reverse():
+    assert reverse_walks((PACKAGE / "advisory.py").read_text(encoding="utf-8")) == []
 
 
 def test_detects_qr_calls():

@@ -69,6 +69,17 @@ def test_trajectory_needs_two_samples():
                    f_tr=np.zeros(1), v_ref=np.ones(1))
 
 
+@pytest.mark.parametrize("columns, message", [
+    (dict(t=np.zeros((2, 2))), "t must be one dimensional"),
+    (dict(v_ref=np.ones((3, 1))), "v_ref must be one dimensional"),
+    (dict(v=np.ones(2)), "all trajectory columns must have the same length"),
+], ids=["t_2d", "v_ref_2d", "short_v"])
+def test_trajectory_refuses_columns_of_another_shape(columns, message):
+    args = dict(t=np.arange(3) * 0.025, v=np.ones(3), f_tr=np.zeros(3), v_ref=np.ones(3))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Trajectory(sample_period=0.025, **{**args, **columns})
+
+
 def test_slice_samples_matches_validated_trajectory():
     traj = make_traj(n=50, seed=2)
     part = traj.slice_samples(7, 31)

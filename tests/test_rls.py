@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import re
 import warnings
 
 import numpy as np
@@ -79,6 +80,15 @@ def test_theta_read_is_read_only(pending):
     with pytest.raises(ValueError, match="read-only"):
         state.theta[0, 0] = 1.0
     assert state.theta.tobytes() == before
+
+
+@pytest.mark.parametrize("theta, message", [
+    (np.zeros(3), "theta must be a 2-D block [A B]"),
+    (np.full((2, 3), np.nan), "theta must be finite"),
+], ids=["one_dimensional", "nan"])
+def test_state_refuses_theta(theta, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RlsState(theta, 0.9)
 
 
 def test_init_rejects_bad_lambda():
