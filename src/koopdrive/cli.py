@@ -464,7 +464,7 @@ def cmd_fit(args, cfg: Config) -> int:
 
     model.save(args.model_out)
     if args.report_out is not None:
-        _write_json(args.report_out, report.to_dict())
+        _write_json(args.report_out, dataclasses.asdict(report))
     print(f"fit: {report.split_pairs['train']} training pairs, "
           f"residual {report.residual_fro:.4g}, "
           f"condition {report.condition_number:.3g}, model -> {args.model_out}")
@@ -513,9 +513,7 @@ def cmd_eval(args, cfg: Config) -> int:
     model = KoopmanModel.load(args.model)
     traj = Trajectory.read_csv(args.data)
 
-    reports = evaluate_horizons(traj, model, horizons, segment)
-    if online is not None:
-        reports += evaluate_horizons(traj, model, horizons, segment, online=online)
+    reports = evaluate_horizons(traj, model, horizons, segment, online=online)
     print(format_reports(reports))
     if args.out is not None:
         reports_to_csv(reports, args.out)
@@ -539,7 +537,7 @@ def cmd_bench(args, cfg: Config) -> int:
     if report.warning:
         print(f"warning: {report.warning}")
     if args.out is not None:
-        _write_json(args.out, report.to_dict())
+        _write_json(args.out, dataclasses.asdict(report))
     return 0
 
 

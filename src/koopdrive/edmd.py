@@ -37,12 +37,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import LiftedBasis, pow2_scale
-from .model import KoopmanModel, _check_fields, _check_same_sample_period, _scaler
+from .model import KoopmanModel, _check_fields, _check_same_sample_period, _is_number, _scaler
 
 __all__ = [
     "FitConfig",
@@ -88,9 +88,11 @@ class FitConfig:
 
 
 def _check_split(split) -> None:
-    # comparisons are exact, so a huge JSON integer fails here, not in sum()
-    if len(split) != 3 or any(not (0 < f <= 1) for f in split):
-        raise ValueError(f"split needs three fractions in (0, 1], got {split}")
+    # its annotation is no form _check_fields checks, so the number rule is
+    # applied here; a huge JSON integer has no float and fails it, not sum()
+    if not (isinstance(split, (list, tuple)) and len(split) == 3
+            and all(_is_number(f) and 0 < f <= 1 for f in split)):
+        raise ValueError(f"split needs three fractions in (0, 1], got {split!r}")
     if abs(sum(split) - 1.0) > 1e-9:
         raise ValueError(f"split fractions must sum to 1, got {split}")
 
@@ -288,9 +290,6 @@ class FitReport:
     scaler: dict
     one_step_rmse_v_mps: dict
     one_step_rmse_f_n: dict
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def fit_trajectories(trajectories, config: FitConfig) -> tuple[KoopmanModel, FitReport]:

@@ -7,15 +7,18 @@ the window start, and squared errors are pooled across all predicted samples
 of all windows before taking the root. The seeded first sample of a window
 is a measurement, not a prediction, so it does not enter the pool.
 
-The online variant streams the segment once, for all horizons together,
-through recursive least-squares ticks (1 s of samples per tick by default),
-and predicts each window with the parameter snapshot taken at that window's
-start; updates made inside a window therefore only benefit later windows,
-keeping the evaluation causal. The state folds its pairs in fixed blocks
-counted from the segment start, and a snapshot folds the pairs pending since
-into a copy, so the snapshots do not depend on where tick boundaries fall,
-and a horizon's report is the same whether it is evaluated alone or with
-others.
+One call scores the frozen model (variant "offline") on every horizon's
+windows and, given online settings, then scores the adapted predictor
+(variant "online") on the same windows, so the two are compared window for
+window. The online variant streams the segment once, for all horizons
+together, through recursive least-squares ticks (1 s of samples per tick by
+default), and predicts each window with the parameter snapshot taken at that
+window's start; updates made inside a window therefore only benefit later
+windows, keeping the evaluation causal. The state folds its pairs in fixed
+blocks counted from the segment start, and a snapshot folds the pairs pending
+since into a copy, so the snapshots do not depend on where tick boundaries
+fall, and a horizon's report is the same whether it is evaluated alone or
+with others.
 
 Reported units follow road practice: speed errors in mph alongside m/s, and
 force errors in kN alongside N.
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import platform
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,21 +79,24 @@ def _window_errors(model: KoopmanModel, traj: Trajectory, k0: int,
     return pred.v[1:] - traj.v[sl], pred.f_tr[1:] - traj.f_tr[sl]
 
 
-def _models_at(traj: Trajectory, model: KoopmanModel, starts,
-               online: OnlineSettings | None) -> dict:
-    """The model each window start predicts with, keyed by sample index.
+def _horizon_steps(horizon, dt: float, room: int, where: str) -> int:
+    """horizon in whole samples of dt; ValueError unless 1 to room of them."""
+    steps = int(round(_samples("horizon", horizon, dt)))
+    if not 1 <= steps <= room:
+        raise ValueError(f"horizon {horizon} s does not fit {where}")
+    return steps
 
-    Without online settings that is the model itself. Otherwise one RLS
-    state streams the segment once, tick by tick, and is snapshotted at
-    each start in increasing order.
+
+def _models_at(traj: Trajectory, model: KoopmanModel, online: OnlineSettings, i0: int,
+               windows) -> dict:
+    """The adapted model each window start predicts with, keyed by sample
+    index: one RLS state streams the segment once from its first sample i0,
+    tick by tick, and is snapshotted at each start in increasing order.
     """
-    starts = sorted(set(starts))
-    if online is None:
-        return dict.fromkeys(starts, model)
     tick_steps = online.tick_steps(traj.sample_period)
     state = init_rls(model, online.lam)
-    models, pos = {}, starts[0]
-    for k in starts:
+    models, pos = {}, i0
+    for k in sorted({k for _, _, starts in windows for k in starts}):
         for _ in stream_ticks(state, model.basis, traj, pos, k, tick_steps):
             pass
         models[k] = snapshot_model(state, model.basis, model.sample_period)
@@ -103,38 +109,36 @@ def evaluate_horizons(trajectory: Trajectory, model: KoopmanModel, horizons,
     """Windowed multi-horizon evaluation over a trajectory segment.
 
     horizons are window lengths in seconds, each rounded to whole samples
-    and fitting inside the segment at least once. With online settings
-    given, the reports describe the adapted predictor (variant "online");
-    otherwise the fixed model (variant "offline"). Data whose sample period
-    is not the model's raises ValueError.
+    and fitting inside the segment at least once. The reports describe the
+    fixed model (variant "offline"), one per horizon; with online settings
+    given, the adapted predictor's reports (variant "online") follow, scored
+    on the same windows. Data whose sample period is not the model's raises
+    ValueError.
     """
     dt = trajectory.sample_period
     _check_same_sample_period("data", dt, "the model", model.sample_period)
     i0, i1 = trajectory.segment_indices(*segment)
     windows = []
     for horizon in horizons:
-        steps = int(round(_samples("horizon", horizon, dt)))
-        if steps < 1 or i0 + steps > i1:
-            raise ValueError(
-                f"horizon {horizon} s does not fit inside segment {segment}"
-            )
+        steps = _horizon_steps(horizon, dt, i1 - i0, f"inside segment {segment}")
         windows.append((horizon, steps, range(i0, i1 - steps + 1, steps)))
-    models = _models_at(trajectory, model,
-                        [k for _, _, starts in windows for k in starts], online)
+    variants = [("offline", lambda k: model)]
+    if online is not None:
+        variants.append(("online", _models_at(trajectory, model, online, i0, windows).__getitem__))
 
     reports = []
-    for horizon, steps, starts in windows:
-        errs = [_window_errors(models[k], trajectory, k, steps) for k in starts]
-        err_v = np.concatenate([ev for ev, _ in errs])
-        err_f = np.concatenate([ef for _, ef in errs])
-        reports.append(HorizonReport(
-            horizon_s=float(horizon),
-            variant="offline" if online is None else "online",
-            rmse_speed_mps=float(np.sqrt(np.mean(err_v**2))),
-            rmse_force_n=float(np.sqrt(np.mean(err_f**2))),
-            n_windows=len(starts),
-            n_samples=len(err_v),
-        ))
+    for variant, model_at in variants:
+        for horizon, steps, starts in windows:
+            errs = [_window_errors(model_at(k), trajectory, k, steps) for k in starts]
+            err_v, err_f = (np.concatenate(e) for e in zip(*errs))
+            reports.append(HorizonReport(
+                horizon_s=float(horizon),
+                variant=variant,
+                rmse_speed_mps=float(np.sqrt(np.mean(err_v**2))),
+                rmse_force_n=float(np.sqrt(np.mean(err_f**2))),
+                n_windows=len(starts),
+                n_samples=len(err_v),
+            ))
     return reports
 
 
@@ -150,9 +154,6 @@ class BenchReport:
     speedup: list
     hardware: str
     warning: str | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def bench_update(trajectories, model: KoopmanModel, horizons,
@@ -171,6 +172,8 @@ def bench_update(trajectories, model: KoopmanModel, horizons,
     comparison flatter than deployment would see.
     """
     trajectories = list(trajectories)
+    if not trajectories:
+        raise ValueError("need at least one trajectory")
     config = FitConfig(ridge=model.provenance.get("ridge", 0.0))
     n_pairs = sum(len(t) - 1 for t in trajectories)
     last = trajectories[-1]
@@ -179,10 +182,8 @@ def bench_update(trajectories, model: KoopmanModel, horizons,
     _check_same_sample_period(f"trajectory {len(trajectories) - 1}", dt, "the model",
                               model.sample_period)
 
-    horizon_steps = [int(round(_samples("horizon", horizon, dt))) for horizon in horizons]
-    for horizon, steps in zip(horizons, horizon_steps):
-        if steps < 1 or steps > len(last) - 1:
-            raise ValueError(f"horizon {horizon} s does not fit in the last trajectory")
+    horizon_steps = [_horizon_steps(horizon, dt, len(last) - 1, "in the last trajectory")
+                     for horizon in horizons]
 
     t0 = time.perf_counter()
     fit(build_matrices(trajectories, model.basis), config)

@@ -66,7 +66,7 @@ import numpy as np
 
 from .basis import LiftedBasis
 from .edmd import _fold, _rank, _solve
-from .model import KoopmanModel, Trajectory, _check_fields, _samples
+from .model import KoopmanModel, Trajectory, _check_fields, _is_number, _samples
 
 __all__ = ["OnlineSettings", "RlsState", "RlsUpdateRejectedError", "init_rls", "rls_update",
            "update_tick", "stream_ticks", "snapshot_model"]
@@ -107,7 +107,7 @@ class OnlineSettings:
 
 
 def _check_forgetting_factor(lam) -> None:
-    if not (0.0 < lam <= 1.0):
+    if not (_is_number(lam) and 0.0 < lam <= 1.0):
         raise ValueError(f"forgetting factor must be in (0, 1], got {lam}")
 
 

@@ -325,8 +325,8 @@ def test_adaptive_predictor_beats_frozen_model(verdict, work_dir):
         segment = tuple(cfg["eval"]["segment_s"])
         online = OnlineSettings(lam=cfg["rls"]["lam"], cadence_s=cfg["rls"]["cadence_s"])
         traj = sc["trajectories"][17]
-        off = evaluate_horizons(traj, sc["model"], horizons, segment)
-        on = evaluate_horizons(traj, sc["model"], horizons, segment, online=online)
+        reports = evaluate_horizons(traj, sc["model"], horizons, segment, online=online)
+        off, on = reports[:len(horizons)], reports[len(horizons):]
         for o, a in zip(off, on):
             assert a.horizon_s == o.horizon_s
             assert a.rmse_speed_mps <= o.rmse_speed_mps

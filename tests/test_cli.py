@@ -588,6 +588,27 @@ def test_refused_input_exits_with_its_message(build_copy, argv, setup, code, mes
     assert (file_bytes(build_copy), all_paths(build_copy)) == (before, paths)
 
 
+@pytest.mark.parametrize("split, shown", [
+    (0.8, "0.8"),
+    ([0.8, 0.1, "0.1"], "(0.8, 0.1, '0.1')"),
+    ([0.8, 0.1, None], "(0.8, 0.1, None)"),
+    ([0.8, [0.1], 0.1], "(0.8, [0.1], 0.1)"),
+    ("abc", "'abc'"),
+    ([0.8, 0.1, True], "(0.8, 0.1, True)"),
+], ids=["number", "string_entry", "null_entry", "list_entry", "string", "bool_entry"])
+def test_split_is_held_to_the_number_rule(build_copy, split, shown, capsys):
+    # the split's annotation is none the number rule checks: these failed a
+    # len() or a comparison with messages naming no key, and true was taken
+    # as 1, refused only by the sum
+    write_config(build_copy, fit=dict(TOY_CONFIG["fit"], split=split))
+    before, paths = file_bytes(build_copy), all_paths(build_copy)
+    assert main(FIT + ["--config", "cfg.json"]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"error: section 'fit': fit.split needs three fractions in (0, 1], got {shown}\n")
+    assert (file_bytes(build_copy), all_paths(build_copy)) == (before, paths)
+
+
 def test_bad_json_exit_3(tmp_path, toy_route):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")

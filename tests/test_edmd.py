@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -314,7 +315,7 @@ def test_fit_trajectories_end_to_end():
     model, report = fit_trajectories([traj], FitConfig())
     assert report.one_step_rmse_v_mps["train"] < 1e-8
     assert report.one_step_rmse_v_mps["test"] < 1e-8
-    d = report.to_dict()
+    d = dataclasses.asdict(report)
     assert set(d["split_pairs"]) == {"train", "validation", "test"}
 
 

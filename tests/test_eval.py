@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -103,11 +106,10 @@ def test_online_matches_offline_on_perfect_model():
     model = linear_readout_model()
     traj = model_trajectory(model, n=2000)
     seg = (0.0, 2000 * 0.025 - 0.025)
-    off = evaluate_horizons(traj, model, [5.0], seg)
-    on = evaluate_horizons(traj, model, [5.0], seg, online=OnlineSettings(lam=1.0))
-    assert on[0].variant == "online"
-    assert on[0].rmse_speed_mps < 1e-9
-    assert abs(on[0].rmse_speed_mps - off[0].rmse_speed_mps) < 1e-9
+    off, on = evaluate_horizons(traj, model, [5.0], seg, online=OnlineSettings(lam=1.0))
+    assert on.variant == "online"
+    assert on.rmse_speed_mps < 1e-9
+    assert abs(on.rmse_speed_mps - off.rmse_speed_mps) < 1e-9
 
 
 def test_online_adapts_to_changed_dynamics():
@@ -118,9 +120,8 @@ def test_online_adapts_to_changed_dynamics():
                            sample_period=model.sample_period)
     traj = model_trajectory(changed, n=8000)
     seg = (0.0, 8000 * 0.025 - 0.025)
-    off = evaluate_horizons(traj, model, [5.0], seg)
-    on = evaluate_horizons(traj, model, [5.0], seg, online=OnlineSettings(lam=0.999))
-    assert on[0].rmse_speed_mps < off[0].rmse_speed_mps
+    off, on = evaluate_horizons(traj, model, [5.0], seg, online=OnlineSettings(lam=0.999))
+    assert on.rmse_speed_mps < off.rmse_speed_mps
 
 
 def changed_dynamics_case(n=2000):
@@ -153,9 +154,56 @@ def test_online_horizons_are_independent():
     model, traj, seg = changed_dynamics_case()
     online = OnlineSettings(lam=0.999, cadence_s=0.7)
     horizons = [5.0, 3.0, 1.5]
-    together = evaluate_horizons(traj, model, horizons, seg, online=online)
+    together = evaluate_horizons(traj, model, horizons, seg, online=online)[len(horizons):]
     for h, report in zip(horizons, together):
-        assert evaluate_horizons(traj, model, [h], seg, online=online) == [report]
+        assert evaluate_horizons(traj, model, [h], seg, online=online)[1:] == [report]
+
+
+def test_offline_rows_come_first_and_match_the_offline_call():
+    # one call scores the frozen model, then the adapted snapshots, on the
+    # same windows; the frozen rows are those of a call without online
+    model, traj, seg = changed_dynamics_case()
+    horizons = [5.0, 3.0, 1.5]
+    both = evaluate_horizons(traj, model, horizons, seg, online=OnlineSettings(lam=0.999))
+    assert [(r.variant, r.horizon_s) for r in both] == [
+        (variant, h) for variant in ("offline", "online") for h in horizons]
+    offline = evaluate_horizons(traj, model, horizons, seg)
+    assert [dataclasses.astuple(r) for r in both[:3]] == [dataclasses.astuple(r) for r in offline]
+    assert [(r.n_windows, r.n_samples) for r in both[3:]] == [
+        (r.n_windows, r.n_samples) for r in offline]
+
+
+@pytest.mark.parametrize("online", [None, OnlineSettings()], ids=["offline", "online"])
+def test_no_horizons_give_no_reports(online):
+    # the online variant read the first window start of no windows, an IndexError
+    model, traj, seg = changed_dynamics_case()
+    assert evaluate_horizons(traj, model, [], seg, online=online) == []
+
+
+@pytest.mark.parametrize("horizon, fits", [(0.0, False), (0.0125, False), (0.0126, True),
+                                           (49.975, True), (50.0, False)],
+                         ids=["zero", "half_a_sample", "one_sample", "whole", "one_more"])
+def test_eval_and_bench_share_one_horizon_rule(horizon, fits):
+    # a horizon fits when it rounds to 1 to n - 1 samples of an n-sample
+    # segment or last trajectory; each caller names its own room
+    model, traj, seg = changed_dynamics_case()
+    online = OnlineSettings()
+    if fits:
+        assert evaluate_horizons(traj, model, [horizon], seg)[0].n_windows >= 1
+        assert bench_update([traj], model, [horizon], online=online).horizons_s == [horizon]
+        return
+    with pytest.raises(ValueError, match=re.escape(
+            f"horizon {horizon} s does not fit inside segment {seg}")):
+        evaluate_horizons(traj, model, [horizon], seg)
+    with pytest.raises(ValueError, match=re.escape(
+            f"horizon {horizon} s does not fit in the last trajectory")):
+        bench_update([traj], model, [horizon], online=online)
+
+
+def test_bench_needs_a_trajectory():
+    # the last trajectory was read before any check, an IndexError
+    with pytest.raises(ValueError, match="^need at least one trajectory$"):
+        bench_update([], linear_readout_model(), [5.0], online=OnlineSettings())
 
 
 def test_bench_report_fields():
@@ -168,7 +216,7 @@ def test_bench_report_fields():
     assert r.online_per_tick_s[0] > 0
     assert r.speedup[0] == pytest.approx(r.offline_fit_s[0] / r.online_per_tick_s[0])
     assert r.warning is not None  # small dataset carries a caveat
-    d = r.to_dict()
+    d = dataclasses.asdict(r)
     assert "speedup" in d and "n_pairs" in d
 
 

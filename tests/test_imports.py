@@ -7,7 +7,8 @@ dict, every cli command applies cli._check_files, the one file check, once,
 only basis.py and rls.update_tick call the unchecked lift kernel, only
 advisory._edge_tables prices advisory edges, only advisory._interp_values reads
 the sentinel cut, only advisory._backward walks the route's steps in reverse,
-only edmd._fold calls np.linalg.qr, only
+only edmd._fold calls np.linalg.qr, cli.py reads evaluate.evaluate_horizons
+once, only evaluate._horizon_steps turns a horizon into samples, only
 model._trusted_trajectory builds an object round its constructor with __new__,
 no module but model.py reads _trusted_trajectory, only Trajectory.write_csv
 asks for a row template, no module but model.py holds a key of the model file's
@@ -400,6 +401,9 @@ CUT_READER = ("advisory", "_interp_values")
 # the value function and the SoC bounds come from one walk back over the
 # route's steps, which finds each run of steps sharing a table once
 BACKWARD_WALKER = "_backward"
+# eval and bench turn a horizon into samples, and refuse one that does not
+# fit, by one rule
+HORIZON_ROUNDER = ("evaluate", "_horizon_steps")
 # the offline fit, its ridge and the online adaptation fold rows into an R
 # factor by one call, so fit and adaptation stay one least-squares state
 FOLDER = ("edmd", "_fold")
@@ -446,6 +450,42 @@ def test_detects_reverse_walks():
 
 def test_only_the_backward_pass_walks_the_steps_in_reverse():
     assert reverse_walks((PACKAGE / "advisory.py").read_text(encoding="utf-8")) == []
+
+
+# cmd_eval scores the frozen model and the adapted snapshots in one call,
+# which builds the windows once; no (module, function) home is exempt
+EVERY_READ = (None, None)
+
+
+def test_detects_evaluate_reads():
+    source = ("def cmd_eval(args, cfg):\n"
+              "    reports = evaluate_horizons(traj, model, horizons, segment)\n"
+              "    if online is not None:\n"
+              "        reports += evaluate.evaluate_horizons(traj, model, horizons, segment,\n"
+              "                                              online=online)\n"
+              "score = evaluate_horizons\n")
+    assert reads_outside(source, "cli", "evaluate_horizons", EVERY_READ) == [
+        "cmd_eval (line 2)", "cmd_eval (line 4)", "<module> (line 6)"]
+
+
+def test_eval_scores_both_variants_in_one_call():
+    assert len(reads_outside((PACKAGE / "cli.py").read_text(encoding="utf-8"), "cli",
+                             "evaluate_horizons", EVERY_READ)) == 1
+
+
+def test_detects_horizon_roundings():
+    source = ("def _horizon_steps(horizon, dt, room, where):\n"
+              "    return int(round(_samples('horizon', horizon, dt)))\n"
+              "def bench_update(trajectories, model, horizons, online):\n"
+              "    steps = [int(round(model._samples('horizon', h, dt))) for h in horizons]\n"
+              "    def tick():\n        return _samples('cadence', 1.0, dt)\n")
+    assert reads_outside(source, "evaluate", "_samples", HORIZON_ROUNDER) == [
+        "bench_update (line 4)", "tick (line 6)"]
+
+
+def test_only_the_horizon_rule_turns_horizons_into_samples():
+    assert reads_outside((PACKAGE / "evaluate.py").read_text(encoding="utf-8"), "evaluate",
+                         "_samples", HORIZON_ROUNDER) == []
 
 
 def test_detects_qr_calls():

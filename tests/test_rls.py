@@ -91,6 +91,17 @@ def test_state_refuses_theta(theta, message):
         RlsState(theta, 0.9)
 
 
+@pytest.mark.parametrize("lam", [True, "0.5"], ids=["bool", "string"])
+@pytest.mark.parametrize("make", [lambda lam: RlsState(np.zeros((2, 3)), lam),
+                                  lambda lam: init_rls(zero_model(), lam)],
+                         ids=["state", "init"])
+def test_forgetting_factor_is_held_to_the_number_rule(make, lam):
+    # True was taken as the number 1, and "0.5" failed a comparison with TypeError
+    message = f"forgetting factor must be in (0, 1], got {lam}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make(lam)
+
+
 def test_init_rejects_bad_lambda():
     with pytest.raises(ValueError):
         init_rls(zero_model(), 0.0)
