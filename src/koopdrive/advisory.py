@@ -506,10 +506,16 @@ def solve_eco_dp(route: RouteSpec, vehicle: VehicleParams,
     route for the given vehicle.
 
     Ties in the forward pass break toward the smaller acceleration magnitude,
-    then toward keeping the engine off, then toward the lower speed.
+    then toward keeping the engine off, then toward the lower speed. The
+    speed grid runs from config.speed_floor up to the route's top speed
+    limit, so a floor at or above that limit raises ValueError.
     """
     S = route.n_steps
-    vgrid = np.linspace(config.speed_floor, float(np.max(route.v_max)), config.v_levels)
+    v_top = float(np.max(route.v_max))
+    if not config.speed_floor < v_top:
+        raise ValueError(f"speed_floor {config.speed_floor} m/s must lie below the route's "
+                         f"top speed limit {v_top} m/s")
+    vgrid = np.linspace(config.speed_floor, v_top, config.v_levels)
     socgrid = np.linspace(config.soc_min, config.soc_max, config.soc_levels)
     adm = _admissible_speeds(route, vgrid)
     tables = _edge_tables(route, vehicle, config, vgrid, adm)

@@ -30,7 +30,10 @@ product over v**a and f**b, so the bits are that product's.
 Every basis divides the state by its scale before lifting, which keeps the
 monomials well conditioned: one power of two per channel, the nearest to its
 training peak (pow2_scale), so project_many(lift_many(x)) is x bit for bit,
-signed zeros included. The default unit scale 2**0 takes the same path and
+signed zeros included, wherever x / scale is zero or a normal float. A
+subnormal quotient (below 2**-1022 in magnitude) loses its low bits: at
+scale (16, 4096) a speed of 5e-324 comes back as 0.0 and one of 3e-320 as
+3.004e-320. The default unit scale 2**0 takes the same path and
 lifts raw units. Peaks of 2**1023.5 and above have no such scale and raise
 ValueError. The model file's form of a basis is model.py's to decide.
 """

@@ -433,6 +433,11 @@ def cmd_simulate(args, cfg: Config) -> int:
 
     advisory = _read_csv_table(args.advisory, ADVISORY_TIME_HEADER, 2, "advisory")
     _check_spacing(f"{args.advisory}: advisory time", advisory[:, 0], period)
+    # every drive starts at t = 0, so an advisory that starts elsewhere would
+    # shift each drive, segment and distraction window by its start
+    if advisory[0, 0] != 0.0:
+        raise ValueError(f"{args.advisory}: advisory time must start at 0.0 s, "
+                         f"got {advisory[0, 0]} s")
     v_ref = advisory[:, 1]
 
     def simulate(i):

@@ -390,6 +390,13 @@ class KoopmanModel:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # what save writes, load must read back: an integer degree (a bool
+        # lifts as one but is saved as true) and a provenance object
+        if not _is_number(self.basis.max_degree, int):
+            raise ValueError(f"basis max_degree must be an integer, got "
+                             f"{self.basis.max_degree!r}")
+        if not isinstance(self.provenance, dict):
+            raise ValueError(f"provenance must be an object (a dict), got {self.provenance!r}")
         self.theta = np.array(self.theta, dtype=float)
         N = self.basis.lifted_dim
         if self.theta.shape != (N, N + 1):
@@ -541,9 +548,6 @@ class KoopmanModel:
                 raise ValueError(f"monomials must be {canonical} for degree {degree}")
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelFileError(f"{path}: invalid basis metadata: {exc}") from None
-        provenance = payload.get("provenance") or {}
-        if not isinstance(provenance, dict):
-            raise ModelFileError(f"{path}: provenance must be an object")
         try:
             N = basis.lifted_dim
             blocks = []
@@ -559,6 +563,7 @@ class KoopmanModel:
                     raise ValueError(f"{key} must be {shape} for this basis, "
                                      f"got {blocks[-1].shape}")
             return cls(basis=basis, theta=np.hstack(blocks),
-                       sample_period=payload.get("sample_period"), provenance=provenance)
+                       sample_period=payload.get("sample_period"),
+                       provenance=payload.get("provenance", {}))
         except (TypeError, ValueError) as exc:
             raise ModelFileError(f"{path}: {exc}") from None

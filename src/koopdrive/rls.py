@@ -21,8 +21,11 @@ by one QR (edmd._fold), the oldest weighted by lambda^((k-1)/2), the newest
 by 1 and R by lambda^(k/2), and theta moves by the folded rows'
 least-squares solution (edmd._solve), which is then 0 again: the state
 keeps no right-hand side, and pairs with zero error leave theta bit for
-bit. R and the pending rows share one row stack [R | 0; z | eps], so a
-fold weighs its rows by one column in one multiply before the QR.
+bit. R and the pending rows share one row stack [R | 0; z | eps]. The
+state keeps only what it cannot derive: the number of pending rows is
+update_count % _FOLD_PAIRS, and a fold's weights come from one vector of
+powers of sqrt(lambda): R's rows times R's weight, stacked above the
+pending rows times their own, go into the QR.
 rls_update(state, z, psi_next) writes one pair's row into that stack and
 returns its error norm, against theta as of the last fold. It writes
 through the (z, eps) views of the pending rows that the state makes once:
@@ -36,10 +39,14 @@ theta read is read-only. A fold or read whose R11 has sigma_min <= p eps sigma_m
 (edmd.fit's rank rule, with p regressors), or whose new theta is not
 finite, raises RlsUpdateRejectedError, as does a non-finite prediction
 error; the refused pair leaves the state as it was. The verdict, the pair
-it names and the state do not depend on numpy's warning settings: where
-RuntimeWarnings are errors, an overflow in the tick's lift or in an
-error's square is caught and the step redone as numpy does it by default,
-on the exception path only, so an accepted tick enters no np.errstate.
+it names, the error norms and the state do not depend on numpy's warning
+settings, by one rule: where a RuntimeWarning is an error, the step that
+raised it (the tick's lift, a pair's prediction, error and square, or a
+fold) is redone under np.errstate(all="ignore"), as numpy computes it by
+default, and the checks after it (finiteness, and a fold's rank rule)
+give the verdict. The rule acts on the exception path only, so an
+accepted tick enters no np.errstate, and a lint in the tests holds every
+RuntimeWarning handler to it.
 init_rls starts from a copy of the model's theta, and snapshot_model hands
 state.theta to the KoopmanModel constructor, which copies it.
 
@@ -117,8 +124,10 @@ class RlsState:
     pending since the last fold, theta as of that fold, and the forgetting
     factor. It starts from theta with R = sqrt(lambda) I, which is
     P = I / lambda; state.theta and state.P fold the pending rows into a copy
-    on each read. The (z, eps) views of each pending row are made once and
-    remade, never copied, when the state is deep-copied or unpickled."""
+    on each read. The pending rows are the first update_count % _FOLD_PAIRS,
+    and no count of them is stored. The (z, eps) views of each pending row
+    are made once and remade, never copied, when the state is deep-copied
+    or unpickled."""
 
     def __init__(self, theta, lam: float):
         theta = np.array(theta, dtype=float)
@@ -136,14 +145,9 @@ class RlsState:
         self._rows = np.zeros((p + _FOLD_PAIRS, p + n))
         self._rows[:p, :p] = math.sqrt(lam) * np.eye(p)
         self._pair_rows = self._row_views()
-        self._pending = 0
-        # _weights[k, :p + k] weighs the rows of a k-row fold: lambda^(k/2)
-        # for R, and lambda^(j/2) for a pending row j pairs older than the newest
-        w = math.sqrt(lam) ** np.arange(_FOLD_PAIRS + 1)
-        self._weights = np.zeros((_FOLD_PAIRS + 1, p + _FOLD_PAIRS, 1))
-        for k in range(1, _FOLD_PAIRS + 1):
-            self._weights[k, :p] = w[k]
-            self._weights[k, p:p + k, 0] = w[k - 1::-1]
+        # lambda^(j/2) for j = _FOLD_PAIRS down to 0: a k-row fold weighs R
+        # by _decay[-k - 1] and its pending rows, oldest first, by _decay[-k:]
+        self._decay = math.sqrt(lam) ** np.arange(_FOLD_PAIRS, -1, -1)
         self.update_count = 0
 
     def _row_views(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -168,8 +172,21 @@ class RlsState:
         own when k is 0, else new arrays."""
         if k == 0:
             return self.R, self._theta
+        try:
+            return self._fold_pending(k)
+        except RuntimeWarning:
+            # where warnings are errors: fold again as numpy's default mode
+            # does, so the rank rule and the finiteness check give the verdict
+            with np.errstate(all="ignore"):
+                return self._fold_pending(k)
+
+    def _fold_pending(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """New R and theta with the first k >= 1 pending rows folded in."""
         p = self.n_features
-        R = _fold(self._rows[:p + k] * self._weights[k, :p + k])
+        # R's rows times R's weight, above the pending rows times their own:
+        # each entry is multiplied by its own weight only, as in a weight column
+        R = _fold(np.concatenate((self._rows[:p] * self._decay[-k - 1],
+                                  self._rows[p:p + k] * self._decay[-k:, None])))
         rank, svals = _rank(R[:p, :p], p)
         if rank < p:
             raise RlsUpdateRejectedError(
@@ -189,13 +206,13 @@ class RlsState:
     def theta(self) -> np.ndarray:
         # read-only whether or not pairs are pending: theta is replaced at
         # each fold, never written in place
-        theta = self._folded(self._pending)[1].view()
+        theta = self._folded(self.update_count % _FOLD_PAIRS)[1].view()
         theta.flags.writeable = False
         return theta
 
     @property
     def P(self) -> np.ndarray:
-        R_inv = np.linalg.inv(self._folded(self._pending)[0])
+        R_inv = np.linalg.inv(self._folded(self.update_count % _FOLD_PAIRS)[0])
         P = R_inv @ R_inv.T
         return (P + P.T) / 2.0
 
@@ -210,14 +227,17 @@ def rls_update(state: RlsState, z: np.ndarray, psi_next: np.ndarray) -> float:
     against theta as of the last fold.
 
     z is the regressor [psi(x_k); u_k] and psi_next is psi(x_next), both of
-    the state's widths; update_tick checks that. A non-finite
-    prediction error, or a fold whose information is singular, raises
-    RlsUpdateRejectedError and leaves the state as it was; so does an
-    inf * 0 or inf - inf in the prediction where RuntimeWarnings are errors.
-    A finite error whose square overflows is accepted, with norm inf, in
-    every warning mode.
+    the state's widths; update_tick checks that. The pair's row is pending
+    row update_count % _FOLD_PAIRS. A non-finite prediction error, or a
+    fold whose information is singular, raises RlsUpdateRejectedError and
+    leaves the state as it was. Where RuntimeWarnings are errors, a warning
+    in the prediction, the error or its square makes the kernel redo the
+    three under np.errstate(all="ignore"), so every warning mode gets
+    numpy's default verdict and norm: an inf * 0 or inf - inf is refused,
+    a finite error whose square overflows is accepted with norm inf, and
+    one whose products underflow is accepted with its default norm.
     """
-    k = state._pending
+    k = state.update_count % _FOLD_PAIRS
     z_row, eps = state._pair_rows[k]
     z_row[...] = z
     try:
@@ -225,23 +245,19 @@ def rls_update(state: RlsState, z: np.ndarray, psi_next: np.ndarray) -> float:
         # psi_next - prediction: no temporary
         state._theta.dot(z, out=eps)
         np.subtract(psi_next, eps, out=eps)
-    except RuntimeWarning as exc:
-        # inf * 0 or inf - inf where warnings are errors; elsewhere the NaN
-        # it makes is refused below
-        raise RlsUpdateRejectedError("update rejected: non-finite prediction error") from exc
-    try:
         sq = eps.dot(eps)
     except RuntimeWarning:
-        # a finite eps whose square overflows, where warnings are errors;
-        # elsewhere sq is inf, and the pair passes below either way
-        sq = math.inf
+        # where warnings are errors: redo the three steps as numpy's
+        # default mode computes them, so the check below gives the verdict
+        with np.errstate(all="ignore"):
+            state._theta.dot(z, out=eps)
+            np.subtract(psi_next, eps, out=eps)
+            sq = eps.dot(eps)
     # sq is finite only if eps is; a finite eps whose square overflows passes
     if not math.isfinite(sq) and not np.all(np.isfinite(eps)):
         raise RlsUpdateRejectedError("update rejected: non-finite prediction error")
     if k + 1 == _FOLD_PAIRS:
-        R, state._theta = state._folded(_FOLD_PAIRS)
-        state.R[...] = R
-    state._pending = (k + 1) % _FOLD_PAIRS
+        state.R[...], state._theta = state._folded(_FOLD_PAIRS)
     state.update_count += 1
     return math.sqrt(sq)
 
@@ -259,8 +275,10 @@ def update_tick(state: RlsState, basis: LiftedBasis, buffer: Trajectory) -> np.n
     pairs before it stay applied. A state made non-finite in sample r after
     the buffer was built is refused at pair r - 1 (its target), or at pair
     0 for the first sample, and an input in sample r at pair r. A sample
-    whose lift overflows is refused the same way, also where numpy's
-    RuntimeWarnings are errors.
+    whose lift overflows is refused the same way, and one whose lift
+    underflows is accepted, also where numpy's RuntimeWarnings are errors:
+    a warning in the lift makes it lift again under
+    np.errstate(all="ignore").
     """
     if state.n_features != basis.lifted_dim + 1:
         raise ValueError(f"state has {state.n_features} columns, expected "
@@ -270,9 +288,9 @@ def update_tick(state: RlsState, basis: LiftedBasis, buffer: Trajectory) -> np.n
     try:
         psi = basis._lift_columns(buffer.v, buffer.f_tr)
     except RuntimeWarning:
-        # an overflow where warnings are errors: lift again as elsewhere, so
-        # rls_update refuses the first pair that reads a non-finite row
-        with np.errstate(over="ignore", invalid="ignore"):
+        # where warnings are errors: lift again as numpy's default mode
+        # does, so rls_update refuses the first pair that reads a non-finite row
+        with np.errstate(all="ignore"):
             psi = basis._lift_columns(buffer.v, buffer.f_tr)
     Z = np.concatenate((psi, buffer.v_ref[:, None]), axis=1)
     errs = np.empty(len(buffer) - 1)
@@ -292,13 +310,21 @@ def stream_ticks(state: RlsState, basis: LiftedBasis, traj: Trajectory, start: i
     into traj's columns, copying nothing, that carries the sample before the
     tick, so every pair is applied exactly once; only the last tick may be
     shorter. Yields (index of the tick's last sample, update_tick's error
-    norms) per tick.
+    norms) per tick. A refused tick's RlsUpdateRejectedError is raised again
+    with the tick's first and last sample and their times before
+    update_tick's message.
     """
     if not 0 <= start <= stop < len(traj):
         raise ValueError(f"bad sample range [{start}, {stop}] for length {len(traj)}")
     for lo in range(start, stop, tick_steps):
         end = min(lo + tick_steps, stop)
-        yield end, update_tick(state, basis, traj.slice_samples(lo, end + 1))
+        try:
+            errs = update_tick(state, basis, traj.slice_samples(lo, end + 1))
+        except RlsUpdateRejectedError as exc:
+            raise RlsUpdateRejectedError(
+                f"tick of samples {lo} to {end} (t = {float(traj.t[lo])} s to "
+                f"{float(traj.t[end])} s): {exc}") from exc
+        yield end, errs
 
 
 def snapshot_model(state: RlsState, basis: LiftedBasis, sample_period: float,

@@ -479,6 +479,13 @@ def write_route_row(root, cells):
     (root / "r.csv").write_text("".join(lines))
 
 
+def shift_advisory(src, dst, start):
+    """dst: the advisory time CSV at src with its times moved to begin at start."""
+    table = np.loadtxt(src, delimiter=",", skiprows=1)
+    header = src.read_text().splitlines()[0]
+    dst.write_text(header + "\n" + "".join(f"{t + start!r},{v!r}\n" for t, v in table.tolist()))
+
+
 ADVISORY = ["advisory", "--route", "route.csv", "--out", "o"]
 SIMULATE = ["simulate", "--advisory", "advisory/advisory_time.csv", "--out", "o"]
 FIT = ["fit", "--data", "drivers", "--model-out", "m.json"]
@@ -567,6 +574,19 @@ FIT = ["fit", "--data", "drivers", "--model-out", "m.json"]
     (["update", "--model", "model.json", "--data", "drivers/driver_01.csv", "--segment", "10",
       "30", "--out", "u.json", "--cadence", "0"], None, 3,
      "section 'rls': cadence must be positive, got 0.0"),
+    # a floor at the top limit made a grid of one speed repeated, and one
+    # above it a falling grid that the DP refused as infeasible (exit 4)
+    (ADVISORY + ["--config", "cfg.json"], lambda root: write_config(
+        root, **advisory_with(speed_floor=13.9)), 3,
+     "speed_floor 13.9 m/s must lie below the route's top speed limit 13.9 m/s"),
+    (ADVISORY + ["--config", "cfg.json"], lambda root: write_config(
+        root, **advisory_with(speed_floor=20.0)), 3,
+     "speed_floor 20.0 m/s must lie below the route's top speed limit 13.9 m/s"),
+    # every drive starts at t = 0: an advisory that starts later once shifted
+    # each drive by its start, silently
+    (["simulate", "--advisory", "late.csv", "--out", "o"], lambda root: shift_advisory(
+        root / "advisory" / "advisory_time.csv", root / "late.csv", 100.0), 3,
+     "late.csv: advisory time must start at 0.0 s, got 100.0 s"),
 ], ids=["malformed_row", "one_row", "schema_version", "empty_data_directory",
         "missing_data_file", "eval_without_segment", "no_grid_speed_inside_the_limits",
         "route_v_max_below_v_min", "route_inf_grade", "route_nan_v_min",
@@ -575,7 +595,8 @@ FIT = ["fit", "--data", "drivers", "--model-out", "m.json"]
         "drivers.distracted-object", "drivers.distracted.noise_scale", "driver.kp",
         "driver.reaction_delay", "driver.force_rate_limit", "driver.noise_std",
         "driver.compliance", "driver.hold_tau", "ridge", "degree", "split_leaving_a_part_empty",
-        "fewer_pairs_than_columns", "cadence"])
+        "fewer_pairs_than_columns", "cadence", "speed_floor_at_the_top_limit",
+        "speed_floor_above_the_top_limit", "advisory_time_origin"])
 def test_refused_input_exits_with_its_message(build_copy, argv, setup, code, message, capsys):
     if setup is not None:
         setup(build_copy)
@@ -872,6 +893,30 @@ def test_update_whose_fold_overflows_theta_exit_4(tmp_path, cadence, capsys):
                  "--cadence", cadence, "--out", str(upd)]) == 4
     assert "folded theta is not finite" in capsys.readouterr().err
     assert not upd.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["update", "--segment", "0", "10", "--out", "upd.json"],
+    ["eval", "--online", "--segment", "0", "10", "--horizons", "1", "--out", "eval.csv"],
+], ids=["update", "eval-online"])
+def test_refused_tick_names_its_samples_and_times(tmp_path, command, capsys):
+    # the speed of sample 250 overflows the lift, so pair 9 of the tick
+    # that starts at sample 240 (t = 6.0 s) is refused; the message once
+    # named the pair in the tick but not the tick
+    model = tmp_path / "model.json"
+    KoopmanModel(LiftedBasis(), np.zeros((9, 10)), 0.025).save(model)
+    v = np.full(401, 10.0)
+    v[250] = 1e120
+    data = tmp_path / "traj.csv"
+    Trajectory(sample_period=0.025, t=np.arange(401) * 0.025, v=v, f_tr=np.full(401, 100.0),
+               v_ref=np.full(401, 10.0)).write_csv(data)
+    out = tmp_path / command[-1]
+    argv = command[:1] + ["--model", str(model), "--data", str(data)] + command[1:-1] + [str(out)]
+    assert main(argv) == 4
+    assert capsys.readouterr() == ("", (
+        "error: tick of samples 240 to 280 (t = 6.0 s to 7.0 s): tick aborted at buffered "
+        "pair 9: update rejected: non-finite prediction error\n"))
+    assert not out.exists()
 
 
 def test_update_of_an_updated_model_records_this_run(tmp_path):

@@ -12,9 +12,10 @@ once, only evaluate._horizon_steps turns a horizon into samples, only
 model._trusted_trajectory builds an object round its constructor with __new__,
 no module but model.py reads _trusted_trajectory, only Trajectory.write_csv
 asks for a row template, no module but model.py holds a key of the model file's
-basis block, and every function, class and method the package defines is
-referenced from the package or the benchmark; and code_lines counts only code
-lines."""
+basis block, every except clause that catches a RuntimeWarning redoes its
+step under np.errstate(all="ignore"), and every function, class and method the
+package defines is referenced from the package or the benchmark; and
+code_lines counts only code lines."""
 
 import ast
 import importlib
@@ -349,6 +350,43 @@ def test_detects_unchecked_lifts():
 @pytest.mark.parametrize("path", MODULES + sorted(BENCH.glob("*.py")), ids=lambda p: p.name)
 def test_only_checked_callers_use_the_lift_kernel(path):
     assert unchecked_lifts(path.read_text(encoding="utf-8"), path.stem) == []
+
+
+def warning_handlers(source: str) -> list[str]:
+    """except clauses naming RuntimeWarning whose body holds no
+    `with np.errstate(all="ignore"):` statement: the one warning rule redoes
+    the step that warned as numpy's default mode computes it, so the verdict
+    does not depend on the warning settings."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None and any(
+                isinstance(n, ast.Name) and n.id == "RuntimeWarning"
+                for n in ast.walk(node.type)) and not any(
+                isinstance(stmt, ast.With) and any(
+                    ast.unparse(item.context_expr) == "np.errstate(all='ignore')"
+                    for item in stmt.items)
+                for stmt in node.body):
+            found.append(f"except RuntimeWarning (line {node.lineno})")
+    return found
+
+
+def test_detects_warning_handlers():
+    source = ("try:\n    eps = theta.dot(z)\nexcept RuntimeWarning as exc:\n"
+              "    raise RlsUpdateRejectedError('non-finite') from exc\n"
+              "try:\n    sq = eps.dot(eps)\nexcept RuntimeWarning:\n    sq = math.inf\n"
+              "try:\n    psi = lift(v)\nexcept (ValueError, RuntimeWarning):\n"
+              "    with np.errstate(over='ignore', invalid='ignore'):\n        psi = lift(v)\n"
+              "try:\n    psi = lift(v)\nexcept RuntimeWarning:\n"
+              "    with np.errstate(all='ignore'):\n        psi = lift(v)\n"
+              "try:\n    psi = lift(v)\nexcept ValueError:\n    psi = None\n")
+    assert warning_handlers(source) == ["except RuntimeWarning (line 3)",
+                                        "except RuntimeWarning (line 7)",
+                                        "except RuntimeWarning (line 11)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_warning_handler_redoes_its_step_as_the_default_mode(path):
+    assert warning_handlers(path.read_text(encoding="utf-8")) == []
 
 
 def walk_in_functions(source: str):

@@ -481,9 +481,16 @@ def test_load_rejects_bad_shapes(tmp_path):
     (lambda doc: doc.update(sample_period=0), "got 0"),
     (lambda doc: doc.update(sample_period=True), "got True"),
     (lambda doc: doc.update(provenance=[1]), "provenance must be an object"),
+    # these once loaded as {}, while [1] was refused
+    (lambda doc: doc.update(provenance=[]), r"provenance must be an object \(a dict\), got \[\]"),
+    (lambda doc: doc.update(provenance=0), "provenance must be an object .*got 0"),
+    (lambda doc: doc.update(provenance=""), "provenance must be an object .*got ''"),
+    (lambda doc: doc.update(provenance=False), "provenance must be an object .*got False"),
+    (lambda doc: doc.update(provenance=None), "provenance must be an object .*got None"),
 ], ids=["no_A", "ragged_A", "text_in_A", "infinite_B", "no_sample_period",
         "text_sample_period", "zero_sample_period", "boolean_sample_period",
-        "list_provenance"])
+        "list_provenance", "empty_list_provenance", "zero_provenance", "empty_text_provenance",
+        "false_provenance", "null_provenance"])
 def test_load_rejects_what_the_constructor_rejects(tmp_path, edit, message):
     path = tmp_path / "m.json"
     identity_model().save(path)
@@ -492,6 +499,28 @@ def test_load_rejects_what_the_constructor_rejects(tmp_path, edit, message):
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelFileError, match=message):
         KoopmanModel.load(path)
+
+
+def test_load_reads_a_missing_provenance_as_empty(tmp_path):
+    path = tmp_path / "m.json"
+    identity_model().save(path)
+    doc = json.loads(path.read_text())
+    del doc["provenance"]
+    path.write_text(json.dumps(doc))
+    assert KoopmanModel.load(path).provenance == {}
+
+
+@pytest.mark.parametrize("basis, provenance, message", [
+    (LiftedBasis(max_degree=True), {}, "basis max_degree must be an integer, got True"),
+    (LiftedBasis(), None, r"provenance must be an object \(a dict\), got None"),
+    (LiftedBasis(), [], r"provenance must be an object \(a dict\), got \[\]"),
+], ids=["boolean_degree", "null_provenance", "list_provenance"])
+def test_constructor_refuses_what_its_file_cannot_hold(tmp_path, basis, provenance, message):
+    # each was accepted, and then saved as a file that load refused
+    # (max_degree true) or read back as another model (provenance {})
+    N = basis.lifted_dim
+    with pytest.raises(ValueError, match=message):
+        KoopmanModel(basis, np.zeros((N, N + 1)), 0.025, provenance)
 
 
 @pytest.mark.parametrize("key, value", [("max_degree", True), ("max_degree", 1.0),

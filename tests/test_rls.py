@@ -361,7 +361,7 @@ def test_pickle_mid_stream_updates_on_its_own():
     basis, state, traj = buffer_stream()
     feed(state, basis, traj, 0, 2010, 30)
     twin = pickle.loads(pickle.dumps(state))
-    assert twin._pending == state._pending == 10
+    assert twin.update_count % _FOLD_PAIRS == state.update_count % _FOLD_PAIRS == 10
     assert twin._rows.tobytes() == state._rows.tobytes()
     assert all(np.shares_memory(view, twin._rows) and not np.shares_memory(view, state._rows)
                for pair in twin._pair_rows for view in pair)
@@ -415,7 +415,7 @@ def test_infinite_regressor_on_a_zero_column_is_refused(action):
     for i in range(3):
         rls_update(state, *lift_pair(basis, x[i, :2], x[i, 2:], x[i + 1, :2]))
     before = (state.R.tobytes(), state.theta.tobytes(), state.P.tobytes(),
-              state.update_count, state._pending)
+              state.update_count)
     z, psi_next = lift_pair(basis, x[3, :2], x[3, 2:], x[0, :2])
     z[0] = np.inf
     with warnings.catch_warnings():
@@ -423,41 +423,101 @@ def test_infinite_regressor_on_a_zero_column_is_refused(action):
         with pytest.raises(RlsUpdateRejectedError, match="non-finite prediction error"):
             rls_update(state, z, psi_next)
     assert (state.R.tobytes(), state.theta.tobytes(), state.P.tobytes(),
-            state.update_count, state._pending) == before
+            state.update_count) == before
 
 
 @pytest.mark.parametrize("action", ["error", "ignore"])
-@pytest.mark.parametrize("value, pair, reason", [
-    pytest.param(1e120, 9, "non-finite prediction error", id="lift-overflows"),
-    pytest.param(1e60, 39, "singular", id="error-square-overflows"),
+@pytest.mark.parametrize("value, under, pair, reason", [
+    pytest.param(1e120, "ignore", 9, "non-finite prediction error", id="lift-overflows"),
+    pytest.param(1e60, "ignore", 39, "singular", id="error-square-overflows"),
+    pytest.param(1e-120, "warn", None, None, id="lift-underflows"),
 ])
-def test_huge_speed_gets_one_verdict_in_every_warning_mode(action, value, pair, reason):
+def test_huge_speed_gets_one_verdict_in_every_warning_mode(action, value, under, pair, reason):
     # a speed of 1e120 in sample 10 overflows the tick's lift, and pair 9
     # is refused; one of 1e60 lifts, but pair 9's error norm overflows to
-    # inf, which is accepted, and the fold after pair 39 is singular. Where
-    # numpy's warnings are errors, as in this suite's settings, and where
-    # they are ignored, the verdict, its pair and the state are the same
+    # inf, which is accepted, and the fold after pair 39 is singular; one
+    # of 1e-120 underflows in the lift where numpy's underflows warn, and
+    # every pair is accepted. Where numpy's warnings are errors, as in this
+    # suite's settings, and where they are ignored, the verdict, its pair,
+    # the error norms and the state are those of numpy's default mode
     basis = LiftedBasis(scale=(16.0, 512.0))
     model = KoopmanModel(basis, np.random.default_rng(8).normal(0, 0.1, size=(9, 10)), 0.025)
     rows = random_rows(41, 10.0, 500.0)
     rows[10, 0] = value
     buffer = traj_of(rows)
 
-    def run(mode):
+    def run(mode, under):
         state = init_rls(model, 0.99737)
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), np.errstate(under=under):
             warnings.simplefilter(mode, RuntimeWarning)
-            with pytest.raises(RlsUpdateRejectedError, match=f"buffered pair {pair}: .*{reason}"):
-                update_tick(state, basis, buffer)
-        # theta and P would fold the pending rows, singular here; the state
-        # is theta as of the last fold and the stack's rows up to the pending ones
+            try:
+                verdict = update_tick(state, basis, buffer).tobytes()
+            except RlsUpdateRejectedError as exc:
+                verdict = str(exc)
+        # theta and P would fold the pending rows, singular in one case; the
+        # state is theta as of the last fold and the stack's rows up to the
+        # pending ones
         p = state.n_features
-        return (state._theta.tobytes(), state._rows[:p + state._pending].tobytes(),
-                state._pending, state.update_count)
+        k = state.update_count % _FOLD_PAIRS
+        return verdict, state._theta.tobytes(), state._rows[:p + k].tobytes(), state.update_count
 
-    state = run(action)
-    assert state[3] == pair
-    assert state == run("ignore")
+    state = run(action, under)
+    if pair is None:
+        assert state[3] == 40
+    else:
+        assert re.fullmatch(f"tick aborted at buffered pair {pair}: .*{reason}.*", state[0])
+        assert state[3] == pair
+    assert state == run("ignore", "ignore")
+
+
+@pytest.mark.parametrize("action", ["error", "ignore"])
+def test_underflowing_prediction_gets_one_error_in_every_warning_mode(action):
+    # two of the prediction's products underflow to 0 where numpy's
+    # underflows warn; where warnings are errors the pair was once refused
+    # as a non-finite prediction error, and numpy's default mode accepts it
+    def run(mode, under):
+        state = RlsState(np.full((2, 3), 1e-200), 0.99)
+        with warnings.catch_warnings(), np.errstate(under=under):
+            warnings.simplefilter(mode, RuntimeWarning)
+            err = rls_update(state, np.array([1e-200, 1e-200, 1.0]), np.array([1.0, 1.0]))
+        return err, state._theta.tobytes(), state._rows.tobytes(), state.update_count
+
+    state = run(action, "warn")
+    assert state[0] == math.sqrt(2.0) and state[3] == 1
+    assert state == run("ignore", "ignore")
+
+
+@pytest.mark.parametrize("action", ["error", "ignore"])
+@pytest.mark.parametrize("theta, pairs, under, reason", [
+    # the first pair's error is finite and its square overflows, and the
+    # fold adds a correction that takes theta past the float range
+    pytest.param(1.7e308, [([0.5, 0.0], [1.79e308])], "ignore", "folded theta is not finite",
+                 id="theta-overflows"),
+    # the older pair's regressor underflows when the fold weighs it by
+    # sqrt(lambda), where numpy's underflows warn
+    pytest.param(0.0, [([1e-308, 1.0], [1.0]), ([1.0, 1.0], [1.0])], "warn", None,
+                 id="weight-underflows"),
+])
+def test_fold_gets_one_verdict_in_every_warning_mode(action, theta, pairs, under, reason):
+    # a read folds the pending pairs into a copy, as the fold after the last
+    # pair of a group does into the state; where numpy's warnings are errors
+    # the fold once raised the bare RuntimeWarning, and now its verdict and
+    # result are those of numpy's default mode
+    def run(mode, under):
+        state = RlsState(np.full((1, 2), theta), 0.99)
+        with warnings.catch_warnings(), np.errstate(under=under):
+            warnings.simplefilter(mode, RuntimeWarning)
+            errs = [rls_update(state, np.array(z), np.array(y)) for z, y in pairs]
+            try:
+                verdict = state.theta.tobytes()
+            except RlsUpdateRejectedError as exc:
+                verdict = str(exc)
+        return errs, verdict, state._theta.tobytes(), state._rows.tobytes(), state.update_count
+
+    state = run(action, under)
+    if reason is not None:
+        assert reason in state[1]
+    assert state == run("ignore", "ignore")
 
 
 def overflowing_buffer(samples):
@@ -483,7 +543,7 @@ def test_fold_that_overflows_theta_is_refused_and_keeps_the_state(action):
             update_tick(state, basis, overflowing_buffer(41))
     # the 39 pairs before it stay applied, and the refused one left no trace
     assert_same_state(state, ref)
-    assert state._pending == ref._pending == 39
+    assert state.update_count % _FOLD_PAIRS == ref.update_count % _FOLD_PAIRS == 39
     assert np.isfinite(state._theta).all()
 
 
@@ -662,7 +722,7 @@ def row_view_kernel(state, z, psi_next):
     """rls_update as it was before the state cached its pending rows' views:
     one row view of the stack, two slices of it, and the prediction as a
     temporary; the byte reference of the kernel on finite pairs."""
-    k = state._pending
+    k = state.update_count % _FOLD_PAIRS
     p = state.n_features
     row = state._rows[p + k]
     row[:p] = z
@@ -674,7 +734,6 @@ def row_view_kernel(state, z, psi_next):
     if k + 1 == _FOLD_PAIRS:
         R, state._theta = state._folded(_FOLD_PAIRS)
         state._rows[:p, :p] = R
-    state._pending = (k + 1) % _FOLD_PAIRS
     state.update_count += 1
     return math.sqrt(sq)
 
