@@ -15,7 +15,7 @@ decomposition of all rows seen so far (a streaming tall-skinny QR), so
 beyond the trajectories the caller holds, memory stays at one (2N+1) x (2N+1)
 factor plus one fold block. It returns R and the pair count as a frozen
 DataMatrices record. A lift that overflows is refused with ValueError naming
-the trajectory and its samples, where numpy's warnings are errors too.
+the trajectory and its samples, in every error mode (see the model module).
 Since R^T R equals the Gram matrix of the stacked
 rows, every quantity of the fit follows from R alone: theta from its leading
 (N+1) x (N+1) block, the rank and condition number from that block's
@@ -117,7 +117,8 @@ def build_matrices(trajectories, basis: LiftedBasis) -> DataMatrices:
     rows and the same folds as lifting the whole trajectory, so R is bit
     for bit the same, while no more than one block's lifted pairs exist.
     A block whose lift overflows raises ValueError naming the trajectory
-    and its samples, whatever numpy's warning settings.
+    and its samples, and one whose lift underflows is folded with numpy's
+    default values, in every error mode (see the model module).
     """
     trajectories = list(trajectories)
     if not trajectories:
@@ -133,7 +134,7 @@ def build_matrices(trajectories, basis: LiftedBasis) -> DataMatrices:
         for lo in range(0, pairs, _FOLD_ROWS):
             hi = min(lo + _FOLD_ROWS, pairs)
             # an overflow is refused below, by one check of the block
-            with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(all="ignore"):
                 Z = basis.lift_many(np.column_stack((traj.v[lo:hi + 1], traj.f_tr[lo:hi + 1])))
             if not np.isfinite(Z).all():
                 raise ValueError(f"trajectory {i}: samples {lo}..{hi} (t = {float(traj.t[lo])} "

@@ -20,6 +20,10 @@ since into a copy, so the snapshots do not depend on where tick boundaries
 fall, and a horizon's report is the same whether it is evaluated alone or
 with others.
 
+The window errors and their RMSE are a block step of the model module's
+numerical-error rule, so a finite forecast whose error squares past the
+float range scores inf.
+
 Reported units follow road practice: speed errors in mph alongside m/s, and
 force errors in kN alongside N.
 """
@@ -127,18 +131,19 @@ def evaluate_horizons(trajectory: Trajectory, model: KoopmanModel, horizons,
         variants.append(("online", _models_at(trajectory, model, online, i0, windows).__getitem__))
 
     reports = []
-    for variant, model_at in variants:
-        for horizon, steps, starts in windows:
-            errs = [_window_errors(model_at(k), trajectory, k, steps) for k in starts]
-            err_v, err_f = (np.concatenate(e) for e in zip(*errs))
-            reports.append(HorizonReport(
-                horizon_s=float(horizon),
-                variant=variant,
-                rmse_speed_mps=float(np.sqrt(np.mean(err_v**2))),
-                rmse_force_n=float(np.sqrt(np.mean(err_f**2))),
-                n_windows=len(starts),
-                n_samples=len(err_v),
-            ))
+    with np.errstate(all="ignore"):
+        for variant, model_at in variants:
+            for horizon, steps, starts in windows:
+                errs = [_window_errors(model_at(k), trajectory, k, steps) for k in starts]
+                err_v, err_f = (np.concatenate(e) for e in zip(*errs))
+                reports.append(HorizonReport(
+                    horizon_s=float(horizon),
+                    variant=variant,
+                    rmse_speed_mps=float(np.sqrt(np.mean(err_v**2))),
+                    rmse_force_n=float(np.sqrt(np.mean(err_f**2))),
+                    n_windows=len(starts),
+                    n_samples=len(err_v),
+                ))
     return reports
 
 

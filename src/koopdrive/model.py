@@ -49,15 +49,27 @@ reload checks A's and B's shapes, stacks them and builds the model through
 its constructor, so a file passes the same checks as a model made in memory,
 and reproduces the matrices bit for bit.
 
-The number rule and the time grid are one rule each, kept here. _is_number
-accepts a real (or integral) value with a finite float that is not a bool,
-and _check_fields holds the int, float, tuple[float, ...] and X | None
-fields of a config dataclass to it. _check_sample_period accepts a positive
-period that is a number, _check_spacing holds every step of a time column
-(or of a route's node positions) to 2e-9 relative of the period, and
-_samples turns a duration in seconds into a count of sample periods, raising
-ValueError when the duration is no number or that count is not finite. Each
-caller rounds the count its own way.
+The number rule, the time grid and the numerical-error rule are one rule
+each, kept here. _is_number accepts a real (or integral) value with a finite
+float that is not a bool, and _check_fields holds the int, float,
+tuple[float, ...] and X | None fields of a config dataclass to it.
+_check_sample_period accepts a positive period that is a number,
+_check_spacing holds every step of a time column (or of a route's node
+positions) to 2e-9 relative of the period, and _samples turns a duration in
+seconds into a count of sample periods, raising ValueError when the
+duration is no number or that count is not finite. Each caller rounds the
+count its own way.
+
+Under the numerical-error rule a numerical step gives numpy's default-mode
+values and verdict whatever error handling the caller set (a warnings
+filter, or np.errstate / np.seterr with "raise" among its actions), and the
+checks after the step (finiteness, a rank rule) decide. A block step runs
+under np.errstate(all="ignore"): the rollout's scan, edmd.build_matrices'
+lift, and evaluate's window errors and RMSE. The RLS tick keeps a fast path
+that enters no np.errstate; each of its handlers catches RuntimeWarning and
+FloatingPointError and calls its own function again under
+np.errstate(all="ignore"). A lint in the tests holds every np.errstate call
+and every such handler to this form.
 
 Every table and JSON file of the package is written by the two writers here,
 _write_csv_table and _write_json, or, for trajectories, by the row template
@@ -442,6 +454,9 @@ class KoopmanModel:
         p = 1, 2, 4, ... <= L, so a power that overflows while the state
         stays in a subspace that does not grow (A = diag(1e3, 0.5, ...)
         from v = 0) is reported at step p, where the loop stays finite.
+        The scan is a block step of the module's numerical-error rule: an
+        underflow gives numpy's default values and an overflow this error,
+        whatever the caller's error handling.
         """
         u = np.asarray(inputs, dtype=float)
         if u.ndim != 1 or len(u) == 0:
@@ -454,8 +469,8 @@ class KoopmanModel:
         states = np.empty((L + 1, 2))
 
         # overflow is the divergence signal itself, reported with the step
-        # index below rather than as a numpy warning
-        with np.errstate(over="ignore", invalid="ignore"):
+        # index below rather than as a numpy warning or error
+        with np.errstate(all="ignore"):
             # Z[k + 1] = A Z[k] + B u[k], the input term written first
             Z = np.empty((L + 1, self.lifted_dim))
             Z[0] = self.basis.lift(x0)  # the one check of x0: shape (2,), finite

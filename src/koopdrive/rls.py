@@ -38,20 +38,18 @@ k pairs depends neither on the tick boundaries nor on the reads, and a
 theta read is read-only. A fold or read whose R11 has sigma_min <= p eps sigma_max
 (edmd.fit's rank rule, with p regressors), or whose new theta is not
 finite, raises RlsUpdateRejectedError, as does a non-finite prediction
-error; the refused pair leaves the state as it was. The verdict, the pair
-it names, the error norms and the state do not depend on numpy's warning
-settings, by one rule: where a RuntimeWarning is an error, the step that
-raised it (the tick's lift, a pair's prediction, error and square, or a
-fold) is redone under np.errstate(all="ignore"), as numpy computes it by
-default, and the checks after it (finiteness, and a fold's rank rule)
-give the verdict. The rule acts on the exception path only, so an
-accepted tick enters no np.errstate, and a lint in the tests holds every
-RuntimeWarning handler to it.
+error; the refused pair leaves the state as it was. Every step keeps the
+package's numerical-error rule (see the model module): the tick enters no
+np.errstate, and where the caller's error handling turns a numpy event into
+a RuntimeWarning or a FloatingPointError, the handler of the tick's lift,
+of a pair's prediction, error and square, or of a fold calls its own
+function again under np.errstate(all="ignore"). Each of these steps warns
+before the state changes, so the second call starts from the same state.
 init_rls starts from a copy of the model's theta, and snapshot_model hands
 state.theta to the KoopmanModel constructor, which copies it.
 
-update_tick is the per-tick entry: it checks that the state has
-lifted_dim + 1 columns and lifts the k + 1 samples of its Trajectory
+update_tick is the per-tick entry: it checks that the state's theta is
+lifted_dim x (lifted_dim + 1) and lifts the k + 1 samples of its Trajectory
 buffer once, from its v and f_tr columns through the basis's unchecked
 column kernel, into one contiguous (k + 1, N) array psi, and appends the
 inputs as a last column: Z = [psi | u]. A Trajectory is finite by
@@ -172,27 +170,22 @@ class RlsState:
         own when k is 0, else new arrays."""
         if k == 0:
             return self.R, self._theta
-        try:
-            return self._fold_pending(k)
-        except RuntimeWarning:
-            # where warnings are errors: fold again as numpy's default mode
-            # does, so the rank rule and the finiteness check give the verdict
-            with np.errstate(all="ignore"):
-                return self._fold_pending(k)
-
-    def _fold_pending(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """New R and theta with the first k >= 1 pending rows folded in."""
         p = self.n_features
-        # R's rows times R's weight, above the pending rows times their own:
-        # each entry is multiplied by its own weight only, as in a weight column
-        R = _fold(np.concatenate((self._rows[:p] * self._decay[-k - 1],
-                                  self._rows[p:p + k] * self._decay[-k:, None])))
-        rank, svals = _rank(R[:p, :p], p)
-        if rank < p:
-            raise RlsUpdateRejectedError(
-                f"update rejected: the information is singular to working precision "
-                f"(sigma_min {svals[-1]:.3g}, sigma_max {svals[0]:.3g})")
-        theta = self._theta + _solve(R, p)
+        try:
+            # R's rows times R's weight, above the pending rows times their
+            # own: each entry is multiplied by its own weight only, as in a
+            # weight column
+            R = _fold(np.concatenate((self._rows[:p] * self._decay[-k - 1],
+                                      self._rows[p:p + k] * self._decay[-k:, None])))
+            rank, svals = _rank(R[:p, :p], p)
+            if rank < p:
+                raise RlsUpdateRejectedError(
+                    f"update rejected: the information is singular to working precision "
+                    f"(sigma_min {svals[-1]:.3g}, sigma_max {svals[0]:.3g})")
+            theta = self._theta + _solve(R, p)
+        except (RuntimeWarning, FloatingPointError):
+            with np.errstate(all="ignore"):
+                return self._folded(k)
         if not np.isfinite(theta).all():
             raise RlsUpdateRejectedError("update rejected: the folded theta is not finite")
         return R[:p, :p], theta
@@ -230,12 +223,10 @@ def rls_update(state: RlsState, z: np.ndarray, psi_next: np.ndarray) -> float:
     the state's widths; update_tick checks that. The pair's row is pending
     row update_count % _FOLD_PAIRS. A non-finite prediction error, or a
     fold whose information is singular, raises RlsUpdateRejectedError and
-    leaves the state as it was. Where RuntimeWarnings are errors, a warning
-    in the prediction, the error or its square makes the kernel redo the
-    three under np.errstate(all="ignore"), so every warning mode gets
-    numpy's default verdict and norm: an inf * 0 or inf - inf is refused,
-    a finite error whose square overflows is accepted with norm inf, and
-    one whose products underflow is accepted with its default norm.
+    leaves the state as it was. In every error mode (see the model module)
+    an inf * 0 or inf - inf is refused, a finite error whose square
+    overflows is accepted with norm inf, and one whose products underflow
+    is accepted with its default norm.
     """
     k = state.update_count % _FOLD_PAIRS
     z_row, eps = state._pair_rows[k]
@@ -246,13 +237,9 @@ def rls_update(state: RlsState, z: np.ndarray, psi_next: np.ndarray) -> float:
         state._theta.dot(z, out=eps)
         np.subtract(psi_next, eps, out=eps)
         sq = eps.dot(eps)
-    except RuntimeWarning:
-        # where warnings are errors: redo the three steps as numpy's
-        # default mode computes them, so the check below gives the verdict
+    except (RuntimeWarning, FloatingPointError):
         with np.errstate(all="ignore"):
-            state._theta.dot(z, out=eps)
-            np.subtract(psi_next, eps, out=eps)
-            sq = eps.dot(eps)
+            return rls_update(state, z, psi_next)
     # sq is finite only if eps is; a finite eps whose square overflows passes
     if not math.isfinite(sq) and not np.all(np.isfinite(eps)):
         raise RlsUpdateRejectedError("update rejected: non-finite prediction error")
@@ -269,29 +256,26 @@ def update_tick(state: RlsState, basis: LiftedBasis, buffer: Trajectory) -> np.n
     tick covering 1 s of 40 Hz data carries 41 samples and produces 40
     updates. Returns the per-pair prediction error norms.
 
-    A state whose width is not basis.lifted_dim + 1 raises ValueError before
-    any pair is applied. A pair the kernel rejects raises
+    A state whose theta is not N x (N + 1), N = basis.lifted_dim, raises
+    ValueError before any pair is applied. A pair the kernel rejects raises
     RlsUpdateRejectedError naming the pair's index in the buffer, and the
     pairs before it stay applied. A state made non-finite in sample r after
     the buffer was built is refused at pair r - 1 (its target), or at pair
     0 for the first sample, and an input in sample r at pair r. A sample
     whose lift overflows is refused the same way, and one whose lift
-    underflows is accepted, also where numpy's RuntimeWarnings are errors:
-    a warning in the lift makes it lift again under
-    np.errstate(all="ignore").
+    underflows is accepted, in every error mode (see the model module).
     """
-    if state.n_features != basis.lifted_dim + 1:
-        raise ValueError(f"state has {state.n_features} columns, expected "
-                         f"{basis.lifted_dim + 1} for this basis")
+    N = basis.lifted_dim
+    if state.n_features != N + 1 or len(state._theta) != N:
+        raise ValueError(f"state has {state.n_features} columns, expected {N + 1}, and "
+                         f"{len(state._theta)} rows, expected {N}, for this basis")
     # row i of Z is [psi(x_i) | u_i], the regressor z_i, and psi(x_i) is the
     # target of pair i - 1; the last sample's u is never read
     try:
         psi = basis._lift_columns(buffer.v, buffer.f_tr)
-    except RuntimeWarning:
-        # where warnings are errors: lift again as numpy's default mode
-        # does, so rls_update refuses the first pair that reads a non-finite row
+    except (RuntimeWarning, FloatingPointError):
         with np.errstate(all="ignore"):
-            psi = basis._lift_columns(buffer.v, buffer.f_tr)
+            return update_tick(state, basis, buffer)
     Z = np.concatenate((psi, buffer.v_ref[:, None]), axis=1)
     errs = np.empty(len(buffer) - 1)
     try:
@@ -334,9 +318,10 @@ def snapshot_model(state: RlsState, basis: LiftedBasis, sample_period: float,
     The constructor copies state.theta, so later updates of the state do not
     reach the snapshot. The provenance starts with fitted_by, updates and
     lambda, then the given entries; this run's fitted_by ("rls"), updates
-    and lambda win over the given ones. A bad sample period raises
-    ValueError.
+    and lambda win over the given ones. None is no provenance, and any
+    other value that is no dict raises the constructor's ValueError, as
+    does a bad sample period.
     """
     run = {"fitted_by": "rls", "updates": state.update_count, "lambda": state.lam}
-    prov = {**run, **(provenance or {}), **run}
-    return KoopmanModel(basis, state.theta, sample_period, prov)
+    prov = {**run, **provenance, **run} if isinstance(provenance, dict) else provenance
+    return KoopmanModel(basis, state.theta, sample_period, run if prov is None else prov)

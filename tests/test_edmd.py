@@ -22,6 +22,7 @@ from koopdrive.edmd import (
     split_dataset,
 )
 from koopdrive.model import Trajectory
+from test_model import error_mode
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -214,6 +215,20 @@ def test_build_matrices_refuses_a_lift_that_overflows(action):
                            rf"{_FOLD_ROWS + 99} \(t = 102\.4 to .* s\) lift to non-finite"):
             build_matrices([make_traj(50, seed=1), bad], LiftedBasis())
     assert caught == []
+
+
+@pytest.mark.parametrize("action", ["error", "raise"])
+def test_build_matrices_folds_an_underflowing_lift_as_the_default_mode(action):
+    # a speed of 1e-120 underflows in the lift; where numpy's underflows
+    # are errors or raise, R is still the default mode's, bit for bit
+    traj = make_traj(200, seed=3)
+    traj.v[50] = 1e-120
+
+    def run(action, **events):
+        with error_mode(action, **events):
+            return build_matrices([traj], LiftedBasis()).R.tobytes()
+
+    assert run(action, under="warn") == run("ignore")
 
 
 def fold_blocks():

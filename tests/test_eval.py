@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from koopdrive.evaluate import (
 )
 from koopdrive.model import KoopmanModel, Trajectory
 from koopdrive.rls import OnlineSettings
+from test_model import error_mode
 
 
 def test_unit_conversions():
@@ -46,6 +48,30 @@ def model_trajectory(model, n=4000, seed=1, v0=10.0, f0=100.0):
     return Trajectory(sample_period=model.sample_period,
                       t=np.arange(n) * model.sample_period,
                       v=pred.v, f_tr=pred.f_tr, v_ref=u)
+
+
+@pytest.mark.parametrize("action", ["always", "error", "raise"])
+def test_a_forecast_past_1e154_scores_inf_and_warns_of_nothing(action):
+    # a v row of B of 1e155 drives the forecast to about 2e156, finite, and
+    # its squared error past the float range: the speed RMSE is inf, the
+    # force RMSE finite, and no numpy warning or error escapes, whether
+    # warnings are shown, are errors or numpy raises
+    traj = model_trajectory(linear_readout_model())
+    A = 0.5 * np.eye(9)
+    B = np.zeros((9, 1))
+    B[0, 0] = 1e155
+    model = KoopmanModel(basis=LiftedBasis(), theta=np.hstack([A, B]), sample_period=0.025)
+
+    def run(action, **events):
+        with warnings.catch_warnings(record=True) as caught, error_mode(action, **events):
+            reports = evaluate_horizons(traj, model, [5.0, 20.0], (0.0, 60.0))
+        return reports, caught
+
+    reports, caught = run(action, over="warn")
+    assert caught == []
+    assert [r.rmse_speed_mps for r in reports] == [np.inf, np.inf]
+    assert all(0.0 < r.rmse_force_n < np.inf for r in reports)
+    assert reports == run("ignore")[0]
 
 
 def test_offline_exact_model_zero_error():

@@ -12,10 +12,11 @@ once, only evaluate._horizon_steps turns a horizon into samples, only
 model._trusted_trajectory builds an object round its constructor with __new__,
 no module but model.py reads _trusted_trajectory, only Trajectory.write_csv
 asks for a row template, no module but model.py holds a key of the model file's
-basis block, every except clause that catches a RuntimeWarning redoes its
-step under np.errstate(all="ignore"), and every function, class and method the
-package defines is referenced from the package or the benchmark; and
-code_lines counts only code lines."""
+basis block, every except clause that catches a RuntimeWarning or a
+FloatingPointError catches both and calls its own function again under
+np.errstate(all="ignore"), every np.errstate call is np.errstate(all="ignore"),
+and every function, class and method the package defines is referenced from
+the package or the benchmark; and code_lines counts only code lines."""
 
 import ast
 import importlib
@@ -352,41 +353,163 @@ def test_only_checked_callers_use_the_lift_kernel(path):
     assert unchecked_lifts(path.read_text(encoding="utf-8"), path.stem) == []
 
 
+_ERROR_EVENTS = {"RuntimeWarning", "FloatingPointError"}
+_IGNORE_ALL = "np.errstate(all='ignore')"
+
+
+def _calls_itself_again(body: list, func: str | None) -> bool:
+    """Whether body is exactly `with np.errstate(all="ignore"): return
+    func(...)`, or return self.func(...) in a method."""
+    if func is None or len(body) != 1 or not isinstance(body[0], ast.With) \
+            or len(body[0].body) != 1:
+        return False
+    ret = body[0].body[0]
+    return ([ast.unparse(item.context_expr) for item in body[0].items] == [_IGNORE_ALL]
+            and isinstance(ret, ast.Return) and isinstance(ret.value, ast.Call)
+            and ast.unparse(ret.value.func) in (func, f"self.{func}"))
+
+
 def warning_handlers(source: str) -> list[str]:
-    """except clauses naming RuntimeWarning whose body holds no
-    `with np.errstate(all="ignore"):` statement: the one warning rule redoes
-    the step that warned as numpy's default mode computes it, so the verdict
-    does not depend on the warning settings."""
+    """except clauses naming RuntimeWarning or FloatingPointError that do not
+    name both, or whose body is not exactly `with np.errstate(all="ignore"):
+    return f(...)`, f the enclosing function (self.f in a method). Under the
+    one numerical-error rule a step that warns or raises, whichever the
+    caller's error handling makes of a numpy event, is computed again by its
+    own function as numpy's default mode computes it, and the checks after
+    it give the verdict."""
     found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ExceptHandler) and node.type is not None and any(
-                isinstance(n, ast.Name) and n.id == "RuntimeWarning"
-                for n in ast.walk(node.type)) and not any(
-                isinstance(stmt, ast.With) and any(
-                    ast.unparse(item.context_expr) == "np.errstate(all='ignore')"
-                    for item in stmt.items)
-                for stmt in node.body):
-            found.append(f"except RuntimeWarning (line {node.lineno})")
+    for node, func in walk_in_functions(source):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            named = {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+            if named & _ERROR_EVENTS and not (named >= _ERROR_EVENTS
+                                              and _calls_itself_again(node.body, func)):
+                found.append(f"{func or '<module>'}: except {ast.unparse(node.type)} "
+                             f"(line {node.lineno})")
     return found
 
 
+def errstate_calls(source: str) -> list[str]:
+    """errstate calls other than np.errstate(all="ignore"): a block step
+    ignores every numpy event and lets its own checks decide, and every
+    handler of the rule above enters that same errstate."""
+    return [f"{func or '<module>'}: {ast.unparse(node)} (line {node.lineno})"
+            for node, func in walk_in_functions(source)
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("errstate")
+            and ast.unparse(node) != _IGNORE_ALL]
+
+
+# the handlers and errstate calls of rls.py, edmd.py and model.py before the
+# one numerical-error rule: rls.py redid its steps in place, and edmd.py and
+# model.py ignored overflows and invalid values only
+EARLIER_RULES = """\
+class RlsState:
+    def _folded(self, k):
+        try:
+            return self._fold_pending(k)
+        except RuntimeWarning:
+            with np.errstate(all="ignore"):
+                return self._fold_pending(k)
+def rls_update(state, z, psi_next):
+    try:
+        sq = eps.dot(eps)
+    except RuntimeWarning:
+        with np.errstate(all="ignore"):
+            sq = eps.dot(eps)
+def update_tick(state, basis, buffer):
+    try:
+        psi = basis._lift_columns(buffer.v, buffer.f_tr)
+    except RuntimeWarning:
+        with np.errstate(all="ignore"):
+            psi = basis._lift_columns(buffer.v, buffer.f_tr)
+def build_matrices(trajectories, basis):
+    with np.errstate(over="ignore", invalid="ignore"):
+        Z = basis.lift_many(rows)
+def rollout(self, x0, inputs):
+    with np.errstate(over="ignore", invalid="ignore"):
+        Z[0] = self.basis.lift(x0)
+"""
+
+
 def test_detects_warning_handlers():
-    source = ("try:\n    eps = theta.dot(z)\nexcept RuntimeWarning as exc:\n"
-              "    raise RlsUpdateRejectedError('non-finite') from exc\n"
-              "try:\n    sq = eps.dot(eps)\nexcept RuntimeWarning:\n    sq = math.inf\n"
-              "try:\n    psi = lift(v)\nexcept (ValueError, RuntimeWarning):\n"
-              "    with np.errstate(over='ignore', invalid='ignore'):\n        psi = lift(v)\n"
-              "try:\n    psi = lift(v)\nexcept RuntimeWarning:\n"
-              "    with np.errstate(all='ignore'):\n        psi = lift(v)\n"
-              "try:\n    psi = lift(v)\nexcept ValueError:\n    psi = None\n")
-    assert warning_handlers(source) == ["except RuntimeWarning (line 3)",
-                                        "except RuntimeWarning (line 7)",
-                                        "except RuntimeWarning (line 11)"]
+    assert warning_handlers(EARLIER_RULES) == ["_folded: except RuntimeWarning (line 5)",
+                                               "rls_update: except RuntimeWarning (line 11)",
+                                               "update_tick: except RuntimeWarning (line 17)"]
+    source = """\
+def f(x):
+    try:
+        return g(x)
+    except (RuntimeWarning, FloatingPointError):
+        with np.errstate(all="ignore"):
+            return f(x)
+class S:
+    def h(self, k):
+        try:
+            return g(k)
+        except (FloatingPointError, ValueError, RuntimeWarning):
+            with np.errstate(all="ignore"):
+                return self.h(k)
+def a(x):
+    try:
+        return g(x)
+    except FloatingPointError:
+        with np.errstate(all="ignore"):
+            return a(x)
+def b(x):
+    try:
+        return g(x)
+    except (RuntimeWarning, FloatingPointError):
+        with np.errstate(all="ignore"):
+            return g(x)
+def c(x):
+    try:
+        return g(x)
+    except (RuntimeWarning, FloatingPointError) as exc:
+        log(exc)
+        with np.errstate(all="ignore"):
+            return c(x)
+def d(x):
+    try:
+        return g(x)
+    except (RuntimeWarning, FloatingPointError):
+        with np.errstate(over="ignore"):
+            return d(x)
+try:
+    y = g(1)
+except (RuntimeWarning, FloatingPointError):
+    with np.errstate(all="ignore"):
+        y = g(1)
+try:
+    y = g(1)
+except ValueError:
+    y = None
+"""
+    assert warning_handlers(source) == [
+        "a: except FloatingPointError (line 17)",
+        "b: except (RuntimeWarning, FloatingPointError) (line 23)",
+        "c: except (RuntimeWarning, FloatingPointError) (line 29)",
+        "d: except (RuntimeWarning, FloatingPointError) (line 36)",
+        "<module>: except (RuntimeWarning, FloatingPointError) (line 41)"]
+
+
+def test_detects_errstate_calls():
+    assert errstate_calls(EARLIER_RULES) == [
+        "build_matrices: np.errstate(over='ignore', invalid='ignore') (line 21)",
+        "rollout: np.errstate(over='ignore', invalid='ignore') (line 24)"]
+    source = ("with np.errstate(all='ignore'):\n    x = 1\n"
+              "def f():\n    with numpy.errstate(all='raise'):\n        pass\n"
+              "    np.errstate(under='ignore', all='ignore')\n")
+    assert errstate_calls(source) == ["f: numpy.errstate(all='raise') (line 4)",
+                                      "f: np.errstate(under='ignore', all='ignore') (line 6)"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_warning_handler_redoes_its_step_as_the_default_mode(path):
     assert warning_handlers(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_errstate_ignores_every_numpy_event(path):
+    assert errstate_calls(path.read_text(encoding="utf-8")) == []
 
 
 def walk_in_functions(source: str):

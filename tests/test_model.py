@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 import math
@@ -5,6 +6,7 @@ import numbers
 import os
 import re
 import stat
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +26,18 @@ from koopdrive.model import (
     _write_json,
 )
 from koopdrive.rls import OnlineSettings, init_rls, snapshot_model
+
+
+@contextlib.contextmanager
+def error_mode(action, **events):
+    """Error handling a caller may set around a numerical step: for "raise",
+    np.errstate(all="raise"); for any other action, that warnings filter of
+    RuntimeWarning, with numpy's events set by np.errstate(**events)."""
+    with warnings.catch_warnings(), np.errstate(
+            **({"all": "raise"} if action == "raise" else events)):
+        if action != "raise":
+            warnings.simplefilter(action, RuntimeWarning)
+        yield
 
 
 def make_traj(n=100, dt=0.025, seed=0):
@@ -357,6 +371,22 @@ def test_refined_scan_keeps_a_non_normal_rollout_at_the_loop_accuracy():
     u = rng.normal(12.0, 1.0, size=2000)
     m = KoopmanModel(basis=basis, theta=np.hstack([A, B]), sample_period=0.025)
     assert_matches_step_loop(m.rollout(x0, u), step_loop_rollout(basis, A, B, x0, u), 1e-12)
+
+
+@pytest.mark.parametrize("action", ["error", "raise"])
+def test_rollout_from_an_underflowing_state_is_the_default_modes(action):
+    # v = 1e-120 underflows in the lift of x0; where numpy's underflows are
+    # errors or raise, the forecast is still the default mode's, bit for bit
+    basis = LiftedBasis()
+    theta = np.random.default_rng(4).normal(0, 0.1, size=(9, 10))
+    m = KoopmanModel(basis=basis, theta=theta, sample_period=0.025)
+
+    def run(action, **events):
+        with error_mode(action, **events):
+            pred = m.rollout(np.array([1e-120, 0.0]), np.full(50, 12.0))
+        return pred.v.tobytes(), pred.f_tr.tobytes()
+
+    assert run(action, under="warn") == run("ignore")
 
 
 def test_scan_reports_an_overflowing_power_the_loop_never_forms():

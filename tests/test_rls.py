@@ -23,6 +23,7 @@ from koopdrive.rls import (
 )
 from test_driversim import VEH
 from test_edmd import fold_pairs
+from test_model import error_mode
 
 
 def zero_model(basis=None):
@@ -426,7 +427,7 @@ def test_infinite_regressor_on_a_zero_column_is_refused(action):
             state.update_count) == before
 
 
-@pytest.mark.parametrize("action", ["error", "ignore"])
+@pytest.mark.parametrize("action", ["error", "ignore", "raise"])
 @pytest.mark.parametrize("value, under, pair, reason", [
     pytest.param(1e120, "ignore", 9, "non-finite prediction error", id="lift-overflows"),
     pytest.param(1e60, "ignore", 39, "singular", id="error-square-overflows"),
@@ -438,8 +439,9 @@ def test_huge_speed_gets_one_verdict_in_every_warning_mode(action, value, under,
     # inf, which is accepted, and the fold after pair 39 is singular; one
     # of 1e-120 underflows in the lift where numpy's underflows warn, and
     # every pair is accepted. Where numpy's warnings are errors, as in this
-    # suite's settings, and where they are ignored, the verdict, its pair,
-    # the error norms and the state are those of numpy's default mode
+    # suite's settings, where they are ignored and where numpy raises, the
+    # verdict, its pair, the error norms and the state are those of numpy's
+    # default mode
     basis = LiftedBasis(scale=(16.0, 512.0))
     model = KoopmanModel(basis, np.random.default_rng(8).normal(0, 0.1, size=(9, 10)), 0.025)
     rows = random_rows(41, 10.0, 500.0)
@@ -448,8 +450,7 @@ def test_huge_speed_gets_one_verdict_in_every_warning_mode(action, value, under,
 
     def run(mode, under):
         state = init_rls(model, 0.99737)
-        with warnings.catch_warnings(), np.errstate(under=under):
-            warnings.simplefilter(mode, RuntimeWarning)
+        with error_mode(mode, under=under):
             try:
                 verdict = update_tick(state, basis, buffer).tobytes()
             except RlsUpdateRejectedError as exc:
@@ -470,15 +471,15 @@ def test_huge_speed_gets_one_verdict_in_every_warning_mode(action, value, under,
     assert state == run("ignore", "ignore")
 
 
-@pytest.mark.parametrize("action", ["error", "ignore"])
+@pytest.mark.parametrize("action", ["error", "ignore", "raise"])
 def test_underflowing_prediction_gets_one_error_in_every_warning_mode(action):
     # two of the prediction's products underflow to 0 where numpy's
     # underflows warn; where warnings are errors the pair was once refused
-    # as a non-finite prediction error, and numpy's default mode accepts it
+    # as a non-finite prediction error, and numpy's default mode accepts it,
+    # as every mode now does, np.errstate(all="raise") too
     def run(mode, under):
         state = RlsState(np.full((2, 3), 1e-200), 0.99)
-        with warnings.catch_warnings(), np.errstate(under=under):
-            warnings.simplefilter(mode, RuntimeWarning)
+        with error_mode(mode, under=under):
             err = rls_update(state, np.array([1e-200, 1e-200, 1.0]), np.array([1.0, 1.0]))
         return err, state._theta.tobytes(), state._rows.tobytes(), state.update_count
 
@@ -487,7 +488,7 @@ def test_underflowing_prediction_gets_one_error_in_every_warning_mode(action):
     assert state == run("ignore", "ignore")
 
 
-@pytest.mark.parametrize("action", ["error", "ignore"])
+@pytest.mark.parametrize("action", ["error", "ignore", "raise"])
 @pytest.mark.parametrize("theta, pairs, under, reason", [
     # the first pair's error is finite and its square overflows, and the
     # fold adds a correction that takes theta past the float range
@@ -501,12 +502,12 @@ def test_underflowing_prediction_gets_one_error_in_every_warning_mode(action):
 def test_fold_gets_one_verdict_in_every_warning_mode(action, theta, pairs, under, reason):
     # a read folds the pending pairs into a copy, as the fold after the last
     # pair of a group does into the state; where numpy's warnings are errors
-    # the fold once raised the bare RuntimeWarning, and now its verdict and
-    # result are those of numpy's default mode
+    # or numpy raises, the fold once raised the bare RuntimeWarning or
+    # FloatingPointError, and now its verdict and result are those of
+    # numpy's default mode
     def run(mode, under):
         state = RlsState(np.full((1, 2), theta), 0.99)
-        with warnings.catch_warnings(), np.errstate(under=under):
-            warnings.simplefilter(mode, RuntimeWarning)
+        with error_mode(mode, under=under):
             errs = [rls_update(state, np.array(z), np.array(y)) for z, y in pairs]
             try:
                 verdict = state.theta.tobytes()
@@ -700,6 +701,14 @@ def test_update_tick_rejects_state_of_another_basis():
     with pytest.raises(ValueError, match="state has 6 columns, expected 10"):
         update_tick(state, LiftedBasis(), traj_of(random_rows(4)))
     assert state.update_count == 0
+    # the right width with the wrong rows is refused before any pair too,
+    # where it once reached rls_update's broadcast
+    state = RlsState(np.zeros((5, 10)), 0.99)
+    rows = state._rows.tobytes()
+    with pytest.raises(ValueError, match=r"^state has 10 columns, expected 10, and 5 rows, "
+                       r"expected 9, for this basis$"):
+        update_tick(state, LiftedBasis(), traj_of(random_rows(4)))
+    assert (state.update_count, state._rows.tobytes()) == (0, rows)
 
 
 def test_update_tick_calls_kernel_once_per_pair(monkeypatch):
@@ -877,6 +886,19 @@ def test_snapshot_rejects_non_finite_theta(row, col, bad):
     state._theta = theta
     with pytest.raises(ValueError, match="model matrices must be finite"):
         snapshot_model(state, basis, 0.025)
+
+
+@pytest.mark.parametrize("provenance", [[1], "x", 0], ids=["list", "str", "zero"])
+def test_snapshot_refuses_a_provenance_that_is_no_dict(provenance):
+    # only None is no provenance: a list or a string once failed the merge
+    # with a TypeError, and 0 was dropped as if it were None
+    basis = LiftedBasis()
+    state = init_rls(zero_model(basis), 0.99)
+    with pytest.raises(ValueError, match=rf"^provenance must be an object \(a dict\), "
+                       rf"got {re.escape(repr(provenance))}$"):
+        snapshot_model(state, basis, 0.025, provenance)
+    assert snapshot_model(state, basis, 0.025, None).provenance == {
+        "fitted_by": "rls", "updates": 0, "lambda": 0.99}
 
 
 @pytest.mark.parametrize("period", [0.0, -0.025, math.inf, True, "0.025"])
