@@ -113,9 +113,10 @@ def build_matrices(trajectories, basis: LiftedBasis) -> DataMatrices:
 
     Every trajectory of k samples contributes k - 1 transition pairs. Each
     trajectory is lifted in blocks of _FOLD_ROWS pairs, pairs lo..hi - 1
-    lifted from samples lo..hi, and each block is one fold of R: the same
-    rows and the same folds as lifting the whole trajectory, so R is bit
-    for bit the same, while no more than one block's lifted pairs exist.
+    lifted from the block traj.slice_samples(lo, hi + 1), views of samples
+    lo..hi, and each block is one fold of R: the same rows and the same
+    folds as lifting the whole trajectory, so R is bit for bit the same,
+    while no more than one block's lifted pairs exist.
     A block whose lift overflows raises ValueError naming the trajectory
     and its samples, and one whose lift underflows is folded with numpy's
     default values, in every error mode (see the model module).
@@ -133,16 +134,17 @@ def build_matrices(trajectories, basis: LiftedBasis) -> DataMatrices:
         pairs = len(traj) - 1
         for lo in range(0, pairs, _FOLD_ROWS):
             hi = min(lo + _FOLD_ROWS, pairs)
+            block = traj.slice_samples(lo, hi + 1)
             # an overflow is refused below, by one check of the block
             with np.errstate(all="ignore"):
-                Z = basis.lift_many(np.column_stack((traj.v[lo:hi + 1], traj.f_tr[lo:hi + 1])))
+                Z = basis.lift_many(np.column_stack((block.v, block.f_tr)))
             if not np.isfinite(Z).all():
-                raise ValueError(f"trajectory {i}: samples {lo}..{hi} (t = {float(traj.t[lo])} "
-                                 f"to {float(traj.t[hi])} s) lift to non-finite values")
+                raise ValueError(f"trajectory {i}: samples {lo}..{hi} (t = {float(block.t[0])} "
+                                 f"to {float(block.t[-1])} s) lift to non-finite values")
             rows = np.empty((m + hi - lo, m))
             rows[:m] = R
             rows[m:, :N] = Z[:-1]
-            rows[m:, N] = traj.v_ref[lo:hi]
+            rows[m:, N] = block.v_ref[:-1]
             rows[m:, N + 1:] = Z[1:]
             R = _fold(rows)
     return DataMatrices(basis, period, R, sum(len(traj) - 1 for traj in trajectories))

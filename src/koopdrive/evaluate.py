@@ -2,9 +2,10 @@
 
 A segment of a recorded trajectory is partitioned into consecutive windows
 of one horizon each; any remainder shorter than the horizon is dropped. Each
-window is predicted by a rollout re-initialized from the measured state at
-the window start, and squared errors are pooled across all predicted samples
-of all windows before taking the root. The seeded first sample of a window
+window, a Trajectory.slice_samples view of its samples, is predicted by a
+rollout re-initialized from the measured state at the window start, and
+squared errors are pooled across all predicted samples of all windows
+before taking the root. The seeded first sample of a window
 is a measurement, not a prediction, so it does not enter the pool.
 
 One call scores the frozen model (variant "offline") on every horizon's
@@ -76,11 +77,9 @@ class HorizonReport:
 
 def _window_errors(model: KoopmanModel, traj: Trajectory, k0: int,
                    steps: int) -> tuple[np.ndarray, np.ndarray]:
-    x0 = np.array([traj.v[k0], traj.f_tr[k0]])
-    inputs = traj.v_ref[k0:k0 + steps]
-    pred = model.rollout(x0, inputs)
-    sl = slice(k0 + 1, k0 + steps + 1)
-    return pred.v[1:] - traj.v[sl], pred.f_tr[1:] - traj.f_tr[sl]
+    window = traj.slice_samples(k0, k0 + steps + 1)
+    pred = model.rollout((window.v[0], window.f_tr[0]), window.v_ref[:-1])
+    return pred.v[1:] - window.v[1:], pred.f_tr[1:] - window.f_tr[1:]
 
 
 def _horizon_steps(horizon, dt: float, room: int, where: str) -> int:

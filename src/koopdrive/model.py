@@ -32,8 +32,9 @@ an arange of the sample period.
 Trajectory.slice_samples hands out a slice of an already validated
 trajectory as views of its columns, copying nothing, and does not validate
 it again either; both build their result through _trusted_trajectory, the
-one slicing rule that Trajectory.window, edmd.split_dataset and
-rls.stream_ticks go through.
+one slicing rule that Trajectory.window, edmd.split_dataset's parts,
+edmd.build_matrices' fold blocks, evaluate's scored windows and
+rls.stream_ticks' ticks go through.
 
 Model files are JSON documents carrying the basis block, A and B at full
 decimal precision, and free-form provenance left by the fitting code. The
@@ -419,16 +420,12 @@ class KoopmanModel:
         _check_sample_period(self.sample_period)
 
     @property
-    def lifted_dim(self) -> int:
-        return self.basis.lifted_dim
-
-    @property
     def A(self) -> np.ndarray:
-        return self.theta[:, :self.lifted_dim]
+        return self.theta[:, :self.basis.lifted_dim]
 
     @property
     def B(self) -> np.ndarray:
-        return self.theta[:, self.lifted_dim:]
+        return self.theta[:, self.basis.lifted_dim:]
 
     def rollout(self, x0, inputs) -> Trajectory:
         """Simulate the model forward from a physical initial state.
@@ -472,7 +469,7 @@ class KoopmanModel:
         # index below rather than as a numpy warning or error
         with np.errstate(all="ignore"):
             # Z[k + 1] = A Z[k] + B u[k], the input term written first
-            Z = np.empty((L + 1, self.lifted_dim))
+            Z = np.empty((L + 1, self.basis.lifted_dim))
             Z[0] = self.basis.lift(x0)  # the one check of x0: shape (2,), finite
             # np.outer's products; a k = 1 matrix product would turn -0.0 into +0.0
             G = u[:, None] * self.B[:, 0]

@@ -95,6 +95,12 @@ class OnlineSettings:
     0.99737 discounts one second of history by about 0.9; per-sample
     factors far below that forget the information of weakly excited
     directions until it is singular.
+
+    The cadence only groups pairs into ticks: it sets update --log's rows
+    and tick count, the bench's tick timings and the sample range a refused
+    tick names. The state folds its pairs in fixed blocks counted from the
+    stream's start, so the adapted theta, and every number eval prints, are
+    the same at any cadence.
     """
 
     lam: float = 0.99737

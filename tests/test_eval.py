@@ -17,7 +17,7 @@ from koopdrive.evaluate import (
     reports_to_csv,
 )
 from koopdrive.model import KoopmanModel, Trajectory
-from koopdrive.rls import OnlineSettings
+from koopdrive.rls import OnlineSettings, init_rls, stream_ticks
 from test_model import error_mode
 
 
@@ -183,6 +183,28 @@ def test_online_horizons_are_independent():
     together = evaluate_horizons(traj, model, horizons, seg, online=online)[len(horizons):]
     for h, report in zip(horizons, together):
         assert evaluate_horizons(traj, model, [h], seg, online=online)[1:] == [report]
+
+
+def test_adapted_model_does_not_depend_on_the_cadence():
+    # the cadence groups pairs into ticks, and the state folds them in fixed
+    # blocks counted from the segment start: at 0.1, 0.7 and 1 s, and with
+    # one tick longer than the segment, the ticks differ but the adapted
+    # theta and every online row are the same
+    model, traj, seg = changed_dynamics_case()
+    horizons = [5.0, 3.0, 1.5]
+    cadences = [0.1, 0.7, 1.0, seg[1] - seg[0] + 1.0]
+    rows, thetas, ticks = [], [], []
+    for cadence in cadences:
+        online = OnlineSettings(lam=0.999, cadence_s=cadence)
+        rows.append(evaluate_horizons(traj, model, horizons, seg, online=online)[len(horizons):])
+        state = init_rls(model, online.lam)
+        ticks.append(len(list(stream_ticks(state, model.basis, traj, 0, len(traj) - 1,
+                                           online.tick_steps(traj.sample_period)))))
+        thetas.append(state.theta.tobytes())
+    assert ticks == [500, 72, 50, 1]
+    assert rows[0][0].rmse_speed_mps > 0.0
+    assert all(r == rows[0] for r in rows[1:])
+    assert all(theta == thetas[0] for theta in thetas[1:])
 
 
 def test_offline_rows_come_first_and_match_the_offline_call():

@@ -10,11 +10,13 @@ the sentinel cut, only advisory._backward walks the route's steps in reverse,
 only edmd._fold calls np.linalg.qr, cli.py reads evaluate.evaluate_horizons
 once, only evaluate._horizon_steps turns a horizon into samples, only
 model._trusted_trajectory builds an object round its constructor with __new__,
-no module but model.py reads _trusted_trajectory, only Trajectory.write_csv
-asks for a row template, no module but model.py holds a key of the model file's
-basis block, every except clause that catches a RuntimeWarning or a
-FloatingPointError catches both and calls its own function again under
-np.errstate(all="ignore"), every np.errstate call is np.errstate(all="ignore"),
+no module but model.py reads _trusted_trajectory, slices a trajectory column
+by bounds other than literal integers or calls slice(), only
+Trajectory.write_csv asks for a row template, no module but model.py holds a
+key of the model file's basis block, every except clause that catches a
+RuntimeWarning or a FloatingPointError catches both and calls its own function
+again under np.errstate(all="ignore"), every np.errstate call is
+np.errstate(all="ignore"),
 and every function, class and method the package defines is referenced from
 the package or the benchmark; and code_lines counts only code lines."""
 
@@ -737,6 +739,87 @@ def test_only_model_holds_model_file_keys(path):
 def test_only_model_reads_trusted_trajectories(path):
     assert reads_outside(path.read_text(encoding="utf-8"), path.stem, "_trusted_trajectory",
                          (SLICER, None)) == []
+
+
+# the trajectory columns: a span of their samples (a tick, a split part, a
+# fold block, a scored window) is cut by Trajectory.slice_samples alone
+COLUMNS = {"t", "v", "f_tr", "v_ref"}
+
+
+def _literal_bound(node) -> bool:
+    if node is None:
+        return True
+    try:
+        return isinstance(ast.literal_eval(node), int)
+    except (TypeError, ValueError):
+        return False
+
+
+def column_slices(source: str) -> list[str]:
+    """Subscripts of an attribute named t, v, f_tr or v_ref by a slice with a
+    bound that is no literal integer, and calls of slice(...), named by the
+    innermost function making them. Within a span a column is sliced only at
+    fixed offsets, such as [:-1] or [1:]."""
+    def cuts(node) -> bool:
+        if isinstance(node, ast.Call):
+            return isinstance(node.func, ast.Name) and node.func.id == "slice"
+        if not (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+                and node.value.attr in COLUMNS):
+            return False
+        index = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+        return any(isinstance(part, ast.Slice) and not all(
+            map(_literal_bound, (part.lower, part.upper, part.step))) for part in index)
+
+    return [f"{func or '<module>'}: {ast.unparse(node)} (line {node.lineno})"
+            for node, func in walk_in_functions(source) if cuts(node)]
+
+
+# build_matrices' fold block and _window_errors as they sliced the columns by
+# hand, before both took their span from Trajectory.slice_samples
+EARLIER_SPANS = """\
+def build_matrices(trajectories, basis):
+    for i, traj in enumerate(trajectories):
+        pairs = len(traj) - 1
+        for lo in range(0, pairs, _FOLD_ROWS):
+            hi = min(lo + _FOLD_ROWS, pairs)
+            with np.errstate(all="ignore"):
+                Z = basis.lift_many(np.column_stack((traj.v[lo:hi + 1], traj.f_tr[lo:hi + 1])))
+            if not np.isfinite(Z).all():
+                raise ValueError(f"trajectory {i}: samples {lo}..{hi} (t = {float(traj.t[lo])} "
+                                 f"to {float(traj.t[hi])} s) lift to non-finite values")
+            rows[m:, N] = traj.v_ref[lo:hi]
+def _window_errors(model, traj, k0, steps):
+    x0 = np.array([traj.v[k0], traj.f_tr[k0]])
+    inputs = traj.v_ref[k0:k0 + steps]
+    pred = model.rollout(x0, inputs)
+    sl = slice(k0 + 1, k0 + steps + 1)
+    return pred.v[1:] - traj.v[sl], pred.f_tr[1:] - traj.f_tr[sl]
+"""
+
+
+def test_detects_column_slices():
+    assert column_slices(EARLIER_SPANS) == [
+        "build_matrices: traj.v[lo:hi + 1] (line 7)",
+        "build_matrices: traj.f_tr[lo:hi + 1] (line 7)",
+        "build_matrices: traj.v_ref[lo:hi] (line 11)",
+        "_window_errors: traj.v_ref[k0:k0 + steps] (line 14)",
+        "_window_errors: slice(k0 + 1, k0 + steps + 1) (line 16)"]
+    # update_tick's input column, the offsets within a span, the advisory's
+    # segment means, an integer index and a slice of no column pass
+    source = ("def update_tick(state, basis, buffer):\n"
+              "    Z = np.concatenate((psi, buffer.v_ref[:, None]), axis=1)\n"
+              "    return window.v[1:] - pred.v[1:], block.v_ref[:-1], traj.t[lo]\n"
+              "def resample_to_time(profile):\n"
+              "    vbar = 0.5 * (profile.v_ref[:-1] + profile.v_ref[1:])\n"
+              "    return traj.v[::2], rows[lo:hi], traj.v_ref[-k:], traj.t[:, n:]\n")
+    assert column_slices(source) == ["resample_to_time: traj.v_ref[-k:] (line 6)",
+                                     "resample_to_time: traj.t[:, n:] (line 6)"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "model.py"],
+                         ids=lambda p: p.name)
+def test_only_slice_samples_cuts_a_span_of_samples(path):
+    assert column_slices(path.read_text(encoding="utf-8")) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
