@@ -20,20 +20,22 @@ variables precede pure powers, and otherwise exponent pairs are sorted
 lexicographically descending. The monomials follow from ``max_degree`` by
 this rule, so a basis is rebuilt exactly from its degree and scale.
 
-``lift``, ``lift_many`` and the per-tick lift of ``rls.update_tick`` share
-one kernel that takes the v and f columns: it stacks them into one (2, k)
-array, divides it by the scale column in place, raises both channels to the
-powers 0..max_degree in one call and multiplies the two gathered columns of
-each monomial: the same ``pow`` calls and the same single multiply as a
-product over v**a and f**b, so the bits are that product's.
+``lift_many(v, f)`` is the one lift kernel. It takes the v and f columns,
+stacks them into one (2, k) array, divides it by the scale column in place,
+raises both channels to the powers 0..max_degree in one call and multiplies
+the two gathered columns of each monomial: the same ``pow`` calls and the
+same single multiply as a product over v**a and f**b, so the bits are that
+product's. It checks nothing: ``lift`` checks its one state and calls it,
+and model._pairs, which lifts every fit block and every tick, hands it the
+columns of a Trajectory, finite by construction.
 
 Every basis divides the state by its scale before lifting, which keeps the
 monomials well conditioned: one power of two per channel, the nearest to its
-training peak (pow2_scale), so project_many(lift_many(x)) is x bit for bit,
-signed zeros included, wherever x / scale is zero or a normal float. A
-subnormal quotient (below 2**-1022 in magnitude) loses its low bits: at
-scale (16, 4096) a speed of 5e-324 comes back as 0.0 and one of 3e-320 as
-3.004e-320. The default unit scale 2**0 takes the same path and
+training peak (pow2_scale), so project_many(lift_many(v, f)) is the state
+(v, f) bit for bit, signed zeros included, wherever x / scale is zero or a
+normal float. A subnormal quotient (below 2**-1022 in magnitude) loses its
+low bits: at scale (16, 4096) a speed of 5e-324 comes back as 0.0 and one
+of 3e-320 as 3.004e-320. The default unit scale 2**0 takes the same path and
 lifts raw units. Peaks of 2**1023.5 and above have no such scale and raise
 ValueError. The model file's form of a basis is model.py's to decide.
 """
@@ -124,20 +126,13 @@ class LiftedBasis:
     def lift(self, x) -> np.ndarray:
         """Map one physical state to its lifted image, shape (lifted_dim,)."""
         x = _state_array(x)
-        return self._lift_columns(x[:1], x[1:])[0]
+        return self.lift_many(x[:1], x[1:])[0]
 
-    def lift_many(self, states: np.ndarray) -> np.ndarray:
-        """Lift a batch of states, one per row; returns (k, lifted_dim)."""
-        arr = np.asarray(states, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValueError(f"expected (k, 2) state array, got {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("states must be finite")
-        return self._lift_columns(arr[:, 0], arr[:, 1])
-
-    def _lift_columns(self, v: np.ndarray, f: np.ndarray) -> np.ndarray:
-        # v and f are checked, finite float columns of one length k; returns
-        # the (k, lifted_dim) monomials
+    def lift_many(self, v: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """Lift the states (v[i], f[i]) of two float columns of one length k;
+        returns (k, lifted_dim). The one lift kernel: it checks nothing, so
+        its callers are lift, which checks its state, and model._pairs,
+        whose Trajectory is finite by construction."""
         scaled = np.array((v, f))
         scaled /= self._scale_column
         # each power of v and f once, in one call, then one product per

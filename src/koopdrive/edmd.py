@@ -8,9 +8,11 @@ the stacked block theta = [A B] solves
     min || Psi+ - [Psi u] theta^T ||_F
 
 optionally with a ridge penalty ridge * ||theta||_F^2. The pairs are never
-stacked: build_matrices, the one fold loop, lifts each trajectory's rows
-[Psi | u | Psi+] one block of _FOLD_ROWS pairs at a time, checks the block
-finite once and folds it into the upper triangular factor R of a QR
+stacked: build_matrices, the one fold loop, takes each trajectory's rows
+[Psi | u | Psi+] one block of _FOLD_ROWS pairs at a time from model._pairs,
+the one pair rule, which rls.update_tick follows too, so this module reads
+no v_ref column and calls no lift itself. It checks the block finite once
+and folds it into the upper triangular factor R of a QR
 decomposition of all rows seen so far (a streaming tall-skinny QR), so
 beyond the trajectories the caller holds, memory stays at one (2N+1) x (2N+1)
 factor plus one fold block. It returns R and the pair count as a frozen
@@ -42,7 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import LiftedBasis, pow2_scale
-from .model import KoopmanModel, _check_fields, _check_same_sample_period, _is_number, _scaler
+from .model import (KoopmanModel, _check_fields, _check_same_sample_period, _is_number, _pairs,
+                    _scaler)
 
 __all__ = [
     "FitConfig",
@@ -113,10 +116,11 @@ def build_matrices(trajectories, basis: LiftedBasis) -> DataMatrices:
 
     Every trajectory of k samples contributes k - 1 transition pairs. Each
     trajectory is lifted in blocks of _FOLD_ROWS pairs, pairs lo..hi - 1
-    lifted from the block traj.slice_samples(lo, hi + 1), views of samples
-    lo..hi, and each block is one fold of R: the same rows and the same
-    folds as lifting the whole trajectory, so R is bit for bit the same,
-    while no more than one block's lifted pairs exist.
+    taken by model._pairs from the block traj.slice_samples(lo, hi + 1),
+    views of samples lo..hi, each pair (Z[j], psi[j + 1]) as one row, and
+    each block is one fold of R: the same rows and the same folds as
+    lifting the whole trajectory, so R is bit for bit the same, while no
+    more than one block's lifted pairs exist.
     A block whose lift overflows raises ValueError naming the trajectory
     and its samples, and one whose lift underflows is folded with numpy's
     default values, in every error mode (see the model module).
@@ -137,15 +141,15 @@ def build_matrices(trajectories, basis: LiftedBasis) -> DataMatrices:
             block = traj.slice_samples(lo, hi + 1)
             # an overflow is refused below, by one check of the block
             with np.errstate(all="ignore"):
-                Z = basis.lift_many(np.column_stack((block.v, block.f_tr)))
-            if not np.isfinite(Z).all():
+                Z, psi = _pairs(basis, block)
+            if not np.isfinite(psi).all():
                 raise ValueError(f"trajectory {i}: samples {lo}..{hi} (t = {float(block.t[0])} "
                                  f"to {float(block.t[-1])} s) lift to non-finite values")
             rows = np.empty((m + hi - lo, m))
             rows[:m] = R
-            rows[m:, :N] = Z[:-1]
-            rows[m:, N] = block.v_ref[:-1]
-            rows[m:, N + 1:] = Z[1:]
+            rows[m:, :N + 1] = Z[:-1]
+            rows[m:, N + 1:] = psi[1:]
+            del Z, psi  # only R and the rows live through the fold
             R = _fold(rows)
     return DataMatrices(basis, period, R, sum(len(traj) - 1 for traj in trajectories))
 

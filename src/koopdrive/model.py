@@ -35,6 +35,11 @@ it again either; both build their result through _trusted_trajectory, the
 one slicing rule that Trajectory.window, edmd.split_dataset's parts,
 edmd.build_matrices' fold blocks, evaluate's scored windows and
 rls.stream_ticks' ticks go through.
+_pairs is the one pair rule: it lifts a trajectory once, through the one
+lift kernel basis.lift_many, and returns Z = [psi | u] and psi, so pair i
+is (Z[i], psi[i + 1]), regressor and target. edmd.build_matrices takes
+each fold block's pairs from it and rls.update_tick each tick's; neither
+module reads a v_ref column or calls a lift itself, and a lint holds both.
 
 Model files are JSON documents carrying the basis block, A and B at full
 decimal precision, and free-form provenance left by the fitting code. The
@@ -66,11 +71,11 @@ values and verdict whatever error handling the caller set (a warnings
 filter, or np.errstate / np.seterr with "raise" among its actions), and the
 checks after the step (finiteness, a rank rule) decide. A block step runs
 under np.errstate(all="ignore"): the rollout's scan, edmd.build_matrices'
-lift, and evaluate's window errors and RMSE. The RLS tick keeps a fast path
-that enters no np.errstate; each of its handlers catches RuntimeWarning and
-FloatingPointError and calls its own function again under
-np.errstate(all="ignore"). A lint in the tests holds every np.errstate call
-and every such handler to this form.
+pairs, and evaluate's window errors and RMSE. _pairs and the RLS tick keep
+a fast path that enters no np.errstate; each of their handlers catches
+RuntimeWarning and FloatingPointError and calls its own function again
+under np.errstate(all="ignore"). A lint in the tests holds every
+np.errstate call and every such handler to this form.
 
 Every table and JSON file of the package is written by the two writers here,
 _write_csv_table and _write_json, or, for trajectories, by the row template
@@ -360,6 +365,23 @@ def _samples(what: str, seconds, period: float) -> float:
         raise ValueError(f"{what} of {seconds} s over sample_period={period} s "
                          f"is not a finite number of samples")
     return steps
+
+
+def _pairs(basis: LiftedBasis, traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+    """The lifted transition pairs of traj: Z = [psi | u], one row per
+    sample, and psi, so pair i is (Z[i], psi[i + 1]), its regressor and its
+    target. The last row of Z is no pair's regressor.
+
+    The one place that lifts a trajectory: every fit block and every tick
+    comes here. A lift that overflows or underflows gives numpy's default
+    values in every error mode, for the caller's checks to judge.
+    """
+    try:
+        psi = basis.lift_many(traj.v, traj.f_tr)
+    except (RuntimeWarning, FloatingPointError):
+        with np.errstate(all="ignore"):
+            return _pairs(basis, traj)
+    return np.concatenate((psi, traj.v_ref[:, None]), axis=1), psi
 
 
 def _check_same_sample_period(what: str, period: float, reference: str, expected: float) -> None:

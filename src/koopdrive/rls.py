@@ -41,23 +41,22 @@ finite, raises RlsUpdateRejectedError, as does a non-finite prediction
 error; the refused pair leaves the state as it was. Every step keeps the
 package's numerical-error rule (see the model module): the tick enters no
 np.errstate, and where the caller's error handling turns a numpy event into
-a RuntimeWarning or a FloatingPointError, the handler of the tick's lift,
-of a pair's prediction, error and square, or of a fold calls its own
-function again under np.errstate(all="ignore"). Each of these steps warns
-before the state changes, so the second call starts from the same state.
+a RuntimeWarning or a FloatingPointError, the handler of the tick's lift
+(in model._pairs), of a pair's prediction, error and square, or of a fold
+calls its own function again under np.errstate(all="ignore"). Each of these
+steps warns before the state changes, so the second call starts from the
+same state.
 init_rls starts from a copy of the model's theta, and snapshot_model hands
 state.theta to the KoopmanModel constructor, which copies it.
 
 update_tick is the per-tick entry: it checks that the state's theta is
-lifted_dim x (lifted_dim + 1) and lifts the k + 1 samples of its Trajectory
-buffer once, from its v and f_tr columns through the basis's unchecked
-column kernel, into one contiguous (k + 1, N) array psi, and appends the
-inputs as a last column: Z = [psi | u]. A Trajectory is finite by
-construction, so the lift needs no check of its own. Row i of Z is the
-regressor z_i, and row i of psi is psi(x_i), the target of pair i - 1,
-so update_tick calls rls_update once per pair, through the module name,
-with both as row views; a value made non-finite after construction
-reaches it as a non-finite prediction error and is refused. stream_ticks
+lifted_dim x (lifted_dim + 1) and takes the pairs of its Trajectory buffer
+from model._pairs, the one pair rule, which edmd.build_matrices follows
+too: one lift of the k + 1 samples into psi, and Z = [psi | u]. Pair i is
+(Z[i], psi[i + 1]), so update_tick calls rls_update once per pair, through
+the module name, with both as row views; a value made non-finite after
+construction reaches it as a non-finite prediction error and is refused.
+This module reads no v_ref column and calls no lift itself. stream_ticks
 hands each tick Trajectory.slice_samples of the segment, the one slicing
 rule, whose columns are views of the segment's: no tick copies a column.
 """
@@ -71,7 +70,7 @@ import numpy as np
 
 from .basis import LiftedBasis
 from .edmd import _fold, _rank, _solve
-from .model import KoopmanModel, Trajectory, _check_fields, _is_number, _samples
+from .model import KoopmanModel, Trajectory, _check_fields, _is_number, _pairs, _samples
 
 __all__ = ["OnlineSettings", "RlsState", "RlsUpdateRejectedError", "init_rls", "rls_update",
            "update_tick", "stream_ticks", "snapshot_model"]
@@ -275,14 +274,7 @@ def update_tick(state: RlsState, basis: LiftedBasis, buffer: Trajectory) -> np.n
     if state.n_features != N + 1 or len(state._theta) != N:
         raise ValueError(f"state has {state.n_features} columns, expected {N + 1}, and "
                          f"{len(state._theta)} rows, expected {N}, for this basis")
-    # row i of Z is [psi(x_i) | u_i], the regressor z_i, and psi(x_i) is the
-    # target of pair i - 1; the last sample's u is never read
-    try:
-        psi = basis._lift_columns(buffer.v, buffer.f_tr)
-    except (RuntimeWarning, FloatingPointError):
-        with np.errstate(all="ignore"):
-            return update_tick(state, basis, buffer)
-    Z = np.concatenate((psi, buffer.v_ref[:, None]), axis=1)
+    Z, psi = _pairs(basis, buffer)
     errs = np.empty(len(buffer) - 1)
     try:
         for i in range(len(errs)):

@@ -125,7 +125,7 @@ def test_gather_lift_matches_product_of_powers(verdict, work_dir):
                 scaled = states / np.array(basis.scale) if basis.scale is not None else states
                 with np.errstate(over="ignore", invalid="ignore"):
                     ref = np.prod(scaled[:, None, :] ** exp[None, :, :], axis=2)
-                    got = basis.lift_many(states)
+                    got = basis.lift_many(*states.T)
                 assert got.shape == ref.shape
                 assert got.tobytes() == ref.tobytes()
 
@@ -156,7 +156,7 @@ def test_column_kernel_matches_the_row_kernel(verdict, work_dir):
                 tiled = np.resize(grid, (k, 2))
                 blocks.append((tiled[:, 0], tiled[:, 1]))
                 for v, f in blocks:
-                    got = basis._lift_columns(v, f)
+                    got = basis.lift_many(v, f)
                     assert got.shape == (k, basis.lifted_dim)
                     # tobytes compares every bit, sign bits included
                     assert got.tobytes() == _row_kernel(basis, np.column_stack((v, f))).tobytes()
@@ -187,7 +187,8 @@ def test_streaming_matches_batch(verdict):
         pts = rng.normal(size=(T, 2))
         nxt = rng.normal(size=(T, 2))
         U = rng.normal(size=(1, T))
-        data = fold_pairs(basis, np.hstack([basis.lift_many(pts), U.T, basis.lift_many(nxt)]))
+        data = fold_pairs(basis, np.hstack([basis.lift_many(*pts.T), U.T,
+                                             basis.lift_many(*nxt.T)]))
         batch = fit(data, FitConfig(ridge=1.0))
         state = init_rls(_zero_model(basis), 1.0)
         for k in range(T):
@@ -376,7 +377,7 @@ def test_stacked_kernel_tracks_the_p_form_kernel(verdict, work_dir):
         cfg, model = sc["cfg"], sc["model"]
         traj = sc["trajectories"][17]
         online = OnlineSettings(lam=cfg["rls"]["lam"], cadence_s=cfg["rls"]["cadence_s"])
-        psi = model.basis.lift_many(traj.states())
+        psi = model.basis.lift_many(traj.v, traj.f_tr)
         Z = np.column_stack([psi[:-1], traj.v_ref[:-1]])
         segment = [int(round(s / traj.sample_period)) for s in cfg["eval"]["segment_s"]]
         for (start, stop), rel in ((segment, 1e-9), ((0, len(traj) - 1), 1e-7)):

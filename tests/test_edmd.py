@@ -21,7 +21,7 @@ from koopdrive.edmd import (
     fit_trajectories,
     split_dataset,
 )
-from koopdrive.model import Trajectory
+from koopdrive.model import Trajectory, _pairs
 from test_model import error_mode
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -58,7 +58,7 @@ def fold(basis, X, X_plus, U):
 def lifted_data(basis, A, B, rng, T):
     pts = rng.normal(size=(T, 2))
     U = rng.normal(size=(1, T))
-    X = basis.lift_many(pts).T
+    X = basis.lift_many(*pts.T).T
     X_plus = A @ X + B @ U
     return X, X_plus, U
 
@@ -85,7 +85,7 @@ def test_scalar_system_recovery():
     u = rng.normal(size=(1, T))
     A_true = np.array([[0.9, 0.0], [0.0, 0.5]])
     B_true = np.array([[0.1], [0.0]])
-    X = basis.lift_many(x).T
+    X = basis.lift_many(*x.T).T
     Xp = A_true @ X + B_true @ u
     data = fold(basis, X, Xp, u)
     model = fit(data, FitConfig(max_degree=1))
@@ -97,7 +97,7 @@ def test_rank_deficiency_raises():
     basis = LiftedBasis()
     # constant state: every lifted column identical, G cannot have full rank
     pts = np.tile([5.0, 100.0], (50, 1))
-    X = basis.lift_many(pts).T
+    X = basis.lift_many(*pts.T).T
     U = np.ones((1, 50))
     data = fold(basis, X, X, U)
     with pytest.raises(RankDeficientDataError):
@@ -107,7 +107,7 @@ def test_rank_deficiency_raises():
 def test_ridge_suppresses_rank_error():
     basis = LiftedBasis()
     pts = np.tile([5.0, 100.0], (50, 1))
-    X = basis.lift_many(pts).T
+    X = basis.lift_many(*pts.T).T
     U = np.ones((1, 50))
     data = fold(basis, X, X, U)
     model = fit(data, FitConfig(ridge=1e-6))
@@ -146,7 +146,7 @@ def stacked_pairs(trajectories, basis):
     """The explicitly stacked rows [Psi | u | Psi+], one per transition pair."""
     rows = []
     for traj in trajectories:
-        Z = basis.lift_many(traj.states())
+        Z = basis.lift_many(traj.v, traj.f_tr)
         rows.append(np.hstack([Z[:-1], traj.v_ref[:-1, None], Z[1:]]))
     return np.vstack(rows)
 
@@ -176,16 +176,60 @@ def whole_trajectory_matrices(trajectories, basis):
                       sample_period=trajectories[0].sample_period)
 
 
+def parent_build_matrices(trajectories, basis):
+    """build_matrices' fold loop as it was before model._pairs formed its
+    pairs, kept as the byte reference of the pair rule: each block's states
+    column-stacked and lifted, then written below R as Psi, u and Psi+.
+    Returns R and each fold block with its pair rows."""
+    N = basis.lifted_dim
+    m = 2 * N + 1
+    R = np.zeros((m, m))
+    blocks = []
+    for traj in trajectories:
+        pairs = len(traj) - 1
+        for lo in range(0, pairs, _FOLD_ROWS):
+            hi = min(lo + _FOLD_ROWS, pairs)
+            block = traj.slice_samples(lo, hi + 1)
+            with np.errstate(all="ignore"):
+                Z = basis.lift_many(*np.column_stack((block.v, block.f_tr)).T)
+            rows = np.empty((m + hi - lo, m))
+            rows[:m] = R
+            rows[m:, :N] = Z[:-1]
+            rows[m:, N] = block.v_ref[:-1]
+            rows[m:, N + 1:] = Z[1:]
+            blocks.append((block, rows[m:].copy()))
+            R = _fold(rows)
+    return R, blocks
+
+
+# the suite's own setting, where numpy's warnings are errors, every warning
+# shown, and np.seterr(all="raise"); numpy's underflows warn in the first two
+PAIR_RULE_MODES = ("error", "always", "raise")
+
+
 @pytest.mark.parametrize("pairs", [1, _FOLD_ROWS - 1, _FOLD_ROWS, _FOLD_ROWS + 1,
                                    2 * _FOLD_ROWS + 1])
 def test_block_lift_matches_whole_trajectory_lift(pairs):
     n = pairs + 1
     trajs = [make_traj(n, seed=pairs, v_ref=np.linspace(9.0, 12.0, n)), make_traj(30, seed=2)]
+    # a speed whose cube underflows in the lift
+    trajs[1].v[5] = 1e-110
     basis = LiftedBasis(scale=(16.0, 512.0))
     data = build_matrices(trajs, basis)
     ref = whole_trajectory_matrices(trajs, basis)
     assert data.T == ref.T == pairs + 29
     assert data.R.tobytes() == ref.R.tobytes()
+    # the pair rule: each block's pairs from model._pairs are the parent's
+    # rows, and R is its R, in every error mode
+    parent_R, blocks = parent_build_matrices(trajs, basis)
+    assert len(blocks) == (pairs - 1) // _FOLD_ROWS + 2
+    for action in PAIR_RULE_MODES:
+        with warnings.catch_warnings(record=True) as caught, error_mode(action, under="warn"):
+            assert build_matrices(trajs, basis).R.tobytes() == parent_R.tobytes()
+            for block, rows in blocks:
+                Z, psi = _pairs(basis, block)
+                assert np.hstack((Z[:-1], psi[1:])).tobytes() == rows.tobytes()
+        assert len(caught) == (action == "always")
 
 
 def test_build_matrices_memory_stays_near_one_block():

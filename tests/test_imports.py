@@ -4,10 +4,11 @@ koopdrive module imports is used or re-exported, every name it exports exists,
 only model.py writes files itself or tells a bool from a number, only
 cli._map_roster starts processes, no cli command reads the configuration as a
 dict, every cli command applies cli._check_files, the one file check, once,
-only basis.py and rls.update_tick call the unchecked lift kernel, only
-advisory._edge_tables prices advisory edges, only advisory._interp_values reads
-the sentinel cut, only advisory._backward walks the route's steps in reverse,
-only edmd._fold calls np.linalg.qr, cli.py reads evaluate.evaluate_horizons
+only basis.lift and model._pairs call the lift kernel basis.lift_many,
+edmd.py and rls.py, which take their pairs from model._pairs, read no v_ref
+column and call no lift, only advisory._edge_tables prices advisory edges,
+only advisory._interp_values reads the sentinel cut, only advisory._backward
+walks the route's steps in reverse, only edmd._fold calls np.linalg.qr, cli.py reads evaluate.evaluate_horizons
 once, only evaluate._horizon_steps turns a horizon into samples, only
 model._trusted_trajectory builds an object round its constructor with __new__,
 no module but model.py reads _trusted_trajectory, slices a trajectory column
@@ -319,40 +320,102 @@ def test_every_command_applies_the_one_file_rule_once():
     assert file_checks((PACKAGE / "cli.py").read_text(encoding="utf-8")) == []
 
 
+# the one lift kernel checks nothing: lift checks its one state first, and
+# _pairs hands it the columns of a Trajectory, finite by construction
+KERNEL_CALLERS = {("basis", "lift"), ("model", "_pairs")}
+
+
 def unchecked_lifts(source: str, module: str) -> list[str]:
-    """Reads of ._lift_columns, named by the innermost function making them,
-    except in basis.py and in rls.update_tick: the kernel skips the
-    finiteness check, so only a caller whose input is a Trajectory, finite by
-    construction, may use it."""
-    found = []
-
-    def visit(node, func):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Attribute) and child.attr == "_lift_columns" \
-                    and module != "basis" and (module, func) != ("rls", "update_tick"):
-                found.append(f"{func or '<module>'} (line {child.lineno})")
-            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-                  else func)
-
-    visit(ast.parse(source), None)
-    return found
+    """Reads of .lift_many, named by the innermost function making them,
+    except in basis.lift and model._pairs."""
+    return [f"{func or '<module>'} (line {node.lineno})"
+            for node, func in walk_in_functions(source)
+            if isinstance(node, ast.Attribute) and node.attr == "lift_many"
+            and (module, func) not in KERNEL_CALLERS]
 
 
 def test_detects_unchecked_lifts():
     source = ("def update_tick(state, basis, buffer):\n"
-              "    basis._lift_columns(buffer.v, buffer.f_tr)\n"
-              "def rollout(self, x0):\n    lift = self.basis._lift_columns\n"
+              "    basis.lift_many(buffer.v, buffer.f_tr)\n"
+              "def _pairs(basis, traj):\n    return basis.lift_many(traj.v, traj.f_tr)\n"
+              "def lift(self, x):\n    return self.lift_many(x[:1], x[1:])[0]\n"
+              "def rollout(self, x0):\n    lift = self.basis.lift_many\n"
               "    def inner():\n        return lift(x0[:1], x0[1:])\n"
-              "basis._lift_columns(v, f)\n")
-    assert unchecked_lifts(source, "rls") == ["rollout (line 4)", "<module> (line 7)"]
-    assert unchecked_lifts(source, "model") == ["update_tick (line 2)", "rollout (line 4)",
-                                                "<module> (line 7)"]
-    assert unchecked_lifts(source, "basis") == []
+              "basis.lift_many(v, f)\n")
+    assert unchecked_lifts(source, "rls") == ["update_tick (line 2)", "_pairs (line 4)",
+                                              "lift (line 6)", "rollout (line 8)",
+                                              "<module> (line 11)"]
+    assert unchecked_lifts(source, "model") == ["update_tick (line 2)", "lift (line 6)",
+                                                "rollout (line 8)", "<module> (line 11)"]
+    assert unchecked_lifts(source, "basis") == ["update_tick (line 2)", "_pairs (line 4)",
+                                                "rollout (line 8)", "<module> (line 11)"]
 
 
 @pytest.mark.parametrize("path", MODULES + sorted(BENCH.glob("*.py")), ids=lambda p: p.name)
 def test_only_checked_callers_use_the_lift_kernel(path):
     assert unchecked_lifts(path.read_text(encoding="utf-8"), path.stem) == []
+
+
+# edmd.build_matrices and rls.update_tick take their transition pairs from
+# model._pairs, the one pair rule, so a change to what a pair is is made there
+PAIR_TAKERS = ("edmd", "rls")
+
+
+def pair_rule_breaks(source: str) -> list[str]:
+    """Reads of an attribute named v_ref, and calls of a function or method
+    whose name holds "lift", named by the innermost function making them."""
+    def breaks(node) -> bool:
+        if isinstance(node, ast.Attribute):
+            return node.attr == "v_ref" and isinstance(node.ctx, ast.Load)
+        return isinstance(node, ast.Call) and "lift" in (
+            node.func.attr if isinstance(node.func, ast.Attribute)
+            else node.func.id if isinstance(node.func, ast.Name) else "")
+
+    return [f"{func or '<module>'}: {ast.unparse(node)} (line {node.lineno})"
+            for node, func in walk_in_functions(source) if breaks(node)]
+
+
+# build_matrices and update_tick as they formed their pairs themselves,
+# before both took them from model._pairs
+EARLIER_PAIRS = """\
+def build_matrices(trajectories, basis):
+    for i, traj in enumerate(trajectories):
+        for lo in range(0, pairs, _FOLD_ROWS):
+            block = traj.slice_samples(lo, hi + 1)
+            with np.errstate(all="ignore"):
+                Z = basis.lift_many(np.column_stack((block.v, block.f_tr)))
+            rows[m:, :N] = Z[:-1]
+            rows[m:, N] = block.v_ref[:-1]
+            rows[m:, N + 1:] = Z[1:]
+def update_tick(state, basis, buffer):
+    try:
+        psi = basis._lift_columns(buffer.v, buffer.f_tr)
+    except (RuntimeWarning, FloatingPointError):
+        with np.errstate(all="ignore"):
+            return update_tick(state, basis, buffer)
+    Z = np.concatenate((psi, buffer.v_ref[:, None]), axis=1)
+"""
+
+
+def test_detects_pair_rule_breaks():
+    assert pair_rule_breaks(EARLIER_PAIRS) == [
+        "build_matrices: basis.lift_many(np.column_stack((block.v, block.f_tr))) (line 6)",
+        "build_matrices: block.v_ref (line 8)",
+        "update_tick: basis._lift_columns(buffer.v, buffer.f_tr) (line 12)",
+        "update_tick: buffer.v_ref (line 16)"]
+    # the pairs from _pairs, the basis's width, a time read and a write of
+    # v_ref pass; a lift reached through a name is a call all the same
+    source = ("def build_matrices(trajectories, basis):\n"
+              "    Z, psi = _pairs(basis, block)\n"
+              "    m = 2 * basis.lifted_dim + 1\n"
+              "    t0, traj.v_ref = float(block.t[0]), v_ref\n"
+              "def rollout(self, x0):\n    lift = self.basis.lift\n    return lift(x0)\n")
+    assert pair_rule_breaks(source) == ["rollout: lift(x0) (line 7)"]
+
+
+@pytest.mark.parametrize("stem", PAIR_TAKERS)
+def test_fit_and_tick_take_their_pairs_from_the_one_pair_rule(stem):
+    assert pair_rule_breaks((PACKAGE / f"{stem}.py").read_text(encoding="utf-8")) == []
 
 
 _ERROR_EVENTS = {"RuntimeWarning", "FloatingPointError"}

@@ -10,7 +10,7 @@ import pytest
 from koopdrive.basis import LiftedBasis
 from koopdrive.driversim import DriverParams, simulate_driver
 from koopdrive.edmd import FitConfig, fit
-from koopdrive.model import KoopmanModel, Trajectory, _trusted_trajectory
+from koopdrive.model import KoopmanModel, Trajectory, _pairs, _trusted_trajectory
 from koopdrive.rls import (
     _FOLD_PAIRS,
     RlsState,
@@ -22,7 +22,7 @@ from koopdrive.rls import (
     update_tick,
 )
 from test_driversim import VEH
-from test_edmd import fold_pairs
+from test_edmd import PAIR_RULE_MODES, fold_pairs
 from test_model import error_mode
 
 
@@ -166,7 +166,8 @@ def test_batch_equivalence():
     pts = rng.normal(size=(T, 2))
     nxt = rng.normal(size=(T, 2))
     U = rng.normal(size=(1, T))
-    data = fold_pairs(basis, np.hstack([basis.lift_many(pts), U.T, basis.lift_many(nxt)]))
+    data = fold_pairs(basis, np.hstack([basis.lift_many(*pts.T), U.T,
+                                         basis.lift_many(*nxt.T)]))
     batch = fit(data, FitConfig(ridge=1.0))
 
     # lambda = 1 from theta_0 = 0 starts from P = I, which is a ridge of 1
@@ -253,7 +254,7 @@ def scaled_stream(n, seed=5):
     basis = LiftedBasis(scale=(16.0, 512.0))
     model = KoopmanModel(basis, np.random.default_rng(seed).normal(0, 0.1, size=(9, 10)), 0.025)
     rows = random_rows(n + 1, 10.0, 500.0, seed=seed)
-    psi = basis.lift_many(rows[:, :2])
+    psi = basis.lift_many(rows[:, 0], rows[:, 1])
     return basis, model, np.column_stack([psi[:-1], rows[:-1, 2]]), psi
 
 
@@ -320,7 +321,7 @@ def test_theta_after_k_pairs_depends_on_neither_ticks_nor_reads():
 
     # the P-form reference, the error against theta as of the last fold
     rows = np.column_stack([traj.v, traj.f_tr, traj.v_ref])
-    psi = basis.lift_many(rows[:, :2])
+    psi = basis.lift_many(rows[:, 0], rows[:, 1])
     theta, P, ref_errs = parent_replay(model.theta, 0.9,
                                        np.column_stack([psi[:-1], rows[:-1, 2]]), psi)
     np.testing.assert_allclose(np.frombuffer(errs), ref_errs, rtol=1e-9, atol=0.0)
@@ -747,22 +748,52 @@ def row_view_kernel(state, z, psi_next):
     return math.sqrt(sq)
 
 
+def parent_tick_pairs(basis, buffer):
+    """update_tick's pairs as it formed them before model._pairs: its own
+    lift of the buffer, redone under np.errstate(all="ignore") where numpy
+    warns or raises, and Z = [psi | u] by one concatenate; the byte
+    reference of the tick's pairs."""
+    try:
+        psi = basis.lift_many(buffer.v, buffer.f_tr)
+    except (RuntimeWarning, FloatingPointError):
+        with np.errstate(all="ignore"):
+            return parent_tick_pairs(basis, buffer)
+    return np.concatenate((psi, buffer.v_ref[:, None]), axis=1), psi
+
+
+def parent_update_tick(state, basis, buffer):
+    """update_tick on the parent's pairs and the row-view kernel."""
+    Z, psi = parent_tick_pairs(basis, buffer)
+    return np.array([row_view_kernel(state, Z[i], psi[i + 1]) for i in range(len(buffer) - 1)])
+
+
 @pytest.mark.parametrize("tick_steps", [1, 4, 7, 40])
 def test_update_tick_matches_the_row_view_kernel_bytes(monkeypatch, tick_steps):
-    # 250 pairs are six folds and ten pending pairs
+    # 250 pairs are six folds and ten pending pairs; sample 100 has a speed
+    # whose cube underflows in the lift. In every error mode each tick's
+    # pairs from model._pairs are the parent's, and the stream's error
+    # norms, theta and R are those of the parent's tick and kernel
     import koopdrive.rls
 
     basis = LiftedBasis(scale=(16.0, 512.0))
     model = KoopmanModel(basis, np.random.default_rng(4).normal(0, 0.1, size=(9, 10)), 0.025)
     traj = make_traj(400, seed=6)
-    state = init_rls(model, 0.99737)
-    errs = feed(state, basis, traj, 37, 287, tick_steps)
-    monkeypatch.setattr(koopdrive.rls, "rls_update", row_view_kernel)
-    ref = init_rls(model, 0.99737)
-    assert feed(ref, basis, traj, 37, 287, tick_steps) == errs
-    assert state._rows.tobytes() == ref._rows.tobytes()
-    assert_same_state(state, ref)
-    assert state.update_count == 250
+    traj.v[100] = 1e-110
+    for action in PAIR_RULE_MODES:
+        with monkeypatch.context() as patch, warnings.catch_warnings(record=True), \
+                error_mode(action, under="warn"):
+            state = init_rls(model, 0.99737)
+            errs = feed(state, basis, traj, 37, 287, tick_steps)
+            for lo in range(37, 287, tick_steps):
+                buffer = traj.slice_samples(lo, min(lo + tick_steps, 287) + 1)
+                pairs, ref_pairs = _pairs(basis, buffer), parent_tick_pairs(basis, buffer)
+                assert [a.tobytes() for a in pairs] == [a.tobytes() for a in ref_pairs]
+            patch.setattr(koopdrive.rls, "update_tick", parent_update_tick)
+            ref = init_rls(model, 0.99737)
+            assert feed(ref, basis, traj, 37, 287, tick_steps) == errs
+        assert state._rows.tobytes() == ref._rows.tobytes()
+        assert_same_state(state, ref)
+        assert state.update_count == 250
 
 
 def copying_slice_samples(self, start, stop):
