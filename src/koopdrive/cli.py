@@ -537,7 +537,7 @@ def cmd_bench(args, cfg: Config) -> int:
     report = bench_update(trajectories, model, cfg.eval.horizons_s, online=cfg.rls)
     for h, off, tick, s in zip(report.horizons_s, report.offline_fit_s,
                                report.online_per_tick_s, report.speedup):
-        print(f"horizon {h:>5.1f} s: refit {off * 1e3:8.1f} ms, "
+        print(f"horizon {h!r:>5} s: refit {off * 1e3:8.1f} ms, "
               f"tick {tick * 1e6:8.1f} us, speedup {s:8.1f}x")
     if report.warning:
         print(f"warning: {report.warning}")

@@ -2,10 +2,12 @@
 
 A segment of a recorded trajectory is partitioned into consecutive windows
 of one horizon each; any remainder shorter than the horizon is dropped. Each
-window, a Trajectory.slice_samples view of its samples, is predicted by a
-rollout re-initialized from the measured state at the window start, and
-squared errors are pooled across all predicted samples of all windows
-before taking the root. The seeded first sample of a window
+window is scored by model._window_errors, the window scorer of the model
+module's pair rule: a rollout re-initialized from the measured state at the
+window start, compared with the measured states after it. This module only
+chooses the windows and pools their errors; it reads no trajectory column
+and forms no pair. Squared errors are pooled across all predicted samples
+of all windows before taking the root. The seeded first sample of a window
 is a measurement, not a prediction, so it does not enter the pool.
 
 One call scores the frozen model (variant "offline") on every horizon's
@@ -21,9 +23,9 @@ since into a copy, so the snapshots do not depend on where tick boundaries
 fall, and a horizon's report is the same whether it is evaluated alone or
 with others.
 
-The window errors and their RMSE are a block step of the model module's
-numerical-error rule, so a finite forecast whose error squares past the
-float range scores inf.
+The window errors, scored under one np.errstate here, and their RMSE are
+a block step of the model module's numerical-error rule, so a finite
+forecast whose error squares past the float range scores inf.
 
 Reported units follow road practice: speed errors in mph alongside m/s, and
 force errors in kN alongside N.
@@ -39,7 +41,7 @@ import numpy as np
 
 from .edmd import FitConfig, build_matrices, fit
 from .model import (KoopmanModel, Trajectory, _check_same_sample_period, _samples,
-                    _write_csv_table)
+                    _window_errors, _write_csv_table)
 from .rls import OnlineSettings, init_rls, snapshot_model, stream_ticks
 
 MPS_TO_MPH = 2.23694
@@ -73,13 +75,6 @@ class HorizonReport:
     @property
     def rmse_force_kn(self) -> float:
         return self.rmse_force_n / 1000.0
-
-
-def _window_errors(model: KoopmanModel, traj: Trajectory, k0: int,
-                   steps: int) -> tuple[np.ndarray, np.ndarray]:
-    window = traj.slice_samples(k0, k0 + steps + 1)
-    pred = model.rollout((window.v[0], window.f_tr[0]), window.v_ref[:-1])
-    return pred.v[1:] - window.v[1:], pred.f_tr[1:] - window.f_tr[1:]
 
 
 def _horizon_steps(horizon, dt: float, room: int, where: str) -> int:
@@ -229,7 +224,7 @@ def format_reports(reports) -> str:
     ]
     for r in reports:
         lines.append(
-            f"{r.horizon_s:>9.1f}  {r.variant:<8}  {r.rmse_speed_mph:>10.3f}  "
+            f"{float(r.horizon_s)!r:>9}  {r.variant:<8}  {r.rmse_speed_mph:>10.3f}  "
             f"{r.rmse_force_kn:>9.3f}  {r.n_windows:>7d}  {r.n_samples:>8d}"
         )
     return "\n".join(lines)

@@ -33,13 +33,18 @@ Trajectory.slice_samples hands out a slice of an already validated
 trajectory as views of its columns, copying nothing, and does not validate
 it again either; both build their result through _trusted_trajectory, the
 one slicing rule that Trajectory.window, edmd.split_dataset's parts,
-edmd.build_matrices' fold blocks, evaluate's scored windows and
+edmd.build_matrices' fold blocks, _window_errors' scored windows and
 rls.stream_ticks' ticks go through.
 _pairs is the one pair rule: it lifts a trajectory once, through the one
 lift kernel basis.lift_many, and returns Z = [psi | u] and psi, so pair i
 is (Z[i], psi[i + 1]), regressor and target. edmd.build_matrices takes
-each fold block's pairs from it and rls.update_tick each tick's; neither
-module reads a v_ref column or calls a lift itself, and a lint holds both.
+each fold block's pairs from it and rls.update_tick each tick's.
+_window_errors scores a window of pairs by the same rule: it rolls out from
+the window's first state through the pairs' inputs and returns the speed
+and force errors against the pairs' targets, so evaluate only chooses the
+windows and pools their errors. None of edmd, rls and evaluate reads a v_ref
+column or calls a lift itself, evaluate reads no t, v or f_tr column
+either, and lints hold all three.
 
 Model files are JSON documents carrying the basis block, A and B at full
 decimal precision, and free-form provenance left by the fitting code. The
@@ -71,10 +76,11 @@ values and verdict whatever error handling the caller set (a warnings
 filter, or np.errstate / np.seterr with "raise" among its actions), and the
 checks after the step (finiteness, a rank rule) decide. A block step runs
 under np.errstate(all="ignore"): the rollout's scan, edmd.build_matrices'
-pairs, and evaluate's window errors and RMSE. _pairs and the RLS tick keep
-a fast path that enters no np.errstate; each of their handlers catches
-RuntimeWarning and FloatingPointError and calls its own function again
-under np.errstate(all="ignore"). A lint in the tests holds every
+pairs, and the window errors (_window_errors run under evaluate's errstate)
+with their RMSE. _pairs and the RLS tick keep a fast path that enters no
+np.errstate; each of their handlers catches RuntimeWarning and
+FloatingPointError and calls its own function again under
+np.errstate(all="ignore"). A lint in the tests holds every
 np.errstate call and every such handler to this form.
 
 Every table and JSON file of the package is written by the two writers here,
@@ -382,6 +388,19 @@ def _pairs(basis: LiftedBasis, traj: Trajectory) -> tuple[np.ndarray, np.ndarray
         with np.errstate(all="ignore"):
             return _pairs(basis, traj)
     return np.concatenate((psi, traj.v_ref[:, None]), axis=1), psi
+
+
+def _window_errors(model: KoopmanModel, traj: Trajectory, k0: int,
+                   steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Speed and force errors of model's forecast over the window of steps
+    pairs from sample k0 of traj: the rollout starts at the window's first
+    state, is driven by the pairs' inputs and is compared with the pairs'
+    targets, the states one sample on. The seeded first state is a
+    measurement and has no error.
+    """
+    window = traj.slice_samples(k0, k0 + steps + 1)
+    pred = model.rollout((window.v[0], window.f_tr[0]), window.v_ref[:-1])
+    return pred.v[1:] - window.v[1:], pred.f_tr[1:] - window.f_tr[1:]
 
 
 def _check_same_sample_period(what: str, period: float, reference: str, expected: float) -> None:

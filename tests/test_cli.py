@@ -1338,7 +1338,8 @@ def test_unknown_eval_key_exit_3(tmp_path, toy_route, config_file):
 
 @pytest.mark.parametrize("flags, horizons", [
     ([], [10.0, 5.0]), (["--horizons", "5", "20", "10"], [5.0, 20.0, 10.0]),
-], ids=["configured", "flag"])
+    (["--horizons", "2.25", "2.2", "0.025"], [2.25, 2.2, 0.025]),
+], ids=["configured", "flag", "labels"])
 def test_bench_reports_each_horizon_in_order(tmp_path, toy_build, flags, horizons, capsys):
     out = tmp_path / "bench.json"
     assert main(command_for("bench", toy_build, toy_build / "config.json", out) + flags) == 0
@@ -1346,7 +1347,7 @@ def test_bench_reports_each_horizon_in_order(tmp_path, toy_build, flags, horizon
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == len(horizons) + 1
     for line, h in zip(lines, horizons):
-        assert re.fullmatch(rf"horizon {re.escape(f'{h:>5.1f}')} s: refit +\d+\.\d ms, "
+        assert re.fullmatch(rf"horizon {re.escape(f'{h!r:>5}')} s: refit +\d+\.\d ms, "
                             r"tick +\d+\.\d us, speedup +(\d+\.\d|inf)x", line), line
     assert lines[-1] == (f"warning: dataset has only {pairs} transition pairs; timings below "
                          "1e5 pairs understate the retraining cost")

@@ -16,8 +16,8 @@ from koopdrive.evaluate import (
     format_reports,
     reports_to_csv,
 )
-from koopdrive.model import KoopmanModel, Trajectory
-from koopdrive.rls import OnlineSettings, init_rls, stream_ticks
+from koopdrive.model import KoopmanModel, RolloutDivergenceError, Trajectory, _window_errors
+from koopdrive.rls import OnlineSettings, init_rls, snapshot_model, stream_ticks
 from test_model import error_mode
 
 
@@ -50,12 +50,52 @@ def model_trajectory(model, n=4000, seed=1, v0=10.0, f0=100.0):
                       v=pred.v, f_tr=pred.f_tr, v_ref=u)
 
 
+def parent_window_errors(model, traj, k0, steps):
+    # the window scorer as evaluate.py kept it, before it moved next to
+    # model._pairs
+    window = traj.slice_samples(k0, k0 + steps + 1)
+    pred = model.rollout((window.v[0], window.f_tr[0]), window.v_ref[:-1])
+    return pred.v[1:] - window.v[1:], pred.f_tr[1:] - window.f_tr[1:]
+
+
+def scored_bytes(score, model, traj, k0, steps):
+    """The bytes of the speed and force errors score gives, or the step of
+    the RolloutDivergenceError it raises."""
+    try:
+        return [err.tobytes() for err in score(model, traj, k0, steps)]
+    except RolloutDivergenceError as exc:
+        return exc.step
+
+
+@pytest.mark.parametrize("steps", [1, 200, 2000])
+@pytest.mark.parametrize("which", ["frozen", "snapshot", "diverging"])
+def test_window_errors_match_the_parent_scorer_bytes(which, steps):
+    # the frozen model, an RLS snapshot adapted to the changed dynamics, and
+    # a model that doubles its lifted state, which overflows inside 2000
+    # steps: the scorer gives the parent's error bytes, or raises at its step
+    model, traj, _ = changed_dynamics_case(n=4000)
+    if which == "snapshot":
+        state = init_rls(model, 0.999)
+        for _ in stream_ticks(state, model.basis, traj, 0, 1000, 40):
+            pass
+        model = snapshot_model(state, model.basis, model.sample_period)
+    elif which == "diverging":
+        model = KoopmanModel(basis=model.basis, theta=np.hstack([2.0 * np.eye(9), model.B]),
+                             sample_period=model.sample_period)
+    ours = scored_bytes(_window_errors, model, traj, 1000, steps)
+    assert ours == scored_bytes(parent_window_errors, model, traj, 1000, steps)
+    assert isinstance(ours, int) == (which == "diverging" and steps == 2000)
+    if isinstance(ours, list):
+        assert [len(err) for err in ours] == [8 * steps] * 2
+
+
 @pytest.mark.parametrize("action", ["always", "error", "raise"])
 def test_a_forecast_past_1e154_scores_inf_and_warns_of_nothing(action):
     # a v row of B of 1e155 drives the forecast to about 2e156, finite, and
     # its squared error past the float range: the speed RMSE is inf, the
     # force RMSE finite, and no numpy warning or error escapes, whether
-    # warnings are shown, are errors or numpy raises
+    # warnings are shown, are errors or numpy raises; under the block step,
+    # as evaluate_horizons runs it, the scorer gives the parent's error bytes
     traj = model_trajectory(linear_readout_model())
     A = 0.5 * np.eye(9)
     B = np.zeros((9, 1))
@@ -65,10 +105,14 @@ def test_a_forecast_past_1e154_scores_inf_and_warns_of_nothing(action):
     def run(action, **events):
         with warnings.catch_warnings(record=True) as caught, error_mode(action, **events):
             reports = evaluate_horizons(traj, model, [5.0, 20.0], (0.0, 60.0))
-        return reports, caught
+            with np.errstate(all="ignore"):
+                scored = [scored_bytes(score, model, traj, 200, 800)
+                          for score in (_window_errors, parent_window_errors)]
+        return reports, caught, scored
 
-    reports, caught = run(action, over="warn")
+    reports, caught, (ours, parent) = run(action, over="warn")
     assert caught == []
+    assert ours == parent and np.abs(np.frombuffer(ours[0])).max() > 1e155
     assert [r.rmse_speed_mps for r in reports] == [np.inf, np.inf]
     assert all(0.0 < r.rmse_force_n < np.inf for r in reports)
     assert reports == run("ignore")[0]
@@ -287,11 +331,16 @@ def test_bench_refits_with_the_model_ridge():
 
 
 def test_format_reports_table():
-    r = HorizonReport(horizon_s=5.0, variant="offline", rmse_speed_mps=1.0,
-                      rmse_force_n=1000.0, n_windows=3, n_samples=600)
-    text = format_reports([r])
+    # each horizon is labelled by its repr, so 2.25 and 2.2 do not both read
+    # 2.2 and 0.025 does not read 0.0
+    reports = [HorizonReport(horizon_s=h, variant="offline", rmse_speed_mps=1.0,
+                             rmse_force_n=1000.0, n_windows=3, n_samples=600)
+               for h in (5.0, 2.25, 2.2, 0.025)]
+    text = format_reports(reports)
     assert "offline" in text
     assert "5.0" in text
+    assert [line[:9] for line in text.splitlines()[1:]] == [
+        "      5.0", "     2.25", "      2.2", "    0.025"]
 
 
 def test_reports_csv(tmp_path):

@@ -4,22 +4,23 @@ koopdrive module imports is used or re-exported, every name it exports exists,
 only model.py writes files itself or tells a bool from a number, only
 cli._map_roster starts processes, no cli command reads the configuration as a
 dict, every cli command applies cli._check_files, the one file check, once,
-only basis.lift and model._pairs call the lift kernel basis.lift_many,
-edmd.py and rls.py, which take their pairs from model._pairs, read no v_ref
-column and call no lift, only advisory._edge_tables prices advisory edges,
-only advisory._interp_values reads the sentinel cut, only advisory._backward
-walks the route's steps in reverse, only edmd._fold calls np.linalg.qr, cli.py reads evaluate.evaluate_horizons
-once, only evaluate._horizon_steps turns a horizon into samples, only
+only basis.lift and model._pairs call the lift kernel basis.lift_many, edmd.py,
+rls.py and evaluate.py, which take their pairs and scored windows from
+model._pairs and model._window_errors, read no v_ref column and call no lift,
+evaluate.py reads no t, v or f_tr column either, only advisory._edge_tables
+prices advisory edges, only advisory._interp_values reads the sentinel cut,
+only advisory._backward walks the route's steps in reverse, only edmd._fold
+calls np.linalg.qr, cli.py reads evaluate.evaluate_horizons once, only
+evaluate._horizon_steps turns a horizon into samples, only
 model._trusted_trajectory builds an object round its constructor with __new__,
-no module but model.py reads _trusted_trajectory, slices a trajectory column
-by bounds other than literal integers or calls slice(), only
-Trajectory.write_csv asks for a row template, no module but model.py holds a
-key of the model file's basis block, every except clause that catches a
-RuntimeWarning or a FloatingPointError catches both and calls its own function
-again under np.errstate(all="ignore"), every np.errstate call is
-np.errstate(all="ignore"),
-and every function, class and method the package defines is referenced from
-the package or the benchmark; and code_lines counts only code lines."""
+no module but model.py reads _trusted_trajectory, slices a trajectory column by
+bounds other than literal integers or calls slice(), only Trajectory.write_csv
+asks for a row template, no module but model.py holds a key of the model file's
+basis block, every except clause that catches a RuntimeWarning or a
+FloatingPointError catches both and calls its own function again under
+np.errstate(all="ignore"), every np.errstate call is np.errstate(all="ignore"),
+and every function, class and method the package defines is referenced from the
+package or the benchmark; and code_lines counts only code lines."""
 
 import ast
 import importlib
@@ -357,8 +358,9 @@ def test_only_checked_callers_use_the_lift_kernel(path):
 
 
 # edmd.build_matrices and rls.update_tick take their transition pairs from
-# model._pairs, the one pair rule, so a change to what a pair is is made there
-PAIR_TAKERS = ("edmd", "rls")
+# model._pairs, the one pair rule, and evaluate its window errors from
+# model._window_errors, so a change to what a pair is is made in model.py
+PAIR_TAKERS = ("edmd", "rls", "evaluate")
 
 
 def pair_rule_breaks(source: str) -> list[str]:
@@ -883,6 +885,51 @@ def test_detects_column_slices():
                          ids=lambda p: p.name)
 def test_only_slice_samples_cuts_a_span_of_samples(path):
     assert column_slices(path.read_text(encoding="utf-8")) == []
+
+
+def column_reads(source: str) -> list[str]:
+    """Reads of an attribute named t, v, f_tr or v_ref, shown with the
+    subscript taken of it, named by the innermost function making them."""
+    shown = {}
+    for node, func in walk_in_functions(source):
+        column = node.value if isinstance(node, ast.Subscript) else node
+        if isinstance(column, ast.Attribute) and column.attr in COLUMNS \
+                and isinstance(column.ctx, ast.Load):
+            # a subscript comes before its column in ast order
+            shown.setdefault(column, f"{func or '<module>'}: {ast.unparse(node)} "
+                                     f"(line {node.lineno})")
+    return list(shown.values())
+
+
+# evaluate._window_errors as it scored a window itself, before the scorer
+# moved next to model._pairs
+EARLIER_WINDOW = """\
+def _window_errors(model, traj, k0, steps):
+    window = traj.slice_samples(k0, k0 + steps + 1)
+    pred = model.rollout((window.v[0], window.f_tr[0]), window.v_ref[:-1])
+    return pred.v[1:] - window.v[1:], pred.f_tr[1:] - window.f_tr[1:]
+"""
+
+
+def test_detects_column_reads():
+    assert column_reads(EARLIER_WINDOW) == [
+        "_window_errors: window.v[0] (line 3)", "_window_errors: window.f_tr[0] (line 3)",
+        "_window_errors: window.v_ref[:-1] (line 3)", "_window_errors: pred.v[1:] (line 4)",
+        "_window_errors: window.v[1:] (line 4)", "_window_errors: pred.f_tr[1:] (line 4)",
+        "_window_errors: window.f_tr[1:] (line 4)"]
+    assert pair_rule_breaks(EARLIER_WINDOW) == ["_window_errors: window.v_ref (line 3)"]
+    # the period, the segment bounds, the length, a report's fields, a name
+    # v and a write of a column pass; a bare column read is flagged
+    source = ("def evaluate_horizons(trajectory, model, horizons, segment):\n"
+              "    dt, v = trajectory.sample_period, model.basis\n"
+              "    i0, i1 = trajectory.segment_indices(*segment)\n"
+              "    n, r.rmse_speed_mps, traj.v = len(trajectory), v, v\n"
+              "    return trajectory.t\n")
+    assert column_reads(source) == ["evaluate_horizons: trajectory.t (line 5)"]
+
+
+def test_evaluate_reads_no_trajectory_column():
+    assert column_reads((PACKAGE / "evaluate.py").read_text(encoding="utf-8")) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
