@@ -9,11 +9,12 @@ the stacked block theta = [A B] solves
 
 optionally with a ridge penalty ridge * ||theta||_F^2. The pairs are never
 stacked: build_matrices, the one fold loop, takes each trajectory's rows
-[Psi | u | Psi+] one block of _FOLD_ROWS pairs at a time from model._pairs,
-the one pair rule, which rls.update_tick follows too, so this module reads
-no v_ref column and calls no lift itself. It checks the block finite once
-and folds it into the upper triangular factor R of a QR
-decomposition of all rows seen so far (a streaming tall-skinny QR), so
+[Psi | u | Psi+] one block of _FOLD_ROWS pairs at a time, the block cut by
+model._pair_blocks and its pairs formed by model._pairs, the rules that
+rls.stream_ticks and rls.update_tick follow too, so this module cuts no
+span of pairs, reads no v_ref column and calls no lift itself. It checks
+the block finite once and folds it into the upper triangular factor R of a
+QR decomposition of all rows seen so far (a streaming tall-skinny QR), so
 beyond the trajectories the caller holds, memory stays at one (2N+1) x (2N+1)
 factor plus one fold block. It returns R and the pair count as a frozen
 DataMatrices record. A lift that overflows is refused with ValueError naming
@@ -44,8 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import LiftedBasis, pow2_scale
-from .model import (KoopmanModel, _check_fields, _check_same_sample_period, _is_number, _pairs,
-                    _scaler)
+from .model import (KoopmanModel, _check_fields, _check_same_sample_period, _is_number,
+                    _pair_blocks, _pairs, _scaler)
 
 __all__ = [
     "FitConfig",
@@ -115,10 +116,10 @@ def build_matrices(trajectories, basis: LiftedBasis) -> DataMatrices:
     """Lift trajectories and fold their transition pairs into one R factor.
 
     Every trajectory of k samples contributes k - 1 transition pairs. Each
-    trajectory is lifted in blocks of _FOLD_ROWS pairs, pairs lo..hi - 1
-    taken by model._pairs from the block traj.slice_samples(lo, hi + 1),
-    views of samples lo..hi, each pair (Z[j], psi[j + 1]) as one row, and
-    each block is one fold of R: the same rows and the same folds as
+    trajectory is lifted in blocks of _FOLD_ROWS pairs cut by
+    model._pair_blocks, pairs lo..hi - 1 taken by model._pairs from the
+    block's views of samples lo..hi, each pair (Z[j], psi[j + 1]) as one
+    row, and each block is one fold of R: the same rows and the same folds as
     lifting the whole trajectory, so R is bit for bit the same, while no
     more than one block's lifted pairs exist.
     A block whose lift overflows raises ValueError naming the trajectory
@@ -135,10 +136,7 @@ def build_matrices(trajectories, basis: LiftedBasis) -> DataMatrices:
     m = 2 * N + 1
     R = np.zeros((m, m))
     for i, traj in enumerate(trajectories):
-        pairs = len(traj) - 1
-        for lo in range(0, pairs, _FOLD_ROWS):
-            hi = min(lo + _FOLD_ROWS, pairs)
-            block = traj.slice_samples(lo, hi + 1)
+        for lo, hi, block in _pair_blocks(traj, 0, len(traj) - 1, _FOLD_ROWS):
             # an overflow is refused below, by one check of the block
             with np.errstate(all="ignore"):
                 Z, psi = _pairs(basis, block)

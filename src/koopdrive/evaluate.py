@@ -1,12 +1,14 @@
 """Multi-horizon prediction accuracy and update-cost benchmarking.
 
 A segment of a recorded trajectory is partitioned into consecutive windows
-of one horizon each; any remainder shorter than the horizon is dropped. Each
-window is scored by model._window_errors, the window scorer of the model
-module's pair rule: a rollout re-initialized from the measured state at the
-window start, compared with the measured states after it. This module only
-chooses the windows and pools their errors; it reads no trajectory column
-and forms no pair. Squared errors are pooled across all predicted samples
+of one horizon each, the blocks model._pair_blocks cuts at the horizon's
+steps; any remainder shorter than the horizon is neither cut nor scored. Each
+window's span is cut once and scored by model._window_errors, the window
+scorer of the model module's pair rule, for both variants: a rollout
+re-initialized from the measured state at the window start, compared with
+the measured states after it. This module only chooses the windows and
+pools their errors; it cuts no span, reads no trajectory column and forms
+no pair. Squared errors are pooled across all predicted samples
 of all windows before taking the root. The seeded first sample of a window
 is a measurement, not a prediction, so it does not enter the pool.
 
@@ -40,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .edmd import FitConfig, build_matrices, fit
-from .model import (KoopmanModel, Trajectory, _check_same_sample_period, _samples,
-                    _window_errors, _write_csv_table)
+from .model import (KoopmanModel, Trajectory, _check_same_sample_period, _pair_blocks,
+                    _samples, _window_errors, _write_csv_table)
 from .rls import OnlineSettings, init_rls, snapshot_model, stream_ticks
 
 MPS_TO_MPH = 2.23694
@@ -94,7 +96,7 @@ def _models_at(traj: Trajectory, model: KoopmanModel, online: OnlineSettings, i0
     tick_steps = online.tick_steps(traj.sample_period)
     state = init_rls(model, online.lam)
     models, pos = {}, i0
-    for k in sorted({k for _, _, starts in windows for k in starts}):
+    for k in sorted({k for _, blocks in windows for k, _ in blocks}):
         for _ in stream_ticks(state, model.basis, traj, pos, k, tick_steps):
             pass
         models[k] = snapshot_model(state, model.basis, model.sample_period)
@@ -119,7 +121,9 @@ def evaluate_horizons(trajectory: Trajectory, model: KoopmanModel, horizons,
     windows = []
     for horizon in horizons:
         steps = _horizon_steps(horizon, dt, i1 - i0, f"inside segment {segment}")
-        windows.append((horizon, steps, range(i0, i1 - steps + 1, steps)))
+        # whole windows only: the pairs after the last one are not cut
+        blocks = _pair_blocks(trajectory, i0, i1 - (i1 - i0) % steps, steps)
+        windows.append((horizon, [(lo, span) for lo, _, span in blocks]))
     variants = [("offline", lambda k: model)]
     if online is not None:
         variants.append(("online", _models_at(trajectory, model, online, i0, windows).__getitem__))
@@ -127,17 +131,12 @@ def evaluate_horizons(trajectory: Trajectory, model: KoopmanModel, horizons,
     reports = []
     with np.errstate(all="ignore"):
         for variant, model_at in variants:
-            for horizon, steps, starts in windows:
-                errs = [_window_errors(model_at(k), trajectory, k, steps) for k in starts]
+            for horizon, blocks in windows:
+                errs = [_window_errors(model_at(k), span) for k, span in blocks]
                 err_v, err_f = (np.concatenate(e) for e in zip(*errs))
-                reports.append(HorizonReport(
-                    horizon_s=float(horizon),
-                    variant=variant,
-                    rmse_speed_mps=float(np.sqrt(np.mean(err_v**2))),
-                    rmse_force_n=float(np.sqrt(np.mean(err_f**2))),
-                    n_windows=len(starts),
-                    n_samples=len(err_v),
-                ))
+                rmse_v, rmse_f = (float(np.sqrt(np.mean(e**2))) for e in (err_v, err_f))
+                reports.append(HorizonReport(float(horizon), variant, rmse_v, rmse_f,
+                                             n_windows=len(blocks), n_samples=len(err_v)))
     return reports
 
 

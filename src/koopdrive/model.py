@@ -32,17 +32,24 @@ an arange of the sample period.
 Trajectory.slice_samples hands out a slice of an already validated
 trajectory as views of its columns, copying nothing, and does not validate
 it again either; both build their result through _trusted_trajectory, the
-one slicing rule that Trajectory.window, edmd.split_dataset's parts,
-edmd.build_matrices' fold blocks, _window_errors' scored windows and
-rls.stream_ticks' ticks go through.
-_pairs is the one pair rule: it lifts a trajectory once, through the one
-lift kernel basis.lift_many, and returns Z = [psi | u] and psi, so pair i
-is (Z[i], psi[i + 1]), regressor and target. edmd.build_matrices takes
-each fold block's pairs from it and rls.update_tick each tick's.
-_window_errors scores a window of pairs by the same rule: it rolls out from
-the window's first state through the pairs' inputs and returns the speed
-and force errors against the pairs' targets, so evaluate only chooses the
-windows and pools their errors. None of edmd, rls and evaluate reads a v_ref
+one slicing rule that Trajectory.window, edmd.split_dataset's parts and
+every span of pairs go through.
+_pair_blocks is the one pair-block rule: pairs lo..hi - 1 read samples
+lo..hi, so it cuts pairs start..stop - 1 into blocks of a given size, only
+the last one shorter, and yields each block's bounds with the span
+slice_samples(lo, hi + 1). edmd.build_matrices takes its fold blocks from
+it, rls.stream_ticks its ticks and evaluate.evaluate_horizons its scored
+windows, the whole blocks of one horizon's steps each, so no other module
+cuts a span of pairs, and outside this module only edmd.split_dataset,
+whose parts are ranges of samples, calls slice_samples (a lint holds it).
+_pairs is the one pair rule: it lifts a span once, through the one lift
+kernel basis.lift_many, and returns Z = [psi | u] and psi, so pair i is
+(Z[i], psi[i + 1]), regressor and target. edmd.build_matrices takes each
+fold block's pairs from it and rls.update_tick each tick's.
+_window_errors scores a window's span by the same rule: it rolls out from
+its first state through the pairs' inputs and returns the speed and force
+errors against the pairs' targets, so evaluate only chooses the windows
+and pools their errors. None of edmd, rls and evaluate reads a v_ref
 column or calls a lift itself, evaluate reads no t, v or f_tr column
 either, and lints hold all three.
 
@@ -51,14 +58,14 @@ decimal precision, and free-form provenance left by the fitting code. The
 format is decided here alone: KoopmanModel.save writes the basis block,
 {"state_dim": 2, "max_degree": d, "monomials": [...], "scaler": {"scale":
 [...], "offset": [0.0, 0.0]}}, whose monomials follow from d, and
-KoopmanModel.load checks it in one place: a state_dim or max_degree that is
-no integer, a state_dim other than 2, a missing or null scaler, another
-offset, another monomial list (its length first, so a huge degree is refused
-at once), or a scale that is not two positive finite powers of two, is
-rejected. _scaler builds the scaler object, which the fit report copies. A
-reload checks A's and B's shapes, stacks them and builds the model through
-its constructor, so a file passes the same checks as a model made in memory,
-and reproduces the matrices bit for bit.
+KoopmanModel.load checks it in one place: a state_dim, max_degree or
+monomial exponent that is no integer, a state_dim other than 2, a missing or
+null scaler, another offset, another monomial list (its length first, so a
+huge degree is refused at once), or a scale that is not two positive finite
+powers of two, is rejected. _scaler builds the scaler object, which the fit
+report copies. A reload checks A's and B's shapes, stacks them and builds
+the model through its constructor, so a file passes the same checks as a
+model made in memory, and reproduces the matrices bit for bit.
 
 The number rule, the time grid and the numerical-error rule are one rule
 each, kept here. _is_number accepts a real (or integral) value with a finite
@@ -373,6 +380,24 @@ def _samples(what: str, seconds, period: float) -> float:
     return steps
 
 
+def _pair_blocks(traj: Trajectory, start: int, stop: int, size: int):
+    """Pairs start..stop - 1 of traj in blocks of size pairs, only the last
+    one shorter: yields (lo, hi, span) per block, span the samples lo..hi
+    that pairs lo..hi - 1 read, as views (see Trajectory.slice_samples).
+
+    The one place that turns a range of pairs into a span of samples: every
+    fold block, tick and scored window comes here. Raises ValueError before
+    the first block unless 0 <= start <= stop < len(traj) and size >= 1.
+    """
+    if not 0 <= start <= stop < len(traj):
+        raise ValueError(f"bad sample range [{start}, {stop}] for length {len(traj)}")
+    if size < 1:
+        raise ValueError(f"a block needs at least 1 pair, got size {size!r}")
+    for lo in range(start, stop, size):
+        hi = min(lo + size, stop)
+        yield lo, hi, traj.slice_samples(lo, hi + 1)
+
+
 def _pairs(basis: LiftedBasis, traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     """The lifted transition pairs of traj: Z = [psi | u], one row per
     sample, and psi, so pair i is (Z[i], psi[i + 1]), its regressor and its
@@ -390,15 +415,13 @@ def _pairs(basis: LiftedBasis, traj: Trajectory) -> tuple[np.ndarray, np.ndarray
     return np.concatenate((psi, traj.v_ref[:, None]), axis=1), psi
 
 
-def _window_errors(model: KoopmanModel, traj: Trajectory, k0: int,
-                   steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Speed and force errors of model's forecast over the window of steps
-    pairs from sample k0 of traj: the rollout starts at the window's first
-    state, is driven by the pairs' inputs and is compared with the pairs'
-    targets, the states one sample on. The seeded first state is a
-    measurement and has no error.
+def _window_errors(model: KoopmanModel, window: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+    """Speed and force errors of model's forecast over the pairs of window, a
+    span _pair_blocks cut: the rollout starts at the window's first state,
+    is driven by the pairs' inputs and is compared with the pairs' targets,
+    the states one sample on. The seeded first state is a measurement and
+    has no error.
     """
-    window = traj.slice_samples(k0, k0 + steps + 1)
     pred = model.rollout((window.v[0], window.f_tr[0]), window.v_ref[:-1])
     return pred.v[1:] - window.v[1:], pred.f_tr[1:] - window.f_tr[1:]
 
@@ -597,8 +620,9 @@ class KoopmanModel:
                 raise ValueError(f"degree {degree} has {count} monomials, got {len(monomials)}")
             basis = LiftedBasis(max_degree=degree, scale=tuple(scaler["scale"]))
             canonical = [list(e) for e in basis.monomials]
-            if monomials != canonical:
-                raise ValueError(f"monomials must be {canonical} for degree {degree}")
+            # 1.0 == 1 and True == 1, so equal lists may still hold no integers
+            if monomials != canonical or not all(_is_number(e, int) for m in monomials for e in m):
+                raise ValueError(f"monomials must be the integers {canonical} for degree {degree}")
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelFileError(f"{path}: invalid basis metadata: {exc}") from None
         try:

@@ -57,8 +57,9 @@ too: one lift of the k + 1 samples into psi, and Z = [psi | u]. Pair i is
 the module name, with both as row views; a value made non-finite after
 construction reaches it as a non-finite prediction error and is refused.
 This module reads no v_ref column and calls no lift itself. stream_ticks
-hands each tick Trajectory.slice_samples of the segment, the one slicing
-rule, whose columns are views of the segment's: no tick copies a column.
+takes its ticks from model._pair_blocks, the one pair-block rule, which
+also refuses the range and the tick size, and hands each tick the block's
+span, whose columns are views of the segment's: no tick copies a column.
 """
 
 from __future__ import annotations
@@ -70,7 +71,8 @@ import numpy as np
 
 from .basis import LiftedBasis
 from .edmd import _fold, _rank, _solve
-from .model import KoopmanModel, Trajectory, _check_fields, _is_number, _pairs, _samples
+from .model import (KoopmanModel, Trajectory, _check_fields, _is_number, _pair_blocks, _pairs,
+                    _samples)
 
 __all__ = ["OnlineSettings", "RlsState", "RlsUpdateRejectedError", "init_rls", "rls_update",
            "update_tick", "stream_ticks", "snapshot_model"]
@@ -288,24 +290,23 @@ def stream_ticks(state: RlsState, basis: LiftedBasis, traj: Trajectory, start: i
                  stop: int, tick_steps: int):
     """Apply the pairs between samples start and stop, tick_steps pairs a tick.
 
-    Each tick gets traj.slice_samples(lo, end + 1), a Trajectory of views
-    into traj's columns, copying nothing, that carries the sample before the
-    tick, so every pair is applied exactly once; only the last tick may be
-    shorter. Yields (index of the tick's last sample, update_tick's error
-    norms) per tick. A refused tick's RlsUpdateRejectedError is raised again
-    with the tick's first and last sample and their times before
-    update_tick's message.
+    The ticks are the blocks of model._pair_blocks: each gets the span of
+    samples lo..end, a Trajectory of views into traj's columns, copying
+    nothing, that carries the sample before the tick, so every pair is
+    applied exactly once; only the last tick may be shorter. Yields (index
+    of the tick's last sample, update_tick's error norms) per tick. A bad
+    range, or a tick_steps below 1, raises ValueError before any pair is
+    applied. A refused tick's RlsUpdateRejectedError is raised again with
+    the tick's first and last sample and their times before update_tick's
+    message.
     """
-    if not 0 <= start <= stop < len(traj):
-        raise ValueError(f"bad sample range [{start}, {stop}] for length {len(traj)}")
-    for lo in range(start, stop, tick_steps):
-        end = min(lo + tick_steps, stop)
+    for lo, end, tick in _pair_blocks(traj, start, stop, tick_steps):
         try:
-            errs = update_tick(state, basis, traj.slice_samples(lo, end + 1))
+            errs = update_tick(state, basis, tick)
         except RlsUpdateRejectedError as exc:
             raise RlsUpdateRejectedError(
-                f"tick of samples {lo} to {end} (t = {float(traj.t[lo])} s to "
-                f"{float(traj.t[end])} s): {exc}") from exc
+                f"tick of samples {lo} to {end} (t = {float(tick.t[0])} s to "
+                f"{float(tick.t[-1])} s): {exc}") from exc
         yield end, errs
 
 

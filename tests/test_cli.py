@@ -1882,10 +1882,13 @@ def with_scaler(scale, offset=(0.0, 0.0)):
     (lambda doc: doc["basis"].update(max_degree="3"), False),
     (lambda doc: doc["basis"].update(max_degree=10**9), False),
     (lambda doc: doc["basis"].update(state_dim=2.0), False),
+    # compared by value, these exponents once equalled the canonical ones
+    (lambda doc: doc["basis"].update(monomials=[[float(e) for e in exps]
+                                                for exps in doc["basis"]["monomials"]]), False),
 ], ids=["canonical", "state_dim_3", "permuted_monomials", "input_dim_7", "two_column_B",
         "scaled_canonical", "offset_1", "scale_3", "scale_minus_16", "scaler_null",
         "max_degree_true", "max_degree_3.7", "max_degree_str", "max_degree_huge",
-        "state_dim_2.0"])
+        "state_dim_2.0", "float_monomials"])
 def test_other_model_shapes_are_rejected(tmp_path, edit, loads, capsys):
     n = 9
     model = KoopmanModel(basis=LiftedBasis(), theta=0.9 * np.eye(n, n + 1), sample_period=0.025)

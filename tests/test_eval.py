@@ -16,7 +16,8 @@ from koopdrive.evaluate import (
     format_reports,
     reports_to_csv,
 )
-from koopdrive.model import KoopmanModel, RolloutDivergenceError, Trajectory, _window_errors
+from koopdrive.model import (KoopmanModel, RolloutDivergenceError, Trajectory, _pair_blocks,
+                            _window_errors)
 from koopdrive.rls import OnlineSettings, init_rls, snapshot_model, stream_ticks
 from test_model import error_mode
 
@@ -59,10 +60,15 @@ def parent_window_errors(model, traj, k0, steps):
 
 
 def scored_bytes(score, model, traj, k0, steps):
-    """The bytes of the speed and force errors score gives, or the step of
-    the RolloutDivergenceError it raises."""
+    """The bytes of the speed and force errors score gives for the window of
+    steps pairs from sample k0 of traj, or the step of the
+    RolloutDivergenceError it raises. The parent's scorer cuts the window
+    itself; model._window_errors scores the span _pair_blocks cuts."""
     try:
-        return [err.tobytes() for err in score(model, traj, k0, steps)]
+        if score is parent_window_errors:
+            return [err.tobytes() for err in score(model, traj, k0, steps)]
+        (_, _, window), = _pair_blocks(traj, k0, k0 + steps, steps)
+        return [err.tobytes() for err in score(model, window)]
     except RolloutDivergenceError as exc:
         return exc.step
 

@@ -14,7 +14,9 @@ calls np.linalg.qr, cli.py reads evaluate.evaluate_horizons once, only
 evaluate._horizon_steps turns a horizon into samples, only
 model._trusted_trajectory builds an object round its constructor with __new__,
 no module but model.py reads _trusted_trajectory, slices a trajectory column by
-bounds other than literal integers or calls slice(), only Trajectory.write_csv
+bounds other than literal integers or calls slice(), outside model.py only
+edmd.split_dataset calls slice_samples, so model._pair_blocks alone turns a
+range of pairs into a span of samples, only Trajectory.write_csv
 asks for a row template, no module but model.py holds a key of the model file's
 basis block, every except clause that catches a RuntimeWarning or a
 FloatingPointError catches both and calls its own function again under
@@ -885,6 +887,63 @@ def test_detects_column_slices():
                          ids=lambda p: p.name)
 def test_only_slice_samples_cuts_a_span_of_samples(path):
     assert column_slices(path.read_text(encoding="utf-8")) == []
+
+
+# a range of pairs becomes a span of samples in model._pair_blocks alone:
+# every fold block, tick and scored window; split_dataset's parts are ranges
+# of samples, not of pairs, so it alone calls slice_samples outside model.py
+SAMPLE_CUTTER = ("edmd", "split_dataset")
+
+
+def span_cuts(source: str, module: str) -> list[str]:
+    """Reads of slice_samples, named by the innermost function making them,
+    except in edmd.split_dataset."""
+    return reads_outside(source, module, "slice_samples", SAMPLE_CUTTER)
+
+
+# build_matrices' and stream_ticks' block loops as they cut their spans of
+# pairs themselves, before model._pair_blocks, and split_dataset's cut
+EARLIER_BLOCKS = """\
+def build_matrices(trajectories, basis):
+    for i, traj in enumerate(trajectories):
+        pairs = len(traj) - 1
+        for lo in range(0, pairs, _FOLD_ROWS):
+            hi = min(lo + _FOLD_ROWS, pairs)
+            block = traj.slice_samples(lo, hi + 1)
+def stream_ticks(state, basis, traj, start, stop, tick_steps):
+    for lo in range(start, stop, tick_steps):
+        end = min(lo + tick_steps, stop)
+        try:
+            errs = update_tick(state, basis, traj.slice_samples(lo, end + 1))
+        except RlsUpdateRejectedError as exc:
+            raise RlsUpdateRejectedError(f"tick of samples {lo} to {end}: {exc}") from exc
+def split_dataset(trajectories, split):
+    for traj in trajectories:
+        parts[part_idx].append(traj.slice_samples(lo, hi))
+"""
+
+
+def test_detects_span_cuts():
+    assert span_cuts(EARLIER_BLOCKS, "edmd") == ["build_matrices (line 6)",
+                                                 "stream_ticks (line 11)"]
+    assert span_cuts(EARLIER_BLOCKS, "rls") == ["build_matrices (line 6)",
+                                                "stream_ticks (line 11)",
+                                                "split_dataset (line 16)"]
+    # the blocks _pair_blocks yields pass; a cut reached through a name is
+    # a read all the same
+    source = ("def build_matrices(trajectories, basis):\n"
+              "    for lo, hi, block in _pair_blocks(traj, 0, len(traj) - 1, _FOLD_ROWS):\n"
+              "        Z, psi = _pairs(basis, block)\n"
+              "def evaluate_horizons(trajectory, model):\n"
+              "    cut = trajectory.slice_samples\n"
+              "    return cut(0, 2)\n")
+    assert span_cuts(source, "evaluate") == ["evaluate_horizons (line 5)"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "model.py"],
+                         ids=lambda p: p.name)
+def test_only_pair_blocks_cuts_a_span_of_pairs(path):
+    assert span_cuts(path.read_text(encoding="utf-8"), path.stem) == []
 
 
 def column_reads(source: str) -> list[str]:

@@ -22,6 +22,7 @@ from koopdrive.model import (
     RolloutDivergenceError,
     Trajectory,
     _is_number,
+    _pair_blocks,
     _row_template,
     _write_json,
 )
@@ -92,6 +93,56 @@ def test_trajectory_refuses_columns_of_another_shape(columns, message):
     args = dict(t=np.arange(3) * 0.025, v=np.ones(3), f_tr=np.zeros(3), v_ref=np.ones(3))
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         Trajectory(sample_period=0.025, **{**args, **columns})
+
+
+def parent_fold_blocks(traj, size):
+    """build_matrices' block loop as it cut its fold blocks itself, before
+    model._pair_blocks: (lo, hi, block) per block."""
+    blocks = []
+    pairs = len(traj) - 1
+    for lo in range(0, pairs, size):
+        hi = min(lo + size, pairs)
+        block = traj.slice_samples(lo, hi + 1)
+        blocks.append((lo, hi, block))
+    return blocks
+
+
+def parent_ticks(traj, start, stop, tick_steps):
+    """stream_ticks' loop as it cut its ticks itself, before
+    model._pair_blocks: (lo, end, tick) per tick."""
+    ticks = []
+    for lo in range(start, stop, tick_steps):
+        end = min(lo + tick_steps, stop)
+        ticks.append((lo, end, traj.slice_samples(lo, end + 1)))
+    return ticks
+
+
+def block_bounds(blocks, traj):
+    """(lo, hi), the span's length and its first sample's offset into traj's
+    columns, per block; the span's columns must be views of traj's."""
+    out = []
+    for lo, hi, span in blocks:
+        for name in ("t", "v", "f_tr", "v_ref"):
+            assert getattr(span, name).base is getattr(traj, name)
+        offset = (span.t.ctypes.data - traj.t.ctypes.data) // traj.t.itemsize
+        out.append((lo, hi, len(span), offset))
+    return out
+
+
+@pytest.mark.parametrize("n, start, stop, size", [
+    (41, 7, 7, 3), (41, 0, 40, 1), (41, 5, 12, 50), (13, 0, 12, 50), (41, 0, 40, 8),
+    (41, 3, 40, 8), (38, 0, 37, 8), (4097, 0, 4096, 4096), (4099, 0, 4098, 4096),
+], ids=["empty", "size_1", "larger_than_range", "larger_than_trajectory", "exact_multiple",
+        "remainder", "remainder_whole_trajectory", "one_fold_block", "fold_remainder"])
+def test_pair_blocks_cut_the_parents_blocks(n, start, stop, size):
+    traj = make_traj(n=n)
+    ours = block_bounds(_pair_blocks(traj, start, stop, size), traj)
+    assert ours == block_bounds(parent_ticks(traj, start, stop, size), traj)
+    if (start, stop) == (0, n - 1):
+        assert ours == block_bounds(parent_fold_blocks(traj, size), traj)
+    # pairs lo..hi - 1 read samples lo..hi, each pair once
+    assert [hi - lo + 1 for lo, hi, length, _ in ours] == [length for *_, length, _ in ours]
+    assert [pair for lo, hi, *_ in ours for pair in range(lo, hi)] == list(range(start, stop))
 
 
 def test_slice_samples_matches_validated_trajectory():
@@ -553,10 +604,14 @@ def test_constructor_refuses_what_its_file_cannot_hold(tmp_path, basis, provenan
         KoopmanModel(basis, np.zeros((N, N + 1)), 0.025, provenance)
 
 
-@pytest.mark.parametrize("key, value", [("max_degree", True), ("max_degree", 1.0),
-                                        ("state_dim", 2.0)],
-                         ids=["max_degree_true", "max_degree_1.0", "state_dim_2.0"])
-def test_load_rejects_non_integer_basis_sizes(tmp_path, key, value):
+@pytest.mark.parametrize("key, value, message", [
+    ("max_degree", True, "max_degree must be an integer, got True"),
+    ("max_degree", 1.0, "max_degree must be an integer, got 1.0"),
+    ("state_dim", 2.0, "state_dim must be an integer, got 2.0"),
+    ("monomials", [[1, 0], [0, 1.0]], r"monomials must be the integers \[\[1, 0\], \[0, 1\]\]"),
+    ("monomials", [[True, 0], [0, 1]], r"monomials must be the integers \[\[1, 0\], \[0, 1\]\]"),
+], ids=["max_degree_true", "max_degree_1.0", "state_dim_2.0", "monomial_1.0", "monomial_true"])
+def test_load_rejects_non_integer_basis_sizes(tmp_path, key, value, message):
     # a degree-1 file with any of these once loaded, and saved back other bytes
     path = tmp_path / "m.json"
     KoopmanModel(basis=LiftedBasis(max_degree=1), theta=np.eye(2, 3),
@@ -564,7 +619,7 @@ def test_load_rejects_non_integer_basis_sizes(tmp_path, key, value):
     doc = json.loads(path.read_text())
     doc["basis"][key] = value
     path.write_text(json.dumps(doc))
-    with pytest.raises(ModelFileError, match=f"{key} must be an integer, got {value!r}"):
+    with pytest.raises(ModelFileError, match=message):
         KoopmanModel.load(path)
 
 

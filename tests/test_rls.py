@@ -839,13 +839,21 @@ def test_stream_ticks_covers_each_pair_once():
     assert state.update_count == 10
 
 
-@pytest.mark.parametrize("start, stop", [(0, 11), (-1, 5), (6, 5)])
-def test_stream_ticks_rejects_bad_range(start, stop):
+@pytest.mark.parametrize("start, stop, tick_steps, message", [
+    (0, 11, 4, "bad sample range"), (-1, 5, 4, "bad sample range"), (6, 5, 4, "bad sample range"),
+    # a size of 0 once raised range()'s error, and -4 applied no pair and
+    # yielded nothing
+    (0, 10, 0, "got size 0"), (0, 10, -4, "got size -4"),
+], ids=["0-11", "-1-5", "6-5", "size_0", "size_-4"])
+def test_stream_ticks_rejects_bad_range(start, stop, tick_steps, message):
     basis = LiftedBasis()
     state = init_rls(zero_model(basis), 1.0)
-    with pytest.raises(ValueError, match="bad sample range"):
-        next(stream_ticks(state, basis, make_traj(11), start, stop, 4))
+    before = copy.deepcopy(state)
+    with pytest.raises(ValueError, match=message):
+        next(stream_ticks(state, basis, make_traj(11), start, stop, tick_steps))
     assert state.update_count == 0
+    assert state.theta.tobytes() == before.theta.tobytes()
+    assert state._rows.tobytes() == before._rows.tobytes()
 
 
 def test_stream_ticks_empty_range_is_noop():
