@@ -2,15 +2,17 @@
 
 A segment of a recorded trajectory is partitioned into consecutive windows
 of one horizon each, the blocks model._pair_blocks cuts at the horizon's
-steps; any remainder shorter than the horizon is neither cut nor scored. Each
-window's span is cut once and scored by model._window_errors, the window
-scorer of the model module's pair rule, for both variants: a rollout
-re-initialized from the measured state at the window start, compared with
-the measured states after it. This module only chooses the windows and
-pools their errors; it cuts no span, reads no trajectory column and forms
-no pair. Squared errors are pooled across all predicted samples
-of all windows before taking the root. The seeded first sample of a window
-is a measurement, not a prediction, so it does not enter the pool.
+steps; any remainder shorter than the horizon is neither cut nor scored. A
+window's span is cut when it is scored and dropped once it is, so each
+variant's pass over a horizon cuts its windows again and no list of windows
+is held. model._window_errors, the window scorer of the model module's pair
+rule, scores the span: a rollout re-initialized from the measured state at
+the window start, compared with the measured states after it. This module
+only chooses the windows and pools their errors; it cuts no span, reads no
+trajectory column and forms no pair. Squared errors are pooled across all
+predicted samples of all windows before taking the root. The seeded first
+sample of a window is a measurement, not a prediction, so it does not enter
+the pool.
 
 One call scores the frozen model (variant "offline") on every horizon's
 windows and, given online settings, then scores the adapted predictor
@@ -19,7 +21,9 @@ window. The online variant streams the segment once, for all horizons
 together, through recursive least-squares ticks (1 s of samples per tick by
 default), and predicts each window with the parameter snapshot taken at that
 window's start; updates made inside a window therefore only benefit later
-windows, keeping the evaluation causal. The state folds its pairs in fixed
+windows, keeping the evaluation causal. The starts are the first samples of
+the windows _pair_blocks cuts, each window dropped as soon as its start is
+read, so no start is computed here either. The state folds its pairs in fixed
 blocks counted from the segment start, and a snapshot folds the pairs pending
 since into a copy, so the snapshots do not depend on where tick boundaries
 fall, and a horizon's report is the same whether it is evaluated alone or
@@ -87,23 +91,6 @@ def _horizon_steps(horizon, dt: float, room: int, where: str) -> int:
     return steps
 
 
-def _models_at(traj: Trajectory, model: KoopmanModel, online: OnlineSettings, i0: int,
-               windows) -> dict:
-    """The adapted model each window start predicts with, keyed by sample
-    index: one RLS state streams the segment once from its first sample i0,
-    tick by tick, and is snapshotted at each start in increasing order.
-    """
-    tick_steps = online.tick_steps(traj.sample_period)
-    state = init_rls(model, online.lam)
-    models, pos = {}, i0
-    for k in sorted({k for _, blocks in windows for k, _ in blocks}):
-        for _ in stream_ticks(state, model.basis, traj, pos, k, tick_steps):
-            pass
-        models[k] = snapshot_model(state, model.basis, model.sample_period)
-        pos = k
-    return models
-
-
 def evaluate_horizons(trajectory: Trajectory, model: KoopmanModel, horizons,
                       segment, online: OnlineSettings | None = None) -> list[HorizonReport]:
     """Windowed multi-horizon evaluation over a trajectory segment.
@@ -118,25 +105,33 @@ def evaluate_horizons(trajectory: Trajectory, model: KoopmanModel, horizons,
     dt = trajectory.sample_period
     _check_same_sample_period("data", dt, "the model", model.sample_period)
     i0, i1 = trajectory.segment_indices(*segment)
-    windows = []
-    for horizon in horizons:
-        steps = _horizon_steps(horizon, dt, i1 - i0, f"inside segment {segment}")
+    horizon_steps = [(horizon, _horizon_steps(horizon, dt, i1 - i0, f"inside segment {segment}"))
+                     for horizon in horizons]
+
+    def windows(steps):
         # whole windows only: the pairs after the last one are not cut
-        blocks = _pair_blocks(trajectory, i0, i1 - (i1 - i0) % steps, steps)
-        windows.append((horizon, [(lo, span) for lo, _, span in blocks]))
+        return _pair_blocks(trajectory, i0, i1 - (i1 - i0) % steps, steps)
+
     variants = [("offline", lambda k: model)]
     if online is not None:
-        variants.append(("online", _models_at(trajectory, model, online, i0, windows).__getitem__))
+        # one RLS state streams the segment once, snapshotted at each start
+        tick_steps = online.tick_steps(dt)
+        state, models, pos = init_rls(model, online.lam), {}, i0
+        for k in sorted({lo for _, steps in horizon_steps for lo, _, _ in windows(steps)}):
+            for _ in stream_ticks(state, model.basis, trajectory, pos, k, tick_steps):
+                pass
+            models[k], pos = snapshot_model(state, model.basis, model.sample_period), k
+        variants.append(("online", models.__getitem__))
 
     reports = []
     with np.errstate(all="ignore"):
         for variant, model_at in variants:
-            for horizon, blocks in windows:
-                errs = [_window_errors(model_at(k), span) for k, span in blocks]
+            for horizon, steps in horizon_steps:
+                errs = [_window_errors(model_at(lo), span) for lo, _, span in windows(steps)]
                 err_v, err_f = (np.concatenate(e) for e in zip(*errs))
                 rmse_v, rmse_f = (float(np.sqrt(np.mean(e**2))) for e in (err_v, err_f))
                 reports.append(HorizonReport(float(horizon), variant, rmse_v, rmse_f,
-                                             n_windows=len(blocks), n_samples=len(err_v)))
+                                             n_windows=len(errs), n_samples=len(err_v)))
     return reports
 
 

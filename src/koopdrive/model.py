@@ -39,9 +39,11 @@ lo..hi, so it cuts pairs start..stop - 1 into blocks of a given size, only
 the last one shorter, and yields each block's bounds with the span
 slice_samples(lo, hi + 1). edmd.build_matrices takes its fold blocks from
 it, rls.stream_ticks its ticks and evaluate.evaluate_horizons its scored
-windows, the whole blocks of one horizon's steps each, so no other module
-cuts a span of pairs, and outside this module only edmd.split_dataset,
-whose parts are ranges of samples, calls slice_samples (a lint holds it).
+windows, the whole blocks of one horizon's steps each, and their starts;
+evaluate cuts a window when it scores it, or reads its start, and drops it
+after. So no other module cuts a span of pairs, and outside this module
+only edmd.split_dataset, whose parts are ranges of samples, calls
+slice_samples (a lint holds it).
 _pairs is the one pair rule: it lifts a span once, through the one lift
 kernel basis.lift_many, and returns Z = [psi | u] and psi, so pair i is
 (Z[i], psi[i + 1]), regressor and target. edmd.build_matrices takes each

@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -269,6 +270,32 @@ def test_offline_rows_come_first_and_match_the_offline_call():
     assert [dataclasses.astuple(r) for r in both[:3]] == [dataclasses.astuple(r) for r in offline]
     assert [(r.n_windows, r.n_samples) for r in both[3:]] == [
         (r.n_windows, r.n_samples) for r in offline]
+    # horizons are read once, so a one-shot iterator gives the same reports
+    assert evaluate_horizons(traj, model, iter(horizons), seg,
+                             online=OnlineSettings(lam=0.999)) == both
+    assert evaluate_horizons(traj, model, iter(horizons), seg) == offline
+
+
+@pytest.mark.parametrize("online", [None, OnlineSettings(lam=0.999)], ids=["offline", "online"])
+def test_windows_are_cut_as_they_are_scored(monkeypatch, online):
+    # each span is cut when it is scored, or when its start is read, and is
+    # dropped after: the spans alive at once do not grow with the windows,
+    # here 2399 of one sample and 11 of 5 s
+    model, traj, seg = changed_dynamics_case(n=2400)
+    original = Trajectory.slice_samples
+    live, alive = [], []
+
+    def recorded(self, start, stop):
+        span = original(self, start, stop)
+        live[:] = [ref for ref in live if ref() is not None] + [weakref.ref(span)]
+        alive.append(len(live))
+        return span
+
+    monkeypatch.setattr(Trajectory, "slice_samples", recorded)
+    reports = evaluate_horizons(traj, model, [0.025, 5.0], seg, online=online)
+    assert [r.n_windows for r in reports[:2]] == [2399, 11]
+    assert len(alive) >= 2410
+    assert max(alive) <= 4
 
 
 @pytest.mark.parametrize("online", [None, OnlineSettings()], ids=["offline", "online"])
