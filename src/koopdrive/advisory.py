@@ -213,6 +213,11 @@ class RouteSpec:
             raise ValueError(f"{path}: stop must be 0 or 1, got {float(data[row, 3])!r} in "
                              f"data row {row + 1} (position_m {float(data[row, 0])!r})")
         pos = data[:, 0]
+        # node j sits at j * step_m, so a route that starts elsewhere would
+        # shift every position written for it by its start
+        if pos[0] != 0.0:
+            raise ValueError(f"{path}: node positions must start at 0.0 m, "
+                             f"got {float(pos[0])!r} m")
         step = float(pos[1] - pos[0])
         if not (math.isfinite(step) and step > 0):
             raise ValueError(f"{path}: node positions must rise by a positive finite step, "

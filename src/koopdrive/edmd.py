@@ -11,8 +11,9 @@ optionally with a ridge penalty ridge * ||theta||_F^2. The pairs are never
 stacked: build_matrices, the one fold loop, takes each trajectory's rows
 [Psi | u | Psi+] one block of _FOLD_ROWS pairs at a time, the block cut by
 model._pair_blocks and its pairs formed by model._pairs, the rules that
-rls.stream_ticks and rls.update_tick follow too, so this module cuts no
-span of pairs, reads no v_ref column and calls no lift itself. It checks
+rls.stream_ticks and rls.update_tick follow too. split_dataset takes each
+part's pairs from model._pair_blocks as well, so this module cuts no span
+of samples, reads no v_ref column and calls no lift itself. It checks
 the block finite once and folds it into the upper triangular factor R of a
 QR decomposition of all rows seen so far (a streaming tall-skinny QR), so
 beyond the trajectories the caller holds, memory stays at one (2N+1) x (2N+1)
@@ -66,6 +67,9 @@ __all__ = [
 _FOLD_ROWS = 4096
 
 _EPS = np.finfo(float).eps
+
+# the parts of a split, in the order split_dataset returns them
+_PARTS = ("train", "validation", "test")
 
 
 class RankDeficientDataError(ValueError):
@@ -156,10 +160,13 @@ def split_dataset(trajectories, split):
     """Contiguous train/validation/test split of the cascaded sample stream.
 
     Trajectories are concatenated in order and cut at floor((f + 1e-9) *
-    total) sample boundaries, f a cumulative fraction. Every part, a whole
-    trajectory included, is a Trajectory.slice_samples view of its columns,
-    and the transition pair across a cut is dropped implicitly. Each
-    resulting part must contain at least 2 samples.
+    total) sample boundaries, f a cumulative fraction. A part holds the
+    transition pairs that lie wholly inside its cut: where samples lo..hi - 1
+    of a trajectory fall in it, pairs lo..hi - 2, taken as one block of
+    model._pair_blocks, the span slice_samples(lo, hi) of views of its
+    columns. So the pair across a cut is dropped, and so is a one-sample
+    fragment, which holds no pair: its sample belongs to no part. A part
+    left with no pair is refused.
     """
     trajectories = list(trajectories)
     if not trajectories:
@@ -170,24 +177,17 @@ def split_dataset(trajectories, split):
     # 0.8999999999999999 in floats, cuts 30 samples at 27
     b1, b2 = (int(math.floor((f + 1e-9) * total)) for f in (split[0], split[0] + split[1]))
     parts: tuple[list, list, list] = ([], [], [])
-    names = ("train", "validation", "test")
     bounds = (0, b1, b2, total)
     offset = 0
     for traj in trajectories:
         n = len(traj)
-        for part_idx in range(3):
-            lo = max(bounds[part_idx] - offset, 0)
-            hi = min(bounds[part_idx + 1] - offset, n)
-            if hi - lo <= 0:
-                continue
-            if hi - lo < 2:
-                raise ValueError(
-                    f"{names[part_idx]} part would receive a {hi - lo}-sample fragment; "
-                    "dataset is too small for this split"
-                )
-            parts[part_idx].append(traj.slice_samples(lo, hi))
+        for part, start, stop in zip(parts, bounds, bounds[1:]):
+            lo = max(start - offset, 0)
+            hi = min(stop - offset, n)
+            if hi > lo:
+                part.extend(span for _, _, span in _pair_blocks(traj, lo, hi - 1, n))
         offset += n
-    for name, part in zip(names, parts):
+    for name, part in zip(_PARTS, parts):
         if not part:
             raise ValueError(f"{name} part is empty; dataset is too small for this split")
     return parts
@@ -302,23 +302,20 @@ def fit_trajectories(trajectories, config: FitConfig) -> tuple[KoopmanModel, Fit
 
     The pre-scale is computed from the training part only: per channel, the
     power of two nearest to its peak magnitude. The report carries one-step
-    prediction errors in physical units for all three parts.
+    prediction errors in physical units for all three parts, and each part's
+    samples and pairs. A one-sample fragment belongs to no part (see
+    split_dataset), so split_samples sums to the roster's samples less one
+    per fragment.
     """
-    train, val, test = split_dataset(trajectories, config.split)
-    scale = (pow2_scale(max(np.max(np.abs(traj.v)) for traj in train), "v"),
-             pow2_scale(max(np.max(np.abs(traj.f_tr)) for traj in train), "f_tr"))
+    parts = dict(zip(_PARTS, split_dataset(trajectories, config.split)))
+    scale = (pow2_scale(max(np.max(np.abs(traj.v)) for traj in parts["train"]), "v"),
+             pow2_scale(max(np.max(np.abs(traj.f_tr)) for traj in parts["train"]), "f_tr"))
     basis = LiftedBasis(max_degree=config.max_degree, scale=scale)
-    mats = {name: build_matrices(part, basis)
-            for name, part in (("train", train), ("validation", val), ("test", test))}
+    mats = {name: build_matrices(part, basis) for name, part in parts.items()}
     model = fit(mats["train"], config)
-    rmse_v, rmse_f = {}, {}
-    for name, mm in mats.items():
-        rv, rf = _one_step_rmse(model, mm)
-        rmse_v[name] = rv
-        rmse_f[name] = rf
+    rmse = {name: _one_step_rmse(model, mm) for name, mm in mats.items()}
     report = FitReport(
-        split_samples={name: sum(len(t) for t in part)
-                       for name, part in (("train", train), ("validation", val), ("test", test))},
+        split_samples={name: sum(len(t) for t in part) for name, part in parts.items()},
         split_pairs={name: mm.T for name, mm in mats.items()},
         residual_fro=model.provenance["residual_fro"],
         condition_number=model.provenance["condition_number"],
@@ -326,7 +323,7 @@ def fit_trajectories(trajectories, config: FitConfig) -> tuple[KoopmanModel, Fit
         max_degree=config.max_degree,
         scaling="pow2",
         scaler=_scaler(basis),
-        one_step_rmse_v_mps=rmse_v,
-        one_step_rmse_f_n=rmse_f,
+        one_step_rmse_v_mps={name: rv for name, (rv, _) in rmse.items()},
+        one_step_rmse_f_n={name: rf for name, (_, rf) in rmse.items()},
     )
     return model, report

@@ -32,18 +32,19 @@ an arange of the sample period.
 Trajectory.slice_samples hands out a slice of an already validated
 trajectory as views of its columns, copying nothing, and does not validate
 it again either; both build their result through _trusted_trajectory, the
-one slicing rule that Trajectory.window, edmd.split_dataset's parts and
-every span of pairs go through.
+one slicing rule that Trajectory.window and every span of pairs go
+through.
 _pair_blocks is the one pair-block rule: pairs lo..hi - 1 read samples
 lo..hi, so it cuts pairs start..stop - 1 into blocks of a given size, only
 the last one shorter, and yields each block's bounds with the span
-slice_samples(lo, hi + 1). edmd.build_matrices takes its fold blocks from
-it, rls.stream_ticks its ticks and evaluate.evaluate_horizons its scored
-windows, the whole blocks of one horizon's steps each, and their starts;
-evaluate cuts a window when it scores it, or reads its start, and drops it
-after. So no other module cuts a span of pairs, and outside this module
-only edmd.split_dataset, whose parts are ranges of samples, calls
-slice_samples (a lint holds it).
+slice_samples(lo, hi + 1). Every fold block, tick, scored window and split
+part is cut here: edmd.build_matrices takes its fold blocks from it,
+rls.stream_ticks its ticks, evaluate.evaluate_horizons its scored windows,
+the whole blocks of one horizon's steps each, and their starts, and
+edmd.split_dataset each recording's share of a part as one block of the
+pairs wholly inside the part's cut; evaluate cuts a window when it scores
+it, or reads its start, and drops it after. So no other module cuts a span
+of pairs, and no module but this one calls slice_samples (a lint holds it).
 _pairs is the one pair rule: it lifts a span once, through the one lift
 kernel basis.lift_many, and returns Z = [psi | u] and psi, so pair i is
 (Z[i], psi[i + 1]), regressor and target. edmd.build_matrices takes each
@@ -388,8 +389,9 @@ def _pair_blocks(traj: Trajectory, start: int, stop: int, size: int):
     that pairs lo..hi - 1 read, as views (see Trajectory.slice_samples).
 
     The one place that turns a range of pairs into a span of samples: every
-    fold block, tick and scored window comes here. Raises ValueError before
-    the first block unless 0 <= start <= stop < len(traj) and size >= 1.
+    fold block, tick, scored window and split part comes here. Raises
+    ValueError before the first block unless 0 <= start <= stop < len(traj)
+    and size >= 1.
     """
     if not 0 <= start <= stop < len(traj):
         raise ValueError(f"bad sample range [{start}, {stop}] for length {len(traj)}")

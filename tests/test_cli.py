@@ -694,6 +694,22 @@ def test_route_positions_off_the_grid_exit_3(tmp_path, config_file, nodes, row, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("shift", [100.0, -10.0])
+def test_route_not_starting_at_0_m_exit_3(tmp_path, config_file, shift, capsys):
+    # the profile places node j at j * step_m, so a route shifted along the
+    # road would be written out as if it started at 0 m
+    header, *rows = SHIPPED_ROUTE.read_text().splitlines()
+    shifted = [f"{float(row.split(',')[0]) + shift!r},{row.split(',', 1)[1]}" for row in rows]
+    route = tmp_path / "route.csv"
+    route.write_text("\n".join([header, *shifted]) + "\n")
+    out = tmp_path / "adv"
+    assert main(["advisory", "--route", str(route), "--config", str(config_file),
+                 "--out", str(out)]) == 3
+    assert (f"{route}: node positions must start at 0.0 m, got {shift!r} m"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_infeasible_route_exit_4(tmp_path, config_file):
     # mandatory 9 m/s next to a stop is kinematically unreachable
     p = tmp_path / "bad_route.csv"

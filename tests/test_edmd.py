@@ -7,11 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from koopdrive.basis import LiftedBasis
 from koopdrive.cli import main
 from koopdrive.edmd import (
     _FOLD_ROWS,
+    _PARTS,
     _fold,
     DataMatrices,
     FitConfig,
@@ -348,10 +350,80 @@ def test_no_trajectory_is_refused(refused):
         refused()
 
 
-def test_split_rejects_fragment():
+def test_split_rejects_an_empty_validation_part():
+    # the cuts fall at samples 4 and 4: validation gets no sample, and test's
+    # one sample holds no pair
     trajs = [make_traj(5, seed=5)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^validation part is empty; dataset is too small"):
         split_dataset(trajs, (0.8, 0.1, 0.1))
+
+
+@pytest.mark.parametrize("split,samples", [
+    ((0.5005, 0.2495, 0.25), ([1000], [499], [500])),
+    ((0.4995, 0.2505, 0.25), ([999], [500], [500])),
+], ids=["train_fragment", "validation_fragment"])
+def test_split_drops_a_one_sample_fragment(split, samples):
+    # the first cut falls one sample into the second drive, or one sample
+    # before the end of the first: that sample holds no pair and joins no part
+    trajs = [make_traj(1000, seed=1), make_traj(1000, seed=2)]
+    parts = split_dataset(trajs, split)
+    assert tuple([len(span) for span in part] for part in parts) == samples
+    model, report = fit_trajectories(trajs, FitConfig(split=split))
+    assert report.split_samples == dict(zip(_PARTS, (sum(s) for s in samples)))
+    assert report.split_pairs == dict(zip(_PARTS, (sum(s) - 1 for s in samples)))
+    assert sum(report.split_samples.values()) == 2000 - 1
+
+
+def cascaded_roster(lengths):
+    """Recordings of the given lengths whose v column is the global index of
+    each sample in the cascaded stream, so a span tells which samples it holds."""
+    offsets = np.cumsum([0] + lengths[:-1]).tolist()
+    return [Trajectory(sample_period=0.1, t=np.arange(n) * 0.1, v=o + np.arange(n, dtype=float),
+                       f_tr=np.zeros(n), v_ref=np.zeros(n))
+            for o, n in zip(offsets, lengths)], offsets
+
+
+@given(st.lists(st.integers(2, 60), min_size=1, max_size=5),
+       st.lists(st.integers(1, 999), min_size=2, max_size=2, unique=True).map(sorted))
+@example([10, 10], [550, 800])  # a one-sample train fragment in the second recording
+@example([5], [800, 900])  # an empty validation part
+@settings(max_examples=300, deadline=None)
+def test_split_parts_hold_the_pairs_inside_their_cuts(lengths, cuts):
+    split = (cuts[0] / 1000, (cuts[1] - cuts[0]) / 1000, (1000 - cuts[1]) / 1000)
+    roster, offsets = cascaded_roster(lengths)
+    total = sum(lengths)
+    B = [0] + [math.floor((f + 1e-9) * total) for f in (split[0], split[0] + split[1])] + [total]
+    # pair i of the recording at offset o, by the global index o + i of its
+    # first sample, goes to part p exactly when it lies wholly inside p's cut
+    expected = [[o + i for o, n in zip(offsets, lengths) for i in range(n - 1)
+                 if B[p] <= o + i and o + i + 1 < B[p + 1]] for p in range(3)]
+    empty = [name for name, pairs in zip(_PARTS, expected) if not pairs]
+    if empty:
+        with pytest.raises(ValueError, match=f"^{empty[0]} part is empty"):
+            split_dataset(roster, split)
+        return
+    parts = split_dataset(roster, split)
+    for part, pairs in zip(parts, expected):
+        assert [int(v) for span in part for v in span.v[:-1]] == pairs
+        for span in part:
+            j = int(np.searchsorted(offsets, span.v[0], side="right")) - 1
+            assert np.shares_memory(span.v, roster[j].v)
+            assert np.array_equal(span.v, span.v[0] + np.arange(len(span)))
+    # split_dataset once refused a one-sample fragment; on every input it
+    # accepted then, each span is the bytes of slice_samples over the part's
+    # samples
+    cuts_per_part = [[(j, max(B[p] - o, 0), min(B[p + 1] - o, n))
+                      for j, (o, n) in enumerate(zip(offsets, lengths))
+                      if min(B[p + 1] - o, n) > max(B[p] - o, 0)] for p in range(3)]
+    if any(hi - lo == 1 for part in cuts_per_part for _, lo, hi in part):
+        return
+    for part, part_cuts in zip(parts, cuts_per_part):
+        assert len(part) == len(part_cuts)
+        for span, (j, lo, hi) in zip(part, part_cuts):
+            ref = roster[j].slice_samples(lo, hi)
+            assert span.sample_period == ref.sample_period
+            for column in ("t", "v", "f_tr", "v_ref"):
+                assert getattr(span, column).tobytes() == getattr(ref, column).tobytes()
 
 
 def test_fit_trajectories_end_to_end():

@@ -14,9 +14,9 @@ calls np.linalg.qr, cli.py reads evaluate.evaluate_horizons once, only
 evaluate._horizon_steps turns a horizon into samples, only
 model._trusted_trajectory builds an object round its constructor with __new__,
 no module but model.py reads _trusted_trajectory, slices a trajectory column by
-bounds other than literal integers or calls slice(), outside model.py only
-edmd.split_dataset calls slice_samples, so model._pair_blocks alone turns a
-range of pairs into a span of samples, only Trajectory.write_csv
+bounds other than literal integers or calls slice(), no module but model.py
+calls slice_samples, so model._pair_blocks alone turns a range of pairs into
+a span of samples, only Trajectory.write_csv
 asks for a row template, no module but model.py holds a key of the model file's
 basis block, every except clause that catches a RuntimeWarning or a
 FloatingPointError catches both and calls its own function again under
@@ -890,15 +890,12 @@ def test_only_slice_samples_cuts_a_span_of_samples(path):
 
 
 # a range of pairs becomes a span of samples in model._pair_blocks alone:
-# every fold block, tick and scored window; split_dataset's parts are ranges
-# of samples, not of pairs, so it alone calls slice_samples outside model.py
-SAMPLE_CUTTER = ("edmd", "split_dataset")
-
-
+# every fold block, tick, scored window and split part, so no module but
+# model.py calls slice_samples
 def span_cuts(source: str, module: str) -> list[str]:
-    """Reads of slice_samples, named by the innermost function making them,
-    except in edmd.split_dataset."""
-    return reads_outside(source, module, "slice_samples", SAMPLE_CUTTER)
+    """Reads of slice_samples, named by the innermost function making them;
+    the lint reads every module but model.py, which defines it."""
+    return reads_outside(source, module, "slice_samples", (SLICER, None))
 
 
 # build_matrices' and stream_ticks' block loops as they cut their spans of
@@ -924,11 +921,10 @@ def split_dataset(trajectories, split):
 
 
 def test_detects_span_cuts():
-    assert span_cuts(EARLIER_BLOCKS, "edmd") == ["build_matrices (line 6)",
-                                                 "stream_ticks (line 11)"]
-    assert span_cuts(EARLIER_BLOCKS, "rls") == ["build_matrices (line 6)",
-                                                "stream_ticks (line 11)",
-                                                "split_dataset (line 16)"]
+    for module in ("edmd", "rls"):
+        assert span_cuts(EARLIER_BLOCKS, module) == ["build_matrices (line 6)",
+                                                     "stream_ticks (line 11)",
+                                                     "split_dataset (line 16)"]
     # the blocks _pair_blocks yields pass; a cut reached through a name is
     # a read all the same
     source = ("def build_matrices(trajectories, basis):\n"
