@@ -15,10 +15,13 @@ the dictionary has nine entries and reads
     v, f, v*f, v**2, f**2, v**2*f, v*f**2, v**3, f**3
 
 Ordering rule: the identity monomials v, f come first, then each higher
-degree block in turn; inside a degree block, monomials that mix both
-variables precede pure powers, and otherwise exponent pairs are sorted
-lexicographically descending. The monomials follow from ``max_degree`` by
-this rule, so a basis is rebuilt exactly from its degree and scale.
+degree block in turn; a degree-d block lists the terms that mix both
+variables by falling power of v, v**(d-1)*f through v*f**(d-1), then v**d,
+then f**d. The monomials are built in this order, not sorted, and follow
+from ``max_degree`` alone, so a basis is rebuilt exactly from its degree and
+scale. Their count, (d + 1)(d + 2)/2 - 1 for degree d, is _monomial_count's
+alone, so a degree is sized before its basis is built (the model file check
+and the fit's pair-count check read it).
 
 ``lift_many(v, f)`` is the one lift kernel. It takes the v and f columns,
 stacks them into one (2, k) array, divides it by the scale column in place,
@@ -44,7 +47,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
@@ -80,17 +82,9 @@ def pow2_scale(peak: float, name: str) -> float:
     return 2.0 ** exponent
 
 
-def _monomial_order_key(exponents: tuple[int, ...]):
-    # degree block first; mixed terms before pure powers; then lex descending
-    degree = sum(exponents)
-    nonzero = sum(1 for e in exponents if e > 0)
-    return (degree, -nonzero, tuple(-e for e in exponents))
-
-
-def _enumerate_exponents(max_degree: int) -> tuple[tuple[int, int], ...]:
-    exps = [e for e in product(range(max_degree + 1), repeat=2) if 1 <= sum(e) <= max_degree]
-    exps.sort(key=_monomial_order_key)
-    return tuple(exps)
+def _monomial_count(max_degree: int) -> int:
+    """The number of monomials of (v, f) of degree 1..max_degree."""
+    return (max_degree + 1) * (max_degree + 2) // 2 - 1
 
 
 @dataclass(frozen=True)
@@ -112,7 +106,9 @@ class LiftedBasis:
                              f"got {self.scale!r}")
         object.__setattr__(self, "_scale", np.array(self.scale))
         object.__setattr__(self, "_scale_column", np.array(self.scale)[:, None])
-        monomials = _enumerate_exponents(self.max_degree)
+        # each degree block: the mixed terms by falling power of v, then v**d, then f**d
+        monomials = tuple((a, d - a) for d in range(1, self.max_degree + 1)
+                          for a in (*range(d - 1, 0, -1), d, 0))
         object.__setattr__(self, "monomials", monomials)
         # the (2, k, d + 1) power array holds v**0..v**d, then f**0..f**d
         object.__setattr__(self, "_powers", np.arange(self.max_degree + 1, dtype=float))

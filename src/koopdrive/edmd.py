@@ -34,7 +34,10 @@ one-step errors return to physical units by one exact multiply. The report
 and the model's provenance record that pre-scale as "scaling": "pow2" and
 "scaled": true, and the report carries the model file's scaler object, which
 model._scaler builds. Every trajectory of a fit must share one sample period
-to 2e-9 relative.
+to 2e-9 relative. The pair-count rule, _check_pairs, is written once: with
+ridge = 0, fewer training pairs than the N + 1 columns that the degree alone
+gives (basis._monomial_count) are refused by fit_trajectories right after
+the split and the scale, before any basis or R factor exists, and by fit.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import LiftedBasis, pow2_scale
+from .basis import LiftedBasis, _monomial_count, pow2_scale
 from .model import (KoopmanModel, _check_fields, _check_same_sample_period, _is_number,
                     _pair_blocks, _pairs, _scaler)
 
@@ -231,22 +234,28 @@ def _errors(R: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return R[:, :p] @ theta.T - R[:, p:]
 
 
+def _check_pairs(T: int, max_degree: int, ridge: float) -> None:
+    """Refuse T transition pairs for the N + 1 columns of a degree's basis
+    with ridge = 0 when T < N + 1: the one pair-count rule of a fit."""
+    p = _monomial_count(max_degree) + 1
+    if T < p and ridge == 0.0:
+        raise ValueError(f"{T} transition pairs cannot determine {p} columns; "
+                         "add data or use ridge > 0")
+
+
 def fit(matrices: DataMatrices, config: FitConfig) -> KoopmanModel:
     """Solve for [A B] from the R factor of the stacked pairs.
 
-    With ridge = 0 the problem must be full rank; a rank-deficient stack
-    raises RankDeficientDataError suggesting a ridge. A ridge folds the rows
+    With ridge = 0 the problem must be full rank: fewer pairs than columns
+    raise ValueError (_check_pairs, which fit_trajectories calls before it
+    builds a basis), and a rank-deficient stack raises
+    RankDeficientDataError suggesting a ridge. A ridge folds the rows
     sqrt(ridge) [I 0] into a copy of R. The fit residual and the condition
     number of the (ridged) regressor go into the model provenance.
     """
-    N = matrices.basis.lifted_dim
-    p = N + 1
+    p = matrices.basis.lifted_dim + 1
     T = matrices.T
-    if T < p and config.ridge == 0.0:
-        raise ValueError(
-            f"{T} transition pairs cannot determine {p} columns; "
-            "add data or use ridge > 0"
-        )
+    _check_pairs(T, matrices.basis.max_degree, config.ridge)
     R = matrices.R
     if config.ridge > 0.0:
         prior = math.sqrt(config.ridge) * np.eye(p, len(R))
@@ -305,11 +314,14 @@ def fit_trajectories(trajectories, config: FitConfig) -> tuple[KoopmanModel, Fit
     prediction errors in physical units for all three parts, and each part's
     samples and pairs. A one-sample fragment belongs to no part (see
     split_dataset), so split_samples sums to the roster's samples less one
-    per fragment.
+    per fragment. With ridge = 0, a degree whose columns outnumber the
+    training pairs is refused with fit's ValueError before its basis is
+    built or any pair is lifted.
     """
     parts = dict(zip(_PARTS, split_dataset(trajectories, config.split)))
     scale = (pow2_scale(max(np.max(np.abs(traj.v)) for traj in parts["train"]), "v"),
              pow2_scale(max(np.max(np.abs(traj.f_tr)) for traj in parts["train"]), "f_tr"))
+    _check_pairs(sum(len(traj) - 1 for traj in parts["train"]), config.max_degree, config.ridge)
     basis = LiftedBasis(max_degree=config.max_degree, scale=scale)
     mats = {name: build_matrices(part, basis) for name, part in parts.items()}
     model = fit(mats["train"], config)

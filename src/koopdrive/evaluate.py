@@ -205,7 +205,9 @@ def bench_update(trajectories, model: KoopmanModel, horizons,
         online_total_s=online_totals,
         online_per_tick_s=per_tick,
         speedup=[offline_s / t if t > 0 else float("inf") for t in per_tick],
-        hardware=f"{platform.platform()} / {platform.processor() or 'unknown cpu'}",
+        # platform.platform() and platform.processor() run `uname -p` in a
+        # subprocess; these three read os.uname() alone
+        hardware="-".join((platform.system(), platform.release(), platform.machine())),
         warning=warning,
     )
 

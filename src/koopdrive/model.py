@@ -63,8 +63,9 @@ format is decided here alone: KoopmanModel.save writes the basis block,
 [...], "offset": [0.0, 0.0]}}, whose monomials follow from d, and
 KoopmanModel.load checks it in one place: a state_dim, max_degree or
 monomial exponent that is no integer, a state_dim other than 2, a missing or
-null scaler, another offset, another monomial list (its length first, so a
-huge degree is refused at once), or a scale that is not two positive finite
+null scaler, another offset, another monomial list (its length first,
+against the count basis._monomial_count gives, so a huge degree is refused
+before its basis is built), or a scale that is not two positive finite
 powers of two, is rejected. _scaler builds the scaler object, which the fit
 report copies. A reload checks A's and B's shapes, stacks them and builds
 the model through its constructor, so a file passes the same checks as a
@@ -114,7 +115,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .basis import LiftedBasis
+from .basis import LiftedBasis, _monomial_count
 
 SCHEMA_VERSION = 1
 _MODEL_KIND = "lifted_linear_driver_model"
@@ -618,8 +619,8 @@ class KoopmanModel:
             if not (len(offset) == 2 and all(isinstance(o, float) and o == 0.0 for o in offset)):
                 raise ValueError(f"scaler offset must be [0.0, 0.0], got {offset!r}")
             degree, monomials = doc["max_degree"], doc["monomials"]
-            # the count first, so a huge degree is refused before its pairs are enumerated
-            count = (degree + 1) * (degree + 2) // 2 - 1
+            # the count first, so a huge degree is refused before its basis is built
+            count = _monomial_count(degree)
             if len(monomials) != count:
                 raise ValueError(f"degree {degree} has {count} monomials, got {len(monomials)}")
             basis = LiftedBasis(max_degree=degree, scale=tuple(scaler["scale"]))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from koopdrive.basis import LiftedBasis, pow2_scale
+from koopdrive.basis import LiftedBasis, _monomial_count, pow2_scale
 from koopdrive.model import KoopmanModel, ModelFileError
 
 
@@ -18,6 +18,21 @@ def test_monomial_ordering_degree3():
         (2, 1), (1, 2), (3, 0), (0, 3),
     )
     assert basis.lifted_dim == 9
+
+
+def sorted_monomials(max_degree):
+    """The order by its sort rule: degree block first, mixed terms before
+    pure powers, then exponent pairs lexicographically descending."""
+    exps = [(a, b) for a in range(max_degree + 1) for b in range(max_degree + 1)
+            if 1 <= a + b <= max_degree]
+    return tuple(sorted(exps, key=lambda e: (sum(e), -sum(x > 0 for x in e), -e[0], -e[1])))
+
+
+def test_built_order_is_the_sort_rule():
+    for degree in range(1, 61):
+        basis = LiftedBasis(max_degree=degree)
+        assert basis.monomials == sorted_monomials(degree), degree
+        assert basis.lifted_dim == _monomial_count(degree), degree
 
 
 def test_lift_known_point():

@@ -6,6 +6,7 @@ import math
 import multiprocessing
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -628,6 +629,36 @@ def test_split_is_held_to_the_number_rule(build_copy, split, shown, capsys):
     assert (captured.out, captured.err) == (
         "", f"error: section 'fit': fit.split needs three fractions in (0, 1], got {shown}\n")
     assert (file_bytes(build_copy), all_paths(build_copy)) == (before, paths)
+
+
+def cap_address_space():
+    """Hold a child process to 2 GiB of address space."""
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("degree, columns", [(3000, 4504501),
+                                             (1000000000, 500000001500000001)])
+def test_fit_refuses_a_huge_degree_before_building_its_basis(toy_build, tmp_path, degree,
+                                                             columns):
+    # two 400-sample drives: samples 0..639 train, 399 + 239 pairs. Each case
+    # runs in a child held to 2 GiB and 60 s, so a fit that built the basis
+    # (4.5 million monomials at degree 3000) or asked for R (591 TiB) fails
+    # fast instead of filling memory
+    data = tmp_path / "drivers"
+    data.mkdir()
+    for name in ("driver_01.csv", "driver_02.csv"):
+        rows = (toy_build / "drivers" / name).read_text().splitlines(keepends=True)
+        (data / name).write_text("".join(rows[:401]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "koopdrive.cli", "fit", "--data", str(data),
+         "--model-out", str(tmp_path / "model.json"), "--degree", str(degree)],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=cap_address_space)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        3, "", f"error: 638 transition pairs cannot determine {columns} columns; "
+        "add data or use ridge > 0\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["drivers"]
 
 
 def test_bad_json_exit_3(tmp_path, toy_route):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from koopdrive import edmd
 from koopdrive.basis import LiftedBasis
 from koopdrive.cli import main
 from koopdrive.edmd import (
@@ -115,6 +116,39 @@ def test_ridge_suppresses_rank_error():
     model = fit(data, FitConfig(ridge=1e-6))
     assert np.all(np.isfinite(model.A))
     assert model.provenance["ridge"] == 1e-6
+
+
+def test_fit_refuses_fewer_pairs_than_columns():
+    # degree 3 has 9 monomials and the input, 10 columns, which 9 pairs
+    # cannot determine: a plain ValueError, not a rank error
+    basis, A, B, rng = random_lifted_system(seed=2)
+    data = fold(basis, *lifted_data(basis, A, B, rng, 9))
+    with pytest.raises(ValueError, match="^9 transition pairs cannot determine 10 columns; "
+                                         "add data or use ridge > 0$") as caught:
+        fit(data, FitConfig())
+    assert type(caught.value) is ValueError
+
+
+def test_fit_trajectories_refuses_too_few_pairs_before_building_anything(monkeypatch):
+    # degree 40 gives 860 monomials, 861 columns; the training part of two
+    # 400-sample drives is samples 0..639, 399 + 239 pairs
+    calls = []
+
+    def spy(name):
+        real = getattr(edmd, name)
+
+        def called(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return called
+
+    for name in ("LiftedBasis", "build_matrices"):
+        monkeypatch.setattr(edmd, name, spy(name))
+    with pytest.raises(ValueError, match="^638 transition pairs cannot determine 861 columns; "
+                                         "add data or use ridge > 0$"):
+        fit_trajectories([make_traj(400, seed=1), make_traj(400, seed=2)],
+                         FitConfig(max_degree=40))
+    assert calls == []
 
 
 def test_ridge_matches_normal_equations():

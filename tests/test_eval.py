@@ -1,5 +1,7 @@
 import dataclasses
+import platform
 import re
+import subprocess
 import warnings
 import weakref
 
@@ -343,6 +345,20 @@ def test_bench_report_fields():
     assert r.warning is not None  # small dataset carries a caveat
     d = dataclasses.asdict(r)
     assert "speedup" in d and "n_pairs" in d
+
+
+def test_bench_starts_no_process(monkeypatch):
+    # platform.processor() and platform.platform() run `uname -p` in a
+    # subprocess; a fresh uname cache makes any such call reach Popen
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"bench_update started a process: {args!r}")
+
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+    monkeypatch.setattr(platform, "_uname_cache", None)
+    model = linear_readout_model()
+    r = bench_update([model_trajectory(model, n=400, seed=1)], model, [1.0],
+                     online=OnlineSettings())
+    assert r.hardware == "-".join((platform.system(), platform.release(), platform.machine()))
 
 
 def test_bench_refits_with_the_model_ridge():

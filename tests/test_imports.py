@@ -157,7 +157,9 @@ def test_only_model_writes_files(path):
 def process_starts(source: str, home=None) -> list[str]:
     """Imports of multiprocessing and concurrent.futures, and reads of
     os.fork, except in the function named home: cli._map_roster is the one
-    place that starts processes."""
+    place that starts processes. Reads of platform.platform and
+    platform.processor count too, anywhere: both run `uname -p` in a
+    subprocess."""
     found = []
 
     def visit(node, func):
@@ -169,6 +171,10 @@ def process_starts(source: str, home=None) -> list[str]:
             elif (isinstance(child, ast.Attribute) and child.attr == "fork"
                   and isinstance(child.value, ast.Name) and child.value.id == "os"):
                 names = ["os.fork"]
+            elif (isinstance(child, ast.Attribute) and child.attr in ("platform", "processor")
+                  and isinstance(child.value, ast.Name) and child.value.id == "platform"):
+                found.append((child.lineno, f"platform.{child.attr}"))
+                names = []
             else:
                 names = []
             if home is None or func != home:
@@ -186,11 +192,13 @@ def test_detects_process_starts():
     source = ("import multiprocessing.context\nfrom concurrent.futures import Executor\n"
               "from concurrent import futures\nimport os\nos.fork()\nos.getpid()\n"
               "from os import fork\nimport concurrent\nfrom .multiprocessing import x\n"
-              "def f():\n    import multiprocessing as mp\n")
+              "def f():\n    import multiprocessing as mp\n"
+              "platform.platform()\nplatform.processor()\nplatform.machine()\n")
     assert process_starts(source) == [
         "multiprocessing.context (line 1)", "concurrent.futures.Executor (line 2)",
         "concurrent.futures (line 3)", "os.fork (line 5)", "os.fork (line 7)",
-        "multiprocessing (line 11)"]
+        "multiprocessing (line 11)", "platform.platform (line 12)",
+        "platform.processor (line 13)"]
 
 
 def test_detects_process_starts_outside_the_roster_map():
@@ -199,10 +207,12 @@ def test_detects_process_starts_outside_the_roster_map():
               "def _bind_roster_run(run):\n    from concurrent.futures import process\n"
               "def cmd_simulate(args):\n    pid = os.fork()\n"
               "    def worker():\n        import multiprocessing.pool\n"
-              "import concurrent.futures\n")
+              "import concurrent.futures\n"
+              "def _map_roster(run):\n    platform.processor()\n")
     assert process_starts(source, "_map_roster") == [
         "concurrent.futures.process (line 6)", "os.fork (line 8)",
-        "multiprocessing.pool (line 10)", "concurrent.futures (line 11)"]
+        "multiprocessing.pool (line 10)", "concurrent.futures (line 11)",
+        "platform.processor (line 13)"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
