@@ -15,7 +15,8 @@ roster. simulate makes --out only as a drive is written, so an input that
 every drive refuses leaves no directory. Every command writes files
 atomically (temp file plus rename), and reports failures on stderr with one
 of four exit codes: 0 on success, 2 for I/O problems, 3 for invalid inputs
-or configuration, 4 for numerical failures (rank-deficient data, diverging
+or configuration, among them one that needs more memory than the machine
+can allocate, 4 for numerical failures (rank-deficient data, diverging
 rollouts, infeasible routes, an RLS prediction error that is not finite or
 RLS information singular to working precision).
 
@@ -661,6 +662,8 @@ def main(argv=None) -> int:
             return _fail(f"malformed JSON: {exc}", 3)
         except ValueError as exc:
             return _fail(str(exc), 3)
+        except MemoryError as exc:  # a degree's basis or R beyond what the machine allocates
+            return _fail(f"not enough memory: {exc}", 3)
 
 
 if __name__ == "__main__":

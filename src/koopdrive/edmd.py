@@ -25,8 +25,8 @@ rows, every quantity of the fit follows from R alone: theta from its leading
 (N+1) x (N+1) block, the rank and condition number from that block's
 singular values (rank counts those above max(T, N+1) * eps * sigma_max), and
 the residual and one-step errors from || R [theta^T; -I] ||. Every fold,
-offline and online, is one raw-mode LAPACK QR (_fold) whose lower triangle
-is zeroed by a cached mask, the bits of np.linalg.qr's R.
+offline and online, is numpy's own R, np.linalg.qr(rows, mode="r")
+(_fold).
 
 fit_trajectories lifts states divided by the basis scale: per channel, the
 power of two nearest to the training part's peak |v| or |f_tr|, so the
@@ -42,7 +42,6 @@ the split and the scale, before any basis or R factor exists, and by fit.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -197,22 +196,9 @@ def split_dataset(trajectories, split):
 
 
 def _fold(rows: np.ndarray) -> np.ndarray:
-    """R of a QR decomposition of rows, R^T R = rows^T rows: every fold, offline and online.
-
-    The bits of np.linalg.qr(rows, mode="r"): LAPACK's R sits on and above
-    the diagonal of the raw factor's first min(m, n) rows, and the strict
-    lower triangle, which holds the reflectors, reads +0.0.
-    """
-    h = np.linalg.qr(rows, mode="raw")[0].T[:min(rows.shape)]
-    return np.where(_strictly_lower(*h.shape), 0.0, h)
-
-
-@functools.cache
-def _strictly_lower(m: int, n: int) -> np.ndarray:
-    """The read-only (m, n) mask of the entries below the diagonal."""
-    mask = np.tri(m, n, -1, dtype=bool)
-    mask.flags.writeable = False
-    return mask
+    """R of a QR decomposition of rows, R^T R = rows^T rows: every fold, offline
+    and online, is numpy's own min(m, n) x n triangle."""
+    return np.linalg.qr(rows, mode="r")
 
 
 def _rank(R11: np.ndarray, count: int) -> tuple[int, np.ndarray]:

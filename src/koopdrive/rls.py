@@ -17,15 +17,17 @@ upper triangular R with R'R = P^-1, and theta. A pair's row is [z | eps],
 with eps = psi(x_next) - theta z, so the rows are relative to theta and
 theta_0's prior rows are sqrt(lambda) [I | 0]. Every _FOLD_PAIRS pairs,
 counted from the start of the stream, the k pending rows are folded into R
-by one QR (edmd._fold), the oldest weighted by lambda^((k-1)/2), the newest
-by 1 and R by lambda^(k/2), and theta moves by the folded rows'
-least-squares solution (edmd._solve), which is then 0 again: the state
-keeps no right-hand side, and pairs with zero error leave theta bit for
-bit. R and the pending rows share one row stack [R | 0; z | eps]. The
-state keeps only what it cannot derive: the number of pending rows is
-update_count % _FOLD_PAIRS, and a fold's weights come from one vector of
-powers of sqrt(lambda): R's rows times R's weight, stacked above the
-pending rows times their own, go into the QR.
+by one QR, numpy's own R (edmd._fold, np.linalg.qr(rows, mode="r")), the
+oldest weighted by lambda^((k-1)/2), the newest by 1 and R by lambda^(k/2),
+and theta moves by the folded rows' least-squares solution (edmd._solve),
+which is then 0 again: the state keeps no right-hand side, and pairs with
+zero error leave theta bit for bit. R and the pending rows share one row
+stack [R | 0; z | eps]. The state stores no count of its pending rows,
+which are the first update_count % _FOLD_PAIRS, and a k-row fold weighs
+its stack by one multiply with a weight column of powers of
+sqrt(lambda) that the state builds once for each k: lambda^(k/2) on R's
+rows, then lambda^((k-1)/2) down to 1 on the pending rows, so each entry
+is multiplied by its own weight once.
 rls_update(state, z, psi_next) writes one pair's row into that stack and
 returns its error norm, against theta as of the last fold. It writes
 through the (z, eps) views of the pending rows that the state makes once:
@@ -150,9 +152,12 @@ class RlsState:
         self._rows = np.zeros((p + _FOLD_PAIRS, p + n))
         self._rows[:p, :p] = math.sqrt(lam) * np.eye(p)
         self._pair_rows = self._row_views()
-        # lambda^(j/2) for j = _FOLD_PAIRS down to 0: a k-row fold weighs R
-        # by _decay[-k - 1] and its pending rows, oldest first, by _decay[-k:]
-        self._decay = math.sqrt(lam) ** np.arange(_FOLD_PAIRS, -1, -1)
+        # _weights[k - 1] weighs the stack of a k-row fold, _rows[:p + k], in
+        # one multiply: lambda^(k/2) on R's rows, then lambda^((k-1)/2) down
+        # to 1 on the pending rows, oldest first
+        decay = math.sqrt(lam) ** np.arange(_FOLD_PAIRS, -1, -1)
+        self._weights = [np.concatenate((np.full(p, decay[-k - 1]), decay[-k:]))[:, None]
+                         for k in range(1, _FOLD_PAIRS + 1)]
         self.update_count = 0
 
     def _row_views(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -179,11 +184,7 @@ class RlsState:
             return self.R, self._theta
         p = self.n_features
         try:
-            # R's rows times R's weight, above the pending rows times their
-            # own: each entry is multiplied by its own weight only, as in a
-            # weight column
-            R = _fold(np.concatenate((self._rows[:p] * self._decay[-k - 1],
-                                      self._rows[p:p + k] * self._decay[-k:, None])))
+            R = _fold(self._rows[:p + k] * self._weights[k - 1])
             rank, svals = _rank(R[:p, :p], p)
             if rank < p:
                 raise RlsUpdateRejectedError(

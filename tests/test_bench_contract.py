@@ -7,7 +7,9 @@ and no failed operation. Their own output checks then hold that
 `update_tick` accepts the benchmark's per-tick `Trajectory.slice_samples`
 buffers, that `update_count` counts every pair applied, that the final P is
 exactly symmetric and passes Cholesky, that every tick's snapshot and
-rollout succeed, and, traced, that `rls_update` runs once per pair.
+rollout succeed, and, traced, that `rls_update` runs once per pair. Each
+run's metrics must be exactly BENCHMARK.json's `end_to_end` names, untraced,
+or its `per_layer` names, traced, each with its unit.
 """
 
 import json
@@ -18,6 +20,7 @@ import sys
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
 
 def smoke_run(workload, trace):
@@ -30,6 +33,9 @@ def smoke_run(workload, trace):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"], proc.stderr
     assert result["failed"] == 0
+    wanted = SPEC["per_layer"] if trace else SPEC["end_to_end"]
+    assert {name: metric["unit"] for name, metric in result["metrics"].items()} == {
+        m["name"]: m["unit"] for m in wanted}
 
 
 @pytest.mark.parametrize("trace", [0, 1])

@@ -636,14 +636,11 @@ def cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
-@pytest.mark.parametrize("degree, columns", [(3000, 4504501),
-                                             (1000000000, 500000001500000001)])
-def test_fit_refuses_a_huge_degree_before_building_its_basis(toy_build, tmp_path, degree,
-                                                             columns):
-    # two 400-sample drives: samples 0..639 train, 399 + 239 pairs. Each case
-    # runs in a child held to 2 GiB and 60 s, so a fit that built the basis
-    # (4.5 million monomials at degree 3000) or asked for R (591 TiB) fails
-    # fast instead of filling memory
+def fit_two_short_drives(toy_build, tmp_path, *flags):
+    """Run fit on the first 400 samples of two toy drives (samples 0..639
+    train, 399 + 239 pairs) in a child held to 2 GiB and 60 s, so a fit that
+    builds a huge basis or asks for a huge R fails fast instead of filling
+    memory."""
     data = tmp_path / "drivers"
     data.mkdir()
     for name in ("driver_01.csv", "driver_02.csv"):
@@ -651,13 +648,32 @@ def test_fit_refuses_a_huge_degree_before_building_its_basis(toy_build, tmp_path
         (data / name).write_text("".join(rows[:401]))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
         filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "koopdrive.cli", "fit", "--data", str(data),
-         "--model-out", str(tmp_path / "model.json"), "--degree", str(degree)],
+         "--model-out", str(tmp_path / "model.json"), *flags],
         env=env, capture_output=True, text=True, timeout=60, preexec_fn=cap_address_space)
+
+
+@pytest.mark.parametrize("degree, columns", [(3000, 4504501),
+                                             (1000000000, 500000001500000001)])
+def test_fit_refuses_a_huge_degree_before_building_its_basis(toy_build, tmp_path, degree,
+                                                             columns):
+    # the basis has 4.5 million monomials at degree 3000, and R would take 591 TiB
+    proc = fit_two_short_drives(toy_build, tmp_path, "--degree", str(degree))
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         3, "", f"error: 638 transition pairs cannot determine {columns} columns; "
         "add data or use ridge > 0\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["drivers"]
+
+
+def test_fit_out_of_memory_exit_3(toy_build, tmp_path):
+    # with a ridge nothing refuses degree 1500 before build_matrices asks for
+    # its R of 2254501 x 2254501 floats, 37.0 TiB; numpy's MemoryError
+    # exits 3 with one line, not 1 with a traceback
+    proc = fit_two_short_drives(toy_build, tmp_path, "--degree", "1500", "--ridge", "1e-6")
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("error: not enough memory: Unable to allocate 37.0 TiB ")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["drivers"]
 
 

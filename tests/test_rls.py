@@ -244,6 +244,35 @@ def parent_kernel(theta, P, lam, z, psi_next):
     return 0.5 * (P_new + P_new.T), float(np.linalg.norm(eps))
 
 
+def parent_fold(state, k):
+    """R and theta of a k-row fold as the state formed them before its weight
+    columns: R's rows and the pending rows times their powers of
+    sqrt(lambda) by two multiplies and a concatenate, and LAPACK's raw
+    factor with its strict lower triangle zeroed by a mask; the byte
+    reference of RlsState._folded."""
+    p = state.n_features
+    decay = math.sqrt(state.lam) ** np.arange(_FOLD_PAIRS, -1, -1)
+    rows = np.concatenate((state._rows[:p] * decay[-k - 1],
+                           state._rows[p:p + k] * decay[-k:, None]))
+    h = np.linalg.qr(rows, mode="raw")[0].T[:min(rows.shape)]
+    R = np.where(np.tri(*h.shape, -1, dtype=bool), 0.0, h)
+    return R[:p, :p], state._theta + np.linalg.solve(R[:p, :p], R[:p, p:]).T
+
+
+@pytest.mark.parametrize("lam", [0.99737, 0.9])
+def test_weighted_fold_matches_the_parent_fold_bytes(lam):
+    # one multiply by the k-row weight column and numpy's own R give the
+    # bits of the parent's two multiplies and masked raw factor, at every k
+    rng = np.random.default_rng(21)
+    state = RlsState(rng.normal(0, 0.1, size=(9, 10)), lam)
+    state._rows[:10, :10] = np.triu(rng.normal(0, 1, (10, 10))) + 4 * np.eye(10)
+    state._rows[10:] = rng.normal(0, 1, (_FOLD_PAIRS, 19))
+    for k in range(1, _FOLD_PAIRS + 1):
+        R, theta = state._folded(k)
+        ref_R, ref_theta = parent_fold(state, k)
+        assert (R.tobytes(), theta.tobytes()) == (ref_R.tobytes(), ref_theta.tobytes()), k
+
+
 def assert_close_to_max(actual, desired, rel=1e-9):
     """Every entry within rel of desired's largest magnitude."""
     assert np.max(np.abs(actual - desired)) <= rel * np.max(np.abs(desired))
@@ -712,17 +741,24 @@ def test_update_tick_rejects_state_of_another_basis():
     assert (state.update_count, state._rows.tobytes()) == (0, rows)
 
 
-def test_update_tick_calls_kernel_once_per_pair(monkeypatch):
+def counting_kernel(monkeypatch):
+    """Patch rls_update, which update_tick calls through the module name,
+    with a spy; the list it returns gets each call's update_count."""
     import koopdrive.rls
 
     calls = []
     original = koopdrive.rls.rls_update
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(state, *args):
+        calls.append(state.update_count)
+        return original(state, *args)
 
     monkeypatch.setattr(koopdrive.rls, "rls_update", counted)
+    return calls
+
+
+def test_update_tick_calls_kernel_once_per_pair(monkeypatch):
+    calls = counting_kernel(monkeypatch)
     basis = LiftedBasis()
     state = init_rls(zero_model(basis), 1.0)
     assert len(update_tick(state, basis, make_traj(41))) == len(calls) == 40
@@ -828,6 +864,35 @@ def test_view_ticks_match_the_copied_tick_bytes(monkeypatch, tick_steps):
     assert state._rows.tobytes() == ref._rows.tobytes()
     assert_same_state(state, ref)
     assert state.update_count == 250
+
+
+@pytest.mark.parametrize("tick_steps", [1, 4, 7, 40])
+def test_stream_ticks_calls_kernel_once_per_pair(monkeypatch, tick_steps):
+    # the per-pair kernel contract the bench's traced runs check: every pair
+    # is one rls_update call, in order; 253 pairs leave a short last tick at
+    # every size but 1
+    calls = counting_kernel(monkeypatch)
+    basis, state, traj = buffer_stream(n=253)
+    errs = [e for _, e in stream_ticks(state, basis, traj, 0, 253, tick_steps)]
+    assert calls == list(range(253))
+    assert sum(map(len, errs)) == state.update_count == 253
+
+
+@pytest.mark.parametrize("tick_steps", [1, 4, 7, 40])
+def test_stream_ticks_refused_pair_is_the_last_kernel_call(monkeypatch, tick_steps):
+    # a NaN input in sample 150 breaks pair 150: it is the last call, and the
+    # 150 pairs before it are applied as a stream over them alone applies them
+    basis, ref, traj = buffer_stream(n=253)
+    feed(ref, basis, traj, 0, 150, tick_steps)
+    calls = counting_kernel(monkeypatch)
+    basis, state, traj = buffer_stream(n=253)
+    traj.v_ref[150] = np.nan
+    with pytest.raises(RlsUpdateRejectedError, match="non-finite prediction error"):
+        feed(state, basis, traj, 0, 253, tick_steps)
+    assert calls == list(range(151))
+    assert state.update_count == 150
+    assert state.theta.tobytes() == ref.theta.tobytes()
+    assert state.R.tobytes() == ref.R.tobytes()
 
 
 def test_stream_ticks_covers_each_pair_once():
