@@ -13,12 +13,16 @@ outputs of advisory are its three files in --out (ADVISORY_FILES), and
 those of simulate the driver_NN.csv it writes for each driver of the
 roster. simulate makes --out only as a drive is written, so an input that
 every drive refuses leaves no directory. Every command writes files
-atomically (temp file plus rename), and reports failures on stderr with one
-of four exit codes: 0 on success, 2 for I/O problems, 3 for invalid inputs
-or configuration, among them one that needs more memory than the machine
-can allocate, 4 for numerical failures (rank-deficient data, diverging
-rollouts, infeasible routes, an RLS prediction error that is not finite or
-RLS information singular to working precision).
+atomically (temp file plus rename), and reports a failure as one `error:`
+line on stderr, with one of four exit codes: 0 on success, 2 for I/O
+problems, 3 for invalid inputs or configuration, among them one that needs
+more memory than the machine can allocate, 4 for numerical failures
+(rank-deficient data, diverging rollouts, infeasible routes, an RLS
+prediction error that is not finite or RLS information singular to working
+precision). main runs the command under np.errstate(all="ignore"): by the
+numerical-error rule (see the model module) every step gives numpy's
+default-mode values and verdicts whatever the caller's error handling, so
+no output byte moves, and numpy prints no RuntimeWarning before that line.
 
 A JSON configuration file supplies the physical and algorithmic parameters.
 main builds all of it once, by one rule (_build), into the Config it hands
@@ -480,6 +484,9 @@ def cmd_fit(args, cfg: Config) -> int:
 # ---------------------------------------------------------------- update
 
 def cmd_update(args, cfg: Config) -> int:
+    """Adapt a model over a trajectory segment by recursive least squares. The
+    output holds the adapted theta but not the RLS information R, so an update
+    from it restarts at P = I/lam."""
     online = cfg.rls
     _check_files((args.config, args.model, args.data), (args.out, args.log))
 
@@ -494,6 +501,9 @@ def cmd_update(args, cfg: Config) -> int:
     log_rows = [(tick, float(traj.t[end]), len(errs), float(np.mean(errs)))
                 for tick, (end, errs) in enumerate(ticks, start=1)]
 
+    # the parent's fit keys (pairs, ridge, residual_fro, condition_number,
+    # data_files) are carried over: they describe the offline fit this
+    # update started from, not its theta, and bench reads the ridge from them
     updated = snapshot_model(state, model.basis, model.sample_period,
                              provenance={**model.provenance,
                                          "updated_from": os.path.basename(args.model),
@@ -580,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="split fractions override")
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("update", help="adapt a model over a trajectory segment")
+    p = sub.add_parser("update", help="adapt a model over a segment", description=cmd_update.__doc__)
     p.add_argument("--model", required=True, help="model JSON to start from")
     p.add_argument("--data", required=True, help="trajectory CSV")
     p.add_argument("--segment", required=True, type=float, nargs=2, metavar=("T0", "T1"),
@@ -650,7 +660,7 @@ def _one_blas_thread():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    with _one_blas_thread():
+    with _one_blas_thread(), np.errstate(all="ignore"):
         try:
             return args.func(args, _load_config(args))
         except OSError as exc:

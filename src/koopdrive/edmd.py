@@ -26,7 +26,10 @@ rows, every quantity of the fit follows from R alone: theta from its leading
 singular values (rank counts those above max(T, N+1) * eps * sigma_max), and
 the residual and one-step errors from || R [theta^T; -I] ||. Every fold,
 offline and online, is numpy's own R, np.linalg.qr(rows, mode="r")
-(_fold).
+(_fold). fit applies its ridge one way at every ridge: it folds the rows
+sqrt(ridge) [I 0] into a copy of R, which at ridge 0 are zero rows, and
+numpy's QR leaves a stack's triangle unchanged when the rows below it are
+zero, so the unridged fit solves R's own bytes.
 
 fit_trajectories lifts states divided by the basis scale: per channel, the
 power of two nearest to the training part's peak |v| or |f_tr|, so the
@@ -235,19 +238,19 @@ def fit(matrices: DataMatrices, config: FitConfig) -> KoopmanModel:
     With ridge = 0 the problem must be full rank: fewer pairs than columns
     raise ValueError (_check_pairs, which fit_trajectories calls before it
     builds a basis), and a rank-deficient stack raises
-    RankDeficientDataError suggesting a ridge. A ridge folds the rows
-    sqrt(ridge) [I 0] into a copy of R. The fit residual and the condition
-    number of the (ridged) regressor go into the model provenance.
+    RankDeficientDataError suggesting a ridge. The rows sqrt(ridge) [I 0]
+    are folded into a copy of R at every ridge, the least-squares statement
+    of ridge regression; at ridge 0 they are zero rows, and the fold returns
+    R's bytes. The fit residual and the condition number of the (ridged)
+    regressor go into the model provenance.
     """
     p = matrices.basis.lifted_dim + 1
     T = matrices.T
     _check_pairs(T, matrices.basis.max_degree, config.ridge)
     R = matrices.R
-    if config.ridge > 0.0:
-        prior = math.sqrt(config.ridge) * np.eye(p, len(R))
-        R_solve = _fold(np.vstack([R, prior]))
-    else:
-        R_solve = R
+    # at ridge 0 the rows are zero, and numpy's QR leaves a stack's triangle
+    # unchanged when the rows below it are zero: R_solve is R byte for byte
+    R_solve = _fold(np.vstack([R, math.sqrt(config.ridge) * np.eye(p, len(R))]))
     rank, svals = _rank(R_solve[:p, :p], max(T, p))
     if config.ridge == 0.0 and rank < p:
         raise RankDeficientDataError(

@@ -91,8 +91,10 @@ pairs, and the window errors (_window_errors run under evaluate's errstate)
 with their RMSE. _pairs and the RLS tick keep a fast path that enters no
 np.errstate; each of their handlers catches RuntimeWarning and
 FloatingPointError and calls its own function again under
-np.errstate(all="ignore"). A lint in the tests holds every
-np.errstate call and every such handler to this form.
+np.errstate(all="ignore"). cli.main is a caller that sets
+np.errstate(all="ignore") round every command, so a streaming command that
+fails prints its error line and no numpy RuntimeWarning. A lint in the
+tests holds every np.errstate call and every such handler to this form.
 
 Every table and JSON file of the package is written by the two writers here,
 _write_csv_table and _write_json, or, for trajectories, by the row template

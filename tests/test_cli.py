@@ -982,6 +982,33 @@ def test_refused_tick_names_its_samples_and_times(tmp_path, command, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("stage", ["update", "eval"])
+def test_streaming_failure_prints_one_error_line_and_no_warning(tmp_path, toy_build, stage,
+                                                               capsys):
+    # a spiked speed overflows the tick's lift and a pair's error square; the
+    # tick's fast path enters no errstate, so update and eval --online once
+    # printed numpy's two RuntimeWarnings before their error line. With all
+    # warnings shown, not made errors as in this suite's settings (which the
+    # handlers absorb), none is recorded
+    traj = Trajectory.read_csv(toy_build / "drivers" / "driver_03.csv")
+    traj.v[700] = 1e120  # t = 17.5 s, inside the segment
+    data = tmp_path / "spiked.csv"
+    traj.write_csv(data)
+    out = tmp_path / "out"
+    argv = command_for(stage, toy_build, toy_build / "config.json", out)
+    argv[argv.index("--data") + 1] = str(data)
+    if stage == "eval":
+        argv.append("--online")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
+    assert err.count("\n") == 1 and err.startswith("error: tick of samples ")
+    assert err.endswith("update rejected: non-finite prediction error\n")
+    assert not out.exists()
+
+
 def test_update_of_an_updated_model_records_this_run(tmp_path):
     # the carried-over provenance once overwrote this run's update count and
     # forgetting factor with the first run's

@@ -15,7 +15,10 @@ from koopdrive.cli import main
 from koopdrive.edmd import (
     _FOLD_ROWS,
     _PARTS,
+    _errors,
     _fold,
+    _rank,
+    _solve,
     DataMatrices,
     FitConfig,
     RankDeficientDataError,
@@ -96,24 +99,21 @@ def test_scalar_system_recovery():
     np.testing.assert_allclose(model.B, B_true, atol=1e-10)
 
 
-def test_rank_deficiency_raises():
+def constant_state_stack():
+    """50 pairs of one constant state: every lifted column identical, so the
+    regressor cannot have full rank."""
     basis = LiftedBasis()
-    # constant state: every lifted column identical, G cannot have full rank
-    pts = np.tile([5.0, 100.0], (50, 1))
-    X = basis.lift_many(*pts.T).T
-    U = np.ones((1, 50))
-    data = fold(basis, X, X, U)
+    X = basis.lift_many(*np.tile([5.0, 100.0], (50, 1)).T).T
+    return fold(basis, X, X, np.ones((1, 50)))
+
+
+def test_rank_deficiency_raises():
     with pytest.raises(RankDeficientDataError):
-        fit(data, FitConfig())
+        fit(constant_state_stack(), FitConfig())
 
 
 def test_ridge_suppresses_rank_error():
-    basis = LiftedBasis()
-    pts = np.tile([5.0, 100.0], (50, 1))
-    X = basis.lift_many(*pts.T).T
-    U = np.ones((1, 50))
-    data = fold(basis, X, X, U)
-    model = fit(data, FitConfig(ridge=1e-6))
+    model = fit(constant_state_stack(), FitConfig(ridge=1e-6))
     assert np.all(np.isfinite(model.A))
     assert model.provenance["ridge"] == 1e-6
 
@@ -347,6 +347,82 @@ def test_fold_is_numpys_r_byte_for_byte(name):
     assert np.all(R[lower] == 0.0) and not np.signbit(R[lower]).any()
     # the rows themselves are left alone
     assert rows.tobytes() == before
+
+
+def planted_r(rng, n):
+    """numpy's R of n columns, as a fold leaves it, with a zero column (a zero
+    diagonal entry among them) and -0.0 planted in its upper triangle."""
+    rows = rng.normal(size=(n + 3, n)) * np.logspace(0, 4, n)
+    rows[:, rng.integers(n)] = 0.0
+    R = _fold(rows)
+    upper = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool)))
+    R.flat[rng.choice(upper, size=max(1, n // 4), replace=False)] = -0.0
+    return R
+
+
+@pytest.mark.parametrize("lo,hi,count", [(2, 40, 400), (120, 260, 12)],
+                         ids=["unblocked", "blocked"])
+def test_zero_rows_leave_r_byte_for_byte(lo, hi, count):
+    # fit folds the ridge rows sqrt(ridge) [I 0] at every ridge; at ridge 0
+    # they are zero rows, and numpy's QR must then return R itself, sign bits
+    # included. From 120 columns LAPACK takes its blocked path
+    rng = np.random.default_rng(lo)
+    for _ in range(count):
+        n = int(rng.integers(lo, hi + 1))
+        R = planted_r(rng, n)
+        zeros = np.zeros((int(rng.integers(1, n + 1)), n))
+        assert _fold(np.vstack([R, zeros])).tobytes() == R.tobytes()
+
+
+def parent_fit(matrices, config):
+    """fit's solve as it was with two paths, the ridge rows folded only at
+    ridge > 0: theta, the residual and the condition number."""
+    p = matrices.basis.lifted_dim + 1
+    T = matrices.T
+    R = matrices.R
+    if config.ridge > 0.0:
+        prior = math.sqrt(config.ridge) * np.eye(p, len(R))
+        R_solve = _fold(np.vstack([R, prior]))
+    else:
+        R_solve = R
+    rank, svals = _rank(R_solve[:p, :p], max(T, p))
+    if config.ridge == 0.0 and rank < p:
+        raise RankDeficientDataError(
+            f"stacked data matrix has rank {rank} < {p}; the regression is "
+            "degenerate (insufficient excitation). Use ridge > 0 or richer data."
+        )
+    theta = _solve(R_solve, p)
+    residual = float(np.linalg.norm(_errors(R, theta)))
+    cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else float("inf")
+    return theta, residual, cond
+
+
+def assert_fit_is_parent_fit(matrices, config):
+    model = fit(matrices, config)
+    theta, residual, cond = parent_fit(matrices, config)
+    assert model.theta.tobytes() == theta.tobytes()
+    # float.hex spells every bit of a float
+    assert model.provenance["residual_fro"].hex() == residual.hex()
+    assert model.provenance["condition_number"].hex() == cond.hex()
+
+
+@pytest.mark.parametrize("ridge", [0.0, 1e-3])
+def test_one_fit_path_matches_the_two_path_fit_on_the_roster(reduced_roster, ridge):
+    config = FitConfig(ridge=ridge)
+    model, _ = fit_trajectories(reduced_roster, config)
+    train = split_dataset(reduced_roster, config.split)[0]
+    assert_fit_is_parent_fit(build_matrices(train, model.basis), config)
+
+
+def test_one_fit_path_matches_the_two_path_fit_on_a_rank_deficient_stack():
+    data = constant_state_stack()
+    assert_fit_is_parent_fit(data, FitConfig(ridge=1e-6))
+    with pytest.raises(RankDeficientDataError) as parent:
+        parent_fit(data, FitConfig())
+    with pytest.raises(RankDeficientDataError) as caught:
+        fit(data, FitConfig())
+    assert str(caught.value) == str(parent.value)
+    assert str(caught.value).startswith("stacked data matrix has rank ")
 
 
 def test_split_dataset_fractions():
