@@ -102,8 +102,10 @@ __all__ = [
 ]
 
 
-class RouteInfeasibleError(ValueError):
-    """No admissible path exists; carries the first blocking node."""
+class RouteInfeasibleError(ArithmeticError):
+    """No admissible path exists; carries the first blocking node. An
+    ArithmeticError, like every numerical refusal of the package, so the
+    command line exits 4 on it."""
 
     def __init__(self, node_index: int, position: float, detail: str):
         self.node_index = node_index

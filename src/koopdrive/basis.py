@@ -56,15 +56,6 @@ __all__ = [
 ]
 
 
-def _state_array(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if arr.shape != (2,):
-        raise ValueError(f"state must have shape (2,), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"state must be finite, got {arr}")
-    return arr
-
-
 def pow2_scale(peak: float, name: str) -> float:
     """The power of two nearest to a channel's peak magnitude |peak|, in log2.
 
@@ -104,7 +95,6 @@ class LiftedBasis:
                                            and math.frexp(s)[0] == 0.5 for s in self.scale):
             raise ValueError(f"scale must be two positive finite powers of two, "
                              f"got {self.scale!r}")
-        object.__setattr__(self, "_scale", np.array(self.scale))
         object.__setattr__(self, "_scale_column", np.array(self.scale)[:, None])
         # each degree block: the mixed terms by falling power of v, then v**d, then f**d
         monomials = tuple((a, d - a) for d in range(1, self.max_degree + 1)
@@ -121,7 +111,11 @@ class LiftedBasis:
 
     def lift(self, x) -> np.ndarray:
         """Map one physical state to its lifted image, shape (lifted_dim,)."""
-        x = _state_array(x)
+        x = np.asarray(x, dtype=float)
+        if x.shape != (2,):
+            raise ValueError(f"state must have shape (2,), got {x.shape}")
+        if not np.all(np.isfinite(x)):
+            raise ValueError(f"state must be finite, got {x}")
         return self.lift_many(x[:1], x[1:])[0]
 
     def lift_many(self, v: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -142,4 +136,4 @@ class LiftedBasis:
         arr = np.asarray(Z, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != self.lifted_dim:
             raise ValueError(f"expected (k, {self.lifted_dim}) array, got {arr.shape}")
-        return arr[:, :2] * self._scale
+        return arr[:, :2] * self._scale_column.T

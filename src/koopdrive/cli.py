@@ -16,13 +16,16 @@ every drive refuses leaves no directory. Every command writes files
 atomically (temp file plus rename), and reports a failure as one `error:`
 line on stderr, with one of four exit codes: 0 on success, 2 for I/O
 problems, 3 for invalid inputs or configuration, among them one that needs
-more memory than the machine can allocate, 4 for numerical failures
-(rank-deficient data, diverging rollouts, infeasible routes, an RLS
-prediction error that is not finite or RLS information singular to working
-precision). main runs the command under np.errstate(all="ignore"): by the
-numerical-error rule (see the model module) every step gives numpy's
-default-mode values and verdicts whatever the caller's error handling, so
-no output byte moves, and numpy prints no RuntimeWarning before that line.
+more memory than the machine can allocate, 4 for numerical failures: any
+ArithmeticError, the class every numerical refusal of the package derives
+from (rank-deficient data, diverging rollouts, infeasible routes, an RLS
+prediction error or folded information that is not finite, RLS information
+singular to working precision), so main maps exit 4 by that one class and
+names none of them. main runs the command under np.errstate(all="ignore"):
+by the numerical-error rule (see the model module) every step gives
+numpy's default-mode values and verdicts whatever the caller's error
+handling, so no output byte moves, and numpy prints no RuntimeWarning
+before that line.
 
 A JSON configuration file supplies the physical and algorithmic parameters.
 main builds all of it once, by one rule (_build), into the Config it hands
@@ -35,8 +38,9 @@ section. Before the build a flag overrides one key: --gamma advisory.gamma,
 --drivers drivers.count, --seed seed, --ridge fit.ridge, --degree
 fit.max_degree, --split fit.split, --lam rls.lam, --cadence rls.cadence_s,
 --horizons eval.horizons_s and eval's --segment eval.segment_s. A top-level
-seed drives every stochastic choice, and per-driver seeds derive from it as
-seed + driver index, so one seed pins the whole pipeline byte for byte.
+seed, an integer >= 0, drives every stochastic choice, and per-driver seeds
+derive from it as seed + driver index, so one seed pins the whole pipeline
+byte for byte.
 
 simulate runs its roster on p = min(usable CPUs, drivers) processes
 (_map_roster; the CPUs os.sched_getaffinity counts). With p = 1 the caller
@@ -86,15 +90,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .advisory import (
-    EcoDpConfig,
-    RouteInfeasibleError,
-    RouteSpec,
-    resample_to_time,
-    solve_eco_dp,
-)
+from .advisory import EcoDpConfig, RouteSpec, resample_to_time, solve_eco_dp
 from .driversim import DistractionWindow, DriverParams, VehicleParams, simulate_driver
-from .edmd import FitConfig, RankDeficientDataError, fit_trajectories
+from .edmd import FitConfig, fit_trajectories
 from .evaluate import (
     bench_update,
     evaluate_horizons,
@@ -103,7 +101,6 @@ from .evaluate import (
 )
 from .model import (
     KoopmanModel,
-    RolloutDivergenceError,
     Trajectory,
     _check_fields,
     _check_same_sample_period,
@@ -114,7 +111,7 @@ from .model import (
     _write_csv_table,
     _write_json,
 )
-from .rls import OnlineSettings, RlsUpdateRejectedError, init_rls, snapshot_model, stream_ticks
+from .rls import OnlineSettings, init_rls, snapshot_model, stream_ticks
 
 ADVISORY_TIME_HEADER = "t_s,v_ref_mps"
 # the files advisory writes in its --out directory
@@ -187,6 +184,9 @@ class Config:
     def __post_init__(self):
         _check_sample_period(self.sample_period)
         _check_fields(self)
+        # per-driver seeds are seed + index, and numpy seeds no generator from a negative one
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 def _require_vehicle(cfg: Config, command: str) -> None:
@@ -665,8 +665,7 @@ def main(argv=None) -> int:
             return args.func(args, _load_config(args))
         except OSError as exc:
             return _fail(str(exc), 2)
-        except (RouteInfeasibleError, RankDeficientDataError, RolloutDivergenceError,
-                RlsUpdateRejectedError) as exc:
+        except ArithmeticError as exc:  # every numerical refusal of the package
             return _fail(str(exc), 4)
         except json.JSONDecodeError as exc:
             return _fail(f"malformed JSON: {exc}", 3)

@@ -13,13 +13,17 @@ stacked: build_matrices, the one fold loop, takes each trajectory's rows
 model._pair_blocks and its pairs formed by model._pairs, the rules that
 rls.stream_ticks and rls.update_tick follow too. split_dataset takes each
 part's pairs from model._pair_blocks as well, so this module cuts no span
-of samples, reads no v_ref column and calls no lift itself. It checks
-the block finite once and folds it into the upper triangular factor R of a
-QR decomposition of all rows seen so far (a streaming tall-skinny QR), so
-beyond the trajectories the caller holds, memory stays at one (2N+1) x (2N+1)
-factor plus one fold block. It returns R and the pair count as a frozen
-DataMatrices record. A lift that overflows is refused with ValueError naming
-the trajectory and its samples, in every error mode (see the model module).
+of samples, reads no v_ref column and calls no lift itself. It folds
+each block into the upper triangular factor R of a QR decomposition of all
+rows seen so far (a streaming tall-skinny QR) and checks the folded R
+finite once, so beyond the trajectories the caller holds, memory stays at
+one (2N+1) x (2N+1) factor plus one fold block. It returns R and the pair
+count as a frozen DataMatrices record. A block whose lift overflows, or
+whose fold passes the float range (an advisory speed of 1e308, whose
+column norm overflows), is refused with ValueError naming the trajectory
+and its samples, in every error mode (see the model module); a
+rank-deficient stack is refused with RankDeficientDataError, an
+ArithmeticError like every numerical refusal of the package.
 Since R^T R equals the Gram matrix of the stacked
 rows, every quantity of the fit follows from R alone: theta from its leading
 (N+1) x (N+1) block, the rank and condition number from that block's
@@ -77,8 +81,10 @@ _EPS = np.finfo(float).eps
 _PARTS = ("train", "validation", "test")
 
 
-class RankDeficientDataError(ValueError):
-    """The stacked data matrix is rank deficient and no ridge was requested."""
+class RankDeficientDataError(ArithmeticError):
+    """The stacked data matrix is rank deficient and no ridge was requested.
+    An ArithmeticError, like every numerical refusal of the package, so the
+    command line exits 4 on it."""
 
 
 @dataclass(frozen=True)
@@ -131,9 +137,10 @@ def build_matrices(trajectories, basis: LiftedBasis) -> DataMatrices:
     row, and each block is one fold of R: the same rows and the same folds as
     lifting the whole trajectory, so R is bit for bit the same, while no
     more than one block's lifted pairs exist.
-    A block whose lift overflows raises ValueError naming the trajectory
-    and its samples, and one whose lift underflows is folded with numpy's
-    default values, in every error mode (see the model module).
+    A block whose lift overflows, or whose fold leaves R non-finite, raises
+    ValueError naming the trajectory and its samples, and one whose lift
+    underflows is folded with numpy's default values, in every error mode
+    (see the model module).
     """
     trajectories = list(trajectories)
     if not trajectories:
@@ -146,18 +153,20 @@ def build_matrices(trajectories, basis: LiftedBasis) -> DataMatrices:
     R = np.zeros((m, m))
     for i, traj in enumerate(trajectories):
         for lo, hi, block in _pair_blocks(traj, 0, len(traj) - 1, _FOLD_ROWS):
-            # an overflow is refused below, by one check of the block
+            # an overflow, in the lift or past the float range in the fold,
+            # leaves R non-finite and is refused below, by one check of R
             with np.errstate(all="ignore"):
                 Z, psi = _pairs(basis, block)
-            if not np.isfinite(psi).all():
-                raise ValueError(f"trajectory {i}: samples {lo}..{hi} (t = {float(block.t[0])} "
-                                 f"to {float(block.t[-1])} s) lift to non-finite values")
             rows = np.empty((m + hi - lo, m))
             rows[:m] = R
             rows[m:, :N + 1] = Z[:-1]
             rows[m:, N + 1:] = psi[1:]
             del Z, psi  # only R and the rows live through the fold
             R = _fold(rows)
+            if not np.isfinite(R).all():
+                raise ValueError(f"trajectory {i}: samples {lo}..{hi} (t = {float(block.t[0])} "
+                                 f"to {float(block.t[-1])} s) lift to non-finite values "
+                                 "or fold past the float range")
     return DataMatrices(basis, period, R, sum(len(traj) - 1 for traj in trajectories))
 
 

@@ -38,8 +38,11 @@ restored state makes its own, on its own stack. Reading
 state.theta or state.P folds the pending rows into a copy, so theta after
 k pairs depends neither on the tick boundaries nor on the reads, and a
 theta read is read-only. A fold or read whose R11 has sigma_min <= p eps sigma_max
-(edmd.fit's rank rule, with p regressors), or whose new theta is not
-finite, raises RlsUpdateRejectedError, as does a non-finite prediction
+(edmd.fit's rank rule, with p regressors), whose folded R is not finite
+(the rank rule's SVD raises numpy's LinAlgError on it, which is caught on
+that exception path, so a finite fold pays no check), or whose new theta
+is not finite, raises RlsUpdateRejectedError, an ArithmeticError like
+every numerical refusal of the package, as does a non-finite prediction
 error; the refused pair leaves the state as it was. Every step keeps the
 package's numerical-error rule (see the model module): the tick enters no
 np.errstate, and where the caller's error handling turns a numpy event into
@@ -86,8 +89,9 @@ _FOLD_PAIRS = 40
 
 class RlsUpdateRejectedError(ArithmeticError):
     """An update or a read was refused on numerical grounds: a non-finite
-    prediction error, or information singular to working precision. The
-    state is left untouched."""
+    prediction error, folded information that is not finite or singular to
+    working precision, or a folded theta that is not finite. The state is
+    left untouched."""
 
 
 @dataclass(frozen=True)
@@ -194,6 +198,9 @@ class RlsState:
         except (RuntimeWarning, FloatingPointError):
             with np.errstate(all="ignore"):
                 return self._folded(k)
+        except np.linalg.LinAlgError:  # _rank's SVD of a non-finite R
+            raise RlsUpdateRejectedError(
+                "update rejected: the folded information is not finite") from None
         if not np.isfinite(theta).all():
             raise RlsUpdateRejectedError("update rejected: the folded theta is not finite")
         return R[:p, :p], theta

@@ -21,12 +21,14 @@ import numpy as np
 import pytest
 
 from koopdrive import cli
-from koopdrive.advisory import EcoDpConfig, RouteSpec, solve_eco_dp
+from koopdrive.advisory import EcoDpConfig, RouteInfeasibleError, RouteSpec, solve_eco_dp
 from koopdrive.basis import LiftedBasis
 from koopdrive.cli import _read_trajectories, main
 from koopdrive.driversim import VehicleParams
-from koopdrive.model import KoopmanModel, ModelFileError, Trajectory, _row_template
-from koopdrive.rls import OnlineSettings
+from koopdrive.edmd import RankDeficientDataError
+from koopdrive.model import (KoopmanModel, ModelFileError, RolloutDivergenceError, Trajectory,
+                             _row_template)
+from koopdrive.rls import OnlineSettings, RlsUpdateRejectedError
 
 TOY_CONFIG = {
     "seed": 0,
@@ -768,6 +770,44 @@ def test_infeasible_route_exit_4(tmp_path, config_file):
                  "--out", str(tmp_path / "o")]) == 4
 
 
+@pytest.mark.parametrize("error", [RouteInfeasibleError, RankDeficientDataError,
+                                   RolloutDivergenceError, RlsUpdateRejectedError],
+                         ids=lambda error: error.__name__)
+def test_every_numerical_refusal_is_an_arithmetic_error(error):
+    # main maps exit 4 by this one class, so no refusal may be a ValueError (exit 3)
+    assert issubclass(error, ArithmeticError)
+    assert not issubclass(error, ValueError)
+
+
+def test_any_arithmetic_error_exits_4(tmp_path, monkeypatch, capsys):
+    # main names no refusal class: a command that raises any ArithmeticError exits 4
+    def fail(args, cfg):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(cli, "cmd_fit", fail)
+    assert main(["fit", "--data", str(tmp_path / "d.csv"),
+                 "--model-out", str(tmp_path / "m.json")]) == 4
+    assert capsys.readouterr() == ("", "error: boom\n")
+
+
+@pytest.mark.parametrize("given", ["flag", "config"])
+def test_negative_seed_exit_3_before_any_drive(tmp_path, toy_build, given, capsys):
+    # per-driver seeds are seed + index, and numpy seeds no generator from a
+    # negative one: simulate once exited 3 with numpy's "expected
+    # non-negative integer", which names nothing, after its workers had
+    # written the drives of the other seeds
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(TOY_CONFIG, seed=-1 if given == "config" else 0)))
+    out = tmp_path / "drivers"
+    argv = command_for("simulate", toy_build, cfg, out)
+    if given == "flag":
+        argv += ["--seed", "-1"]
+    assert main(argv) == 3
+    assert capsys.readouterr() == (
+        "", "error: configuration: seed must be a non-negative integer, got -1\n")
+    assert not out.exists()
+
+
 def test_eval_missing_model_exit_2(tmp_path, config_file):
     assert main(["eval", "--model", str(tmp_path / "no_model.json"),
                  "--data", str(tmp_path / "no_data.csv"),
@@ -856,6 +896,47 @@ def test_fit_on_a_test_sample_whose_lift_overflows_exit_3(tmp_path, toy_build, a
     assert re.search(r"trajectory 0: samples \d+\.\.\d+ \(t = .* s\) lift to non-finite", err)
     assert "Traceback" not in err and "Warning" not in err
     assert caught == []
+    assert not out.exists()
+
+
+def test_fit_whose_fold_overflows_exit_3(tmp_path, toy_build, capsys):
+    # an advisory of 1e308 lifts to finite rows, but its column's norm passes
+    # the float range in the first fold; that non-finite R once reached
+    # fit's SVD, which exited 3 with numpy's "SVD did not converge"
+    traj = Trajectory.read_csv(toy_build / "drivers" / "driver_01.csv")
+    traj.v_ref[:] = 1e308
+    data = tmp_path / "driver_01.csv"
+    traj.write_csv(data)
+    out = tmp_path / "m.json"
+    assert main(["fit", "--data", str(data), "--config", str(toy_build / "config.json"),
+                 "--model-out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: trajectory 0: samples 0\.\.\d+ \(t = 0\.0 to [\d.]+ s\) lift to "
+                        r"non-finite values or fold past the float range\n", captured.err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stage", ["update", "eval"])
+def test_streaming_fold_that_overflows_exit_4(tmp_path, toy_build, stage, capsys):
+    # an advisory of 1e308 over the 40 pairs of the tick from t = 12 s: each
+    # pair's error is accepted, but the fold's column norm passes the float
+    # range; that non-finite R once reached the rank rule's SVD, and update
+    # and eval --online exited 3 with numpy's "SVD did not converge",
+    # naming no tick
+    traj = Trajectory.read_csv(toy_build / "drivers" / "driver_01.csv")
+    traj.v_ref[480:520] = 1e308
+    data = tmp_path / "driver_01.csv"
+    traj.write_csv(data)
+    out = tmp_path / "out"
+    argv = command_for(stage, toy_build, toy_build / "config.json", out)
+    argv[argv.index("--data") + 1] = str(data)
+    if stage == "eval":
+        argv.append("--online")
+    assert main(argv) == 4
+    assert capsys.readouterr().err == (
+        "error: tick of samples 480 to 520 (t = 12.0 s to 13.0 s): tick aborted at buffered "
+        "pair 39: update rejected: the folded information is not finite\n")
     assert not out.exists()
 
 

@@ -297,6 +297,21 @@ def test_build_matrices_refuses_a_lift_that_overflows(action):
     assert caught == []
 
 
+@pytest.mark.parametrize("action", PAIR_RULE_MODES)
+def test_build_matrices_refuses_a_fold_that_overflows(action):
+    # an advisory of 1e308 lifts to finite rows, but its column's norm over
+    # a block passes the float range, so the fold leaves R non-finite; that
+    # R once reached fit's SVD, which raised numpy's "SVD did not converge".
+    # The refusal names the block, and numpy warns of nothing in any mode
+    bad = make_traj(_FOLD_ROWS + 100, seed=2, v_ref=1e308)
+    with warnings.catch_warnings(record=True) as caught, error_mode(action):
+        with pytest.raises(ValueError, match=rf"^trajectory 1: samples 0\.\.{_FOLD_ROWS} "
+                           r"\(t = 0\.0 to 102\.4 s\) lift to non-finite values or fold past "
+                           r"the float range$"):
+            build_matrices([make_traj(50, seed=1), bad], LiftedBasis())
+    assert caught == []
+
+
 @pytest.mark.parametrize("action", ["error", "raise"])
 def test_build_matrices_folds_an_underflowing_lift_as_the_default_mode(action):
     # a speed of 1e-120 underflows in the lift; where numpy's underflows

@@ -578,6 +578,27 @@ def test_fold_that_overflows_theta_is_refused_and_keeps_the_state(action):
     assert np.isfinite(state._theta).all()
 
 
+@pytest.mark.parametrize("action", PAIR_RULE_MODES)
+def test_fold_whose_information_overflows_is_refused_and_keeps_the_state(action):
+    # an input of 1e308 in a fold's 40 pairs: each pair's error is finite,
+    # but the fold's column norm passes the float range and R is not
+    # finite; the rank rule's SVD of it once raised numpy's LinAlgError
+    basis = LiftedBasis()
+    state = init_rls(zero_model(basis), 0.99737)
+    Z, psi = _pairs(basis, traj_of(random_rows(_FOLD_PAIRS + 1)))
+    Z = Z.copy()
+    Z[:, -1] = 1e308
+    for i in range(_FOLD_PAIRS - 1):
+        rls_update(state, Z[i], psi[i + 1])
+    before = (state.R.tobytes(), state._theta.tobytes(), state.update_count)
+    with warnings.catch_warnings(record=True) as caught, error_mode(action):
+        with pytest.raises(RlsUpdateRejectedError,
+                           match="^update rejected: the folded information is not finite$"):
+            rls_update(state, Z[-1], psi[-1])
+    assert caught == []
+    assert (state.R.tobytes(), state._theta.tobytes(), state.update_count) == before
+
+
 def test_read_that_would_overflow_theta_is_refused():
     # 39 pairs leave the overflowing pair pending; a read folds it into a copy
     basis = LiftedBasis()
